@@ -61,7 +61,7 @@ impl QiMatrix {
     /// attributes on which they differ. This is the suppression-model
     /// information loss a 2-cluster of the rows would incur per tuple.
     pub fn distance(&self, a: usize, b: usize) -> u32 {
-        self.row(a).iter().zip(self.row(b)).map(|(x, y)| u32::from(x != y)).sum()
+        hamming(self.row(a), self.row(b))
     }
 
     /// Translates a clustering over local indices into one over
@@ -71,21 +71,32 @@ impl QiMatrix {
     }
 }
 
+/// The number of positions at which two QI code vectors differ.
+pub(crate) fn hamming(a: &[u32], b: &[u32]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| u32::from(x != y)).sum()
+}
+
 /// A cluster summary for greedy algorithms: which QI attributes are
 /// still uniform, and the per-tuple information loss so far.
+///
+/// The fields are private so the cached lost-attribute count cannot
+/// drift from the mask: every mutation goes through [`ClusterState::push`]
+/// or [`ClusterState::swap_remove`].
 #[derive(Debug, Clone)]
 pub struct ClusterState {
     /// For each QI attribute: `Some(code)` while the cluster is
     /// uniform on it, `None` once mixed.
-    pub uniform: Vec<Option<u32>>,
+    uniform: Vec<Option<u32>>,
     /// Cluster members (local indices).
-    pub members: Vec<usize>,
+    members: Vec<usize>,
+    /// Number of `None` entries in `uniform`.
+    lost: usize,
 }
 
 impl ClusterState {
     /// A singleton cluster of local row `i`.
     pub fn singleton(m: &QiMatrix, i: usize) -> Self {
-        Self { uniform: m.row(i).iter().map(|&c| Some(c)).collect(), members: vec![i] }
+        Self { uniform: m.row(i).iter().map(|&c| Some(c)).collect(), members: vec![i], lost: 0 }
     }
 
     /// Number of members.
@@ -98,43 +109,78 @@ impl ClusterState {
         self.members.is_empty()
     }
 
+    /// Cluster members (local indices), in insertion order.
+    pub fn members(&self) -> &[usize] {
+        &self.members
+    }
+
+    /// Consumes the cluster, yielding its members.
+    pub fn into_members(self) -> Vec<usize> {
+        self.members
+    }
+
     /// Number of QI attributes currently suppressed (non-uniform).
     pub fn lost_attrs(&self) -> usize {
-        self.uniform.iter().filter(|u| u.is_none()).count()
+        self.lost
     }
 
     /// Suppression-model information loss of the cluster: every member
     /// loses each non-uniform attribute, so `IL = |C| · lost_attrs`.
     pub fn info_loss(&self) -> usize {
-        self.len() * self.lost_attrs()
+        self.len() * self.lost
     }
 
     /// The increase of [`ClusterState::info_loss`] if local row `i`
-    /// joined.
+    /// joined: `(|C|+1)·(lost + newly_lost) − |C|·lost`, where
+    /// `newly_lost` is [`ClusterState::distance`].
     pub fn il_increase(&self, m: &QiMatrix, i: usize) -> usize {
-        let row = m.row(i);
-        let newly_lost =
-            self.uniform.iter().zip(row).filter(|(u, &c)| matches!(u, Some(x) if *x != c)).count();
-        let lost_after = self.lost_attrs() + newly_lost;
-        (self.len() + 1) * lost_after - self.info_loss()
+        self.lost + (self.len() + 1) * self.distance(m, i) as usize
     }
 
     /// Distance from the cluster's representative to local row `i`:
     /// attributes already lost count as matched-by-★ (distance 0 under
     /// suppression), mismatching uniform attributes count 1.
     pub fn distance(&self, m: &QiMatrix, i: usize) -> u32 {
-        let row = m.row(i);
+        self.distance_to(m.row(i))
+    }
+
+    /// [`ClusterState::distance`] to a QI code vector.
+    pub(crate) fn distance_to(&self, row: &[u32]) -> u32 {
         self.uniform.iter().zip(row).map(|(u, &c)| u32::from(matches!(u, Some(x) if *x != c))).sum()
     }
 
     /// Adds local row `i`, updating the uniformity mask.
     pub fn push(&mut self, m: &QiMatrix, i: usize) {
+        self.mask(m, i);
+        self.members.push(i);
+    }
+
+    /// Removes the member at position `pos` (`Vec::swap_remove` order)
+    /// and returns it. Removal can restore uniformity, so the mask is
+    /// rebuilt from the remaining members.
+    pub fn swap_remove(&mut self, m: &QiMatrix, pos: usize) -> usize {
+        let removed = self.members.swap_remove(pos);
+        if let Some(&first) = self.members.first() {
+            for (u, &c) in self.uniform.iter_mut().zip(m.row(first)) {
+                *u = Some(c);
+            }
+            self.lost = 0;
+            for j in 1..self.members.len() {
+                self.mask(m, self.members[j]);
+            }
+        }
+        removed
+    }
+
+    /// Marks every uniform attribute on which local row `i` differs as
+    /// lost.
+    fn mask(&mut self, m: &QiMatrix, i: usize) {
         for (u, &c) in self.uniform.iter_mut().zip(m.row(i)) {
             if matches!(u, Some(x) if *x != c) {
                 *u = None;
+                self.lost += 1;
             }
         }
-        self.members.push(i);
     }
 }
 
@@ -294,6 +340,22 @@ mod tests {
         assert_eq!(c.il_increase(&m, 2), 3); // one more member × 3 lost
         c.push(&m, 2);
         assert_eq!(c.info_loss(), 9);
+    }
+
+    #[test]
+    fn swap_remove_restores_uniformity() {
+        let r = paper_table1();
+        let m = QiMatrix::new(&r, &[7, 8, 0]); // two Asian women, then t1
+        let mut c = ClusterState::singleton(&m, 0);
+        c.push(&m, 1);
+        c.push(&m, 2);
+        assert_eq!(c.lost_attrs(), 4, "t1 mixes ETH on top of AGE/PRV/CTY");
+        assert_eq!(c.swap_remove(&m, 2), 2);
+        assert_eq!(c.members(), [0, 1]);
+        assert_eq!(c.lost_attrs(), 3, "dropping t1 makes ETH uniform again");
+        assert_eq!(c.info_loss(), 6);
+        // Re-adding t1: 3 lost + 3 members × 1 newly lost (ETH).
+        assert_eq!(c.il_increase(&m, 2), 6);
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! information loss. Records left over (fewer than `k`) are absorbed
 //! into the clusters whose loss they increase least.
 
+use std::cmp::Reverse;
+
 use diva_relation::{Relation, RowId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{Anonymizer, ClusterState, QiMatrix};
+use crate::common::{hamming, Anonymizer, ClusterState, QiMatrix};
 
 /// k-member configuration.
 ///
@@ -54,46 +56,55 @@ impl KMember {
     }
 }
 
-/// A pool of not-yet-clustered local indices with O(1) removal.
+/// The not-yet-clustered local indices, in shuffled order, with O(1)
+/// removal by position.
+///
+/// The pool keeps its own copy of each item's QI codes in pool order,
+/// so a scan over a candidate prefix reads one contiguous run of memory
+/// instead of gathering rows from all over the [`QiMatrix`].
 struct Pool {
     items: Vec<usize>,
-    /// Position of each local index inside `items` (usize::MAX = gone).
-    pos: Vec<usize>,
+    /// QI codes of `items[p]` at `codes[p * n_qi..(p + 1) * n_qi]`.
+    codes: Vec<u32>,
+    n_qi: usize,
 }
 
 impl Pool {
-    fn new(n: usize, rng: &mut StdRng) -> Self {
-        let mut items: Vec<usize> = (0..n).collect();
+    fn new(m: &QiMatrix, rng: &mut StdRng) -> Self {
+        let mut items: Vec<usize> = (0..m.len()).collect();
         items.shuffle(rng);
-        let mut pos = vec![usize::MAX; n];
-        for (p, &i) in items.iter().enumerate() {
-            pos[i] = p;
+        let mut codes = Vec::with_capacity(m.len() * m.n_qi());
+        for &i in &items {
+            codes.extend_from_slice(m.row(i));
         }
-        Self { items, pos }
+        Self { items, codes, n_qi: m.n_qi() }
     }
 
     fn len(&self) -> usize {
         self.items.len()
     }
 
-    fn remove(&mut self, i: usize) {
-        let p = self.pos[i];
-        debug_assert!(p != usize::MAX);
-        self.items.swap_remove(p);
-        if let Some(&moved) = self.items.get(p) {
-            self.pos[moved] = p;
-        }
-        self.pos[i] = usize::MAX;
+    /// The QI codes of the item at position `p`.
+    fn row(&self, p: usize) -> &[u32] {
+        &self.codes[p * self.n_qi..(p + 1) * self.n_qi]
     }
 
-    /// The candidate slice for a scan: the whole pool, or its first
-    /// `cap` entries. Items are in shuffled order, and `swap_remove`
-    /// keeps the order unbiased, so a prefix is a uniform sample.
-    fn candidates(&self, cap: Option<usize>) -> &[usize] {
-        match cap {
-            Some(c) if self.items.len() > c => &self.items[..c],
-            _ => &self.items,
-        }
+    /// Removes and returns the item at position `p`; the last item
+    /// takes its place, as in `Vec::swap_remove`.
+    fn swap_remove(&mut self, p: usize) -> usize {
+        let item = self.items.swap_remove(p);
+        let last = self.items.len();
+        self.codes.copy_within(last * self.n_qi..(last + 1) * self.n_qi, p * self.n_qi);
+        self.codes.truncate(last * self.n_qi);
+        item
+    }
+
+    /// The number of candidates a scan examines: the whole pool, or
+    /// its first `cap` positions. Items are in shuffled order, and
+    /// `swap_remove` keeps the order unbiased, so a prefix is a uniform
+    /// sample.
+    fn scan_len(&self, cap: Option<usize>) -> usize {
+        cap.map_or(self.len(), |c| c.min(self.len()))
     }
 }
 
@@ -125,54 +136,77 @@ impl Anonymizer for KMember {
             return Some(m.to_relation_clusters(&[(0..n).collect()]));
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut pool = Pool::new(n, &mut rng);
+        let mut pool = Pool::new(&m, &mut rng);
         let mut clusters: Vec<ClusterState> = Vec::with_capacity(n / k + 1);
 
         let mut prev_seed = pool.items[rng.gen_range(0..pool.len())];
+        let max_distance = Reverse(m.n_qi() as u32);
         while pool.len() >= k {
-            // Growing one cluster costs O(candidate_cap × k) distance
-            // scans; polling the probe here bounds the stop latency to
-            // a single cluster's growth.
+            // Growing one cluster costs at most O(candidate_cap × k)
+            // distance evaluations; polling the probe here bounds the
+            // stop latency to a single cluster's growth.
             if stop() {
                 return None;
             }
-            // Seed: record furthest from the previous seed.
-            let Some(&seed) = pool
-                .candidates(self.candidate_cap)
-                .iter()
-                .max_by_key(|&&i| m.distance(prev_seed, i))
+            // Seed: record furthest from the previous seed. Scanning
+            // backwards keeps `max_by_key`'s last-maximum tie rule.
+            let from = m.row(prev_seed);
+            let scan = (0..pool.scan_len(self.candidate_cap)).rev();
+            let Some(p) =
+                first_min_by_key(scan, max_distance, |&p| Reverse(hamming(from, pool.row(p))))
             else {
                 break;
             };
+            let seed = pool.swap_remove(p);
             prev_seed = seed;
-            pool.remove(seed);
             let mut c = ClusterState::singleton(&m, seed);
             while c.len() < k {
                 // Greedy: record with minimal information-loss increase.
-                let Some(&best) = pool
-                    .candidates(self.candidate_cap)
-                    .iter()
-                    .min_by_key(|&&i| c.il_increase(&m, i))
-                else {
+                // `il_increase = lost + (|C|+1)·distance` is strictly
+                // increasing in the distance, so both keys pick the same
+                // record.
+                let scan = 0..pool.scan_len(self.candidate_cap);
+                let Some(p) = first_min_by_key(scan, 0, |&p| c.distance_to(pool.row(p))) else {
                     break;
                 };
-                pool.remove(best);
-                c.push(&m, best);
+                c.push(&m, pool.swap_remove(p));
             }
             clusters.push(c);
         }
         // Absorb the leftovers into their cheapest clusters.
-        let leftovers: Vec<usize> = pool.items.clone();
-        for i in leftovers {
-            let Some(best) = (0..clusters.len()).min_by_key(|&ci| clusters[ci].il_increase(&m, i))
+        for i in pool.items {
+            let Some(best) =
+                first_min_by_key(0..clusters.len(), 0, |&ci| clusters[ci].il_increase(&m, i))
             else {
                 continue;
             };
             clusters[best].push(&m, i);
         }
-        let local: Vec<Vec<usize>> = clusters.into_iter().map(|c| c.members).collect();
+        let local: Vec<Vec<usize>> = clusters.into_iter().map(ClusterState::into_members).collect();
         Some(m.to_relation_clusters(&local))
     }
+}
+
+/// `Iterator::min_by_key` that stops at the first item whose key
+/// equals `floor`, the least value the key can take. `min_by_key`
+/// returns the *first* minimum, and no later item can undercut `floor`,
+/// so the early exit never changes the result (`DESIGN.md` §2.5).
+fn first_min_by_key<T, K: Ord>(
+    items: impl IntoIterator<Item = T>,
+    floor: K,
+    key: impl Fn(&T) -> K,
+) -> Option<T> {
+    let mut best: Option<(T, K)> = None;
+    for item in items {
+        let k = key(&item);
+        if k == floor {
+            return Some(item);
+        }
+        if best.as_ref().is_none_or(|(_, b)| k < *b) {
+            best = Some((item, k));
+        }
+    }
+    best.map(|(item, _)| item)
 }
 
 #[cfg(test)]
@@ -259,6 +293,17 @@ mod tests {
             KMember { seed: 5, candidate_cap: Some(50) }.anonymize(&r, 4).relation.star_count();
         // The sampled variant may lose some quality but not collapse.
         assert!((capped as f64) < 1.6 * exact as f64, "exact {exact}, capped {capped}");
+    }
+
+    #[test]
+    fn default_output_is_pinned() {
+        // Recorded with the `min_by_key` / `max_by_key` scans the early
+        // exits replaced; any drift means the clustering changed.
+        let r = diva_datagen::medical(4_000, 29);
+        let rows: Vec<usize> = (0..r.n_rows()).collect();
+        let clusters = KMember::default().cluster(&r, &rows, 5);
+        assert_eq!(clusters.len(), 800);
+        assert_eq!(suppress_clustering(&r, &clusters).relation.star_count(), 2735);
     }
 
     #[test]

@@ -102,15 +102,13 @@ impl Anonymizer for Oka {
                 // Recompute the furthest member against the current
                 // representative and remove it.
                 let Some((pos, _)) =
-                    c.members.iter().enumerate().max_by_key(|&(_, &i)| c.distance(&m, i))
+                    c.members().iter().enumerate().max_by_key(|&(_, &i)| c.distance(&m, i))
                 else {
                     break; // defensive: the cluster has > k ≥ 1 members
                 };
-                freed.push(c.members.swap_remove(pos));
-                // Removing a member can restore uniformity; rebuild the
-                // mask (cheap: |c| ≤ original size).
-                let rebuilt = rebuild(&m, &c.members);
-                c.uniform = rebuilt;
+                // Removing a member can restore uniformity; `swap_remove`
+                // rebuilds the mask (cheap: |c| ≤ original size).
+                freed.push(c.swap_remove(&m, pos));
             }
         }
         // ... and freed records go to the nearest under-full cluster,
@@ -135,7 +133,7 @@ impl Anonymizer for Oka {
                 break; // single undersized cluster: nothing to merge into
             }
             let victim = clusters.swap_remove(small);
-            for &i in &victim.members {
+            for &i in victim.members() {
                 let Some(target) =
                     (0..clusters.len()).min_by_key(|&ci| clusters[ci].distance(&m, i))
                 else {
@@ -145,22 +143,9 @@ impl Anonymizer for Oka {
             }
         }
 
-        let local: Vec<Vec<usize>> = clusters.into_iter().map(|c| c.members).collect();
+        let local: Vec<Vec<usize>> = clusters.into_iter().map(ClusterState::into_members).collect();
         m.to_relation_clusters(&local)
     }
-}
-
-/// Recomputes the uniformity mask of a member set.
-fn rebuild(m: &QiMatrix, members: &[usize]) -> Vec<Option<u32>> {
-    let mut mask: Vec<Option<u32>> = m.row(members[0]).iter().map(|&c| Some(c)).collect();
-    for &i in &members[1..] {
-        for (u, &c) in mask.iter_mut().zip(m.row(i)) {
-            if matches!(u, Some(x) if *x != c) {
-                *u = None;
-            }
-        }
-    }
-    mask
 }
 
 #[cfg(test)]

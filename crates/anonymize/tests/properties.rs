@@ -28,6 +28,169 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
+/// Relations drawn from a few QI templates: each row copies one
+/// template and redraws each attribute with probability 1/3. Exact
+/// duplicates (cluster distance 0) and rows that differ on every
+/// attribute (pairwise distance `n_qi`) both occur often, so the
+/// k-member scans take their early exits.
+fn arb_duplicate_heavy_relation() -> impl Strategy<Value = Relation> {
+    (1usize..5, 1usize..6, 0usize..150).prop_flat_map(|(n_qi, n_templates, n_rows)| {
+        let templates =
+            proptest::collection::vec(proptest::collection::vec(0u8..4, n_qi), n_templates);
+        let rows = proptest::collection::vec(
+            (0..n_templates, proptest::collection::vec(0u8..12, n_qi), 0u8..3),
+            n_rows,
+        );
+        (templates, rows).prop_map(move |(templates, rows)| {
+            let mut attrs: Vec<Attribute> =
+                (0..n_qi).map(|i| Attribute::quasi(format!("Q{i}"))).collect();
+            attrs.push(Attribute::sensitive("S"));
+            let mut b = RelationBuilder::new(Arc::new(Schema::new(attrs)));
+            for (t, noise, s) in &rows {
+                let mut vals: Vec<String> = templates[*t]
+                    .iter()
+                    .zip(noise)
+                    .map(|(&v, &x)| format!("v{}", if x < 4 { x } else { v }))
+                    .collect();
+                vals.push(format!("s{s}"));
+                b.push_row(&vals);
+            }
+            b.finish()
+        })
+    })
+}
+
+/// k-member as it was written before its scans stopped early: plain
+/// `max_by_key` / `min_by_key` over the candidates and an information
+/// loss recounted from the uniformity mask on every call. It shares
+/// only [`QiMatrix`] and the RNG stream with [`KMember`].
+mod reference {
+    use diva_anonymize::QiMatrix;
+    use diva_relation::{Relation, RowId};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    struct Cluster {
+        uniform: Vec<Option<u32>>,
+        members: Vec<usize>,
+    }
+
+    impl Cluster {
+        fn lost(&self) -> usize {
+            self.uniform.iter().filter(|u| u.is_none()).count()
+        }
+
+        fn il_increase(&self, m: &QiMatrix, i: usize) -> usize {
+            let newly_lost = self
+                .uniform
+                .iter()
+                .zip(m.row(i))
+                .filter(|(u, &c)| matches!(u, Some(x) if *x != c))
+                .count();
+            let n = self.members.len();
+            (n + 1) * (self.lost() + newly_lost) - n * self.lost()
+        }
+
+        fn push(&mut self, m: &QiMatrix, i: usize) {
+            for (u, &c) in self.uniform.iter_mut().zip(m.row(i)) {
+                if matches!(u, Some(x) if *x != c) {
+                    *u = None;
+                }
+            }
+            self.members.push(i);
+        }
+    }
+
+    fn remove(items: &mut Vec<usize>, pos: &mut [usize], i: usize) {
+        let p = pos[i];
+        items.swap_remove(p);
+        if let Some(&moved) = items.get(p) {
+            pos[moved] = p;
+        }
+    }
+
+    fn candidates(items: &[usize], cap: Option<usize>) -> &[usize] {
+        &items[..cap.map_or(items.len(), |c| c.min(items.len()))]
+    }
+
+    pub fn kmember(
+        rel: &Relation,
+        rows: &[RowId],
+        k: usize,
+        seed: u64,
+        cap: Option<usize>,
+    ) -> Vec<Vec<RowId>> {
+        if rows.is_empty() {
+            return Vec::new();
+        }
+        let m = QiMatrix::new(rel, rows);
+        let n = m.len();
+        if n < k {
+            return m.to_relation_clusters(&[(0..n).collect()]);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut items: Vec<usize> = (0..n).collect();
+        items.shuffle(&mut rng);
+        let mut pos = vec![0; n];
+        for (p, &i) in items.iter().enumerate() {
+            pos[i] = p;
+        }
+        let mut clusters: Vec<Cluster> = Vec::new();
+        let mut prev_seed = items[rng.gen_range(0..items.len())];
+        while items.len() >= k {
+            let Some(&seed) =
+                candidates(&items, cap).iter().max_by_key(|&&i| m.distance(prev_seed, i))
+            else {
+                break;
+            };
+            prev_seed = seed;
+            remove(&mut items, &mut pos, seed);
+            let mut c = Cluster {
+                uniform: m.row(seed).iter().map(|&v| Some(v)).collect(),
+                members: vec![seed],
+            };
+            while c.members.len() < k {
+                let Some(&best) =
+                    candidates(&items, cap).iter().min_by_key(|&&i| c.il_increase(&m, i))
+                else {
+                    break;
+                };
+                remove(&mut items, &mut pos, best);
+                c.push(&m, best);
+            }
+            clusters.push(c);
+        }
+        for i in items.clone() {
+            let Some(best) = (0..clusters.len()).min_by_key(|&ci| clusters[ci].il_increase(&m, i))
+            else {
+                continue;
+            };
+            clusters[best].push(&m, i);
+        }
+        let local: Vec<Vec<usize>> = clusters.into_iter().map(|c| c.members).collect();
+        m.to_relation_clusters(&local)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The early-exit scans publish exactly the clustering of the plain
+    /// `min_by_key` / `max_by_key` scans, for every seed, cap and k.
+    #[test]
+    fn kmember_matches_the_full_scan_reference(
+        rel in arb_duplicate_heavy_relation(),
+        k in 2usize..6,
+        seed: u64,
+        cap in prop_oneof![Just(None), (1usize..64).prop_map(Some)],
+    ) {
+        let rows: Vec<usize> = (0..rel.n_rows()).collect();
+        let fast = KMember { seed, candidate_cap: cap }.cluster(&rel, &rows, k);
+        prop_assert_eq!(fast, reference::kmember(&rel, &rows, k, seed, cap));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 

@@ -78,6 +78,9 @@ pub struct Budget {
     spec: BudgetSpec,
     clock: Stopwatch,
     nodes: AtomicU64,
+    /// Nodes a search explored after its last poll, settled once its
+    /// outcome is decided ([`Budget::settle_nodes`]).
+    settled_nodes: AtomicU64,
     repairs: AtomicU64,
 }
 
@@ -88,6 +91,7 @@ impl Budget {
             spec,
             clock: Stopwatch::start(),
             nodes: AtomicU64::new(0),
+            settled_nodes: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
         }
     }
@@ -121,6 +125,15 @@ impl Budget {
         self.check_deadline()
     }
 
+    /// Records `n` nodes a search explored after its last poll, once
+    /// the search has ended. They count in [`Budget::usage`] but never
+    /// against the node cap: the search's outcome is already decided,
+    /// and a search still running on another thread must trip exactly
+    /// where it would have without them.
+    pub fn settle_nodes(&self, n: u64) {
+        self.settled_nodes.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Charges one repair attempt and checks the repair cap.
     pub fn charge_repair(&self) -> Option<DegradeReason> {
         let total = self.repairs.fetch_add(1, Ordering::Relaxed) + 1;
@@ -132,7 +145,8 @@ impl Budget {
     /// portfolio, so a member's stats report portfolio-wide totals).
     pub fn usage(&self) -> BudgetUsage {
         BudgetUsage {
-            nodes_explored: self.nodes.load(Ordering::Relaxed),
+            nodes_explored: self.nodes.load(Ordering::Relaxed)
+                + self.settled_nodes.load(Ordering::Relaxed),
             repair_attempts: self.repairs.load(Ordering::Relaxed),
             elapsed: self.clock.elapsed(),
         }
@@ -142,7 +156,8 @@ impl Budget {
 /// Budget consumption recorded into [`crate::RunStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BudgetUsage {
-    /// Explored search nodes charged against the budget.
+    /// Explored search nodes: every assignment attempt of the searches
+    /// that charged this budget, including those after their last poll.
     pub nodes_explored: u64,
     /// Candidate-repair attempts charged against the budget.
     pub repair_attempts: u64,
@@ -354,6 +369,14 @@ mod tests {
         // Repairs don't count against the node budget.
         assert_eq!(b.usage().nodes_explored, 0);
         assert_eq!(b.usage().repair_attempts, 3);
+    }
+
+    #[test]
+    fn settled_nodes_count_in_usage_but_never_trip_the_cap() {
+        let b = Budget::start(BudgetSpec::with_node_budget(100));
+        b.settle_nodes(90);
+        assert_eq!(b.charge_nodes(64), None, "only polled charges meet the cap");
+        assert_eq!(b.usage().nodes_explored, 154);
     }
 
     #[test]

@@ -90,6 +90,8 @@ pub struct Coloring<'a> {
     /// stops the search with the partial assignment instead of
     /// unwinding it (see [`ColoringOutcome::degraded`]).
     budget: Option<Arc<Budget>>,
+    /// Nodes charged to `budget` by the polls so far.
+    nodes_charged: u64,
 }
 
 /// Cancellation is polled when `assignments_tried & CANCEL_POLL_MASK
@@ -178,6 +180,7 @@ impl<'a> Coloring<'a> {
             stats: ColoringStats::default(),
             cancel: None,
             budget: None,
+            nodes_charged: 0,
         }
     }
 
@@ -224,7 +227,7 @@ impl<'a> Coloring<'a> {
     /// stride of explored nodes). Node counts are published to the
     /// live board per assignment (not here) so a mid-run scrape sees
     /// them move even on searches shorter than one poll stride.
-    fn poll(&self, charge: u64) -> Result<(), Stop> {
+    fn poll(&mut self, charge: u64) -> Result<(), Stop> {
         #[cfg(feature = "fault-inject")]
         self.config.faults.at_poll();
         if self.is_cancelled() {
@@ -236,6 +239,7 @@ impl<'a> Coloring<'a> {
             }));
         }
         if let Some(budget) = &self.budget {
+            self.nodes_charged += charge;
             if let Some(reason) = budget.charge_nodes(charge) {
                 return Err(Stop::Degrade(reason));
             }
@@ -254,6 +258,12 @@ impl<'a> Coloring<'a> {
             .attr("strategy", self.config.strategy.name())
             .attr("nodes", self.graph.n_nodes());
         let result = self.solve_impl();
+        // Polls charge the budget a whole stride at a time; settle the
+        // nodes explored since the last one now that the outcome is
+        // decided, so `BudgetUsage::nodes_explored` is exact.
+        if let Some(budget) = &self.budget {
+            budget.settle_nodes(self.stats.assignments_tried - self.nodes_charged);
+        }
         span.set_attr("ok", result.is_ok());
         if let Ok(out) = &result {
             if let Some(reason) = &out.degraded {
@@ -677,6 +687,26 @@ mod tests {
         assert_eq!(plain.clusters, budgeted.clusters);
         assert_eq!(plain.assignment, budgeted.assignment);
         assert!(budgeted.degraded.is_none());
+    }
+
+    #[test]
+    fn short_search_reports_exact_node_usage() {
+        let r = paper_table1();
+        let set = ConstraintSet::bind(&example_sigma(), &r).unwrap();
+        let graph = ConstraintGraph::build(&set);
+        let config = DivaConfig { k: 2, strategy: Strategy::MinChoice, ..DivaConfig::default() };
+        let candidates: Vec<CandidateSet> =
+            set.constraints().iter().map(|c| CandidateSet::enumerate(&r, c, 2, 64, None)).collect();
+        let uppers = set.constraints().iter().map(|c| c.upper).collect();
+        let labels: Vec<String> = set.constraints().iter().map(|c| c.label()).collect();
+        let budget = crate::BudgetSpec::with_node_budget(u64::MAX / 2).arm().unwrap();
+        let out = Coloring::new(&graph, &candidates, uppers, &labels, &config)
+            .with_budget(Arc::clone(&budget))
+            .solve()
+            .unwrap();
+        let tried = out.stats.assignments_tried;
+        assert!(tried > 0 && tried <= CANCEL_POLL_MASK, "shorter than one poll stride: {tried}");
+        assert_eq!(budget.usage().nodes_explored, tried);
     }
 
     #[test]

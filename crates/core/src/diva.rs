@@ -1244,6 +1244,22 @@ mod tests {
     }
 
     #[test]
+    fn budget_usage_counts_every_search_node() {
+        // Several poll strides plus a remainder the polls never charge.
+        let r = diva_datagen::medical(400, 25);
+        let sigma = diva_constraints::generators::proportional(&r, 8, 0.7, 20);
+        let config =
+            DivaConfig::with_k(5).budget(crate::BudgetSpec::with_node_budget(u64::MAX / 2));
+        let out = Diva::new(config).run(&r, &sigma).expect("solves within the budget");
+        let tried = out.stats.coloring.assignments_tried;
+        assert!(
+            tried > 256 && !tried.is_multiple_of(256),
+            "want a ragged multi-stride search: {tried}"
+        );
+        assert_eq!(out.stats.budget.expect("budget armed").nodes_explored, tried);
+    }
+
+    #[test]
     fn stats_timings_are_populated() {
         let r = paper_table1();
         let diva = Diva::new(DivaConfig::with_k(2));

@@ -4,7 +4,8 @@
 # profiling/trace-regression gate.
 # Usage: scripts/check.sh  (from the repo root; pass --offline through
 # CARGO_FLAGS if the environment has no registry access; set
-# SKIP_BENCH=1 to skip the bench smoke during quick iterations,
+# SKIP_BENCH=1 to skip the bench smoke and the benchmark package's
+# tests during quick iterations,
 # SKIP_FAULTS=1 to skip the fault-injection matrix,
 # SKIP_DECOMP=1 to skip the decomposition differential,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
@@ -102,10 +103,16 @@ fi
 
 if [ "${SKIP_BENCH:-0}" = "1" ]; then
     echo "==> bench smoke skipped (SKIP_BENCH=1)"
+    echo "==> benchmark package tests skipped (SKIP_BENCH=1)"
     echo "==> obs trace check skipped (SKIP_BENCH=1)"
 else
     echo "==> bench smoke (perf emitter -> BENCH_diva.json, incl. obs overhead)"
     cargo run $FLAGS --release -p diva-bench --bin experiments -- perf >/dev/null
+
+    # The benchmark is its own package (not a workspace member), so
+    # the workspace test run above does not reach its tests.
+    echo "==> benchmark package tests (crates/bench/src/bin/benchmark)"
+    cargo test $FLAGS --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
     echo "==> obs trace check (medical-4k run -> trace-check)"
     OBS_DIR="$(mktemp -d)"
