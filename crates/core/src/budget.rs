@@ -193,7 +193,7 @@ pub enum DegradeReason {
     /// reachable with fault injection or a genuine bug); the portfolio
     /// degrades to a fully-suppressed output instead of erroring.
     WorkerPanic {
-        /// The panic message of the last lost worker.
+        /// The panic message of the lowest-index lost member.
         detail: String,
     },
     /// The live-telemetry stall watchdog saw the node counter frozen
@@ -234,7 +234,7 @@ impl std::fmt::Display for DegradeReason {
                 write!(f, "repair budget exhausted ({attempts} attempts, cap {cap})")
             }
             DegradeReason::WorkerPanic { detail } => {
-                write!(f, "all portfolio workers lost to panics (last: {detail})")
+                write!(f, "all portfolio workers lost to panics (lowest member: {detail})")
             }
             DegradeReason::Stalled { nodes } => {
                 write!(f, "stall watchdog escalated (node counter frozen at {nodes})")
@@ -282,7 +282,9 @@ impl Outcome {
 ///
 /// [`crate::run_portfolio`] arms one budget for the whole portfolio
 /// and hands every member the same `Controls`, so the deadline is
-/// global — a member dequeued late does not get a fresh clock.
+/// global — a member dequeued late does not get a fresh clock. The
+/// cancellation flag is also the portfolio pool's stop flag: the first
+/// member to report sets it.
 #[derive(Debug, Clone, Default)]
 pub struct Controls {
     cancel: Arc<AtomicBool>,
@@ -295,11 +297,6 @@ impl Controls {
         Self { cancel: Arc::new(AtomicBool::new(false)), budget }
     }
 
-    /// Controls wrapping an existing cancellation token.
-    pub fn with_cancel(cancel: Arc<AtomicBool>, budget: Option<Arc<Budget>>) -> Self {
-        Self { cancel, budget }
-    }
-
     /// The cancellation token polled by the search.
     pub fn cancel_flag(&self) -> &Arc<AtomicBool> {
         &self.cancel
@@ -308,11 +305,6 @@ impl Controls {
     /// The shared budget, if one is armed.
     pub fn budget(&self) -> Option<&Arc<Budget>> {
         self.budget.as_ref()
-    }
-
-    /// Requests cancellation (observed at the next poll point).
-    pub fn request_cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
     }
 
     /// Whether cancellation has been requested.
@@ -423,7 +415,7 @@ mod tests {
         let c = Controls::default();
         assert!(!c.is_cancelled());
         assert!(c.budget().is_none());
-        c.request_cancel();
+        c.cancel_flag().store(true, Ordering::Relaxed);
         assert!(c.is_cancelled());
         let armed = Controls::new(BudgetSpec::with_node_budget(1).arm());
         assert!(armed.budget().is_some());

@@ -188,7 +188,10 @@ pub(crate) fn solve_clustering(
     let mut span = obs.span("diva.components").attr("count", subs.len()).attr("workers", n_workers);
     let span_id = span.id();
     config.board.set_components_total(subs.len() as u64);
-    let results = pool::run_tasks(&subs, n_workers, |idx, sub| {
+    // A fatal component error stops further dequeuing; components
+    // already in flight never poll this flag and run to completion.
+    let abort = AtomicBool::new(false);
+    let results = pool::run_tasks(&subs, n_workers, &abort, Result::is_err, |idx, sub| {
         // Opened on the worker thread with an explicit parent, so this
         // component's `coloring.solve` span nests under it while the
         // component tree itself hangs off `diva.components`.
@@ -321,12 +324,11 @@ fn solve_component(
 
 /// The inner per-component portfolio: all three strategies race over
 /// the *shared* compact sub-problem (candidates are already
-/// enumerated), the first complete colouring cancels the others via
-/// the race token.
+/// enumerated) on the worker pool, and the first result cancels the
+/// others through the race token.
 ///
-/// Verdict ranking is deterministic in member order ([`Strategy::all`]):
-/// exact success > an unsatisfiability proof > a degraded success >
-/// any other error > cancellation. The caller's own cancellation is
+/// The verdict is ranked by [`pool::strongest`], deterministic in
+/// member order ([`Strategy::all`]). The caller's own cancellation is
 /// checked at member entry; mid-race it only takes effect at the next
 /// component boundary (racing trades that granularity, and byte
 /// determinism, for robustness — see [`DivaConfig::component_portfolio`]).
@@ -336,69 +338,34 @@ fn race_component(
     cancel: Option<&Arc<AtomicBool>>,
     budget: Option<&Arc<Budget>>,
 ) -> Result<ColoringOutcome, DivaError> {
-    let members: Vec<_> = Strategy::all()
-        .into_iter()
-        .map(|strategy| {
+    let strategies = Strategy::all();
+    let race_token = Arc::new(AtomicBool::new(false));
+    let slots = pool::run_tasks(
+        &strategies,
+        strategies.len(),
+        &race_token,
+        Result::is_ok,
+        |_, &strategy| {
+            if cancel.is_some_and(|t| t.load(Ordering::Relaxed)) {
+                return Err(DivaError::Cancelled);
+            }
             let member_config = DivaConfig { strategy, ..config.clone() };
-            move |race_token: Arc<AtomicBool>| {
-                if cancel.is_some_and(|t| t.load(Ordering::Relaxed)) {
-                    return Err(DivaError::Cancelled);
-                }
-                let mut coloring = Coloring::new(
-                    &sub.graph,
-                    &sub.candidates,
-                    sub.uppers.clone(),
-                    &sub.labels,
-                    &member_config,
-                )
-                .with_node_ids(sub.nodes.clone())
-                .with_cancel(race_token);
-                if let Some(b) = budget {
-                    coloring = coloring.with_budget(Arc::clone(b));
-                }
-                coloring.solve()
+            let mut coloring = Coloring::new(
+                &sub.graph,
+                &sub.candidates,
+                sub.uppers.clone(),
+                &sub.labels,
+                &member_config,
+            )
+            .with_node_ids(sub.nodes.clone())
+            .with_cancel(Arc::clone(&race_token));
+            if let Some(b) = budget {
+                coloring = coloring.with_budget(Arc::clone(b));
             }
-        })
-        .collect();
-    let mut exact: Option<ColoringOutcome> = None;
-    let mut degraded: Option<ColoringOutcome> = None;
-    let mut unsat: Option<DivaError> = None;
-    let mut fallback: Option<DivaError> = None;
-    for out in pool::race(members).into_iter().flatten() {
-        match out {
-            Ok(o) if o.degraded.is_none() => {
-                if exact.is_none() {
-                    exact = Some(o);
-                }
-            }
-            Ok(o) => {
-                if degraded.is_none() {
-                    degraded = Some(o);
-                }
-            }
-            Err(e @ DivaError::NoDiverseClustering { .. }) => {
-                if unsat.is_none() {
-                    unsat = Some(e);
-                }
-            }
-            Err(DivaError::Cancelled) => {}
-            Err(e) => {
-                if fallback.is_none() {
-                    fallback = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(o) = exact {
-        return Ok(o);
-    }
-    if let Some(e) = unsat {
-        return Err(e);
-    }
-    if let Some(o) = degraded {
-        return Ok(o);
-    }
-    Err(fallback.unwrap_or(DivaError::Cancelled))
+            coloring.solve()
+        },
+    );
+    pool::strongest(slots, |o| o.degraded.is_none()).map_or(Err(DivaError::Cancelled), |(_, v)| v)
 }
 
 /// Field-wise sum of search counters; component counters are additive

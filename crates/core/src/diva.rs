@@ -21,7 +21,8 @@ use crate::coloring::ColoringStats;
 use crate::config::{DivaConfig, Strategy};
 use crate::error::DivaError;
 use crate::graph::ConstraintGraph;
-use crate::integrate::integrate;
+use crate::integrate::integrate_traced;
+use crate::pool;
 
 /// Counters and timings of a DIVA run.
 ///
@@ -179,19 +180,6 @@ impl Diva {
         self.run_inner(rel, sigma, None, self.config.budget.arm())
     }
 
-    /// [`Diva::run`] with a cancellation token: when `cancel` is set
-    /// (by a winning portfolio sibling), the run aborts with
-    /// [`DivaError::Cancelled`] at the next poll point or phase
-    /// boundary instead of finishing its search.
-    pub fn run_cancellable(
-        &self,
-        rel: &Relation,
-        sigma: &[Constraint],
-        cancel: &Arc<AtomicBool>,
-    ) -> Result<DivaResult, DivaError> {
-        self.run_inner(rel, sigma, Some(cancel), self.config.budget.arm())
-    }
-
     /// [`Diva::run`] under shared [`Controls`]: the portfolio entry
     /// point, where the cancellation token and the (already-armed,
     /// globally shared) budget both come from the caller.
@@ -213,7 +201,7 @@ impl Diva {
         budget: Option<Arc<Budget>>,
     ) -> Result<DivaResult, DivaError> {
         let obs = &self.config.obs;
-        let mut run_span = obs
+        let run_span = obs
             .span("diva.run")
             .attr("rows", rel.n_rows())
             .attr("k", self.config.k)
@@ -262,12 +250,13 @@ impl Diva {
         let shuffle = (self.config.strategy == Strategy::Basic).then_some(self.config.seed);
         // Candidate enumeration is independent per constraint — the
         // natural "satisfy constraints in parallel" decomposition the
-        // paper's future-work section sketches — so fan it out over a
-        // scoped thread pool for multi-constraint inputs. Enumeration
-        // is the longest uninterruptible stretch on large inputs, so
-        // the budget's deadline (and the cancellation token) reach
-        // inside it via the stop probe; the search's entry poll then
-        // converts the fired probe into a degradation or cancellation.
+        // paper's future-work section sketches — so fan it out over the
+        // worker pool, one worker per constraint, for multi-constraint
+        // inputs. Enumeration is the longest uninterruptible stretch on
+        // large inputs, so the budget's deadline (and the cancellation
+        // token) reach inside it via the stop probe; the search's entry
+        // poll then converts the fired probe into a degradation or
+        // cancellation.
         let stop = || deadline_hit(&budget).is_some() || cancelled();
         let enumerate_one = |c: &diva_constraints::BoundConstraint| {
             CandidateSet::enumerate_interruptible(
@@ -284,22 +273,22 @@ impl Diva {
             )
         };
         let candidates: Vec<CandidateSet> = if set.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = set
-                    .constraints()
-                    .iter()
-                    .map(|c| scope.spawn(move || enumerate_one(c)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().map_err(|_| DivaError::InvariantViolated {
-                            phase: "CandidateEnumeration".into(),
-                            detail: "enumeration worker panicked".into(),
-                        })
-                    })
-                    .collect::<Result<_, _>>()
-            })?
+            let no_stop = AtomicBool::new(false);
+            pool::run_tasks(
+                set.constraints(),
+                set.len(),
+                &no_stop,
+                |_| false,
+                |_, c| Ok(enumerate_one(c)),
+            )
+            .into_iter()
+            .map(|slot| {
+                slot.and_then(Result::ok).ok_or_else(|| DivaError::InvariantViolated {
+                    phase: "CandidateEnumeration".into(),
+                    detail: "enumeration worker panicked".into(),
+                })
+            })
+            .collect::<Result<_, _>>()?
         } else {
             set.constraints().iter().map(enumerate_one).collect()
         };
@@ -365,8 +354,10 @@ impl Diva {
             return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
         }
 
-        // --- Anonymize + Integrate. ---
-        if !rest.is_empty() && rest.len() < self.config.k {
+        // --- Anonymize (or fold a too-small residual), then Integrate. ---
+        // On the fold path there is no `R_k`, so no `R_k` provenance
+        // group ids either.
+        let (r_sigma, r_k, k_gids) = if !rest.is_empty() && rest.len() < self.config.k {
             // Fewer residual tuples than k: no k-anonymous R_k exists.
             // Fold them into an existing S_Σ cluster if some choice
             // keeps Σ satisfied (checked exhaustively), else fail.
@@ -401,153 +392,129 @@ impl Diva {
                     |ci| if ci == fold_host { GroupOrigin::Fold } else { GroupOrigin::Sigma },
                 );
             }
-            board.set_phase(diva_obs::live::Phase::Integrate);
-            let int_span = obs.span("diva.integrate");
-            let out = integrate(&folded, None, &set)?;
-            #[cfg(feature = "strict-invariants")]
-            check_partition("Integrate", &out.groups, out.relation.n_rows(), true)?;
-            stats.integrate_repairs = out.repairs;
-            obs.counter("integrate.repairs").add(out.repairs as u64);
-            let close = int_span.end_profiled();
-            stats.t_integrate = close.dur;
-            note_alloc(&mut stats, &close, |p| &mut p.integrate);
-            run_span.set_attr("stars", out.relation.star_count());
-            run_span.set_attr("outcome", "exact");
-            stats.budget = budget.as_ref().map(|b| b.usage());
-            stats.attribution = prov.attribution();
-            let close = run_span.end_profiled();
-            stats.t_total = close.dur;
-            note_alloc(&mut stats, &close, |p| &mut p.total);
-            board.set_phase(diva_obs::live::Phase::Done);
-            return Ok(DivaResult {
-                relation: out.relation,
-                groups: out.groups,
-                source_rows: out.source_rows,
-                stats,
-                outcome: Outcome::Exact,
-            });
-        }
-
-        board.set_phase(diva_obs::live::Phase::Suppress);
-        let suppress_span = obs.span("diva.suppress").attr("clusters", s_sigma.len());
-        let r_sigma = suppress_clustering(rel, &s_sigma);
-        #[cfg(feature = "strict-invariants")]
-        check_partition("Suppress", &r_sigma.groups, r_sigma.relation.n_rows(), true)?;
-        let close = suppress_span.end_profiled();
-        stats.t_suppress = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.suppress);
-        if cancelled() {
-            return Err(DivaError::Cancelled);
-        }
-        if let Some(reason) = deadline_hit(&budget) {
-            return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
-        }
-        board.set_phase(diva_obs::live::Phase::Anonymize);
-        let mut anon_span = obs.span("diva.anonymize").attr("residual_rows", rest.len());
-        // Kept alongside `r_k` for provenance: the input clusters the
-        // suppressed groups came from, and which of them absorbed a
-        // sibling during ℓ-diversity enforcement.
-        let mut rk_clusters: Vec<Vec<RowId>> = Vec::new();
-        let mut ldiv_merged: Vec<bool> = Vec::new();
-        let r_k: Option<Suppressed> = if rest.is_empty() {
-            None
+            (folded, None, Vec::new())
         } else {
-            // The anonymizer's clustering is the pipeline's other long
-            // uninterruptible stretch (k-member is O(n·cap) over the
-            // residual); the stop probe reaches inside it, and an
-            // abandoned clustering degrades with the clustered prefix.
-            let Some(mut clusters) = cluster_observed_interruptible(
-                self.anonymizer.as_ref(),
-                rel,
-                &rest,
-                self.config.k,
-                obs,
-                &stop,
-            ) else {
-                let close = anon_span.end_profiled();
-                stats.t_anonymize = close.dur;
-                note_alloc(&mut stats, &close, |p| &mut p.anonymize);
-                if cancelled() {
-                    return Err(DivaError::Cancelled);
-                }
-                let Some(reason) = deadline_hit(&budget) else {
-                    // The probe only fires on cancellation or deadline;
-                    // both are sticky, so this is unreachable.
-                    return Err(DivaError::Cancelled);
-                };
+            board.set_phase(diva_obs::live::Phase::Suppress);
+            let suppress_span = obs.span("diva.suppress").attr("clusters", s_sigma.len());
+            let r_sigma = suppress_clustering(rel, &s_sigma);
+            #[cfg(feature = "strict-invariants")]
+            check_partition("Suppress", &r_sigma.groups, r_sigma.relation.n_rows(), true)?;
+            let close = suppress_span.end_profiled();
+            stats.t_suppress = close.dur;
+            note_alloc(&mut stats, &close, |p| &mut p.suppress);
+            if cancelled() {
+                return Err(DivaError::Cancelled);
+            }
+            if let Some(reason) = deadline_hit(&budget) {
                 return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
-            };
-            if let Some(model) = self.config.diversity_model() {
-                let (merged, flags) =
-                    enforce_diversity_traced(rel, &clusters, &model).ok_or_else(|| {
-                        DivaError::PrivacyInfeasible {
+            }
+            board.set_phase(diva_obs::live::Phase::Anonymize);
+            let mut anon_span = obs.span("diva.anonymize").attr("residual_rows", rest.len());
+            // Kept alongside `r_k` for provenance: the input clusters the
+            // suppressed groups came from, and which of them absorbed a
+            // sibling during ℓ-diversity enforcement.
+            let mut rk_clusters: Vec<Vec<RowId>> = Vec::new();
+            let mut ldiv_merged: Vec<bool> = Vec::new();
+            let r_k: Option<Suppressed> = if rest.is_empty() {
+                None
+            } else {
+                // The anonymizer's clustering is the pipeline's other long
+                // uninterruptible stretch (k-member is O(n·cap) over the
+                // residual); the stop probe reaches inside it, and an
+                // abandoned clustering degrades with the clustered prefix.
+                let Some(mut clusters) = cluster_observed_interruptible(
+                    self.anonymizer.as_ref(),
+                    rel,
+                    &rest,
+                    self.config.k,
+                    obs,
+                    &stop,
+                ) else {
+                    let close = anon_span.end_profiled();
+                    stats.t_anonymize = close.dur;
+                    note_alloc(&mut stats, &close, |p| &mut p.anonymize);
+                    if cancelled() {
+                        return Err(DivaError::Cancelled);
+                    }
+                    let Some(reason) = deadline_hit(&budget) else {
+                        // The probe only fires on cancellation or deadline;
+                        // both are sticky, so this is unreachable.
+                        return Err(DivaError::Cancelled);
+                    };
+                    return self
+                        .degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
+                };
+                if let Some(model) = self.config.diversity_model() {
+                    let (merged, flags) = enforce_diversity_traced(rel, &clusters, &model)
+                        .ok_or_else(|| DivaError::PrivacyInfeasible {
                             reason: format!(
                                 "residual tuples cannot satisfy {model}: even a single merged \
                                  class fails the check"
                             ),
-                        }
-                    })?;
-                clusters = merged;
-                ldiv_merged = flags;
+                        })?;
+                    clusters = merged;
+                    ldiv_merged = flags;
+                }
+                #[cfg(feature = "strict-invariants")]
+                {
+                    check_partition("Anonymize", &clusters, rel.n_rows(), false)?;
+                    let total: usize = clusters.iter().map(Vec::len).sum();
+                    if total != rest.len() {
+                        return Err(inv(
+                            "Anonymize",
+                            format!("clusters cover {total} rows, residual has {}", rest.len()),
+                        ));
+                    }
+                }
+                let rk = suppress_clustering(rel, &clusters);
+                rk_clusters = clusters;
+                Some(rk)
+            };
+            anon_span.set_attr("groups", r_k.as_ref().map_or(0, |rk| rk.groups.len()));
+            let close = anon_span.end_profiled();
+            stats.t_anonymize = close.dur;
+            note_alloc(&mut stats, &close, |p| &mut p.anonymize);
+            if cancelled() {
+                return Err(DivaError::Cancelled);
             }
-            #[cfg(feature = "strict-invariants")]
-            {
-                check_partition("Anonymize", &clusters, rel.n_rows(), false)?;
-                let total: usize = clusters.iter().map(Vec::len).sum();
-                if total != rest.len() {
-                    return Err(inv(
-                        "Anonymize",
-                        format!("clusters cover {total} rows, residual has {}", rest.len()),
-                    ));
+            if let Some(reason) = deadline_hit(&budget) {
+                return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
+            }
+
+            // Past the last degrade checkpoint: the run is committed to the
+            // exact path, so the published groups and their stars can be
+            // recorded (recording earlier would leave stale records behind
+            // a later degrade).
+            let mut k_gids: Vec<u64> = Vec::new();
+            if prov.is_enabled() {
+                record_suppressed_groups(
+                    prov,
+                    &r_sigma,
+                    &s_sigma,
+                    |ci| sigma_owners.get(ci).cloned().unwrap_or_default(),
+                    |_| GroupOrigin::Sigma,
+                );
+                if let Some(rk) = &r_k {
+                    k_gids = record_suppressed_groups(
+                        prov,
+                        rk,
+                        &rk_clusters,
+                        |_| Vec::new(),
+                        |ci| {
+                            if ldiv_merged.get(ci).copied().unwrap_or(false) {
+                                GroupOrigin::DiversityMerge
+                            } else {
+                                GroupOrigin::KMember
+                            }
+                        },
+                    );
                 }
             }
-            let rk = suppress_clustering(rel, &clusters);
-            rk_clusters = clusters;
-            Some(rk)
+            (r_sigma, r_k, k_gids)
         };
-        anon_span.set_attr("groups", r_k.as_ref().map_or(0, |rk| rk.groups.len()));
-        let close = anon_span.end_profiled();
-        stats.t_anonymize = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.anonymize);
-        if cancelled() {
-            return Err(DivaError::Cancelled);
-        }
-        if let Some(reason) = deadline_hit(&budget) {
-            return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
-        }
-
-        // Past the last degrade checkpoint: the run is committed to the
-        // exact path, so the published groups and their stars can be
-        // recorded (recording earlier would leave stale records behind
-        // a later degrade).
-        let mut k_gids: Vec<u64> = Vec::new();
-        if prov.is_enabled() {
-            record_suppressed_groups(
-                prov,
-                &r_sigma,
-                &s_sigma,
-                |ci| sigma_owners.get(ci).cloned().unwrap_or_default(),
-                |_| GroupOrigin::Sigma,
-            );
-            if let Some(rk) = &r_k {
-                k_gids = record_suppressed_groups(
-                    prov,
-                    rk,
-                    &rk_clusters,
-                    |_| Vec::new(),
-                    |ci| {
-                        if ldiv_merged.get(ci).copied().unwrap_or(false) {
-                            GroupOrigin::DiversityMerge
-                        } else {
-                            GroupOrigin::KMember
-                        }
-                    },
-                );
-            }
-        }
         board.set_phase(diva_obs::live::Phase::Integrate);
         let int_span = obs.span("diva.integrate");
-        let out = crate::integrate::integrate_traced(&r_sigma, r_k.as_ref(), &set, prov, &k_gids)?;
+        let out = integrate_traced(&r_sigma, r_k.as_ref(), &set, prov, &k_gids)?;
         #[cfg(feature = "strict-invariants")]
         check_partition("Integrate", &out.groups, out.relation.n_rows(), true)?;
         stats.integrate_repairs = out.repairs;
@@ -562,21 +529,45 @@ impl Diva {
             self.config.diversity_model().is_none_or(|m| m.holds(&out.relation)),
             "enforced diversity model must audit clean on the published table"
         );
-        run_span.set_attr("stars", out.relation.star_count());
-        run_span.set_attr("outcome", "exact");
+        Ok(self.publish(
+            run_span,
+            &budget,
+            DivaResult {
+                relation: out.relation,
+                groups: out.groups,
+                source_rows: out.source_rows,
+                stats,
+                outcome: Outcome::Exact,
+            },
+        ))
+    }
+
+    /// The publish tail every returned table shares: records the
+    /// verdict on the run span, snapshots budget usage and provenance
+    /// attribution into the stats, closes the run span (`t_total`), and
+    /// marks the live board done.
+    fn publish(
+        &self,
+        mut run_span: diva_obs::Span,
+        budget: &Option<Arc<Budget>>,
+        mut result: DivaResult,
+    ) -> DivaResult {
+        run_span.set_attr("stars", result.relation.star_count());
+        match &result.outcome {
+            Outcome::Exact => run_span.set_attr("outcome", "exact"),
+            Outcome::Degraded { reason } => {
+                run_span.set_attr("outcome", "degraded");
+                run_span.set_attr("degrade_reason", reason.kind());
+            }
+        }
+        let stats = &mut result.stats;
         stats.budget = budget.as_ref().map(|b| b.usage());
-        stats.attribution = prov.attribution();
+        stats.attribution = self.config.provenance.attribution();
         let close = run_span.end_profiled();
         stats.t_total = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.total);
-        board.set_phase(diva_obs::live::Phase::Done);
-        Ok(DivaResult {
-            relation: out.relation,
-            groups: out.groups,
-            source_rows: out.source_rows,
-            stats,
-            outcome: Outcome::Exact,
-        })
+        note_alloc(stats, &close, |p| &mut p.total);
+        self.config.board.set_phase(diva_obs::live::Phase::Done);
+        result
     }
 
     /// Attempts to fold `rest` (fewer than `k` rows) into one of the
@@ -671,7 +662,7 @@ impl Diva {
         partial: Vec<Vec<RowId>>,
         reason: DegradeReason,
         mut stats: RunStats,
-        mut run_span: diva_obs::Span,
+        run_span: diva_obs::Span,
         budget: &Option<Arc<Budget>>,
     ) -> Result<DivaResult, DivaError> {
         let obs = &self.config.obs;
@@ -891,22 +882,12 @@ impl Diva {
         span.set_attr("voided_clusters", n_voided);
         span.set_attr("star_rows", star_src.len());
         note_alloc(&mut stats, &span.end_profiled(), |p| &mut p.degrade);
-        run_span.set_attr("stars", relation.star_count());
-        run_span.set_attr("outcome", "degraded");
-        run_span.set_attr("degrade_reason", reason.kind());
-        stats.budget = budget.as_ref().map(|b| b.usage());
-        stats.attribution = prov.attribution();
-        let close = run_span.end_profiled();
-        stats.t_total = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.total);
-        self.config.board.set_phase(diva_obs::live::Phase::Done);
-        Ok(DivaResult {
-            relation,
-            groups,
-            source_rows,
-            stats,
-            outcome: Outcome::Degraded { reason },
-        })
+        let outcome = Outcome::Degraded { reason };
+        Ok(self.publish(
+            run_span,
+            budget,
+            DivaResult { relation, groups, source_rows, stats, outcome },
+        ))
     }
 }
 

@@ -59,7 +59,7 @@ pub mod graph;
 pub mod integrate;
 /// Parallel portfolio search across strategies and seeds.
 pub mod parallel;
-/// Bounded scoped-thread worker pool for component-parallel solving.
+/// The bounded scoped-thread worker pool every threaded stage runs on.
 pub mod pool;
 /// Mutable search state: cluster registry and usage maps.
 pub mod state;

@@ -2,7 +2,7 @@
 //! distributed version of the coloring algorithm to improve
 //! scalability by satisfying constraints in parallel", realized as a
 //! portfolio: several complete DIVA searches with different strategies
-//! and seeds race, and the first success wins.
+//! and seeds race, and the first result stops the rest.
 //!
 //! A portfolio parallelizes the *search* (the exponential component)
 //! rather than a single run's bookkeeping, which is the standard way
@@ -11,18 +11,17 @@
 //! speedups whenever strategies disagree about which instance is easy
 //! — which Fig. 4a shows they strongly do.
 //!
-//! Execution model: a fixed pool of detached worker threads (capped at
-//! [`std::thread::available_parallelism`], overridable via
-//! [`DivaConfig::threads`]) pulls members off a shared work queue, so
-//! a large portfolio never oversubscribes the machine. The first
-//! success sets a shared [`AtomicBool`] cancellation token — which the
-//! colouring search polls — and `run_portfolio` returns immediately
-//! with the winner's wall-clock; losing members observe the token and
-//! abandon their searches in the background instead of running to
-//! completion.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+//! Execution model: the members run on the shared scoped worker pool
+//! (`pool::run_tasks`), capped at
+//! [`std::thread::available_parallelism`] (overridable via
+//! [`DivaConfig::threads`]), so a large portfolio never oversubscribes
+//! the machine. Members borrow the caller's relation and Σ. The first
+//! member to report a result stops the pool and sets the shared
+//! cancellation token, which the colouring search and the pipeline's
+//! phase boundaries poll; losers abandon their searches at the next
+//! poll and are joined before `run_portfolio` returns. The verdict is
+//! then ranked over every member (`pool::strongest`), so the
+//! choice never depends on which member finished first.
 
 use diva_constraints::Constraint;
 use diva_relation::Relation;
@@ -31,26 +30,26 @@ use crate::budget::{Controls, DegradeReason};
 use crate::config::{DivaConfig, Strategy};
 use crate::diva::{Diva, DivaResult};
 use crate::error::DivaError;
+use crate::pool;
 
-/// Runs a portfolio of DIVA searches in parallel and returns the first
-/// successful result.
+/// Runs a portfolio of DIVA searches in parallel and returns the
+/// strongest member verdict.
 ///
 /// The portfolio contains one member per strategy (MinChoice,
 /// MaxFanOut, Basic) times `seeds_per_strategy` seeds derived from
 /// `config.seed`. Returns [`DivaError::EmptyPortfolio`] when
-/// `seeds_per_strategy` is zero. If every member fails, the error of
-/// the member with the strongest verdict is returned (a
-/// `NoDiverseClustering` proof beats a budget exhaustion).
+/// `seeds_per_strategy` is zero.
 ///
 /// A configured [`DivaConfig::budget`] is armed **once** and shared by
 /// every member, so the deadline and node/repair caps are global to
 /// the portfolio — a member dequeued late does not get a fresh clock.
-/// The first member to report (exact winner *or* budget-degraded
-/// fallback) decides the portfolio's outcome and cancels the rest.
-/// Worker panics are contained: a panicking member is recorded as
-/// [`DivaError::WorkerPanicked`], and if *every* member is lost to
-/// panics (with no unsatisfiability proof), the portfolio returns the
-/// fully-suppressed degraded fallback instead of an error.
+/// The first member to report a result (exact *or* budget-degraded)
+/// cancels the rest. Verdicts rank exact > unsatisfiability proof >
+/// degraded > other error > worker panic > cancelled, ties to the
+/// lowest member index. Worker panics are contained: a panicking
+/// member is recorded as [`DivaError::WorkerPanicked`], and if *every*
+/// member is lost to panics, the portfolio returns the fully-suppressed
+/// degraded fallback, its detail taken from the lowest member.
 pub fn run_portfolio(
     rel: &Relation,
     sigma: &[Constraint],
@@ -74,10 +73,7 @@ pub fn run_portfolio_with<F>(
     member_runner: F,
 ) -> Result<DivaResult, DivaError>
 where
-    F: Fn(&DivaConfig, &Relation, &[Constraint], &Controls) -> Result<DivaResult, DivaError>
-        + Send
-        + Sync
-        + 'static,
+    F: Fn(&DivaConfig, &Relation, &[Constraint], &Controls) -> Result<DivaResult, DivaError> + Sync,
 {
     config.validate()?;
     if seeds_per_strategy == 0 {
@@ -99,69 +95,42 @@ where
         }
     }
 
-    let obs = config.obs.clone();
+    let obs = &config.obs;
     let mut root_span = obs
         .span("portfolio.run")
         .attr("members", members.len())
         .attr("seeds_per_strategy", seeds_per_strategy);
     let root_id = root_span.id();
-
-    // Workers are detached: they borrow nothing from this stack frame,
-    // so the function can return the moment a winner reports, while
-    // losers notice the cancellation token and wind down on their own.
-    let members = Arc::new(members);
-    let rel = Arc::new(rel.clone());
-    let sigma = Arc::new(sigma.to_vec());
-    let runner = Arc::new(member_runner);
     // One budget for the whole portfolio: armed here (clock starts
-    // now) and shared through the controls every member receives.
+    // now) and shared through the controls every member receives. The
+    // controls' cancellation token doubles as the pool's stop flag.
     let controls = Controls::new(config.budget.arm());
-    let next = Arc::new(AtomicUsize::new(0));
-    let (tx, rx) = mpsc::channel::<(usize, Result<DivaResult, DivaError>)>();
-
     // `validate()` above rejected `Some(0)`, and `available_parallelism`
     // is at least 1, so the cap is always positive.
     let hw = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let n_workers = members.len().min(config.threads.unwrap_or(hw));
     root_span.set_attr("workers", n_workers);
-    for _ in 0..n_workers {
-        let members = Arc::clone(&members);
-        let rel = Arc::clone(&rel);
-        let sigma = Arc::clone(&sigma);
-        let runner = Arc::clone(&runner);
-        let controls = controls.clone();
-        let next = Arc::clone(&next);
-        let obs = obs.clone();
-        let tx = tx.clone();
-        std::thread::spawn(move || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= members.len() || controls.is_cancelled() {
-                break;
-            }
-            // Each member runs under its own span, explicitly parented
-            // to the portfolio root (worker threads have no implicit
-            // span stack): the span's start/duration gives the member's
-            // start and finish/cancel latency, and the attrs identify
-            // the strategy and derived seed.
+    let slots =
+        pool::run_tasks(&members, n_workers, controls.cancel_flag(), Result::is_ok, |i, member| {
+            // Each member runs under its own span, explicitly parented to
+            // the portfolio root (worker threads have no implicit span
+            // stack): the span's start/duration gives the member's start
+            // and finish/cancel latency, and the attrs identify the
+            // strategy and derived seed.
             let mut member_span = obs
                 .span("portfolio.member")
                 .attr("member", i)
-                .attr("strategy", members[i].strategy.name())
-                .attr("seed", members[i].seed);
+                .attr("strategy", member.strategy.name())
+                .attr("seed", member.seed);
             if let Some(id) = root_id {
                 member_span = member_span.with_parent(id);
             }
-            // Panic containment: a panicking member (fault injection,
-            // or a real bug) becomes a WorkerPanicked verdict rather
-            // than a silently dropped sender, so the portfolio can
-            // still account for every member.
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Contained here (not only by the pool) so a panicking member
+            // still closes its span with a `panicked` outcome.
+            let out = pool::contain(|| {
                 #[cfg(feature = "fault-inject")]
-                members[i].faults.worker_panic_point(i);
-                runner(&members[i], &rel, &sigma, &controls)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(DivaError::WorkerPanicked { detail: panic_message(payload.as_ref()) })
+                member.faults.worker_panic_point(i);
+                member_runner(member, rel, sigma, &controls)
             });
             let outcome = match &out {
                 Ok(res) if res.outcome.is_exact() => "success",
@@ -173,88 +142,41 @@ where
             member_span.set_attr("outcome", outcome);
             member_span.end();
             obs.counter(&format!("portfolio.{outcome}")).incr();
-            // A dropped receiver just means someone else already won.
-            if tx.send((i, out)).is_err() {
-                break;
-            }
+            out
         });
-    }
-    drop(tx);
 
-    let mut best_err: Option<DivaError> = None;
-    let mut panic_detail: Option<String> = None;
-    while let Ok((winner, outcome)) = rx.recv() {
-        match outcome {
-            // Exact winner or budget-degraded member: either way the
-            // portfolio is decided (the budget is shared, so one
-            // member's exhaustion is everyone's) — cancel the rest and
-            // return.
-            Ok(res) => {
-                controls.request_cancel();
-                // Surface the winner's decision log through the
-                // caller's handle (no-op when provenance is off).
-                config.provenance.adopt(&members[winner].provenance);
-                root_span.set_attr(
-                    "outcome",
-                    if res.outcome.is_exact() { "success" } else { "degraded" },
-                );
-                root_span.end();
-                return Ok(res);
-            }
-            // A member that observed the token mid-run carries no
-            // verdict; it never reaches this loop before a win anyway.
-            Err(DivaError::Cancelled) => {}
-            Err(DivaError::WorkerPanicked { detail }) => {
-                panic_detail = Some(detail);
-            }
-            Err(e) => {
-                let stronger =
-                    matches!(e, DivaError::NoDiverseClustering { .. }) || best_err.is_none();
-                if stronger {
-                    best_err = Some(e);
-                }
-            }
+    let verdict = match pool::strongest(slots, |res| res.outcome.is_exact()) {
+        Some((winner, Ok(res))) => {
+            // Surface the winner's decision log through the caller's
+            // handle (no-op when provenance is off).
+            config.provenance.adopt(&members[winner].provenance);
+            Ok(res)
         }
-    }
-    // A complete unsatisfiability proof from any member is the true
-    // verdict, panics elsewhere notwithstanding.
-    if matches!(best_err, Some(DivaError::NoDiverseClustering { .. })) {
-        root_span.set_attr("outcome", "failure");
-        root_span.end();
-        return Err(best_err.unwrap_or(DivaError::EmptyPortfolio));
-    }
-    // Members were lost to panics and nobody proved anything: degrade
-    // to the fully-suppressed fallback rather than failing the caller.
-    if let Some(detail) = panic_detail {
-        root_span.set_attr("outcome", "degraded");
-        root_span.end();
-        return Diva::new(config.clone()).degraded_fallback(
-            &rel,
-            &sigma,
-            DegradeReason::WorkerPanic { detail },
-        );
-    }
-    // Every sender is dropped only after all members completed; a
-    // missing verdict can only mean the portfolio was empty.
-    root_span.set_attr("outcome", "failure");
+        // Only chosen when no member produced anything stronger, i.e.
+        // every member was lost: degrade to the fully-suppressed
+        // fallback rather than failing the caller.
+        Some((_, Err(DivaError::WorkerPanicked { detail }))) => Diva::new(config.clone())
+            .degraded_fallback(rel, sigma, DegradeReason::WorkerPanic { detail }),
+        Some((_, Err(e))) => Err(e),
+        None => Err(DivaError::EmptyPortfolio),
+    };
+    root_span.set_attr(
+        "outcome",
+        match &verdict {
+            Ok(res) if res.outcome.is_exact() => "success",
+            Ok(_) => "degraded",
+            Err(_) => "failure",
+        },
+    );
     root_span.end();
-    Err(best_err.unwrap_or(DivaError::EmptyPortfolio))
-}
-
-/// Best-effort stringification of a caught panic payload. Shared with
-/// the component worker pool ([`crate::pool`]), which contains panics
-/// the same way.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
+    verdict
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
     use std::time::{Duration, Instant};
 
     use diva_constraints::ConstraintSet;
@@ -325,34 +247,24 @@ mod tests {
         let obs = crate::obs::Obs::enabled();
         let config = DivaConfig::with_k(2).obs(obs.clone());
         run_portfolio(&r, &example_sigma(), &config, 2).unwrap();
-        // Detached losers may still be winding down; only the root and
-        // the winner are guaranteed recorded at return. Wait briefly
-        // for the rest (members = 3 strategies × 2 seeds).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let snap = obs.snapshot();
-            let members: Vec<_> =
-                snap.spans.iter().filter(|s| s.name == "portfolio.member").collect();
-            let root = snap.spans.iter().find(|s| s.name == "portfolio.run");
-            let done = snap.counter("portfolio.success").unwrap_or(0)
-                + snap.counter("portfolio.failure").unwrap_or(0)
-                + snap.counter("portfolio.cancelled").unwrap_or(0);
-            if root.is_some() && !members.is_empty() && done == members.len() as u64 {
-                let root_id = root.map(|s| s.id);
-                for m in &members {
-                    assert_eq!(m.parent, root_id, "member spans parent to portfolio.run");
-                    assert!(
-                        m.attrs.iter().any(|(k, _)| k == "seed"),
-                        "member span carries its seed"
-                    );
-                    assert!(m.attrs.iter().any(|(k, _)| k == "outcome"));
-                }
-                assert!(snap.counter("portfolio.success").unwrap_or(0) >= 1);
-                break;
-            }
-            assert!(Instant::now() < deadline, "portfolio spans never completed");
-            std::thread::sleep(Duration::from_millis(5));
+        // Losers are joined before the portfolio returns, so every
+        // member that started has closed its span by now.
+        let snap = obs.snapshot();
+        let members: Vec<_> = snap.spans.iter().filter(|s| s.name == "portfolio.member").collect();
+        let root_id = snap.spans.iter().find(|s| s.name == "portfolio.run").map(|s| s.id);
+        assert!(root_id.is_some(), "portfolio.run span recorded");
+        assert!(!members.is_empty());
+        let done: u64 = ["success", "degraded", "failure", "cancelled", "panicked"]
+            .iter()
+            .map(|o| snap.counter(&format!("portfolio.{o}")).unwrap_or(0))
+            .sum();
+        assert_eq!(done, members.len() as u64, "one outcome counter per member span");
+        for m in &members {
+            assert_eq!(m.parent, root_id, "member spans parent to portfolio.run");
+            assert!(m.attrs.iter().any(|(k, _)| k == "seed"), "member span carries its seed");
+            assert!(m.attrs.iter().any(|(k, _)| k == "outcome"));
         }
+        assert!(snap.counter("portfolio.success").unwrap_or(0) >= 1);
     }
 
     #[test]
@@ -385,8 +297,9 @@ mod tests {
     fn winner_returns_without_waiting_for_slow_losers() {
         // One fast winner (the first member: MinChoice at the base
         // seed), every other member "searches" until cancelled (capped
-        // at 10 s so a regression fails rather than hangs). The
-        // portfolio must return in roughly the winner's wall-clock.
+        // at 10 s so a regression fails rather than hangs). Losers are
+        // joined, but stop at their next poll, so the portfolio returns
+        // in roughly the winner's wall-clock.
         let r = paper_table1();
         let config = DivaConfig::with_k(2);
         let base_seed = config.seed;
@@ -412,91 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn all_failures_return_strongest_verdict() {
-        let r = paper_table1();
-        let out = run_portfolio_with(
-            &r,
-            &[],
-            &DivaConfig::with_k(2),
-            1,
-            |member, _rel, _sigma, _controls| {
-                if member.strategy == Strategy::Basic {
-                    Err(DivaError::NoDiverseClustering { constraint: "X[x]".into() })
-                } else {
-                    Err(DivaError::SearchBudgetExhausted { backtracks: 1 })
-                }
-            },
-        );
-        assert!(matches!(out.unwrap_err(), DivaError::NoDiverseClustering { .. }));
-    }
-
-    #[test]
-    fn panicking_member_does_not_sink_the_portfolio() {
-        // Two of three strategies panic mid-search; the survivor's
-        // result must still come back, not an EmptyPortfolio from
-        // dropped senders.
-        let r = paper_table1();
-        let out = run_portfolio_with(
-            &r,
-            &[],
-            &DivaConfig::with_k(2),
-            1,
-            |member, _rel, _sigma, _controls| {
-                if member.strategy == Strategy::MinChoice {
-                    return Ok(dummy_result());
-                }
-                panic!("synthetic worker bug");
-            },
-        )
-        .unwrap();
-        assert!(out.outcome.is_exact());
-    }
-
-    #[test]
-    fn all_members_panicking_degrades_instead_of_erroring() {
-        let r = paper_table1();
-        let sigma = vec![Constraint::single("ETH", "Asian", 2, 5)];
-        let out = run_portfolio_with(
-            &r,
-            &sigma,
-            &DivaConfig::with_k(2),
-            1,
-            |_member, _rel, _sigma, _controls| -> Result<DivaResult, DivaError> {
-                panic!("synthetic worker bug");
-            },
-        )
-        .unwrap();
-        match &out.outcome {
-            crate::Outcome::Degraded { reason: crate::DegradeReason::WorkerPanic { detail } } => {
-                assert!(detail.contains("synthetic worker bug"));
-            }
-            other => panic!("expected WorkerPanic degradation, got {other:?}"),
-        }
-        // The fallback publishes every row, fully QI-suppressed.
-        assert_eq!(out.relation.n_rows(), r.n_rows());
-        assert!(is_k_anonymous(&out.relation, 2));
-        assert_eq!(out.groups.len(), 1);
-    }
-
-    #[test]
-    fn unsat_proof_beats_worker_panics() {
-        let r = paper_table1();
-        let out = run_portfolio_with(
-            &r,
-            &[],
-            &DivaConfig::with_k(2),
-            1,
-            |member, _rel, _sigma, _controls| {
-                if member.strategy == Strategy::MaxFanOut {
-                    return Err(DivaError::NoDiverseClustering { constraint: "X[x]".into() });
-                }
-                panic!("synthetic worker bug");
-            },
-        );
-        assert!(matches!(out.unwrap_err(), DivaError::NoDiverseClustering { .. }));
-    }
-
-    #[test]
     fn zero_deadline_portfolio_degrades_on_the_real_pipeline() {
         let r = paper_table1();
         let config = DivaConfig::with_k(2).budget(crate::BudgetSpec::with_deadline(Duration::ZERO));
@@ -516,5 +344,120 @@ mod tests {
         assert!(out.outcome.is_exact());
         let set = ConstraintSet::bind(&example_sigma(), &out.relation).unwrap();
         assert!(set.satisfied_by(&out.relation));
+    }
+
+    /// A synthetic result tagged with the member that produced it.
+    fn tagged(member: usize, outcome: crate::Outcome) -> DivaResult {
+        DivaResult {
+            stats: RunStats { n_constraints: member, ..RunStats::default() },
+            outcome,
+            ..dummy_result()
+        }
+    }
+
+    /// Three single-seed members on three workers, all released at
+    /// once by a barrier so none can finish before every one started.
+    /// `member` gets its index (strategy order) and the shared controls.
+    fn race_three(
+        member: impl Fn(usize, &Controls) -> Result<DivaResult, DivaError> + Sync,
+    ) -> Result<DivaResult, DivaError> {
+        let config = DivaConfig::with_k(2).threads(Some(3)).unwrap();
+        let barrier = Barrier::new(3);
+        run_portfolio_with(&paper_table1(), &[], &config, 1, |m, _rel, _sigma, controls| {
+            barrier.wait();
+            member(Strategy::all().iter().position(|&s| s == m.strategy).unwrap(), controls)
+        })
+    }
+
+    /// Spins until `done` holds, forcing an interleaving without sleeps.
+    fn wait_until(done: impl Fn() -> bool) {
+        while !done() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn panicking_member_does_not_sink_the_portfolio() {
+        let out = race_three(|i, _| {
+            if i == 0 {
+                return Ok(dummy_result());
+            }
+            panic!("synthetic worker bug");
+        })
+        .unwrap();
+        assert!(out.outcome.is_exact());
+    }
+
+    #[test]
+    fn all_members_panicking_degrades_instead_of_erroring() {
+        // Member 0 panics first, its siblings after it; the detail is
+        // still the lowest member's.
+        let first_panicking = AtomicBool::new(false);
+        let out = race_three(|i, _| -> Result<DivaResult, DivaError> {
+            if i == 0 {
+                first_panicking.store(true, Ordering::Relaxed);
+            } else {
+                wait_until(|| first_panicking.load(Ordering::Relaxed));
+            }
+            panic!("synthetic worker bug in member {i}");
+        })
+        .unwrap();
+        match &out.outcome {
+            crate::Outcome::Degraded { reason: DegradeReason::WorkerPanic { detail } } => {
+                assert_eq!(detail, "synthetic worker bug in member 0");
+            }
+            other => panic!("expected WorkerPanic degradation, got {other:?}"),
+        }
+        // The fallback publishes every row, fully QI-suppressed.
+        assert_eq!(out.relation.n_rows(), paper_table1().n_rows());
+        assert!(is_k_anonymous(&out.relation, 2));
+        assert_eq!(out.groups.len(), 1);
+    }
+
+    #[test]
+    fn tied_winners_resolve_to_the_lowest_member() {
+        // Member 0 reports only after a sibling's success has set the
+        // token. The lowest index still wins.
+        let out = race_three(|i, controls| {
+            if i == 0 {
+                wait_until(|| controls.is_cancelled());
+            }
+            Ok(tagged(i, crate::Outcome::Exact))
+        })
+        .unwrap();
+        assert_eq!(out.stats.n_constraints, 0, "lowest member index wins a tie");
+    }
+
+    #[test]
+    fn unsat_proof_beats_a_degraded_sibling() {
+        // The degraded member reports first; the proof that lands after
+        // it still decides the verdict.
+        let out = race_three(|i, controls| match i {
+            0 => Ok(tagged(
+                0,
+                crate::Outcome::Degraded {
+                    reason: DegradeReason::NodeBudgetExhausted { explored: 9, cap: 8 },
+                },
+            )),
+            1 => {
+                wait_until(|| controls.is_cancelled());
+                Err(DivaError::NoDiverseClustering { constraint: "X[x]".into() })
+            }
+            _ => Err(DivaError::Cancelled),
+        });
+        assert!(matches!(out.unwrap_err(), DivaError::NoDiverseClustering { .. }));
+    }
+
+    #[test]
+    fn an_error_beats_worker_panics() {
+        // Mixed panics and an ordinary error: the error is a verdict,
+        // so the portfolio reports it instead of degrading.
+        let out = race_three(|i, _| {
+            if i == 1 {
+                return Err(DivaError::SearchBudgetExhausted { backtracks: 1 });
+            }
+            panic!("synthetic worker bug in member {i}");
+        });
+        assert_eq!(out.unwrap_err(), DivaError::SearchBudgetExhausted { backtracks: 1 });
     }
 }

@@ -1,83 +1,79 @@
-//! Bounded scoped-thread worker pool for component-parallel solving.
+//! The bounded scoped-thread worker pool: the one way `core` runs work
+//! on threads.
 //!
-//! The component decomposition ([`crate::decompose`]) produces many
-//! independent sub-problems; this module runs them concurrently while
-//! keeping three guarantees the portfolio's detached workers cannot
-//! give:
+//! Three callers share it — candidate enumeration (one task per
+//! constraint), the component pool of [`crate::decompose`], and the
+//! two strategy races (the whole-run portfolio of [`crate::parallel`]
+//! and the per-component race). `run_tasks` gives each of them the
+//! same guarantees:
 //!
-//! * **bounded borrowing** — workers are scoped threads, so tasks can
-//!   borrow the caller's compact sub-problems instead of cloning the
-//!   relation into `Arc`s;
+//! * **bounded borrowing** — workers are scoped threads, so tasks
+//!   borrow the caller's inputs instead of cloning them into `Arc`s,
+//!   and every worker is joined before `run_tasks` returns;
 //! * **deterministic collection** — every worker returns its
 //!   `(task, result)` pairs through its join handle and results are
-//!   re-ordered by task index, so the merge sees the same shape
+//!   re-ordered by task index, so the caller sees the same shape
 //!   regardless of scheduling;
-//! * **fail-fast without torn state** — a task that returns a fatal
-//!   error sets an internal abort flag: no *further* tasks are
-//!   dequeued, while tasks already in flight run to completion and
-//!   publish their results (a half-cancelled component never
-//!   publishes a half-built clustering).
+//! * **decisive results stop the pool** — the caller says which result
+//!   decides the run (a fatal error for the component pool, a success
+//!   for a race). A decisive result sets the caller's stop flag: no
+//!   *further* tasks are dequeued, and tasks that poll the flag (race
+//!   members use it as their cancellation token) wind down early;
+//! * **contained panics** — a panicking task yields
+//!   [`DivaError::WorkerPanicked`] instead of tearing down the caller.
 //!
-//! Panics inside a task are contained per task
-//! ([`DivaError::WorkerPanicked`]), mirroring the portfolio's
-//! containment.
+//! Race verdicts are ranked once, by `strongest`, for both races.
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use crate::error::DivaError;
-use crate::parallel::panic_message;
+
+/// One slot per task: `None` when the task was never dequeued.
+pub(crate) type Slots<R> = Vec<Option<Result<R, DivaError>>>;
 
 /// Runs `run(i, &tasks[i])` for every task on at most `n_workers`
 /// scoped worker threads and returns the results in task order.
 ///
-/// `results[i]` is `None` when task `i` was never dequeued because a
-/// sibling's fatal error tripped the abort flag first; every dequeued
-/// task gets `Some`. A task that panics yields
+/// A result for which `decisive` holds sets `stop`; workers check
+/// `stop` before dequeuing, so once it is set (by a decisive result or
+/// by a task) no further task starts. `results[i]` is `None` exactly
+/// for the tasks that were never dequeued; every dequeued task gets
+/// `Some`. A task that panics yields
 /// `Some(Err(DivaError::WorkerPanicked))`.
-pub(crate) fn run_tasks<T, R, F>(
+pub(crate) fn run_tasks<T, R>(
     tasks: &[T],
     n_workers: usize,
-    run: F,
-) -> Vec<Option<Result<R, DivaError>>>
+    stop: &AtomicBool,
+    decisive: impl Fn(&Result<R, DivaError>) -> bool + Sync,
+    run: impl Fn(usize, &T) -> Result<R, DivaError> + Sync,
+) -> Slots<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(usize, &T) -> Result<R, DivaError> + Sync,
 {
-    let mut results: Vec<Option<Result<R, DivaError>>> = Vec::new();
+    let mut results: Slots<R> = Vec::new();
     results.resize_with(tasks.len(), || None);
     if tasks.is_empty() {
         return results;
     }
     let n_workers = n_workers.clamp(1, tasks.len());
     let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let run = &run;
+    let (run, decisive, cursor) = (&run, &decisive, &cursor);
     let collected: Vec<Vec<(usize, Result<R, DivaError>)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_workers)
             .map(|_| {
-                let cursor = &cursor;
-                let abort = &abort;
                 scope.spawn(move || {
                     let mut local = Vec::new();
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
+                    while !stop.load(Ordering::Relaxed) {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= tasks.len() {
                             break;
                         }
-                        let out = catch_unwind(AssertUnwindSafe(|| run(i, &tasks[i])))
-                            .unwrap_or_else(|payload| {
-                                Err(DivaError::WorkerPanicked {
-                                    detail: panic_message(payload.as_ref()),
-                                })
-                            });
-                        if out.is_err() {
-                            abort.store(true, Ordering::Relaxed);
+                        let out = contain(|| run(i, &tasks[i]));
+                        if decisive(&out) {
+                            stop.store(true, Ordering::Relaxed);
                         }
                         local.push((i, out));
                     }
@@ -93,44 +89,50 @@ where
     results
 }
 
-/// Races `runners` concurrently (one scoped thread each); the first to
-/// return `Ok` sets the shared race token it was handed, which the
-/// other members' searches poll and abandon on. Returns every
-/// member's result in member order (`None` only if a member's thread
-/// was lost, which contained panics make unreachable in practice).
-///
-/// This is the inner per-component portfolio: unlike
-/// [`crate::run_portfolio`], members share the already-enumerated
-/// candidate sets, and the caller — not wall-clock arrival — picks the
-/// winner from the returned list, so the choice among simultaneous
-/// finishers is deterministic.
-pub(crate) fn race<R, F>(runners: Vec<F>) -> Vec<Option<Result<R, DivaError>>>
-where
-    R: Send,
-    F: FnOnce(Arc<AtomicBool>) -> Result<R, DivaError> + Send,
-{
-    let token = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = runners
-            .into_iter()
-            .map(|f| {
-                let token = Arc::clone(&token);
-                scope.spawn(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| f(Arc::clone(&token))))
-                        .unwrap_or_else(|payload| {
-                            Err(DivaError::WorkerPanicked {
-                                detail: panic_message(payload.as_ref()),
-                            })
-                        });
-                    if out.is_ok() {
-                        token.store(true, Ordering::Relaxed);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().ok()).collect()
+/// Runs `f`, turning a panic into [`DivaError::WorkerPanicked`]
+/// carrying the panic message.
+pub(crate) fn contain<R>(f: impl FnOnce() -> Result<R, DivaError>) -> Result<R, DivaError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(DivaError::WorkerPanicked { detail: panic_message(&*payload) })
     })
+}
+
+/// Best-effort stringification of a caught panic payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// The strength of one race member's verdict; lower is stronger:
+/// exact success > unsatisfiability proof > degraded success > other
+/// error > worker panic > cancellation.
+fn rank<R>(verdict: &Result<R, DivaError>, is_exact: impl Fn(&R) -> bool) -> u8 {
+    match verdict {
+        Ok(r) if is_exact(r) => 0,
+        Err(DivaError::NoDiverseClustering { .. }) => 1,
+        Ok(_) => 2,
+        Err(DivaError::WorkerPanicked { .. }) => 4,
+        Err(DivaError::Cancelled) => 5,
+        Err(_) => 3,
+    }
+}
+
+/// Picks a race's verdict from its member slots: the strongest by
+/// [`rank`], ties to the lowest member index, so the choice never
+/// depends on which member finished first. Returns the member index
+/// with its verdict, or `None` when no member ran.
+pub(crate) fn strongest<R>(
+    slots: Slots<R>,
+    is_exact: impl Fn(&R) -> bool,
+) -> Option<(usize, Result<R, DivaError>)> {
+    slots
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, slot)| slot.map(|verdict| (i, verdict)))
+        .min_by_key(|(_, verdict)| rank(verdict, &is_exact))
 }
 
 #[cfg(test)]
@@ -139,13 +141,14 @@ mod tests {
     use std::sync::atomic::AtomicU32;
     use std::time::Duration;
 
-    /// A boxed [`race`] member, as the call sites build them.
-    type Runner<R> = Box<dyn FnOnce(Arc<AtomicBool>) -> Result<R, DivaError> + Send>;
+    fn never(_: &Result<usize, DivaError>) -> bool {
+        false
+    }
 
     #[test]
     fn results_come_back_in_task_order() {
         let tasks: Vec<usize> = (0..20).collect();
-        let results = run_tasks(&tasks, 4, |i, &t| {
+        let results = run_tasks(&tasks, 4, &AtomicBool::new(false), never, |i, &t| {
             assert_eq!(i, t);
             // Stagger completions so collection order != task order.
             std::thread::sleep(Duration::from_micros(((20 - t) * 50) as u64));
@@ -158,10 +161,11 @@ mod tests {
     }
 
     #[test]
-    fn fatal_error_stops_dequeuing_but_keeps_finished_results() {
+    fn decisive_result_stops_dequeuing_but_keeps_finished_results() {
         let started = AtomicU32::new(0);
+        let stop = AtomicBool::new(false);
         let tasks: Vec<usize> = (0..64).collect();
-        let results = run_tasks(&tasks, 1, |_, &t| {
+        let results = run_tasks(&tasks, 1, &stop, Result::is_err, |_, &t| {
             started.fetch_add(1, Ordering::Relaxed);
             if t == 2 {
                 return Err(DivaError::Cancelled);
@@ -170,6 +174,7 @@ mod tests {
         });
         // Single worker: tasks 0..=2 ran, everything after was skipped.
         assert_eq!(started.load(Ordering::Relaxed), 3);
+        assert!(stop.load(Ordering::Relaxed), "the decisive result sets the stop flag");
         assert!(matches!(results[0], Some(Ok(0))));
         assert!(matches!(results[1], Some(Ok(1))));
         assert!(matches!(results[2], Some(Err(DivaError::Cancelled))));
@@ -179,7 +184,7 @@ mod tests {
     #[test]
     fn panicking_task_is_contained() {
         let tasks = [1usize, 2, 3];
-        let results = run_tasks(&tasks, 3, |_, &t| {
+        let results = run_tasks(&tasks, 3, &AtomicBool::new(false), never, |_, &t| {
             if t == 2 {
                 panic!("synthetic task bug");
             }
@@ -196,36 +201,24 @@ mod tests {
 
     #[test]
     fn empty_task_list_is_a_no_op() {
-        let results = run_tasks(&[] as &[usize], 4, |_, &t| Ok(t));
+        let results = run_tasks(&[] as &[usize], 4, &AtomicBool::new(false), never, |_, &t| Ok(t));
         assert!(results.is_empty());
     }
 
     #[test]
-    fn race_winner_cancels_losers() {
-        let runners: Vec<Runner<u32>> = vec![
-            Box::new(|_token| Ok(1)),
-            Box::new(|token: Arc<AtomicBool>| {
-                // A loser that spins until it observes the winner's
-                // token (bounded so a regression fails, not hangs).
-                for _ in 0..10_000 {
-                    if token.load(Ordering::Relaxed) {
-                        return Err(DivaError::Cancelled);
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                Ok(2)
-            }),
-        ];
-        let outcomes = race(runners);
-        assert!(matches!(outcomes[0], Some(Ok(1))));
-        assert!(matches!(outcomes[1], Some(Err(DivaError::Cancelled))));
-    }
-
-    #[test]
-    fn race_contains_panics() {
-        let runners: Vec<Runner<u32>> = vec![Box::new(|_| panic!("boom")), Box::new(|_| Ok(7))];
-        let outcomes = race(runners);
-        assert!(matches!(outcomes[0], Some(Err(DivaError::WorkerPanicked { .. }))));
-        assert!(matches!(outcomes[1], Some(Ok(7))));
+    fn strongest_ranks_verdicts_and_breaks_ties_by_index() {
+        let unsat = || Err(DivaError::NoDiverseClustering { constraint: "X[x]".into() });
+        let panicked = || Err(DivaError::WorkerPanicked { detail: "boom".into() });
+        let other = || Err(DivaError::SearchBudgetExhausted { backtracks: 1 });
+        // `Ok(true)` is exact, `Ok(false)` degraded.
+        let pick = |slots: Slots<bool>| strongest(slots, |&exact| exact).map(|(i, _)| i);
+        assert_eq!(pick(vec![Some(unsat()), Some(Ok(false)), Some(Ok(true))]), Some(2));
+        assert_eq!(pick(vec![Some(Ok(false)), Some(unsat())]), Some(1));
+        assert_eq!(pick(vec![Some(panicked()), Some(Ok(false))]), Some(1));
+        assert_eq!(pick(vec![Some(other()), Some(unsat()), Some(panicked())]), Some(1));
+        assert_eq!(pick(vec![Some(panicked()), Some(other())]), Some(1));
+        assert_eq!(pick(vec![Some(Err(DivaError::Cancelled)), Some(panicked())]), Some(1));
+        assert_eq!(pick(vec![None, Some(Ok(true)), Some(Ok(true))]), Some(1));
+        assert_eq!(pick(vec![None, None]), None);
     }
 }

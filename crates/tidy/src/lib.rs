@@ -15,12 +15,11 @@
 //!   `relation::rowset`) must not regress to `HashMap`/`HashSet`/
 //!   `BTreeMap`; the one sanctioned use (the FNV-keyed cluster
 //!   registry in `state.rs`) is on the built-in allowlist.
-//! * **`thread-spawn`** — detached `std::thread::spawn` only in
-//!   `core::parallel` (portfolio workers governed by the cancellation
-//!   token), `core::pool` (the component worker pool), and the
+//! * **`thread-spawn`** — detached `std::thread::spawn` only in the
 //!   live-telemetry daemons `obs::live` (the sampler) and
 //!   `obs::serve` (the stats listener), both held by join-on-drop
-//!   handles; scoped `thread::scope` joins are fine anywhere.
+//!   handles; scoped `thread::scope` joins are fine anywhere (`core`
+//!   runs all its threaded work through `pool::run_tasks`).
 //! * **`wall-clock`** — no `Instant::now`/`SystemTime::now`/ambient
 //!   RNG anywhere except `crates/obs/src/`: every clock read flows
 //!   through `diva_obs` (spans or `Stopwatch`) so timings are

@@ -187,16 +187,11 @@ const CLOCK_TOKENS: Tokens = &[
     ("rand::random", "ambient `rand::random`"),
 ];
 
-/// Files sanctioned to call `std::thread::spawn`: the two search-side
-/// worker modules (which poll the cancellation token) and the two
+/// Files sanctioned to call `std::thread::spawn`: the two
 /// live-telemetry daemons (the background sampler and the stats
-/// listener, both owned by join-on-drop handles).
-const THREAD_SPAWN_SANCTIONED: [&str; 4] = [
-    "crates/core/src/parallel.rs",
-    "crates/core/src/pool.rs",
-    "crates/obs/src/live.rs",
-    "crates/obs/src/serve.rs",
-];
+/// listener, both owned by join-on-drop handles). Everything else runs
+/// on scoped threads — in `core`, through `pool::run_tasks`.
+const THREAD_SPAWN_SANCTIONED: [&str; 2] = ["crates/obs/src/live.rs", "crates/obs/src/serve.rs"];
 
 fn run_legacy_token_rules(ctx: &mut Ctx<'_>) {
     let path = ctx.path;
@@ -221,10 +216,9 @@ fn run_legacy_token_rules(ctx: &mut Ctx<'_>) {
         "thread-spawn",
         !THREAD_SPAWN_SANCTIONED.contains(&path),
         SPAWN_TOKENS,
-        "outside the sanctioned spawn sites — detached workers must poll the portfolio \
-         cancellation token; use `std::thread::scope`, route the work through \
-         `run_portfolio` or the component pool, or (for telemetry daemons) the obs \
-         sampler/listener",
+        "outside the sanctioned spawn sites — detached threads outlive their caller and \
+         escape its join; use `std::thread::scope` (in `core`, route the work through \
+         `pool::run_tasks`), or for telemetry daemons the obs sampler/listener",
     );
     token_rule(
         ctx,

@@ -1,4 +1,4 @@
-// Fixture: rule (c) `thread-spawn`. Scanned as a non-parallel path.
+// Fixture: rule (c) `thread-spawn`.
 
 pub fn bad_detached_worker() {
     let h = std::thread::spawn(|| 1 + 1);

@@ -57,9 +57,13 @@ fn rule_c_thread_spawn_fires_on_fixture() {
 }
 
 #[test]
-fn rule_c_exempts_core_parallel() {
-    let v = diva_tidy::scan_file("crates/core/src/parallel.rs", &fixture("thread_spawn.rs"));
-    assert!(lines_for(&v, "thread-spawn").is_empty(), "{v:#?}");
+fn rule_c_fires_in_core_parallel_and_pool() {
+    // The portfolio and the component pool run on scoped threads, so a
+    // detached spawn there is flagged like anywhere else.
+    for path in ["crates/core/src/parallel.rs", "crates/core/src/pool.rs"] {
+        let v = diva_tidy::scan_file(path, &fixture("thread_spawn.rs"));
+        assert_eq!(lines_for(&v, "thread-spawn"), vec![4], "{path}: {v:#?}");
+    }
 }
 
 #[test]

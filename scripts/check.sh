@@ -4,8 +4,8 @@
 # profiling/trace-regression gate.
 # Usage: scripts/check.sh  (from the repo root; pass --offline through
 # CARGO_FLAGS if the environment has no registry access; set
-# SKIP_BENCH=1 to skip the bench smoke and the benchmark package's
-# tests during quick iterations,
+# SKIP_BENCH=1 to skip the bench smoke, the budget wall-clock bound
+# and the benchmark package's tests during quick iterations,
 # SKIP_FAULTS=1 to skip the fault-injection matrix,
 # SKIP_DECOMP=1 to skip the decomposition differential,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
@@ -103,11 +103,17 @@ fi
 
 if [ "${SKIP_BENCH:-0}" = "1" ]; then
     echo "==> bench smoke skipped (SKIP_BENCH=1)"
+    echo "==> budget acceptance wall-clock bound skipped (SKIP_BENCH=1)"
     echo "==> benchmark package tests skipped (SKIP_BENCH=1)"
     echo "==> obs trace check skipped (SKIP_BENCH=1)"
 else
     echo "==> bench smoke (perf emitter -> BENCH_diva.json, incl. obs overhead)"
     cargo run $FLAGS --release -p diva-bench --bin experiments -- perf >/dev/null
+
+    # The wall-clock half of the budget acceptance run: degraded output
+    # within 2x a calibrated deadline. Ignored by the plain test run.
+    echo "==> budget acceptance wall-clock bound (release, --ignored)"
+    cargo test $FLAGS -q --release --test budget_acceptance -- --ignored
 
     # The benchmark is its own package (not a workspace member), so
     # the workspace test run above does not reach its tests.

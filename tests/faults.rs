@@ -7,15 +7,13 @@
 //! exact degrade reason and byte-identical reruns.
 #![cfg(feature = "fault-inject")]
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 use diva_constraints::{generators, Constraint, ConstraintSet};
 use diva_core::faults::FaultPlan;
 use diva_core::{
-    run_portfolio, BudgetSpec, DegradeReason, Diva, DivaConfig, DivaError, DivaResult, Outcome,
-    Strategy,
+    run_portfolio, BudgetSpec, Controls, DegradeReason, Diva, DivaConfig, DivaError, DivaResult,
+    Outcome, Strategy,
 };
 use diva_obs::Obs;
 use diva_relation::suppress::is_refinement;
@@ -59,7 +57,8 @@ fn workload(rows: usize) -> (Relation, Vec<Constraint>) {
 
 /// Worker panic fault: with every portfolio member armed to panic,
 /// the portfolio must contain the panics and fall back to the fully
-/// suppressed degraded result — deterministically.
+/// suppressed degraded result — deterministically, with the detail of
+/// the lowest member whatever order the members panicked in.
 #[test]
 fn all_worker_panics_degrade_deterministically() {
     let (rel, sigma) = workload(600);
@@ -74,7 +73,7 @@ fn all_worker_panics_degrade_deterministically() {
     let out = run();
     match &out.outcome {
         Outcome::Degraded { reason: DegradeReason::WorkerPanic { detail } } => {
-            assert!(detail.contains("injected fault"), "unexpected panic detail: {detail}");
+            assert_eq!(detail, "injected fault: portfolio worker 0 panicked");
         }
         other => panic!("expected WorkerPanic degradation, got {other:?}"),
     }
@@ -182,8 +181,8 @@ fn spurious_repair_failures_are_absorbed() {
     );
 }
 
-/// The regression the satellite issue calls out: cancellation arriving
-/// exactly between clustering and suppress. `run_cancellable` must
+/// The clustering→suppress handoff: cancellation arriving exactly
+/// between clustering and suppress. `run_controlled` must
 /// abort with [`DivaError::Cancelled`] before suppressing — the trace
 /// shows clustering ran and nothing after it did.
 #[test]
@@ -196,8 +195,7 @@ fn cancellation_between_clustering_and_suppress_aborts_cleanly() {
         faults: FaultPlan::seeded(0).cancel_at_phase("clustering"),
         ..DivaConfig::default()
     };
-    let cancel = Arc::new(AtomicBool::new(false));
-    let err = Diva::new(config).run_cancellable(&rel, &sigma, &cancel).unwrap_err();
+    let err = Diva::new(config).run_controlled(&rel, &sigma, &Controls::default()).unwrap_err();
     assert_eq!(err, DivaError::Cancelled);
 
     let trace = obs.snapshot().trace_jsonl();
