@@ -19,6 +19,7 @@ use diva_constraints::ConstraintSet;
 use diva_core::{
     run_portfolio, BudgetSpec, ConstraintGraph, Diva, DivaConfig, DivaError, Outcome, Strategy,
 };
+use diva_obs::live::{Sampler, SamplerConfig};
 use diva_obs::{Obs, Stopwatch};
 use diva_relation::{Relation, RowSet};
 
@@ -477,7 +478,8 @@ fn bench_component_scaling(
 }
 
 // ---------------------------------------------------------------------
-// Observability overhead: disabled obs must cost (almost) nothing.
+// Observability overhead: disabled obs must cost (almost) nothing, and
+// an enabled handle with the live sampler attached little more.
 // ---------------------------------------------------------------------
 
 /// Repetitions for the overhead comparison (full pipeline runs, so
@@ -491,77 +493,30 @@ struct ObsOverhead {
     /// `(enabled - disabled) / disabled`, percent. Negative values
     /// mean the difference drowned in run-to-run noise.
     overhead_pct: f64,
-}
-
-/// Times the same DIVA run with the obs handle disabled vs enabled.
-/// The acceptance budget for the disabled mode is < 2% overhead; the
-/// disabled handle is the workspace default, so this measures what
-/// every non-traced caller pays for the instrumentation points.
-fn bench_obs_overhead(rel: &Relation, k: usize) -> ObsOverhead {
-    let sigma = diva_constraints::generators::proportional(rel, 5, 0.7, 20);
-    let timed = |obs: Obs| {
-        let config = DivaConfig { k, obs, ..DivaConfig::default() };
-        time_best_ms(OVERHEAD_REPS, || {
-            let out = Diva::new(config.clone()).run(black_box(rel), black_box(&sigma));
-            black_box(out.map(|o| o.relation.star_count()).unwrap_or(0));
-        })
-    };
-    let disabled_ms = timed(Obs::disabled());
-    let enabled_ms = timed(Obs::enabled());
-    ObsOverhead {
-        rows: rel.n_rows(),
-        disabled_ms,
-        enabled_ms,
-        overhead_pct: if disabled_ms > 0.0 {
-            (enabled_ms - disabled_ms) / disabled_ms * 100.0
-        } else {
-            0.0
-        },
-    }
-}
-
-// ---------------------------------------------------------------------
-// Live-telemetry overhead: an enabled progress board + sampler must
-// cost (almost) nothing over the disabled default.
-// ---------------------------------------------------------------------
-
-struct LiveOverhead {
-    rows: usize,
-    disabled_ms: f64,
-    enabled_ms: f64,
-    /// `(enabled - disabled) / disabled`, percent. Negative values
-    /// mean the difference drowned in run-to-run noise.
-    overhead_pct: f64,
     /// Sampler ticks observed across the enabled reps — evidence the
-    /// measurement actually exercised the live path.
+    /// measurement exercised the live path.
     samples_taken: u64,
 }
 
-/// Times the same DIVA run with the live progress board disabled (the
+/// Times the same DIVA run with the obs handle disabled (the
 /// workspace default) vs enabled with the default 100ms sampler
-/// attached — exactly the machinery `--stats-addr`/`--watch` wires
-/// up. The acceptance budget for the enabled path is < 1% overhead:
-/// publishing is one branch plus a relaxed store per assignment, and
-/// the sampler reads from its own thread.
-fn bench_live_overhead(rel: &Relation, k: usize) -> LiveOverhead {
+/// attached — spans, metrics and live cells, exactly what `--trace`
+/// plus `--stats-addr` wires up. Reps are interleaved so clock drift
+/// (thermal, frequency) lands on both modes equally. The budget for
+/// the disabled mode is < 2%: it is what every non-traced caller pays
+/// for the instrumentation points.
+fn bench_obs_overhead(rel: &Relation, k: usize) -> ObsOverhead {
     let sigma = diva_constraints::generators::proportional(rel, 5, 0.7, 20);
-    let one_rep = |board: &diva_obs::live::ProgressBoard| {
-        let config = DivaConfig { k, board: board.clone(), ..DivaConfig::default() };
+    let one_rep = |obs: &Obs| {
+        let config = DivaConfig { k, obs: obs.clone(), ..DivaConfig::default() };
         time_best_ms(1, || {
             let out = Diva::new(config.clone()).run(black_box(rel), black_box(&sigma));
             black_box(out.map(|o| o.relation.star_count()).unwrap_or(0));
         })
     };
-    let off = diva_obs::live::ProgressBoard::disabled();
-    let on = diva_obs::live::ProgressBoard::enabled();
-    let sampler = diva_obs::live::Sampler::spawn(
-        &on,
-        &Obs::disabled(),
-        diva_obs::live::SamplerConfig::default(),
-        None,
-    );
-    // Interleave the reps so clock drift (thermal, frequency) lands
-    // on both modes equally instead of biasing whichever ran second.
+    let off = Obs::disabled();
+    let on = Obs::enabled();
+    let sampler = Sampler::spawn(&on, SamplerConfig::default(), None);
     let mut disabled_ms = f64::INFINITY;
     let mut enabled_ms = f64::INFINITY;
     for _ in 0..OVERHEAD_REPS {
@@ -570,7 +525,7 @@ fn bench_live_overhead(rel: &Relation, k: usize) -> LiveOverhead {
     }
     let samples_taken = sampler.log().total_samples();
     sampler.stop();
-    LiveOverhead {
+    ObsOverhead {
         rows: rel.n_rows(),
         disabled_ms,
         enabled_ms,
@@ -719,8 +674,7 @@ pub fn bench_json() -> String {
         }
     }
     let portfolio = bench_portfolio(&diva_datagen::medical(1_000, 5), 5);
-    let overhead = bench_obs_overhead(&diva_datagen::medical(1_000, 5), 5);
-    let live = bench_live_overhead(&diva_datagen::medical(4_000, 7), 5);
+    let overhead = bench_obs_overhead(&diva_datagen::medical(4_000, 7), 5);
     let provenance = bench_provenance_overhead(&diva_datagen::medical(4_000, 7), 5);
     let audit = bench_audit_throughput(&diva_datagen::medical(100_000, 7));
 
@@ -853,21 +807,13 @@ pub fn bench_json() -> String {
     out.push_str(&format!("    \"ok\": {}\n", portfolio.ok));
     out.push_str("  },\n");
     out.push_str("  \"obs_overhead\": {\n");
-    out.push_str("    \"instance\": \"medical-1k, proportional Sigma, full pipeline\",\n");
+    out.push_str("    \"instance\": \"medical-4k, proportional Sigma, full pipeline\",\n");
     out.push_str(&format!("    \"rows\": {},\n", overhead.rows));
     out.push_str(&format!("    \"obs_disabled_ms\": {:.4},\n", overhead.disabled_ms));
-    out.push_str(&format!("    \"obs_enabled_ms\": {:.4},\n", overhead.enabled_ms));
+    out.push_str(&format!("    \"obs_and_sampler_enabled_ms\": {:.4},\n", overhead.enabled_ms));
     out.push_str(&format!("    \"enabled_overhead_pct\": {:.2},\n", overhead.overhead_pct));
+    out.push_str(&format!("    \"sampler_ticks\": {},\n", overhead.samples_taken));
     out.push_str("    \"disabled_budget_pct\": 2.0\n");
-    out.push_str("  },\n");
-    out.push_str("  \"live_overhead\": {\n");
-    out.push_str("    \"instance\": \"medical-4k, proportional Sigma, full pipeline\",\n");
-    out.push_str(&format!("    \"rows\": {},\n", live.rows));
-    out.push_str(&format!("    \"board_disabled_ms\": {:.4},\n", live.disabled_ms));
-    out.push_str(&format!("    \"board_and_sampler_enabled_ms\": {:.4},\n", live.enabled_ms));
-    out.push_str(&format!("    \"enabled_overhead_pct\": {:.2},\n", live.overhead_pct));
-    out.push_str(&format!("    \"sampler_ticks\": {},\n", live.samples_taken));
-    out.push_str("    \"enabled_budget_pct\": 1.0\n");
     out.push_str("  },\n");
     out.push_str("  \"provenance_overhead\": {\n");
     out.push_str("    \"instance\": \"medical-4k, proportional Sigma, full pipeline\",\n");
@@ -988,15 +934,6 @@ mod tests {
     fn obs_overhead_measures_both_modes() {
         let rel = diva_datagen::medical(300, 5);
         let o = bench_obs_overhead(&rel, 5);
-        assert_eq!(o.rows, 300);
-        assert!(o.disabled_ms > 0.0 && o.enabled_ms > 0.0);
-        assert!(o.overhead_pct.is_finite());
-    }
-
-    #[test]
-    fn live_overhead_measures_both_modes() {
-        let rel = diva_datagen::medical(300, 5);
-        let o = bench_live_overhead(&rel, 5);
         assert_eq!(o.rows, 300);
         assert!(o.disabled_ms > 0.0 && o.enabled_ms > 0.0);
         assert!(o.overhead_pct.is_finite());

@@ -36,6 +36,63 @@ static GLOBAL_ALLOC: diva_obs::alloc::CountingAlloc = diva_obs::alloc::CountingA
 const BOOLEAN_FLAGS: [&str; 6] =
     ["quiet", "profile", "no-decompose", "watch", "stall-escalate", "top-costly"];
 
+/// Flags that ask for an obs export or the `--profile` report.
+const EXPORT_FLAGS: [&str; 4] = ["trace", "metrics", "flame", "profile"];
+
+/// Flags that ask for live telemetry: the sampler, and with
+/// `--stats-addr` the stats endpoint.
+const LIVE_FLAGS: [&str; 5] =
+    ["stats-addr", "watch", "sample-ms", "stall-periods", "stall-escalate"];
+
+type Opts = HashMap<String, String>;
+
+/// Every command: its entry point and the flags it reads besides the
+/// global `--quiet`. Any other flag is an error.
+struct Command {
+    name: &'static str,
+    run: fn(&Opts) -> Result<(), String>,
+    /// Space-separated flag names.
+    flags: &'static str,
+}
+
+const COMMANDS: [Command; 8] = [
+    Command {
+        name: "anonymize",
+        run: anonymize,
+        flags: "input roles constraints k strategy algo l l-variant l-c portfolio threads \
+                no-decompose component-portfolio provenance trace metrics flame profile \
+                deadline-ms node-budget repair-budget stats-addr watch sample-ms stall-periods \
+                stall-escalate seed output",
+    },
+    Command {
+        name: "audit",
+        run: audit_cmd,
+        flags: "input roles emit output k l entropy-l recursive-c recursive-l alpha beta \
+                enhanced-beta delta t trace metrics flame profile",
+    },
+    Command {
+        name: "explain",
+        run: explain,
+        flags: "provenance input roles constraints k seed row constraint top-costly emit output",
+    },
+    Command { name: "check", run: check, flags: "input roles constraints k" },
+    Command { name: "stats", run: stats, flags: "input roles k" },
+    Command { name: "generate", run: generate, flags: "dataset rows dist seed output" },
+    Command {
+        name: "sigma-gen",
+        run: sigma_gen,
+        flags: "input roles class count slack min-freq per-group output",
+    },
+    Command { name: "compare", run: compare, flags: "input roles constraints k seed" },
+];
+
+impl Command {
+    /// Whether this command reads `--flag`.
+    fn reads(&self, flag: &str) -> bool {
+        flag == "quiet" || self.flags.split_whitespace().any(|f| f == flag)
+    }
+}
+
 /// Routes the human-readable report lines. `--quiet` drops them so
 /// the process's observable outputs are exactly its files (output CSV,
 /// `--trace`, `--metrics`) and its exit code — trace capture composes
@@ -45,7 +102,7 @@ struct Reporter {
 }
 
 impl Reporter {
-    fn new(opts: &HashMap<String, String>) -> Self {
+    fn new(opts: &Opts) -> Self {
         Self { quiet: opts.contains_key("quiet") }
     }
 
@@ -74,25 +131,17 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let Some(command) = args.first() else {
+    let Some(name) = args.first() else {
         return Err(usage());
     };
-    let opts = parse_flags(&args[1..])?;
-    match command.as_str() {
-        "anonymize" => anonymize(&opts),
-        "audit" => audit_cmd(&opts),
-        "explain" => explain(&opts),
-        "check" => check(&opts),
-        "stats" => stats(&opts),
-        "generate" => generate(&opts),
-        "sigma-gen" => sigma_gen(&opts),
-        "compare" => compare(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
     }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(format!("unknown command {name:?}\n{}", usage()));
+    };
+    (command.run)(&parse_flags(command, &args[1..])?)
 }
 
 fn usage() -> String {
@@ -130,11 +179,12 @@ fn usage() -> String {
      audit      --input FILE --roles LIST [--emit json|table] [--output FILE] \\\n\
      \u{20}          [--k N] [--l N  distinct] [--entropy-l F] \\\n\
      \u{20}          [--recursive-c F] [--recursive-l N  tail index, default 2] \\\n\
-     \u{20}          [--alpha F] [--beta F] [--enhanced-beta F] [--delta F] [--t F]\n\
+     \u{20}          [--alpha F] [--beta F] [--enhanced-beta F] [--delta F] [--t F] \\\n\
+     \u{20}          [--trace FILE] [--metrics FILE] [--flame FILE] [--profile]\n\
      \u{20}          scores the table on all nine privacy models; each given\n\
      \u{20}          parameter becomes a pass/fail gate (non-zero exit on failure)\n\
-     explain    (--provenance FILE | --input FILE --roles LIST --constraints FILE -k N) \\\n\
-     \u{20}          (--row N | --constraint ID-or-LABEL | --top-costly) \\\n\
+     explain    (--provenance FILE | --input FILE --roles LIST --constraints FILE -k N \\\n\
+     \u{20}           [--seed N]) (--row N | --constraint ID-or-LABEL | --top-costly) \\\n\
      \u{20}          [--emit json|table] [--output FILE]\n\
      \u{20}          answers provenance queries — which decision starred a row's cells,\n\
      \u{20}          what one constraint cost, the costliest constraints — against a\n\
@@ -148,11 +198,13 @@ fn usage() -> String {
      \u{20}          [--per-group N  islands: constraints per family, default 3] --output FILE\n\
      compare    --input FILE --roles LIST --constraints FILE -k N [--seed N]\n\
      \n\
-     global:    --quiet  suppress the human-readable report lines"
+     global:    --quiet  suppress the human-readable report lines; any flag a\n\
+     \u{20}          command does not read is an error"
         .to_string()
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `command`'s flags, rejecting any it does not read.
+fn parse_flags(command: &Command, args: &[String]) -> Result<Opts, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -160,6 +212,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             .strip_prefix("--")
             .or_else(|| args[i].strip_prefix('-'))
             .ok_or_else(|| format!("expected a flag, found {:?}", args[i]))?;
+        if !command.reads(key) {
+            return Err(format!("{} does not read --{key}; see `diva help`", command.name));
+        }
         if BOOLEAN_FLAGS.contains(&key) {
             out.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -172,12 +227,12 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(out)
 }
 
-/// Builds the obs handle for a command: enabled iff `--trace`,
-/// `--metrics`, or `--flame` asks for an export, or `--profile` for
-/// the analysis report (a disabled handle records nothing and keeps
-/// output byte-identical).
-fn obs_for(opts: &HashMap<String, String>) -> Obs {
-    if ["trace", "metrics", "flame", "profile"].iter().any(|f| opts.contains_key(*f)) {
+/// Builds the one obs handle of a command: enabled iff an export or
+/// the `--profile` report ([`EXPORT_FLAGS`]) or live telemetry
+/// ([`LIVE_FLAGS`]) is asked for. A disabled handle records nothing
+/// and keeps output byte-identical.
+fn obs_for(opts: &Opts) -> Obs {
+    if EXPORT_FLAGS.iter().chain(&LIVE_FLAGS).any(|f| opts.contains_key(*f)) {
         Obs::enabled()
     } else {
         Obs::disabled()
@@ -187,7 +242,7 @@ fn obs_for(opts: &HashMap<String, String>) -> Obs {
 /// Writes the requested `--trace` (JSON-lines spans), `--metrics`
 /// (aggregated summary), and `--flame` (collapsed stacks) exports
 /// from `obs`.
-fn write_exports(opts: &HashMap<String, String>, obs: &Obs) -> Result<(), String> {
+fn write_exports(opts: &Opts, obs: &Obs) -> Result<(), String> {
     if !obs.is_enabled() {
         return Ok(());
     }
@@ -244,7 +299,7 @@ fn profile_report(reporter: &Reporter, obs: &Obs) {
     }
 }
 
-fn req<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
+fn req<'a>(opts: &'a Opts, key: &str) -> Result<&'a str, String> {
     opts.get(key).map(String::as_str).ok_or_else(|| format!("missing --{key}"))
 }
 
@@ -259,47 +314,62 @@ fn parse_roles(list: &str) -> Result<Vec<AttrRole>, String> {
         .collect()
 }
 
-fn load_input(opts: &HashMap<String, String>) -> Result<Relation, String> {
+fn load_input(opts: &Opts) -> Result<Relation, String> {
     let input = req(opts, "input")?;
     let roles = parse_roles(req(opts, "roles")?)?;
     read_relation_file(Path::new(input), &roles).map_err(|e| format!("{input}: {e}"))
 }
 
-fn load_constraints(opts: &HashMap<String, String>) -> Result<Vec<Constraint>, String> {
+fn load_constraints(opts: &Opts) -> Result<Vec<Constraint>, String> {
     let path = req(opts, "constraints")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     spec::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn parse_k(opts: &HashMap<String, String>) -> Result<usize, String> {
+fn parse_k(opts: &Opts) -> Result<usize, String> {
     req(opts, "k")?.parse().map_err(|_| "k must be a positive integer".to_string())
 }
 
-fn parse_seed(opts: &HashMap<String, String>) -> u64 {
-    opts.get("seed").and_then(|s| s.parse().ok()).unwrap_or(0xd1fa)
+/// `--key` parsed as a `T`, if given; `what` names the accepted values
+/// in the error.
+fn opt<T: std::str::FromStr>(opts: &Opts, key: &str, what: &str) -> Result<Option<T>, String> {
+    opts.get(key).map(|v| v.parse().map_err(|_| format!("--{key} must be {what}"))).transpose()
+}
+
+/// A positive integer `--key`, if given.
+fn opt_positive<T: std::str::FromStr + Default + PartialEq>(
+    opts: &Opts,
+    key: &str,
+) -> Result<Option<T>, String> {
+    match opt(opts, key, "a positive integer")? {
+        Some(n) if n == T::default() => Err(format!("--{key} must be a positive integer")),
+        n => Ok(n),
+    }
+}
+
+/// A finite-number `--key`, if given.
+fn opt_f64(opts: &Opts, key: &str) -> Result<Option<f64>, String> {
+    match opt::<f64>(opts, key, "a finite number")? {
+        Some(x) if !x.is_finite() => Err(format!("--{key} must be a finite number")),
+        x => Ok(x),
+    }
+}
+
+/// `--seed`, defaulting to [`DivaConfig`]'s seed.
+fn parse_seed(opts: &Opts) -> Result<u64, String> {
+    Ok(opt(opts, "seed", "a non-negative integer")?.unwrap_or(DivaConfig::default().seed))
 }
 
 /// Assembles the resource budget from `--deadline-ms`, `--node-budget`
 /// and `--repair-budget`. All three default to unlimited, preserving
 /// the exact-search behaviour when none are given.
-fn parse_budget(opts: &HashMap<String, String>) -> Result<BudgetSpec, String> {
-    let deadline = opts
-        .get("deadline-ms")
-        .map(|v| {
-            v.parse::<u64>()
-                .map(std::time::Duration::from_millis)
-                .map_err(|_| "deadline-ms must be a non-negative integer".to_string())
-        })
-        .transpose()?;
-    let node_budget = opts
-        .get("node-budget")
-        .map(|v| v.parse::<u64>().map_err(|_| "node-budget must be an integer".to_string()))
-        .transpose()?;
-    let repair_budget = opts
-        .get("repair-budget")
-        .map(|v| v.parse::<u64>().map_err(|_| "repair-budget must be an integer".to_string()))
-        .transpose()?;
-    Ok(BudgetSpec { deadline, node_budget, repair_budget })
+fn parse_budget(opts: &Opts) -> Result<BudgetSpec, String> {
+    let count = |key| opt(opts, key, "a non-negative integer");
+    Ok(BudgetSpec {
+        deadline: count("deadline-ms")?.map(std::time::Duration::from_millis),
+        node_budget: count("node-budget")?,
+        repair_budget: count("repair-budget")?,
+    })
 }
 
 /// Running live-telemetry machinery for one `anonymize` invocation:
@@ -321,44 +391,15 @@ impl LiveTelemetry {
     }
 }
 
-/// True when any live-telemetry flag asks for an enabled progress
-/// board; with none of them the run keeps the disabled board and its
-/// output stays byte-identical to a telemetry-free build.
-fn live_requested(opts: &HashMap<String, String>) -> bool {
-    ["stats-addr", "watch", "sample-ms", "stall-periods", "stall-escalate"]
-        .iter()
-        .any(|f| opts.contains_key(*f))
-}
-
 /// Parses the live-telemetry flags, spawns the sampler (with a
 /// `--watch` stderr callback when asked), and binds the
 /// `--stats-addr` endpoint. The resolved listen address goes to
 /// stderr — even under `--quiet` — so scripts can bind port 0 and
 /// discover the real port without racing for one themselves.
-fn start_live_telemetry(
-    opts: &HashMap<String, String>,
-    board: &diva_obs::live::ProgressBoard,
-    obs: &Obs,
-) -> Result<LiveTelemetry, String> {
-    let interval_ms = opts
-        .get("sample-ms")
-        .map(|v| match v.parse::<u64>() {
-            Ok(0) | Err(_) => Err("sample-ms must be a positive integer".to_string()),
-            Ok(n) => Ok(n),
-        })
-        .transpose()?
-        .unwrap_or(100);
-    let stall_periods = opts
-        .get("stall-periods")
-        .map(|v| match v.parse::<u32>() {
-            Ok(0) | Err(_) => Err("stall-periods must be a positive integer".to_string()),
-            Ok(n) => Ok(n),
-        })
-        .transpose()?
-        .unwrap_or(5);
+fn start_live_telemetry(opts: &Opts, obs: &Obs) -> Result<LiveTelemetry, String> {
     let config = diva_obs::live::SamplerConfig {
-        interval: std::time::Duration::from_millis(interval_ms),
-        stall_periods,
+        interval: std::time::Duration::from_millis(opt_positive(opts, "sample-ms")?.unwrap_or(100)),
+        stall_periods: opt_positive(opts, "stall-periods")?.unwrap_or(5),
         escalate: opts.contains_key("stall-escalate"),
         ..diva_obs::live::SamplerConfig::default()
     };
@@ -367,11 +408,11 @@ fn start_live_telemetry(
     } else {
         None
     };
-    let sampler = diva_obs::live::Sampler::spawn(board, obs, config, on_sample);
+    let sampler = diva_obs::live::Sampler::spawn(obs, config, on_sample);
     let server = opts
         .get("stats-addr")
         .map(|addr| {
-            diva_obs::serve::StatsServer::bind(addr, board.clone(), sampler.log())
+            diva_obs::serve::StatsServer::bind(addr, obs.clone(), sampler.log())
                 .map_err(|e| format!("--stats-addr {addr}: {e}"))
         })
         .transpose()?;
@@ -381,7 +422,7 @@ fn start_live_telemetry(
     Ok(LiveTelemetry { sampler, server })
 }
 
-fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
+fn anonymize(opts: &Opts) -> Result<(), String> {
     let reporter = Reporter::new(opts);
     let rel = load_input(opts)?;
     let sigma = load_constraints(opts)?;
@@ -393,12 +434,8 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
         Some("basic") => Strategy::Basic,
         Some(other) => return Err(format!("unknown strategy {other:?}")),
     };
-    let seed = parse_seed(opts);
-    let l_diversity = opts
-        .get("l")
-        .map(|v| v.parse::<usize>().map_err(|_| "l must be a positive integer".to_string()))
-        .transpose()?
-        .unwrap_or(1);
+    let seed = parse_seed(opts)?;
+    let l_diversity = opt(opts, "l", "a positive integer")?.unwrap_or(1);
     let l_variant = match opts.get("l-variant").map(String::as_str) {
         None | Some("distinct") => LVariant::Distinct,
         Some("entropy") => LVariant::Entropy,
@@ -410,34 +447,20 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
     if opts.contains_key("l-c") && !matches!(l_variant, LVariant::Recursive { .. }) {
         return Err("--l-c only applies with --l-variant recursive".to_string());
     }
-    let threads = opts
-        .get("threads")
-        .map(|v| match v.parse::<usize>() {
-            Ok(0) | Err(_) => Err("threads must be a positive integer".to_string()),
-            Ok(n) => Ok(n),
-        })
-        .transpose()?;
+    let threads = opt_positive(opts, "threads")?;
     let budget = parse_budget(opts)?;
-    let component_portfolio = opts
-        .get("component-portfolio")
-        .map(|v| match v.parse::<usize>() {
-            Ok(0) | Err(_) => Err("component-portfolio must be a positive node count".to_string()),
-            Ok(n) => Ok(n),
-        })
-        .transpose()?;
+    let component_portfolio = opt_positive(opts, "component-portfolio")?;
     let obs = obs_for(opts);
-    let board = if live_requested(opts) {
-        diva_obs::live::ProgressBoard::enabled()
-    } else {
-        diva_obs::live::ProgressBoard::disabled()
-    };
     let provenance = if opts.contains_key("provenance") {
         diva_obs::Provenance::enabled()
     } else {
         diva_obs::Provenance::disabled()
     };
-    let live =
-        if board.is_enabled() { Some(start_live_telemetry(opts, &board, &obs)?) } else { None };
+    let live = if LIVE_FLAGS.iter().any(|f| opts.contains_key(*f)) {
+        Some(start_live_telemetry(opts, &obs)?)
+    } else {
+        None
+    };
     let config = DivaConfig {
         k,
         strategy,
@@ -449,14 +472,10 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
         decompose: !opts.contains_key("no-decompose"),
         component_portfolio,
         obs: obs.clone(),
-        board: board.clone(),
         provenance: provenance.clone(),
         ..DivaConfig::default()
     };
-    let portfolio = opts
-        .get("portfolio")
-        .map(|v| v.parse::<usize>().map_err(|_| "portfolio must be a positive integer".to_string()))
-        .transpose()?;
+    let portfolio = opt(opts, "portfolio", "a positive integer")?;
     let result = if let Some(seeds_per_strategy) = portfolio {
         if opts.contains_key("algo") {
             return Err("--portfolio races the default anonymizer; drop --algo".to_string());
@@ -472,23 +491,10 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
             };
         Diva::with_anonymizer(config, anonymizer).run(&rel, &sigma)
     };
-    // Surface the star attribution on the live board and the obs
-    // counters before the endpoint goes down, so a final scrape (and
-    // the --metrics file) carries `diva_constraint_stars` /
-    // `provenance.constraint_stars.*`.
-    if let Some(log) = provenance.snapshot() {
-        let attr = diva_obs::StarAttribution::from_log(&log);
-        if obs.is_enabled() {
-            for (label, stars) in log.labels.iter().zip(&attr.per_constraint) {
-                obs.counter(&format!("provenance.constraint_stars.{label}")).add(*stars);
-            }
-            obs.counter("provenance.stars.k_anonymity").add(attr.k_anonymity);
-            obs.counter("provenance.stars.degrade").add(attr.degrade);
-        }
-        board.set_constraint_stars(
-            log.labels.iter().cloned().zip(attr.per_constraint.iter().copied()).collect(),
-        );
-    }
+    // Publish the star attribution before the endpoint goes down, so
+    // a final scrape (and the --metrics file) carries
+    // `diva_constraint_stars` / `provenance.constraint_stars.*`.
+    obs.publish_attribution(&provenance);
     // Tear down the endpoint and sampler before reporting so the last
     // watch line lands above the summary and no scrape can observe a
     // half-written export.
@@ -532,36 +538,19 @@ fn anonymize(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Optional positive-integer flag.
-fn opt_usize(opts: &HashMap<String, String>, key: &str) -> Result<Option<usize>, String> {
-    opts.get(key)
-        .map(|v| v.parse::<usize>().map_err(|_| format!("--{key} must be a positive integer")))
-        .transpose()
-}
-
-/// Optional finite-number flag.
-fn opt_f64(opts: &HashMap<String, String>, key: &str) -> Result<Option<f64>, String> {
-    opts.get(key)
-        .map(|v| match v.parse::<f64>() {
-            Ok(x) if x.is_finite() => Ok(x),
-            _ => Err(format!("--{key} must be a finite number")),
-        })
-        .transpose()
-}
-
 /// `diva audit` — scores an arbitrary CSV against the privacy-model
 /// zoo. All nine checkers always run; each parameter flag that was
 /// given additionally becomes a pass/fail gate, and any violation
 /// makes the command exit non-zero (after emitting the full report,
 /// which is the diagnostic).
-fn audit_cmd(opts: &HashMap<String, String>) -> Result<(), String> {
+fn audit_cmd(opts: &Opts) -> Result<(), String> {
     let rel = load_input(opts)?;
     let spec = diva_metrics::AuditSpec {
-        k: opt_usize(opts, "k")?,
-        distinct_l: opt_usize(opts, "l")?,
+        k: opt(opts, "k", "a positive integer")?,
+        distinct_l: opt(opts, "l", "a positive integer")?,
         entropy_l: opt_f64(opts, "entropy-l")?,
         recursive_c: opt_f64(opts, "recursive-c")?,
-        recursive_l: opt_usize(opts, "recursive-l")?.unwrap_or(2),
+        recursive_l: opt(opts, "recursive-l", "a positive integer")?.unwrap_or(2),
         alpha: opt_f64(opts, "alpha")?,
         basic_beta: opt_f64(opts, "beta")?,
         enhanced_beta: opt_f64(opts, "enhanced-beta")?,
@@ -592,7 +581,7 @@ fn audit_cmd(opts: &HashMap<String, String>) -> Result<(), String> {
 /// (`--constraint`), and the costliest constraints (`--top-costly`).
 /// The log comes from a saved `--provenance` file (validated on load)
 /// or from a fresh recorded run over `--input`/`--constraints`/`-k`.
-fn explain(opts: &HashMap<String, String>) -> Result<(), String> {
+fn explain(opts: &Opts) -> Result<(), String> {
     let log = explain_log(opts)?;
     let n_queries = usize::from(opts.contains_key("row"))
         + usize::from(opts.contains_key("constraint"))
@@ -624,7 +613,7 @@ fn explain(opts: &HashMap<String, String>) -> Result<(), String> {
 
 /// Loads the provenance log for `explain`: a saved `--provenance` file
 /// when given (parsed and integrity-checked), else a fresh recorded run.
-fn explain_log(opts: &HashMap<String, String>) -> Result<diva_obs::provenance::Log, String> {
+fn explain_log(opts: &Opts) -> Result<diva_obs::provenance::Log, String> {
     if let Some(path) = opts.get("provenance") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let (log, _) =
@@ -637,7 +626,7 @@ fn explain_log(opts: &HashMap<String, String>) -> Result<diva_obs::provenance::L
         let provenance = diva_obs::Provenance::enabled();
         let config = DivaConfig {
             k: parse_k(opts)?,
-            seed: parse_seed(opts),
+            seed: parse_seed(opts)?,
             provenance: provenance.clone(),
             ..DivaConfig::default()
         };
@@ -830,7 +819,7 @@ fn explain_top_costly(log: &diva_obs::provenance::Log, json: bool) -> String {
     out
 }
 
-fn check(opts: &HashMap<String, String>) -> Result<(), String> {
+fn check(opts: &Opts) -> Result<(), String> {
     let reporter = Reporter::new(opts);
     let rel = load_input(opts)?;
     let sigma = load_constraints(opts)?;
@@ -861,7 +850,7 @@ fn check(opts: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-fn stats(opts: &HashMap<String, String>) -> Result<(), String> {
+fn stats(opts: &Opts) -> Result<(), String> {
     let reporter = Reporter::new(opts);
     let rel = load_input(opts)?;
     let k = parse_k(opts)?;
@@ -876,13 +865,13 @@ fn stats(opts: &HashMap<String, String>) -> Result<(), String> {
 
 /// Runs every algorithm on the input and prints a comparison table:
 /// the two guided DIVA strategies and the three plain baselines.
-fn compare(opts: &HashMap<String, String>) -> Result<(), String> {
+fn compare(opts: &Opts) -> Result<(), String> {
     use diva_core::Strategy;
     let reporter = Reporter::new(opts);
     let rel = load_input(opts)?;
     let sigma = load_constraints(opts)?;
     let k = parse_k(opts)?;
-    let seed = parse_seed(opts);
+    let seed = parse_seed(opts)?;
     report!(
         reporter,
         "{:<16} {:>9} {:>9} {:>8} {:>8} {:>7}",
@@ -931,31 +920,19 @@ fn compare(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn sigma_gen(opts: &HashMap<String, String>) -> Result<(), String> {
+fn sigma_gen(opts: &Opts) -> Result<(), String> {
     let rel = load_input(opts)?;
     let count: usize =
         req(opts, "count")?.parse().map_err(|_| "count must be a positive integer".to_string())?;
-    let slack: f64 = opts
-        .get("slack")
-        .map(|v| v.parse::<f64>().map_err(|_| "slack must be a number".to_string()))
-        .transpose()?
-        .unwrap_or(0.5);
-    let min_freq: usize = opts
-        .get("min-freq")
-        .map(|v| v.parse::<usize>().map_err(|_| "min-freq must be an integer".to_string()))
-        .transpose()?
-        .unwrap_or(20);
+    let slack = opt(opts, "slack", "a number")?.unwrap_or(0.5);
+    let min_freq = opt(opts, "min-freq", "an integer")?.unwrap_or(20);
     let output = PathBuf::from(req(opts, "output")?);
     let sigma = match req(opts, "class")? {
         "proportional" => diva_constraints::generators::proportional(&rel, count, slack, min_freq),
         "minfreq" => diva_constraints::generators::min_frequency(&rel, count, slack, min_freq),
         "average" => diva_constraints::generators::average(&rel, count, slack, min_freq),
         "islands" => {
-            let per_group: usize = opts
-                .get("per-group")
-                .map(|v| v.parse::<usize>().map_err(|_| "per-group must be an integer".to_string()))
-                .transpose()?
-                .unwrap_or(3);
+            let per_group = opt(opts, "per-group", "an integer")?.unwrap_or(3);
             diva_constraints::generators::islands(&rel, count, per_group, slack, min_freq)
         }
         other => return Err(format!("unknown constraint class {other:?}")),
@@ -966,11 +943,11 @@ fn sigma_gen(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn generate(opts: &HashMap<String, String>) -> Result<(), String> {
+fn generate(opts: &Opts) -> Result<(), String> {
     let dataset = req(opts, "dataset")?;
     let rows: usize =
         req(opts, "rows")?.parse().map_err(|_| "rows must be a positive integer".to_string())?;
-    let seed = parse_seed(opts);
+    let seed = parse_seed(opts)?;
     let output = PathBuf::from(req(opts, "output")?);
     let dist = match opts.get("dist").map(String::as_str) {
         None => diva_datagen::Dist::zipf_default(),
@@ -995,4 +972,38 @@ fn generate(opts: &HashMap<String, String>) -> Result<(), String> {
         rel.schema().arity()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `usage()` lists exactly the flags each command reads.
+    #[test]
+    fn usage_lists_the_flags_each_command_reads() {
+        let mut listed: HashMap<String, Vec<String>> = HashMap::new();
+        let mut command = String::new();
+        for line in usage().lines() {
+            if !line.starts_with(' ') {
+                command = line.split_whitespace().next().unwrap_or("").to_string();
+            }
+            for word in line.split_whitespace() {
+                let word = word.trim_start_matches(['[', '(']);
+                let Some(flag) = word.strip_prefix("--").or_else(|| word.strip_prefix('-')) else {
+                    continue;
+                };
+                let flag: String =
+                    flag.chars().take_while(|c| c.is_alphanumeric() || *c == '-').collect();
+                listed.entry(command.clone()).or_default().push(flag);
+            }
+        }
+        for c in &COMMANDS {
+            let mut shown = listed.remove(c.name).unwrap_or_default();
+            shown.sort();
+            shown.dedup();
+            let mut reads: Vec<&str> = c.flags.split_whitespace().collect();
+            reads.sort_unstable();
+            assert_eq!(shown, reads, "usage of {} vs the flags it reads", c.name);
+        }
+    }
 }

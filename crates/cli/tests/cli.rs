@@ -450,6 +450,56 @@ fn bad_flags_are_reported() {
     let o = diva(&["help"]);
     assert!(o.status.success());
     assert!(String::from_utf8_lossy(&o.stdout).contains("usage"));
+
+    // A malformed --seed is an error, like every other integer flag,
+    // not a silent fallback to the default seed.
+    let out = tmp("bad_seed.csv");
+    let _ = std::fs::remove_file(&out);
+    let path = out.to_str().unwrap();
+    let o = diva(&[
+        "generate",
+        "--dataset",
+        "medical",
+        "--rows",
+        "10",
+        "--seed",
+        "7x",
+        "--output",
+        path,
+    ]);
+    assert!(!o.status.success());
+    assert!(String::from_utf8_lossy(&o.stderr).contains("seed must be"));
+    assert!(!out.exists(), "nothing is written on a bad seed");
+}
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let out = tmp("unknown_flag.csv");
+    let path = out.to_str().unwrap();
+    let o = diva(&[
+        "generate",
+        "--dataset",
+        "medical",
+        "--rows",
+        "10",
+        "--output",
+        path,
+        "--node-budgte",
+        "5",
+    ]);
+    assert!(!o.status.success());
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(err.contains("generate does not read --node-budgte"), "{err}");
+    // A flag another command reads is still unknown here.
+    let o = diva(&["check", "--input", "x.csv", "--roles", "qi", "-k", "2", "--seed", "3"]);
+    assert!(String::from_utf8_lossy(&o.stderr).contains("check does not read --seed"));
+    for command in
+        ["anonymize", "audit", "explain", "check", "stats", "generate", "sigma-gen", "compare"]
+    {
+        let o = diva(&[command, "--quiet", "--bogus", "1"]);
+        assert!(!o.status.success(), "{command} accepted --bogus");
+        assert!(String::from_utf8_lossy(&o.stderr).contains("--bogus"), "{command}");
+    }
 }
 
 #[test]

@@ -225,7 +225,7 @@ impl<'a> Coloring<'a> {
     /// A poll point: injected slowdowns, then cancellation, then the
     /// watchdog's escalation flag, then the budget (charged one poll
     /// stride of explored nodes). Node counts are published to the
-    /// live board per assignment (not here) so a mid-run scrape sees
+    /// live cells per assignment (not here) so a mid-run scrape sees
     /// them move even on searches shorter than one poll stride.
     fn poll(&mut self, charge: u64) -> Result<(), Stop> {
         #[cfg(feature = "fault-inject")]
@@ -233,7 +233,7 @@ impl<'a> Coloring<'a> {
         if self.is_cancelled() {
             return Err(Stop::Cancel);
         }
-        if self.config.board.degrade_requested() {
+        if self.config.obs.degrade_requested() {
             return Err(Stop::Degrade(DegradeReason::Stalled {
                 nodes: self.stats.assignments_tried,
             }));
@@ -381,7 +381,7 @@ impl<'a> Coloring<'a> {
         }
         for ci in order {
             self.stats.assignments_tried += 1;
-            self.config.board.add_nodes(1);
+            self.config.obs.add_nodes(1);
             if self.stats.assignments_tried & CANCEL_POLL_MASK == 0 {
                 self.poll(CANCEL_POLL_MASK + 1)?;
             }
@@ -397,7 +397,7 @@ impl<'a> Coloring<'a> {
                         continue;
                     }
                     self.stats.repair_attempts += 1;
-                    self.config.board.add_repairs(1);
+                    self.config.obs.add_repairs(1);
                     if let Some(budget) = &self.budget {
                         if let Some(reason) = budget.charge_repair() {
                             return Err(Stop::Degrade(reason));
@@ -416,7 +416,7 @@ impl<'a> Coloring<'a> {
                     };
                     self.stats.repair_successes += 1;
                     self.stats.assignments_tried += 1;
-                    self.config.board.add_nodes(1);
+                    self.config.obs.add_nodes(1);
                     match self.state.try_assign(&repaired, self.graph) {
                         Some(t) => t,
                         None => continue,

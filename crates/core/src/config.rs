@@ -113,10 +113,15 @@ pub struct DivaConfig {
     /// scope.
     pub component_portfolio: Option<usize>,
     /// Observability handle: spans, counters, and histograms emitted
-    /// by the pipeline land here. The default is the disabled handle
+    /// by the pipeline land here, and so does live progress (phase,
+    /// nodes expanded, repairs, components, budget limits, verdicts)
+    /// for the sampler and stats endpoint to read mid-run
+    /// ([`diva_obs::live`]). The default is the disabled handle
     /// ([`diva_obs::Obs::disabled`]), which records nothing and costs
     /// one branch per instrumentation point — pipeline output is
-    /// byte-identical either way.
+    /// byte-identical either way. The handle's degrade request is the
+    /// stall watchdog's escalation channel
+    /// ([`crate::DegradeReason::Stalled`]).
     pub obs: diva_obs::Obs,
     /// Resource budget (wall-clock deadline, explored-node cap,
     /// repair-attempt cap) for the run — or, under
@@ -128,16 +133,6 @@ pub struct DivaConfig {
     /// fail-fast semantics
     /// ([`DivaError::SearchBudgetExhausted`][crate::DivaError]).
     pub budget: crate::BudgetSpec,
-    /// Live-telemetry progress board
-    /// ([`diva_obs::live::ProgressBoard`]): in-flight counters
-    /// (phase, nodes expanded, repairs, components, budget cells)
-    /// published from the existing cancellation poll points for the
-    /// sampler/stats endpoint to read. The default is the disabled
-    /// board, which costs one branch per publish and keeps the run
-    /// byte-identical to one without live telemetry. The board's
-    /// degrade-request flag is the stall watchdog's escalation
-    /// channel ([`crate::DegradeReason::Stalled`]).
-    pub board: diva_obs::live::ProgressBoard,
     /// Decision-provenance recorder
     /// ([`diva_obs::provenance::Provenance`]): when enabled, the run
     /// logs every published group and every starred cell with the
@@ -145,7 +140,7 @@ pub struct DivaConfig {
     /// merge, or plain k-anonymity) for `diva explain` and the
     /// per-constraint attribution in `RunStats`. The default is the
     /// disabled handle — one branch per recording site, output
-    /// byte-identical either way (same contract as `obs`/`board`).
+    /// byte-identical either way (same contract as `obs`).
     pub provenance: diva_obs::provenance::Provenance,
     /// Deterministic fault-injection plan (testing/CI only; the field
     /// exists only under the `fault-inject` feature). The default
@@ -170,7 +165,6 @@ impl Default for DivaConfig {
             component_portfolio: None,
             obs: diva_obs::Obs::disabled(),
             budget: crate::BudgetSpec::default(),
-            board: diva_obs::live::ProgressBoard::disabled(),
             provenance: diva_obs::provenance::Provenance::disabled(),
             #[cfg(feature = "fault-inject")]
             faults: crate::faults::FaultPlan::default(),
@@ -230,12 +224,6 @@ impl DivaConfig {
     /// Builder-style resource budget (see [`DivaConfig::budget`]).
     pub fn budget(mut self, budget: crate::BudgetSpec) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Builder-style live-telemetry board (see [`DivaConfig::board`]).
-    pub fn board(mut self, board: diva_obs::live::ProgressBoard) -> Self {
-        self.board = board;
         self
     }
 
@@ -337,14 +325,6 @@ mod tests {
         assert!(c.budget.is_unlimited());
         let c = c.budget(crate::BudgetSpec::with_node_budget(512));
         assert_eq!(c.budget.node_budget, Some(512));
-    }
-
-    #[test]
-    fn default_board_is_disabled() {
-        let c = DivaConfig::default();
-        assert!(!c.board.is_enabled(), "live telemetry must be opt-in");
-        let c = c.board(diva_obs::live::ProgressBoard::enabled());
-        assert!(c.board.is_enabled());
     }
 
     #[test]

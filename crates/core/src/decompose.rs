@@ -24,7 +24,7 @@
 //! differential suite (`tests/differential.rs`) pins this at every
 //! thread count. See `DESIGN.md` §12 for the invariants.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use diva_relation::RowId;
@@ -109,7 +109,7 @@ pub(crate) fn solve_clustering(
 ) -> Result<ColoringOutcome, DivaError> {
     let comps = if config.decompose { components(graph) } else { Vec::new() };
     if comps.len() <= 1 {
-        config.board.set_components_total(1);
+        config.obs.set_components_total(1);
         let mut coloring = Coloring::new(graph, candidates, uppers.to_vec(), labels, config);
         if let Some(token) = cancel {
             coloring = coloring.with_cancel(Arc::clone(token));
@@ -118,7 +118,7 @@ pub(crate) fn solve_clustering(
             coloring = coloring.with_budget(Arc::clone(b));
         }
         let result = coloring.solve();
-        config.board.component_finished();
+        config.obs.components_done(1);
         return result;
     }
 
@@ -187,7 +187,10 @@ pub(crate) fn solve_clustering(
     let n_workers = config.threads.unwrap_or(hw).clamp(1, subs.len());
     let mut span = obs.span("diva.components").attr("count", subs.len()).attr("workers", n_workers);
     let span_id = span.id();
-    config.board.set_components_total(subs.len() as u64);
+    config.obs.set_components_total(subs.len() as u64);
+    // This solve's own count: the live cell keeps the highest count
+    // of any solve sharing the handle (portfolio members).
+    let done = AtomicU64::new(0);
     // A fatal component error stops further dequeuing; components
     // already in flight never poll this flag and run to completion.
     let abort = AtomicBool::new(false);
@@ -214,7 +217,7 @@ pub(crate) fn solve_clustering(
             },
         );
         comp_span.end();
-        config.board.component_finished();
+        config.obs.components_done(done.fetch_add(1, Ordering::Relaxed) + 1);
         result
     });
 

@@ -12,8 +12,9 @@ use diva_constraints::{Constraint, ConstraintSet};
 use diva_relation::suppress::{suppress_clustering, Suppressed};
 use diva_relation::{is_k_anonymous, Relation, RowId, STAR_CODE};
 
+use diva_obs::live::Phase;
 use diva_obs::provenance::{Cause, GroupOrigin, Provenance};
-use diva_obs::{AllocDelta, SpanClose};
+use diva_obs::{AllocDelta, Obs, SpanClose};
 
 use crate::budget::{Budget, BudgetUsage, Controls, DegradeReason, Outcome};
 use crate::candidates::CandidateSet;
@@ -45,6 +46,10 @@ pub struct RunStats {
     pub coloring: ColoringStats,
     /// Upper-bound repairs applied by Integrate.
     pub integrate_repairs: usize,
+    /// Constraints a degraded run voided (published with no
+    /// occurrence left); zero for exact runs. The other
+    /// `n_constraints - constraints_voided` are satisfied.
+    pub constraints_voided: usize,
     /// Time in DiverseClustering (graph + candidates + colouring).
     pub t_clustering: Duration,
     /// Time in the Suppress step applied to `S_Σ` (zero when the run
@@ -129,6 +134,18 @@ pub struct DivaResult {
     pub outcome: Outcome,
 }
 
+impl DivaResult {
+    /// Publishes this result as the end of its run on `obs`'s live
+    /// cells: the constraint verdicts, then phase `Done`. Called once
+    /// per returned result — by [`Diva::run`], and by the portfolio
+    /// after it picks the winner — so members racing on one handle
+    /// never add up their verdicts.
+    pub(crate) fn publish_done(&self, obs: &Obs) {
+        let voided = self.stats.constraints_voided as u64;
+        obs.run_finished(self.stats.n_constraints as u64 - voided, voided);
+    }
+}
+
 /// The DIVA algorithm.
 ///
 /// ```
@@ -177,12 +194,18 @@ impl Diva {
     /// degraded-mode result ([`Outcome::Degraded`]) instead of an
     /// error.
     pub fn run(&self, rel: &Relation, sigma: &[Constraint]) -> Result<DivaResult, DivaError> {
-        self.run_inner(rel, sigma, None, self.config.budget.arm())
+        let result = self.run_inner(rel, sigma, None, self.config.budget.arm());
+        if let Ok(out) = &result {
+            out.publish_done(&self.config.obs);
+        }
+        result
     }
 
     /// [`Diva::run`] under shared [`Controls`]: the portfolio entry
     /// point, where the cancellation token and the (already-armed,
-    /// globally shared) budget both come from the caller.
+    /// globally shared) budget both come from the caller. It leaves
+    /// the live verdicts and the final phase to the caller, which
+    /// publishes them once for the result it returns.
     pub fn run_controlled(
         &self,
         rel: &Relation,
@@ -216,8 +239,7 @@ impl Diva {
             return Err(DivaError::Cancelled);
         }
         let set = ConstraintSet::bind(sigma, rel)?;
-        let board = &self.config.board;
-        board.set_constraints_total(set.len() as u64);
+        obs.set_constraints_total(set.len() as u64);
         let prov = &self.config.provenance;
         if prov.is_enabled() {
             prov.begin_run(
@@ -227,7 +249,7 @@ impl Diva {
             );
         }
         if let Some(b) = &budget {
-            board.set_budget_limits(b.spec().node_budget, b.spec().deadline);
+            obs.set_budget_limits(b.spec().node_budget, b.spec().deadline);
         }
         let mut stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
         // Phase-boundary deadline checks are cheap (one clock read);
@@ -239,8 +261,7 @@ impl Diva {
         }
 
         // --- DiverseClustering (Algorithm 3). ---
-        board.set_phase(diva_obs::live::Phase::Clustering);
-        let mut clustering_span = obs.span("diva.clustering");
+        let mut clustering_span = obs.phase(Phase::Clustering);
         let graph_span = obs.span("graph.build");
         let graph = ConstraintGraph::build(&set);
         graph_span.end();
@@ -333,9 +354,6 @@ impl Diva {
         if let Some(reason) = search_degraded {
             return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
         }
-        // An exact (non-degraded) colouring satisfies every bound
-        // constraint by construction.
-        board.add_satisfied(set.len() as u64);
 
         // Rows not covered by S_Σ (Algorithm 1, line 4: R := R \ C_i).
         let mut covered = vec![false; rel.n_rows()];
@@ -361,9 +379,8 @@ impl Diva {
             // Fewer residual tuples than k: no k-anonymous R_k exists.
             // Fold them into an existing S_Σ cluster if some choice
             // keeps Σ satisfied (checked exhaustively), else fail.
-            board.set_phase(diva_obs::live::Phase::Anonymize);
             let anon_span = obs
-                .span("diva.anonymize")
+                .phase(Phase::Anonymize)
                 .attr("fold_residual", true)
                 .attr("residual_rows", rest.len());
             let (folded, fold_host) = self.fold_residual(rel, &set, &mut s_sigma, &rest)?;
@@ -394,8 +411,7 @@ impl Diva {
             }
             (folded, None, Vec::new())
         } else {
-            board.set_phase(diva_obs::live::Phase::Suppress);
-            let suppress_span = obs.span("diva.suppress").attr("clusters", s_sigma.len());
+            let suppress_span = obs.phase(Phase::Suppress).attr("clusters", s_sigma.len());
             let r_sigma = suppress_clustering(rel, &s_sigma);
             #[cfg(feature = "strict-invariants")]
             check_partition("Suppress", &r_sigma.groups, r_sigma.relation.n_rows(), true)?;
@@ -408,8 +424,7 @@ impl Diva {
             if let Some(reason) = deadline_hit(&budget) {
                 return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
             }
-            board.set_phase(diva_obs::live::Phase::Anonymize);
-            let mut anon_span = obs.span("diva.anonymize").attr("residual_rows", rest.len());
+            let mut anon_span = obs.phase(Phase::Anonymize).attr("residual_rows", rest.len());
             // Kept alongside `r_k` for provenance: the input clusters the
             // suppressed groups came from, and which of them absorbed a
             // sibling during ℓ-diversity enforcement.
@@ -512,8 +527,7 @@ impl Diva {
             }
             (r_sigma, r_k, k_gids)
         };
-        board.set_phase(diva_obs::live::Phase::Integrate);
-        let int_span = obs.span("diva.integrate");
+        let int_span = obs.phase(Phase::Integrate);
         let out = integrate_traced(&r_sigma, r_k.as_ref(), &set, prov, &k_gids)?;
         #[cfg(feature = "strict-invariants")]
         check_partition("Integrate", &out.groups, out.relation.n_rows(), true)?;
@@ -544,8 +558,7 @@ impl Diva {
 
     /// The publish tail every returned table shares: records the
     /// verdict on the run span, snapshots budget usage and provenance
-    /// attribution into the stats, closes the run span (`t_total`), and
-    /// marks the live board done.
+    /// attribution into the stats, and closes the run span (`t_total`).
     fn publish(
         &self,
         mut run_span: diva_obs::Span,
@@ -566,7 +579,6 @@ impl Diva {
         let close = run_span.end_profiled();
         stats.t_total = close.dur;
         note_alloc(stats, &close, |p| &mut p.total);
-        self.config.board.set_phase(diva_obs::live::Phase::Done);
         result
     }
 
@@ -667,9 +679,8 @@ impl Diva {
     ) -> Result<DivaResult, DivaError> {
         let obs = &self.config.obs;
         obs.counter(&format!("budget.exhausted.{}", reason.kind())).incr();
-        self.config.board.set_phase(diva_obs::live::Phase::Degrade);
         let mut span = obs
-            .span("diva.degrade")
+            .phase(Phase::Degrade)
             .attr("reason", reason.kind())
             .attr("prefix_clusters", partial.len());
 
@@ -863,21 +874,11 @@ impl Diva {
         }));
 
         stats.sigma_rows = source_rows.len() - star_src.len();
-        // Per-constraint verdicts for the live board: non-zero final
-        // count = satisfied (within bounds by the fixpoint), zero =
-        // voided.
-        let mut n_sat = 0u64;
-        let mut n_voided_constraints = 0u64;
-        for (ci, _) in set.constraints().iter().enumerate() {
-            let count: usize = (0..n_groups).filter(|&g| !voided[g]).map(|g| contrib[ci][g]).sum();
-            if count > 0 {
-                n_sat += 1;
-            } else {
-                n_voided_constraints += 1;
-            }
-        }
-        self.config.board.add_satisfied(n_sat);
-        self.config.board.add_voided(n_voided_constraints);
+        // A constraint no kept cluster contributes to is voided; any
+        // other is within bounds by the fixpoint, i.e. satisfied.
+        stats.constraints_voided = (0..set.len())
+            .filter(|&ci| (0..n_groups).all(|g| voided[g] || contrib[ci][g] == 0))
+            .count();
         let n_voided = voided.iter().filter(|&&v| v).count();
         span.set_attr("voided_clusters", n_voided);
         span.set_attr("star_rows", star_src.len());

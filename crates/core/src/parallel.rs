@@ -22,6 +22,11 @@
 //! poll and are joined before `run_portfolio` returns. The verdict is
 //! then ranked over every member (`pool::strongest`), so the
 //! choice never depends on which member finished first.
+//!
+//! Every member publishes live progress into the caller's obs handle
+//! (nodes and repairs add up across members). The verdicts and the
+//! final `Done` phase are published once, after the join, from the
+//! result the portfolio returns.
 
 use diva_constraints::Constraint;
 use diva_relation::Relation;
@@ -160,6 +165,9 @@ where
         Some((_, Err(e))) => Err(e),
         None => Err(DivaError::EmptyPortfolio),
     };
+    if let Ok(res) = &verdict {
+        res.publish_done(obs);
+    }
     root_span.set_attr(
         "outcome",
         match &verdict {
@@ -265,6 +273,23 @@ mod tests {
             assert!(m.attrs.iter().any(|(k, _)| k == "outcome"));
         }
         assert!(snap.counter("portfolio.success").unwrap_or(0) >= 1);
+    }
+
+    #[test]
+    fn portfolio_publishes_one_verdict_and_done() {
+        // Twelve island constraints in four components, raced by six
+        // members on one handle: members must not add up verdicts or
+        // component completions, and no loser may publish after Done.
+        let r = diva_datagen::medical(2_000, 7);
+        let sigma = diva_constraints::generators::islands(&r, 4, 3, 0.8, 20);
+        let obs = crate::obs::Obs::enabled();
+        let config = DivaConfig::with_k(5).strategy(Strategy::MinChoice).obs(obs.clone());
+        run_portfolio(&r, &sigma, &config, 2).unwrap();
+        let live = obs.live().expect("enabled handle");
+        assert_eq!(live.constraints_total, sigma.len() as u64);
+        assert_eq!(live.satisfied + live.voided, live.constraints_total, "{live:?}");
+        assert!(live.components_done <= live.components_total, "{live:?}");
+        assert_eq!(live.phase, diva_obs::live::Phase::Done);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! The `--scrape` client mode polls a running `diva --stats-addr`
 //! endpoint until it observes an in-flight snapshot with a non-zero
 //! node count, validating on every poll that `/metrics` parses as
-//! Prometheus text with the required families and that `/stats.json`
-//! carries the four-section summary schema with the `live.*` keys.
+//! Prometheus text and that `/stats.json` carries the four-section
+//! summary schema, each with every row of the live-cell table
+//! (`diva_obs::serve::LIVE_CELLS`) that every snapshot carries.
 //! On success it prints the observed mid-run counters (for the caller
 //! to compare against the finished run's totals) and exits 0; it
 //! exits non-zero if the run ends before any such snapshot is seen.
@@ -177,33 +178,19 @@ fn check_provenance(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Prometheus families every `/metrics` exposition must carry.
-const REQUIRED_FAMILIES: [&str; 5] = [
-    "diva_phase",
-    "diva_nodes_expanded_total",
-    "diva_repairs_total",
-    "diva_elapsed_ms",
-    "diva_stalled",
-];
-
 /// One poll of both endpoint routes. Returns `Ok(None)` when the
 /// documents validate but the search has not expanded a node yet.
 fn try_scrape(
     addr: &std::net::SocketAddr,
     timeout: std::time::Duration,
 ) -> Result<Option<(u64, String, u64)>, String> {
-    use diva_obs::serve::parse_prometheus;
+    use diva_obs::serve::{parse_prometheus, LIVE_CELLS};
     let (status, prom) =
         diva_obs::serve::http_get(addr, "/metrics", timeout).map_err(|e| e.to_string())?;
     if !status.contains("200") {
         return Err(format!("GET /metrics: {}", status.trim()));
     }
     let samples = parse_prometheus(&prom).map_err(|e| format!("/metrics: {e}"))?;
-    for family in REQUIRED_FAMILIES {
-        if !samples.iter().any(|s| s.name == family) {
-            return Err(format!("/metrics is missing family \"{family}\""));
-        }
-    }
     let metric = |name: &str| {
         samples
             .iter()
@@ -230,15 +217,13 @@ fn try_scrape(
             return Err(format!("/stats.json is missing \"{section}\" object"));
         }
     }
-    for (section, key) in [
-        ("counters", "live.nodes_expanded"),
-        ("counters", "live.repairs"),
-        ("gauges", "live.phase_code"),
-        ("gauges", "live.elapsed_ms"),
-        ("gauges", "live.stalled"),
-    ] {
-        if v.get(section).and_then(|s| s.get(key)).and_then(Value::as_num).is_none() {
-            return Err(format!("/stats.json {section} is missing numeric \"{key}\""));
+    for cell in LIVE_CELLS.iter().filter(|c| c.always_present()) {
+        if !samples.iter().any(|s| s.name == cell.family) {
+            return Err(format!("/metrics is missing family \"{}\"", cell.family));
+        }
+        let section = cell.kind.section();
+        if v.get(section).and_then(|s| s.get(cell.key)).and_then(Value::as_num).is_none() {
+            return Err(format!("/stats.json {section} is missing numeric \"{}\"", cell.key));
         }
     }
     Ok(if nodes > 0 { Some((nodes, phase, elapsed_ms)) } else { None })
@@ -247,7 +232,7 @@ fn try_scrape(
 /// The `--scrape` client mode: poll the endpoint until a validated
 /// mid-run snapshot with `nodes > 0` appears (or the timeout ends —
 /// which covers both "run finished first" via connection refusal and
-/// a genuinely empty board).
+/// a run that never expanded a node).
 fn scrape(addr: &str, timeout_ms: u64) -> Result<(), String> {
     let addr: std::net::SocketAddr = addr.parse().map_err(|e| format!("--scrape {addr}: {e}"))?;
     let per_request = std::time::Duration::from_millis(500);

@@ -30,6 +30,10 @@
 //!   renders a JSON-lines trace (one span per line) and an aggregated
 //!   summary JSON — see [`export`] for the schema (catalogued in
 //!   `DESIGN.md` §9).
+//! * An enabled handle also carries the live cells — phase, nodes,
+//!   repairs, verdicts, components, budget limits, stall state — that
+//!   the [`live`] sampler and the [`serve`] endpoint read while the
+//!   run is in flight ([`Obs::live`]).
 //!
 //! ## Example
 //!
@@ -65,7 +69,7 @@ pub mod diff;
 pub mod export;
 /// Hand-rolled RFC-8259 JSON parser and number/string helpers.
 pub mod json;
-/// Live in-flight telemetry: the lock-free `ProgressBoard`, the
+/// Live in-flight telemetry: the handle's atomic progress cells, the
 /// background sampler, and the stall watchdog.
 pub mod live;
 /// Atomic counter/gauge/histogram primitives and log₂ bucketing.
@@ -74,7 +78,7 @@ pub mod metrics;
 /// the constraint / repair / degrade decision that caused it.
 pub mod provenance;
 /// Std-only blocking TCP stats endpoint (Prometheus text + live
-/// summary-JSON) over a `ProgressBoard`.
+/// summary-JSON) over a handle's live cells.
 pub mod serve;
 
 use std::cell::RefCell;
@@ -202,6 +206,7 @@ struct Inner {
     counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<HashMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<HashMap<String, Arc<metrics::HistogramCells>>>,
+    live: live::Cells,
 }
 
 /// Recovers the guard from a poisoned mutex: a panicked recorder can
@@ -220,7 +225,8 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The observability handle: spans, counters, gauges, histograms.
+/// The observability handle: spans, counters, gauges, histograms,
+/// and the live progress cells.
 ///
 /// Clone freely — clones share the same registry and trace buffer.
 /// The disabled handle ([`Obs::disabled`], also [`Default`]) records
@@ -247,6 +253,7 @@ impl Obs {
                 counters: Mutex::new(HashMap::new()),
                 gauges: Mutex::new(HashMap::new()),
                 histograms: Mutex::new(HashMap::new()),
+                live: live::Cells::default(),
             })),
         }
     }
@@ -333,9 +340,8 @@ impl Obs {
     /// an empty snapshot.
     ///
     /// A span whose parent is still open at snapshot time (e.g. a
-    /// cancelled portfolio member's inner run — losers are not
-    /// awaited) is surfaced as a root: every parent id in a snapshot
-    /// resolves within it.
+    /// snapshot taken while a run is in flight) is surfaced as a root:
+    /// every parent id in a snapshot resolves within it.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
@@ -560,6 +566,9 @@ mod tests {
         obs.counter("c").add(5);
         obs.histogram("h").record(1);
         obs.gauge("g").set(2);
+        obs.phase(live::Phase::Clustering).end();
+        obs.add_nodes(1);
+        assert!(obs.live().is_none());
         let snap = obs.snapshot();
         assert!(snap.spans.is_empty());
         assert!(snap.counters.is_empty());

@@ -1,38 +1,44 @@
-//! Live, in-flight telemetry: a lock-free [`ProgressBoard`] of atomic
-//! cells published from the pipeline's existing cancellation poll
-//! points, a background [`Sampler`] thread that snapshots the board
-//! into a ring buffer and derives rates, and a stall watchdog that
-//! flags runs whose node counter stops advancing.
+//! Live, in-flight telemetry: the atomic cells an enabled [`Obs`]
+//! handle carries next to its spans and metrics, a background
+//! [`Sampler`] thread that snapshots them into a ring buffer and
+//! derives rates, and a stall watchdog that flags runs whose node
+//! counter stops advancing.
 //!
 //! ## Model
 //!
-//! * [`ProgressBoard`] mirrors the [`crate::Obs`] handle shape: an
-//!   `Option<Arc<…>>` where the **disabled** default short-circuits
-//!   every publish on one branch and allocates nothing, so a run with
-//!   live telemetry off is byte-identical to one predating this
-//!   module. Every cell is a plain atomic written with `Relaxed`
-//!   stores — the hot path (the `CANCEL_POLL_MASK` poll in
-//!   `core::coloring`, the pool workers, the anonymizer's stop
-//!   probes) pays one predictable branch plus one relaxed RMW.
+//! * [`Obs::enabled`] allocates the cells and the pipeline publishes
+//!   into them through `Obs` methods, from its existing poll points:
+//!   the phase at each boundary ([`Obs::phase`], which also opens the
+//!   phase's span), nodes and repairs per assignment attempt in
+//!   `core::coloring`, components as the pool finishes them, and the
+//!   constraint verdicts once the run returns ([`Obs::run_finished`]).
+//!   A disabled handle has no cells, so every publish is the one
+//!   branch every `Obs` operation pays, and the run stays
+//!   byte-identical. Cells are plain atomics written with `Relaxed`
+//!   stores; none of them appears in the trace or summary exports.
+//! * Under a portfolio every member publishes into the caller's
+//!   handle. Nodes and repairs add up across members (like
+//!   `BudgetUsage::nodes_explored`); components done is the highest
+//!   count any member reached, never more than the total; the
+//!   verdicts and the final `Done` come once, from the returned result.
 //! * [`Sampler::spawn`] starts a thread that sleeps on a configurable
-//!   interval, snapshots the board, folds the live allocator stats in
-//!   ([`crate::alloc::global_stats`]), derives nodes/sec and
-//!   repairs/sec from consecutive snapshots plus an ETA against the
-//!   armed budget, and appends the [`Sample`] to a bounded ring
-//!   buffer ([`SampleLog`]) that the stats endpoint
+//!   interval, snapshots the cells ([`Obs::live`]), folds the live
+//!   allocator stats in ([`crate::alloc::global_stats`]), derives
+//!   nodes/sec and repairs/sec from consecutive snapshots plus an ETA
+//!   against the armed budget, and appends the [`Sample`] to a bounded
+//!   ring buffer ([`SampleLog`]) that the stats endpoint
 //!   ([`crate::serve`]) and `diva --watch` read.
 //! * The **watchdog** rides inside the sampler loop: when the node
 //!   counter has not advanced for `stall_periods` consecutive samples
-//!   while the board reports an active phase, it marks the board
-//!   stalled, emits a `diva.stall` span event and an
-//!   `obs.stall.detected` counter, and — when
-//!   [`SamplerConfig::escalate`] is set — raises the board's
-//!   degrade-request flag, which the coloring poll converts into
+//!   while the search phase is active, it marks the run stalled, emits
+//!   a `diva.stall` span event and an `obs.stall.detected` counter,
+//!   and — when [`SamplerConfig::escalate`] is set — raises the
+//!   degrade request, which the coloring poll converts into
 //!   budget-style graceful degradation (`DegradeReason::Stalled`)
 //!   instead of a hard cancel.
 //!
-//! The board never *reads back* into the computation (the single
-//! exception is the explicit degrade-request flag), so enabling it
+//! The cells never *read back* into the computation (the single
+//! exception is the explicit degrade request), so enabling them
 //! cannot change the published anonymization.
 
 use std::collections::VecDeque;
@@ -40,16 +46,18 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::{Obs, Stopwatch};
+use crate::provenance::{Provenance, StarAttribution};
+use crate::{lock_or_recover, Obs, Span};
 
-/// Pipeline phase codes published on the board.
+/// Pipeline phases published in the live cells, in code order.
 ///
 /// The numeric codes are part of the stats-endpoint contract
 /// (`diva_phase` in the Prometheus exposition, `live.phase_code` in
 /// the JSON document) — see DESIGN.md §14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Phase {
-    /// No run in flight (board default).
+    /// No run in flight (the initial state).
+    #[default]
     Idle,
     /// Graph build + diverse clustering search.
     Clustering,
@@ -65,44 +73,45 @@ pub enum Phase {
     Done,
 }
 
+/// Every phase, indexed by its code.
+const PHASES: [Phase; 7] = [
+    Phase::Idle,
+    Phase::Clustering,
+    Phase::Suppress,
+    Phase::Anonymize,
+    Phase::Integrate,
+    Phase::Degrade,
+    Phase::Done,
+];
+
 impl Phase {
     /// Stable numeric code for the exposition formats.
     pub fn code(self) -> u64 {
-        match self {
-            Phase::Idle => 0,
-            Phase::Clustering => 1,
-            Phase::Suppress => 2,
-            Phase::Anonymize => 3,
-            Phase::Integrate => 4,
-            Phase::Degrade => 5,
-            Phase::Done => 6,
-        }
+        self as u64
     }
 
     /// Inverse of [`Phase::code`]; unknown codes collapse to `Idle`.
     pub fn from_code(code: u64) -> Phase {
-        match code {
-            1 => Phase::Clustering,
-            2 => Phase::Suppress,
-            3 => Phase::Anonymize,
-            4 => Phase::Integrate,
-            5 => Phase::Degrade,
-            6 => Phase::Done,
-            _ => Phase::Idle,
-        }
+        PHASES.get(code as usize).copied().unwrap_or(Phase::Idle)
     }
 
     /// Lower-case label used in `diva_phase{phase="…"}`.
     pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Idle => "idle",
-            Phase::Clustering => "clustering",
-            Phase::Suppress => "suppress",
-            Phase::Anonymize => "anonymize",
-            Phase::Integrate => "integrate",
-            Phase::Degrade => "degrade",
-            Phase::Done => "done",
-        }
+        ["idle", "clustering", "suppress", "anonymize", "integrate", "degrade", "done"]
+            [self as usize]
+    }
+
+    /// The span [`Obs::phase`] opens for this phase: `diva.<phase>`.
+    fn span_name(self) -> &'static str {
+        [
+            "diva.idle",
+            "diva.clustering",
+            "diva.suppress",
+            "diva.anonymize",
+            "diva.integrate",
+            "diva.degrade",
+            "diva.done",
+        ][self as usize]
     }
 
     /// Whether the watchdog should treat a static node counter in
@@ -114,10 +123,9 @@ impl Phase {
     }
 }
 
-/// The atomic cells behind an enabled board.
-#[derive(Debug)]
-struct Cells {
-    origin: Stopwatch,
+/// The live cells of an enabled handle.
+#[derive(Debug, Default)]
+pub(crate) struct Cells {
     phase: AtomicU64,
     nodes: AtomicU64,
     repairs: AtomicU64,
@@ -128,236 +136,180 @@ struct Cells {
     components_total: AtomicU64,
     node_limit: AtomicU64,
     deadline_ms: AtomicU64,
-    live_alloc_bytes: AtomicI64,
+    alloc_bytes: AtomicI64,
     stalled: AtomicBool,
     degrade_requested: AtomicBool,
     constraint_stars: Mutex<Vec<(String, u64)>>,
 }
 
-impl Cells {
-    fn new() -> Self {
-        Cells {
-            origin: Stopwatch::start(),
-            phase: AtomicU64::new(0),
-            nodes: AtomicU64::new(0),
-            repairs: AtomicU64::new(0),
-            satisfied: AtomicU64::new(0),
-            voided: AtomicU64::new(0),
-            constraints_total: AtomicU64::new(0),
-            components_done: AtomicU64::new(0),
-            components_total: AtomicU64::new(0),
-            node_limit: AtomicU64::new(0),
-            deadline_ms: AtomicU64::new(0),
-            live_alloc_bytes: AtomicI64::new(0),
-            stalled: AtomicBool::new(false),
-            degrade_requested: AtomicBool::new(false),
-            constraint_stars: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-/// A lock-free progress board: one cell per live quantity, published
-/// with relaxed atomic stores from the pipeline's poll points and
-/// read by the sampler/endpoint without coordination.
-///
-/// Cheap to clone (an `Option<Arc<…>>`); the disabled default is a
-/// no-op on every method, preserving the byte-identical-output
-/// contract of runs without live telemetry.
-#[derive(Debug, Clone, Default)]
-pub struct ProgressBoard {
-    cells: Option<Arc<Cells>>,
-}
-
-impl ProgressBoard {
-    /// A live board (allocates the cell block).
-    pub fn enabled() -> Self {
-        ProgressBoard { cells: Some(Arc::new(Cells::new())) }
+/// Publishing and reading the live cells. Every method is a no-op
+/// (reads return `None`/`false`) on a disabled handle.
+impl Obs {
+    fn cells(&self) -> Option<&Cells> {
+        self.inner.as_deref().map(|inner| &inner.live)
     }
 
-    /// The inert board: every publish is one branch, every read is
-    /// `None`/zero. Identical to `ProgressBoard::default()`.
-    pub fn disabled() -> Self {
-        ProgressBoard { cells: None }
-    }
-
-    /// Whether this handle points at live cells.
-    pub fn is_enabled(&self) -> bool {
-        self.cells.is_some()
-    }
-
-    /// Publishes the current pipeline phase.
-    pub fn set_phase(&self, phase: Phase) {
-        if let Some(c) = &self.cells {
+    /// Enters pipeline phase `phase`: publishes it and opens its
+    /// `diva.<phase>` span (`diva.clustering`, `diva.suppress`, …).
+    pub fn phase(&self, phase: Phase) -> Span {
+        if let Some(c) = self.cells() {
             c.phase.store(phase.code(), Ordering::Relaxed);
         }
+        self.span(phase.span_name())
     }
 
-    /// Current phase (`Idle` when disabled).
-    pub fn phase(&self) -> Phase {
-        match &self.cells {
-            Some(c) => Phase::from_code(c.phase.load(Ordering::Relaxed)),
-            None => Phase::Idle,
-        }
-    }
-
-    /// Adds to the nodes-expanded counter (called with the poll
-    /// stride from the coloring hot loop).
+    /// Adds to the nodes-expanded cell (once per assignment attempt,
+    /// from the coloring hot loop).
     #[inline]
     pub fn add_nodes(&self, n: u64) {
-        if let Some(c) = &self.cells {
+        if let Some(c) = self.cells() {
             c.nodes.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Adds to the repair-attempts counter.
+    /// Adds to the repair-attempts cell.
     #[inline]
     pub fn add_repairs(&self, n: u64) {
-        if let Some(c) = &self.cells {
+        if let Some(c) = self.cells() {
             c.repairs.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds to the constraints-satisfied counter.
-    pub fn add_satisfied(&self, n: u64) {
-        if let Some(c) = &self.cells {
-            c.satisfied.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds to the constraints-voided counter (degradation path).
-    pub fn add_voided(&self, n: u64) {
-        if let Some(c) = &self.cells {
-            c.voided.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Publishes the size of the bound constraint set Σ.
     pub fn set_constraints_total(&self, n: u64) {
-        if let Some(c) = &self.cells {
+        if let Some(c) = self.cells() {
             c.constraints_total.store(n, Ordering::Relaxed);
         }
     }
 
-    /// Publishes how many connected components the solve decomposed
-    /// into (1 for the monolithic path).
-    pub fn set_components_total(&self, n: u64) {
-        if let Some(c) = &self.cells {
-            c.components_total.store(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Marks one component solved (pool worker completion).
-    pub fn component_finished(&self) {
-        if let Some(c) = &self.cells {
-            c.components_done.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Publishes the armed budget limits: the node budget (if any)
-    /// and the deadline in milliseconds (if any). Zero cells mean
-    /// "unlimited" in the exposition.
+    /// and the deadline (if any). Zero cells mean "unlimited" in the
+    /// exposition.
     pub fn set_budget_limits(&self, node_limit: Option<u64>, deadline: Option<Duration>) {
-        if let Some(c) = &self.cells {
+        if let Some(c) = self.cells() {
             c.node_limit.store(node_limit.unwrap_or(0), Ordering::Relaxed);
-            let ms = deadline.map(|d| d.as_millis() as u64).unwrap_or(0);
+            let ms = deadline.map_or(0, |d| d.as_millis() as u64);
             c.deadline_ms.store(ms, Ordering::Relaxed);
         }
     }
 
-    /// Publishes the process-wide live allocation byte count (written
-    /// by the sampler from [`crate::alloc::global_stats`], not by the
-    /// hot path).
-    pub fn set_live_alloc_bytes(&self, bytes: i64) {
-        if let Some(c) = &self.cells {
-            c.live_alloc_bytes.store(bytes, Ordering::Relaxed);
+    /// Publishes how many connected components the solve decomposed
+    /// into (1 for the monolithic path). Call it before the first
+    /// [`Obs::components_done`] of the solve.
+    pub fn set_components_total(&self, n: u64) {
+        if let Some(c) = self.cells() {
+            c.components_total.store(n, Ordering::Relaxed);
         }
     }
 
-    /// Publishes the per-constraint star attribution `(label, stars)`
-    /// computed by the provenance recorder at run completion. Unlike
-    /// the atomic cells this is a labeled vector behind a mutex —
-    /// written once per run, never from a hot path.
-    pub fn set_constraint_stars(&self, pairs: Vec<(String, u64)>) {
-        if let Some(c) = &self.cells {
-            *c.constraint_stars.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = pairs;
+    /// Publishes that one solve has finished `done` components. The
+    /// cell keeps the highest count any solve reached, so portfolio
+    /// members solving the same decomposition never sum past the
+    /// total. `Release` pairs with the `Acquire` read in [`Obs::live`]:
+    /// a reader that sees the count also sees the total stored
+    /// before it.
+    pub fn components_done(&self, done: u64) {
+        if let Some(c) = self.cells() {
+            c.components_done.fetch_max(done, Ordering::Release);
         }
     }
 
-    /// Sets or clears the watchdog's stall flag.
-    pub fn set_stalled(&self, stalled: bool) {
-        if let Some(c) = &self.cells {
-            c.stalled.store(stalled, Ordering::Relaxed);
+    /// Publishes the end of a run: how many constraints its result
+    /// satisfies and how many it voided, then phase `Done`. Called
+    /// once per returned result, never by a portfolio member.
+    pub fn run_finished(&self, satisfied: u64, voided: u64) {
+        if let Some(c) = self.cells() {
+            c.satisfied.store(satisfied, Ordering::Relaxed);
+            c.voided.store(voided, Ordering::Relaxed);
+            c.phase.store(Phase::Done.code(), Ordering::Relaxed);
         }
     }
 
-    /// Whether the watchdog currently considers the run stalled.
-    pub fn stalled(&self) -> bool {
-        match &self.cells {
-            Some(c) => c.stalled.load(Ordering::Relaxed),
-            None => false,
+    /// Publishes the star attribution of `provenance`'s log: the
+    /// `provenance.constraint_stars.<label>` and
+    /// `provenance.stars.{k_anonymity,degrade}` counters of the
+    /// summary, and the per-constraint cell `/metrics` and
+    /// `/stats.json` serve. No-op unless both handles are enabled.
+    pub fn publish_attribution(&self, provenance: &Provenance) {
+        let Some(c) = self.cells() else { return };
+        let Some(log) = provenance.snapshot() else { return };
+        let attr = StarAttribution::from_log(&log);
+        for (label, stars) in log.labels.iter().zip(&attr.per_constraint) {
+            self.counter(&format!("provenance.constraint_stars.{label}")).add(*stars);
         }
-    }
-
-    /// Raises the degrade-request flag. The coloring poll converts
-    /// this into `Stop::Degrade(DegradeReason::Stalled)` — the same
-    /// graceful path a budget exhaustion takes — rather than a hard
-    /// cancellation error.
-    pub fn request_degrade(&self) {
-        if let Some(c) = &self.cells {
-            c.degrade_requested.store(true, Ordering::Relaxed);
-        }
+        self.counter("provenance.stars.k_anonymity").add(attr.k_anonymity);
+        self.counter("provenance.stars.degrade").add(attr.degrade);
+        *lock_or_recover(&c.constraint_stars) =
+            log.labels.into_iter().zip(attr.per_constraint).collect();
     }
 
     /// Whether a watchdog escalation is pending (polled from the
     /// coloring hot loop; one branch + one relaxed load).
     #[inline]
     pub fn degrade_requested(&self) -> bool {
-        match &self.cells {
-            Some(c) => c.degrade_requested.load(Ordering::Relaxed),
-            None => false,
-        }
+        self.cells().is_some_and(|c| c.degrade_requested.load(Ordering::Relaxed))
     }
 
     /// Reads every cell into a consistent-enough view (individual
-    /// relaxed loads; monotone counters may be mid-update, which the
-    /// exposition tolerates). `None` when the board is disabled.
-    pub fn read(&self) -> Option<BoardSnapshot> {
-        let c = self.cells.as_ref()?;
-        Some(BoardSnapshot {
+    /// loads; monotone counters may be mid-update, which the
+    /// exposition tolerates). `None` when the handle is disabled.
+    pub fn live(&self) -> Option<LiveSnapshot> {
+        let inner = self.inner.as_deref()?;
+        let c = &inner.live;
+        // Before the total, so the view never shows more done than total.
+        let components_done = c.components_done.load(Ordering::Acquire);
+        Some(LiveSnapshot {
             phase: Phase::from_code(c.phase.load(Ordering::Relaxed)),
             nodes: c.nodes.load(Ordering::Relaxed),
             repairs: c.repairs.load(Ordering::Relaxed),
             satisfied: c.satisfied.load(Ordering::Relaxed),
             voided: c.voided.load(Ordering::Relaxed),
             constraints_total: c.constraints_total.load(Ordering::Relaxed),
-            components_done: c.components_done.load(Ordering::Relaxed),
+            components_done,
             components_total: c.components_total.load(Ordering::Relaxed),
             node_limit: c.node_limit.load(Ordering::Relaxed),
             deadline_ms: c.deadline_ms.load(Ordering::Relaxed),
-            live_alloc_bytes: c.live_alloc_bytes.load(Ordering::Relaxed),
+            live_alloc_bytes: c.alloc_bytes.load(Ordering::Relaxed),
             stalled: c.stalled.load(Ordering::Relaxed),
-            elapsed_ms: c.origin.elapsed().as_millis() as u64,
-            constraint_stars: c
-                .constraint_stars
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clone(),
+            elapsed_ms: inner.origin.elapsed().as_millis() as u64,
+            constraint_stars: lock_or_recover(&c.constraint_stars).clone(),
         })
+    }
+
+    /// Sampler tick: the process's live heap bytes.
+    fn set_alloc_bytes(&self, bytes: i64) {
+        if let Some(c) = self.cells() {
+            c.alloc_bytes.store(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// Watchdog: sets or clears the stall flag.
+    fn set_stalled(&self, stalled: bool) {
+        if let Some(c) = self.cells() {
+            c.stalled.store(stalled, Ordering::Relaxed);
+        }
+    }
+
+    /// Watchdog escalation: latches the degrade request.
+    fn request_degrade(&self) {
+        if let Some(c) = self.cells() {
+            c.degrade_requested.store(true, Ordering::Relaxed);
+        }
     }
 }
 
-/// A point-in-time view of every board cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoardSnapshot {
+/// A point-in-time view of every live cell.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LiveSnapshot {
     /// Current pipeline phase.
     pub phase: Phase,
-    /// Search nodes expanded so far (poll-stride granularity).
+    /// Search nodes expanded so far.
     pub nodes: u64,
     /// Repair attempts so far.
     pub repairs: u64,
-    /// Constraints satisfied by formed clusters so far.
+    /// Constraints the returned result satisfies (0 until the run returns).
     pub satisfied: u64,
-    /// Constraints voided on the degradation path so far.
+    /// Constraints the returned result voided (0 until the run returns).
     pub voided: u64,
     /// Size of the bound constraint set Σ.
     pub constraints_total: u64,
@@ -374,7 +326,7 @@ pub struct BoardSnapshot {
     pub live_alloc_bytes: i64,
     /// Watchdog stall flag.
     pub stalled: bool,
-    /// Milliseconds since the board was created.
+    /// Milliseconds since the handle was created.
     pub elapsed_ms: u64,
     /// Per-constraint star attribution `(label, stars)` published at
     /// run completion (empty until then, or without provenance).
@@ -386,11 +338,11 @@ pub struct BoardSnapshot {
 pub struct SamplerConfig {
     /// Sleep between samples. Default 100ms.
     pub interval: Duration,
-    /// Consecutive idle samples (node counter static while the board
+    /// Consecutive idle samples (node counter static while the run
     /// is mid-search) before the watchdog declares a stall. Default 5.
     pub stall_periods: u32,
-    /// When set, a detected stall also raises the board's
-    /// degrade-request flag so the run winds down gracefully.
+    /// When set, a detected stall also raises the handle's
+    /// degrade request so the run winds down gracefully.
     pub escalate: bool,
     /// Ring-buffer capacity for retained samples. Default 240.
     pub ring_capacity: usize,
@@ -407,11 +359,11 @@ impl Default for SamplerConfig {
     }
 }
 
-/// One sampler tick: the board view plus derived quantities.
+/// One sampler tick: the live cells plus derived quantities.
 #[derive(Debug, Clone)]
 pub struct Sample {
-    /// The board at this tick.
-    pub board: BoardSnapshot,
+    /// The live cells at this tick.
+    pub live: LiveSnapshot,
     /// Node-expansion rate over the last inter-sample window.
     pub nodes_per_sec: f64,
     /// Repair rate over the last inter-sample window.
@@ -428,7 +380,7 @@ pub struct Sample {
 impl Sample {
     /// The one-line rendering `diva --watch` prints per sample.
     pub fn watch_line(&self) -> String {
-        let b = &self.board;
+        let b = &self.live;
         let mut line = format!(
             "[live +{:>6}ms] phase={:<10} nodes={} ({:.0}/s) repairs={} ({:.0}/s)",
             b.elapsed_ms,
@@ -479,7 +431,7 @@ pub struct SampleLog {
 impl SampleLog {
     /// An empty log retaining at most `capacity` samples — normally
     /// created by [`Sampler::spawn`]; standalone construction exists
-    /// for serving a board that has no sampler attached.
+    /// for serving a handle that has no sampler attached.
     pub fn new(capacity: usize) -> Self {
         SampleLog {
             inner: Arc::new(Mutex::new(LogInner {
@@ -547,23 +499,18 @@ impl std::fmt::Debug for Sampler {
 }
 
 impl Sampler {
-    /// Starts the sampler thread over `board`, recording stall events
-    /// against `obs` (pass a disabled handle to skip span/counter
-    /// emission), invoking `on_sample` after every tick.
-    pub fn spawn(
-        board: &ProgressBoard,
-        obs: &Obs,
-        config: SamplerConfig,
-        on_sample: Option<OnSample>,
-    ) -> Sampler {
+    /// Starts the sampler thread over `obs`'s live cells, recording
+    /// stall events on the same handle and invoking `on_sample` after
+    /// every tick. Over a disabled handle the thread exits at its
+    /// first tick.
+    pub fn spawn(obs: &Obs, config: SamplerConfig, on_sample: Option<OnSample>) -> Sampler {
         let stop = Arc::new(AtomicBool::new(false));
         let log = SampleLog::new(config.ring_capacity);
         let thread_stop = Arc::clone(&stop);
-        let thread_board = board.clone();
         let thread_obs = obs.clone();
         let thread_log = log.clone();
         let handle = std::thread::spawn(move || {
-            sampler_loop(&thread_board, &thread_obs, &config, &thread_log, on_sample, &thread_stop);
+            sampler_loop(&thread_obs, &config, &thread_log, on_sample, &thread_stop);
         });
         Sampler { stop, handle: Some(handle), log }
     }
@@ -593,20 +540,19 @@ impl Drop for Sampler {
 }
 
 fn sampler_loop(
-    board: &ProgressBoard,
     obs: &Obs,
     config: &SamplerConfig,
     log: &SampleLog,
     on_sample: Option<OnSample>,
     stop: &AtomicBool,
 ) {
-    let mut prev: Option<BoardSnapshot> = None;
+    let mut prev: Option<LiveSnapshot> = None;
     let mut idle_periods: u32 = 0;
     let mut stall_latched = false;
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(config.interval);
-        board.set_live_alloc_bytes(crate::alloc::global_stats().live_bytes);
-        let Some(snap) = board.read() else { return };
+        obs.set_alloc_bytes(crate::alloc::global_stats().live_bytes);
+        let Some(snap) = obs.live() else { return };
         let (nodes_per_sec, repairs_per_sec) = match &prev {
             Some(p) if snap.elapsed_ms > p.elapsed_ms => {
                 let dt = (snap.elapsed_ms - p.elapsed_ms) as f64 / 1000.0;
@@ -629,14 +575,14 @@ fn sampler_loop(
             idle_periods = 0;
             if stall_latched {
                 stall_latched = false;
-                board.set_stalled(false);
+                obs.set_stalled(false);
             }
         }
         let mut flagged_now = false;
         if idle_periods >= config.stall_periods && !stall_latched {
             stall_latched = true;
             flagged_now = true;
-            board.set_stalled(true);
+            obs.set_stalled(true);
             obs.counter("obs.stall.detected").incr();
             obs.span("diva.stall")
                 .attr("nodes", snap.nodes)
@@ -644,10 +590,10 @@ fn sampler_loop(
                 .attr("phase", snap.phase.as_str())
                 .end();
             if config.escalate {
-                board.request_degrade();
+                obs.request_degrade();
             }
         }
-        let snap = match board.read() {
+        let snap = match obs.live() {
             // Re-read so the sample reflects the stall flag we just set.
             Some(s) if flagged_now => s,
             _ => snap,
@@ -664,7 +610,7 @@ fn sampler_loop(
             None
         };
         let sample = Sample {
-            board: snap.clone(),
+            live: snap.clone(),
             nodes_per_sec,
             repairs_per_sec,
             eta_ms,
@@ -682,131 +628,124 @@ fn sampler_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provenance::{Cause, GroupOrigin};
+    use crate::Stopwatch;
 
-    #[test]
-    fn disabled_board_is_inert() {
-        let board = ProgressBoard::disabled();
-        assert!(!board.is_enabled());
-        board.set_phase(Phase::Clustering);
-        board.add_nodes(10);
-        board.add_repairs(1);
-        board.request_degrade();
-        assert!(!board.degrade_requested());
-        assert_eq!(board.phase(), Phase::Idle);
-        assert!(board.read().is_none());
-    }
-
-    #[test]
-    fn default_is_disabled() {
-        assert!(!ProgressBoard::default().is_enabled());
+    fn watchdog(interval_ms: u64, stall_periods: u32, escalate: bool) -> SamplerConfig {
+        SamplerConfig {
+            interval: Duration::from_millis(interval_ms),
+            stall_periods,
+            escalate,
+            ring_capacity: 64,
+        }
     }
 
     #[test]
     fn phase_codes_round_trip() {
-        for phase in [
-            Phase::Idle,
-            Phase::Clustering,
-            Phase::Suppress,
-            Phase::Anonymize,
-            Phase::Integrate,
-            Phase::Degrade,
-            Phase::Done,
-        ] {
+        for phase in PHASES {
             assert_eq!(Phase::from_code(phase.code()), phase);
-            assert!(!phase.as_str().is_empty());
+            assert_eq!(phase.span_name(), format!("diva.{}", phase.as_str()));
         }
         assert_eq!(Phase::from_code(99), Phase::Idle);
     }
 
     #[test]
+    fn a_phase_boundary_publishes_the_phase_and_opens_its_span() {
+        let obs = Obs::enabled();
+        obs.phase(Phase::Suppress).end();
+        assert_eq!(obs.live().expect("enabled").phase, Phase::Suppress);
+        assert_eq!(obs.snapshot().spans[0].name, "diva.suppress");
+        obs.run_finished(3, 1);
+        let snap = obs.live().expect("enabled");
+        assert_eq!((snap.phase, snap.satisfied, snap.voided), (Phase::Done, 3, 1));
+        // The cells stay out of the exports.
+        assert!(obs.snapshot().counters.is_empty() && obs.snapshot().gauges.is_empty());
+    }
+
+    #[test]
     fn snapshot_is_consistent_under_eight_concurrent_publishers() {
-        let board = ProgressBoard::enabled();
-        board.set_phase(Phase::Clustering);
-        board.set_components_total(8);
+        let obs = Obs::enabled();
+        obs.phase(Phase::Clustering).end();
+        obs.set_components_total(8);
         const PER_THREAD: u64 = 20_000;
         std::thread::scope(|s| {
-            for _ in 0..8 {
-                let b = board.clone();
+            for member in 1..=8 {
+                let o = obs.clone();
                 s.spawn(move || {
                     for i in 0..PER_THREAD {
-                        b.add_nodes(1);
+                        o.add_nodes(1);
                         if i % 64 == 0 {
-                            b.add_repairs(1);
-                        }
-                        if i % 1000 == 0 {
-                            b.add_satisfied(1);
+                            o.add_repairs(1);
                         }
                     }
-                    b.component_finished();
+                    // Each publisher reports its own count, like a
+                    // portfolio member solving the same components.
+                    o.components_done(member);
                 });
             }
             // Concurrent reader: totals must be monotone and bounded.
-            let reader = board.clone();
+            let reader = obs.clone();
             s.spawn(move || {
                 let mut last_nodes = 0u64;
                 for _ in 0..200 {
-                    let snap = reader.read().expect("enabled board reads");
+                    let snap = reader.live().expect("enabled handle reads");
                     assert!(snap.nodes >= last_nodes, "nodes counter went backwards");
                     assert!(snap.nodes <= 8 * PER_THREAD);
-                    assert!(snap.components_done <= 8);
+                    assert!(snap.components_done <= snap.components_total);
                     last_nodes = snap.nodes;
                 }
             });
         });
-        let snap = board.read().expect("enabled board reads");
+        let snap = obs.live().expect("enabled handle reads");
         assert_eq!(snap.nodes, 8 * PER_THREAD);
         assert_eq!(snap.repairs, 8 * PER_THREAD.div_ceil(64));
-        assert_eq!(snap.satisfied, 8 * PER_THREAD.div_ceil(1000));
-        assert_eq!(snap.components_done, 8);
-        assert_eq!(snap.components_total, 8);
+        assert_eq!((snap.components_done, snap.components_total), (8, 8));
         assert_eq!(snap.phase, Phase::Clustering);
     }
 
     #[test]
     fn budget_limits_publish_and_clear() {
-        let board = ProgressBoard::enabled();
-        board.set_budget_limits(Some(1_000), Some(Duration::from_millis(250)));
-        let snap = board.read().expect("read");
-        assert_eq!(snap.node_limit, 1_000);
-        assert_eq!(snap.deadline_ms, 250);
-        board.set_budget_limits(None, None);
-        let snap = board.read().expect("read");
-        assert_eq!(snap.node_limit, 0);
-        assert_eq!(snap.deadline_ms, 0);
+        let obs = Obs::enabled();
+        obs.set_budget_limits(Some(1_000), Some(Duration::from_millis(250)));
+        let snap = obs.live().expect("read");
+        assert_eq!((snap.node_limit, snap.deadline_ms), (1_000, 250));
+        obs.set_budget_limits(None, None);
+        let snap = obs.live().expect("read");
+        assert_eq!((snap.node_limit, snap.deadline_ms), (0, 0));
     }
 
     #[test]
-    fn constraint_stars_publish_and_read_back() {
-        let board = ProgressBoard::enabled();
-        assert!(board.read().expect("read").constraint_stars.is_empty());
-        board.set_constraint_stars(vec![
-            ("ETH[Asian]".to_string(), 4),
-            ("JOB[Nurse]".to_string(), 0),
-        ]);
-        let snap = board.read().expect("read");
+    fn attribution_publishes_counters_and_the_live_cell_at_once() {
+        let prov = Provenance::enabled();
+        prov.begin_run(2, 4, vec!["ETH[Asian]".to_string(), "JOB[Nurse]".to_string()]);
+        let g = prov.group(GroupOrigin::Sigma, vec![0], vec![0, 1]);
+        prov.cell(0, 0, g, Cause::Sigma { constraint: 0 });
+        prov.cell(1, 0, g, Cause::Sigma { constraint: 0 });
+        prov.cell(1, 1, g, Cause::KAnonymity);
+        let obs = Obs::enabled();
+        assert!(obs.live().expect("read").constraint_stars.is_empty());
+        obs.publish_attribution(&prov);
         assert_eq!(
-            snap.constraint_stars,
-            vec![("ETH[Asian]".to_string(), 4), ("JOB[Nurse]".to_string(), 0)]
+            obs.live().expect("read").constraint_stars,
+            vec![("ETH[Asian]".to_string(), 2), ("JOB[Nurse]".to_string(), 0)]
         );
-        // Disabled boards stay inert.
-        let off = ProgressBoard::disabled();
-        off.set_constraint_stars(vec![("X".to_string(), 1)]);
-        assert!(off.read().is_none());
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("provenance.constraint_stars.ETH[Asian]"), Some(2));
+        assert_eq!(snap.counter("provenance.constraint_stars.JOB[Nurse]"), Some(0));
+        assert_eq!(snap.counter("provenance.stars.k_anonymity"), Some(1));
+        assert_eq!(snap.counter("provenance.stars.degrade"), Some(0));
+        // Nothing to publish without a recording provenance handle.
+        let bare = Obs::enabled();
+        bare.publish_attribution(&Provenance::disabled());
+        assert!(bare.snapshot().counters.is_empty());
     }
 
     #[test]
     fn watchdog_trips_on_a_frozen_counter_and_escalates() {
-        let board = ProgressBoard::enabled();
-        board.set_phase(Phase::Clustering);
-        board.add_nodes(100); // advanced once, then frozen
         let obs = Obs::enabled();
-        let config = SamplerConfig {
-            interval: Duration::from_millis(5),
-            stall_periods: 3,
-            escalate: true,
-            ring_capacity: 64,
-        };
-        let sampler = Sampler::spawn(&board, &obs, config, None);
+        obs.phase(Phase::Clustering).end();
+        obs.add_nodes(100); // advanced once, then frozen
+        let sampler = Sampler::spawn(&obs, watchdog(5, 3, true), None);
         let log = sampler.log();
         let deadline = Stopwatch::start();
         while log.stalls_flagged() == 0 && deadline.elapsed() < Duration::from_secs(5) {
@@ -814,8 +753,8 @@ mod tests {
         }
         sampler.stop();
         assert!(log.stalls_flagged() >= 1, "watchdog never tripped");
-        assert!(board.stalled());
-        assert!(board.degrade_requested(), "escalation should raise the degrade flag");
+        assert!(obs.live().expect("read").stalled);
+        assert!(obs.degrade_requested(), "escalation should raise the degrade request");
         let snap = obs.snapshot();
         assert_eq!(snap.counter("obs.stall.detected"), Some(log.stalls_flagged()));
         assert!(
@@ -830,17 +769,10 @@ mod tests {
         // A publisher that adds one node every 2ms is "slow" but never
         // idle across a 20ms sampling window — the watchdog must not
         // fire even with a tight period threshold.
-        let board = ProgressBoard::enabled();
-        board.set_phase(Phase::Clustering);
         let obs = Obs::enabled();
-        let config = SamplerConfig {
-            interval: Duration::from_millis(20),
-            stall_periods: 2,
-            escalate: true,
-            ring_capacity: 64,
-        };
-        let sampler = Sampler::spawn(&board, &obs, config, None);
-        let publisher = board.clone();
+        obs.phase(Phase::Clustering).end();
+        let sampler = Sampler::spawn(&obs, watchdog(20, 2, true), None);
+        let publisher = obs.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let publisher_stop = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
@@ -855,8 +787,8 @@ mod tests {
         let log = sampler.log();
         sampler.stop();
         assert_eq!(log.stalls_flagged(), 0, "false positive on an advancing run");
-        assert!(!board.stalled());
-        assert!(!board.degrade_requested());
+        assert!(!obs.live().expect("read").stalled);
+        assert!(!obs.degrade_requested());
         assert_eq!(obs.snapshot().counter("obs.stall.detected"), None);
     }
 
@@ -864,22 +796,15 @@ mod tests {
     fn watchdog_is_disarmed_outside_the_search_phase() {
         // A frozen counter during integrate/suppress is normal; only
         // the clustering search arms the watchdog.
-        let board = ProgressBoard::enabled();
-        board.set_phase(Phase::Integrate);
-        board.add_nodes(5);
-        let obs = Obs::disabled();
-        let config = SamplerConfig {
-            interval: Duration::from_millis(5),
-            stall_periods: 2,
-            escalate: false,
-            ring_capacity: 8,
-        };
-        let sampler = Sampler::spawn(&board, &obs, config, None);
+        let obs = Obs::enabled();
+        obs.phase(Phase::Integrate).end();
+        obs.add_nodes(5);
+        let sampler = Sampler::spawn(&obs, watchdog(5, 2, false), None);
         std::thread::sleep(Duration::from_millis(100));
         let log = sampler.log();
         sampler.stop();
         assert_eq!(log.stalls_flagged(), 0);
-        assert!(!board.stalled());
+        assert!(!obs.live().expect("read").stalled);
     }
 
     #[test]
@@ -887,38 +812,24 @@ mod tests {
         // Candidate generation runs inside the clustering phase with
         // the node counter still at zero — a long generation must not
         // read as a stall; the count only starts once nodes > 0.
-        let board = ProgressBoard::enabled();
-        board.set_phase(Phase::Clustering);
-        let obs = Obs::disabled();
-        let config = SamplerConfig {
-            interval: Duration::from_millis(5),
-            stall_periods: 2,
-            escalate: true,
-            ring_capacity: 8,
-        };
-        let sampler = Sampler::spawn(&board, &obs, config, None);
+        let obs = Obs::enabled();
+        obs.phase(Phase::Clustering).end();
+        let sampler = Sampler::spawn(&obs, watchdog(5, 2, true), None);
         std::thread::sleep(Duration::from_millis(100));
         let log = sampler.log();
         sampler.stop();
         assert_eq!(log.stalls_flagged(), 0, "tripped before the search expanded anything");
-        assert!(!board.stalled());
-        assert!(!board.degrade_requested());
+        assert!(!obs.live().expect("read").stalled);
+        assert!(!obs.degrade_requested());
     }
 
     #[test]
     fn sampler_derives_rates_and_eta() {
-        let board = ProgressBoard::enabled();
-        board.set_phase(Phase::Clustering);
-        board.set_budget_limits(Some(1_000_000), Some(Duration::from_secs(3600)));
-        let obs = Obs::disabled();
-        let config = SamplerConfig {
-            interval: Duration::from_millis(10),
-            stall_periods: 1000,
-            escalate: false,
-            ring_capacity: 16,
-        };
-        let sampler = Sampler::spawn(&board, &obs, config, None);
-        let publisher = board.clone();
+        let obs = Obs::enabled();
+        obs.phase(Phase::Clustering).end();
+        obs.set_budget_limits(Some(1_000_000), Some(Duration::from_secs(3600)));
+        let sampler = Sampler::spawn(&obs, watchdog(10, 1000, false), None);
+        let publisher = obs.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let publisher_stop = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
@@ -946,45 +857,27 @@ mod tests {
     fn ring_buffer_wraps_at_capacity() {
         let log = SampleLog::new(3);
         for i in 0..10u64 {
-            let snap = BoardSnapshot {
-                phase: Phase::Clustering,
-                nodes: i,
-                repairs: 0,
-                satisfied: 0,
-                voided: 0,
-                constraints_total: 0,
-                components_done: 0,
-                components_total: 0,
-                node_limit: 0,
-                deadline_ms: 0,
-                live_alloc_bytes: 0,
-                stalled: false,
-                elapsed_ms: i,
-                constraint_stars: Vec::new(),
+            let live = LiveSnapshot { nodes: i, elapsed_ms: i, ..LiveSnapshot::default() };
+            let sample = Sample {
+                live,
+                nodes_per_sec: 0.0,
+                repairs_per_sec: 0.0,
+                eta_ms: None,
+                deadline_remaining_ms: None,
+                idle_periods: 0,
             };
-            log.push(
-                Sample {
-                    board: snap,
-                    nodes_per_sec: 0.0,
-                    repairs_per_sec: 0.0,
-                    eta_ms: None,
-                    deadline_remaining_ms: None,
-                    idle_periods: 0,
-                },
-                false,
-            );
+            log.push(sample, false);
         }
         let samples = log.samples();
-        assert_eq!(samples.len(), 3);
-        assert_eq!(samples.iter().map(|s| s.board.nodes).collect::<Vec<_>>(), vec![7, 8, 9]);
+        assert_eq!(samples.iter().map(|s| s.live.nodes).collect::<Vec<_>>(), vec![7, 8, 9]);
         assert_eq!(log.total_samples(), 10);
-        assert_eq!(log.latest().expect("latest").board.nodes, 9);
+        assert_eq!(log.latest().expect("latest").live.nodes, 9);
     }
 
     #[test]
     fn watch_line_renders_the_interesting_cells() {
         let sample = Sample {
-            board: BoardSnapshot {
+            live: LiveSnapshot {
                 phase: Phase::Anonymize,
                 nodes: 1234,
                 repairs: 7,
@@ -993,12 +886,10 @@ mod tests {
                 constraints_total: 50,
                 components_done: 3,
                 components_total: 12,
-                node_limit: 0,
-                deadline_ms: 0,
                 live_alloc_bytes: 4096,
                 stalled: true,
                 elapsed_ms: 250,
-                constraint_stars: Vec::new(),
+                ..LiveSnapshot::default()
             },
             nodes_per_sec: 100.0,
             repairs_per_sec: 1.0,
@@ -1007,34 +898,28 @@ mod tests {
             idle_periods: 0,
         };
         let line = sample.watch_line();
-        assert!(line.contains("phase=anonymize"), "{line}");
-        assert!(line.contains("nodes=1234"), "{line}");
-        assert!(line.contains("comps=3/12"), "{line}");
-        assert!(line.contains("sigma=40+2/50"), "{line}");
-        assert!(line.contains("eta=500ms/deadline=750ms"), "{line}");
+        for part in [
+            "phase=anonymize",
+            "nodes=1234",
+            "comps=3/12",
+            "sigma=40+2/50",
+            "eta=500ms/deadline=750ms",
+        ] {
+            assert!(line.contains(part), "{part} missing: {line}");
+        }
         assert!(line.contains("STALLED"), "{line}");
     }
 
     #[test]
     fn on_sample_callback_fires_per_tick() {
-        let board = ProgressBoard::enabled();
-        board.set_phase(Phase::Clustering);
+        let obs = Obs::enabled();
+        obs.phase(Phase::Clustering).end();
         let counted = Arc::new(AtomicU64::new(0));
         let cb_count = Arc::clone(&counted);
-        let config = SamplerConfig {
-            interval: Duration::from_millis(5),
-            stall_periods: 1000,
-            escalate: false,
-            ring_capacity: 8,
-        };
-        let sampler = Sampler::spawn(
-            &board,
-            &Obs::disabled(),
-            config,
-            Some(Box::new(move |_s| {
-                cb_count.fetch_add(1, Ordering::Relaxed);
-            })),
-        );
+        let on_sample: OnSample = Box::new(move |_s| {
+            cb_count.fetch_add(1, Ordering::Relaxed);
+        });
+        let sampler = Sampler::spawn(&obs, watchdog(5, 1000, false), Some(on_sample));
         let deadline = Stopwatch::start();
         while counted.load(Ordering::Relaxed) < 3 && deadline.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(5));
@@ -1043,5 +928,13 @@ mod tests {
         sampler.stop();
         assert!(counted.load(Ordering::Relaxed) >= 3);
         assert_eq!(log.total_samples(), counted.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn sampler_over_a_disabled_handle_exits() {
+        let sampler = Sampler::spawn(&Obs::disabled(), watchdog(1, 1000, false), None);
+        let log = sampler.log();
+        sampler.stop();
+        assert_eq!(log.total_samples(), 0);
     }
 }

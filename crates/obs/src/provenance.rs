@@ -1,9 +1,11 @@
 //! Decision provenance: traces every published star back to the decision
 //! that caused it.
 //!
-//! The recorder follows the same contract as [`crate::Obs`] and the live
-//! board: a disabled handle costs one branch per operation and the pipeline
-//! output is byte-identical whether the handle is enabled or not. An enabled
+//! The recorder follows the same contract as [`crate::Obs`]: a disabled
+//! handle costs one branch per operation and the pipeline output is
+//! byte-identical whether the handle is enabled or not. It stays a handle
+//! of its own because portfolio members record into private logs, of which
+//! only the winner's is adopted ([`Provenance::adopt`]). An enabled
 //! handle accumulates an append-only log of *group* records (one per
 //! published cluster, with the rows it holds and the Σ-constraints that own
 //! it) and *cell* records (one per starred cell, with the causal

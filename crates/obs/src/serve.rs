@@ -1,5 +1,5 @@
-//! A std-only, blocking TCP stats endpoint over a
-//! [`crate::live::ProgressBoard`].
+//! A std-only, blocking TCP stats endpoint over a handle's live cells
+//! ([`crate::Obs::live`]).
 //!
 //! The no-registry constraint rules out every async stack, so this is
 //! a deliberately boring thread-per-connection HTTP/1.0 server: one
@@ -10,6 +10,10 @@
 //!
 //! ## Routes
 //!
+//! Both documents render from one table, [`LIVE_CELLS`]: each row
+//! names a cell's Prometheus family, its JSON key and section, and its
+//! help text.
+//!
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4
 //!   shape: `# HELP` / `# TYPE` comments plus `name{labels} value`
 //!   samples). Rendered by [`prometheus_text`] and parseable by the
@@ -19,7 +23,7 @@
 //!   through the **existing summary-JSON schema**
 //!   (`{"spans":{},"counters":{},"gauges":{},"histograms":{}}`, see
 //!   [`crate::export`]), so every consumer of `--metrics` files can
-//!   parse the live document unchanged: board counters land under
+//!   parse the live document unchanged: monotone cells land under
 //!   `"counters"`, point-in-time cells under `"gauges"`.
 //!
 //! Anything else is a 404. Requests are read with a short timeout so
@@ -32,134 +36,155 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::export::Snapshot;
-use crate::live::{BoardSnapshot, ProgressBoard, Sample, SampleLog};
+use crate::live::{LiveSnapshot, Phase, Sample, SampleLog};
+use crate::Obs;
 
-/// Renders the board snapshot (plus derived rates from the latest
-/// sampler tick, when one exists) as Prometheus text exposition.
-pub fn prometheus_text(snap: &BoardSnapshot, latest: Option<&Sample>) -> String {
-    let mut out = String::with_capacity(1024);
-    let mut gauge = |name: &str, help: &str, labels: &str, value: String| {
-        out.push_str("# HELP ");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(help);
-        out.push_str("\n# TYPE ");
-        out.push_str(name);
-        out.push_str(" gauge\n");
-        out.push_str(name);
-        out.push_str(labels);
-        out.push(' ');
-        out.push_str(&value);
-        out.push('\n');
-    };
-    gauge(
-        "diva_phase",
-        "Current pipeline phase (code; label carries the name).",
-        &format!("{{phase=\"{}\"}}", snap.phase.as_str()),
-        snap.phase.code().to_string(),
-    );
-    gauge(
-        "diva_nodes_expanded_total",
-        "Search nodes expanded (poll-stride granularity).",
-        "",
-        snap.nodes.to_string(),
-    );
-    gauge("diva_repairs_total", "Repair attempts.", "", snap.repairs.to_string());
-    gauge(
-        "diva_constraints_satisfied",
-        "Constraints satisfied by formed clusters.",
-        "",
-        snap.satisfied.to_string(),
-    );
-    gauge(
-        "diva_constraints_voided",
-        "Constraints voided on the degradation path.",
-        "",
-        snap.voided.to_string(),
-    );
-    gauge(
-        "diva_constraints_total",
-        "Size of the bound constraint set.",
-        "",
-        snap.constraints_total.to_string(),
-    );
-    gauge("diva_components_done", "Components solved.", "", snap.components_done.to_string());
-    gauge(
-        "diva_components_total",
-        "Components in the decomposition.",
-        "",
-        snap.components_total.to_string(),
-    );
-    gauge(
-        "diva_budget_node_limit",
-        "Armed node budget (0 = unlimited).",
-        "",
-        snap.node_limit.to_string(),
-    );
-    gauge(
-        "diva_deadline_ms",
-        "Armed deadline in milliseconds (0 = none).",
-        "",
-        snap.deadline_ms.to_string(),
-    );
-    gauge(
-        "diva_live_alloc_bytes",
-        "Live heap bytes under the counting allocator.",
-        "",
-        snap.live_alloc_bytes.to_string(),
-    );
-    gauge(
-        "diva_stalled",
-        "1 while the stall watchdog considers the run stalled.",
-        "",
-        u64::from(snap.stalled).to_string(),
-    );
-    gauge(
-        "diva_elapsed_ms",
-        "Milliseconds since the board was created.",
-        "",
-        snap.elapsed_ms.to_string(),
-    );
-    if let Some(sample) = latest {
-        gauge(
-            "diva_nodes_per_sec",
-            "Node-expansion rate over the last sampling window.",
-            "",
-            format_f64(sample.nodes_per_sec),
-        );
-        gauge(
-            "diva_repairs_per_sec",
-            "Repair rate over the last sampling window.",
-            "",
-            format_f64(sample.repairs_per_sec),
-        );
-        if let Some(eta) = sample.eta_ms {
-            gauge(
-                "diva_eta_ms",
-                "Projected ms to node-budget exhaustion at the current rate.",
-                "",
-                eta.to_string(),
-            );
-        }
-        if let Some(rem) = sample.deadline_remaining_ms {
-            gauge(
-                "diva_deadline_remaining_ms",
-                "Ms left before the deadline.",
-                "",
-                rem.to_string(),
-            );
+/// The `/stats.json` section a live cell lands in. (`/metrics` types
+/// every family as a gauge.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellKind {
+    /// Monotone within a run: `"counters"`.
+    Counter,
+    /// Point in time: `"gauges"`.
+    Gauge,
+}
+
+impl CellKind {
+    /// The `/stats.json` section name.
+    pub fn section(self) -> &'static str {
+        match self {
+            Counter => "counters",
+            Gauge => "gauges",
         }
     }
-    if !snap.constraint_stars.is_empty() {
-        out.push_str(
-            "# HELP diva_constraint_stars Stars attributed to each sigma constraint \
-             by the provenance recorder.\n# TYPE diva_constraint_stars gauge\n",
-        );
-        for (label, stars) in &snap.constraint_stars {
-            out.push_str(&format!(
-                "diva_constraint_stars{{constraint=\"{}\"}} {stars}\n",
-                escape_label_value(label)
-            ));
+}
+
+/// A live cell's value in one rendering.
+#[derive(Debug, Clone, Copy)]
+pub enum CellValue<'a> {
+    /// A count, limit, or duration.
+    U64(u64),
+    /// A signed level (live heap bytes).
+    I64(i64),
+    /// A rate: exact on `/metrics`, truncated to an integer on
+    /// `/stats.json`.
+    Rate(f64),
+    /// The pipeline phase: its code, labelled with its name on
+    /// `/metrics`.
+    Phase(Phase),
+    /// Stars per constraint label: one sample (one JSON key
+    /// `<key>.<label>`) per constraint.
+    Stars(&'a [(String, u64)]),
+}
+
+/// One row of [`LIVE_CELLS`].
+#[derive(Debug)]
+pub struct LiveCell {
+    /// Prometheus family on `/metrics`.
+    pub family: &'static str,
+    /// Key on `/stats.json` (the key prefix of a per-constraint row).
+    pub key: &'static str,
+    /// The `/stats.json` section.
+    pub kind: CellKind,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// The value in a snapshot plus the latest sampler tick; `None`
+    /// leaves the row out of both documents.
+    pub read: for<'a> fn(&'a LiveSnapshot, Option<&'a Sample>) -> Option<CellValue<'a>>,
+}
+
+impl LiveCell {
+    /// Whether the row appears in every rendering — even of a fresh
+    /// snapshot with no sampler tick and no star attribution.
+    pub fn always_present(&self) -> bool {
+        (self.read)(&LiveSnapshot::default(), None).is_some()
+    }
+}
+
+use CellKind::{Counter, Gauge};
+use CellValue::{Rate, Stars, U64};
+
+/// Every live cell the endpoint serves, in `/metrics` order.
+#[rustfmt::skip]
+pub const LIVE_CELLS: [LiveCell; 18] = [
+    LiveCell { family: "diva_phase", key: "live.phase_code", kind: Gauge,
+        help: "Current pipeline phase (code; label carries the name).",
+        read: |s, _| Some(CellValue::Phase(s.phase)) },
+    LiveCell { family: "diva_nodes_expanded_total", key: "live.nodes_expanded", kind: Counter,
+        help: "Search nodes expanded (poll-stride granularity).",
+        read: |s, _| Some(U64(s.nodes)) },
+    LiveCell { family: "diva_repairs_total", key: "live.repairs", kind: Counter,
+        help: "Repair attempts.",
+        read: |s, _| Some(U64(s.repairs)) },
+    LiveCell { family: "diva_constraints_satisfied", key: "live.constraints_satisfied", kind: Counter,
+        help: "Constraints satisfied by formed clusters.",
+        read: |s, _| Some(U64(s.satisfied)) },
+    LiveCell { family: "diva_constraints_voided", key: "live.constraints_voided", kind: Counter,
+        help: "Constraints voided on the degradation path.",
+        read: |s, _| Some(U64(s.voided)) },
+    LiveCell { family: "diva_constraints_total", key: "live.constraints_total", kind: Gauge,
+        help: "Size of the bound constraint set.",
+        read: |s, _| Some(U64(s.constraints_total)) },
+    LiveCell { family: "diva_components_done", key: "live.components_done", kind: Gauge,
+        help: "Components solved.",
+        read: |s, _| Some(U64(s.components_done)) },
+    LiveCell { family: "diva_components_total", key: "live.components_total", kind: Gauge,
+        help: "Components in the decomposition.",
+        read: |s, _| Some(U64(s.components_total)) },
+    LiveCell { family: "diva_budget_node_limit", key: "live.node_limit", kind: Gauge,
+        help: "Armed node budget (0 = unlimited).",
+        read: |s, _| Some(U64(s.node_limit)) },
+    LiveCell { family: "diva_deadline_ms", key: "live.deadline_ms", kind: Gauge,
+        help: "Armed deadline in milliseconds (0 = none).",
+        read: |s, _| Some(U64(s.deadline_ms)) },
+    LiveCell { family: "diva_live_alloc_bytes", key: "live.alloc_bytes", kind: Gauge,
+        help: "Live heap bytes under the counting allocator.",
+        read: |s, _| Some(CellValue::I64(s.live_alloc_bytes)) },
+    LiveCell { family: "diva_stalled", key: "live.stalled", kind: Gauge,
+        help: "1 while the stall watchdog considers the run stalled.",
+        read: |s, _| Some(U64(u64::from(s.stalled))) },
+    // Help text kept verbatim for scrapers; the clock starts with the handle.
+    LiveCell { family: "diva_elapsed_ms", key: "live.elapsed_ms", kind: Gauge,
+        help: "Milliseconds since the board was created.",
+        read: |s, _| Some(U64(s.elapsed_ms)) },
+    LiveCell { family: "diva_nodes_per_sec", key: "live.nodes_per_sec", kind: Gauge,
+        help: "Node-expansion rate over the last sampling window.",
+        read: |_, t| t.map(|t| Rate(t.nodes_per_sec)) },
+    LiveCell { family: "diva_repairs_per_sec", key: "live.repairs_per_sec", kind: Gauge,
+        help: "Repair rate over the last sampling window.",
+        read: |_, t| t.map(|t| Rate(t.repairs_per_sec)) },
+    LiveCell { family: "diva_eta_ms", key: "live.eta_ms", kind: Gauge,
+        help: "Projected ms to node-budget exhaustion at the current rate.",
+        read: |_, t| t.and_then(|t| t.eta_ms).map(U64) },
+    LiveCell { family: "diva_deadline_remaining_ms", key: "live.deadline_remaining_ms", kind: Gauge,
+        help: "Ms left before the deadline.",
+        read: |_, t| t.and_then(|t| t.deadline_remaining_ms).map(U64) },
+    LiveCell { family: "diva_constraint_stars", key: "live.constraint_stars", kind: Gauge,
+        help: "Stars attributed to each sigma constraint by the provenance recorder.",
+        read: |s, _| (!s.constraint_stars.is_empty()).then_some(Stars(&s.constraint_stars)) },
+];
+
+/// Renders the live snapshot (plus derived rates from the latest
+/// sampler tick, when one exists) as Prometheus text exposition.
+pub fn prometheus_text(snap: &LiveSnapshot, latest: Option<&Sample>) -> String {
+    let mut out = String::with_capacity(1024);
+    for cell in &LIVE_CELLS {
+        let Some(value) = (cell.read)(snap, latest) else { continue };
+        let family = cell.family;
+        out.push_str(&format!("# HELP {family} {}\n# TYPE {family} gauge\n", cell.help));
+        match value {
+            U64(v) => out.push_str(&format!("{family} {v}\n")),
+            CellValue::I64(v) => out.push_str(&format!("{family} {v}\n")),
+            Rate(v) => out.push_str(&format!("{family} {}\n", format_f64(v))),
+            CellValue::Phase(p) => {
+                out.push_str(&format!("{family}{{phase=\"{}\"}} {}\n", p.as_str(), p.code()));
+            }
+            Stars(pairs) => {
+                for (label, stars) in pairs {
+                    let label = escape_label_value(label);
+                    out.push_str(&format!("{family}{{constraint=\"{label}\"}} {stars}\n"));
+                }
+            }
         }
     }
     out
@@ -179,44 +204,30 @@ fn format_f64(v: f64) -> String {
 }
 
 /// Renders the live snapshot through the existing summary-JSON schema
-/// ([`crate::export::Snapshot::summary_json`]): monotone cells as
-/// `"counters"`, point-in-time cells (and derived rates, rounded) as
-/// `"gauges"`; the spans/histograms sections stay empty.
-pub fn stats_json(snap: &BoardSnapshot, latest: Option<&Sample>) -> String {
-    let mut view = Snapshot {
-        counters: vec![
-            ("live.constraints_satisfied".to_string(), snap.satisfied),
-            ("live.constraints_voided".to_string(), snap.voided),
-            ("live.nodes_expanded".to_string(), snap.nodes),
-            ("live.repairs".to_string(), snap.repairs),
-        ],
-        gauges: vec![
-            ("live.alloc_bytes".to_string(), snap.live_alloc_bytes),
-            ("live.components_done".to_string(), snap.components_done as i64),
-            ("live.components_total".to_string(), snap.components_total as i64),
-            ("live.constraints_total".to_string(), snap.constraints_total as i64),
-            ("live.deadline_ms".to_string(), snap.deadline_ms as i64),
-            ("live.elapsed_ms".to_string(), snap.elapsed_ms as i64),
-            ("live.node_limit".to_string(), snap.node_limit as i64),
-            ("live.phase_code".to_string(), snap.phase.code() as i64),
-            ("live.stalled".to_string(), i64::from(snap.stalled)),
-        ],
-        ..Snapshot::default()
-    };
-    for (label, stars) in &snap.constraint_stars {
-        view.gauges.push((format!("live.constraint_stars.{label}"), *stars as i64));
-    }
-    if let Some(sample) = latest {
-        view.gauges.push(("live.nodes_per_sec".to_string(), sample.nodes_per_sec as i64));
-        view.gauges.push(("live.repairs_per_sec".to_string(), sample.repairs_per_sec as i64));
-        if let Some(eta) = sample.eta_ms {
-            view.gauges.push(("live.eta_ms".to_string(), eta as i64));
-        }
-        if let Some(rem) = sample.deadline_remaining_ms {
-            view.gauges.push(("live.deadline_remaining_ms".to_string(), rem as i64));
+/// ([`crate::export::Snapshot::summary_json`]): each cell under the
+/// section its [`CellKind`] names, integer-valued (rates truncated);
+/// the spans/histograms sections stay empty.
+pub fn stats_json(snap: &LiveSnapshot, latest: Option<&Sample>) -> String {
+    let mut view = Snapshot::default();
+    for cell in &LIVE_CELLS {
+        let values: Vec<(String, i64)> = match (cell.read)(snap, latest) {
+            None => continue,
+            Some(U64(v)) => vec![(cell.key.to_string(), v as i64)],
+            Some(CellValue::I64(v)) => vec![(cell.key.to_string(), v)],
+            Some(Rate(v)) => vec![(cell.key.to_string(), v as i64)],
+            Some(CellValue::Phase(p)) => vec![(cell.key.to_string(), p.code() as i64)],
+            Some(Stars(pairs)) => pairs
+                .iter()
+                .map(|(label, n)| (format!("{}.{label}", cell.key), *n as i64))
+                .collect(),
+        };
+        match cell.kind {
+            Counter => view.counters.extend(values.into_iter().map(|(k, v)| (k, v as u64))),
+            Gauge => view.gauges.extend(values),
         }
     }
-    view.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+    view.counters.sort();
+    view.gauges.sort();
     view.summary_json()
 }
 
@@ -255,49 +266,62 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
 }
 
 fn parse_sample_line(line: &str) -> Result<PromSample, String> {
-    let (name, labels, value_part) = match line.find('{') {
-        Some(open) => {
-            let close = line[open..]
-                .find('}')
-                .map(|i| open + i)
-                .ok_or_else(|| "unterminated label set".to_string())?;
-            (&line[..open], parse_labels(&line[open + 1..close])?, &line[close + 1..])
-        }
-        None => {
-            let sp = line
-                .find(char::is_whitespace)
-                .ok_or_else(|| "sample line has no value".to_string())?;
-            (&line[..sp], Vec::new(), &line[sp..])
-        }
-    };
+    let name_end = line
+        .find(|c: char| c == '{' || c.is_whitespace())
+        .ok_or_else(|| "sample line has no value".to_string())?;
+    let name = &line[..name_end];
     if name.is_empty() {
         return Err("empty metric name".to_string());
     }
-    let value_text = value_part.trim();
+    let mut labels = Vec::new();
+    let mut rest = &line[name_end..];
+    if let Some(body) = rest.strip_prefix('{') {
+        rest = parse_labels(body, &mut labels)?;
+    }
+    let value_text = rest.trim();
     let value: f64 = value_text.parse().map_err(|_| format!("bad sample value {value_text:?}"))?;
     Ok(PromSample { name: name.to_string(), labels, value })
 }
 
-fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
-    let mut labels = Vec::new();
-    let body = body.trim();
-    if body.is_empty() {
-        return Ok(labels);
-    }
-    for pair in body.split(',') {
-        let eq = pair.find('=').ok_or_else(|| format!("label without '=': {pair:?}"))?;
-        let key = pair[..eq].trim();
-        let val = pair[eq + 1..].trim();
-        let val = val
-            .strip_prefix('"')
-            .and_then(|v| v.strip_suffix('"'))
-            .ok_or_else(|| format!("unquoted label value: {pair:?}"))?;
-        if key.is_empty() {
-            return Err(format!("empty label key: {pair:?}"));
+/// Parses `key="value", …}` into `labels`, unescaping the values
+/// (which may hold commas and braces), and returns the text after the
+/// closing brace.
+fn parse_labels<'a>(
+    mut rest: &'a str,
+    labels: &mut Vec<(String, String)>,
+) -> Result<&'a str, String> {
+    loop {
+        rest = rest.trim_start();
+        if let Some(after) = rest.strip_prefix('}') {
+            return Ok(after);
         }
-        labels.push((key.to_string(), val.to_string()));
+        let eq = rest.find('=').ok_or_else(|| format!("label without '=': {rest:?}"))?;
+        let key = rest[..eq].trim();
+        if key.is_empty() {
+            return Err(format!("empty label key: {rest:?}"));
+        }
+        let quoted = rest[eq + 1..]
+            .trim_start()
+            .strip_prefix('"')
+            .ok_or_else(|| format!("unquoted label value: {rest:?}"))?;
+        let mut value = String::new();
+        let mut chars = quoted.char_indices();
+        let end = loop {
+            match chars.next() {
+                Some((i, '"')) => break i,
+                Some((_, '\\')) => match chars.next() {
+                    Some((_, 'n')) => value.push('\n'),
+                    Some((_, c)) => value.push(c),
+                    None => return Err("unterminated label value".to_string()),
+                },
+                Some((_, c)) => value.push(c),
+                None => return Err("unterminated label value".to_string()),
+            }
+        };
+        labels.push((key.to_string(), value));
+        rest = quoted[end + 1..].trim_start();
+        rest = rest.strip_prefix(',').unwrap_or(rest);
     }
-    Ok(labels)
 }
 
 /// The blocking stats endpoint: binds a listener, serves
@@ -318,14 +342,14 @@ impl std::fmt::Debug for StatsServer {
 impl StatsServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port — read
     /// the real one back from [`StatsServer::local_addr`]) and starts
-    /// the accept loop over `board`/`log`.
-    pub fn bind(addr: &str, board: ProgressBoard, log: SampleLog) -> std::io::Result<StatsServer> {
+    /// the accept loop over `obs`'s live cells and `log`.
+    pub fn bind(addr: &str, obs: Obs, log: SampleLog) -> std::io::Result<StatsServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = Arc::clone(&stop);
         let accept_handle = std::thread::spawn(move || {
-            accept_loop(&listener, &board, &log, &accept_stop);
+            accept_loop(&listener, &obs, &log, &accept_stop);
         });
         Ok(StatsServer { addr: local, stop, accept_handle: Some(accept_handle) })
     }
@@ -357,25 +381,21 @@ impl Drop for StatsServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, board: &ProgressBoard, log: &SampleLog, stop: &AtomicBool) {
+fn accept_loop(listener: &TcpListener, obs: &Obs, log: &SampleLog, stop: &AtomicBool) {
     for stream in listener.incoming() {
         if stop.load(Ordering::Relaxed) {
             return;
         }
         let Ok(stream) = stream else { continue };
-        let handler_board = board.clone();
+        let handler_obs = obs.clone();
         let handler_log = log.clone();
         std::thread::spawn(move || {
-            let _ = handle_connection(stream, &handler_board, &handler_log);
+            let _ = handle_connection(stream, &handler_obs, &handler_log);
         });
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    board: &ProgressBoard,
-    log: &SampleLog,
-) -> std::io::Result<()> {
+fn handle_connection(stream: TcpStream, obs: &Obs, log: &SampleLog) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut reader = BufReader::new(stream);
@@ -390,7 +410,7 @@ fn handle_connection(
         }
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let (status, content_type, body) = match (board.read(), path) {
+    let (status, content_type, body) = match (obs.live(), path) {
         (Some(snap), "/metrics") => {
             let latest = log.latest();
             ("200 OK", "text/plain; version=0.0.4", prometheus_text(&snap, latest.as_ref()))
@@ -400,7 +420,7 @@ fn handle_connection(
             ("200 OK", "application/json", stats_json(&snap, latest.as_ref()))
         }
         (None, "/metrics" | "/stats.json" | "/") => {
-            ("503 Service Unavailable", "text/plain", "progress board disabled\n".to_string())
+            ("503 Service Unavailable", "text/plain", "live telemetry disabled\n".to_string())
         }
         _ => ("404 Not Found", "text/plain", format!("no route for {path}\n")),
     };
@@ -454,97 +474,49 @@ pub fn http_get(
 mod tests {
     use super::*;
     use crate::json::{parse, Value};
-    use crate::live::{Phase, SampleLog, Sampler, SamplerConfig};
-    use crate::Obs;
+    use crate::live::{Sampler, SamplerConfig};
 
-    fn populated_board() -> ProgressBoard {
-        let board = ProgressBoard::enabled();
-        board.set_phase(Phase::Anonymize);
-        board.add_nodes(1234);
-        board.add_repairs(7);
-        board.add_satisfied(40);
-        board.add_voided(2);
-        board.set_constraints_total(50);
-        board.set_components_total(12);
-        board.component_finished();
-        board.component_finished();
-        board.set_budget_limits(Some(10_000), Some(Duration::from_secs(10)));
-        board
+    fn populated() -> Obs {
+        let obs = Obs::enabled();
+        obs.add_nodes(1234);
+        obs.add_repairs(7);
+        obs.set_constraints_total(50);
+        obs.set_components_total(12);
+        obs.components_done(2);
+        obs.set_budget_limits(Some(10_000), Some(Duration::from_secs(10)));
+        obs.run_finished(40, 2);
+        obs
     }
 
     #[test]
-    fn prometheus_round_trips_through_the_in_repo_parser() {
-        let board = populated_board();
-        let snap = board.read().expect("enabled board");
-        let text = prometheus_text(&snap, None);
-        let samples = parse_prometheus(&text).expect("rendered text parses");
-        let get = |name: &str| {
-            samples
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("missing {name} in:\n{text}"))
-        };
+    fn the_table_names_each_family_and_key_once() {
+        for (i, a) in LIVE_CELLS.iter().enumerate() {
+            for b in &LIVE_CELLS[i + 1..] {
+                assert!(a.family != b.family && a.key != b.key, "{} repeats", b.family);
+            }
+        }
+        let always = LIVE_CELLS.iter().filter(|c| c.always_present()).count();
+        assert_eq!(always, 13, "every snapshot carries the 13 cells, not the rates or stars");
+    }
+
+    #[test]
+    fn both_routes_carry_every_always_present_cell() {
+        let snap = populated().live().expect("enabled handle");
+        let samples =
+            parse_prometheus(&prometheus_text(&snap, None)).expect("rendered text parses");
+        let v = parse(&stats_json(&snap, None)).expect("summary-JSON parses");
+        for cell in LIVE_CELLS.iter().filter(|c| c.always_present()) {
+            let prom = samples.iter().find(|s| s.name == cell.family).map(|s| s.value);
+            let json =
+                v.get(cell.kind.section()).and_then(|g| g.get(cell.key)).and_then(Value::as_num);
+            assert!(prom.is_some() && prom == json, "{}: {prom:?} vs {json:?}", cell.family);
+        }
+        let get = |name: &str| samples.iter().find(|s| s.name == name).expect(name);
         assert_eq!(get("diva_nodes_expanded_total").value, 1234.0);
-        assert_eq!(get("diva_repairs_total").value, 7.0);
-        assert_eq!(get("diva_constraints_satisfied").value, 40.0);
         assert_eq!(get("diva_constraints_voided").value, 2.0);
         assert_eq!(get("diva_components_done").value, 2.0);
-        assert_eq!(get("diva_components_total").value, 12.0);
-        assert_eq!(get("diva_budget_node_limit").value, 10_000.0);
         assert_eq!(get("diva_deadline_ms").value, 10_000.0);
-        assert_eq!(get("diva_stalled").value, 0.0);
-        let phase = get("diva_phase");
-        assert_eq!(phase.value, Phase::Anonymize.code() as f64);
-        assert_eq!(phase.label("phase"), Some("anonymize"));
-    }
-
-    #[test]
-    fn constraint_stars_surface_on_both_routes() {
-        let board = populated_board();
-        board.set_constraint_stars(vec![
-            ("ETH[Asian]".to_string(), 6),
-            ("CTY[Vancouver]".to_string(), 2),
-        ]);
-        let snap = board.read().expect("read");
-        let text = prometheus_text(&snap, None);
-        let samples = parse_prometheus(&text).expect("parses");
-        let star = |label: &str| {
-            samples
-                .iter()
-                .find(|s| s.name == "diva_constraint_stars" && s.label("constraint") == Some(label))
-                .map(|s| s.value)
-        };
-        assert_eq!(star("ETH[Asian]"), Some(6.0));
-        assert_eq!(star("CTY[Vancouver]"), Some(2.0));
-        let v = parse(&stats_json(&snap, None)).expect("json parses");
-        let gauge = |name: &str| v.get("gauges").and_then(|g| g.get(name)).and_then(Value::as_num);
-        assert_eq!(gauge("live.constraint_stars.ETH[Asian]"), Some(6.0));
-        assert_eq!(gauge("live.constraint_stars.CTY[Vancouver]"), Some(2.0));
-        // Without an attribution the family is absent entirely.
-        let bare = populated_board().read().expect("read");
-        assert!(!prometheus_text(&bare, None).contains("diva_constraint_stars"));
-        assert!(!stats_json(&bare, None).contains("constraint_stars"));
-    }
-
-    #[test]
-    fn prometheus_renders_rates_from_the_latest_sample() {
-        let board = populated_board();
-        let snap = board.read().expect("read");
-        let sample = Sample {
-            board: snap.clone(),
-            nodes_per_sec: 512.5,
-            repairs_per_sec: 3.0,
-            eta_ms: Some(750),
-            deadline_remaining_ms: Some(9000),
-            idle_periods: 0,
-        };
-        let text = prometheus_text(&snap, Some(&sample));
-        let samples = parse_prometheus(&text).expect("parses");
-        let value = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
-        assert_eq!(value("diva_nodes_per_sec"), Some(512.5));
-        assert_eq!(value("diva_repairs_per_sec"), Some(3.0));
-        assert_eq!(value("diva_eta_ms"), Some(750.0));
-        assert_eq!(value("diva_deadline_remaining_ms"), Some(9000.0));
+        assert_eq!(get("diva_phase").label("phase"), Some("done"));
     }
 
     #[test]
@@ -554,49 +526,26 @@ mod tests {
         assert!(parse_prometheus("bad{k=unquoted} 1").is_err());
         assert!(parse_prometheus("bad{novalue} 1").is_err());
         assert!(parse_prometheus("name notanumber").is_err());
+        assert!(parse_prometheus("bad{k=\"open} 1").is_err());
+        // Label values may hold commas, braces and escapes.
+        let parsed = parse_prometheus("m{a=\"x,y}\",b=\"q\\\"\\n\"} 2").expect("parses");
+        assert_eq!(parsed[0].label("a"), Some("x,y}"));
+        assert_eq!(parsed[0].label("b"), Some("q\"\n"));
         // Comments and blanks are fine.
         assert_eq!(parse_prometheus("# HELP x y\n\n# TYPE x gauge\n").expect("ok").len(), 0);
     }
 
     #[test]
-    fn stats_json_uses_the_summary_schema() {
-        let board = populated_board();
-        let snap = board.read().expect("read");
-        let text = stats_json(&snap, None);
-        let v = parse(&text).expect("summary-JSON parses with the in-repo parser");
-        assert_eq!(
-            v.get("counters").and_then(|c| c.get("live.nodes_expanded")).and_then(Value::as_num),
-            Some(1234.0)
-        );
-        assert_eq!(
-            v.get("gauges").and_then(|g| g.get("live.phase_code")).and_then(Value::as_num),
-            Some(Phase::Anonymize.code() as f64)
-        );
-        assert_eq!(
-            v.get("gauges").and_then(|g| g.get("live.components_total")).and_then(Value::as_num),
-            Some(12.0)
-        );
-        // The schema's four sections all exist, like every --metrics file.
-        for section in ["spans", "counters", "gauges", "histograms"] {
-            assert!(v.get(section).is_some(), "missing {section}");
-        }
-    }
-
-    #[test]
     fn endpoint_serves_both_routes_over_real_tcp() {
-        let board = populated_board();
-        let sampler = Sampler::spawn(
-            &board,
-            &Obs::disabled(),
-            SamplerConfig {
-                interval: Duration::from_millis(10),
-                stall_periods: 1000,
-                escalate: false,
-                ring_capacity: 16,
-            },
-            None,
-        );
-        let server = StatsServer::bind("127.0.0.1:0", board.clone(), sampler.log()).expect("bind");
+        let obs = populated();
+        let config = SamplerConfig {
+            interval: Duration::from_millis(10),
+            stall_periods: 1000,
+            escalate: false,
+            ring_capacity: 16,
+        };
+        let sampler = Sampler::spawn(&obs, config, None);
+        let server = StatsServer::bind("127.0.0.1:0", obs.clone(), sampler.log()).expect("bind");
         let addr = server.local_addr();
         assert_ne!(addr.port(), 0, "port 0 resolves to a real port");
 
@@ -623,9 +572,9 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_reports_unavailable_for_a_disabled_board() {
-        let server = StatsServer::bind("127.0.0.1:0", ProgressBoard::disabled(), SampleLog::new(8))
-            .expect("bind");
+    fn endpoint_reports_unavailable_for_a_disabled_handle() {
+        let server =
+            StatsServer::bind("127.0.0.1:0", Obs::disabled(), SampleLog::new(8)).expect("bind");
         let addr = server.local_addr();
         let (status, _) = http_get(&addr, "/metrics", Duration::from_secs(2)).expect("GET");
         assert!(status.contains("503"), "{status}");
@@ -634,8 +583,8 @@ mod tests {
 
     #[test]
     fn shutdown_unblocks_and_joins() {
-        let server = StatsServer::bind("127.0.0.1:0", ProgressBoard::enabled(), SampleLog::new(8))
-            .expect("bind");
+        let server =
+            StatsServer::bind("127.0.0.1:0", Obs::enabled(), SampleLog::new(8)).expect("bind");
         let addr = server.local_addr();
         server.shutdown();
         // Once joined, fresh connections must not be served.

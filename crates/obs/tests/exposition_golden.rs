@@ -4,13 +4,13 @@
 //! strings. Scrapers depend on these bytes, so a change to the
 //! rendering code must leave them untouched.
 
-use diva_obs::live::{BoardSnapshot, Phase, Sample};
+use diva_obs::live::{LiveSnapshot, Phase, Sample};
 use diva_obs::serve::{prometheus_text, stats_json};
 
 /// Every cell populated, including the watchdog flag, the live heap,
 /// and a label that needs Prometheus escaping.
-fn populated() -> BoardSnapshot {
-    BoardSnapshot {
+fn populated() -> LiveSnapshot {
+    LiveSnapshot {
         phase: Phase::Anonymize,
         nodes: 1234,
         repairs: 7,
@@ -34,9 +34,9 @@ fn populated() -> BoardSnapshot {
 
 /// A sampler tick with fractional and integral rates and both
 /// budget projections.
-fn latest(snap: &BoardSnapshot) -> Sample {
+fn latest(snap: &LiveSnapshot) -> Sample {
     Sample {
-        board: snap.clone(),
+        live: snap.clone(),
         nodes_per_sec: 512.5,
         repairs_per_sec: 3.0,
         eta_ms: Some(750),
@@ -46,8 +46,8 @@ fn latest(snap: &BoardSnapshot) -> Sample {
 }
 
 /// A fresh run: no sampler tick yet and no star attribution.
-fn bare() -> BoardSnapshot {
-    BoardSnapshot { constraint_stars: Vec::new(), stalled: false, ..populated() }
+fn bare() -> LiveSnapshot {
+    LiveSnapshot { constraint_stars: Vec::new(), stalled: false, ..populated() }
 }
 
 const POPULATED_METRICS: &str = "\

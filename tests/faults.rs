@@ -248,7 +248,7 @@ fn degraded_runs_are_visible_in_the_trace() {
 
 /// Stall watchdog escalation: with polls slowed far past the sampling
 /// window, the node counter freezes mid-search; the watchdog must
-/// flag the stall, escalate through the board's degrade request, and
+/// flag the stall, escalate through the handle's degrade request, and
 /// the search must surface it as a graceful `Stalled` degradation —
 /// not an error, a hang, or a broken relation.
 #[test]
@@ -257,10 +257,9 @@ fn stall_watchdog_escalation_degrades_a_frozen_search() {
     // sleep to freeze the published counter between.
     let rel = diva_datagen::medical(2000, 7);
     let sigma = generators::proportional(&rel, 10, 0.7, 20);
-    let board = diva_obs::live::ProgressBoard::enabled();
+    let obs = Obs::enabled();
     let sampler = diva_obs::live::Sampler::spawn(
-        &board,
-        &Obs::disabled(),
+        &obs,
         diva_obs::live::SamplerConfig {
             interval: Duration::from_millis(10),
             stall_periods: 3,
@@ -271,7 +270,7 @@ fn stall_watchdog_escalation_degrades_a_frozen_search() {
     );
     let config = DivaConfig {
         k: 5,
-        board: board.clone(),
+        obs: obs.clone(),
         faults: FaultPlan::seeded(1).slow_polls(Duration::from_millis(300)),
         ..DivaConfig::default()
     };
@@ -289,8 +288,8 @@ fn stall_watchdog_escalation_degrades_a_frozen_search() {
     // making progress; the episode count and the latched escalation
     // request are the durable evidence.
     assert!(log.stalls_flagged() >= 1, "sampler never flagged the stall");
-    assert!(board.degrade_requested());
-    let snap = board.read().expect("enabled board snapshots");
+    assert!(obs.degrade_requested());
+    let snap = obs.live().expect("enabled handle snapshots");
     assert_eq!(snap.phase, diva_obs::live::Phase::Done, "degraded runs still publish completion");
 }
 
@@ -299,10 +298,9 @@ fn stall_watchdog_escalation_degrades_a_frozen_search() {
 #[test]
 fn stall_watchdog_stays_quiet_on_a_healthy_run() {
     let (rel, sigma) = workload(600);
-    let board = diva_obs::live::ProgressBoard::enabled();
+    let obs = Obs::enabled();
     let sampler = diva_obs::live::Sampler::spawn(
-        &board,
-        &Obs::disabled(),
+        &obs,
         diva_obs::live::SamplerConfig {
             interval: Duration::from_millis(10),
             stall_periods: 3,
@@ -311,11 +309,11 @@ fn stall_watchdog_stays_quiet_on_a_healthy_run() {
         },
         None,
     );
-    let out = Diva::new(DivaConfig { k: 5, board: board.clone(), ..DivaConfig::default() })
+    let out = Diva::new(DivaConfig { k: 5, obs: obs.clone(), ..DivaConfig::default() })
         .run(&rel, &sigma)
         .expect("healthy run solves");
     sampler.stop();
     assert!(out.outcome.is_exact(), "watchdog must not perturb a healthy run");
-    assert!(!board.stalled());
-    assert!(!board.degrade_requested());
+    assert!(!obs.live().expect("enabled handle snapshots").stalled);
+    assert!(!obs.degrade_requested());
 }

@@ -4,7 +4,7 @@
 
 use diva_constraints::Constraint;
 use diva_core::{Diva, DivaConfig, Strategy};
-use diva_obs::live::{Phase, ProgressBoard, Sampler, SamplerConfig};
+use diva_obs::live::{Phase, Sampler, SamplerConfig};
 use diva_obs::serve::{http_get, parse_prometheus, StatsServer};
 use diva_obs::{json, Obs};
 use diva_relation::Relation;
@@ -30,22 +30,15 @@ fn prom_value(samples: &[diva_obs::serve::PromSample], name: &str) -> Option<f64
 #[test]
 fn mid_run_scrape_sees_the_search_in_flight() {
     let (rel, sigma) = sustained_workload();
-    let board = ProgressBoard::enabled();
+    let obs = Obs::enabled();
     let sampler = Sampler::spawn(
-        &board,
-        &Obs::disabled(),
+        &obs,
         SamplerConfig { interval: Duration::from_millis(5), ..SamplerConfig::default() },
         None,
     );
-    let server =
-        StatsServer::bind("127.0.0.1:0", board.clone(), sampler.log()).expect("bind port 0");
+    let server = StatsServer::bind("127.0.0.1:0", obs.clone(), sampler.log()).expect("bind port 0");
     let addr = server.local_addr();
-    let config = DivaConfig {
-        k: 5,
-        strategy: Strategy::MaxFanOut,
-        board: board.clone(),
-        ..DivaConfig::default()
-    };
+    let config = DivaConfig { k: 5, strategy: Strategy::MaxFanOut, obs, ..DivaConfig::default() };
     let mut observed: Vec<u64> = Vec::new();
     let result = std::thread::scope(|s| {
         let run = s.spawn(|| Diva::new(config).run(&rel, &sigma));

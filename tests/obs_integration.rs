@@ -1,14 +1,18 @@
 //! Workspace-level observability tests: trace completeness of a full
-//! pipeline run, byte-identical output with obs on vs off, and a
-//! counted check that the disabled handle records and allocates
-//! nothing.
+//! pipeline run, byte-identical output with obs on vs off, a counted
+//! check that the disabled handle records and allocates nothing, and
+//! one run's numbers agreeing across every surface that reports them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use diva_constraints::Constraint;
-use diva_core::{Diva, DivaConfig, Strategy};
-use diva_obs::{json, Obs};
+use std::time::Duration;
+
+use diva_constraints::{generators, Constraint};
+use diva_core::{BudgetSpec, Diva, DivaConfig, Strategy};
+use diva_obs::live::{Phase, Sampler, SamplerConfig};
+use diva_obs::serve::{http_get, parse_prometheus, StatsServer};
+use diva_obs::{json, Obs, Provenance};
 use diva_relation::Relation;
 
 /// Counts the bytes each thread allocates, so a test can assert an
@@ -123,39 +127,30 @@ fn enabled_and_disabled_obs_agree_byte_for_byte() {
     );
 }
 
-/// Live telemetry must be observational only: a run with an enabled
-/// progress board (sampler attached, exactly what `--stats-addr` and
-/// `--watch` wire up) publishes the same relation, groups, and search
-/// stats as the plain run, and the board's final counters agree with
-/// the search's own statistics.
+/// Live telemetry must be observational only: a run whose handle has
+/// a sampler attached (exactly what `--stats-addr` and `--watch` wire
+/// up) publishes the same relation, groups, and search stats as the
+/// plain run, and the live cells' final values agree with the search's
+/// own statistics.
 #[test]
 fn enabled_board_keeps_output_byte_identical() {
-    let (rel, sigma) = workload();
-    let run_with_board = |board: diva_obs::live::ProgressBoard| {
-        let config =
-            DivaConfig { k: 5, strategy: Strategy::MaxFanOut, board, ..DivaConfig::default() };
-        Diva::new(config).run(&rel, &sigma).expect("workload solves")
-    };
-    let plain = run_with_board(diva_obs::live::ProgressBoard::disabled());
-    let board = diva_obs::live::ProgressBoard::enabled();
-    let sampler = diva_obs::live::Sampler::spawn(
-        &board,
-        &Obs::disabled(),
-        diva_obs::live::SamplerConfig {
-            interval: std::time::Duration::from_millis(1),
-            ..diva_obs::live::SamplerConfig::default()
-        },
+    let obs = Obs::enabled();
+    let sampler = Sampler::spawn(
+        &obs,
+        SamplerConfig { interval: Duration::from_millis(1), ..SamplerConfig::default() },
         None,
     );
-    let live = run_with_board(board.clone());
+    let plain = run_with(Obs::disabled());
+    let live = run_with(obs.clone());
     sampler.stop();
+    let sigma = workload().1;
     assert_eq!(format!("{:?}", plain.relation), format!("{:?}", live.relation));
     assert_eq!(plain.groups, live.groups);
     assert_eq!(plain.source_rows, live.source_rows);
     assert_eq!(plain.stats.coloring, live.stats.coloring);
-    let snap = board.read().expect("enabled board snapshots");
-    assert_eq!(snap.phase, diva_obs::live::Phase::Done);
-    assert_eq!(snap.nodes, live.stats.coloring.assignments_tried, "board nodes == search nodes");
+    let snap = obs.live().expect("enabled handle snapshots");
+    assert_eq!(snap.phase, Phase::Done);
+    assert_eq!(snap.nodes, live.stats.coloring.assignments_tried, "live nodes == search nodes");
     assert_eq!(snap.satisfied, sigma.len() as u64, "exact run satisfies all of sigma");
     assert_eq!(snap.voided, 0);
     assert!(!snap.stalled, "a healthy run must not be flagged");
@@ -175,7 +170,6 @@ fn disabled_obs_records_nothing_and_allocates_nothing() {
     assert!(snapshot.histograms.is_empty());
     assert!(snapshot.trace_jsonl().is_empty());
 
-    let board = diva_obs::live::ProgressBoard::disabled();
     let before = thread_allocated();
     for i in 0..1_000u64 {
         let mut span = obs.span("diva.run").attr("rows", i).attr("strategy", "MaxFanOut");
@@ -183,8 +177,10 @@ fn disabled_obs_records_nothing_and_allocates_nothing() {
         obs.counter("coloring.MaxFanOut.assignments_tried").add(i);
         obs.gauge("live.nodes").set(i as i64);
         obs.histogram("cluster.size").record(i);
-        board.add_nodes(1);
-        board.add_repairs(1);
+        obs.phase(Phase::Clustering).end();
+        obs.add_nodes(1);
+        obs.add_repairs(1);
+        obs.components_done(i);
         span.set_attr("ok", true);
         child.end();
         span.end_profiled();
@@ -194,4 +190,95 @@ fn disabled_obs_records_nothing_and_allocates_nothing() {
     let probe = std::hint::black_box(Vec::<u8>::with_capacity(64));
     assert!(thread_allocated() - before >= 64);
     drop(probe);
+}
+
+/// One run, every recorder on: the summary JSON, `RunStats`, budget
+/// usage, the provenance log and both stats-endpoint routes must
+/// report the same nodes, repairs, stars and per-constraint stars.
+/// Runs once per `sigma-gen` class; everything is read after the run
+/// returns, so nothing depends on timing.
+#[test]
+fn every_surface_reports_the_same_numbers() {
+    let rel = diva_datagen::medical(4_000, 7);
+    for (class, sigma) in [
+        ("proportional", generators::proportional(&rel, 5, 0.7, 20)),
+        ("minfreq", generators::min_frequency(&rel, 5, 0.3, 20)),
+        ("average", generators::average(&rel, 5, 0.7, 20)),
+        ("islands", generators::islands(&rel, 4, 3, 0.8, 20)),
+    ] {
+        let obs = Obs::enabled();
+        let provenance = Provenance::enabled();
+        let sampler = Sampler::spawn(&obs, SamplerConfig::default(), None);
+        let server = StatsServer::bind("127.0.0.1:0", obs.clone(), sampler.log()).expect("bind");
+        let config = DivaConfig {
+            k: 5,
+            obs: obs.clone(),
+            provenance: provenance.clone(),
+            budget: BudgetSpec::with_node_budget(1 << 40),
+            ..DivaConfig::default()
+        };
+        let out = Diva::new(config).run(&rel, &sigma).unwrap_or_else(|e| panic!("{class}: {e}"));
+        obs.publish_attribution(&provenance);
+        let get = |path: &str| http_get(&server.local_addr(), path, Duration::from_secs(5));
+        let (status, prom) = get("/metrics").expect("GET /metrics");
+        assert!(status.contains("200"), "{class}: {status}");
+        let prom = parse_prometheus(&prom).expect("exposition parses");
+        let (status, stats) = get("/stats.json").expect("GET /stats.json");
+        assert!(status.contains("200"), "{class}: {status}");
+        let stats = json::parse(&stats).expect("/stats.json parses");
+        server.shutdown();
+        sampler.stop();
+        let summary = json::parse(&obs.snapshot().summary_json()).expect("summary parses");
+
+        let prom_value = |name: &str, label: Option<&str>| {
+            prom.iter()
+                .find(|s| s.name == name && label.is_none_or(|l| s.label("constraint") == Some(l)))
+                .map(|s| s.value as u64)
+        };
+        let num = |doc: &json::Value, section: &str, key: &str| {
+            doc.get(section)
+                .and_then(|s| s.get(key))
+                .and_then(json::Value::as_num)
+                .map(|n| n as u64)
+        };
+        // Σ over every strategy's `coloring.<Strategy>.<field>` counter.
+        let summed = |field: &str| match summary.get("counters") {
+            Some(json::Value::Obj(counters)) => counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("coloring.") && k.ends_with(field))
+                .filter_map(|(_, v)| v.as_num())
+                .sum::<f64>() as u64,
+            _ => panic!("summary has no counters"),
+        };
+
+        let nodes = out.stats.coloring.assignments_tried;
+        assert_eq!(summed(".assignments_tried"), nodes, "{class}: summary nodes");
+        assert_eq!(num(&stats, "counters", "live.nodes_expanded"), Some(nodes), "{class}");
+        assert_eq!(prom_value("diva_nodes_expanded_total", None), Some(nodes), "{class}");
+        let budget = out.stats.budget.expect("an armed budget reports usage");
+        assert_eq!(budget.nodes_explored, nodes, "{class}: budget nodes");
+
+        let repairs = out.stats.coloring.repair_attempts;
+        assert_eq!(summed(".repair_attempts"), repairs, "{class}: summary repairs");
+        assert_eq!(num(&stats, "counters", "live.repairs"), Some(repairs), "{class}");
+        assert_eq!(prom_value("diva_repairs_total", None), Some(repairs), "{class}");
+
+        let attribution = out.stats.attribution.expect("provenance attributes stars");
+        let log = provenance.snapshot().expect("provenance recorded");
+        assert_eq!(attribution.total(), out.relation.star_count() as u64, "{class}: stars");
+        assert_eq!(log.cells.len() as u64, attribution.total(), "{class}: cell records");
+        for (label, &stars) in log.labels.iter().zip(&attribution.per_constraint) {
+            let counter = format!("provenance.constraint_stars.{label}");
+            assert_eq!(num(&summary, "counters", &counter), Some(stars), "{class}: {label}");
+            let gauge = format!("live.constraint_stars.{label}");
+            assert_eq!(num(&stats, "gauges", &gauge), Some(stars), "{class}: {label}");
+            let scraped = prom_value("diva_constraint_stars", Some(label));
+            assert_eq!(scraped, Some(stars), "{class}: {label}");
+        }
+
+        let satisfied = num(&stats, "counters", "live.constraints_satisfied").expect("satisfied");
+        let voided = num(&stats, "counters", "live.constraints_voided").expect("voided");
+        assert_eq!(satisfied + voided, sigma.len() as u64, "{class}: verdicts cover sigma");
+        assert_eq!(num(&stats, "gauges", "live.phase_code"), Some(Phase::Done.code()), "{class}");
+    }
 }
