@@ -8,16 +8,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use diva_bench::params::node_budget_for_backtracks;
 use diva_bench::runner::experiment_sigma;
-use diva_core::{Diva, DivaConfig, Strategy};
+use diva_core::{BudgetSpec, Diva, DivaConfig, Strategy};
 use diva_datagen::Dist;
 
 const ROWS: usize = 6_000;
 const K: usize = 10;
 const SEED: u64 = 7;
-/// Bounded search budget: budget-exhausted runs return quickly and are
-/// timed as failures rather than stalling the bench.
-const BT: Option<u64> = Some(10_000);
+/// Bounded search budget: budget-degraded runs return quickly and are
+/// timed rather than stalling the bench.
+const NODES: u64 = node_budget_for_backtracks(10_000);
 
 fn bench_fig4a(c: &mut Criterion) {
     let rel = diva_datagen::census(ROWS, SEED);
@@ -35,7 +36,7 @@ fn bench_fig4a(c: &mut Criterion) {
                             k: K,
                             strategy,
                             seed: SEED,
-                            backtrack_limit: BT,
+                            budget: BudgetSpec::with_node_budget(NODES),
                             ..Default::default()
                         };
                         Diva::new(config).run(&rel, sigma).map(|o| o.relation.n_rows())

@@ -5,13 +5,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use diva_anonymize::{Anonymizer, KMember, Mondrian, Oka};
+use diva_bench::params::node_budget_for_backtracks;
 use diva_bench::runner::experiment_sigma;
-use diva_core::{Diva, DivaConfig, Strategy};
+use diva_core::{BudgetSpec, Diva, DivaConfig, Strategy};
 
 const SEED: u64 = 7;
-/// Bounded search budget: budget-exhausted runs return quickly and are
-/// timed as failures rather than stalling the bench.
-const BT: Option<u64> = Some(10_000);
+/// Bounded search budget: budget-degraded runs return quickly and are
+/// timed rather than stalling the bench.
+const NODES: u64 = node_budget_for_backtracks(10_000);
 
 fn bench_fig5b_credit(c: &mut Criterion) {
     let rel = diva_datagen::credit(SEED);
@@ -25,7 +26,7 @@ fn bench_fig5b_credit(c: &mut Criterion) {
                     k,
                     strategy: Strategy::MaxFanOut,
                     seed: SEED,
-                    backtrack_limit: BT,
+                    budget: BudgetSpec::with_node_budget(NODES),
                     ..Default::default()
                 };
                 Diva::new(config).run(&rel, &sigma).map(|o| o.relation.n_rows())
@@ -58,7 +59,7 @@ fn bench_fig5d_census(c: &mut Criterion) {
                     k: 10,
                     strategy: Strategy::MinChoice,
                     seed: SEED,
-                    backtrack_limit: BT,
+                    budget: BudgetSpec::with_node_budget(NODES),
                     ..Default::default()
                 };
                 Diva::new(config).run(&rel, &sigma).map(|o| o.relation.n_rows())

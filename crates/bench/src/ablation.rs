@@ -7,13 +7,18 @@
 //! concrete cap and the repair mechanism are our choices, so we
 //! measure their effect here.
 
-use diva_core::{run_portfolio, Diva, DivaConfig, Strategy};
+use diva_core::{run_portfolio, BudgetSpec, Diva, DivaConfig, Strategy};
 use diva_obs::Stopwatch;
 use diva_relation::Relation;
 
 use crate::params::Params;
 use crate::runner::experiment_sigma;
 use crate::table::Table;
+
+/// A search budget of `nodes` explored nodes (`None` = exact search).
+fn node_budget(nodes: Option<u64>) -> BudgetSpec {
+    BudgetSpec { node_budget: nodes, ..BudgetSpec::default() }
+}
 
 fn setup(p: &Params) -> (Relation, Vec<diva_constraints::Constraint>) {
     let rel = diva_datagen::census(p.r_default.min(12_000), p.seed);
@@ -32,17 +37,20 @@ pub fn ablation_candidates(p: &Params) -> Table {
         vec!["accuracy".into(), "seconds".into(), "backtracks".into()],
     );
     for cap in [4usize, 16, 64, 256] {
+        // The budget is sized for 64 candidates per expansion; a wider
+        // cap gets proportionally more nodes for the same expansions.
+        let nodes = p.node_budget.map(|n| n * (cap as u64).max(64) / 64);
         let config = DivaConfig {
             k: p.k_default,
             strategy: Strategy::MaxFanOut,
             max_candidates: cap,
             seed: p.seed,
-            backtrack_limit: p.backtrack_limit,
+            budget: node_budget(nodes),
             ..Default::default()
         };
         let clock = Stopwatch::start();
         match Diva::new(config).run(&rel, &sigma) {
-            Ok(out) => t.push_row(
+            Ok(out) if out.outcome.is_exact() => t.push_row(
                 cap.to_string(),
                 vec![
                     Some(diva_metrics::star_accuracy(&out.relation)),
@@ -50,9 +58,7 @@ pub fn ablation_candidates(p: &Params) -> Table {
                     Some(out.stats.coloring.backtracks as f64),
                 ],
             ),
-            Err(_) => {
-                t.push_row(cap.to_string(), vec![None, Some(clock.elapsed().as_secs_f64()), None])
-            }
+            _ => t.push_row(cap.to_string(), vec![None, Some(clock.elapsed().as_secs_f64()), None]),
         }
     }
     t
@@ -81,16 +87,16 @@ pub fn ablation_repair(p: &Params) -> Table {
                 k: p.k_default,
                 strategy,
                 seed: p.seed,
-                backtrack_limit: p.backtrack_limit,
+                budget: node_budget(p.node_budget),
                 enable_repair,
                 ..Default::default()
             };
             match Diva::new(config).run(&rel, &sigma) {
-                Ok(out) => {
+                Ok(out) if out.outcome.is_exact() => {
                     cells.push(Some(diva_metrics::star_accuracy(&out.relation)));
                     bts.push(Some(out.stats.coloring.backtracks as f64));
                 }
-                Err(_) => {
+                _ => {
                     cells.push(None);
                     bts.push(None);
                 }
@@ -117,32 +123,34 @@ pub fn ablation_portfolio(p: &Params) -> Table {
             k: p.k_default,
             strategy,
             seed: p.seed,
-            backtrack_limit: p.backtrack_limit,
+            budget: node_budget(p.node_budget),
             ..Default::default()
         };
         let clock = Stopwatch::start();
         let row = match Diva::new(config).run(&rel, &sigma) {
-            Ok(out) => vec![
+            Ok(out) if out.outcome.is_exact() => vec![
                 Some(clock.elapsed().as_secs_f64()),
                 Some(diva_metrics::star_accuracy(&out.relation)),
             ],
-            Err(_) => vec![Some(clock.elapsed().as_secs_f64()), None],
+            _ => vec![Some(clock.elapsed().as_secs_f64()), None],
         };
         t.push_row(strategy.name(), row);
     }
+    // The portfolio's budget is global to its six members, so it gets
+    // one member budget per member.
     let config = DivaConfig {
         k: p.k_default,
         seed: p.seed,
-        backtrack_limit: p.backtrack_limit,
+        budget: node_budget(p.node_budget.map(|n| n * 6)),
         ..Default::default()
     };
     let clock = Stopwatch::start();
     let row = match run_portfolio(&rel, &sigma, &config, 2) {
-        Ok(out) => vec![
+        Ok(out) if out.outcome.is_exact() => vec![
             Some(clock.elapsed().as_secs_f64()),
             Some(diva_metrics::star_accuracy(&out.relation)),
         ],
-        Err(_) => vec![Some(clock.elapsed().as_secs_f64()), None],
+        _ => vec![Some(clock.elapsed().as_secs_f64()), None],
     };
     t.push_row("portfolio(3×2)", row);
     t
@@ -164,19 +172,19 @@ pub fn ablation_l_diversity(p: &Params) -> Table {
             k: p.k_default,
             l_diversity: l,
             seed: p.seed,
-            backtrack_limit: p.backtrack_limit,
+            budget: node_budget(p.node_budget),
             ..Default::default()
         };
         let clock = Stopwatch::start();
         match Diva::new(config).run(&rel, &sigma) {
-            Ok(out) => t.push_row(
+            Ok(out) if out.outcome.is_exact() => t.push_row(
                 l.to_string(),
                 vec![
                     Some(diva_metrics::star_accuracy(&out.relation)),
                     Some(clock.elapsed().as_secs_f64()),
                 ],
             ),
-            Err(_) => t.push_row(l.to_string(), vec![None, Some(clock.elapsed().as_secs_f64())]),
+            _ => t.push_row(l.to_string(), vec![None, Some(clock.elapsed().as_secs_f64())]),
         }
     }
     t
@@ -185,12 +193,13 @@ pub fn ablation_l_diversity(p: &Params) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::node_budget_for_backtracks;
 
     fn tiny() -> Params {
         let mut p = Params::at_scale(0.02);
         p.sigma_default = 4;
-        p.backtrack_limit = Some(2_000);
-        p.basic_backtrack_limit = Some(500);
+        p.node_budget = Some(node_budget_for_backtracks(2_000));
+        p.basic_node_budget = Some(node_budget_for_backtracks(500));
         p
     }
 

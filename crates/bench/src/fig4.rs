@@ -15,7 +15,7 @@ fn col(measurements: &[Measurement], f: impl Fn(&Measurement) -> f64) -> Vec<Opt
     measurements.iter().map(|m| if m.ok { Some(f(m)) } else { None }).collect()
 }
 
-/// Runtime column: failed (budget-exhausted) runs still report the
+/// Runtime column: failed (budget-degraded) runs still report the
 /// time they burned — that *is* the Fig. 4a signal for Basic.
 fn time_col(measurements: &[Measurement]) -> Vec<Option<f64>> {
     measurements.iter().map(|m| Some(m.seconds)).collect()
@@ -33,7 +33,7 @@ pub fn fig4ab(p: &Params) -> (Table, Table) {
         let sigma = experiment_sigma(&rel, n, p.cf_default, p.k_default, p.seed);
         let ms: Vec<Measurement> = Strategy::all()
             .iter()
-            .map(|&s| run_diva_limited(&rel, &sigma, p.k_default, s, p.seed, p.limit_for(s)))
+            .map(|&s| run_diva_limited(&rel, &sigma, p.k_default, s, p.seed, p.budget_for(s)))
             .collect();
         time.push_row(n.to_string(), time_col(&ms));
         acc.push_row(n.to_string(), col(&ms, |m| m.accuracy));
@@ -53,7 +53,7 @@ pub fn fig4c(p: &Params) -> Table {
         let sigma = experiment_sigma(&rel, p.sigma_default, cf, p.k_default, p.seed);
         let ms: Vec<Measurement> = Strategy::all()
             .iter()
-            .map(|&s| run_diva_limited(&rel, &sigma, p.k_default, s, p.seed, p.limit_for(s)))
+            .map(|&s| run_diva_limited(&rel, &sigma, p.k_default, s, p.seed, p.budget_for(s)))
             .collect();
         let measured = diva_constraints::ConstraintSet::bind(&sigma, &rel)
             .map(|set| diva_constraints::conflict_rate(&set))
@@ -81,7 +81,7 @@ pub fn fig4d(p: &Params) -> (Table, Table) {
         let sigma = experiment_sigma(&rel, 8, p.cf_default, p.k_default, p.seed);
         let ms: Vec<Measurement> = Strategy::all()
             .iter()
-            .map(|&s| run_diva_limited(&rel, &sigma, p.k_default, s, p.seed, p.limit_for(s)))
+            .map(|&s| run_diva_limited(&rel, &sigma, p.k_default, s, p.seed, p.budget_for(s)))
             .collect();
         acc.push_row(dist.name(), col(&ms, |m| m.accuracy));
         disc.push_row(dist.name(), col(&ms, |m| m.disc_ratio));
@@ -92,6 +92,7 @@ pub fn fig4d(p: &Params) -> (Table, Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::node_budget_for_backtracks;
 
     fn tiny_params() -> Params {
         let mut p = Params::at_scale(0.02);
@@ -99,8 +100,8 @@ mod tests {
         // must fail fast instead of burning a large search budget.
         p.sigma_sizes = vec![4, 8];
         p.conflict_rates = vec![0.0, 1.0];
-        p.backtrack_limit = Some(2_000);
-        p.basic_backtrack_limit = Some(500);
+        p.node_budget = Some(node_budget_for_backtracks(2_000));
+        p.basic_node_budget = Some(node_budget_for_backtracks(500));
         p
     }
 

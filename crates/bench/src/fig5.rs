@@ -29,12 +29,12 @@ fn compare(
     sigma_count: usize,
     cf: f64,
     seed: u64,
-    backtrack_limit: Option<u64>,
+    node_budget: Option<u64>,
 ) -> Vec<Measurement> {
     let sigma = experiment_sigma(rel, sigma_count, cf, k, seed);
     let mut ms = vec![
-        run_diva_limited(rel, &sigma, k, Strategy::MinChoice, seed, backtrack_limit),
-        run_diva_limited(rel, &sigma, k, Strategy::MaxFanOut, seed, backtrack_limit),
+        run_diva_limited(rel, &sigma, k, Strategy::MinChoice, seed, node_budget),
+        run_diva_limited(rel, &sigma, k, Strategy::MaxFanOut, seed, node_budget),
     ];
     // (The baselines below carry no search budget.)
     for b in baselines(seed) {
@@ -59,7 +59,7 @@ pub fn fig5ab(p: &Params) -> (Table, Table) {
     let mut acc = Table::new("Fig 5a — Accuracy vs k (Credit)", "k", series());
     let mut time = Table::new("Fig 5b — Runtime vs k (Credit)", "k", series());
     for &k in &p.ks {
-        let ms = compare(&rel, k, 18, p.cf_default, p.seed, p.backtrack_limit);
+        let ms = compare(&rel, k, 18, p.cf_default, p.seed, p.node_budget);
         acc.push_row(k.to_string(), col(&ms, |m| m.accuracy));
         time.push_row(k.to_string(), time_col(&ms));
     }
@@ -74,8 +74,7 @@ pub fn fig5cd(p: &Params) -> (Table, Table) {
     let mut time = Table::new("Fig 5d — Runtime vs |R| (Census)", "|R|", series());
     for &n in &p.r_sizes {
         let rel = full.head(n);
-        let ms =
-            compare(&rel, p.k_default, p.sigma_default, p.cf_default, p.seed, p.backtrack_limit);
+        let ms = compare(&rel, p.k_default, p.sigma_default, p.cf_default, p.seed, p.node_budget);
         acc.push_row(n.to_string(), col(&ms, |m| m.accuracy));
         time.push_row(n.to_string(), time_col(&ms));
     }
@@ -85,12 +84,13 @@ pub fn fig5cd(p: &Params) -> (Table, Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::node_budget_for_backtracks;
 
     #[test]
     fn fig5ab_produces_five_series() {
         let mut p = Params::at_scale(0.02);
-        p.backtrack_limit = Some(2_000);
-        p.basic_backtrack_limit = Some(500);
+        p.node_budget = Some(node_budget_for_backtracks(2_000));
+        p.basic_node_budget = Some(node_budget_for_backtracks(500));
         p.ks = vec![10, 20];
         let (acc, time) = fig5ab(&p);
         assert_eq!(acc.series.len(), 5);
@@ -105,8 +105,8 @@ mod tests {
     #[test]
     fn fig5cd_small_sweep() {
         let mut p = Params::at_scale(0.02);
-        p.backtrack_limit = Some(2_000);
-        p.basic_backtrack_limit = Some(500);
+        p.node_budget = Some(node_budget_for_backtracks(2_000));
+        p.basic_node_budget = Some(node_budget_for_backtracks(500));
         p.r_sizes = vec![1_000, 2_000];
         p.sigma_default = 4;
         let (acc, time) = fig5cd(&p);

@@ -27,23 +27,36 @@ pub struct Params {
     pub scale: f64,
     /// Base RNG seed for the whole suite.
     pub seed: u64,
-    /// Backtracking budget per guided DIVA run (MinChoice/MaxFanOut);
-    /// exhausted runs count as failures (shown as missing cells).
-    pub backtrack_limit: Option<u64>,
-    /// Budget for the naive Basic strategy, kept smaller: Basic
+    /// Search node budget per guided DIVA run (MinChoice/MaxFanOut);
+    /// runs that degrade on it count as failures (shown as missing
+    /// cells).
+    pub node_budget: Option<u64>,
+    /// Node budget for the naive Basic strategy, kept smaller: Basic
     /// regularly exhausts *any* budget on conflicting instances (the
     /// paper let it run for ~700 minutes; we cap it and report the
     /// burned time, which is the Fig. 4a signal).
-    pub basic_backtrack_limit: Option<u64>,
+    pub basic_node_budget: Option<u64>,
+}
+
+/// A node budget that no search finishing within `backtracks`
+/// backtracks can exceed, for up to 20 constraints and the default
+/// 64-candidate cap. Such a search expands a node at most
+/// `backtracks + |Σ| + 1` times, and each expansion tries at most 64
+/// candidates at two nodes each (a repair's second assignment counts).
+/// The experiments size their node budgets with it from a backtrack
+/// count, so a run that finishes within that many backtracks is never
+/// cut short.
+pub const fn node_budget_for_backtracks(backtracks: u64) -> u64 {
+    2 * 64 * (backtracks + 21)
 }
 
 impl Params {
-    /// The budget for one strategy (Basic gets the smaller cap).
-    pub fn limit_for(&self, strategy: diva_core::Strategy) -> Option<u64> {
+    /// The node budget for one strategy (Basic gets the smaller cap).
+    pub fn budget_for(&self, strategy: diva_core::Strategy) -> Option<u64> {
         if strategy == diva_core::Strategy::Basic {
-            self.basic_backtrack_limit
+            self.basic_node_budget
         } else {
-            self.backtrack_limit
+            self.node_budget
         }
     }
 
@@ -62,8 +75,8 @@ impl Params {
             k_default: 10,
             scale,
             seed: 0xbe9c4,
-            backtrack_limit: Some(100_000),
-            basic_backtrack_limit: Some(20_000),
+            node_budget: Some(node_budget_for_backtracks(100_000)),
+            basic_node_budget: Some(node_budget_for_backtracks(20_000)),
         }
     }
 

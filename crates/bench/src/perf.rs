@@ -16,18 +16,17 @@ use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 
 use diva_constraints::ConstraintSet;
-use diva_core::{
-    run_portfolio, BudgetSpec, ConstraintGraph, Diva, DivaConfig, DivaError, Outcome, Strategy,
-};
+use diva_core::{run_portfolio, BudgetSpec, ConstraintGraph, Diva, DivaConfig, Outcome, Strategy};
 use diva_obs::live::{Sampler, SamplerConfig};
 use diva_obs::{Obs, Stopwatch};
 use diva_relation::{Relation, RowSet};
 
 /// Instance sizes of the Fig. 4a-style trajectory sweep.
 const TRAJECTORY_ROWS: [usize; 4] = [250, 500, 1_000, 2_000];
-/// Backtracking budget for trajectory runs (Basic can explode — the
-/// paper's own Fig. 4a finding — so the sweep bounds it).
-const TRAJECTORY_BACKTRACK_LIMIT: u64 = 20_000;
+/// Node budget for trajectory runs (Basic can explode — the paper's
+/// own Fig. 4a finding — so the sweep bounds it), sized like the
+/// experiments' Basic budget.
+const TRAJECTORY_NODE_BUDGET: u64 = crate::params::node_budget_for_backtracks(20_000);
 /// Repetitions per microbench; the minimum is reported.
 const REPS: usize = 10;
 
@@ -244,9 +243,9 @@ struct TrajectoryPoint {
     forward_check_prunes: u64,
     ok: bool,
     /// `"exact"`, `"degraded:<kind>"`, or `"error"` — how the run
-    /// concluded (trajectory runs carry no budget, so a successful run
-    /// is always exact; the field keeps the schema aligned with the
-    /// budget sweep below).
+    /// concluded (`ok` holds only for `"exact"`; a run the node budget
+    /// stops reports `"degraded:nodes"` with its counters). The field
+    /// keeps the schema aligned with the budget sweep below.
     outcome: String,
 }
 
@@ -267,7 +266,7 @@ fn trajectory_point(rel: &Relation, k: usize, strategy: Strategy) -> TrajectoryP
     let config = DivaConfig {
         k,
         strategy,
-        backtrack_limit: Some(TRAJECTORY_BACKTRACK_LIMIT),
+        budget: BudgetSpec::with_node_budget(TRAJECTORY_NODE_BUDGET),
         obs: obs.clone(),
         ..DivaConfig::default()
     };
@@ -305,21 +304,17 @@ fn trajectory_point(rel: &Relation, k: usize, strategy: Strategy) -> TrajectoryP
             _ => {}
         }
     }
-    match &outcome {
-        Ok(out) => {
-            point.t_clustering_s = out.stats.t_clustering.as_secs_f64();
-            point.t_suppress_s = out.stats.t_suppress.as_secs_f64();
-            point.t_anonymize_s = out.stats.t_anonymize.as_secs_f64();
-            point.t_integrate_s = out.stats.t_integrate.as_secs_f64();
-            point.assignments_tried = out.stats.coloring.assignments_tried;
-            point.backtracks = out.stats.coloring.backtracks;
-            point.node_selections = out.stats.coloring.node_selections;
-            point.forward_check_prunes = out.stats.coloring.forward_check_prunes;
-            point.ok = true;
-            point.outcome = outcome_label(&out.outcome);
-        }
-        Err(DivaError::SearchBudgetExhausted { backtracks }) => point.backtracks = *backtracks,
-        Err(_) => {}
+    if let Ok(out) = &outcome {
+        point.t_clustering_s = out.stats.t_clustering.as_secs_f64();
+        point.t_suppress_s = out.stats.t_suppress.as_secs_f64();
+        point.t_anonymize_s = out.stats.t_anonymize.as_secs_f64();
+        point.t_integrate_s = out.stats.t_integrate.as_secs_f64();
+        point.assignments_tried = out.stats.coloring.assignments_tried;
+        point.backtracks = out.stats.coloring.backtracks;
+        point.node_selections = out.stats.coloring.node_selections;
+        point.forward_check_prunes = out.stats.coloring.forward_check_prunes;
+        point.ok = out.outcome.is_exact();
+        point.outcome = outcome_label(&out.outcome);
     }
     point
 }
@@ -454,7 +449,7 @@ fn bench_component_scaling(
     let base = DivaConfig {
         k,
         strategy: Strategy::MinChoice,
-        backtrack_limit: Some(50_000),
+        budget: BudgetSpec::with_node_budget(crate::params::node_budget_for_backtracks(50_000)),
         ..DivaConfig::default()
     };
     let mono = DivaConfig { decompose: false, threads: Some(1), ..base.clone() };
@@ -722,7 +717,7 @@ pub fn bench_json() -> String {
     out.push_str(&format!("    \"dense_bitset_state_ms\": {:.4},\n", state.dense_ms));
     out.push_str(&format!("    \"speedup\": {:.2}\n", ratio(state.hash_ms, state.dense_ms)));
     out.push_str("  },\n");
-    out.push_str(&format!("  \"trajectory_backtrack_limit\": {TRAJECTORY_BACKTRACK_LIMIT},\n"));
+    out.push_str(&format!("  \"trajectory_node_budget\": {TRAJECTORY_NODE_BUDGET},\n"));
     out.push_str("  \"search_trajectory\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(

@@ -3,7 +3,7 @@
 
 use diva_anonymize::Anonymizer;
 use diva_constraints::{conflict_rate, Constraint, ConstraintSet};
-use diva_core::{Diva, DivaConfig, Strategy};
+use diva_core::{BudgetSpec, Diva, DivaConfig, Strategy};
 use diva_obs::Stopwatch;
 use diva_relation::{is_k_anonymous, Relation};
 
@@ -21,7 +21,8 @@ pub struct Measurement {
     /// Total suppressed cells.
     pub stars: usize,
     /// Whether the run produced a valid result (k-anonymous, and for
-    /// DIVA runs Σ-satisfying). Failed runs report zero accuracy.
+    /// DIVA runs exact and Σ-satisfying). Failed runs report zero
+    /// accuracy.
     pub ok: bool,
     /// Measured conflict rate of the constraint set (0 when no Σ).
     pub measured_cf: f64,
@@ -56,7 +57,8 @@ pub fn experiment_sigma(
     diva_constraints::generators::with_conflict_rate(rel, n_constraints, cf, k, seed)
 }
 
-/// Runs DIVA with `strategy` and measures it.
+/// Runs DIVA with `strategy` (an exact, unbounded search) and
+/// measures it.
 pub fn run_diva(
     rel: &Relation,
     sigma: &[Constraint],
@@ -64,29 +66,32 @@ pub fn run_diva(
     strategy: Strategy,
     seed: u64,
 ) -> Measurement {
-    run_diva_limited(rel, sigma, k, strategy, seed, DivaConfig::default().backtrack_limit)
+    run_diva_limited(rel, sigma, k, strategy, seed, None)
 }
 
-/// [`run_diva`] with an explicit backtracking budget — the Basic
-/// strategy can exhaust any budget on conflict-heavy instances (that
-/// is the paper's Fig. 4a finding); the experiment harness bounds it
-/// so a sweep completes, and failed runs surface as missing cells.
+/// [`run_diva`] under a search node budget — the Basic strategy can
+/// exhaust any budget on conflict-heavy instances (that is the paper's
+/// Fig. 4a finding); the experiment harness bounds it so a sweep
+/// completes, and runs that degrade on it surface as missing cells.
 pub fn run_diva_limited(
     rel: &Relation,
     sigma: &[Constraint],
     k: usize,
     strategy: Strategy,
     seed: u64,
-    backtrack_limit: Option<u64>,
+    node_budget: Option<u64>,
 ) -> Measurement {
-    let config = DivaConfig { k, strategy, seed, backtrack_limit, ..DivaConfig::default() };
+    let budget = BudgetSpec { node_budget, ..BudgetSpec::default() };
+    let config = DivaConfig { k, strategy, seed, budget, ..DivaConfig::default() };
     let diva = Diva::new(config);
     let t = Stopwatch::start();
     match diva.run(rel, sigma) {
         Ok(out) => {
             let seconds = t.elapsed().as_secs_f64();
             let set = ConstraintSet::bind(sigma, &out.relation).expect("sigma already bound once");
-            let ok = is_k_anonymous(&out.relation, k) && set.satisfied_by(&out.relation);
+            let ok = out.outcome.is_exact()
+                && is_k_anonymous(&out.relation, k)
+                && set.satisfied_by(&out.relation);
             Measurement {
                 algo: strategy.name().to_string(),
                 seconds,

@@ -165,8 +165,12 @@ fn usage() -> String {
      \u{20}          [--flame FILE  write collapsed stacks (self-time weighted) for flamegraphs]\n\
      \u{20}          [--profile  print self-time / critical-path / allocation report lines]\n\
      \u{20}          [--deadline-ms N  wall-clock budget; exceeding it degrades gracefully]\n\
-     \u{20}          [--node-budget N  cap on explored search nodes before degrading]\n\
+     \u{20}          [--node-budget N  cap on explored search nodes; the search stops\n\
+     \u{20}           at node N + 1 and degrades gracefully]\n\
      \u{20}          [--repair-budget N  cap on repair attempts before degrading]\n\
+     \u{20}           without budget flags the search is exact and unbounded (it is\n\
+     \u{20}           exponential in the worst case): pass --node-budget or\n\
+     \u{20}           --deadline-ms on adversarial inputs\n\
      \u{20}          [--stats-addr HOST:PORT  serve live progress over HTTP (/metrics\n\
      \u{20}           Prometheus text, /stats.json summary schema); port 0 picks a free\n\
      \u{20}           port, announced on stderr]\n\

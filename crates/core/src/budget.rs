@@ -3,13 +3,15 @@
 //! (k, Σ)-anonymization is NP-hard, so a production deployment cannot
 //! let the colouring search run unboundedly. A [`BudgetSpec`] bounds a
 //! run three ways — a wall-clock deadline, an explored-node cap, and a
-//! repair-attempt cap — and the armed [`Budget`] is checked at the
-//! existing cancellation poll points of the search plus every pipeline
-//! phase boundary. Exhaustion does **not** fail the run: the pipeline
-//! falls back to the degraded mode described in `DESIGN.md` §10
-//! (k-anonymize the clustered-so-far prefix, suppress every row of
-//! still-violating groups) and the result is tagged
-//! [`Outcome::Degraded`] with the triggering [`DegradeReason`].
+//! repair-attempt cap — and is the only limit on the search: without
+//! one the search is exact and unbounded. The armed [`Budget`] is
+//! checked at the search's poll points (every 256 nodes, and exactly
+//! at the node cap) and its deadline at every pipeline phase boundary.
+//! Exhaustion does **not** fail the run: the pipeline falls back to
+//! the degraded mode described in `DESIGN.md` §10 (k-anonymize the
+//! clustered-so-far prefix, suppress every row of still-violating
+//! groups) and the result is tagged [`Outcome::Degraded`] with the
+//! triggering [`DegradeReason`].
 //!
 //! A single armed [`Budget`] can be shared by every member of a
 //! parallel portfolio: the node and repair counters are atomic, and
@@ -35,7 +37,9 @@ pub struct BudgetSpec {
     /// check — useful in tests.
     pub deadline: Option<Duration>,
     /// Cap on explored search nodes (assignment attempts of the
-    /// colouring search, charged at poll granularity).
+    /// colouring search, summed over every search charging the
+    /// budget). A single search under cap `N` stops at exactly
+    /// `N + 1` nodes.
     pub node_budget: Option<u64>,
     /// Cap on candidate-repair attempts
     /// ([`crate::CandidateSet::repair`] invocations).
@@ -78,9 +82,6 @@ pub struct Budget {
     spec: BudgetSpec,
     clock: Stopwatch,
     nodes: AtomicU64,
-    /// Nodes a search explored after its last poll, settled once its
-    /// outcome is decided ([`Budget::settle_nodes`]).
-    settled_nodes: AtomicU64,
     repairs: AtomicU64,
 }
 
@@ -91,7 +92,6 @@ impl Budget {
             spec,
             clock: Stopwatch::start(),
             nodes: AtomicU64::new(0),
-            settled_nodes: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
         }
     }
@@ -112,26 +112,21 @@ impl Budget {
         })
     }
 
-    /// Charges `n` explored nodes and checks the node cap and the
-    /// deadline. Called from the search's poll points, so `n` is the
-    /// poll stride, not 1.
-    pub fn charge_nodes(&self, n: u64) -> Option<DegradeReason> {
+    /// Charges `n` explored nodes, then checks the node cap and the
+    /// deadline. Called from the search's poll points with the nodes
+    /// explored since the previous poll. Returns how many more nodes
+    /// the cap allows (`u64::MAX` without a cap), so the search can
+    /// poll again exactly where the cap would trip.
+    pub fn charge_nodes(&self, n: u64) -> Result<u64, DegradeReason> {
         let total = self.nodes.fetch_add(n, Ordering::Relaxed).saturating_add(n);
-        if let Some(cap) = self.spec.node_budget {
-            if total > cap {
-                return Some(DegradeReason::NodeBudgetExhausted { explored: total, cap });
+        let headroom = match self.spec.node_budget {
+            Some(cap) if total > cap => {
+                return Err(DegradeReason::NodeBudgetExhausted { explored: total, cap })
             }
-        }
-        self.check_deadline()
-    }
-
-    /// Records `n` nodes a search explored after its last poll, once
-    /// the search has ended. They count in [`Budget::usage`] but never
-    /// against the node cap: the search's outcome is already decided,
-    /// and a search still running on another thread must trip exactly
-    /// where it would have without them.
-    pub fn settle_nodes(&self, n: u64) {
-        self.settled_nodes.fetch_add(n, Ordering::Relaxed);
+            Some(cap) => cap - total,
+            None => u64::MAX,
+        };
+        self.check_deadline().map_or(Ok(headroom), Err)
     }
 
     /// Charges one repair attempt and checks the repair cap.
@@ -145,8 +140,7 @@ impl Budget {
     /// portfolio, so a member's stats report portfolio-wide totals).
     pub fn usage(&self) -> BudgetUsage {
         BudgetUsage {
-            nodes_explored: self.nodes.load(Ordering::Relaxed)
-                + self.settled_nodes.load(Ordering::Relaxed),
+            nodes_explored: self.nodes.load(Ordering::Relaxed),
             repair_attempts: self.repairs.load(Ordering::Relaxed),
             elapsed: self.clock.elapsed(),
         }
@@ -157,7 +151,7 @@ impl Budget {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BudgetUsage {
     /// Explored search nodes: every assignment attempt of the searches
-    /// that charged this budget, including those after their last poll.
+    /// that charged this budget.
     pub nodes_explored: u64,
     /// Candidate-repair attempts charged against the budget.
     pub repair_attempts: u64,
@@ -277,14 +271,26 @@ impl Outcome {
     }
 }
 
-/// Shared cross-thread run controls: the portfolio cancellation flag
-/// plus the armed budget (if any) that every member charges against.
+/// Why a run, or one search, stopped before its verdict.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// The cancellation flag was set: the run ends with
+    /// [`DivaError::Cancelled`][crate::DivaError].
+    Cancelled,
+    /// A limit tripped: the run degrades with the clustered-so-far
+    /// prefix.
+    Degraded(DegradeReason),
+}
+
+/// The one stop context of a run: the cancellation flag plus the armed
+/// budget (if any), shared by every thread working for the run.
 ///
-/// [`crate::run_portfolio`] arms one budget for the whole portfolio
-/// and hands every member the same `Controls`, so the deadline is
-/// global — a member dequeued late does not get a fresh clock. The
-/// cancellation flag is also the portfolio pool's stop flag: the first
-/// member to report sets it.
+/// [`crate::Diva::run`] arms the configured budget into fresh
+/// controls; [`crate::run_portfolio`] arms one budget for the whole
+/// portfolio and hands every member the same `Controls`, so the
+/// deadline and the node cap are global — a member dequeued late does
+/// not get a fresh clock. The cancellation flag is also the portfolio
+/// pool's stop flag: the first member to report sets it.
 #[derive(Debug, Clone, Default)]
 pub struct Controls {
     cancel: Arc<AtomicBool>,
@@ -297,7 +303,7 @@ impl Controls {
         Self { cancel: Arc::new(AtomicBool::new(false)), budget }
     }
 
-    /// The cancellation token polled by the search.
+    /// The cancellation flag polled by the search.
     pub fn cancel_flag(&self) -> &Arc<AtomicBool> {
         &self.cancel
     }
@@ -310,6 +316,18 @@ impl Controls {
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.load(Ordering::Relaxed)
+    }
+
+    /// The phase-boundary check: cancellation first, then the
+    /// deadline. The node cap is left to the search's own polls, so a
+    /// search that finished exactly is never degraded afterwards by
+    /// nodes another search charged. Both stops are sticky (the flag
+    /// is never cleared, the clock never runs back).
+    pub(crate) fn checkpoint(&self) -> Option<Stop> {
+        if self.is_cancelled() {
+            return Some(Stop::Cancelled);
+        }
+        self.budget.as_ref()?.check_deadline().map(Stop::Degraded)
     }
 }
 
@@ -328,11 +346,19 @@ mod tests {
     #[test]
     fn node_cap_trips_once_exceeded() {
         let b = Budget::start(BudgetSpec::with_node_budget(100));
-        assert_eq!(b.charge_nodes(64), None);
-        assert_eq!(b.charge_nodes(32), None); // 96 ≤ 100
-        let reason = b.charge_nodes(32).expect("128 > 100");
+        assert_eq!(b.charge_nodes(64), Ok(36));
+        assert_eq!(b.charge_nodes(32), Ok(4)); // 96 ≤ 100
+        assert_eq!(b.charge_nodes(4), Ok(0)); // exactly at the cap
+        let reason = b.charge_nodes(28).expect_err("128 > 100");
         assert!(matches!(reason, DegradeReason::NodeBudgetExhausted { explored: 128, cap: 100 }));
         assert_eq!(b.usage().nodes_explored, 128);
+    }
+
+    #[test]
+    fn uncapped_budget_reports_unlimited_headroom() {
+        let b = Budget::start(BudgetSpec::with_deadline(Duration::from_secs(3600)));
+        assert_eq!(b.charge_nodes(1_000), Ok(u64::MAX));
+        assert_eq!(b.usage().nodes_explored, 1_000);
     }
 
     #[test]
@@ -341,14 +367,14 @@ mod tests {
         // Any measurable elapsed time exceeds a zero deadline.
         std::thread::sleep(Duration::from_millis(1));
         assert!(matches!(b.check_deadline(), Some(DegradeReason::DeadlineExceeded { .. })));
-        assert!(b.charge_nodes(1).is_some());
+        assert!(b.charge_nodes(1).is_err());
     }
 
     #[test]
     fn generous_deadline_does_not_trip() {
         let b = Budget::start(BudgetSpec::with_deadline(Duration::from_secs(3600)));
         assert_eq!(b.check_deadline(), None);
-        assert_eq!(b.charge_nodes(1_000), None);
+        assert_eq!(b.charge_nodes(1_000), Ok(u64::MAX));
     }
 
     #[test]
@@ -364,10 +390,13 @@ mod tests {
     }
 
     #[test]
-    fn settled_nodes_count_in_usage_but_never_trip_the_cap() {
+    fn every_charged_node_counts_against_the_cap() {
+        // A search's end-of-solve remainder is an ordinary charge: it
+        // counts in the usage and moves every sharer's trip point.
         let b = Budget::start(BudgetSpec::with_node_budget(100));
-        b.settle_nodes(90);
-        assert_eq!(b.charge_nodes(64), None, "only polled charges meet the cap");
+        assert_eq!(b.charge_nodes(90), Ok(10));
+        let reason = b.charge_nodes(64).expect_err("154 > 100");
+        assert_eq!(reason, DegradeReason::NodeBudgetExhausted { explored: 154, cap: 100 });
         assert_eq!(b.usage().nodes_explored, 154);
     }
 
@@ -375,8 +404,8 @@ mod tests {
     fn shared_budget_accumulates_across_clones() {
         let b = BudgetSpec::with_node_budget(1000).arm().unwrap();
         let b2 = Arc::clone(&b);
-        b.charge_nodes(300);
-        b2.charge_nodes(300);
+        assert_eq!(b.charge_nodes(300), Ok(700));
+        assert_eq!(b2.charge_nodes(300), Ok(400));
         assert_eq!(b.usage().nodes_explored, 600);
     }
 
@@ -415,9 +444,26 @@ mod tests {
         let c = Controls::default();
         assert!(!c.is_cancelled());
         assert!(c.budget().is_none());
+        assert_eq!(c.checkpoint(), None);
         c.cancel_flag().store(true, Ordering::Relaxed);
         assert!(c.is_cancelled());
+        assert_eq!(c.checkpoint(), Some(Stop::Cancelled));
         let armed = Controls::new(BudgetSpec::with_node_budget(1).arm());
         assert!(armed.budget().is_some());
+    }
+
+    #[test]
+    fn checkpoint_sees_the_deadline_but_not_the_node_cap() {
+        let capped = Controls::new(BudgetSpec::with_node_budget(1).arm());
+        assert!(capped.budget().unwrap().charge_nodes(5).is_err());
+        assert_eq!(capped.checkpoint(), None, "the node cap is the search's to check");
+        let expired = Controls::new(BudgetSpec::with_deadline(Duration::ZERO).arm());
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(matches!(
+            expired.checkpoint(),
+            Some(Stop::Degraded(DegradeReason::DeadlineExceeded { .. }))
+        ));
+        expired.cancel_flag().store(true, Ordering::Relaxed);
+        assert_eq!(expired.checkpoint(), Some(Stop::Cancelled), "cancellation comes first");
     }
 }

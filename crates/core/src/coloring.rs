@@ -1,13 +1,12 @@
 //! The recursive colouring search (Algorithms 3 and 4 of the paper).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::budget::{Budget, DegradeReason};
+use crate::budget::{Budget, Controls, DegradeReason, Stop};
 use crate::candidates::CandidateSet;
 use crate::config::{DivaConfig, Strategy};
 use crate::error::DivaError;
@@ -82,22 +81,22 @@ pub struct Coloring<'a> {
     /// monolithic run.
     node_ids: Vec<u32>,
     stats: ColoringStats,
-    /// Portfolio cancellation token: when another member wins, the
-    /// search aborts with [`DivaError::Cancelled`] at the next poll
-    /// (every [`CANCEL_POLL_MASK`] + 1 assignment attempts).
-    cancel: Option<Arc<AtomicBool>>,
-    /// Resource budget checked at the same poll points; exhaustion
-    /// stops the search with the partial assignment instead of
-    /// unwinding it (see [`ColoringOutcome::degraded`]).
-    budget: Option<Arc<Budget>>,
-    /// Nodes charged to `budget` by the polls so far.
+    /// The run's stop context, polled every [`POLL_STRIDE`] nodes and
+    /// exactly where the node cap trips: a set cancellation flag ends
+    /// the search with [`DivaError::Cancelled`]; an exhausted budget
+    /// stops it with the partial assignment instead of unwinding it
+    /// (see [`ColoringOutcome::degraded`]).
+    controls: Controls,
+    /// Nodes charged to the budget so far.
     nodes_charged: u64,
+    /// The `assignments_tried` count at which the next poll happens.
+    next_poll: u64,
 }
 
-/// Cancellation is polled when `assignments_tried & CANCEL_POLL_MASK
-/// == 0` — cheap enough to leave the hot path unaffected, frequent
-/// enough that losing portfolio members exit promptly.
-const CANCEL_POLL_MASK: u64 = 0xFF;
+/// Nodes between polls — cheap enough to leave the hot path
+/// unaffected, frequent enough that losing portfolio members exit
+/// promptly. Polls come sooner when fewer nodes remain under the cap.
+const POLL_STRIDE: u64 = 256;
 
 /// Decorrelates the Basic strategy's candidate-order stream from its
 /// node-selection stream (both are keyed by the same (seed, node)).
@@ -117,20 +116,8 @@ fn basic_mix(seed: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Why [`Coloring::color_remaining`] stopped before a verdict.
-enum Stop {
-    /// The portfolio cancellation token was observed.
-    Cancel,
-    /// The legacy fail-fast backtrack limit tripped (kept as an error
-    /// for back-compat, unlike budget exhaustion which degrades).
-    Backtracks(u64),
-    /// The resource budget was exhausted: keep the partial assignment
-    /// and degrade.
-    Degrade(DegradeReason),
-}
-
 /// The result of a colouring run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ColoringOutcome {
     /// The diverse clustering `S_Σ`: the distinct clusters across all
     /// assigned clusterings (shared clusters appear once). When the
@@ -178,9 +165,9 @@ impl<'a> Coloring<'a> {
             assignment: vec![None; graph.n_nodes()],
             node_ids: Vec::new(),
             stats: ColoringStats::default(),
-            cancel: None,
-            budget: None,
+            controls: Controls::default(),
             nodes_charged: 0,
+            next_poll: POLL_STRIDE,
         }
     }
 
@@ -202,49 +189,65 @@ impl<'a> Coloring<'a> {
         self.node_ids.get(node).map_or(node as u64, |&g| u64::from(g))
     }
 
-    /// Attaches a cancellation token (used by the parallel portfolio):
-    /// when the token is set, the search returns
-    /// [`DivaError::Cancelled`] instead of continuing.
-    pub fn with_cancel(mut self, token: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(token);
+    /// Attaches the run's stop context (its cancellation flag and
+    /// armed budget, shared with every other search of the run).
+    pub fn with_controls(mut self, controls: &Controls) -> Self {
+        self.controls = controls.clone();
         self
     }
 
-    /// Attaches an armed resource budget, charged at the poll points;
-    /// exhaustion ends the search with the partial assignment
-    /// ([`ColoringOutcome::degraded`]).
-    pub fn with_budget(mut self, budget: Arc<Budget>) -> Self {
-        self.budget = Some(budget);
-        self
+    /// Attaches an armed resource budget and no cancellation flag
+    /// anyone else holds; exhaustion ends the search with the partial
+    /// assignment ([`ColoringOutcome::degraded`]).
+    pub fn with_budget(self, budget: Arc<Budget>) -> Self {
+        self.with_controls(&Controls::new(Some(budget)))
     }
 
-    fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|t| t.load(Ordering::Relaxed))
+    /// Counts one explored node (an assignment attempt), publishes it
+    /// to the live cells — per node, so a mid-run scrape sees the count
+    /// move even on searches shorter than one poll stride — and polls
+    /// when the count reaches the poll mark.
+    fn explore_node(&mut self) -> Result<(), Stop> {
+        self.stats.assignments_tried += 1;
+        self.config.obs.add_nodes(1);
+        if self.stats.assignments_tried >= self.next_poll {
+            self.poll()?;
+        }
+        Ok(())
     }
 
     /// A poll point: injected slowdowns, then cancellation, then the
-    /// watchdog's escalation flag, then the budget (charged one poll
-    /// stride of explored nodes). Node counts are published to the
-    /// live cells per assignment (not here) so a mid-run scrape sees
-    /// them move even on searches shorter than one poll stride.
-    fn poll(&mut self, charge: u64) -> Result<(), Stop> {
+    /// watchdog's escalation flag, then the budget (charged the nodes
+    /// explored since the previous poll). Sets the next poll mark: the
+    /// next stride boundary, or the node that would exceed the node
+    /// cap if that comes sooner.
+    fn poll(&mut self) -> Result<(), Stop> {
         #[cfg(feature = "fault-inject")]
         self.config.faults.at_poll();
-        if self.is_cancelled() {
-            return Err(Stop::Cancel);
+        if self.controls.is_cancelled() {
+            return Err(Stop::Cancelled);
         }
         if self.config.obs.degrade_requested() {
-            return Err(Stop::Degrade(DegradeReason::Stalled {
+            return Err(Stop::Degraded(DegradeReason::Stalled {
                 nodes: self.stats.assignments_tried,
             }));
         }
-        if let Some(budget) = &self.budget {
-            self.nodes_charged += charge;
-            if let Some(reason) = budget.charge_nodes(charge) {
-                return Err(Stop::Degrade(reason));
-            }
-        }
+        let headroom = self.charge().map_err(Stop::Degraded)?;
+        let tried = self.stats.assignments_tried;
+        let stride_end = (tried / POLL_STRIDE + 1) * POLL_STRIDE;
+        self.next_poll = stride_end.min(tried.saturating_add(headroom).saturating_add(1));
         Ok(())
+    }
+
+    /// Charges the nodes explored since the last charge to the budget;
+    /// returns how many more the node cap allows.
+    fn charge(&mut self) -> Result<u64, DegradeReason> {
+        let Some(budget) = self.controls.budget() else {
+            return Ok(u64::MAX);
+        };
+        let fresh = self.stats.assignments_tried - self.nodes_charged;
+        self.nodes_charged = self.stats.assignments_tried;
+        budget.charge_nodes(fresh)
     }
 
     /// Runs the search to completion. The search runs under a
@@ -258,12 +261,11 @@ impl<'a> Coloring<'a> {
             .attr("strategy", self.config.strategy.name())
             .attr("nodes", self.graph.n_nodes());
         let result = self.solve_impl();
-        // Polls charge the budget a whole stride at a time; settle the
-        // nodes explored since the last one now that the outcome is
-        // decided, so `BudgetUsage::nodes_explored` is exact.
-        if let Some(budget) = &self.budget {
-            budget.settle_nodes(self.stats.assignments_tried - self.nodes_charged);
-        }
+        // Charge the nodes explored since the last poll: they count in
+        // `BudgetUsage::nodes_explored` and against the cap of every
+        // search still running. This search's outcome is decided, so
+        // the verdict no longer matters.
+        let _ = self.charge();
         span.set_attr("ok", result.is_ok());
         if let Ok(out) = &result {
             if let Some(reason) = &out.degraded {
@@ -280,23 +282,34 @@ impl<'a> Coloring<'a> {
         // deadline already passed, and the injected-slowdown fault must
         // fire at least once even for searches that finish in fewer
         // assignments than the poll stride.
-        if let Err(stop) = self.poll(0) {
-            return self.stopped(stop);
-        }
-        // Fail fast on nodes with no candidates at all: the constraint
-        // is unsatisfiable regardless of interactions.
-        if let Some(i) = (0..self.graph.n_nodes()).find(|&i| self.candidates[i].is_empty()) {
-            return Err(DivaError::NoDiverseClustering { constraint: self.labels[i].clone() });
-        }
-        let colored = match self.color_remaining() {
-            Ok(c) => c,
-            Err(stop) => return self.stopped(stop),
+        let searched = match self.poll() {
+            Ok(()) => {
+                // Fail fast on nodes with no candidates at all: the
+                // constraint is unsatisfiable regardless of interactions.
+                if let Some(i) = (0..self.graph.n_nodes()).find(|&i| self.candidates[i].is_empty())
+                {
+                    return Err(DivaError::NoDiverseClustering {
+                        constraint: self.labels[i].clone(),
+                    });
+                }
+                self.color_remaining()
+            }
+            Err(stop) => Err(stop),
         };
-        if !colored {
-            let failed =
-                (0..self.graph.n_nodes()).find(|&i| self.assignment[i].is_none()).unwrap_or(0);
-            return Err(DivaError::NoDiverseClustering { constraint: self.labels[failed].clone() });
-        }
+        // An exhausted budget keeps the partial assignment (the
+        // clustered-so-far prefix) and reports it as degraded.
+        let degraded = match searched {
+            Ok(true) => None,
+            Ok(false) => {
+                let failed =
+                    (0..self.graph.n_nodes()).find(|&i| self.assignment[i].is_none()).unwrap_or(0);
+                return Err(DivaError::NoDiverseClustering {
+                    constraint: self.labels[failed].clone(),
+                });
+            }
+            Err(Stop::Cancelled) => return Err(DivaError::Cancelled),
+            Err(Stop::Degraded(reason)) => Some(reason),
+        };
         #[cfg(feature = "strict-invariants")]
         self.state.validate(self.graph).map_err(|detail| DivaError::InvariantViolated {
             phase: "DiverseClustering".into(),
@@ -310,7 +323,7 @@ impl<'a> Coloring<'a> {
             clusters,
             assignment: self.assignment.iter().filter_map(|a| *a).collect(),
             stats: self.stats.clone(),
-            degraded: None,
+            degraded,
             owners,
         })
     }
@@ -331,32 +344,6 @@ impl<'a> Coloring<'a> {
                     .collect()
             })
             .collect()
-    }
-
-    /// Maps an early [`Stop`] to the outer result: cancellation and the
-    /// legacy backtrack limit stay errors; budget exhaustion keeps the
-    /// partial assignment and reports it as a degraded outcome.
-    fn stopped(&self, stop: Stop) -> Result<ColoringOutcome, DivaError> {
-        match stop {
-            Stop::Cancel => Err(DivaError::Cancelled),
-            Stop::Backtracks(backtracks) => Err(DivaError::SearchBudgetExhausted { backtracks }),
-            Stop::Degrade(reason) => {
-                #[cfg(feature = "strict-invariants")]
-                self.state.validate(self.graph).map_err(|detail| DivaError::InvariantViolated {
-                    phase: "DiverseClustering".into(),
-                    detail,
-                })?;
-                let clusters = self.state.live_clusters_canonical();
-                let owners = self.cluster_owners(&clusters);
-                Ok(ColoringOutcome {
-                    clusters,
-                    assignment: self.assignment.iter().filter_map(|a| *a).collect(),
-                    stats: self.stats.clone(),
-                    degraded: Some(reason),
-                    owners,
-                })
-            }
-        }
     }
 
     /// Algorithm 4 (`Coloring`): returns `Ok(true)` if the remaining
@@ -380,11 +367,7 @@ impl<'a> Coloring<'a> {
             order.shuffle(&mut rng);
         }
         for ci in order {
-            self.stats.assignments_tried += 1;
-            self.config.obs.add_nodes(1);
-            if self.stats.assignments_tried & CANCEL_POLL_MASK == 0 {
-                self.poll(CANCEL_POLL_MASK + 1)?;
-            }
+            self.explore_node()?;
             let clustering = &self.candidates[v].candidates[ci];
             // IsConsistent + commit in one step. If the literal
             // candidate is blocked (typically because neighbours own
@@ -398,9 +381,9 @@ impl<'a> Coloring<'a> {
                     }
                     self.stats.repair_attempts += 1;
                     self.config.obs.add_repairs(1);
-                    if let Some(budget) = &self.budget {
+                    if let Some(budget) = self.controls.budget() {
                         if let Some(reason) = budget.charge_repair() {
-                            return Err(Stop::Degrade(reason));
+                            return Err(Stop::Degraded(reason));
                         }
                     }
                     #[cfg(feature = "fault-inject")]
@@ -415,8 +398,7 @@ impl<'a> Coloring<'a> {
                         continue;
                     };
                     self.stats.repair_successes += 1;
-                    self.stats.assignments_tried += 1;
-                    self.config.obs.add_nodes(1);
+                    self.explore_node()?;
                     match self.state.try_assign(&repaired, self.graph) {
                         Some(t) => t,
                         None => continue,
@@ -454,11 +436,6 @@ impl<'a> Coloring<'a> {
             self.assignment[v] = None;
             self.state.unassign(token, self.graph);
             self.stats.backtracks += 1;
-            if let Some(limit) = self.config.backtrack_limit {
-                if self.stats.backtracks > limit {
-                    return Err(Stop::Backtracks(self.stats.backtracks));
-                }
-            }
         }
         self.stats.dead_ends += 1;
         Ok(false)
@@ -705,38 +682,35 @@ mod tests {
             .solve()
             .unwrap();
         let tried = out.stats.assignments_tried;
-        assert!(tried > 0 && tried <= CANCEL_POLL_MASK, "shorter than one poll stride: {tried}");
+        assert!(tried > 0 && tried < POLL_STRIDE, "shorter than one poll stride: {tried}");
         assert_eq!(budget.usage().nodes_explored, tried);
     }
 
     #[test]
-    fn budget_exhaustion_path() {
-        // A tiny budget plus a conflict-heavy unsatisfiable set walks
-        // into SearchBudgetExhausted (or proves unsat within budget —
-        // accept either, but never success).
-        let r = paper_table1();
-        let sigma = vec![
-            Constraint::single("CTY", "Vancouver", 4, 4),
-            Constraint::single("ETH", "African", 2, 3),
-            Constraint::single("ETH", "Asian", 3, 3),
-            Constraint::single("GEN", "Female", 5, 5),
-        ];
+    fn node_cap_stops_the_search_at_exactly_cap_plus_one() {
+        // A search several poll strides long: every cap below trips,
+        // at exactly the first node past it — also inside a stride.
+        let r = diva_datagen::medical(400, 25);
+        let sigma = diva_constraints::generators::proportional(&r, 8, 0.7, 20);
         let set = ConstraintSet::bind(&sigma, &r).unwrap();
         let graph = ConstraintGraph::build(&set);
-        let config = DivaConfig {
-            k: 2,
-            strategy: Strategy::Basic,
-            backtrack_limit: Some(1),
-            ..DivaConfig::default()
-        };
-        let candidates: Vec<CandidateSet> = set
-            .constraints()
-            .iter()
-            .map(|c| CandidateSet::enumerate(&r, c, 2, 64, Some(1)))
-            .collect();
-        let uppers = set.constraints().iter().map(|c| c.upper).collect();
+        let config = DivaConfig::with_k(5);
+        let candidates: Vec<CandidateSet> =
+            set.constraints().iter().map(|c| CandidateSet::enumerate(&r, c, 5, 64, None)).collect();
         let labels: Vec<String> = set.constraints().iter().map(|c| c.label()).collect();
-        let res = Coloring::new(&graph, &candidates, uppers, &labels, &config).solve();
-        assert!(res.is_err());
+        let uppers = || set.constraints().iter().map(|c| c.upper).collect();
+        let full = Coloring::new(&graph, &candidates, uppers(), &labels, &config).solve().unwrap();
+        assert!(full.stats.assignments_tried > 300, "{}", full.stats.assignments_tried);
+        for cap in [0, 1, 3, 255, 256, 257, 300] {
+            let budget = crate::BudgetSpec::with_node_budget(cap).arm().unwrap();
+            let out = Coloring::new(&graph, &candidates, uppers(), &labels, &config)
+                .with_budget(Arc::clone(&budget))
+                .solve()
+                .expect("budget exhaustion degrades, it does not error");
+            let explored = cap + 1;
+            assert_eq!(out.degraded, Some(DegradeReason::NodeBudgetExhausted { explored, cap }));
+            assert_eq!(out.stats.assignments_tried, explored, "cap {cap}");
+            assert_eq!(budget.usage().nodes_explored, explored, "cap {cap}");
+        }
     }
 }

@@ -67,10 +67,6 @@ pub struct DivaConfig {
     /// coloring for each constraint" to a polynomial; this is the
     /// concrete cap (see `DESIGN.md` §2.2).
     pub max_candidates: usize,
-    /// Backtracking budget for the colouring search; `None` means
-    /// unbounded (exact, possibly exponential — the paper's Basic
-    /// curve in Fig. 4a).
-    pub backtrack_limit: Option<u64>,
     /// Seed for all randomized choices (Basic ordering, the
     /// `Anonymize` step's clustering).
     pub seed: u64,
@@ -126,12 +122,10 @@ pub struct DivaConfig {
     /// Resource budget (wall-clock deadline, explored-node cap,
     /// repair-attempt cap) for the run — or, under
     /// [`crate::run_portfolio`], one global budget shared by every
-    /// member. Exhaustion degrades the run
-    /// ([`crate::Outcome::Degraded`]) instead of failing it; the
-    /// default is unlimited. Contrast with
-    /// [`DivaConfig::backtrack_limit`], which keeps its historical
-    /// fail-fast semantics
-    /// ([`DivaError::SearchBudgetExhausted`][crate::DivaError]).
+    /// member. It is the search's only limit: exhaustion degrades the
+    /// run ([`crate::Outcome::Degraded`]) instead of failing it, and
+    /// the default is unlimited, i.e. an exact (possibly exponential —
+    /// the paper's Basic curve in Fig. 4a) search.
     pub budget: crate::BudgetSpec,
     /// Decision-provenance recorder
     /// ([`diva_obs::provenance::Provenance`]): when enabled, the run
@@ -155,7 +149,6 @@ impl Default for DivaConfig {
             k: 10,
             strategy: Strategy::MaxFanOut,
             max_candidates: 64,
-            backtrack_limit: Some(100_000),
             seed: 0xd1fa,
             l_diversity: 1,
             l_variant: LVariant::Distinct,

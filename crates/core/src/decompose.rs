@@ -25,11 +25,10 @@
 //! thread count. See `DESIGN.md` §12 for the invariants.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use diva_relation::RowId;
 
-use crate::budget::Budget;
+use crate::budget::{Controls, Stop};
 use crate::candidates::CandidateSet;
 use crate::coloring::{Coloring, ColoringOutcome, ColoringStats};
 use crate::config::{DivaConfig, Strategy};
@@ -97,27 +96,20 @@ struct SubProblem {
 /// Component errors rank `NoDiverseClustering` (an unsatisfiability
 /// proof from the smallest-indexed failing component) above other
 /// errors above `Cancelled`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_clustering(
     graph: &ConstraintGraph,
     candidates: &[CandidateSet],
     uppers: &[usize],
     labels: &[String],
     config: &DivaConfig,
-    cancel: Option<&Arc<AtomicBool>>,
-    budget: Option<&Arc<Budget>>,
+    controls: &Controls,
 ) -> Result<ColoringOutcome, DivaError> {
     let comps = if config.decompose { components(graph) } else { Vec::new() };
     if comps.len() <= 1 {
         config.obs.set_components_total(1);
-        let mut coloring = Coloring::new(graph, candidates, uppers.to_vec(), labels, config);
-        if let Some(token) = cancel {
-            coloring = coloring.with_cancel(Arc::clone(token));
-        }
-        if let Some(b) = budget {
-            coloring = coloring.with_budget(Arc::clone(b));
-        }
-        let result = coloring.solve();
+        let result = Coloring::new(graph, candidates, uppers.to_vec(), labels, config)
+            .with_controls(controls)
+            .solve();
         config.obs.components_done(1);
         return result;
     }
@@ -127,19 +119,12 @@ pub(crate) fn solve_clustering(
     // observed before the unsatisfiability fail-fast, in that order.
     #[cfg(feature = "fault-inject")]
     config.faults.at_poll();
-    if cancel.is_some_and(|t| t.load(Ordering::Relaxed)) {
-        return Err(DivaError::Cancelled);
-    }
-    if let Some(b) = budget {
-        if let Some(reason) = b.charge_nodes(0) {
-            return Ok(ColoringOutcome {
-                clusters: Vec::new(),
-                assignment: Vec::new(),
-                stats: ColoringStats::default(),
-                degraded: Some(reason),
-                owners: Vec::new(),
-            });
+    match controls.checkpoint() {
+        Some(Stop::Cancelled) => return Err(DivaError::Cancelled),
+        Some(Stop::Degraded(reason)) => {
+            return Ok(ColoringOutcome { degraded: Some(reason), ..ColoringOutcome::default() })
         }
+        None => {}
     }
     // Global fail-fast on empty candidate lists, in node order, so the
     // reported constraint matches the monolithic search's regardless
@@ -206,7 +191,7 @@ pub(crate) fn solve_clustering(
         if let Some(id) = span_id {
             comp_span = comp_span.with_parent(id);
         }
-        let result = solve_component(sub, config, cancel, budget);
+        let result = solve_component(sub, config, controls);
         comp_span.set_attr(
             "outcome",
             match &result {
@@ -222,13 +207,7 @@ pub(crate) fn solve_clustering(
     });
 
     // Deterministic merge, in component order.
-    let mut merged = ColoringOutcome {
-        clusters: Vec::new(),
-        assignment: Vec::new(),
-        stats: ColoringStats::default(),
-        degraded: None,
-        owners: Vec::new(),
-    };
+    let mut merged = ColoringOutcome::default();
     let mut per_node: Vec<Option<usize>> = vec![None; graph.n_nodes()];
     let mut unsat: Option<DivaError> = None;
     let mut other: Option<DivaError> = None;
@@ -307,28 +286,22 @@ pub(crate) fn solve_clustering(
 fn solve_component(
     sub: &SubProblem,
     config: &DivaConfig,
-    cancel: Option<&Arc<AtomicBool>>,
-    budget: Option<&Arc<Budget>>,
+    controls: &Controls,
 ) -> Result<ColoringOutcome, DivaError> {
     if config.component_portfolio.is_some_and(|t| sub.graph.n_nodes() >= t) {
-        return race_component(sub, config, cancel, budget);
+        return race_component(sub, config, controls);
     }
-    let mut coloring =
-        Coloring::new(&sub.graph, &sub.candidates, sub.uppers.clone(), &sub.labels, config)
-            .with_node_ids(sub.nodes.clone());
-    if let Some(token) = cancel {
-        coloring = coloring.with_cancel(Arc::clone(token));
-    }
-    if let Some(b) = budget {
-        coloring = coloring.with_budget(Arc::clone(b));
-    }
-    coloring.solve()
+    Coloring::new(&sub.graph, &sub.candidates, sub.uppers.clone(), &sub.labels, config)
+        .with_node_ids(sub.nodes.clone())
+        .with_controls(controls)
+        .solve()
 }
 
 /// The inner per-component portfolio: all three strategies race over
 /// the *shared* compact sub-problem (candidates are already
 /// enumerated) on the worker pool, and the first result cancels the
-/// others through the race token.
+/// others through the race's own cancellation flag; the members share
+/// the run's budget.
 ///
 /// The verdict is ranked by [`pool::strongest`], deterministic in
 /// member order ([`Strategy::all`]). The caller's own cancellation is
@@ -338,22 +311,21 @@ fn solve_component(
 fn race_component(
     sub: &SubProblem,
     config: &DivaConfig,
-    cancel: Option<&Arc<AtomicBool>>,
-    budget: Option<&Arc<Budget>>,
+    controls: &Controls,
 ) -> Result<ColoringOutcome, DivaError> {
     let strategies = Strategy::all();
-    let race_token = Arc::new(AtomicBool::new(false));
+    let race = Controls::new(controls.budget().cloned());
     let slots = pool::run_tasks(
         &strategies,
         strategies.len(),
-        &race_token,
+        race.cancel_flag(),
         Result::is_ok,
         |_, &strategy| {
-            if cancel.is_some_and(|t| t.load(Ordering::Relaxed)) {
+            if controls.is_cancelled() {
                 return Err(DivaError::Cancelled);
             }
             let member_config = DivaConfig { strategy, ..config.clone() };
-            let mut coloring = Coloring::new(
+            Coloring::new(
                 &sub.graph,
                 &sub.candidates,
                 sub.uppers.clone(),
@@ -361,11 +333,8 @@ fn race_component(
                 &member_config,
             )
             .with_node_ids(sub.nodes.clone())
-            .with_cancel(Arc::clone(&race_token));
-            if let Some(b) = budget {
-                coloring = coloring.with_budget(Arc::clone(b));
-            }
-            coloring.solve()
+            .with_controls(&race)
+            .solve()
         },
     );
     pool::strongest(slots, |o| o.degraded.is_none()).map_or(Err(DivaError::Cancelled), |(_, v)| v)
@@ -452,7 +421,7 @@ mod tests {
     fn solve(config: &DivaConfig, sigma: &[Constraint]) -> Result<ColoringOutcome, DivaError> {
         let r = paper_table1();
         let (graph, candidates, uppers, labels) = problem(&r, sigma, config);
-        solve_clustering(&graph, &candidates, &uppers, &labels, config, None, None)
+        solve_clustering(&graph, &candidates, &uppers, &labels, config, &Controls::default())
     }
 
     #[test]
@@ -493,27 +462,27 @@ mod tests {
 
     #[test]
     fn expired_deadline_degrades_before_solving_components() {
-        let budget = crate::BudgetSpec::with_deadline(std::time::Duration::ZERO).arm().unwrap();
+        let controls =
+            Controls::new(crate::BudgetSpec::with_deadline(std::time::Duration::ZERO).arm());
         std::thread::sleep(std::time::Duration::from_millis(1));
         let r = paper_table1();
         let config = DivaConfig::with_k(2);
         let (graph, candidates, uppers, labels) = problem(&r, &split_sigma(), &config);
-        let out =
-            solve_clustering(&graph, &candidates, &uppers, &labels, &config, None, Some(&budget))
-                .expect("deadline exhaustion degrades, it does not error");
+        let out = solve_clustering(&graph, &candidates, &uppers, &labels, &config, &controls)
+            .expect("deadline exhaustion degrades, it does not error");
         assert!(out.clusters.is_empty());
         assert!(out.degraded.is_some());
     }
 
     #[test]
     fn pre_set_cancel_token_cancels() {
-        let token = Arc::new(AtomicBool::new(true));
+        let controls = Controls::default();
+        controls.cancel_flag().store(true, Ordering::Relaxed);
         let r = paper_table1();
         let config = DivaConfig::with_k(2);
         let (graph, candidates, uppers, labels) = problem(&r, &split_sigma(), &config);
-        let err =
-            solve_clustering(&graph, &candidates, &uppers, &labels, &config, Some(&token), None)
-                .unwrap_err();
+        let err = solve_clustering(&graph, &candidates, &uppers, &labels, &config, &controls)
+            .unwrap_err();
         assert_eq!(err, DivaError::Cancelled);
     }
 

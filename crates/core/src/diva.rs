@@ -1,7 +1,7 @@
 //! The DIVA pipeline (Algorithm 1): DiverseClustering → Suppress →
 //! Anonymize → Integrate.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,7 +16,7 @@ use diva_obs::live::Phase;
 use diva_obs::provenance::{Cause, GroupOrigin, Provenance};
 use diva_obs::{AllocDelta, Obs, SpanClose};
 
-use crate::budget::{Budget, BudgetUsage, Controls, DegradeReason, Outcome};
+use crate::budget::{Budget, BudgetUsage, Controls, DegradeReason, Outcome, Stop};
 use crate::candidates::CandidateSet;
 use crate::coloring::ColoringStats;
 use crate::config::{DivaConfig, Strategy};
@@ -189,39 +189,30 @@ impl Diva {
         &self.config
     }
 
-    /// Solves the (k, Σ)-anonymization problem for `rel`. With a
-    /// configured [`DivaConfig::budget`], exhaustion returns the
-    /// degraded-mode result ([`Outcome::Degraded`]) instead of an
+    /// Solves the (k, Σ)-anonymization problem for `rel` under the
+    /// configured [`DivaConfig::budget`], armed now. Without a budget
+    /// the search is exact and unbounded; with one, exhaustion returns
+    /// the degraded-mode result ([`Outcome::Degraded`]) instead of an
     /// error.
     pub fn run(&self, rel: &Relation, sigma: &[Constraint]) -> Result<DivaResult, DivaError> {
-        let result = self.run_inner(rel, sigma, None, self.config.budget.arm());
+        let result = self.run_controlled(rel, sigma, &Controls::new(self.config.budget.arm()));
         if let Ok(out) = &result {
             out.publish_done(&self.config.obs);
         }
         result
     }
 
-    /// [`Diva::run`] under shared [`Controls`]: the portfolio entry
-    /// point, where the cancellation token and the (already-armed,
-    /// globally shared) budget both come from the caller. It leaves
-    /// the live verdicts and the final phase to the caller, which
-    /// publishes them once for the result it returns.
+    /// [`Diva::run`] under the caller's [`Controls`]: the portfolio
+    /// entry point, where the cancellation flag and the (already
+    /// armed, globally shared) budget both come from the caller — the
+    /// configured budget spec is not armed again. It leaves the live
+    /// verdicts and the final phase to the caller, which publishes them
+    /// once for the result it returns.
     pub fn run_controlled(
         &self,
         rel: &Relation,
         sigma: &[Constraint],
         controls: &Controls,
-    ) -> Result<DivaResult, DivaError> {
-        let budget = controls.budget().cloned().or_else(|| self.config.budget.arm());
-        self.run_inner(rel, sigma, Some(controls.cancel_flag()), budget)
-    }
-
-    fn run_inner(
-        &self,
-        rel: &Relation,
-        sigma: &[Constraint],
-        cancel: Option<&Arc<AtomicBool>>,
-        budget: Option<Arc<Budget>>,
     ) -> Result<DivaResult, DivaError> {
         let obs = &self.config.obs;
         let run_span = obs
@@ -234,12 +225,34 @@ impl Diva {
             return Err(DivaError::InvalidK);
         }
         self.config.validate()?;
-        let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-        if cancelled() {
+        // Cancellation is checked before Σ is bound, so a cancelled
+        // member reports `Cancelled` even when Σ would not bind.
+        if controls.is_cancelled() {
             return Err(DivaError::Cancelled);
         }
         let set = ConstraintSet::bind(sigma, rel)?;
         obs.set_constraints_total(set.len() as u64);
+        self.begin_provenance(rel, &set);
+        if let Some(b) = controls.budget() {
+            obs.set_budget_limits(b.spec().node_budget, b.spec().deadline);
+        }
+        let mut stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
+        // Every way off the exact path maps to its verdict here.
+        let (table, outcome) = match self.exact_path(rel, &set, controls, &mut stats) {
+            Ok(table) => (table, Outcome::Exact),
+            Err(Halt::Failed(e)) => return Err(e),
+            Err(Halt::Stopped(Stop::Cancelled, _)) => return Err(DivaError::Cancelled),
+            Err(Halt::Stopped(Stop::Degraded(reason), prefix)) => (
+                self.degrade(rel, &set, &prefix, &reason, &mut stats)?,
+                Outcome::Degraded { reason },
+            ),
+        };
+        Ok(self.publish(run_span, controls.budget(), table, stats, outcome))
+    }
+
+    /// Opens the provenance log of a run over `set` (a no-op when the
+    /// recorder is disabled).
+    fn begin_provenance(&self, rel: &Relation, set: &ConstraintSet) {
         let prov = &self.config.provenance;
         if prov.is_enabled() {
             prov.begin_run(
@@ -248,22 +261,31 @@ impl Diva {
                 set.constraints().iter().map(|c| c.label()).collect(),
             );
         }
-        if let Some(b) = &budget {
-            obs.set_budget_limits(b.spec().node_budget, b.spec().deadline);
-        }
-        let mut stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
-        // Phase-boundary deadline checks are cheap (one clock read);
-        // the finer-grained node/repair charging happens inside the
-        // search's poll points.
-        let deadline_hit = |b: &Option<Arc<Budget>>| b.as_ref().and_then(|b| b.check_deadline());
-        if let Some(reason) = deadline_hit(&budget) {
-            return self.degraded_result(rel, &set, Vec::new(), reason, stats, run_span, &budget);
-        }
+    }
+
+    /// The exact pipeline — DiverseClustering, Suppress, Anonymize (or
+    /// the residual fold), Integrate — with a [`Controls::checkpoint`]
+    /// at every phase boundary. A checkpoint that fires, or a search
+    /// that degraded, halts it with the clustered-so-far prefix.
+    fn exact_path(
+        &self,
+        rel: &Relation,
+        set: &ConstraintSet,
+        controls: &Controls,
+        stats: &mut RunStats,
+    ) -> Result<Suppressed, Halt> {
+        let obs = &self.config.obs;
+        let prov = &self.config.provenance;
+        let checkpoint = |prefix: &[Vec<RowId>]| match controls.checkpoint() {
+            Some(stop) => Err(Halt::Stopped(stop, prefix.to_vec())),
+            None => Ok(()),
+        };
+        checkpoint(&[])?;
 
         // --- DiverseClustering (Algorithm 3). ---
         let mut clustering_span = obs.phase(Phase::Clustering);
         let graph_span = obs.span("graph.build");
-        let graph = ConstraintGraph::build(&set);
+        let graph = ConstraintGraph::build(set);
         graph_span.end();
         graph.record_to(obs);
         #[cfg(feature = "strict-invariants")]
@@ -274,11 +296,10 @@ impl Diva {
         // paper's future-work section sketches — so fan it out over the
         // worker pool, one worker per constraint, for multi-constraint
         // inputs. Enumeration is the longest uninterruptible stretch on
-        // large inputs, so the budget's deadline (and the cancellation
-        // token) reach inside it via the stop probe; the search's entry
-        // poll then converts the fired probe into a degradation or
-        // cancellation.
-        let stop = || deadline_hit(&budget).is_some() || cancelled();
+        // large inputs, so the checkpoint reaches inside it via the
+        // stop probe; the search's entry poll then converts the fired
+        // probe into a degradation or cancellation.
+        let stop = || controls.checkpoint().is_some();
         let enumerate_one = |c: &diva_constraints::BoundConstraint| {
             CandidateSet::enumerate_interruptible(
                 rel,
@@ -329,11 +350,9 @@ impl Diva {
             &uppers,
             &labels,
             &self.config,
-            cancel,
-            budget.as_ref(),
+            controls,
         )?;
         stats.coloring = outcome.stats.clone();
-        let search_degraded = outcome.degraded;
         let mut s_sigma: Vec<Vec<RowId>> = outcome.clusters;
         // Per-cluster owning constraints, parallel to `s_sigma`;
         // populated by the search only when provenance is recording.
@@ -350,9 +369,9 @@ impl Diva {
         clustering_span.set_attr("sigma_rows", stats.sigma_rows);
         let close = clustering_span.end_profiled();
         stats.t_clustering = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.clustering);
-        if let Some(reason) = search_degraded {
-            return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
+        note_alloc(stats, &close, |p| &mut p.clustering);
+        if let Some(reason) = outcome.degraded {
+            return Err(Halt::Stopped(Stop::Degraded(reason), s_sigma));
         }
 
         // Rows not covered by S_Σ (Algorithm 1, line 4: R := R \ C_i).
@@ -364,13 +383,8 @@ impl Diva {
         }
         let rest: Vec<RowId> = (0..rel.n_rows()).filter(|&r| !covered[r]).collect();
         #[cfg(feature = "fault-inject")]
-        self.config.faults.at_phase("clustering", cancel);
-        if cancelled() {
-            return Err(DivaError::Cancelled);
-        }
-        if let Some(reason) = deadline_hit(&budget) {
-            return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
-        }
+        self.config.faults.at_phase("clustering", controls);
+        checkpoint(&s_sigma)?;
 
         // --- Anonymize (or fold a too-small residual), then Integrate. ---
         // On the fold path there is no `R_k`, so no `R_k` provenance
@@ -383,12 +397,12 @@ impl Diva {
                 .phase(Phase::Anonymize)
                 .attr("fold_residual", true)
                 .attr("residual_rows", rest.len());
-            let (folded, fold_host) = self.fold_residual(rel, &set, &mut s_sigma, &rest)?;
+            let (folded, fold_host) = self.fold_residual(rel, set, &mut s_sigma, &rest)?;
             #[cfg(feature = "strict-invariants")]
             check_partition("Suppress", &folded.groups, folded.relation.n_rows(), true)?;
             let close = anon_span.end_profiled();
             stats.t_anonymize = close.dur;
-            note_alloc(&mut stats, &close, |p| &mut p.anonymize);
+            note_alloc(stats, &close, |p| &mut p.anonymize);
             stats.sigma_rows = s_sigma.iter().map(Vec::len).sum();
             if prov.is_enabled() {
                 // Folding can change any cluster's ownership (the host
@@ -417,13 +431,8 @@ impl Diva {
             check_partition("Suppress", &r_sigma.groups, r_sigma.relation.n_rows(), true)?;
             let close = suppress_span.end_profiled();
             stats.t_suppress = close.dur;
-            note_alloc(&mut stats, &close, |p| &mut p.suppress);
-            if cancelled() {
-                return Err(DivaError::Cancelled);
-            }
-            if let Some(reason) = deadline_hit(&budget) {
-                return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
-            }
+            note_alloc(stats, &close, |p| &mut p.suppress);
+            checkpoint(&s_sigma)?;
             let mut anon_span = obs.phase(Phase::Anonymize).attr("residual_rows", rest.len());
             // Kept alongside `r_k` for provenance: the input clusters the
             // suppressed groups came from, and which of them absorbed a
@@ -447,17 +456,11 @@ impl Diva {
                 ) else {
                     let close = anon_span.end_profiled();
                     stats.t_anonymize = close.dur;
-                    note_alloc(&mut stats, &close, |p| &mut p.anonymize);
-                    if cancelled() {
-                        return Err(DivaError::Cancelled);
-                    }
-                    let Some(reason) = deadline_hit(&budget) else {
-                        // The probe only fires on cancellation or deadline;
-                        // both are sticky, so this is unreachable.
-                        return Err(DivaError::Cancelled);
-                    };
-                    return self
-                        .degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
+                    note_alloc(stats, &close, |p| &mut p.anonymize);
+                    // The probe fired on a checkpoint stop, and stops
+                    // are sticky, so the checkpoint sees it again.
+                    let stop = controls.checkpoint().unwrap_or(Stop::Cancelled);
+                    return Err(Halt::Stopped(stop, s_sigma));
                 };
                 if let Some(model) = self.config.diversity_model() {
                     let (merged, flags) = enforce_diversity_traced(rel, &clusters, &model)
@@ -475,10 +478,10 @@ impl Diva {
                     check_partition("Anonymize", &clusters, rel.n_rows(), false)?;
                     let total: usize = clusters.iter().map(Vec::len).sum();
                     if total != rest.len() {
-                        return Err(inv(
+                        return Err(Halt::Failed(inv(
                             "Anonymize",
                             format!("clusters cover {total} rows, residual has {}", rest.len()),
-                        ));
+                        )));
                     }
                 }
                 let rk = suppress_clustering(rel, &clusters);
@@ -488,15 +491,10 @@ impl Diva {
             anon_span.set_attr("groups", r_k.as_ref().map_or(0, |rk| rk.groups.len()));
             let close = anon_span.end_profiled();
             stats.t_anonymize = close.dur;
-            note_alloc(&mut stats, &close, |p| &mut p.anonymize);
-            if cancelled() {
-                return Err(DivaError::Cancelled);
-            }
-            if let Some(reason) = deadline_hit(&budget) {
-                return self.degraded_result(rel, &set, s_sigma, reason, stats, run_span, &budget);
-            }
+            note_alloc(stats, &close, |p| &mut p.anonymize);
+            checkpoint(&s_sigma)?;
 
-            // Past the last degrade checkpoint: the run is committed to the
+            // Past the last checkpoint: the run is committed to the
             // exact path, so the published groups and their stars can be
             // recorded (recording earlier would leave stale records behind
             // a later degrade).
@@ -528,14 +526,14 @@ impl Diva {
             (r_sigma, r_k, k_gids)
         };
         let int_span = obs.phase(Phase::Integrate);
-        let out = integrate_traced(&r_sigma, r_k.as_ref(), &set, prov, &k_gids)?;
+        let out = integrate_traced(&r_sigma, r_k.as_ref(), set, prov, &k_gids)?;
         #[cfg(feature = "strict-invariants")]
         check_partition("Integrate", &out.groups, out.relation.n_rows(), true)?;
         stats.integrate_repairs = out.repairs;
         obs.counter("integrate.repairs").add(out.repairs as u64);
         let close = int_span.end_profiled();
         stats.t_integrate = close.dur;
-        note_alloc(&mut stats, &close, |p| &mut p.integrate);
+        note_alloc(stats, &close, |p| &mut p.integrate);
 
         debug_assert!(is_k_anonymous(&out.relation, self.config.k));
         debug_assert!(set.satisfied_by(&out.relation));
@@ -543,17 +541,7 @@ impl Diva {
             self.config.diversity_model().is_none_or(|m| m.holds(&out.relation)),
             "enforced diversity model must audit clean on the published table"
         );
-        Ok(self.publish(
-            run_span,
-            &budget,
-            DivaResult {
-                relation: out.relation,
-                groups: out.groups,
-                source_rows: out.source_rows,
-                stats,
-                outcome: Outcome::Exact,
-            },
-        ))
+        Ok(Suppressed { relation: out.relation, groups: out.groups, source_rows: out.source_rows })
     }
 
     /// The publish tail every returned table shares: records the
@@ -562,24 +550,26 @@ impl Diva {
     fn publish(
         &self,
         mut run_span: diva_obs::Span,
-        budget: &Option<Arc<Budget>>,
-        mut result: DivaResult,
+        budget: Option<&Arc<Budget>>,
+        table: Suppressed,
+        mut stats: RunStats,
+        outcome: Outcome,
     ) -> DivaResult {
-        run_span.set_attr("stars", result.relation.star_count());
-        match &result.outcome {
+        run_span.set_attr("stars", table.relation.star_count());
+        match &outcome {
             Outcome::Exact => run_span.set_attr("outcome", "exact"),
             Outcome::Degraded { reason } => {
                 run_span.set_attr("outcome", "degraded");
                 run_span.set_attr("degrade_reason", reason.kind());
             }
         }
-        let stats = &mut result.stats;
-        stats.budget = budget.as_ref().map(|b| b.usage());
+        stats.budget = budget.map(|b| b.usage());
         stats.attribution = self.config.provenance.attribution();
         let close = run_span.end_profiled();
         stats.t_total = close.dur;
-        note_alloc(stats, &close, |p| &mut p.total);
-        result
+        note_alloc(&mut stats, &close, |p| &mut p.total);
+        let Suppressed { relation, groups, source_rows } = table;
+        DivaResult { relation, groups, source_rows, stats, outcome }
     }
 
     /// Attempts to fold `rest` (fewer than `k` rows) into one of the
@@ -626,26 +616,21 @@ impl Diva {
         sigma: &[Constraint],
         reason: DegradeReason,
     ) -> Result<DivaResult, DivaError> {
-        let obs = &self.config.obs;
-        let run_span = obs
+        let run_span = self
+            .config
+            .obs
             .span("diva.run")
             .attr("rows", rel.n_rows())
             .attr("k", self.config.k)
             .attr("fallback", true);
         let set = ConstraintSet::bind(sigma, rel)?;
-        let prov = &self.config.provenance;
-        if prov.is_enabled() {
-            prov.begin_run(
-                self.config.k as u64,
-                rel.n_rows() as u64,
-                set.constraints().iter().map(|c| c.label()).collect(),
-            );
-        }
-        let stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
-        self.degraded_result(rel, &set, Vec::new(), reason, stats, run_span, &None)
+        self.begin_provenance(rel, &set);
+        let mut stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
+        let table = self.degrade(rel, &set, &[], &reason, &mut stats)?;
+        Ok(self.publish(run_span, None, table, stats, Outcome::Degraded { reason }))
     }
 
-    /// Builds the degraded-mode output (`DESIGN.md` §10) from the
+    /// Builds the degraded-mode table (`DESIGN.md` §10) from the
     /// clustered-so-far prefix `partial`:
     ///
     /// 1. Non-voided prefix clusters are suppressed normally (uniform
@@ -662,21 +647,14 @@ impl Diva {
     /// The result is k-anonymous and a refinement of the input, but
     /// not suppression-minimal, and the ℓ-diversity extension is not
     /// enforced. Every input row is still published exactly once.
-    //
-    // Takes the whole run context (stats, run span, budget) so every
-    // exhaustion site can hand off mid-run state in one call; grouping
-    // them into a carrier struct would just rename the argument list.
-    #[allow(clippy::too_many_arguments)]
-    fn degraded_result(
+    fn degrade(
         &self,
         rel: &Relation,
         set: &ConstraintSet,
-        partial: Vec<Vec<RowId>>,
-        reason: DegradeReason,
-        mut stats: RunStats,
-        run_span: diva_obs::Span,
-        budget: &Option<Arc<Budget>>,
-    ) -> Result<DivaResult, DivaError> {
+        partial: &[Vec<RowId>],
+        reason: &DegradeReason,
+        stats: &mut RunStats,
+    ) -> Result<Suppressed, DivaError> {
         let obs = &self.config.obs;
         obs.counter(&format!("budget.exhausted.{}", reason.kind())).incr();
         let mut span = obs
@@ -707,7 +685,7 @@ impl Diva {
             })
             .collect();
         let mut covered = vec![false; rel.n_rows()];
-        for c in &partial {
+        for c in partial {
             for &r in c {
                 covered[r] = true;
             }
@@ -766,59 +744,30 @@ impl Diva {
             break;
         }
 
-        // Materialize: kept clusters suppressed normally, then one
-        // fully-suppressed block for voided + residual rows.
-        let arity = rel.schema().arity();
-        let n_rows = rel.n_rows();
-        let mut cols: Vec<Vec<u32>> = (0..arity).map(|_| Vec::with_capacity(n_rows)).collect();
-        let mut groups: Vec<Vec<RowId>> = Vec::new();
-        let mut source_rows: Vec<RowId> = Vec::with_capacity(n_rows);
+        // Kept clusters are suppressed normally. Their stars are
+        // charged round-robin to the constraints they contribute to
+        // (DESIGN.md §16), the same rule as the exact path's
+        // Σ-clusters.
+        let kept: Vec<usize> =
+            (0..n_groups).filter(|&g| !voided[g] && !partial[g].is_empty()).collect();
+        let kept_clusters: Vec<Vec<RowId>> = kept.iter().map(|&g| partial[g].clone()).collect();
+        let mut table = suppress_clustering(rel, &kept_clusters);
         let prov = &self.config.provenance;
-        for (g, cluster) in partial.iter().enumerate() {
-            if voided[g] || cluster.is_empty() {
-                continue;
-            }
-            let start = source_rows.len();
-            let mut suppress_col = vec![false; arity];
-            for &c in rel.schema().qi_cols() {
-                let first = rel.code(cluster[0], c);
-                suppress_col[c] = cluster.iter().any(|&r| rel.code(r, c) != first);
-            }
-            for &r in cluster {
-                for c in 0..arity {
-                    cols[c].push(if suppress_col[c] { STAR_CODE } else { rel.code(r, c) });
-                }
-                source_rows.push(r);
-            }
-            groups.push((start..source_rows.len()).collect());
-            if prov.is_enabled() {
-                // Kept clusters charge their stars round-robin to the
-                // constraints they contribute to (DESIGN.md §16), same
-                // rule as the exact path's Σ-clusters.
-                let owners: Vec<u32> =
-                    (0..set.len()).filter(|&ci| contrib[ci][g] > 0).map(|ci| ci as u32).collect();
-                let gid = prov.group(
-                    GroupOrigin::Sigma,
-                    owners.clone(),
-                    cluster.iter().map(|&r| r as u64).collect(),
-                );
-                let mut j = 0usize;
-                for (c, &starred) in suppress_col.iter().enumerate() {
-                    if !starred {
-                        continue;
-                    }
-                    for &r in cluster {
-                        let cause = if owners.is_empty() {
-                            Cause::KAnonymity
-                        } else {
-                            Cause::Sigma { constraint: owners[j % owners.len()] }
-                        };
-                        prov.cell(r as u64, c as u32, gid, cause);
-                        j += 1;
-                    }
-                }
-            }
+        if prov.is_enabled() {
+            record_suppressed_groups(
+                prov,
+                &table,
+                &kept_clusters,
+                |i| {
+                    (0..set.len())
+                        .filter(|&ci| contrib[ci][kept[i]] > 0)
+                        .map(|ci| ci as u32)
+                        .collect()
+                },
+                |_| GroupOrigin::Sigma,
+            );
         }
+        // Then one fully-suppressed block for voided + residual rows.
         let star_src: Vec<RowId> = partial
             .iter()
             .enumerate()
@@ -827,14 +776,16 @@ impl Diva {
             .chain(residual.iter().copied())
             .collect();
         if !star_src.is_empty() {
-            let start = source_rows.len();
-            for &r in &star_src {
-                for (c, col) in cols.iter_mut().enumerate() {
-                    col.push(if rel.schema().is_qi(c) { STAR_CODE } else { rel.code(r, c) });
+            let mut block = rel.select(&star_src);
+            for row in 0..block.n_rows() {
+                for &c in rel.schema().qi_cols() {
+                    block.suppress_cell(row, c);
                 }
-                source_rows.push(r);
             }
-            groups.push((start..source_rows.len()).collect());
+            let start = table.source_rows.len();
+            table.relation.append(&block);
+            table.source_rows.extend_from_slice(&star_src);
+            table.groups.push((start..table.source_rows.len()).collect());
             if prov.is_enabled() {
                 // Every QI cell of the star block is suppressed; each
                 // row's cells carry the decision that sent it there —
@@ -863,17 +814,17 @@ impl Diva {
                 }
             }
         }
-        let relation =
-            Relation::from_parts(std::sync::Arc::clone(rel.schema()), rel.dicts().to_vec(), cols);
         #[cfg(feature = "strict-invariants")]
-        check_partition("Degrade", &groups, relation.n_rows(), true)?;
-        debug_assert!(rel.n_rows() < self.config.k || is_k_anonymous(&relation, self.config.k));
+        check_partition("Degrade", &table.groups, table.relation.n_rows(), true)?;
+        debug_assert!(
+            rel.n_rows() < self.config.k || is_k_anonymous(&table.relation, self.config.k)
+        );
         debug_assert!(set.constraints().iter().all(|c| {
-            let n = c.count_in(&relation);
+            let n = c.count_in(&table.relation);
             n == 0 || (c.lower..=c.upper).contains(&n)
         }));
 
-        stats.sigma_rows = source_rows.len() - star_src.len();
+        stats.sigma_rows = table.source_rows.len() - star_src.len();
         // A constraint no kept cluster contributes to is voided; any
         // other is within bounds by the fixpoint, i.e. satisfied.
         stats.constraints_voided = (0..set.len())
@@ -882,13 +833,23 @@ impl Diva {
         let n_voided = voided.iter().filter(|&&v| v).count();
         span.set_attr("voided_clusters", n_voided);
         span.set_attr("star_rows", star_src.len());
-        note_alloc(&mut stats, &span.end_profiled(), |p| &mut p.degrade);
-        let outcome = Outcome::Degraded { reason };
-        Ok(self.publish(
-            run_span,
-            budget,
-            DivaResult { relation, groups, source_rows, stats, outcome },
-        ))
+        note_alloc(stats, &span.end_profiled(), |p| &mut p.degrade);
+        Ok(table)
+    }
+}
+
+/// Why [`Diva::exact_path`] stopped before publishing.
+enum Halt {
+    /// A checkpoint fired, or the search degraded: carries the
+    /// clustered-so-far prefix the degraded mode keeps.
+    Stopped(Stop, Vec<Vec<RowId>>),
+    /// The run failed.
+    Failed(DivaError),
+}
+
+impl From<DivaError> for Halt {
+    fn from(e: DivaError) -> Self {
+        Halt::Failed(e)
     }
 }
 
@@ -1227,7 +1188,8 @@ mod tests {
 
     #[test]
     fn budget_usage_counts_every_search_node() {
-        // Several poll strides plus a remainder the polls never charge.
+        // Several poll strides plus a remainder charged when the solve
+        // ends.
         let r = diva_datagen::medical(400, 25);
         let sigma = diva_constraints::generators::proportional(&r, 8, 0.7, 20);
         let config =

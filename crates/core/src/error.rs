@@ -16,13 +16,6 @@ pub enum DivaError {
         /// culprit may be an interaction).
         constraint: String,
     },
-    /// The colouring search exhausted its backtracking budget without
-    /// a proof either way. Raising
-    /// [`DivaConfig::backtrack_limit`][crate::DivaConfig] may help.
-    SearchBudgetExhausted {
-        /// Number of backtracking steps performed.
-        backtracks: u64,
-    },
     /// The residual tuples (fewer than `k` of them remained outside
     /// the diverse clustering) could not be anonymized without either
     /// breaking `k`-anonymity or violating `Σ`.
@@ -86,9 +79,6 @@ impl std::fmt::Display for DivaError {
             DivaError::NoDiverseClustering { constraint } => {
                 write!(f, "no diverse k-anonymous relation exists (failed on {constraint})")
             }
-            DivaError::SearchBudgetExhausted { backtracks } => {
-                write!(f, "colouring search exhausted its budget after {backtracks} backtracks")
-            }
             DivaError::ResidualTooSmall { remaining } => {
                 write!(
                     f,
@@ -140,8 +130,6 @@ mod tests {
     fn displays_are_informative() {
         let e = DivaError::NoDiverseClustering { constraint: "ETH[Asian]".into() };
         assert!(e.to_string().contains("ETH[Asian]"));
-        let e = DivaError::SearchBudgetExhausted { backtracks: 42 };
-        assert!(e.to_string().contains("42"));
         let e = DivaError::IntegrateFailed { constraint: "X".into(), count: 9, upper: 5 };
         assert!(e.to_string().contains('9'));
         assert!(DivaError::InvalidK.to_string().contains("positive"));

@@ -13,9 +13,10 @@
 //! This module deliberately panics (that is the fault being injected),
 //! so it is allowlisted for the tidy `no-panic` rule.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
+
+use crate::budget::Controls;
 
 /// A deterministic fault-injection plan. The default injects nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -108,13 +109,11 @@ impl FaultPlan {
             && mix(self.seed, 2, attempt) % 100 < u64::from(self.repair_fail_pct)
     }
 
-    /// Injection point: a pipeline phase boundary. Sets `cancel` when
-    /// the plan targets this phase.
-    pub fn at_phase(&self, phase: &str, cancel: Option<&Arc<AtomicBool>>) {
+    /// Injection point: a pipeline phase boundary. Sets the run's
+    /// cancellation flag when the plan targets this phase.
+    pub fn at_phase(&self, phase: &str, controls: &Controls) {
         if self.cancel_at_phase.as_deref() == Some(phase) {
-            if let Some(token) = cancel {
-                token.store(true, Ordering::Relaxed);
-            }
+            controls.cancel_flag().store(true, Ordering::Relaxed);
         }
     }
 }
@@ -130,9 +129,9 @@ mod tests {
         p.worker_panic_point(0); // must not panic
         p.at_poll(); // must not sleep
         assert!(!p.repair_fails(1));
-        let token = Arc::new(AtomicBool::new(false));
-        p.at_phase("clustering", Some(&token));
-        assert!(!token.load(Ordering::Relaxed));
+        let controls = Controls::default();
+        p.at_phase("clustering", &controls);
+        assert!(!controls.is_cancelled());
     }
 
     #[test]
@@ -163,11 +162,11 @@ mod tests {
     #[test]
     fn phase_cancel_targets_only_the_named_phase() {
         let p = FaultPlan::seeded(0).cancel_at_phase("clustering");
-        let token = Arc::new(AtomicBool::new(false));
-        p.at_phase("suppress", Some(&token));
-        assert!(!token.load(Ordering::Relaxed));
-        p.at_phase("clustering", Some(&token));
-        assert!(token.load(Ordering::Relaxed));
+        let controls = Controls::default();
+        p.at_phase("suppress", &controls);
+        assert!(!controls.is_cancelled());
+        p.at_phase("clustering", &controls);
+        assert!(controls.is_cancelled());
     }
 
     #[test]

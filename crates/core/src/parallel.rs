@@ -341,7 +341,7 @@ mod tests {
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
-            Err(DivaError::SearchBudgetExhausted { backtracks: 0 })
+            Err(DivaError::InvalidConfig { reason: "slow loser was never cancelled".into() })
         })
         .unwrap();
         let elapsed = t0.elapsed();
@@ -479,10 +479,10 @@ mod tests {
         // so the portfolio reports it instead of degrading.
         let out = race_three(|i, _| {
             if i == 1 {
-                return Err(DivaError::SearchBudgetExhausted { backtracks: 1 });
+                return Err(DivaError::ResidualTooSmall { remaining: 1 });
             }
             panic!("synthetic worker bug in member {i}");
         });
-        assert_eq!(out.unwrap_err(), DivaError::SearchBudgetExhausted { backtracks: 1 });
+        assert_eq!(out.unwrap_err(), DivaError::ResidualTooSmall { remaining: 1 });
     }
 }

@@ -209,7 +209,7 @@ mod tests {
     fn strongest_ranks_verdicts_and_breaks_ties_by_index() {
         let unsat = || Err(DivaError::NoDiverseClustering { constraint: "X[x]".into() });
         let panicked = || Err(DivaError::WorkerPanicked { detail: "boom".into() });
-        let other = || Err(DivaError::SearchBudgetExhausted { backtracks: 1 });
+        let other = || Err(DivaError::ResidualTooSmall { remaining: 1 });
         // `Ok(true)` is exact, `Ok(false)` degraded.
         let pick = |slots: Slots<bool>| strongest(slots, |&exact| exact).map(|(i, _)| i);
         assert_eq!(pick(vec![Some(unsat()), Some(Ok(false)), Some(Ok(true))]), Some(2));

@@ -2,8 +2,10 @@
 //! checking, budget accounting, strategy ordering, and ℓ-diversity
 //! candidate filtering — exercised through the public API.
 
-use diva_constraints::{Constraint, ConstraintSet};
-use diva_core::{CandidateSet, Diva, DivaConfig, DivaError, Strategy};
+use diva_constraints::{generators, Constraint, ConstraintSet};
+use diva_core::{
+    BudgetSpec, CandidateSet, DegradeReason, Diva, DivaConfig, DivaError, DivaResult, Strategy,
+};
 use diva_relation::fixtures::paper_table1;
 use diva_relation::{is_k_anonymous, Attribute, RelationBuilder, Schema};
 use std::sync::Arc;
@@ -107,31 +109,87 @@ fn candidate_repair_is_privacy_aware() {
     assert!(set.satisfied_by(&out.relation));
 }
 
+/// Asserts that `out` stopped on the node cap at exactly `cap + 1`
+/// explored nodes, and that the search counters, the budget usage and
+/// the degrade reason all report that same count.
+fn assert_trips_exactly(out: &DivaResult, cap: u64) {
+    let explored = cap + 1;
+    assert_eq!(
+        out.outcome.degrade_reason(),
+        Some(&DegradeReason::NodeBudgetExhausted { explored, cap }),
+        "cap {cap}"
+    );
+    assert_eq!(out.stats.coloring.assignments_tried, explored, "cap {cap}: search nodes");
+    let usage = out.stats.budget.as_ref().expect("an armed budget reports usage");
+    assert_eq!(usage.nodes_explored, explored, "cap {cap}: budget nodes");
+}
+
 #[test]
 fn budget_is_respected_exactly() {
-    let rel = paper_table1();
-    // Unsatisfiable but with many candidate combinations.
-    let sigma = vec![
-        Constraint::single("CTY", "Vancouver", 4, 4),
-        Constraint::single("ETH", "African", 2, 3),
-        Constraint::single("GEN", "Female", 5, 5),
-        Constraint::single("ETH", "Asian", 3, 3),
-    ];
+    // Basic on the contended relation: σ2's literal windows collide
+    // with σ1's rows, so the search needs far more than 4 nodes.
+    let rel = contended_relation();
+    let sigma = vec![Constraint::single("A", "a", 20, 20), Constraint::single("B", "b0", 30, 40)];
     let config = DivaConfig {
-        k: 2,
+        k: 5,
         strategy: Strategy::Basic,
-        backtrack_limit: Some(3),
+        budget: BudgetSpec::with_node_budget(3),
         ..DivaConfig::default()
     };
-    match Diva::new(config).run(&rel, &sigma) {
-        Err(DivaError::SearchBudgetExhausted { backtracks }) => {
-            assert_eq!(backtracks, 4, "stops at the first step past the limit");
-        }
-        Err(DivaError::NoDiverseClustering { .. }) => {
-            // Also acceptable: proof completed within 3 backtracks.
-        }
-        other => panic!("unexpected outcome: {other:?}"),
+    let out = Diva::new(config).run(&rel, &sigma).expect("exhaustion degrades, it does not error");
+    assert_trips_exactly(&out, 3);
+    assert!(is_k_anonymous(&out.relation, 5));
+}
+
+/// The exact cap on a search that polls many times: every cap, inside
+/// a poll stride or at its boundary, stops at exactly `cap + 1` nodes.
+#[test]
+fn node_cap_is_exact_at_every_scale() {
+    let rel = diva_datagen::medical(2_000, 1);
+    let sigma = generators::proportional(&rel, 5, 0.7, 20);
+    for cap in [0, 1, 3, 255, 256, 257, 1_000, 25_000] {
+        let config = DivaConfig {
+            k: 5,
+            strategy: Strategy::Basic,
+            threads: Some(1),
+            budget: BudgetSpec::with_node_budget(cap),
+            ..DivaConfig::default()
+        };
+        let out = Diva::new(config).run(&rel, &sigma).unwrap_or_else(|e| panic!("cap {cap}: {e}"));
+        assert_trips_exactly(&out, cap);
     }
+}
+
+/// With one thread the components are solved one after another on one
+/// shared budget: the component that trips stops at exactly `cap + 1`
+/// nodes in total, and the components after it stop at their entry.
+#[test]
+fn node_cap_is_exact_across_components() {
+    let rel = diva_datagen::medical(2_000, 7);
+    let sigma = generators::islands(&rel, 4, 3, 0.8, 20);
+    let exact = DivaConfig {
+        k: 5,
+        strategy: Strategy::Basic,
+        threads: Some(1),
+        budget: BudgetSpec::with_node_budget(u64::MAX / 2),
+        ..DivaConfig::default()
+    };
+    let full = Diva::new(exact.clone()).run(&rel, &sigma).expect("islands solve");
+    assert!(full.outcome.is_exact());
+    let needed = full.stats.coloring.assignments_tried;
+    let n_components = diva_core::components(&diva_core::ConstraintGraph::build(
+        &ConstraintSet::bind(&sigma, &rel).unwrap(),
+    ))
+    .len();
+    assert!(n_components > 1, "islands must decompose");
+    for cap in [0, needed / 2, needed - 1] {
+        let config = DivaConfig { budget: BudgetSpec::with_node_budget(cap), ..exact.clone() };
+        let out = Diva::new(config).run(&rel, &sigma).unwrap_or_else(|e| panic!("cap {cap}: {e}"));
+        assert_trips_exactly(&out, cap);
+    }
+    let config = DivaConfig { budget: BudgetSpec::with_node_budget(needed), ..exact };
+    let out = Diva::new(config).run(&rel, &sigma).expect("islands solve");
+    assert!(out.outcome.is_exact(), "a cap of exactly the nodes needed must not trip");
 }
 
 #[test]

@@ -34,11 +34,13 @@ fn per_thread_attribution_is_exact_under_concurrency() {
                 // nothing else, between the two thread_stats probes —
                 // per-thread deltas must match to the byte even though
                 // all the other threads are allocating concurrently.
-                let a = Vec::<u8>::with_capacity(SIZES[0] + t);
-                let b = Vec::<u8>::with_capacity(SIZES[1]);
-                let c = Vec::<u8>::with_capacity(SIZES[2]);
-                let d = Vec::<u8>::with_capacity(SIZES[3]);
-                let e = Vec::<u8>::with_capacity(SIZES[4]);
+                // `black_box` keeps the optimizer from removing the
+                // unused buffers (and their allocations) in release.
+                let a = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[0] + t));
+                let b = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[1]));
+                let c = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[2]));
+                let d = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[3]));
+                let e = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[4]));
                 let mid = alloc::thread_stats();
                 drop((a, b, c, d, e));
                 let after = alloc::thread_stats();

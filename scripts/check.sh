@@ -4,8 +4,9 @@
 # profiling/trace-regression gate.
 # Usage: scripts/check.sh  (from the repo root; pass --offline through
 # CARGO_FLAGS if the environment has no registry access; set
-# SKIP_BENCH=1 to skip the bench smoke, the budget wall-clock bound
-# and the benchmark package's tests during quick iterations,
+# SKIP_BENCH=1 to skip the bench smoke, the budget wall-clock bound,
+# the release allocator-attribution test and the benchmark package's
+# tests during quick iterations,
 # SKIP_FAULTS=1 to skip the fault-injection matrix,
 # SKIP_DECOMP=1 to skip the decomposition differential,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
@@ -104,6 +105,7 @@ fi
 if [ "${SKIP_BENCH:-0}" = "1" ]; then
     echo "==> bench smoke skipped (SKIP_BENCH=1)"
     echo "==> budget acceptance wall-clock bound skipped (SKIP_BENCH=1)"
+    echo "==> release counting allocator attribution skipped (SKIP_BENCH=1)"
     echo "==> benchmark package tests skipped (SKIP_BENCH=1)"
     echo "==> obs trace check skipped (SKIP_BENCH=1)"
 else
@@ -114,6 +116,11 @@ else
     # within 2x a calibrated deadline. Ignored by the plain test run.
     echo "==> budget acceptance wall-clock bound (release, --ignored)"
     cargo test $FLAGS -q --release --test budget_acceptance -- --ignored
+
+    # The diva CLI and the benchmark install the counting allocator in
+    # release builds, so its attribution is also checked optimized.
+    echo "==> counting allocator attribution (release)"
+    cargo test $FLAGS -q --release -p diva-obs --features alloc-profile --test alloc_profile
 
     # The benchmark is its own package (not a workspace member), so
     # the workspace test run above does not reach its tests.

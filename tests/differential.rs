@@ -55,8 +55,7 @@ fn decomposition_instances() -> Vec<(&'static str, Relation, Vec<Constraint>, us
 fn decomposed_solve_is_byte_identical_to_monolithic() {
     for (name, rel, sigma, k) in decomposition_instances() {
         for strategy in Strategy::all() {
-            let base =
-                DivaConfig { k, strategy, backtrack_limit: Some(50_000), ..DivaConfig::default() };
+            let base = DivaConfig { k, strategy, ..DivaConfig::default() };
             let mono = Diva::new(DivaConfig { decompose: false, threads: Some(1), ..base.clone() })
                 .run(&rel, &sigma)
                 .unwrap_or_else(|e| panic!("{name}/{strategy}: monolithic failed: {e}"));
@@ -89,7 +88,6 @@ fn decomposed_provenance_is_byte_identical_to_monolithic() {
             let prov = diva_obs::Provenance::enabled();
             let config = DivaConfig {
                 k,
-                backtrack_limit: Some(50_000),
                 decompose,
                 threads: Some(threads),
                 provenance: prov.clone(),
@@ -137,8 +135,7 @@ fn all_solvers_agree_on_satisfiable_instances() {
             stars.push((label, out.relation.star_count()));
         };
         for strategy in Strategy::all() {
-            let config =
-                DivaConfig { k, strategy, backtrack_limit: Some(50_000), ..DivaConfig::default() };
+            let config = DivaConfig { k, strategy, ..DivaConfig::default() };
             let out = Diva::new(config).run(&rel, &sigma).expect("strategy solves");
             check(format!("{strategy}"), &out);
         }
@@ -247,11 +244,10 @@ fn huge_budget_is_byte_identical_to_unbounded() {
     let budgeted = Diva::new(config).run(&rel, &sigma).expect("solves");
     assert_eq!(fingerprint(&unbounded), fingerprint(&budgeted));
     assert!(budgeted.outcome.is_exact());
-    // The budgeted run additionally reports its accounting. (Node
-    // charges land in 256-assignment quanta, so a small search can
-    // legitimately report zero explored nodes — only presence is
-    // asserted here.)
-    assert!(budgeted.stats.budget.is_some(), "armed budget reports no usage");
+    // The budgeted run additionally reports its accounting, node for
+    // node.
+    let usage = budgeted.stats.budget.as_ref().expect("armed budget reports usage");
+    assert_eq!(usage.nodes_explored, budgeted.stats.coloring.assignments_tried);
     assert!(unbounded.stats.budget.is_none(), "unbudgeted run invented accounting");
 }
 

@@ -150,8 +150,9 @@ fn repair_budget_exhaustion_degrades() {
 }
 
 /// Spurious repair failures (every repair refused): the search must
-/// absorb them — backtracking around the hole — and either finish the
-/// contract or fail with a clean search error. Never a panic or hang.
+/// absorb them — backtracking around the hole — and either publish
+/// under the contract (exact, or degraded on its node budget) or fail
+/// with a clean unsatisfiability proof. Never a panic or hang.
 #[test]
 fn spurious_repair_failures_are_absorbed() {
     let rel = diva_datagen::medical(800, 47);
@@ -160,7 +161,7 @@ fn spurious_repair_failures_are_absorbed() {
         let config = DivaConfig {
             k: 5,
             strategy: Strategy::MinChoice,
-            backtrack_limit: Some(200_000),
+            budget: BudgetSpec::with_node_budget(1_000_000),
             faults: FaultPlan::seeded(5).fail_repairs(100),
             ..DivaConfig::default()
         };
@@ -171,7 +172,7 @@ fn spurious_repair_failures_are_absorbed() {
             assert_eq!(out.stats.coloring.repair_successes, 0, "a failed repair succeeded");
             assert_contract(&rel, &sigma, 5, &out);
         }
-        Err(DivaError::NoDiverseClustering { .. } | DivaError::SearchBudgetExhausted { .. }) => {} // a clean search failure is acceptable with repair disabled
+        Err(DivaError::NoDiverseClustering { .. }) => {} // a clean search failure is acceptable with repair disabled
         Err(e) => panic!("unexpected error class: {e}"),
     }
     // Deterministic by seed: same plan, same outcome.
@@ -206,19 +207,24 @@ fn cancellation_between_clustering_and_suppress_aborts_cleanly() {
     assert!(!has("diva.integrate"), "integrate ran after cancellation");
 }
 
-/// The same phase fault without a cancellation token is inert: plain
-/// `run` has no token to set, so the pipeline completes exactly.
+/// Every run has a stop context, so the same phase fault cancels a
+/// plain `run` too, at the same boundary: clustering completed and
+/// nothing after it ran.
 #[test]
-fn phase_fault_without_token_is_inert() {
+fn phase_fault_cancels_a_plain_run_too() {
     let (rel, sigma) = workload(400);
+    let obs = Obs::enabled();
     let config = DivaConfig {
         k: 5,
+        obs: obs.clone(),
         faults: FaultPlan::seeded(0).cancel_at_phase("clustering"),
         ..DivaConfig::default()
     };
-    let out = Diva::new(config).run(&rel, &sigma).expect("no token to trip");
-    assert!(out.outcome.is_exact());
-    assert_contract(&rel, &sigma, 5, &out);
+    assert_eq!(Diva::new(config).run(&rel, &sigma).unwrap_err(), DivaError::Cancelled);
+    let trace = obs.snapshot().trace_jsonl();
+    let has = |name: &str| trace.contains(&format!("\"name\":\"{name}\""));
+    assert!(has("diva.clustering"), "clustering should have completed before the boundary");
+    assert!(!has("diva.suppress"), "suppress ran after cancellation");
 }
 
 /// Degradation reaches the obs layer: the budget-exhaustion counter

@@ -9,7 +9,7 @@ use std::cell::Cell;
 use std::time::Duration;
 
 use diva_constraints::{generators, Constraint};
-use diva_core::{BudgetSpec, Diva, DivaConfig, Strategy};
+use diva_core::{BudgetSpec, DegradeReason, Diva, DivaConfig, Strategy};
 use diva_obs::live::{Phase, Sampler, SamplerConfig};
 use diva_obs::serve::{http_get, parse_prometheus, StatsServer};
 use diva_obs::{json, Obs, Provenance};
@@ -194,17 +194,30 @@ fn disabled_obs_records_nothing_and_allocates_nothing() {
 
 /// One run, every recorder on: the summary JSON, `RunStats`, budget
 /// usage, the provenance log and both stats-endpoint routes must
-/// report the same nodes, repairs, stars and per-constraint stars.
-/// Runs once per `sigma-gen` class; everything is read after the run
-/// returns, so nothing depends on timing.
+/// report the same nodes, repairs, stars, per-constraint stars and
+/// verdicts. Runs once per `sigma-gen` class, plus once with a node cap
+/// below what Basic needs, so the degraded path (and the degrade
+/// reason's node count) is covered too; everything is read after the
+/// run returns, so nothing depends on timing.
 #[test]
 fn every_surface_reports_the_same_numbers() {
     let rel = diva_datagen::medical(4_000, 7);
-    for (class, sigma) in [
-        ("proportional", generators::proportional(&rel, 5, 0.7, 20)),
-        ("minfreq", generators::min_frequency(&rel, 5, 0.3, 20)),
-        ("average", generators::average(&rel, 5, 0.7, 20)),
-        ("islands", generators::islands(&rel, 4, 3, 0.8, 20)),
+    let exact = |class, sigma| (class, sigma, Strategy::MaxFanOut, None, 1u64 << 40);
+    // One thread, so the degraded run's components share the budget
+    // one after another and the trip point is exact.
+    let capped_cap = 2_000;
+    for (class, sigma, strategy, threads, cap) in [
+        exact("proportional", generators::proportional(&rel, 5, 0.7, 20)),
+        exact("minfreq", generators::min_frequency(&rel, 5, 0.3, 20)),
+        exact("average", generators::average(&rel, 5, 0.7, 20)),
+        exact("islands", generators::islands(&rel, 4, 3, 0.8, 20)),
+        (
+            "capped",
+            generators::proportional(&rel, 5, 0.7, 20),
+            Strategy::Basic,
+            Some(1),
+            capped_cap,
+        ),
     ] {
         let obs = Obs::enabled();
         let provenance = Provenance::enabled();
@@ -212,9 +225,11 @@ fn every_surface_reports_the_same_numbers() {
         let server = StatsServer::bind("127.0.0.1:0", obs.clone(), sampler.log()).expect("bind");
         let config = DivaConfig {
             k: 5,
+            strategy,
+            threads,
             obs: obs.clone(),
             provenance: provenance.clone(),
-            budget: BudgetSpec::with_node_budget(1 << 40),
+            budget: BudgetSpec::with_node_budget(cap),
             ..DivaConfig::default()
         };
         let out = Diva::new(config).run(&rel, &sigma).unwrap_or_else(|e| panic!("{class}: {e}"));
@@ -257,6 +272,17 @@ fn every_surface_reports_the_same_numbers() {
         assert_eq!(prom_value("diva_nodes_expanded_total", None), Some(nodes), "{class}");
         let budget = out.stats.budget.expect("an armed budget reports usage");
         assert_eq!(budget.nodes_explored, nodes, "{class}: budget nodes");
+        assert_eq!(num(&stats, "gauges", "live.node_limit"), Some(cap), "{class}: node limit");
+        match out.outcome.degrade_reason() {
+            None => assert_ne!(cap, capped_cap, "{class}: the cap below the search's need held"),
+            Some(reason) => {
+                assert_eq!(cap, capped_cap, "{class}: degraded: {reason}");
+                let explored = nodes;
+                assert_eq!(reason, &DegradeReason::NodeBudgetExhausted { explored, cap });
+                assert_eq!(nodes, cap + 1, "{class}: the cap trips at exactly cap + 1");
+                assert_eq!(num(&summary, "counters", "budget.exhausted.nodes"), Some(1));
+            }
+        }
 
         let repairs = out.stats.coloring.repair_attempts;
         assert_eq!(summed(".repair_attempts"), repairs, "{class}: summary repairs");
@@ -276,9 +302,12 @@ fn every_surface_reports_the_same_numbers() {
             assert_eq!(scraped, Some(stars), "{class}: {label}");
         }
 
-        let satisfied = num(&stats, "counters", "live.constraints_satisfied").expect("satisfied");
-        let voided = num(&stats, "counters", "live.constraints_voided").expect("voided");
-        assert_eq!(satisfied + voided, sigma.len() as u64, "{class}: verdicts cover sigma");
+        let voided = out.stats.constraints_voided as u64;
+        let satisfied = sigma.len() as u64 - voided;
+        assert_eq!(num(&stats, "counters", "live.constraints_satisfied"), Some(satisfied));
+        assert_eq!(num(&stats, "counters", "live.constraints_voided"), Some(voided), "{class}");
+        assert_eq!(prom_value("diva_constraints_satisfied", None), Some(satisfied), "{class}");
+        assert_eq!(prom_value("diva_constraints_voided", None), Some(voided), "{class}");
         assert_eq!(num(&stats, "gauges", "live.phase_code"), Some(Phase::Done.code()), "{class}");
     }
 }

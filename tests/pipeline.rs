@@ -4,30 +4,38 @@
 
 use diva_anonymize::{Anonymizer, KMember, Mondrian, Oka};
 use diva_constraints::{generators, Constraint, ConstraintSet};
-use diva_core::{Diva, DivaConfig, DivaError, Strategy};
+use diva_core::{BudgetSpec, DegradeReason, Diva, DivaConfig, DivaError, Strategy};
 use diva_datagen::Dist;
 use diva_relation::suppress::is_refinement;
 use diva_relation::{is_k_anonymous, Relation};
 
 fn check_contract(rel: &Relation, sigma: &[Constraint], k: usize, strategy: Strategy) {
-    // Debug-profile searches get a small budget so tests stay fast;
-    // only the naive Basic strategy is allowed to exhaust it (that is
-    // the paper's own finding — Fig. 4a shows Basic exploding).
-    let config = DivaConfig { k, strategy, backtrack_limit: Some(10_000), ..DivaConfig::default() };
-    let out = match Diva::new(config).run(rel, sigma) {
-        Ok(out) => out,
-        Err(DivaError::SearchBudgetExhausted { .. }) if strategy == Strategy::Basic => {
-            return; // acceptable for the naive variant
-        }
-        Err(e) => panic!("{strategy} k={k}: {e}"),
-    };
+    // Debug-profile searches get a small node budget so tests stay
+    // fast; only the naive Basic strategy is allowed to exhaust it
+    // (that is the paper's own finding — Fig. 4a shows Basic
+    // exploding), and its degraded table must keep the degraded-mode
+    // contract.
+    let budget = BudgetSpec::with_node_budget(100_000);
+    let config = DivaConfig { k, strategy, budget, ..DivaConfig::default() };
+    let out = Diva::new(config).run(rel, sigma).unwrap_or_else(|e| panic!("{strategy} k={k}: {e}"));
+    if let Some(reason) = out.outcome.degrade_reason() {
+        assert_eq!(strategy, Strategy::Basic, "a guided strategy degraded: {reason}");
+        assert!(matches!(reason, DegradeReason::NodeBudgetExhausted { .. }), "{reason}");
+    }
     // (1) R ⊑ R′.
     assert!(is_refinement(rel, &out.relation, &out.source_rows), "{strategy}: not a refinement");
     // (2) k-anonymous.
     assert!(is_k_anonymous(&out.relation, k), "{strategy}: not {k}-anonymous");
-    // (3) R′ |= Σ.
+    // (3) R′ |= Σ — on a degraded run, each constraint satisfied or
+    // voided (count zero).
     let set = ConstraintSet::bind(sigma, &out.relation).expect("bind");
-    assert!(set.satisfied_by(&out.relation), "{strategy}: Σ violated");
+    if out.outcome.is_exact() {
+        assert!(set.satisfied_by(&out.relation), "{strategy}: Σ violated");
+    }
+    for c in set.constraints() {
+        let n = c.count_in(&out.relation);
+        assert!(n == 0 || (c.lower..=c.upper).contains(&n), "{strategy}: {} violated", c.label());
+    }
     // All tuples published exactly once.
     assert_eq!(out.relation.n_rows(), rel.n_rows());
     let mut src = out.source_rows.clone();

@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use diva_constraints::{Constraint, ConstraintSet};
 use diva_core::{
-    components, ConstraintGraph, Diva, DivaConfig, DivaError, LVariant, Strategy as DivaStrategy,
+    components, BudgetSpec, ConstraintGraph, Diva, DivaConfig, DivaError, DivaResult, LVariant,
+    Strategy as DivaStrategy,
 };
 use diva_metrics::audit::{audit, Audit, AuditSpec, ModelKind};
 use diva_relation::suppress::is_refinement;
@@ -56,11 +57,54 @@ fn arb_sigma(rel: &Relation, picks: &[(usize, usize)], k: usize) -> Vec<Constrai
         .collect()
 }
 
+/// Node budget for searches on the random inputs: far more than they
+/// need, but a bound on any pathological case.
+const NODE_BUDGET: u64 = 1 << 20;
+
+/// The published-table contract: a refinement, k-anonymous, every tuple
+/// published exactly once, and each constraint satisfied — or, on a
+/// degraded run, satisfied or fully voided (count zero).
+fn check_published(
+    rel: &Relation,
+    sigma: &[Constraint],
+    k: usize,
+    out: &DivaResult,
+) -> Result<(), TestCaseError> {
+    prop_assert!(is_refinement(rel, &out.relation, &out.source_rows));
+    prop_assert!(is_k_anonymous(&out.relation, k));
+    prop_assert_eq!(out.relation.n_rows(), rel.n_rows());
+    let mut src = out.source_rows.clone();
+    src.sort_unstable();
+    src.dedup();
+    prop_assert_eq!(src.len(), rel.n_rows());
+    let set = ConstraintSet::bind(sigma, &out.relation).unwrap();
+    for c in set.constraints() {
+        let n = c.count_in(&out.relation);
+        prop_assert!(
+            n == 0 || (c.lower..=c.upper).contains(&n),
+            "{} neither satisfied nor voided: {} outside [{}, {}]",
+            c.label(),
+            n,
+            c.lower,
+            c.upper
+        );
+    }
+    if out.outcome.is_exact() {
+        // An exact outcome must additionally satisfy Σ outright (no
+        // voiding).
+        prop_assert!(set.satisfied_by(&out.relation));
+    } else {
+        prop_assert!(out.stats.budget.is_some(), "degraded without accounting");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Whenever DIVA succeeds, its output honours the whole contract:
-    /// refinement, k-anonymity, Σ-satisfaction, tuple preservation.
+    /// refinement, k-anonymity, Σ-satisfaction, tuple preservation —
+    /// or, if the node budget degraded the run, the degraded contract.
     #[test]
     fn diva_success_implies_full_contract(
         rel in arb_relation(),
@@ -70,21 +114,16 @@ proptest! {
     ) {
         let sigma = arb_sigma(&rel, &picks, k);
         let strategy = DivaStrategy::all()[strategy_idx];
-        let diva = Diva::new(DivaConfig::with_k(k).strategy(strategy));
-        match diva.run(&rel, &sigma) {
-            Ok(out) => {
-                prop_assert!(is_refinement(&rel, &out.relation, &out.source_rows));
-                prop_assert!(is_k_anonymous(&out.relation, k));
-                let set = ConstraintSet::bind(&sigma, &out.relation).unwrap();
-                prop_assert!(set.satisfied_by(&out.relation));
-                prop_assert_eq!(out.relation.n_rows(), rel.n_rows());
-            }
+        let config = DivaConfig::with_k(k)
+            .strategy(strategy)
+            .budget(BudgetSpec::with_node_budget(NODE_BUDGET));
+        match Diva::new(config).run(&rel, &sigma) {
+            Ok(out) => check_published(&rel, &sigma, k, &out)?,
             Err(DivaError::NoDiverseClustering { .. })
             | Err(DivaError::ResidualTooSmall { .. })
-            | Err(DivaError::IntegrateFailed { .. })
-            | Err(DivaError::SearchBudgetExhausted { .. }) => {
-                // Failure is allowed — bounded search on random inputs —
-                // but it must never panic or return an invalid relation.
+            | Err(DivaError::IntegrateFailed { .. }) => {
+                // Failure is allowed on random inputs, but it must never
+                // panic or return an invalid relation.
             }
             Err(e) => prop_assert!(false, "unexpected error class: {e}"),
         }
@@ -138,38 +177,14 @@ proptest! {
         expire_deadline in 0u8..2,
     ) {
         let sigma = arb_sigma(&rel, &picks, k);
-        let budget = diva_core::BudgetSpec {
+        let budget = BudgetSpec {
             deadline: (expire_deadline == 1).then_some(std::time::Duration::ZERO),
             node_budget: Some(node_cap),
             repair_budget: None,
         };
         let diva = Diva::new(DivaConfig::with_k(k).budget(budget));
         match diva.run(&rel, &sigma) {
-            Ok(out) => {
-                prop_assert!(is_refinement(&rel, &out.relation, &out.source_rows));
-                prop_assert!(is_k_anonymous(&out.relation, k));
-                prop_assert_eq!(out.relation.n_rows(), rel.n_rows());
-                let mut src = out.source_rows.clone();
-                src.sort_unstable();
-                src.dedup();
-                prop_assert_eq!(src.len(), rel.n_rows());
-                let set = ConstraintSet::bind(&sigma, &out.relation).unwrap();
-                for c in set.constraints() {
-                    let n = c.count_in(&out.relation);
-                    prop_assert!(
-                        n == 0 || (c.lower..=c.upper).contains(&n),
-                        "{} neither satisfied nor voided: {} outside [{}, {}]",
-                        c.label(), n, c.lower, c.upper
-                    );
-                }
-                if out.outcome.is_exact() {
-                    // An exact outcome must additionally satisfy Σ
-                    // outright (no voiding).
-                    prop_assert!(set.satisfied_by(&out.relation));
-                } else {
-                    prop_assert!(out.stats.budget.is_some(), "degraded without accounting");
-                }
-            }
+            Ok(out) => check_published(&rel, &sigma, k, &out)?,
             Err(DivaError::NoDiverseClustering { .. })
             | Err(DivaError::ResidualTooSmall { .. })
             | Err(DivaError::IntegrateFailed { .. }) => {
@@ -370,8 +385,7 @@ proptest! {
             Err(DivaError::PrivacyInfeasible { .. })
             | Err(DivaError::NoDiverseClustering { .. })
             | Err(DivaError::ResidualTooSmall { .. })
-            | Err(DivaError::IntegrateFailed { .. })
-            | Err(DivaError::SearchBudgetExhausted { .. }) => {
+            | Err(DivaError::IntegrateFailed { .. }) => {
                 // Random tables may be genuinely infeasible; only a
                 // *published* table is gated.
             }
@@ -395,9 +409,10 @@ proptest! {
     ) {
         let sigma = arb_sigma(&rel, &picks, k);
         let prov = diva_obs::Provenance::enabled();
-        let budget = diva_core::BudgetSpec {
+        let budget = BudgetSpec {
             deadline: (expire_deadline == 1).then_some(std::time::Duration::ZERO),
-            ..diva_core::BudgetSpec::default()
+            node_budget: Some(NODE_BUDGET),
+            repair_budget: None,
         };
         let config = DivaConfig::with_k(k).provenance(prov.clone()).budget(budget);
         match Diva::new(config).run(&rel, &sigma) {
@@ -435,8 +450,7 @@ proptest! {
             }
             Err(DivaError::NoDiverseClustering { .. })
             | Err(DivaError::ResidualTooSmall { .. })
-            | Err(DivaError::IntegrateFailed { .. })
-            | Err(DivaError::SearchBudgetExhausted { .. }) => {}
+            | Err(DivaError::IntegrateFailed { .. }) => {}
             Err(e) => prop_assert!(false, "unexpected error class: {e}"),
         }
     }
