@@ -1,14 +1,16 @@
 //! Benchmark harness regenerating every table and figure of the
 //! paper's evaluation (Section 4).
 //!
-//! The harness has two entry points:
+//! The entry point is the `experiments` binary (`cargo run --release
+//! -p diva-bench --bin experiments -- <table4|table5|fig4a|fig4b|fig4c|
+//! fig4d|fig5a|fig5b|fig5c|fig5d|ablations|perf|all>`), which prints
+//! paper-style series to stdout and writes CSVs under `results/`. The
+//! CLI's own timings come from the repository benchmark, a separate
+//! package:
 //!
-//! * the `experiments` binary (`cargo run --release -p diva-bench --bin
-//!   experiments -- <table4|table5|fig4a|fig4b|fig4c|fig4d|fig5a|fig5b|
-//!   fig5c|fig5d|all>`), which prints paper-style series to stdout and
-//!   writes CSVs under `results/`;
-//! * the Criterion benches (`cargo bench`), which time the headline
-//!   configurations with statistical rigor.
+//! ```text
+//! bash crates/bench/src/bin/benchmark/run.sh --workload publish-64k --seed 0 --seconds 20 --trace 0
+//! ```
 //!
 //! By default the |R|-heavy sweeps run at `DIVA_BENCH_SCALE = 0.1` of
 //! the paper's row counts so that the whole suite completes in

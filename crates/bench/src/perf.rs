@@ -1,25 +1,24 @@
-//! The perf-trajectory emitter behind `experiments -- perf`: measures
-//! the bitset / dense-state kernels against their pre-optimization
-//! hash-based reference implementations, records the search trajectory
-//! of the Fig. 4a-style medical / proportional workload, and times the
-//! early-cancelling portfolio. The rendered JSON is written to
-//! `BENCH_diva.json` by the `experiments` binary.
+//! The perf emitter behind `experiments -- perf`: the search counters
+//! of the Fig. 4a-style medical / proportional workload, a deadline
+//! sweep, component scaling, and the obs and provenance overhead pairs.
+//! The `experiments` binary writes the rendered JSON to
+//! `BENCH_diva.json`.
 //!
-//! The "before" implementations in this module are faithful
-//! transliterations of the seed's kernels — pairwise `HashSet`
-//! intersection for constraint-graph edges, `HashMap`-keyed row
-//! ownership and cluster registry for the search state. They live
-//! here, outside the product crates, so the before/after comparison
-//! stays measurable from a single build.
+//! Every wall-clock number comes from one sampler, [`interleave`]: the
+//! arms of a comparison run in rounds whose first arm rotates, and each
+//! time is reported as its nearest-rank median and quartiles
+//! ([`Spread`]). Overheads and speedups are taken per round, and an
+//! overhead with a budget gets a [`Verdict`]. End-to-end and per-layer
+//! timings of the CLI belong to the repository benchmark
+//! (`crates/bench/src/bin/benchmark`).
 
-use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 
-use diva_constraints::ConstraintSet;
-use diva_core::{run_portfolio, BudgetSpec, ConstraintGraph, Diva, DivaConfig, Outcome, Strategy};
+use diva_constraints::{Constraint, ConstraintSet};
+use diva_core::{BudgetSpec, ColoringStats, ConstraintGraph, Diva, DivaConfig, Outcome, Strategy};
 use diva_obs::live::{Sampler, SamplerConfig};
-use diva_obs::{Obs, Stopwatch};
-use diva_relation::{Relation, RowSet};
+use diva_obs::{Obs, Provenance, Stopwatch};
+use diva_relation::Relation;
 
 /// Instance sizes of the Fig. 4a-style trajectory sweep.
 const TRAJECTORY_ROWS: [usize; 4] = [250, 500, 1_000, 2_000];
@@ -27,220 +26,117 @@ const TRAJECTORY_ROWS: [usize; 4] = [250, 500, 1_000, 2_000];
 /// own Fig. 4a finding — so the sweep bounds it), sized like the
 /// experiments' Basic budget.
 const TRAJECTORY_NODE_BUDGET: u64 = crate::params::node_budget_for_backtracks(20_000);
-/// Repetitions per microbench; the minimum is reported.
-const REPS: usize = 10;
+/// Timed rounds per measurement, after one discarded warm-up round.
+const REPS: usize = 5;
 
-/// Best-of-`reps` wall-clock of `f`, in milliseconds.
-fn time_best_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f(); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Stopwatch::start();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
+// ---------------------------------------------------------------------
+// The sampler: interleaved rounds, nearest-rank quartiles, verdicts.
+// ---------------------------------------------------------------------
+
+/// The nearest-rank first quartile, median and third quartile of a
+/// sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
 }
 
-// ---------------------------------------------------------------------
-// Graph build: pairwise HashSet intersection vs bitset inverted index.
-// ---------------------------------------------------------------------
+impl Spread {
+    /// The nearest-rank 25th, 50th and 75th percentiles of a non-empty
+    /// sample: for each, the smallest sample with at least that share
+    /// of all samples at or below it.
+    fn of(samples: &[f64]) -> Spread {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let rank = |pct: usize| sorted[(pct * sorted.len()).div_ceil(100).max(1) - 1];
+        Spread { q1: rank(25), median: rank(50), q3: rank(75) }
+    }
 
-/// The seed's `O(|Σ|²)` edge construction: one `HashSet` per target
-/// set, an intersection probe per node pair.
-fn naive_edges(set: &ConstraintSet) -> Vec<Vec<usize>> {
-    let targets: Vec<HashSet<usize>> =
-        set.constraints().iter().map(|c| c.target_rows.iter().copied().collect()).collect();
-    let n = targets.len();
-    let mut adj = vec![Vec::new(); n];
-    for i in 0..n {
-        for j in i + 1..n {
-            if targets[i].intersection(&targets[j]).next().is_some() {
-                adj[i].push(j);
-                adj[j].push(i);
+    /// The spread of `f(a, b)` over round-aligned sample pairs.
+    fn per_round(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> Spread {
+        Spread::of(&a.iter().zip(b).map(|(&a, &b)| f(a, b)).collect::<Vec<_>>())
+    }
+
+    fn json(self) -> String {
+        format!(
+            "{{\"q1\": {:.4}, \"median\": {:.4}, \"q3\": {:.4}}}",
+            self.q1, self.median, self.q3
+        )
+    }
+}
+
+/// Runs one discarded warm-up round and then `reps` timed rounds of
+/// `N` arms; `measure(arm)` returns one sample, in milliseconds. Round
+/// `r` starts at arm `r % N` and cycles through the rest, so with two
+/// arms the first one alternates and clock drift (thermal, frequency)
+/// lands on every arm alike. Returns each arm's samples in round order.
+fn interleave<const N: usize>(reps: usize, mut measure: impl FnMut(usize) -> f64) -> [Vec<f64>; N] {
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for round in 0..=reps {
+        for i in 0..N {
+            let arm = (round + i) % N;
+            let ms = measure(arm);
+            if round > 0 {
+                samples[arm].push(ms);
             }
         }
     }
-    adj
+    samples
 }
 
-struct GraphBench {
-    n_constraints: usize,
-    naive_pairwise_ms: f64,
-    bitset_inverted_ms: f64,
+/// Where an overhead's spread sits against its budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// The third quartile is under the budget.
+    Within,
+    /// The first quartile is over the budget.
+    Over,
+    /// The quartiles straddle the budget.
+    NotResolved,
 }
 
-fn bench_graph(set: &ConstraintSet) -> GraphBench {
-    // Cross-check once: both constructions must agree on every edge.
-    let g = ConstraintGraph::build(set);
-    let naive = naive_edges(set);
-    for (i, nbrs) in naive.iter().enumerate() {
-        let mut a = g.neighbors(i).to_vec();
-        a.sort_unstable();
-        let mut b = nbrs.clone();
-        b.sort_unstable();
-        assert_eq!(a, b, "edge mismatch at node {i}");
+impl Verdict {
+    fn of(overhead_pct: Spread, budget_pct: f64) -> Verdict {
+        if overhead_pct.q3 < budget_pct {
+            Verdict::Within
+        } else if overhead_pct.q1 > budget_pct {
+            Verdict::Over
+        } else {
+            Verdict::NotResolved
+        }
     }
-    GraphBench {
-        n_constraints: set.len(),
-        naive_pairwise_ms: time_best_ms(REPS, || {
-            black_box(naive_edges(black_box(set)));
-        }),
-        bitset_inverted_ms: time_best_ms(REPS, || {
-            black_box(ConstraintGraph::build(black_box(set)));
-        }),
+
+    fn label(self) -> &'static str {
+        match self {
+            Verdict::Within => "within",
+            Verdict::Over => "over",
+            Verdict::NotResolved => "not resolved",
+        }
     }
+}
+
+/// Wall-clock of one full DIVA run, milliseconds.
+fn run_ms(rel: &Relation, sigma: &[Constraint], config: &DivaConfig) -> f64 {
+    let t = Stopwatch::start();
+    let out = Diva::new(config.clone()).run(black_box(rel), black_box(sigma));
+    black_box(out.map(|o| o.relation.star_count()).unwrap_or(0));
+    t.elapsed().as_secs_f64() * 1e3
 }
 
 // ---------------------------------------------------------------------
-// State kernel: HashMap ownership/registry vs dense Vec + bitsets.
-// ---------------------------------------------------------------------
-
-/// One assign/unassign unit of work: a cluster proposed for a node.
-struct ClusterLoad {
-    node: usize,
-    rows: Vec<usize>,
-}
-
-/// Chunks every constraint's target rows into `k`-clusters — the same
-/// shape of work `try_assign`/`unassign` process during colouring.
-fn cluster_load(set: &ConstraintSet, k: usize) -> (Vec<ClusterLoad>, usize) {
-    let mut clusters = Vec::new();
-    let mut n_rows = 0;
-    for (node, c) in set.constraints().iter().enumerate() {
-        n_rows = n_rows.max(c.target_rows.iter().max().map_or(0, |&m| m + 1));
-        for chunk in c.target_rows.chunks_exact(k) {
-            clusters.push(ClusterLoad { node, rows: chunk.to_vec() });
-        }
-    }
-    (clusters, n_rows)
-}
-
-/// FNV-1a over row ids — the same cluster hash the dense state uses.
-fn fnv(rows: &[usize]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &r in rows {
-        h ^= r as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// The seed's bookkeeping: `HashMap` row ownership, per-node
-/// `HashSet` membership probes, a `Vec<RowId>`-keyed cluster registry.
-fn replay_hash(clusters: &[ClusterLoad], targets: &[HashSet<usize>]) -> u64 {
-    let mut row_owner: HashMap<usize, usize> = HashMap::new();
-    let mut registry: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut acc = 0u64;
-    for (id, c) in clusters.iter().enumerate() {
-        let free = c.rows.iter().all(|r| !row_owner.contains_key(r));
-        let valid = c.rows.iter().all(|r| targets[c.node].contains(r));
-        if free && valid {
-            registry.insert(c.rows.clone(), id);
-            for &r in &c.rows {
-                row_owner.insert(r, id);
-            }
-            acc = acc.wrapping_add(1);
-        }
-    }
-    for c in clusters {
-        if let Some(id) = registry.remove(&c.rows) {
-            acc ^= id as u64;
-            for r in &c.rows {
-                row_owner.remove(r);
-            }
-        }
-    }
-    acc.wrapping_add(row_owner.len() as u64)
-}
-
-/// The optimized bookkeeping: dense `Vec<u32>` ownership, bitset
-/// subset probes, a hash-keyed registry with precomputed FNV keys.
-fn replay_dense(clusters: &[ClusterLoad], targets: &[RowSet], n_rows: usize) -> u64 {
-    const NO_OWNER: u32 = u32::MAX;
-    let mut row_owner = vec![NO_OWNER; n_rows];
-    let mut registry: HashMap<u64, usize> = HashMap::new();
-    let mut acc = 0u64;
-    for (id, c) in clusters.iter().enumerate() {
-        let free = c.rows.iter().all(|&r| row_owner[r] == NO_OWNER);
-        let valid = targets[c.node].contains_all(&c.rows);
-        if free && valid {
-            registry.insert(fnv(&c.rows), id);
-            for &r in &c.rows {
-                row_owner[r] = id as u32;
-            }
-            acc = acc.wrapping_add(1);
-        }
-    }
-    for c in clusters {
-        if let Some(id) = registry.remove(&fnv(&c.rows)) {
-            acc ^= id as u64;
-            for &r in &c.rows {
-                row_owner[r] = NO_OWNER;
-            }
-        }
-    }
-    acc.wrapping_add(row_owner.iter().filter(|&&o| o != NO_OWNER).count() as u64)
-}
-
-struct StateBench {
-    clusters: usize,
-    hash_ms: f64,
-    dense_ms: f64,
-}
-
-fn bench_state(set: &ConstraintSet, k: usize) -> StateBench {
-    let (clusters, n_rows) = cluster_load(set, k);
-    let hash_targets: Vec<HashSet<usize>> =
-        set.constraints().iter().map(|c| c.target_rows.iter().copied().collect()).collect();
-    let dense_targets: Vec<RowSet> = set
-        .constraints()
-        .iter()
-        .map(|c| RowSet::from_rows(n_rows, c.target_rows.iter().copied()))
-        .collect();
-    assert_eq!(
-        replay_hash(&clusters, &hash_targets),
-        replay_dense(&clusters, &dense_targets, n_rows),
-        "hash and dense replays disagree"
-    );
-    StateBench {
-        clusters: clusters.len(),
-        hash_ms: time_best_ms(REPS, || {
-            black_box(replay_hash(black_box(&clusters), &hash_targets));
-        }),
-        dense_ms: time_best_ms(REPS, || {
-            black_box(replay_dense(black_box(&clusters), &dense_targets, n_rows));
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Search trajectory and portfolio timing.
+// Search trajectory.
 // ---------------------------------------------------------------------
 
 struct TrajectoryPoint {
     rows: usize,
     strategy: &'static str,
-    seconds: f64,
-    /// Per-phase wall-clock, seconds (from [`diva_core::RunStats`],
-    /// which is itself a view over the obs phase spans).
-    t_clustering_s: f64,
-    t_suppress_s: f64,
-    t_anonymize_s: f64,
-    t_integrate_s: f64,
-    /// Per-phase *self*-time (phase duration minus child spans),
-    /// seconds, from the trace analysis over the run's span tree.
-    self_clustering_s: f64,
-    self_suppress_s: f64,
-    self_anonymize_s: f64,
-    self_integrate_s: f64,
+    /// Wall-clock of the untraced run, milliseconds.
+    ms: Spread,
     /// Bytes allocated under the `diva.run` span; zero when no
     /// counting allocator is installed (`--no-default-features`).
     alloc_bytes_total: u64,
-    assignments_tried: u64,
-    backtracks: u64,
-    node_selections: u64,
-    forward_check_prunes: u64,
+    search: ColoringStats,
     ok: bool,
     /// `"exact"`, `"degraded:<kind>"`, or `"error"` — how the run
     /// concluded (`ok` holds only for `"exact"`; a run the node budget
@@ -259,83 +155,39 @@ fn outcome_label(outcome: &Outcome) -> String {
 
 fn trajectory_point(rel: &Relation, k: usize, strategy: Strategy) -> TrajectoryPoint {
     let sigma = diva_constraints::generators::proportional(rel, 5, 0.7, 20);
-    // Trajectory runs trace themselves: the span tree supplies the
-    // self-time breakdown and (with the counting allocator installed)
-    // per-run allocation totals.
-    let obs = Obs::enabled();
     let config = DivaConfig {
         k,
         strategy,
         budget: BudgetSpec::with_node_budget(TRAJECTORY_NODE_BUDGET),
-        obs: obs.clone(),
         ..DivaConfig::default()
     };
-    let t = Stopwatch::start();
-    let outcome = Diva::new(config).run(rel, &sigma);
-    let seconds = t.elapsed().as_secs_f64();
-    let mut point = TrajectoryPoint {
+    // One traced run supplies the counters and, with the counting
+    // allocator installed, the run's allocation total.
+    let obs = Obs::enabled();
+    let outcome = Diva::new(DivaConfig { obs: obs.clone(), ..config.clone() }).run(rel, &sigma);
+    let alloc_bytes_total = obs
+        .snapshot()
+        .span_summaries()
+        .iter()
+        .find(|s| s.name == "diva.run")
+        .and_then(|s| s.alloc_bytes)
+        .unwrap_or(0);
+    let [ms] = interleave(REPS, |_| run_ms(rel, &sigma, &config));
+    let (search, ok, outcome) = match &outcome {
+        Ok(out) => {
+            (out.stats.coloring.clone(), out.outcome.is_exact(), outcome_label(&out.outcome))
+        }
+        Err(_) => (ColoringStats::default(), false, "error".to_owned()),
+    };
+    TrajectoryPoint {
         rows: rel.n_rows(),
         strategy: strategy.name(),
-        seconds,
-        t_clustering_s: 0.0,
-        t_suppress_s: 0.0,
-        t_anonymize_s: 0.0,
-        t_integrate_s: 0.0,
-        self_clustering_s: 0.0,
-        self_suppress_s: 0.0,
-        self_anonymize_s: 0.0,
-        self_integrate_s: 0.0,
-        alloc_bytes_total: 0,
-        assignments_tried: 0,
-        backtracks: 0,
-        node_selections: 0,
-        forward_check_prunes: 0,
-        ok: false,
-        outcome: "error".to_owned(),
-    };
-    for s in obs.snapshot().span_summaries() {
-        let self_s = s.self_us as f64 / 1e6;
-        match s.name.as_str() {
-            "diva.clustering" => point.self_clustering_s = self_s,
-            "diva.suppress" => point.self_suppress_s = self_s,
-            "diva.anonymize" => point.self_anonymize_s = self_s,
-            "diva.integrate" => point.self_integrate_s = self_s,
-            "diva.run" => point.alloc_bytes_total = s.alloc_bytes.unwrap_or(0),
-            _ => {}
-        }
+        ms: Spread::of(&ms),
+        alloc_bytes_total,
+        search,
+        ok,
+        outcome,
     }
-    if let Ok(out) = &outcome {
-        point.t_clustering_s = out.stats.t_clustering.as_secs_f64();
-        point.t_suppress_s = out.stats.t_suppress.as_secs_f64();
-        point.t_anonymize_s = out.stats.t_anonymize.as_secs_f64();
-        point.t_integrate_s = out.stats.t_integrate.as_secs_f64();
-        point.assignments_tried = out.stats.coloring.assignments_tried;
-        point.backtracks = out.stats.coloring.backtracks;
-        point.node_selections = out.stats.coloring.node_selections;
-        point.forward_check_prunes = out.stats.coloring.forward_check_prunes;
-        point.ok = out.outcome.is_exact();
-        point.outcome = outcome_label(&out.outcome);
-    }
-    point
-}
-
-struct PortfolioBench {
-    rows: usize,
-    seconds: f64,
-    winner_assignments: u64,
-    ok: bool,
-}
-
-fn bench_portfolio(rel: &Relation, k: usize) -> PortfolioBench {
-    let sigma = diva_constraints::generators::proportional(rel, 5, 0.7, 20);
-    let t = Stopwatch::start();
-    let outcome = run_portfolio(rel, &sigma, &DivaConfig::with_k(k), 1);
-    let seconds = t.elapsed().as_secs_f64();
-    let (winner_assignments, ok) = match &outcome {
-        Ok(out) => (out.stats.coloring.assignments_tried, true),
-        Err(_) => (0, false),
-    };
-    PortfolioBench { rows: rel.n_rows(), seconds, winner_assignments, ok }
 }
 
 // ---------------------------------------------------------------------
@@ -349,7 +201,6 @@ const BUDGET_SWEEP_DEADLINES_MS: [u64; 4] = [5, 50, 500, 5_000];
 
 struct BudgetSweepPoint {
     deadline_ms: u64,
-    seconds: f64,
     outcome: String,
     nodes_explored: u64,
     star_count: usize,
@@ -358,7 +209,7 @@ struct BudgetSweepPoint {
 
 fn budget_sweep_point(
     rel: &Relation,
-    sigma: &[diva_constraints::Constraint],
+    sigma: &[Constraint],
     k: usize,
     deadline_ms: u64,
 ) -> BudgetSweepPoint {
@@ -370,13 +221,9 @@ fn budget_sweep_point(
         },
         ..DivaConfig::default()
     };
-    let t = Stopwatch::start();
-    let outcome = Diva::new(config).run(rel, sigma);
-    let seconds = t.elapsed().as_secs_f64();
-    match &outcome {
+    match Diva::new(config).run(rel, sigma) {
         Ok(out) => BudgetSweepPoint {
             deadline_ms,
-            seconds,
             outcome: outcome_label(&out.outcome),
             nodes_explored: out.stats.budget.as_ref().map_or(0, |u| u.nodes_explored),
             star_count: out.relation.star_count(),
@@ -384,7 +231,6 @@ fn budget_sweep_point(
         },
         Err(_) => BudgetSweepPoint {
             deadline_ms,
-            seconds,
             outcome: "error".to_owned(),
             nodes_explored: 0,
             star_count: 0,
@@ -399,45 +245,33 @@ fn budget_sweep_point(
 
 /// Thread counts swept for the component pool.
 const COMPONENT_THREADS: [usize; 3] = [1, 2, 4];
-/// Full-pipeline repetitions per configuration; the minimum is kept
-/// (fewer than the kernel microbenches — each rep is a whole run).
-const COMPONENT_REPS: usize = 3;
 
 struct ComponentScaling {
     instance: &'static str,
     rows: usize,
     constraints: usize,
     components: usize,
-    monolithic_ms: f64,
-    /// `(threads, best clustering ms, speedup vs monolithic)`.
-    decomposed: Vec<(usize, f64, f64)>,
+    monolithic_ms: Spread,
+    /// `(threads, clustering ms, per-round speedup vs monolithic)`.
+    decomposed: Vec<(usize, Spread, Spread)>,
 }
 
-/// Best-of-reps clustering-phase wall-clock for one configuration,
-/// milliseconds. Only the clustering phase is timed: decomposition
-/// acts there, while suppress/anonymize/integrate see the identical
-/// merged clustering either way.
-fn best_clustering_ms(
-    rel: &Relation,
-    sigma: &[diva_constraints::Constraint],
-    config: &DivaConfig,
-    label: &str,
-) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..=COMPONENT_REPS {
-        let out = Diva::new(config.clone())
-            .run(black_box(rel), black_box(sigma))
-            .unwrap_or_else(|e| panic!("component scaling {label}: {e}"));
-        assert!(out.outcome.is_exact(), "component scaling {label}: degraded");
-        best = best.min(out.stats.t_clustering.as_secs_f64() * 1e3);
-    }
-    best
+/// Clustering-phase wall-clock of one exact run, milliseconds. Only
+/// the clustering phase is timed: decomposition acts there, while
+/// suppress/anonymize/integrate see the identical merged clustering
+/// either way.
+fn clustering_ms(rel: &Relation, sigma: &[Constraint], config: &DivaConfig, label: &str) -> f64 {
+    let out = Diva::new(config.clone())
+        .run(black_box(rel), black_box(sigma))
+        .unwrap_or_else(|e| panic!("component scaling {label}: {e}"));
+    assert!(out.outcome.is_exact(), "component scaling {label}: degraded");
+    out.stats.t_clustering.as_secs_f64() * 1e3
 }
 
 fn bench_component_scaling(
     instance: &'static str,
     rel: &Relation,
-    sigma: &[diva_constraints::Constraint],
+    sigma: &[Constraint],
     k: usize,
 ) -> ComponentScaling {
     let set = ConstraintSet::bind(sigma, rel).expect("component sigma binds");
@@ -452,214 +286,99 @@ fn bench_component_scaling(
         budget: BudgetSpec::with_node_budget(crate::params::node_budget_for_backtracks(50_000)),
         ..DivaConfig::default()
     };
-    let mono = DivaConfig { decompose: false, threads: Some(1), ..base.clone() };
-    let monolithic_ms = best_clustering_ms(rel, sigma, &mono, instance);
-    let decomposed = COMPONENT_THREADS
-        .iter()
-        .map(|&t| {
-            let config = DivaConfig { threads: Some(t), ..base.clone() };
-            let ms = best_clustering_ms(rel, sigma, &config, instance);
-            (t, ms, ratio(monolithic_ms, ms))
-        })
-        .collect();
+    // Arm 0 is the monolithic search, arm i the pool at
+    // `COMPONENT_THREADS[i - 1]` workers.
+    let configs: Vec<DivaConfig> =
+        std::iter::once(DivaConfig { decompose: false, threads: Some(1), ..base.clone() })
+            .chain(
+                COMPONENT_THREADS.iter().map(|&t| DivaConfig { threads: Some(t), ..base.clone() }),
+            )
+            .collect();
+    let [mono, decomposed @ ..] = interleave::<{ COMPONENT_THREADS.len() + 1 }>(REPS, |arm| {
+        clustering_ms(rel, sigma, &configs[arm], instance)
+    });
     ComponentScaling {
         instance,
         rows: rel.n_rows(),
         constraints: set.len(),
         components,
-        monolithic_ms,
-        decomposed,
+        monolithic_ms: Spread::of(&mono),
+        decomposed: COMPONENT_THREADS
+            .iter()
+            .zip(&decomposed)
+            .map(|(&t, ms)| (t, Spread::of(ms), Spread::per_round(&mono, ms, |m, d| m / d)))
+            .collect(),
     }
 }
 
 // ---------------------------------------------------------------------
-// Observability overhead: disabled obs must cost (almost) nothing, and
-// an enabled handle with the live sampler attached little more.
+// Overhead pairs: the same pipeline with a recorder off and on.
 // ---------------------------------------------------------------------
 
-/// Repetitions for the overhead comparison (full pipeline runs, so
-/// fewer than the kernel microbenches).
-const OVERHEAD_REPS: usize = 5;
+/// The provenance recorder's budget for the enabled path, percent of
+/// the pipeline (DESIGN.md §16b).
+const PROVENANCE_BUDGET_PCT: f64 = 1.0;
 
-struct ObsOverhead {
+struct Overhead {
     rows: usize,
-    disabled_ms: f64,
-    enabled_ms: f64,
-    /// `(enabled - disabled) / disabled`, percent. Negative values
-    /// mean the difference drowned in run-to-run noise.
-    overhead_pct: f64,
-    /// Sampler ticks observed across the enabled reps — evidence the
-    /// measurement exercised the live path.
-    samples_taken: u64,
+    off_ms: Spread,
+    on_ms: Spread,
+    /// `(on - off) / off` per round, percent.
+    pct: Spread,
 }
 
-/// Times the same DIVA run with the obs handle disabled (the
-/// workspace default) vs enabled with the default 100ms sampler
-/// attached — spans, metrics and live cells, exactly what `--trace`
-/// plus `--stats-addr` wires up. Reps are interleaved so clock drift
-/// (thermal, frequency) lands on both modes equally. The budget for
-/// the disabled mode is < 2%: it is what every non-traced caller pays
-/// for the instrumentation points.
-fn bench_obs_overhead(rel: &Relation, k: usize) -> ObsOverhead {
+/// Times the full medical / proportional pipeline under `off` and `on`
+/// in interleaved rounds.
+fn bench_overhead(rel: &Relation, off: DivaConfig, on: DivaConfig) -> Overhead {
     let sigma = diva_constraints::generators::proportional(rel, 5, 0.7, 20);
-    let one_rep = |obs: &Obs| {
-        let config = DivaConfig { k, obs: obs.clone(), ..DivaConfig::default() };
-        time_best_ms(1, || {
-            let out = Diva::new(config.clone()).run(black_box(rel), black_box(&sigma));
-            black_box(out.map(|o| o.relation.star_count()).unwrap_or(0));
-        })
-    };
-    let off = Obs::disabled();
-    let on = Obs::enabled();
-    let sampler = Sampler::spawn(&on, SamplerConfig::default(), None);
-    let mut disabled_ms = f64::INFINITY;
-    let mut enabled_ms = f64::INFINITY;
-    for _ in 0..OVERHEAD_REPS {
-        disabled_ms = disabled_ms.min(one_rep(&off));
-        enabled_ms = enabled_ms.min(one_rep(&on));
+    let configs = [off, on];
+    let [off_ms, on_ms] = interleave(REPS, |arm| run_ms(rel, &sigma, &configs[arm]));
+    Overhead {
+        rows: rel.n_rows(),
+        off_ms: Spread::of(&off_ms),
+        on_ms: Spread::of(&on_ms),
+        pct: Spread::per_round(&off_ms, &on_ms, |off, on| (on - off) / off * 100.0),
     }
-    let samples_taken = sampler.log().total_samples();
+}
+
+/// The disabled obs handle (the workspace default) vs an enabled one
+/// with the default 100 ms sampler attached — spans, metrics and live
+/// cells, what `--trace` plus `--stats-addr` wires up. Also returns
+/// the sampler ticks, evidence that the live path ran.
+fn obs_overhead(rel: &Relation, k: usize) -> (Overhead, u64) {
+    let obs = Obs::enabled();
+    let sampler = Sampler::spawn(&obs, SamplerConfig::default(), None);
+    let overhead =
+        bench_overhead(rel, DivaConfig::with_k(k), DivaConfig { obs, ..DivaConfig::with_k(k) });
+    let ticks = sampler.log().total_samples();
     sampler.stop();
-    ObsOverhead {
-        rows: rel.n_rows(),
-        disabled_ms,
-        enabled_ms,
-        overhead_pct: if disabled_ms > 0.0 {
-            (enabled_ms - disabled_ms) / disabled_ms * 100.0
-        } else {
-            0.0
-        },
-        samples_taken,
-    }
+    (overhead, ticks)
 }
 
-// ---------------------------------------------------------------------
-// Provenance overhead: the decision recorder must cost (almost)
-// nothing — one branch per decision when disabled, and < 1% of the
-// pipeline when recording.
-// ---------------------------------------------------------------------
-
-struct ProvenanceOverhead {
-    rows: usize,
-    disabled_ms: f64,
-    enabled_ms: f64,
-    /// `(enabled - disabled) / disabled`, percent. Negative values
-    /// mean the difference drowned in run-to-run noise.
-    overhead_pct: f64,
-    /// Stars the enabled recorder attributed — evidence the
-    /// measurement actually exercised the recording path.
-    stars_attributed: u64,
-}
-
-/// Times the same DIVA run with the provenance recorder disabled (the
-/// workspace default) vs enabled — exactly what `--provenance` wires
-/// up. The acceptance budget for the enabled path is < 1% overhead:
-/// recording is one group append per cluster and one cell append per
-/// published star, all behind a single `is_enabled` branch.
-fn bench_provenance_overhead(rel: &Relation, k: usize) -> ProvenanceOverhead {
-    let sigma = diva_constraints::generators::proportional(rel, 5, 0.7, 20);
-    let one_rep = |prov: &diva_obs::Provenance| {
-        let config = DivaConfig { k, provenance: prov.clone(), ..DivaConfig::default() };
-        time_best_ms(1, || {
-            let out = Diva::new(config.clone()).run(black_box(rel), black_box(&sigma));
-            black_box(out.map(|o| o.relation.star_count()).unwrap_or(0));
-        })
-    };
-    let off = diva_obs::Provenance::disabled();
-    let on = diva_obs::Provenance::enabled();
-    // Interleave the reps so clock drift (thermal, frequency) lands
-    // on both modes equally instead of biasing whichever ran second.
-    let mut disabled_ms = f64::INFINITY;
-    let mut enabled_ms = f64::INFINITY;
-    for _ in 0..OVERHEAD_REPS {
-        disabled_ms = disabled_ms.min(one_rep(&off));
-        enabled_ms = enabled_ms.min(one_rep(&on));
-    }
-    let stars_attributed = on.attribution().map(|a| a.total()).unwrap_or(0);
-    ProvenanceOverhead {
-        rows: rel.n_rows(),
-        disabled_ms,
-        enabled_ms,
-        overhead_pct: if disabled_ms > 0.0 {
-            (enabled_ms - disabled_ms) / disabled_ms * 100.0
-        } else {
-            0.0
-        },
-        stars_attributed,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Audit throughput: re-scoring a published table must stay cheap.
-// ---------------------------------------------------------------------
-
-struct AuditThroughput {
-    rows: usize,
-    /// Equivalence classes the substrate built — raw tables are the
-    /// worst case (near one class per distinct QI profile).
-    classes: usize,
-    best_ms: f64,
-    rows_per_sec: f64,
-}
-
-/// Times the full eight-model audit suite (DESIGN.md §15) on a raw
-/// medical table: class construction, sensitive-rank mapping, and all
-/// checkers, with every gate armed so satisfaction is evaluated too.
-fn bench_audit_throughput(rel: &Relation) -> AuditThroughput {
-    let spec = diva_metrics::audit::AuditSpec {
-        k: Some(5),
-        distinct_l: Some(2),
-        entropy_l: Some(2.0),
-        recursive_c: Some(2.0),
-        recursive_l: 2,
-        alpha: Some(0.5),
-        basic_beta: Some(2.0),
-        enhanced_beta: Some(2.0),
-        delta: Some(2.0),
-        t: Some(0.5),
-    };
-    let mut classes = 0;
-    let best_ms = time_best_ms(OVERHEAD_REPS, || {
-        let suite = diva_metrics::audit::audit(black_box(rel), black_box(&spec));
-        classes = suite.n_classes;
-        black_box(suite.satisfied());
-    });
-    AuditThroughput {
-        rows: rel.n_rows(),
-        classes,
-        best_ms,
-        rows_per_sec: if best_ms > 0.0 {
-            rel.n_rows() as f64 / (best_ms / 1_000.0)
-        } else {
-            f64::INFINITY
-        },
-    }
+/// The disabled provenance recorder (the workspace default) vs an
+/// enabled one — what `--provenance` wires up. Also returns the stars
+/// the recorder attributed, evidence that the recording path ran.
+fn provenance_overhead(rel: &Relation, k: usize) -> (Overhead, u64) {
+    let provenance = Provenance::enabled();
+    let overhead = bench_overhead(
+        rel,
+        DivaConfig::with_k(k),
+        DivaConfig { provenance: provenance.clone(), ..DivaConfig::with_k(k) },
+    );
+    (overhead, provenance.attribution().map_or(0, |a| a.total()))
 }
 
 // ---------------------------------------------------------------------
 // JSON rendering (hand-rolled: the workspace carries no serde).
 // ---------------------------------------------------------------------
 
-fn ratio(before: f64, after: f64) -> f64 {
-    if after > 0.0 {
-        before / after
-    } else {
-        f64::INFINITY
-    }
+/// Joins rendered items into the lines of a JSON array body.
+fn lines(items: impl Iterator<Item = String>, indent: &str) -> String {
+    items.map(|item| format!("{indent}{item}")).collect::<Vec<_>>().join(",\n")
 }
 
 /// Runs the full perf suite and renders `BENCH_diva.json`'s content.
 pub fn bench_json() -> String {
-    // Kernel microbenches: a sizable medical instance with a wide
-    // proportional Σ so the asymptotic difference dominates constant
-    // factors (same-column values give many disjoint target-set pairs,
-    // the pairwise intersection probe's worst case).
-    let kernel_rel = diva_datagen::medical(4_000, 5);
-    let kernel_sigma = diva_constraints::generators::proportional(&kernel_rel, 64, 0.7, 10);
-    let set = ConstraintSet::bind(&kernel_sigma, &kernel_rel).expect("kernel sigma binds");
-    let graph = bench_graph(&set);
-    let state = bench_state(&set, 5);
-
     // Fig. 4a-style trajectory: medical / proportional, every strategy.
     let mut points = Vec::new();
     for &n in &TRAJECTORY_ROWS {
@@ -668,10 +387,6 @@ pub fn bench_json() -> String {
             points.push(trajectory_point(&rel, 5, strategy));
         }
     }
-    let portfolio = bench_portfolio(&diva_datagen::medical(1_000, 5), 5);
-    let overhead = bench_obs_overhead(&diva_datagen::medical(4_000, 7), 5);
-    let provenance = bench_provenance_overhead(&diva_datagen::medical(4_000, 7), 5);
-    let audit = bench_audit_throughput(&diva_datagen::medical(100_000, 7));
 
     // Budget sweep on the acceptance instance (EXPERIMENTS.md §budget).
     let sweep_rel = diva_datagen::medical(4_000, 29);
@@ -692,180 +407,163 @@ pub fn bench_json() -> String {
         bench_component_scaling("medical-6k-islands", &islands_rel, &islands_sigma, 5),
     ];
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"workload\": \"medical / proportional(n=5, frac=0.7), k=5\",\n");
-    out.push_str(
-        "  \"regenerate\": \"cargo run --release -p diva-bench --bin experiments -- perf\",\n",
+    let overhead_rel = diva_datagen::medical(4_000, 7);
+    let (obs, sampler_ticks) = obs_overhead(&overhead_rel, 5);
+    let (provenance, stars_attributed) = provenance_overhead(&overhead_rel, 5);
+
+    let trajectory = lines(
+        points.iter().map(|p| {
+            format!(
+                "{{\"rows\": {}, \"strategy\": \"{}\", \"ms\": {}, \"alloc_bytes_total\": {}, \
+                 \"assignments_tried\": {}, \"backtracks\": {}, \"node_selections\": {}, \
+                 \"forward_check_prunes\": {}, \"ok\": {}, \"outcome\": \"{}\"}}",
+                p.rows,
+                p.strategy,
+                p.ms.json(),
+                p.alloc_bytes_total,
+                p.search.assignments_tried,
+                p.search.backtracks,
+                p.search.node_selections,
+                p.search.forward_check_prunes,
+                p.ok,
+                p.outcome,
+            )
+        }),
+        "    ",
     );
-    out.push_str("  \"graph_build\": {\n");
-    out.push_str("    \"instance\": \"medical-4k, proportional Sigma (wide)\",\n");
-    out.push_str(&format!("    \"n_constraints\": {},\n", graph.n_constraints));
-    out.push_str(&format!("    \"naive_pairwise_hashset_ms\": {:.4},\n", graph.naive_pairwise_ms));
-    out.push_str(&format!("    \"bitset_inverted_index_ms\": {:.4},\n", graph.bitset_inverted_ms));
-    out.push_str(&format!(
-        "    \"speedup\": {:.2}\n",
-        ratio(graph.naive_pairwise_ms, graph.bitset_inverted_ms)
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"state_kernel\": {\n");
-    out.push_str(
-        "    \"instance\": \"medical-4k, proportional Sigma, k-cluster assign/unassign replay\",\n",
+    let sweep = lines(
+        sweep.iter().map(|p| {
+            format!(
+                "{{\"deadline_ms\": {}, \"outcome\": \"{}\", \"nodes_explored\": {}, \
+                 \"star_count\": {}, \"ok\": {}}}",
+                p.deadline_ms, p.outcome, p.nodes_explored, p.star_count, p.ok
+            )
+        }),
+        "      ",
     );
-    out.push_str(&format!("    \"clusters_replayed\": {},\n", state.clusters));
-    out.push_str(&format!("    \"hashmap_state_ms\": {:.4},\n", state.hash_ms));
-    out.push_str(&format!("    \"dense_bitset_state_ms\": {:.4},\n", state.dense_ms));
-    out.push_str(&format!("    \"speedup\": {:.2}\n", ratio(state.hash_ms, state.dense_ms)));
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"trajectory_node_budget\": {TRAJECTORY_NODE_BUDGET},\n"));
-    out.push_str("  \"search_trajectory\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rows\": {}, \"strategy\": \"{}\", \"seconds\": {:.4}, \
-             \"t_clustering_s\": {:.4}, \"t_suppress_s\": {:.4}, \
-             \"t_anonymize_s\": {:.4}, \"t_integrate_s\": {:.4}, \
-             \"self_clustering_s\": {:.4}, \"self_suppress_s\": {:.4}, \
-             \"self_anonymize_s\": {:.4}, \"self_integrate_s\": {:.4}, \
-             \"alloc_bytes_total\": {}, \
-             \"assignments_tried\": {}, \"backtracks\": {}, \
-             \"node_selections\": {}, \"forward_check_prunes\": {}, \
-             \"ok\": {}, \"outcome\": \"{}\"}}{}\n",
-            p.rows,
-            p.strategy,
-            p.seconds,
-            p.t_clustering_s,
-            p.t_suppress_s,
-            p.t_anonymize_s,
-            p.t_integrate_s,
-            p.self_clustering_s,
-            p.self_suppress_s,
-            p.self_anonymize_s,
-            p.self_integrate_s,
-            p.alloc_bytes_total,
-            p.assignments_tried,
-            p.backtracks,
-            p.node_selections,
-            p.forward_check_prunes,
-            p.ok,
-            p.outcome,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"budget_sweep\": {\n");
-    out.push_str(
-        "    \"instance\": \"medical-4k, proportional(n=5, frac=0.7, min-freq=80), k=8\",\n",
+    let scaling = lines(
+        scaling.iter().map(|s| {
+            let decomposed = s
+                .decomposed
+                .iter()
+                .map(|(threads, ms, speedup)| {
+                    format!(
+                        "{{\"threads\": {threads}, \"ms\": {}, \"speedup\": {}}}",
+                        ms.json(),
+                        speedup.json()
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(", ");
+            format!(
+                "{{\"instance\": \"{}\", \"rows\": {}, \"constraints\": {}, \"components\": {}, \
+                 \"monolithic_ms\": {}, \"decomposed\": [{decomposed}]}}",
+                s.instance,
+                s.rows,
+                s.constraints,
+                s.components,
+                s.monolithic_ms.json()
+            )
+        }),
+        "      ",
     );
-    out.push_str("    \"points\": [\n");
-    for (i, p) in sweep.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"deadline_ms\": {}, \"seconds\": {:.4}, \"outcome\": \"{}\", \
-             \"nodes_explored\": {}, \"star_count\": {}, \"ok\": {}}}{}\n",
-            p.deadline_ms,
-            p.seconds,
-            p.outcome,
-            p.nodes_explored,
-            p.star_count,
-            p.ok,
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ]\n");
-    out.push_str("  },\n");
-    out.push_str("  \"component_scaling\": {\n");
-    out.push_str("    \"strategy\": \"MinChoice\",\n");
-    out.push_str("    \"metric\": \"clustering-phase wall-clock, best of reps, ms\",\n");
-    out.push_str("    \"instances\": [\n");
-    for (i, s) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"instance\": \"{}\", \"rows\": {}, \"constraints\": {}, \
-             \"components\": {}, \"monolithic_ms\": {:.4}, \"decomposed\": [",
-            s.instance, s.rows, s.constraints, s.components, s.monolithic_ms
-        ));
-        for (j, (threads, ms, speedup)) in s.decomposed.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"threads\": {}, \"ms\": {:.4}, \"speedup\": {:.2}}}",
-                if j == 0 { "" } else { ", " },
-                threads,
-                ms,
-                speedup
-            ));
-        }
-        out.push_str(&format!("]}}{}\n", if i + 1 < scaling.len() { "," } else { "" }));
-    }
-    out.push_str("    ]\n");
-    out.push_str("  },\n");
-    out.push_str("  \"portfolio\": {\n");
-    out.push_str(&format!("    \"rows\": {},\n", portfolio.rows));
-    out.push_str(&format!("    \"seconds\": {:.4},\n", portfolio.seconds));
-    out.push_str(&format!("    \"winner_assignments_tried\": {},\n", portfolio.winner_assignments));
-    out.push_str(&format!("    \"ok\": {}\n", portfolio.ok));
-    out.push_str("  },\n");
-    out.push_str("  \"obs_overhead\": {\n");
-    out.push_str("    \"instance\": \"medical-4k, proportional Sigma, full pipeline\",\n");
-    out.push_str(&format!("    \"rows\": {},\n", overhead.rows));
-    out.push_str(&format!("    \"obs_disabled_ms\": {:.4},\n", overhead.disabled_ms));
-    out.push_str(&format!("    \"obs_and_sampler_enabled_ms\": {:.4},\n", overhead.enabled_ms));
-    out.push_str(&format!("    \"enabled_overhead_pct\": {:.2},\n", overhead.overhead_pct));
-    out.push_str(&format!("    \"sampler_ticks\": {},\n", overhead.samples_taken));
-    out.push_str("    \"disabled_budget_pct\": 2.0\n");
-    out.push_str("  },\n");
-    out.push_str("  \"provenance_overhead\": {\n");
-    out.push_str("    \"instance\": \"medical-4k, proportional Sigma, full pipeline\",\n");
-    out.push_str(&format!("    \"rows\": {},\n", provenance.rows));
-    out.push_str(&format!("    \"recorder_disabled_ms\": {:.4},\n", provenance.disabled_ms));
-    out.push_str(&format!("    \"recorder_enabled_ms\": {:.4},\n", provenance.enabled_ms));
-    out.push_str(&format!("    \"enabled_overhead_pct\": {:.2},\n", provenance.overhead_pct));
-    out.push_str(&format!("    \"stars_attributed\": {},\n", provenance.stars_attributed));
-    out.push_str("    \"enabled_budget_pct\": 1.0\n");
-    out.push_str("  },\n");
-    out.push_str("  \"audit_throughput\": {\n");
-    out.push_str("    \"instance\": \"medical-100k raw, all eight models gated\",\n");
-    out.push_str(&format!("    \"rows\": {},\n", audit.rows));
-    out.push_str(&format!("    \"classes\": {},\n", audit.classes));
-    out.push_str(&format!("    \"best_ms\": {:.4},\n", audit.best_ms));
-    out.push_str(&format!("    \"rows_per_sec\": {:.0}\n", audit.rows_per_sec));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+    let instance = "medical-4k, proportional Sigma, full pipeline";
+    format!(
+        r#"{{
+  "workload": "medical / proportional(n=5, frac=0.7), k=5",
+  "regenerate": "cargo run --release -p diva-bench --bin experiments -- perf",
+  "timing": "wall-clock ms as {{q1, median, q3}}: nearest-rank quartiles of {REPS} interleaved rounds after one warm-up round; overheads and speedups are taken per round",
+  "trajectory_node_budget": {TRAJECTORY_NODE_BUDGET},
+  "search_trajectory": [
+{trajectory}
+  ],
+  "budget_sweep": {{
+    "instance": "medical-4k, proportional(n=5, frac=0.7, min-freq=80), k=8",
+    "points": [
+{sweep}
+    ]
+  }},
+  "component_scaling": {{
+    "strategy": "MinChoice",
+    "metric": "clustering-phase wall-clock, ms",
+    "instances": [
+{scaling}
+    ]
+  }},
+  "obs_overhead": {{
+    "instance": "{instance}",
+    "measures": "obs enabled with the default sampler attached vs obs disabled; no budget",
+    "rows": {},
+    "obs_disabled_ms": {},
+    "obs_and_sampler_enabled_ms": {},
+    "enabled_overhead_pct": {},
+    "sampler_ticks": {sampler_ticks}
+  }},
+  "provenance_overhead": {{
+    "instance": "{instance}",
+    "rows": {},
+    "recorder_disabled_ms": {},
+    "recorder_enabled_ms": {},
+    "enabled_overhead_pct": {},
+    "enabled_budget_pct": {PROVENANCE_BUDGET_PCT:.1},
+    "verdict": "{}",
+    "stars_attributed": {stars_attributed}
+  }}
+}}
+"#,
+        obs.rows,
+        obs.off_ms.json(),
+        obs.on_ms.json(),
+        obs.pct.json(),
+        provenance.rows,
+        provenance.off_ms.json(),
+        provenance.on_ms.json(),
+        provenance.pct.json(),
+        Verdict::of(provenance.pct, PROVENANCE_BUDGET_PCT).label(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::experiment_sigma;
 
-    fn small_set() -> (Relation, Vec<diva_constraints::Constraint>) {
-        let rel = diva_datagen::medical(400, 5);
-        let sigma = experiment_sigma(&rel, 6, 0.4, 5, 1);
-        (rel, sigma)
+    #[test]
+    fn interleave_rotates_the_first_arm_and_spread_takes_nearest_ranks() {
+        let mut calls = Vec::new();
+        let mut next = 0.0;
+        let [a, b] = interleave(4, |arm| {
+            calls.push(arm);
+            next += 1.0;
+            next
+        });
+        // Warm-up round, then rounds starting at arm 1, 0, 1, 0.
+        assert_eq!(calls, [0, 1, 1, 0, 0, 1, 1, 0, 0, 1]);
+        assert_eq!(a, [4.0, 5.0, 8.0, 9.0], "warm-up samples are discarded");
+        assert_eq!(b, [3.0, 6.0, 7.0, 10.0]);
+
+        // Nearest rank: the ceil(p·n)-th smallest sample.
+        let five = Spread::of(&[9.0, 1.0, 7.0, 3.0, 5.0]);
+        assert_eq!(five, Spread { q1: 3.0, median: 5.0, q3: 7.0 });
+        let four = Spread::of(&[4.0, 2.0, 1.0, 3.0]);
+        assert_eq!(four, Spread { q1: 1.0, median: 2.0, q3: 3.0 });
+        assert_eq!(Spread::of(&[6.0]), Spread { q1: 6.0, median: 6.0, q3: 6.0 });
+
+        let pct = Spread::per_round(&[8.0, 16.0, 32.0], &[10.0, 14.0, 32.0], |off, on| {
+            (on - off) / off * 100.0
+        });
+        assert_eq!(pct, Spread { q1: -12.5, median: 0.0, q3: 25.0 });
     }
 
     #[test]
-    fn naive_and_bitset_graphs_agree() {
-        let (rel, sigma) = small_set();
-        let set = ConstraintSet::bind(&sigma, &rel).unwrap();
-        // bench_graph asserts edge-for-edge agreement internally.
-        let b = bench_graph(&set);
-        assert_eq!(b.n_constraints, 6);
-    }
-
-    #[test]
-    fn audit_throughput_reports_sane_numbers() {
-        let rel = diva_datagen::medical(2_000, 7);
-        let a = bench_audit_throughput(&rel);
-        assert_eq!(a.rows, 2_000);
-        assert!(a.classes > 0 && a.classes <= a.rows);
-        assert!(a.best_ms >= 0.0 && a.rows_per_sec > 0.0);
-    }
-
-    #[test]
-    fn hash_and_dense_replays_agree() {
-        let (rel, sigma) = small_set();
-        let set = ConstraintSet::bind(&sigma, &rel).unwrap();
-        // bench_state asserts replay checksums agree internally.
-        let b = bench_state(&set, 5);
-        assert!(b.clusters > 0);
+    fn verdict_needs_the_whole_quartile_range_on_one_side() {
+        let spread = |q1, q3| Spread { q1, median: (q1 + q3) / 2.0, q3 };
+        assert_eq!(Verdict::of(spread(-3.0, 0.5), 1.0), Verdict::Within);
+        assert_eq!(Verdict::of(spread(1.5, 4.0), 1.0), Verdict::Over);
+        assert_eq!(Verdict::of(spread(-6.0, 25.0), 1.0), Verdict::NotResolved);
+        // A quartile on the budget itself does not resolve it.
+        assert_eq!(Verdict::of(spread(-1.0, 1.0), 1.0), Verdict::NotResolved);
+        assert_eq!(Verdict::of(spread(1.0, 3.0), 1.0), Verdict::NotResolved);
+        assert_eq!(Verdict::NotResolved.label(), "not resolved");
     }
 
     #[test]
@@ -873,16 +571,9 @@ mod tests {
         let rel = diva_datagen::medical(250, 5);
         let p = trajectory_point(&rel, 5, Strategy::MinChoice);
         assert!(p.ok, "tiny instance should solve");
-        assert!(p.assignments_tried > 0);
-        assert!(p.node_selections > 0, "search counters missing");
-        // Phase timings are a partition of the run: each is bounded by
-        // the end-to-end wall-clock and clustering did real work.
-        assert!(p.t_clustering_s > 0.0);
-        let phases = p.t_clustering_s + p.t_suppress_s + p.t_anonymize_s + p.t_integrate_s;
-        assert!(phases <= p.seconds, "phase timings exceed total");
-        // Self-time never exceeds the phase's own wall-clock.
-        assert!(p.self_clustering_s <= p.t_clustering_s + 1e-6);
-        assert!(p.self_anonymize_s <= p.t_anonymize_s + 1e-6);
+        assert!(p.search.assignments_tried > 0);
+        assert!(p.search.node_selections > 0, "search counters missing");
+        assert!(0.0 < p.ms.q1 && p.ms.q1 <= p.ms.median && p.ms.median <= p.ms.q3);
         // With the counting allocator installed the run attributes
         // memory; without it the field stays zero.
         if cfg!(feature = "alloc-profile") {
@@ -917,30 +608,31 @@ mod tests {
         let sigma = diva_constraints::generators::islands(&rel, 4, 2, 0.9, 10);
         let s = bench_component_scaling("test", &rel, &sigma, 3);
         assert!(s.components > 1, "islands instance must decompose, got {}", s.components);
-        assert!(s.monolithic_ms.is_finite() && s.monolithic_ms >= 0.0);
-        assert_eq!(s.decomposed.len(), COMPONENT_THREADS.len());
-        for (threads, ms, speedup) in &s.decomposed {
-            assert!(COMPONENT_THREADS.contains(threads));
-            assert!(ms.is_finite() && speedup.is_finite());
+        assert!(s.monolithic_ms.q1 > 0.0 && s.monolithic_ms.q3.is_finite());
+        let threads: Vec<usize> = s.decomposed.iter().map(|d| d.0).collect();
+        assert_eq!(threads, COMPONENT_THREADS);
+        for (_, ms, speedup) in &s.decomposed {
+            assert!(ms.q1 > 0.0 && ms.q3.is_finite());
+            assert!(speedup.q1 > 0.0 && speedup.q3.is_finite());
         }
     }
 
     #[test]
     fn obs_overhead_measures_both_modes() {
         let rel = diva_datagen::medical(300, 5);
-        let o = bench_obs_overhead(&rel, 5);
+        let (o, _ticks) = obs_overhead(&rel, 5);
         assert_eq!(o.rows, 300);
-        assert!(o.disabled_ms > 0.0 && o.enabled_ms > 0.0);
-        assert!(o.overhead_pct.is_finite());
+        assert!(o.off_ms.q1 > 0.0 && o.on_ms.q1 > 0.0);
+        assert!(o.pct.q1.is_finite() && o.pct.q3.is_finite());
     }
 
     #[test]
     fn provenance_overhead_measures_both_modes() {
         let rel = diva_datagen::medical(300, 5);
-        let o = bench_provenance_overhead(&rel, 5);
+        let (o, stars_attributed) = provenance_overhead(&rel, 5);
         assert_eq!(o.rows, 300);
-        assert!(o.disabled_ms > 0.0 && o.enabled_ms > 0.0);
-        assert!(o.overhead_pct.is_finite());
-        assert!(o.stars_attributed > 0, "enabled rep recorded no stars");
+        assert!(o.off_ms.q1 > 0.0 && o.on_ms.q1 > 0.0);
+        assert!(o.pct.q1.is_finite() && o.pct.q3.is_finite());
+        assert!(stars_attributed > 0, "enabled rep recorded no stars");
     }
 }

@@ -1,5 +1,4 @@
-//! Single-configuration runners shared by the experiment binary and
-//! the Criterion benches.
+//! Single-configuration runners shared by the experiment modules.
 
 use diva_anonymize::Anonymizer;
 use diva_constraints::{conflict_rate, Constraint, ConstraintSet};

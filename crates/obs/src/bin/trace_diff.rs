@@ -1,83 +1,48 @@
 //! `trace-diff` — the trace-regression gate.
 //!
-//! Usage:
-//! `trace-diff [--time-threshold PCT] [--value-threshold PCT] <baseline.json> <current.json>`
+//! Usage: `trace-diff <baseline.json> <current.json>`
 //!
-//! Compares two summary exports (the documents written by the CLI's
-//! `--metrics`) with [`diva_obs::diff::diff_summaries`]: span timings
-//! (`total_us`, `self_us`) against the time threshold, counters and
-//! span `alloc_bytes` against the value threshold, with absolute
-//! floors damping noise on tiny metrics. Exits 0 when the current
-//! capture is within thresholds, 1 on any regression (each printed to
-//! stderr), 2 on usage/IO/parse errors. `scripts/check.sh` runs this
-//! against the committed `results/baseline/medical-4k.summary.json`.
+//! Compares the deterministic fields of two summary exports (the
+//! documents written by the CLI's `--metrics`) with
+//! [`diva_obs::diff::diff_summaries`]: span counts and `alloc_bytes`,
+//! and every counter, gauge and histogram, exactly and in both
+//! directions. Timings are not compared. Exits 0 when every field
+//! matches, 1 on any mismatch (each printed to stderr), 2 on
+//! usage/IO/parse errors. `scripts/check.sh` runs this against the
+//! committed `results/baseline/medical-4k.summary.json`.
 
-use diva_obs::diff::{diff_summaries, DiffConfig};
-use diva_obs::json::parse;
+use diva_obs::diff::diff_summaries;
+use diva_obs::json::{parse, Value};
 
-fn usage() -> std::process::ExitCode {
-    eprintln!(
-        "usage: trace-diff [--time-threshold PCT] [--value-threshold PCT] \
-         <baseline.json> <current.json>"
-    );
-    std::process::ExitCode::from(2)
+fn read(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn run(baseline_path: &str, current_path: &str, cfg: &DiffConfig) -> Result<bool, String> {
-    let baseline_text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
-    let current_text = std::fs::read_to_string(current_path)
-        .map_err(|e| format!("cannot read {current_path}: {e}"))?;
-    let baseline = parse(&baseline_text).map_err(|e| format!("baseline {baseline_path}: {e}"))?;
-    let current = parse(&current_text).map_err(|e| format!("current {current_path}: {e}"))?;
-    let report = diff_summaries(&baseline, &current, cfg)?;
+fn run(baseline_path: &str, current_path: &str) -> Result<bool, String> {
+    let report = diff_summaries(&read(baseline_path)?, &read(current_path)?)?;
     if report.is_ok() {
-        println!(
-            "trace-diff ok: {} metrics within thresholds (+{:.0}% time, +{:.0}% values)",
-            report.compared, cfg.time_threshold_pct, cfg.value_threshold_pct
-        );
+        println!("trace-diff ok: {} deterministic fields identical", report.compared);
         return Ok(true);
     }
     eprintln!(
-        "trace-diff: {} of {} metrics regressed vs {baseline_path}:",
-        report.regressions.len(),
+        "trace-diff: {} of {} deterministic fields differ from {baseline_path}:",
+        report.mismatches.len(),
         report.compared
     );
-    for r in &report.regressions {
-        eprintln!("  {r}");
+    for m in &report.mismatches {
+        eprintln!("  {m}");
     }
     Ok(false)
 }
 
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = DiffConfig::default();
-    let mut paths: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            flag @ ("--time-threshold" | "--value-threshold") => {
-                let Some(pct) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                    return usage();
-                };
-                if flag == "--time-threshold" {
-                    cfg.time_threshold_pct = pct;
-                } else {
-                    cfg.value_threshold_pct = pct;
-                }
-                i += 2;
-            }
-            other if other.starts_with("--") => return usage(),
-            other => {
-                paths.push(other);
-                i += 1;
-            }
-        }
-    }
-    let [baseline_path, current_path] = paths[..] else {
-        return usage();
+    let [baseline_path, current_path] = &args[..] else {
+        eprintln!("usage: trace-diff <baseline.json> <current.json>");
+        return std::process::ExitCode::from(2);
     };
-    match run(baseline_path, current_path, &cfg) {
+    match run(baseline_path, current_path) {
         Ok(true) => std::process::ExitCode::SUCCESS,
         Ok(false) => std::process::ExitCode::FAILURE,
         Err(e) => {

@@ -2,189 +2,116 @@
 //! binary (kept in the library so it is unit-testable and reusable
 //! from the workspace's profiling tests).
 //!
-//! [`diff_summaries`] compares two parsed summary exports
-//! ([`Snapshot::summary_json`](crate::Snapshot::summary_json)
-//! documents) — the committed baseline against a fresh capture — and
-//! reports every metric whose **current** value grew past
-//! `baseline × (1 + threshold/100)`:
+//! [`diff_summaries`] compares the deterministic fields of two parsed
+//! summary exports ([`Snapshot::summary_json`](crate::Snapshot::summary_json)
+//! documents) — the committed baseline against a fresh capture:
 //!
-//! * span `total_us` and `self_us` use [`DiffConfig::time_threshold_pct`]
-//!   (timings are noisy; the default 75% tolerates scheduler jitter
-//!   while still catching a 2× slowdown);
-//! * span `alloc_bytes` and every counter use
-//!   [`DiffConfig::value_threshold_pct`] (deterministic quantities get
-//!   the tighter default 50%);
-//! * metrics below an absolute floor ([`DiffConfig::min_time_us`],
-//!   [`DiffConfig::min_counter`], [`DiffConfig::min_alloc_bytes`]) are
-//!   skipped — a 5 µs span tripling is noise, not a regression;
-//! * a baseline metric (above its floor) missing from the current
-//!   capture is itself a regression — losing a phase span or counter
-//!   means the instrumentation silently broke;
-//! * improvements (current below baseline) never fail the gate, and
-//!   metrics present only in the current capture are ignored (new
-//!   instrumentation is not a regression).
+//! * every span's `count` and `alloc_bytes`;
+//! * every counter and gauge;
+//! * every histogram's `count`, `sum` and bucket counts.
+//!
+//! The comparison is exact and two-sided: a value that moves by any
+//! amount in either direction is a mismatch, and so is a field present
+//! in only one summary (lost instrumentation and new instrumentation
+//! both mean the baseline no longer describes the run). Span timings
+//! (`total_us`, `self_us`, `min_us`, `max_us`) are not compared:
+//! wall-clock regressions are judged by the repository benchmark,
+//! which samples them instead of reading one capture.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json::Value;
 
-/// Thresholds and floors for [`diff_summaries`].
-#[derive(Debug, Clone)]
-pub struct DiffConfig {
-    /// Allowed relative growth for span timings (`total_us`,
-    /// `self_us`), percent.
-    pub time_threshold_pct: f64,
-    /// Allowed relative growth for deterministic values (counters,
-    /// `alloc_bytes`), percent.
-    pub value_threshold_pct: f64,
-    /// Span timings below this many microseconds in the baseline are
-    /// not compared.
-    pub min_time_us: f64,
-    /// Counters below this baseline value are not compared.
-    pub min_counter: f64,
-    /// `alloc_bytes` below this baseline value are not compared.
-    pub min_alloc_bytes: f64,
-}
-
-impl Default for DiffConfig {
-    fn default() -> Self {
-        DiffConfig {
-            time_threshold_pct: 75.0,
-            value_threshold_pct: 50.0,
-            min_time_us: 10_000.0,
-            min_counter: 32.0,
-            min_alloc_bytes: 1_048_576.0,
-        }
-    }
-}
-
-/// One metric that regressed past its threshold.
+/// One deterministic field on which the two summaries disagree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Dotted metric path, e.g. `spans.diva.anonymize.self_us`.
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value (`f64::NAN` never occurs; a missing metric is
-    /// reported as `0`).
-    pub current: f64,
-    /// Relative change, percent (positive = worse).
-    pub change_pct: f64,
-    /// The threshold that was exceeded, percent.
-    pub threshold_pct: f64,
+pub struct Mismatch {
+    /// Dotted field path, e.g. `spans.diva.run.alloc_bytes` or
+    /// `histograms.cluster.size.buckets[le=7]`.
+    pub field: String,
+    /// Baseline value; `None` when only the current capture has it.
+    pub baseline: Option<f64>,
+    /// Current value; `None` when only the baseline has it.
+    pub current: Option<f64>,
 }
 
-impl std::fmt::Display for Regression {
+impl std::fmt::Display for Mismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} -> {} ({:+.1}% > +{:.0}% allowed)",
-            self.metric, self.baseline, self.current, self.change_pct, self.threshold_pct
-        )
+        let side = |v: Option<f64>| v.map_or_else(|| "absent".to_string(), |v| v.to_string());
+        write!(f, "{}: {} -> {}", self.field, side(self.baseline), side(self.current))
     }
 }
 
-/// Outcome of one comparison: how many metrics were compared and
-/// which regressed. The gate passes iff `regressions` is empty.
-#[derive(Debug, Clone, Default)]
+/// Outcome of one comparison. The gate passes iff `mismatches` is
+/// empty.
+#[derive(Debug, Clone)]
 pub struct DiffReport {
-    /// Metrics that cleared their floor and were compared.
+    /// Distinct fields compared: the union of both summaries'.
     pub compared: usize,
-    /// Metrics that exceeded their threshold, in document order.
-    pub regressions: Vec<Regression>,
+    /// Fields that differ, sorted by path.
+    pub mismatches: Vec<Mismatch>,
 }
 
 impl DiffReport {
-    /// Whether the gate passes (no regressions).
+    /// Whether the gate passes (no mismatches).
     #[must_use]
     pub fn is_ok(&self) -> bool {
-        self.regressions.is_empty()
+        self.mismatches.is_empty()
     }
 }
 
-/// Compares two parsed summary documents (baseline vs current). Errors
-/// only on structurally invalid documents (missing/ill-typed `spans`
-/// or `counters` sections); regressions are reported, not errors.
-pub fn diff_summaries(
-    baseline: &Value,
-    current: &Value,
-    cfg: &DiffConfig,
-) -> Result<DiffReport, String> {
-    let mut report = DiffReport::default();
-    let base_spans = section(baseline, "spans", "baseline")?;
-    let cur_spans = current.get("spans");
-    for (name, base_span) in base_spans {
-        for (field, threshold, floor) in [
-            ("total_us", cfg.time_threshold_pct, cfg.min_time_us),
-            ("self_us", cfg.time_threshold_pct, cfg.min_time_us),
-            ("alloc_bytes", cfg.value_threshold_pct, cfg.min_alloc_bytes),
-        ] {
-            let Some(base_val) = base_span.get(field).and_then(Value::as_num) else {
-                continue;
-            };
-            if base_val < floor {
-                continue;
-            }
-            let cur_val = cur_spans
-                .and_then(|s| s.get(name))
-                .and_then(|s| s.get(field))
-                .and_then(Value::as_num);
-            compare(&mut report, &format!("spans.{name}.{field}"), base_val, cur_val, threshold);
-        }
-    }
-    let base_counters = section(baseline, "counters", "baseline")?;
-    let cur_counters = current.get("counters");
-    for (name, base_counter) in base_counters {
-        let Some(base_val) = base_counter.as_num() else {
-            continue;
-        };
-        if base_val < cfg.min_counter {
-            continue;
-        }
-        let cur_val = cur_counters.and_then(|c| c.get(name)).and_then(Value::as_num);
-        compare(
-            &mut report,
-            &format!("counters.{name}"),
-            base_val,
-            cur_val,
-            cfg.value_threshold_pct,
-        );
-    }
-    Ok(report)
+/// Compares the deterministic fields of two parsed summary documents
+/// (baseline vs current). Errors only on structurally invalid
+/// documents (a missing or ill-typed section or field); mismatches are
+/// reported, not errors.
+pub fn diff_summaries(baseline: &Value, current: &Value) -> Result<DiffReport, String> {
+    let base = deterministic_fields(baseline, "baseline")?;
+    let cur = deterministic_fields(current, "current")?;
+    let fields: BTreeSet<&String> = base.keys().chain(cur.keys()).collect();
+    let mismatches = fields
+        .iter()
+        .filter_map(|&field| {
+            let (baseline, current) = (base.get(field).copied(), cur.get(field).copied());
+            (baseline != current).then(|| Mismatch { field: field.clone(), baseline, current })
+        })
+        .collect();
+    Ok(DiffReport { compared: fields.len(), mismatches })
 }
 
-/// Records the comparison of one metric into `report`. A missing
-/// current value counts as `0` *and* as a regression (instrumentation
-/// that stops reporting is as bad as a slowdown).
-fn compare(
-    report: &mut DiffReport,
-    metric: &str,
-    baseline: f64,
-    current: Option<f64>,
-    threshold_pct: f64,
-) {
-    report.compared += 1;
-    let Some(current) = current else {
-        report.regressions.push(Regression {
-            metric: format!("{metric} (missing from current capture)"),
-            baseline,
-            current: 0.0,
-            change_pct: -100.0,
-            threshold_pct,
-        });
-        return;
+/// Flattens the deterministic values of a summary into `path -> value`.
+fn deterministic_fields(doc: &Value, which: &str) -> Result<BTreeMap<String, f64>, String> {
+    let mut fields = BTreeMap::new();
+    let mut put = |path: String, v: Option<&Value>| {
+        let n =
+            v.and_then(Value::as_num).ok_or(format!("{which} summary: {path} is not a number"))?;
+        fields.insert(path, n);
+        Ok::<(), String>(())
     };
-    if baseline <= 0.0 {
-        return;
+    for (name, span) in section(doc, "spans", which)? {
+        put(format!("spans.{name}.count"), span.get("count"))?;
+        if let Some(bytes) = span.get("alloc_bytes") {
+            put(format!("spans.{name}.alloc_bytes"), Some(bytes))?;
+        }
     }
-    let change_pct = (current - baseline) / baseline * 100.0;
-    if current > baseline * (1.0 + threshold_pct / 100.0) {
-        report.regressions.push(Regression {
-            metric: metric.to_string(),
-            baseline,
-            current,
-            change_pct,
-            threshold_pct,
-        });
+    for key in ["counters", "gauges"] {
+        for (name, v) in section(doc, key, which)? {
+            put(format!("{key}.{name}"), Some(v))?;
+        }
     }
+    for (name, h) in section(doc, "histograms", which)? {
+        put(format!("histograms.{name}.count"), h.get("count"))?;
+        put(format!("histograms.{name}.sum"), h.get("sum"))?;
+        let buckets = h
+            .get("buckets")
+            .and_then(Value::as_arr)
+            .ok_or(format!("{which} summary: histograms.{name}.buckets is not an array"))?;
+        for b in buckets {
+            let le = b.get("le").and_then(Value::as_num).ok_or(format!(
+                "{which} summary: a bucket of histograms.{name} has no numeric \"le\""
+            ))?;
+            put(format!("histograms.{name}.buckets[le={le}]"), b.get("count"))?;
+        }
+    }
+    Ok(fields)
 }
 
 /// Fetches a named object section from a summary document.
@@ -204,85 +131,116 @@ mod tests {
     const BASE: &str = r#"{
   "spans": {
     "diva.anonymize": {"count": 1, "total_us": 50000, "self_us": 40000, "min_us": 50000, "max_us": 50000, "alloc_bytes": 8000000},
-    "diva.tiny": {"count": 1, "total_us": 5, "self_us": 5, "min_us": 5, "max_us": 5}
+    "diva.tiny": {"count": 3, "total_us": 5, "self_us": 5, "min_us": 1, "max_us": 3}
   },
   "counters": {
     "search.backtracks": 1000,
     "search.rare": 3
   },
-  "gauges": {},
-  "histograms": {}
+  "gauges": {
+    "graph.edges": 10
+  },
+  "histograms": {
+    "cluster.size": {"count": 310, "sum": 1554, "buckets": [{"le": 7, "count": 309}, {"le": 15, "count": 1}]}
+  }
 }"#;
 
-    /// Recursively multiplies every number in a document — the
-    /// "2x-inflated copy" of the acceptance criteria.
-    fn inflate(v: &Value, factor: f64) -> Value {
-        match v {
-            Value::Num(n) => Value::Num(n * factor),
-            Value::Arr(items) => Value::Arr(items.iter().map(|i| inflate(i, factor)).collect()),
-            Value::Obj(fields) => Value::Obj(
-                fields.iter().map(|(k, val)| (k.clone(), inflate(val, factor))).collect(),
-            ),
-            other => other.clone(),
-        }
+    fn diff(current: &str) -> DiffReport {
+        let base = parse(BASE).expect("baseline parses");
+        let current = parse(current).expect("current parses");
+        diff_summaries(&base, &current).expect("diff runs")
+    }
+
+    fn mismatched(report: &DiffReport) -> Vec<&str> {
+        report.mismatches.iter().map(|m| m.field.as_str()).collect()
     }
 
     #[test]
     fn self_diff_passes() {
-        let base = parse(BASE).expect("baseline parses");
-        let report = diff_summaries(&base, &base, &DiffConfig::default()).expect("diff runs");
-        assert!(report.is_ok(), "identical summaries regress: {:?}", report.regressions);
-        // anonymize total+self+alloc, plus one counter over its floor.
-        assert_eq!(report.compared, 4);
+        let report = diff(BASE);
+        assert!(report.is_ok(), "identical summaries differ: {:?}", report.mismatches);
+        // Two span counts, one alloc_bytes, two counters, one gauge,
+        // and the histogram's count, sum and two buckets.
+        assert_eq!(report.compared, 10);
     }
 
     #[test]
-    fn doubled_metrics_fail() {
-        let base = parse(BASE).expect("baseline parses");
-        let doubled = inflate(&base, 2.0);
-        let report = diff_summaries(&base, &doubled, &DiffConfig::default()).expect("diff runs");
-        assert!(!report.is_ok());
-        let metrics: Vec<&str> = report.regressions.iter().map(|r| r.metric.as_str()).collect();
-        assert!(metrics.contains(&"spans.diva.anonymize.total_us"));
-        assert!(metrics.contains(&"spans.diva.anonymize.alloc_bytes"));
-        assert!(metrics.contains(&"counters.search.backtracks"));
-        assert!(
-            !metrics.iter().any(|m| m.contains("diva.tiny") || m.contains("search.rare")),
-            "metrics under their absolute floor are never compared"
-        );
-        for r in &report.regressions {
-            assert!(r.to_string().contains("->"), "display renders the transition");
+    fn a_timing_only_change_passes() {
+        let slower = BASE
+            .replace(
+                r#""total_us": 50000, "self_us": 40000, "min_us": 50000, "max_us": 50000"#,
+                r#""total_us": 100000, "self_us": 80000, "min_us": 100000, "max_us": 100000"#,
+            )
+            .replace(r#""total_us": 5, "self_us": 5"#, r#""total_us": 1, "self_us": 1"#);
+        assert_ne!(slower, BASE);
+        assert!(diff(&slower).is_ok());
+    }
+
+    #[test]
+    fn every_deterministic_field_fails_on_a_move_of_one() {
+        let cases = [
+            (r#""diva.anonymize": {"count": "#, 1, "spans.diva.anonymize.count"),
+            (r#""diva.tiny": {"count": "#, 3, "spans.diva.tiny.count"),
+            (r#""alloc_bytes": "#, 8_000_000, "spans.diva.anonymize.alloc_bytes"),
+            (r#""search.backtracks": "#, 1000, "counters.search.backtracks"),
+            (r#""search.rare": "#, 3, "counters.search.rare"),
+            (r#""graph.edges": "#, 10, "gauges.graph.edges"),
+            (r#""cluster.size": {"count": "#, 310, "histograms.cluster.size.count"),
+            (r#""sum": "#, 1554, "histograms.cluster.size.sum"),
+            (r#"{"le": 7, "count": "#, 309, "histograms.cluster.size.buckets[le=7]"),
+            (r#"{"le": 15, "count": "#, 1, "histograms.cluster.size.buckets[le=15]"),
+        ];
+        for (prefix, value, field) in cases {
+            for moved in [value - 1, value + 1] {
+                let current =
+                    BASE.replacen(&format!("{prefix}{value}"), &format!("{prefix}{moved}"), 1);
+                assert_ne!(current, BASE, "{field}: the case edits nothing");
+                let report = diff(&current);
+                assert_eq!(mismatched(&report), [field], "{value} -> {moved}");
+                let m = &report.mismatches[0];
+                assert_eq!((m.baseline, m.current), (Some(value as f64), Some(moved as f64)));
+                assert_eq!(m.to_string(), format!("{field}: {value} -> {moved}"));
+            }
         }
     }
 
     #[test]
-    fn improvements_and_growth_within_threshold_pass() {
-        let base = parse(BASE).expect("baseline parses");
-        let better = inflate(&base, 0.5);
-        let cfg = DiffConfig::default();
-        assert!(diff_summaries(&base, &better, &cfg).expect("diff runs").is_ok());
-        // +40% counter growth stays under the 50% value threshold;
-        // +70% time growth stays under the 75% time threshold.
-        let slightly = inflate(&base, 1.4);
-        assert!(diff_summaries(&base, &slightly, &cfg).expect("diff runs").is_ok());
-    }
+    fn a_name_on_one_side_only_fails() {
+        let extra = BASE.replace(r#""search.rare": 3"#, r#""search.rare": 3, "search.new": 0"#);
+        let report = diff(&extra);
+        assert_eq!(mismatched(&report), ["counters.search.new"]);
+        assert_eq!(report.mismatches[0].baseline, None);
+        assert_eq!(report.mismatches[0].to_string(), "counters.search.new: absent -> 0");
 
-    #[test]
-    fn missing_baseline_metric_is_a_regression() {
-        let base = parse(BASE).expect("baseline parses");
-        let current = parse(r#"{"spans": {}, "counters": {}, "gauges": {}, "histograms": {}}"#)
-            .expect("current parses");
-        let report = diff_summaries(&base, &current, &DiffConfig::default()).expect("diff runs");
-        assert_eq!(report.regressions.len(), 4, "every floored metric reported missing");
-        assert!(report.regressions[0].metric.contains("missing"));
+        let lost = BASE
+            .replace(
+                r#",
+    "diva.tiny": {"count": 3, "total_us": 5, "self_us": 5, "min_us": 1, "max_us": 3}"#,
+                "",
+            )
+            .replace(r#""graph.edges": 10"#, "");
+        let report = diff(&lost);
+        assert_eq!(mismatched(&report), ["gauges.graph.edges", "spans.diva.tiny.count"]);
+        assert!(report.mismatches.iter().all(|m| m.current.is_none()));
+
+        let unprofiled = BASE.replace(r#", "alloc_bytes": 8000000"#, "");
+        assert_eq!(mismatched(&diff(&unprofiled)), ["spans.diva.anonymize.alloc_bytes"]);
     }
 
     #[test]
     fn malformed_documents_error() {
         let base = parse(BASE).expect("baseline parses");
-        let bad = parse(r#"{"spans": 3}"#).expect("parses");
-        assert!(diff_summaries(&bad, &base, &DiffConfig::default()).is_err());
-        let missing = parse(r#"{"counters": {}}"#).expect("parses");
-        assert!(diff_summaries(&missing, &base, &DiffConfig::default()).is_err());
+        for bad in [
+            r#"{"spans": 3}"#,
+            r#"{"counters": {}}"#,
+            r#"{"spans": {}, "counters": {}, "gauges": {}}"#,
+            r#"{"spans": {"a": {"total_us": 1}}, "counters": {}, "gauges": {}, "histograms": {}}"#,
+            r#"{"spans": {}, "counters": {"c": "x"}, "gauges": {}, "histograms": {}}"#,
+            r#"{"spans": {}, "counters": {}, "gauges": {}, "histograms": {"h": {"count": 1, "sum": 1}}}"#,
+        ] {
+            let bad = parse(bad).expect("parses");
+            assert!(diff_summaries(&bad, &base).is_err(), "{bad:?}");
+            assert!(diff_summaries(&base, &bad).is_err(), "{bad:?}");
+        }
     }
 }

@@ -62,8 +62,8 @@
 pub mod alloc;
 /// Post-hoc span analysis: self-times, critical path, folded stacks.
 pub mod analyze;
-/// Relative-threshold comparison of two summary documents (the
-/// `trace-diff` regression gate).
+/// Exact comparison of the deterministic fields of two summary
+/// documents (the `trace-diff` regression gate).
 pub mod diff;
 /// Snapshot freezing and JSONL-trace / summary-JSON rendering.
 pub mod export;

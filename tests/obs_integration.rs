@@ -158,8 +158,8 @@ fn enabled_board_keeps_output_byte_identical() {
 
 /// The disabled handle is free: a full run through it leaves nothing
 /// to export, and no obs operation on it allocates. Both are counted,
-/// not timed, so the test holds on any host; the wall-clock overhead
-/// is measured by `obs_overhead` in `BENCH_diva.json`.
+/// not timed, so the test holds on any host. (`obs_overhead` in
+/// `BENCH_diva.json` samples the enabled handle's cost instead.)
 #[test]
 fn disabled_obs_records_nothing_and_allocates_nothing() {
     let obs = Obs::disabled();

@@ -10,7 +10,7 @@ use std::path::Path;
 
 use diva_constraints::Constraint;
 use diva_core::{BudgetSpec, Diva, DivaConfig, Outcome, Strategy};
-use diva_obs::diff::{diff_summaries, DiffConfig};
+use diva_obs::diff::diff_summaries;
 use diva_obs::{json, Obs};
 use diva_relation::Relation;
 
@@ -113,32 +113,42 @@ fn baseline_summary() -> json::Value {
     json::parse(&text).expect("baseline parses")
 }
 
-/// Multiplies every number in a JSON tree by `factor` — a uniformly
-/// slower/bigger capture for exercising the regression gate.
-fn inflate(v: &json::Value, factor: f64) -> json::Value {
+/// Multiplies by `factor` every number whose field name passes `pick`
+/// — a slower or bigger capture for exercising the regression gate.
+fn inflate(v: &json::Value, factor: f64, pick: fn(&str) -> bool) -> json::Value {
     use json::Value;
     match v {
-        Value::Num(n) => Value::Num(n * factor),
-        Value::Arr(items) => Value::Arr(items.iter().map(|i| inflate(i, factor)).collect()),
-        Value::Obj(fields) => {
-            Value::Obj(fields.iter().map(|(k, val)| (k.clone(), inflate(val, factor))).collect())
-        }
+        Value::Arr(items) => Value::Arr(items.iter().map(|i| inflate(i, factor, pick)).collect()),
+        Value::Obj(fields) => Value::Obj(
+            fields
+                .iter()
+                .map(|(k, val)| match val {
+                    Value::Num(n) if pick(k) => (k.clone(), Value::Num(n * factor)),
+                    _ => (k.clone(), inflate(val, factor, pick)),
+                })
+                .collect(),
+        ),
         other => other.clone(),
     }
 }
 
-/// The committed baseline compared against itself is clean, and a
-/// uniformly 2x-inflated capture trips the gate — the exact contract
-/// `trace-diff` enforces in `scripts/check.sh`.
+/// The committed baseline compared against itself is clean, a
+/// uniformly 2x-inflated capture trips the gate, and a capture whose
+/// span timings alone doubled passes — the exact contract `trace-diff`
+/// enforces in `scripts/check.sh`.
 #[test]
 fn trace_diff_gate_accepts_self_and_rejects_2x_inflation() {
     let baseline = baseline_summary();
-    let cfg = DiffConfig::default();
-    let same = diff_summaries(&baseline, &baseline, &cfg).expect("diff runs");
-    assert!(same.is_ok(), "baseline vs itself regressed: {:?}", same.regressions);
+    let same = diff_summaries(&baseline, &baseline).expect("diff runs");
+    assert!(same.is_ok(), "baseline vs itself differs: {:?}", same.mismatches);
     assert!(same.compared > 0, "gate compared nothing — baseline schema drifted?");
 
-    let doubled = inflate(&baseline, 2.0);
-    let report = diff_summaries(&baseline, &doubled, &cfg).expect("diff runs");
+    let doubled = inflate(&baseline, 2.0, |_| true);
+    let report = diff_summaries(&baseline, &doubled).expect("diff runs");
     assert!(!report.is_ok(), "2x-inflated capture passed the gate (compared {})", report.compared);
+
+    let slower = inflate(&baseline, 2.0, |field| field.ends_with("_us"));
+    assert_ne!(slower, baseline, "the baseline carries span timings");
+    let report = diff_summaries(&baseline, &slower).expect("diff runs");
+    assert!(report.is_ok(), "doubled timings alone failed the gate: {:?}", report.mismatches);
 }

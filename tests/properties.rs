@@ -207,6 +207,9 @@ proptest! {
         let sigma = arb_sigma(&rel, &picks, k);
         let set = ConstraintSet::bind(&sigma, &rel).unwrap();
         let graph = ConstraintGraph::build(&set);
+        // Edges are exactly the pairs of constraints whose targets
+        // overlap, and the CSR index agrees with the target sets.
+        prop_assert!(graph.validate().is_ok(), "{:?}", graph.validate());
         let comps = components(&graph);
         // Node partition.
         let mut node_comp = vec![usize::MAX; graph.n_nodes()];
