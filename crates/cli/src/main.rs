@@ -60,9 +60,8 @@ const COMMANDS: [Command; 8] = [
         name: "anonymize",
         run: anonymize,
         flags: "input roles constraints k strategy algo l l-variant l-c portfolio threads \
-                no-decompose component-portfolio provenance trace metrics flame profile \
-                deadline-ms node-budget repair-budget stats-addr watch sample-ms stall-periods \
-                stall-escalate seed output",
+                no-decompose provenance trace metrics flame profile deadline-ms node-budget \
+                stats-addr watch sample-ms stall-periods stall-escalate seed output",
     },
     Command {
         name: "audit",
@@ -156,7 +155,6 @@ fn usage() -> String {
      \u{20}          [--portfolio N  race all strategies × N seeds, first win returns]\n\
      \u{20}          [--threads N  worker cap for --portfolio and the component pool]\n\
      \u{20}          [--no-decompose  force the monolithic solve (no component parallelism)]\n\
-     \u{20}          [--component-portfolio N  race all strategies on components of ≥ N nodes]\n\
      \u{20}          [--provenance FILE  write the decision-provenance log (json-lines):\n\
      \u{20}           one record per published group and per starred cell, plus the\n\
      \u{20}           per-constraint star attribution]\n\
@@ -167,7 +165,6 @@ fn usage() -> String {
      \u{20}          [--deadline-ms N  wall-clock budget; exceeding it degrades gracefully]\n\
      \u{20}          [--node-budget N  cap on explored search nodes; the search stops\n\
      \u{20}           at node N + 1 and degrades gracefully]\n\
-     \u{20}          [--repair-budget N  cap on repair attempts before degrading]\n\
      \u{20}           without budget flags the search is exact and unbounded (it is\n\
      \u{20}           exponential in the worst case): pass --node-budget or\n\
      \u{20}           --deadline-ms on adversarial inputs\n\
@@ -364,15 +361,14 @@ fn parse_seed(opts: &Opts) -> Result<u64, String> {
     Ok(opt(opts, "seed", "a non-negative integer")?.unwrap_or(DivaConfig::default().seed))
 }
 
-/// Assembles the resource budget from `--deadline-ms`, `--node-budget`
-/// and `--repair-budget`. All three default to unlimited, preserving
-/// the exact-search behaviour when none are given.
+/// Assembles the resource budget from `--deadline-ms` and
+/// `--node-budget`. Both default to unlimited, preserving the
+/// exact-search behaviour when neither is given.
 fn parse_budget(opts: &Opts) -> Result<BudgetSpec, String> {
     let count = |key| opt(opts, key, "a non-negative integer");
     Ok(BudgetSpec {
         deadline: count("deadline-ms")?.map(std::time::Duration::from_millis),
         node_budget: count("node-budget")?,
-        repair_budget: count("repair-budget")?,
     })
 }
 
@@ -405,7 +401,6 @@ fn start_live_telemetry(opts: &Opts, obs: &Obs) -> Result<LiveTelemetry, String>
         interval: std::time::Duration::from_millis(opt_positive(opts, "sample-ms")?.unwrap_or(100)),
         stall_periods: opt_positive(opts, "stall-periods")?.unwrap_or(5),
         escalate: opts.contains_key("stall-escalate"),
-        ..diva_obs::live::SamplerConfig::default()
     };
     let on_sample: Option<diva_obs::live::OnSample> = if opts.contains_key("watch") {
         Some(Box::new(|sample| eprintln!("{}", sample.watch_line())))
@@ -439,7 +434,7 @@ fn anonymize(opts: &Opts) -> Result<(), String> {
         Some(other) => return Err(format!("unknown strategy {other:?}")),
     };
     let seed = parse_seed(opts)?;
-    let l_diversity = opt(opts, "l", "a positive integer")?.unwrap_or(1);
+    let l_diversity = opt_positive(opts, "l")?.unwrap_or(1);
     let l_variant = match opts.get("l-variant").map(String::as_str) {
         None | Some("distinct") => LVariant::Distinct,
         Some("entropy") => LVariant::Entropy,
@@ -453,7 +448,6 @@ fn anonymize(opts: &Opts) -> Result<(), String> {
     }
     let threads = opt_positive(opts, "threads")?;
     let budget = parse_budget(opts)?;
-    let component_portfolio = opt_positive(opts, "component-portfolio")?;
     let obs = obs_for(opts);
     let provenance = if opts.contains_key("provenance") {
         diva_obs::Provenance::enabled()
@@ -474,12 +468,11 @@ fn anonymize(opts: &Opts) -> Result<(), String> {
         threads,
         budget,
         decompose: !opts.contains_key("no-decompose"),
-        component_portfolio,
         obs: obs.clone(),
         provenance: provenance.clone(),
         ..DivaConfig::default()
     };
-    let portfolio = opt(opts, "portfolio", "a positive integer")?;
+    let portfolio = opt_positive(opts, "portfolio")?;
     let result = if let Some(seeds_per_strategy) = portfolio {
         if opts.contains_key("algo") {
             return Err("--portfolio races the default anonymizer; drop --algo".to_string());
@@ -550,11 +543,11 @@ fn anonymize(opts: &Opts) -> Result<(), String> {
 fn audit_cmd(opts: &Opts) -> Result<(), String> {
     let rel = load_input(opts)?;
     let spec = diva_metrics::AuditSpec {
-        k: opt(opts, "k", "a positive integer")?,
-        distinct_l: opt(opts, "l", "a positive integer")?,
+        k: opt_positive(opts, "k")?,
+        distinct_l: opt_positive(opts, "l")?,
         entropy_l: opt_f64(opts, "entropy-l")?,
         recursive_c: opt_f64(opts, "recursive-c")?,
-        recursive_l: opt(opts, "recursive-l", "a positive integer")?.unwrap_or(2),
+        recursive_l: opt_positive(opts, "recursive-l")?.unwrap_or(2),
         alpha: opt_f64(opts, "alpha")?,
         basic_beta: opt_f64(opts, "beta")?,
         enhanced_beta: opt_f64(opts, "enhanced-beta")?,

@@ -381,23 +381,47 @@ fn audit_flag_validation() {
     // --l-c without recursive variant is rejected by anonymize.
     let sigma = tmp("audit_flags_sigma.txt");
     std::fs::write(&sigma, "ETH[Caucasian]: 1..50\n").unwrap();
-    let o = diva(&[
+    let out = tmp("audit_flags_out.csv");
+    let (data, sigma, out) =
+        (data.to_str().unwrap(), sigma.to_str().unwrap(), out.to_str().unwrap());
+    let anonymize = [
         "anonymize",
         "--input",
-        data.to_str().unwrap(),
+        data,
         "--roles",
         MEDICAL_ROLES,
         "--constraints",
-        sigma.to_str().unwrap(),
+        sigma,
         "--k",
         "2",
         "--output",
-        tmp("audit_flags_out.csv").to_str().unwrap(),
-        "--l-c",
-        "2.0",
-    ]);
+        out,
+    ];
+    let o = diva(&[&anonymize[..], &["--l-c", "2.0"]].concat());
     assert!(!o.status.success());
     assert!(String::from_utf8_lossy(&o.stderr).contains("--l-variant recursive"));
+    // Zero is rejected wherever a positive integer is asked for. Every
+    // case runs, so a failure lists each flag that let 0 through.
+    let audit = ["audit", "--input", data, "--roles", MEDICAL_ROLES];
+    let cases: [(&[&str], &str); 5] = [
+        (&anonymize, "l"),
+        (&anonymize, "portfolio"),
+        (&audit, "k"),
+        (&audit, "l"),
+        (&audit, "recursive-l"),
+    ];
+    let accepted: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(base, flag)| {
+            let flag = format!("--{flag}");
+            let o = diva(&[base, &[flag.as_str(), "0"]].concat());
+            let err = String::from_utf8_lossy(&o.stderr);
+            let rejected =
+                !o.status.success() && err.contains(&format!("{flag} must be a positive integer"));
+            (!rejected).then(|| format!("{} {flag} 0", base[0]))
+        })
+        .collect();
+    assert!(accepted.is_empty(), "zero accepted: {accepted:?}");
 }
 
 #[test]

@@ -2,9 +2,11 @@
 //!
 //! (k, Σ)-anonymization is NP-hard, so a production deployment cannot
 //! let the colouring search run unboundedly. A [`BudgetSpec`] bounds a
-//! run three ways — a wall-clock deadline, an explored-node cap, and a
-//! repair-attempt cap — and is the only limit on the search: without
-//! one the search is exact and unbounded. The armed [`Budget`] is
+//! run two ways — a wall-clock deadline and an explored-node cap — and
+//! is the only limit on the search: without one the search is exact
+//! and unbounded. The node cap also bounds candidate repairs: every
+//! repair attempt follows a failed assignment attempt, which the
+//! search has already counted as a node. The armed [`Budget`] is
 //! checked at the search's poll points (every 256 nodes, and exactly
 //! at the node cap) and its deadline at every pipeline phase boundary.
 //! Exhaustion does **not** fail the run: the pipeline falls back to
@@ -14,10 +16,9 @@
 //! triggering [`DegradeReason`].
 //!
 //! A single armed [`Budget`] can be shared by every member of a
-//! parallel portfolio: the node and repair counters are atomic, and
-//! the deadline is measured from the shared [`Stopwatch`], so the
-//! whole portfolio respects one global budget rather than each member
-//! getting its own.
+//! parallel portfolio: the node counter is atomic, and the deadline is
+//! measured from the shared [`Stopwatch`], so the whole portfolio
+//! respects one global budget rather than each member getting its own.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,9 +42,6 @@ pub struct BudgetSpec {
     /// budget). A single search under cap `N` stops at exactly
     /// `N + 1` nodes.
     pub node_budget: Option<u64>,
-    /// Cap on candidate-repair attempts
-    /// ([`crate::CandidateSet::repair`] invocations).
-    pub repair_budget: Option<u64>,
 }
 
 impl BudgetSpec {
@@ -60,7 +58,7 @@ impl BudgetSpec {
     /// Whether no limit is configured (the default): an unlimited spec
     /// is never armed, so the hot path pays nothing.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.node_budget.is_none() && self.repair_budget.is_none()
+        self.deadline.is_none() && self.node_budget.is_none()
     }
 
     /// Starts the clock and returns a shareable armed budget, or
@@ -74,26 +72,20 @@ impl BudgetSpec {
     }
 }
 
-/// An armed [`BudgetSpec`]: a running [`Stopwatch`] plus atomic
-/// consumption counters, shared (via `Arc`) by every thread charging
+/// An armed [`BudgetSpec`]: a running [`Stopwatch`] plus an atomic
+/// node counter, shared (via `Arc`) by every thread charging
 /// against the same global budget.
 #[derive(Debug)]
 pub struct Budget {
     spec: BudgetSpec,
     clock: Stopwatch,
     nodes: AtomicU64,
-    repairs: AtomicU64,
 }
 
 impl Budget {
     /// Arms `spec`, starting the deadline clock now.
     pub fn start(spec: BudgetSpec) -> Self {
-        Self {
-            spec,
-            clock: Stopwatch::start(),
-            nodes: AtomicU64::new(0),
-            repairs: AtomicU64::new(0),
-        }
+        Self { spec, clock: Stopwatch::start(), nodes: AtomicU64::new(0) }
     }
 
     /// The spec this budget was armed from.
@@ -129,19 +121,11 @@ impl Budget {
         self.check_deadline().map_or(Ok(headroom), Err)
     }
 
-    /// Charges one repair attempt and checks the repair cap.
-    pub fn charge_repair(&self) -> Option<DegradeReason> {
-        let total = self.repairs.fetch_add(1, Ordering::Relaxed) + 1;
-        let cap = self.spec.repair_budget?;
-        (total > cap).then_some(DegradeReason::RepairBudgetExhausted { attempts: total, cap })
-    }
-
     /// A snapshot of global consumption so far (shared across a
     /// portfolio, so a member's stats report portfolio-wide totals).
     pub fn usage(&self) -> BudgetUsage {
         BudgetUsage {
             nodes_explored: self.nodes.load(Ordering::Relaxed),
-            repair_attempts: self.repairs.load(Ordering::Relaxed),
             elapsed: self.clock.elapsed(),
         }
     }
@@ -153,8 +137,6 @@ pub struct BudgetUsage {
     /// Explored search nodes: every assignment attempt of the searches
     /// that charged this budget.
     pub nodes_explored: u64,
-    /// Candidate-repair attempts charged against the budget.
-    pub repair_attempts: u64,
     /// Wall-clock time since the budget was armed.
     pub elapsed: Duration,
 }
@@ -173,13 +155,6 @@ pub enum DegradeReason {
     NodeBudgetExhausted {
         /// Nodes explored when the cap tripped.
         explored: u64,
-        /// The configured cap.
-        cap: u64,
-    },
-    /// The repair-attempt cap was reached.
-    RepairBudgetExhausted {
-        /// Repair attempts when the cap tripped.
-        attempts: u64,
         /// The configured cap.
         cap: u64,
     },
@@ -208,7 +183,6 @@ impl DegradeReason {
         match self {
             DegradeReason::DeadlineExceeded { .. } => "deadline",
             DegradeReason::NodeBudgetExhausted { .. } => "nodes",
-            DegradeReason::RepairBudgetExhausted { .. } => "repairs",
             DegradeReason::WorkerPanic { .. } => "worker_panic",
             DegradeReason::Stalled { .. } => "stall",
         }
@@ -223,9 +197,6 @@ impl std::fmt::Display for DegradeReason {
             }
             DegradeReason::NodeBudgetExhausted { explored, cap } => {
                 write!(f, "node budget exhausted ({explored} explored, cap {cap})")
-            }
-            DegradeReason::RepairBudgetExhausted { attempts, cap } => {
-                write!(f, "repair budget exhausted ({attempts} attempts, cap {cap})")
             }
             DegradeReason::WorkerPanic { detail } => {
                 write!(f, "all portfolio workers lost to panics (lowest member: {detail})")
@@ -378,18 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_cap_trips() {
-        let b = Budget::start(BudgetSpec { repair_budget: Some(2), ..BudgetSpec::default() });
-        assert_eq!(b.charge_repair(), None);
-        assert_eq!(b.charge_repair(), None);
-        let reason = b.charge_repair().expect("3 > 2");
-        assert!(matches!(reason, DegradeReason::RepairBudgetExhausted { attempts: 3, cap: 2 }));
-        // Repairs don't count against the node budget.
-        assert_eq!(b.usage().nodes_explored, 0);
-        assert_eq!(b.usage().repair_attempts, 3);
-    }
-
-    #[test]
     fn every_charged_node_counts_against_the_cap() {
         // A search's end-of-solve remainder is an ordinary charge: it
         // counts in the usage and moves every sharer's trip point.
@@ -426,17 +385,15 @@ mod tests {
         let reasons = [
             DegradeReason::DeadlineExceeded { elapsed_ms: 70, deadline_ms: 50 },
             DegradeReason::NodeBudgetExhausted { explored: 512, cap: 256 },
-            DegradeReason::RepairBudgetExhausted { attempts: 4, cap: 3 },
             DegradeReason::WorkerPanic { detail: "injected".into() },
             DegradeReason::Stalled { nodes: 9000 },
         ];
         let kinds: Vec<_> = reasons.iter().map(DegradeReason::kind).collect();
-        assert_eq!(kinds, ["deadline", "nodes", "repairs", "worker_panic", "stall"]);
+        assert_eq!(kinds, ["deadline", "nodes", "worker_panic", "stall"]);
         assert!(reasons[0].to_string().contains("50 ms"));
         assert!(reasons[1].to_string().contains("256"));
-        assert!(reasons[2].to_string().contains("3"));
-        assert!(reasons[3].to_string().contains("injected"));
-        assert!(reasons[4].to_string().contains("9000"));
+        assert!(reasons[2].to_string().contains("injected"));
+        assert!(reasons[3].to_string().contains("9000"));
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub struct ColoringStats {
     /// uncoloured node can no longer reach its minimum size).
     pub forward_check_prunes: u64,
     /// Blocked candidates the search asked [`CandidateSet::repair`] to
-    /// re-materialize from free target tuples.
+    /// re-materialize from free target tuples. Each attempt follows a
+    /// failed assignment attempt, so this never exceeds
+    /// `assignments_tried` and a node cap bounds it too.
     pub repair_attempts: u64,
     /// Repairs that produced a materializable replacement clustering.
     pub repair_successes: u64,
@@ -381,11 +383,6 @@ impl<'a> Coloring<'a> {
                     }
                     self.stats.repair_attempts += 1;
                     self.config.obs.add_repairs(1);
-                    if let Some(budget) = self.controls.budget() {
-                        if let Some(reason) = budget.charge_repair() {
-                            return Err(Stop::Degraded(reason));
-                        }
-                    }
                     #[cfg(feature = "fault-inject")]
                     if self.config.faults.repair_fails(self.stats.repair_attempts) {
                         continue;

@@ -99,15 +99,6 @@ pub struct DivaConfig {
     /// the historical monolithic solve (the differential suite's
     /// reference path).
     pub decompose: bool,
-    /// Node-count threshold at which a single hard component is solved
-    /// by an inner strategy portfolio (the three strategies racing on
-    /// that component, first valid colouring wins) instead of the
-    /// configured strategy alone. `None` (the default) disables the
-    /// inner portfolio; racing trades the byte-for-byte determinism of
-    /// the single-strategy pool for robustness on adversarial
-    /// components, exactly like [`crate::run_portfolio`] at whole-run
-    /// scope.
-    pub component_portfolio: Option<usize>,
     /// Observability handle: spans, counters, and histograms emitted
     /// by the pipeline land here, and so does live progress (phase,
     /// nodes expanded, repairs, components, budget limits, verdicts)
@@ -119,13 +110,13 @@ pub struct DivaConfig {
     /// stall watchdog's escalation channel
     /// ([`crate::DegradeReason::Stalled`]).
     pub obs: diva_obs::Obs,
-    /// Resource budget (wall-clock deadline, explored-node cap,
-    /// repair-attempt cap) for the run — or, under
-    /// [`crate::run_portfolio`], one global budget shared by every
-    /// member. It is the search's only limit: exhaustion degrades the
-    /// run ([`crate::Outcome::Degraded`]) instead of failing it, and
-    /// the default is unlimited, i.e. an exact (possibly exponential —
-    /// the paper's Basic curve in Fig. 4a) search.
+    /// Resource budget (wall-clock deadline, explored-node cap) for
+    /// the run — or, under [`crate::run_portfolio`], one global budget
+    /// shared by every member. It is the search's only limit:
+    /// exhaustion degrades the run ([`crate::Outcome::Degraded`])
+    /// instead of failing it, and the default is unlimited, i.e. an
+    /// exact (possibly exponential — the paper's Basic curve in
+    /// Fig. 4a) search.
     pub budget: crate::BudgetSpec,
     /// Decision-provenance recorder
     /// ([`diva_obs::provenance::Provenance`]): when enabled, the run
@@ -155,7 +146,6 @@ impl Default for DivaConfig {
             enable_repair: true,
             threads: None,
             decompose: true,
-            component_portfolio: None,
             obs: diva_obs::Obs::disabled(),
             budget: crate::BudgetSpec::default(),
             provenance: diva_obs::provenance::Provenance::disabled(),
@@ -241,13 +231,6 @@ impl DivaConfig {
         self
     }
 
-    /// Builder-style inner-portfolio threshold (see
-    /// [`DivaConfig::component_portfolio`]).
-    pub fn component_portfolio(mut self, threshold: Option<usize>) -> Self {
-        self.component_portfolio = threshold;
-        self
-    }
-
     /// Builder-style worker-thread cap; use at construction so an
     /// out-of-range value is rejected up front.
     pub fn threads(mut self, threads: Option<usize>) -> Result<Self, crate::DivaError> {
@@ -296,10 +279,7 @@ mod tests {
         assert_eq!(c.strategy, Strategy::Basic);
         assert_eq!(c.seed, 9);
         assert!(c.decompose, "decomposition is on by default");
-        assert!(c.component_portfolio.is_none());
-        let c = c.decompose(false).component_portfolio(Some(8));
-        assert!(!c.decompose);
-        assert_eq!(c.component_portfolio, Some(8));
+        assert!(!c.decompose(false).decompose);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use diva_relation::RowId;
 use crate::budget::{Controls, Stop};
 use crate::candidates::CandidateSet;
 use crate::coloring::{Coloring, ColoringOutcome, ColoringStats};
-use crate::config::{DivaConfig, Strategy};
+use crate::config::DivaConfig;
 use crate::error::DivaError;
 use crate::graph::ConstraintGraph;
 use crate::pool;
@@ -191,7 +191,11 @@ pub(crate) fn solve_clustering(
         if let Some(id) = span_id {
             comp_span = comp_span.with_parent(id);
         }
-        let result = solve_component(sub, config, controls);
+        let result =
+            Coloring::new(&sub.graph, &sub.candidates, sub.uppers.clone(), &sub.labels, config)
+                .with_node_ids(sub.nodes.clone())
+                .with_controls(controls)
+                .solve();
         comp_span.set_attr(
             "outcome",
             match &result {
@@ -280,66 +284,6 @@ pub(crate) fn solve_clustering(
     verdict
 }
 
-/// Solves one compact component: the configured strategy alone, or —
-/// for components at least [`DivaConfig::component_portfolio`] nodes
-/// large — an inner race of all three strategies.
-fn solve_component(
-    sub: &SubProblem,
-    config: &DivaConfig,
-    controls: &Controls,
-) -> Result<ColoringOutcome, DivaError> {
-    if config.component_portfolio.is_some_and(|t| sub.graph.n_nodes() >= t) {
-        return race_component(sub, config, controls);
-    }
-    Coloring::new(&sub.graph, &sub.candidates, sub.uppers.clone(), &sub.labels, config)
-        .with_node_ids(sub.nodes.clone())
-        .with_controls(controls)
-        .solve()
-}
-
-/// The inner per-component portfolio: all three strategies race over
-/// the *shared* compact sub-problem (candidates are already
-/// enumerated) on the worker pool, and the first result cancels the
-/// others through the race's own cancellation flag; the members share
-/// the run's budget.
-///
-/// The verdict is ranked by [`pool::strongest`], deterministic in
-/// member order ([`Strategy::all`]). The caller's own cancellation is
-/// checked at member entry; mid-race it only takes effect at the next
-/// component boundary (racing trades that granularity, and byte
-/// determinism, for robustness — see [`DivaConfig::component_portfolio`]).
-fn race_component(
-    sub: &SubProblem,
-    config: &DivaConfig,
-    controls: &Controls,
-) -> Result<ColoringOutcome, DivaError> {
-    let strategies = Strategy::all();
-    let race = Controls::new(controls.budget().cloned());
-    let slots = pool::run_tasks(
-        &strategies,
-        strategies.len(),
-        race.cancel_flag(),
-        Result::is_ok,
-        |_, &strategy| {
-            if controls.is_cancelled() {
-                return Err(DivaError::Cancelled);
-            }
-            let member_config = DivaConfig { strategy, ..config.clone() };
-            Coloring::new(
-                &sub.graph,
-                &sub.candidates,
-                sub.uppers.clone(),
-                &sub.labels,
-                &member_config,
-            )
-            .with_node_ids(sub.nodes.clone())
-            .with_controls(&race)
-            .solve()
-        },
-    );
-    pool::strongest(slots, |o| o.degraded.is_none()).map_or(Err(DivaError::Cancelled), |(_, v)| v)
-}
-
 /// Field-wise sum of search counters; component counters are additive
 /// because each component explores a disjoint part of the search tree.
 fn add_stats(into: &mut ColoringStats, from: &ColoringStats) {
@@ -355,6 +299,7 @@ fn add_stats(into: &mut ColoringStats, from: &ColoringStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Strategy;
     use diva_constraints::{Constraint, ConstraintSet};
     use diva_relation::fixtures::paper_table1;
     use diva_relation::Relation;
@@ -484,18 +429,5 @@ mod tests {
         let err = solve_clustering(&graph, &candidates, &uppers, &labels, &config, &controls)
             .unwrap_err();
         assert_eq!(err, DivaError::Cancelled);
-    }
-
-    #[test]
-    fn inner_portfolio_still_solves_components() {
-        // Threshold 1: every component races all three strategies; any
-        // complete colouring is a valid clustering even though the
-        // winner is timing-dependent.
-        let config = DivaConfig::with_k(2).component_portfolio(Some(1));
-        let out = solve(&config, &split_sigma()).unwrap();
-        assert!(out.degraded.is_none());
-        assert!(!out.clusters.is_empty());
-        let covered: usize = out.clusters.iter().map(Vec::len).sum();
-        assert!(covered >= 4, "African + Vancouver minimums");
     }
 }

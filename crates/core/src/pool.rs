@@ -3,9 +3,8 @@
 //!
 //! Three callers share it — candidate enumeration (one task per
 //! constraint), the component pool of [`crate::decompose`], and the
-//! two strategy races (the whole-run portfolio of [`crate::parallel`]
-//! and the per-component race). `run_tasks` gives each of them the
-//! same guarantees:
+//! strategy race (the whole-run portfolio of [`crate::parallel`]).
+//! `run_tasks` gives each of them the same guarantees:
 //!
 //! * **bounded borrowing** — workers are scoped threads, so tasks
 //!   borrow the caller's inputs instead of cloning them into `Arc`s,
@@ -22,7 +21,7 @@
 //! * **contained panics** — a panicking task yields
 //!   [`DivaError::WorkerPanicked`] instead of tearing down the caller.
 //!
-//! Race verdicts are ranked once, by `strongest`, for both races.
+//! The race's verdict is ranked once, by `strongest`.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};

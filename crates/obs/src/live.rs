@@ -1,7 +1,7 @@
 //! Live, in-flight telemetry: the atomic cells an enabled [`Obs`]
 //! handle carries next to its spans and metrics, a background
-//! [`Sampler`] thread that snapshots them into a ring buffer and
-//! derives rates, and a stall watchdog that flags runs whose node
+//! [`Sampler`] thread that snapshots them, derives rates and keeps the
+//! latest tick, and a stall watchdog that flags runs whose node
 //! counter stops advancing.
 //!
 //! ## Model
@@ -25,9 +25,10 @@
 //!   interval, snapshots the cells ([`Obs::live`]), folds the live
 //!   allocator stats in ([`crate::alloc::global_stats`]), derives
 //!   nodes/sec and repairs/sec from consecutive snapshots plus an ETA
-//!   against the armed budget, and appends the [`Sample`] to a bounded
-//!   ring buffer ([`SampleLog`]) that the stats endpoint
-//!   ([`crate::serve`]) and `diva --watch` read.
+//!   against the armed budget, hands the [`Sample`] to the optional
+//!   per-tick callback (`diva --watch`), and stores it as the latest
+//!   tick in the [`SampleLog`] that the stats endpoint
+//!   ([`crate::serve`]) reads.
 //! * The **watchdog** rides inside the sampler loop: when the node
 //!   counter has not advanced for `stall_periods` consecutive samples
 //!   while the search phase is active, it marks the run stalled, emits
@@ -41,7 +42,6 @@
 //! exception is the explicit degrade request), so enabling them
 //! cannot change the published anonymization.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -344,18 +344,11 @@ pub struct SamplerConfig {
     /// When set, a detected stall also raises the handle's
     /// degrade request so the run winds down gracefully.
     pub escalate: bool,
-    /// Ring-buffer capacity for retained samples. Default 240.
-    pub ring_capacity: usize,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
-        SamplerConfig {
-            interval: Duration::from_millis(100),
-            stall_periods: 5,
-            escalate: false,
-            ring_capacity: 240,
-        }
+        SamplerConfig { interval: Duration::from_millis(100), stall_periods: 5, escalate: false }
     }
 }
 
@@ -412,71 +405,44 @@ impl Sample {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct LogInner {
-    samples: VecDeque<Sample>,
-    capacity: usize,
+    latest: Option<Sample>,
     total: u64,
     stalls_flagged: u64,
 }
 
-/// A bounded, shared ring buffer of [`Sample`]s — the hand-off point
-/// between the sampler thread and its readers (the stats endpoint,
-/// `--watch`, tests).
-#[derive(Debug, Clone)]
+/// The sampler's latest [`Sample`] plus its lifetime counts — the
+/// hand-off point between the sampler thread and its readers (the
+/// stats endpoint, tests). The default is an empty log, for serving a
+/// handle that has no sampler attached; [`Sampler::spawn`] creates
+/// the one it writes.
+#[derive(Debug, Clone, Default)]
 pub struct SampleLog {
     inner: Arc<Mutex<LogInner>>,
 }
 
 impl SampleLog {
-    /// An empty log retaining at most `capacity` samples — normally
-    /// created by [`Sampler::spawn`]; standalone construction exists
-    /// for serving a handle that has no sampler attached.
-    pub fn new(capacity: usize) -> Self {
-        SampleLog {
-            inner: Arc::new(Mutex::new(LogInner {
-                samples: VecDeque::new(),
-                capacity: capacity.max(1),
-                total: 0,
-                stalls_flagged: 0,
-            })),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, LogInner> {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn push(&self, sample: Sample, stalled_now: bool) {
-        let mut g = self.lock();
-        if g.samples.len() == g.capacity {
-            g.samples.pop_front();
-        }
-        g.samples.push_back(sample);
+        let mut g = lock_or_recover(&self.inner);
+        g.latest = Some(sample);
         g.total += 1;
-        if stalled_now {
-            g.stalls_flagged += 1;
-        }
+        g.stalls_flagged += u64::from(stalled_now);
     }
 
     /// The most recent sample, if any tick has happened yet.
     pub fn latest(&self) -> Option<Sample> {
-        self.lock().samples.back().cloned()
+        lock_or_recover(&self.inner).latest.clone()
     }
 
-    /// All retained samples, oldest first.
-    pub fn samples(&self) -> Vec<Sample> {
-        self.lock().samples.iter().cloned().collect()
-    }
-
-    /// Lifetime tick count (≥ retained length once the ring wraps).
+    /// Lifetime tick count.
     pub fn total_samples(&self) -> u64 {
-        self.lock().total
+        lock_or_recover(&self.inner).total
     }
 
     /// How many distinct stall episodes the watchdog has flagged.
     pub fn stalls_flagged(&self) -> u64 {
-        self.lock().stalls_flagged
+        lock_or_recover(&self.inner).stalls_flagged
     }
 }
 
@@ -505,7 +471,7 @@ impl Sampler {
     /// first tick.
     pub fn spawn(obs: &Obs, config: SamplerConfig, on_sample: Option<OnSample>) -> Sampler {
         let stop = Arc::new(AtomicBool::new(false));
-        let log = SampleLog::new(config.ring_capacity);
+        let log = SampleLog::default();
         let thread_stop = Arc::clone(&stop);
         let thread_obs = obs.clone();
         let thread_log = log.clone();
@@ -515,7 +481,7 @@ impl Sampler {
         Sampler { stop, handle: Some(handle), log }
     }
 
-    /// A cloneable reader over the sample ring buffer.
+    /// A cloneable reader over the latest sample and the tick counts.
     pub fn log(&self) -> SampleLog {
         self.log.clone()
     }
@@ -632,12 +598,7 @@ mod tests {
     use crate::Stopwatch;
 
     fn watchdog(interval_ms: u64, stall_periods: u32, escalate: bool) -> SamplerConfig {
-        SamplerConfig {
-            interval: Duration::from_millis(interval_ms),
-            stall_periods,
-            escalate,
-            ring_capacity: 64,
-        }
+        SamplerConfig { interval: Duration::from_millis(interval_ms), stall_periods, escalate }
     }
 
     #[test]
@@ -828,7 +789,10 @@ mod tests {
         let obs = Obs::enabled();
         obs.phase(Phase::Clustering).end();
         obs.set_budget_limits(Some(1_000_000), Some(Duration::from_secs(3600)));
-        let sampler = Sampler::spawn(&obs, watchdog(10, 1000, false), None);
+        let samples = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&samples);
+        let on_sample: OnSample = Box::new(move |s| lock_or_recover(&sink).push(s.clone()));
+        let sampler = Sampler::spawn(&obs, watchdog(10, 1000, false), Some(on_sample));
         let publisher = obs.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let publisher_stop = Arc::clone(&stop);
@@ -843,35 +807,17 @@ mod tests {
         let _ = handle.join();
         let log = sampler.log();
         sampler.stop();
-        let rated = log.samples().into_iter().find(|s| s.nodes_per_sec > 0.0);
+        let samples = lock_or_recover(&samples);
+        let rated = samples.iter().find(|s| s.nodes_per_sec > 0.0);
         let sample = rated.expect("at least one sample with a positive node rate");
         assert!(sample.eta_ms.is_some(), "node budget is armed, ETA expected");
         assert!(
             sample.deadline_remaining_ms.expect("deadline armed") <= 3_600_000,
             "remaining time cannot exceed the deadline"
         );
-        assert!(log.total_samples() >= log.samples().len() as u64);
-    }
-
-    #[test]
-    fn ring_buffer_wraps_at_capacity() {
-        let log = SampleLog::new(3);
-        for i in 0..10u64 {
-            let live = LiveSnapshot { nodes: i, elapsed_ms: i, ..LiveSnapshot::default() };
-            let sample = Sample {
-                live,
-                nodes_per_sec: 0.0,
-                repairs_per_sec: 0.0,
-                eta_ms: None,
-                deadline_remaining_ms: None,
-                idle_periods: 0,
-            };
-            log.push(sample, false);
-        }
-        let samples = log.samples();
-        assert_eq!(samples.iter().map(|s| s.live.nodes).collect::<Vec<_>>(), vec![7, 8, 9]);
-        assert_eq!(log.total_samples(), 10);
-        assert_eq!(log.latest().expect("latest").live.nodes, 9);
+        assert_eq!(log.total_samples(), samples.len() as u64);
+        let last = samples.last().map(|s| s.live.elapsed_ms);
+        assert_eq!(log.latest().map(|s| s.live.elapsed_ms), last, "the log keeps the last tick");
     }
 
     #[test]

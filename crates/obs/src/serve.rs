@@ -542,7 +542,6 @@ mod tests {
             interval: Duration::from_millis(10),
             stall_periods: 1000,
             escalate: false,
-            ring_capacity: 16,
         };
         let sampler = Sampler::spawn(&obs, config, None);
         let server = StatsServer::bind("127.0.0.1:0", obs.clone(), sampler.log()).expect("bind");
@@ -574,7 +573,7 @@ mod tests {
     #[test]
     fn endpoint_reports_unavailable_for_a_disabled_handle() {
         let server =
-            StatsServer::bind("127.0.0.1:0", Obs::disabled(), SampleLog::new(8)).expect("bind");
+            StatsServer::bind("127.0.0.1:0", Obs::disabled(), SampleLog::default()).expect("bind");
         let addr = server.local_addr();
         let (status, _) = http_get(&addr, "/metrics", Duration::from_secs(2)).expect("GET");
         assert!(status.contains("503"), "{status}");
@@ -584,7 +583,7 @@ mod tests {
     #[test]
     fn shutdown_unblocks_and_joins() {
         let server =
-            StatsServer::bind("127.0.0.1:0", Obs::enabled(), SampleLog::new(8)).expect("bind");
+            StatsServer::bind("127.0.0.1:0", Obs::enabled(), SampleLog::default()).expect("bind");
         let addr = server.local_addr();
         server.shutdown();
         // Once joined, fresh connections must not be served.

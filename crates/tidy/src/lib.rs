@@ -33,7 +33,7 @@
 //!   single implementation.
 //! * **`missing-docs`** — public items in the library crates (`core`,
 //!   `constraints`, `obs`, `relation`, `metrics`, `datagen`) carry doc
-//!   comments; pre-existing debt is budgeted by the ratchet file.
+//!   comments.
 //! * **`nondet-iter`** — iteration over `HashMap`/`HashSet` outside
 //!   test code must be canonicalized where it happens (sort before
 //!   emitting, collect into a keyed/ordered container, or an
@@ -54,13 +54,12 @@
 //!
 //! Escape hatch: a `diva-tidy: allow(<rule>)` comment on the offending
 //! line or the line directly above suppresses that rule there. The
-//! policy for allow vs. fix vs. ratchet lives in `CONTRIBUTING.md`.
+//! policy for allow vs. fix lives in `CONTRIBUTING.md`.
 
 use std::path::{Path, PathBuf};
 
 pub mod lexer;
 pub mod parse;
-pub mod ratchet;
 mod rules;
 
 /// The pre-lexer line stripper, kept as the oracle for the
@@ -95,13 +94,33 @@ impl Violation {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"file\":{},\"line\":{},\"col\":{},\"rule\":{},\"msg\":{}}}",
-            ratchet::json_str(&self.file),
+            json_str(&self.file),
             self.line,
             self.col,
-            ratchet::json_str(self.rule),
-            ratchet::json_str(&self.msg)
+            json_str(self.rule),
+            json_str(&self.msg)
         )
     }
+}
+
+/// Escapes a string for JSON output (quotes, backslashes, control
+/// chars — all the repo's paths and rule names need, and then some).
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Every rule the scanner knows, in reporting order.

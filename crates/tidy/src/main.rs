@@ -1,14 +1,11 @@
-//! `diva-tidy` CLI: scans the workspace, optionally diffs the result
-//! against the committed ratchet baseline.
+//! `diva-tidy` CLI: scans the workspace and reports every finding.
 //!
-//! Exit codes: 0 — clean (or within the ratchet budget); 1 — violations
-//! or a ratchet regression; 2 — tool error (bad arguments, unreadable
-//! workspace, malformed ratchet file).
+//! Exit codes: 0 — clean; 1 — violations; 2 — tool error (bad
+//! arguments, unreadable workspace).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use diva_tidy::ratchet::Ratchet;
 use diva_tidy::{scan_workspace, Violation, RULES};
 
 const USAGE: &str = "\
@@ -17,23 +14,16 @@ usage: diva-tidy [options]
 options:
   --root <DIR>           workspace root (default: walk up from the cwd)
   --emit <text|json>     diagnostics format on stdout (default: text)
-  --ratchet <FILE>       diff violations against this baseline: counts
-                         above it fail (exit 1), counts below it rewrite
-                         the file (auto-tighten) and pass
-  --write-ratchet [FILE] write the current counts as the new baseline
-                         (default: <root>/results/tidy-ratchet.json)
   --help                 show this help
 ";
 
 struct Args {
     root: Option<PathBuf>,
     emit_json: bool,
-    ratchet: Option<PathBuf>,
-    write_ratchet: Option<Option<PathBuf>>,
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
-    let mut args = Args { root: None, emit_json: false, ratchet: None, write_ratchet: None };
+    let mut args = Args { root: None, emit_json: false };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -52,27 +42,9 @@ fn parse_args() -> Result<Option<Args>, String> {
                     other => return Err(format!("--emit expects `text` or `json`, got {other:?}")),
                 }
             }
-            "--ratchet" => {
-                i += 1;
-                let v = argv.get(i).ok_or("--ratchet needs a file argument")?;
-                args.ratchet = Some(PathBuf::from(v));
-            }
-            "--write-ratchet" => {
-                // Optional value: consume the next arg unless it is a flag.
-                match argv.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => {
-                        i += 1;
-                        args.write_ratchet = Some(Some(PathBuf::from(v)));
-                    }
-                    _ => args.write_ratchet = Some(None),
-                }
-            }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
         i += 1;
-    }
-    if args.ratchet.is_some() && args.write_ratchet.is_some() {
-        return Err("--ratchet and --write-ratchet are mutually exclusive".to_string());
     }
     Ok(Some(args))
 }
@@ -136,75 +108,6 @@ fn run() -> Result<ExitCode, String> {
     };
     let violations =
         scan_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    let current = Ratchet::from_violations(&violations);
-
-    if let Some(target) = args.write_ratchet {
-        let path = target.unwrap_or_else(|| root.join("results/tidy-ratchet.json"));
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        std::fs::write(&path, current.to_json())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        eprintln!(
-            "diva-tidy: wrote baseline {} ({} tolerated finding(s))",
-            path.display(),
-            current.total()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if let Some(ratchet_path) = args.ratchet {
-        let text = std::fs::read_to_string(&ratchet_path)
-            .map_err(|e| format!("reading ratchet {}: {e}", ratchet_path.display()))?;
-        let baseline = Ratchet::from_json(&text)
-            .map_err(|e| format!("parsing ratchet {}: {e}", ratchet_path.display()))?;
-        let regressions = current.regressions_against(&baseline);
-        // The tolerated debt already lives in the ratchet file; only
-        // findings from regressed (rule, file) pairs are worth lines.
-        // The JSON document still carries the full scan.
-        let regressed: Vec<&Violation> = violations
-            .iter()
-            .filter(|v| regressions.iter().any(|r| r.rule == v.rule && r.file == v.file))
-            .collect();
-        if args.emit_json {
-            let items: Vec<String> = violations.iter().map(Violation::to_json).collect();
-            println!("{{\"violations\":[{}]}}", items.join(","));
-            for v in &regressed {
-                eprintln!("{v}");
-            }
-        } else {
-            for v in &regressed {
-                println!("{v}");
-            }
-        }
-        if !regressions.is_empty() {
-            for r in &regressions {
-                eprintln!(
-                    "diva-tidy: ratchet regression: [{}] {} — {} finding(s), baseline allows {}",
-                    r.rule, r.file, r.current, r.baseline
-                );
-            }
-            eprintln!(
-                "diva-tidy: fix the new findings, or (if intentional) refresh the baseline \
-                 with: cargo run -q -p diva-tidy -- --write-ratchet"
-            );
-            return Ok(ExitCode::FAILURE);
-        }
-        if current != baseline {
-            // Counts dropped (or files vanished): tighten the committed
-            // baseline so the improvement cannot silently regress.
-            std::fs::write(&ratchet_path, current.to_json())
-                .map_err(|e| format!("tightening {}: {e}", ratchet_path.display()))?;
-            eprintln!(
-                "diva-tidy: ratchet tightened to {} tolerated finding(s) — commit {}",
-                current.total(),
-                ratchet_path.display()
-            );
-        }
-        eprintln!("diva-tidy: ok ({} finding(s) within the ratchet budget)", current.total());
-        return Ok(ExitCode::SUCCESS);
-    }
-
     emit(&violations, args.emit_json);
     summarize(&violations);
     if violations.is_empty() {

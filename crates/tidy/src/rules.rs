@@ -142,9 +142,8 @@ fn is_hot_path(path: &str) -> bool {
     HOT_PATH_FILES.contains(&path)
 }
 
-/// Crates whose public items must carry docs. PR 7 widened this from
-/// `{core, constraints, obs}` to the whole library surface; the debt
-/// that created is carried by the ratchet, not by allows.
+/// Crates whose public items must carry docs: the whole library
+/// surface.
 const DOC_SCOPE: [&str; 6] = ["core", "constraints", "obs", "relation", "metrics", "datagen"];
 
 fn is_doc_scope(path: &str) -> bool {
@@ -316,8 +315,7 @@ fn check_docs(ctx: &mut Ctx<'_>) {
                 i + 1,
                 1,
                 format!(
-                    "{item} without a doc comment — library crates document their public surface \
-                     (debt is carried by `results/tidy-ratchet.json`, not by allows)"
+                    "{item} without a doc comment — library crates document their public surface"
                 ),
             );
         }

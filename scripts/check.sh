@@ -11,9 +11,8 @@
 # SKIP_DECOMP=1 to skip the decomposition differential,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
 # SKIP_LIVE=1 to skip the live-telemetry mid-run scrape gate,
-# SKIP_AUDIT=1 to skip the privacy-audit gate,
-# SKIP_PROVENANCE=1 to skip the decision-provenance gate, and
-# SKIP_TIDY_RATCHET=1 to skip the tidy ratchet gate).
+# SKIP_AUDIT=1 to skip the privacy-audit gate, and
+# SKIP_PROVENANCE=1 to skip the decision-provenance gate).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,24 +57,16 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy $FLAGS --workspace --all-targets -- -D warnings
 
-if [ "${SKIP_TIDY_RATCHET:-0}" = "1" ]; then
-    echo "==> diva-tidy ratchet gate skipped (SKIP_TIDY_RATCHET=1)"
-else
-    echo "==> diva-tidy (repo lint rules, ratcheted vs results/tidy-ratchet.json)"
-    # Exit codes: 0 clean/within-ratchet, 1 regression, 2 tool error.
-    tidy_status=0
-    cargo run $FLAGS -q -p diva-tidy -- \
-        --emit json --ratchet results/tidy-ratchet.json \
-        >/dev/null || tidy_status=$?
-    if [ "$tidy_status" -eq 1 ]; then
-        echo "diva-tidy: new findings exceed the committed ratchet; fix them or," >&2
-        echo "for rules that legitimately cannot reach zero yet, refresh with:" >&2
-        echo "    cargo run -q -p diva-tidy -- --write-ratchet" >&2
-        exit 1
-    elif [ "$tidy_status" -ne 0 ]; then
-        echo "diva-tidy: tool error (exit $tidy_status)" >&2
-        exit "$tidy_status"
-    fi
+echo "==> diva-tidy (repo lint rules; any finding fails)"
+# Exit codes: 0 clean, 1 findings, 2 tool error.
+tidy_status=0
+cargo run $FLAGS -q -p diva-tidy -- --emit json >/dev/null || tidy_status=$?
+if [ "$tidy_status" -eq 1 ]; then
+    echo "diva-tidy: fix the findings above, or allow one with a reason (CONTRIBUTING.md)" >&2
+    exit 1
+elif [ "$tidy_status" -ne 0 ]; then
+    echo "diva-tidy: tool error (exit $tidy_status)" >&2
+    exit "$tidy_status"
 fi
 
 echo "==> cargo test -q"

@@ -49,8 +49,6 @@ fn decomposition_instances() -> Vec<(&'static str, Relation, Vec<Constraint>, us
 /// The decomposition layer's tentpole guarantee: for every strategy
 /// and thread count, component-parallel solving publishes the
 /// byte-identical relation the forced-monolithic solve publishes.
-/// The inner component portfolio stays off — racing is wall-clock
-/// nondeterministic by design, so only the pure pool is pinned here.
 #[test]
 fn decomposed_solve_is_byte_identical_to_monolithic() {
     for (name, rel, sigma, k) in decomposition_instances() {
@@ -147,7 +145,6 @@ fn all_solvers_agree_on_satisfiable_instances() {
             budget: BudgetSpec {
                 deadline: Some(Duration::from_secs(3_600)),
                 node_budget: Some(u64::MAX / 2),
-                repair_budget: Some(u64::MAX / 2),
             },
             ..DivaConfig::default()
         };
@@ -237,7 +234,6 @@ fn huge_budget_is_byte_identical_to_unbounded() {
         budget: BudgetSpec {
             deadline: Some(Duration::from_secs(3_600)),
             node_budget: Some(u64::MAX / 2),
-            repair_budget: Some(u64::MAX / 2),
         },
         ..DivaConfig::default()
     };

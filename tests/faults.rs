@@ -120,35 +120,6 @@ fn slow_polls_past_deadline_degrade() {
     assert!(out.stats.budget.is_some(), "budget accounting missing from a budgeted run");
 }
 
-/// Repair-budget fault: an instance known to need candidate repairs
-/// (calibrated: 17 attempts unbudgeted) degrades with
-/// `RepairBudgetExhausted` when the repair budget is zero.
-#[test]
-fn repair_budget_exhaustion_degrades() {
-    let rel = diva_datagen::medical(800, 47);
-    let sigma = generators::with_conflict_rate(&rel, 4, 0.5, 5, 14);
-    let unbudgeted = DivaConfig { k: 5, strategy: Strategy::MinChoice, ..DivaConfig::default() };
-    let exact = Diva::new(unbudgeted).run(&rel, &sigma).expect("instance is satisfiable");
-    assert!(exact.stats.coloring.repair_attempts > 0, "instance no longer exercises repair");
-
-    let budgeted = DivaConfig {
-        k: 5,
-        strategy: Strategy::MinChoice,
-        budget: BudgetSpec { repair_budget: Some(0), ..BudgetSpec::default() },
-        ..DivaConfig::default()
-    };
-    let out = Diva::new(budgeted).run(&rel, &sigma).expect("repair exhaustion degrades");
-    assert!(
-        matches!(
-            out.outcome,
-            Outcome::Degraded { reason: DegradeReason::RepairBudgetExhausted { .. } }
-        ),
-        "expected RepairBudgetExhausted, got {:?}",
-        out.outcome
-    );
-    assert_contract(&rel, &sigma, 5, &out);
-}
-
 /// Spurious repair failures (every repair refused): the search must
 /// absorb them — backtracking around the hole — and either publish
 /// under the contract (exact, or degraded on its node budget) or fail
@@ -157,6 +128,11 @@ fn repair_budget_exhaustion_degrades() {
 fn spurious_repair_failures_are_absorbed() {
     let rel = diva_datagen::medical(800, 47);
     let sigma = generators::with_conflict_rate(&rel, 4, 0.5, 5, 14);
+    // Calibration: unfaulted, the instance makes repair attempts, so
+    // refusing them all changes the search.
+    let unfaulted = DivaConfig { k: 5, strategy: Strategy::MinChoice, ..DivaConfig::default() };
+    let exact = Diva::new(unfaulted).run(&rel, &sigma).expect("instance is satisfiable");
+    assert!(exact.stats.coloring.repair_attempts > 0, "instance no longer exercises repair");
     let run = || {
         let config = DivaConfig {
             k: 5,
@@ -270,7 +246,6 @@ fn stall_watchdog_escalation_degrades_a_frozen_search() {
             interval: Duration::from_millis(10),
             stall_periods: 3,
             escalate: true,
-            ..diva_obs::live::SamplerConfig::default()
         },
         None,
     );
@@ -311,7 +286,6 @@ fn stall_watchdog_stays_quiet_on_a_healthy_run() {
             interval: Duration::from_millis(10),
             stall_periods: 3,
             escalate: true,
-            ..diva_obs::live::SamplerConfig::default()
         },
         None,
     );

@@ -118,7 +118,18 @@ proptest! {
             .strategy(strategy)
             .budget(BudgetSpec::with_node_budget(NODE_BUDGET));
         match Diva::new(config).run(&rel, &sigma) {
-            Ok(out) => check_published(&rel, &sigma, k, &out)?,
+            Ok(out) => {
+                check_published(&rel, &sigma, k, &out)?;
+                // Every repair attempt follows a counted node, so the
+                // node cap bounds repairs too.
+                let search = &out.stats.coloring;
+                prop_assert!(
+                    search.repair_attempts <= search.assignments_tried,
+                    "{} repairs > {} nodes",
+                    search.repair_attempts,
+                    search.assignments_tried
+                );
+            }
             Err(DivaError::NoDiverseClustering { .. })
             | Err(DivaError::ResidualTooSmall { .. })
             | Err(DivaError::IntegrateFailed { .. }) => {
@@ -180,7 +191,6 @@ proptest! {
         let budget = BudgetSpec {
             deadline: (expire_deadline == 1).then_some(std::time::Duration::ZERO),
             node_budget: Some(node_cap),
-            repair_budget: None,
         };
         let diva = Diva::new(DivaConfig::with_k(k).budget(budget));
         match diva.run(&rel, &sigma) {
@@ -415,7 +425,6 @@ proptest! {
         let budget = BudgetSpec {
             deadline: (expire_deadline == 1).then_some(std::time::Duration::ZERO),
             node_budget: Some(NODE_BUDGET),
-            repair_budget: None,
         };
         let config = DivaConfig::with_k(k).provenance(prov.clone()).budget(budget);
         match Diva::new(config).run(&rel, &sigma) {
