@@ -33,16 +33,14 @@ use diva_relation::{is_k_anonymous, AttrRole, Relation};
 static GLOBAL_ALLOC: diva_obs::alloc::CountingAlloc = diva_obs::alloc::CountingAlloc::new();
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: [&str; 6] =
-    ["quiet", "profile", "no-decompose", "watch", "stall-escalate", "top-costly"];
+const BOOLEAN_FLAGS: [&str; 4] = ["quiet", "profile", "watch", "top-costly"];
 
 /// Flags that ask for an obs export or the `--profile` report.
 const EXPORT_FLAGS: [&str; 4] = ["trace", "metrics", "flame", "profile"];
 
 /// Flags that ask for live telemetry: the sampler, and with
 /// `--stats-addr` the stats endpoint.
-const LIVE_FLAGS: [&str; 5] =
-    ["stats-addr", "watch", "sample-ms", "stall-periods", "stall-escalate"];
+const LIVE_FLAGS: [&str; 2] = ["stats-addr", "watch"];
 
 type Opts = HashMap<String, String>;
 
@@ -60,8 +58,8 @@ const COMMANDS: [Command; 8] = [
         name: "anonymize",
         run: anonymize,
         flags: "input roles constraints k strategy algo l l-variant l-c portfolio threads \
-                no-decompose provenance trace metrics flame profile deadline-ms node-budget \
-                stats-addr watch sample-ms stall-periods stall-escalate seed output",
+                provenance trace metrics flame profile deadline-ms node-budget stats-addr \
+                watch seed output",
     },
     Command {
         name: "audit",
@@ -154,7 +152,6 @@ fn usage() -> String {
      \u{20}          [--l-c F  the c of recursive (c,l)-diversity]\n\
      \u{20}          [--portfolio N  race all strategies × N seeds, first win returns]\n\
      \u{20}          [--threads N  worker cap for --portfolio and the component pool]\n\
-     \u{20}          [--no-decompose  force the monolithic solve (no component parallelism)]\n\
      \u{20}          [--provenance FILE  write the decision-provenance log (json-lines):\n\
      \u{20}           one record per published group and per starred cell, plus the\n\
      \u{20}           per-constraint star attribution]\n\
@@ -171,11 +168,7 @@ fn usage() -> String {
      \u{20}          [--stats-addr HOST:PORT  serve live progress over HTTP (/metrics\n\
      \u{20}           Prometheus text, /stats.json summary schema); port 0 picks a free\n\
      \u{20}           port, announced on stderr]\n\
-     \u{20}          [--watch  print one live progress line per sample to stderr]\n\
-     \u{20}          [--sample-ms N  live sampling interval, default 100]\n\
-     \u{20}          [--stall-periods N  idle samples before the stall watchdog trips,\n\
-     \u{20}           default 5]\n\
-     \u{20}          [--stall-escalate  a detected stall degrades the run gracefully]\n\
+     \u{20}          [--watch  print one live progress line per 100 ms sample to stderr]\n\
      \u{20}          [--seed N] --output FILE\n\
      audit      --input FILE --roles LIST [--emit json|table] [--output FILE] \\\n\
      \u{20}          [--k N] [--l N  distinct] [--entropy-l F] \\\n\
@@ -327,10 +320,6 @@ fn load_constraints(opts: &Opts) -> Result<Vec<Constraint>, String> {
     spec::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn parse_k(opts: &Opts) -> Result<usize, String> {
-    req(opts, "k")?.parse().map_err(|_| "k must be a positive integer".to_string())
-}
-
 /// `--key` parsed as a `T`, if given; `what` names the accepted values
 /// in the error.
 fn opt<T: std::str::FromStr>(opts: &Opts, key: &str, what: &str) -> Result<Option<T>, String> {
@@ -346,6 +335,11 @@ fn opt_positive<T: std::str::FromStr + Default + PartialEq>(
         Some(n) if n == T::default() => Err(format!("--{key} must be a positive integer")),
         n => Ok(n),
     }
+}
+
+/// A required positive integer `--key`.
+fn req_positive(opts: &Opts, key: &str) -> Result<usize, String> {
+    opt_positive(opts, key)?.ok_or_else(|| format!("missing --{key}"))
 }
 
 /// A finite-number `--key`, if given.
@@ -391,23 +385,18 @@ impl LiveTelemetry {
     }
 }
 
-/// Parses the live-telemetry flags, spawns the sampler (with a
-/// `--watch` stderr callback when asked), and binds the
-/// `--stats-addr` endpoint. The resolved listen address goes to
-/// stderr — even under `--quiet` — so scripts can bind port 0 and
-/// discover the real port without racing for one themselves.
+/// Spawns the sampler (with a `--watch` stderr callback when asked)
+/// and binds the `--stats-addr` endpoint. The resolved listen address
+/// goes to stderr — even under `--quiet` — so scripts can bind port 0
+/// and discover the real port without racing for one themselves.
 fn start_live_telemetry(opts: &Opts, obs: &Obs) -> Result<LiveTelemetry, String> {
-    let config = diva_obs::live::SamplerConfig {
-        interval: std::time::Duration::from_millis(opt_positive(opts, "sample-ms")?.unwrap_or(100)),
-        stall_periods: opt_positive(opts, "stall-periods")?.unwrap_or(5),
-        escalate: opts.contains_key("stall-escalate"),
-    };
     let on_sample: Option<diva_obs::live::OnSample> = if opts.contains_key("watch") {
         Some(Box::new(|sample| eprintln!("{}", sample.watch_line())))
     } else {
         None
     };
-    let sampler = diva_obs::live::Sampler::spawn(obs, config, on_sample);
+    let sampler =
+        diva_obs::live::Sampler::spawn(obs, diva_obs::live::SamplerConfig::default(), on_sample);
     let server = opts
         .get("stats-addr")
         .map(|addr| {
@@ -425,7 +414,7 @@ fn anonymize(opts: &Opts) -> Result<(), String> {
     let reporter = Reporter::new(opts);
     let rel = load_input(opts)?;
     let sigma = load_constraints(opts)?;
-    let k = parse_k(opts)?;
+    let k = req_positive(opts, "k")?;
     let output = PathBuf::from(req(opts, "output")?);
     let strategy = match opts.get("strategy").map(String::as_str) {
         None | Some("maxfanout") => Strategy::MaxFanOut,
@@ -467,7 +456,6 @@ fn anonymize(opts: &Opts) -> Result<(), String> {
         l_variant,
         threads,
         budget,
-        decompose: !opts.contains_key("no-decompose"),
         obs: obs.clone(),
         provenance: provenance.clone(),
         ..DivaConfig::default()
@@ -609,20 +597,18 @@ fn explain(opts: &Opts) -> Result<(), String> {
 }
 
 /// Loads the provenance log for `explain`: a saved `--provenance` file
-/// when given (parsed and integrity-checked), else a fresh recorded run.
+/// when given (parsed and integrity-checked, its attribution line
+/// included), else a fresh recorded run.
 fn explain_log(opts: &Opts) -> Result<diva_obs::provenance::Log, String> {
     if let Some(path) = opts.get("provenance") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let (log, _) =
-            diva_obs::provenance::parse_log(&text).map_err(|e| format!("{path}: {e}"))?;
-        diva_obs::provenance::validate_log(&log).map_err(|e| format!("{path}: {e}"))?;
-        Ok(log)
+        diva_obs::provenance::validate_text(&text).map_err(|e| format!("{path}: {e}"))
     } else {
         let rel = load_input(opts)?;
         let sigma = load_constraints(opts)?;
         let provenance = diva_obs::Provenance::enabled();
         let config = DivaConfig {
-            k: parse_k(opts)?,
+            k: req_positive(opts, "k")?,
             seed: parse_seed(opts)?,
             provenance: provenance.clone(),
             ..DivaConfig::default()
@@ -820,7 +806,7 @@ fn check(opts: &Opts) -> Result<(), String> {
     let reporter = Reporter::new(opts);
     let rel = load_input(opts)?;
     let sigma = load_constraints(opts)?;
-    let k = parse_k(opts)?;
+    let k = req_positive(opts, "k")?;
     let set = ConstraintSet::bind(&sigma, &rel).map_err(|e| e.to_string())?;
     let anon = is_k_anonymous(&rel, k);
     report!(reporter, "k-anonymous (k={k}): {}", if anon { "yes" } else { "NO" });
@@ -850,7 +836,7 @@ fn check(opts: &Opts) -> Result<(), String> {
 fn stats(opts: &Opts) -> Result<(), String> {
     let reporter = Reporter::new(opts);
     let rel = load_input(opts)?;
-    let k = parse_k(opts)?;
+    let k = req_positive(opts, "k")?;
     let s = diva_metrics::GroupStats::of(&rel);
     report!(reporter, "{s}");
     report!(reporter, "star accuracy:        {:.4}", diva_metrics::star_accuracy(&rel));
@@ -867,7 +853,7 @@ fn compare(opts: &Opts) -> Result<(), String> {
     let reporter = Reporter::new(opts);
     let rel = load_input(opts)?;
     let sigma = load_constraints(opts)?;
-    let k = parse_k(opts)?;
+    let k = req_positive(opts, "k")?;
     let seed = parse_seed(opts)?;
     report!(
         reporter,
@@ -919,8 +905,7 @@ fn compare(opts: &Opts) -> Result<(), String> {
 
 fn sigma_gen(opts: &Opts) -> Result<(), String> {
     let rel = load_input(opts)?;
-    let count: usize =
-        req(opts, "count")?.parse().map_err(|_| "count must be a positive integer".to_string())?;
+    let count = req_positive(opts, "count")?;
     let slack = opt(opts, "slack", "a number")?.unwrap_or(0.5);
     let min_freq = opt(opts, "min-freq", "an integer")?.unwrap_or(20);
     let output = PathBuf::from(req(opts, "output")?);
@@ -942,8 +927,7 @@ fn sigma_gen(opts: &Opts) -> Result<(), String> {
 
 fn generate(opts: &Opts) -> Result<(), String> {
     let dataset = req(opts, "dataset")?;
-    let rows: usize =
-        req(opts, "rows")?.parse().map_err(|_| "rows must be a positive integer".to_string())?;
+    let rows = req_positive(opts, "rows")?;
     let seed = parse_seed(opts)?;
     let output = PathBuf::from(req(opts, "output")?);
     let dist = match opts.get("dist").map(String::as_str) {

@@ -2,7 +2,10 @@
 //! anonymize → check → stats, plus the error paths.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::Duration;
+
+use diva_obs::json::{self, Value};
 
 fn diva(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_diva")).args(args).output().expect("binary runs")
@@ -400,28 +403,6 @@ fn audit_flag_validation() {
     let o = diva(&[&anonymize[..], &["--l-c", "2.0"]].concat());
     assert!(!o.status.success());
     assert!(String::from_utf8_lossy(&o.stderr).contains("--l-variant recursive"));
-    // Zero is rejected wherever a positive integer is asked for. Every
-    // case runs, so a failure lists each flag that let 0 through.
-    let audit = ["audit", "--input", data, "--roles", MEDICAL_ROLES];
-    let cases: [(&[&str], &str); 5] = [
-        (&anonymize, "l"),
-        (&anonymize, "portfolio"),
-        (&audit, "k"),
-        (&audit, "l"),
-        (&audit, "recursive-l"),
-    ];
-    let accepted: Vec<String> = cases
-        .into_iter()
-        .filter_map(|(base, flag)| {
-            let flag = format!("--{flag}");
-            let o = diva(&[base, &[flag.as_str(), "0"]].concat());
-            let err = String::from_utf8_lossy(&o.stderr);
-            let rejected =
-                !o.status.success() && err.contains(&format!("{flag} must be a positive integer"));
-            (!rejected).then(|| format!("{} {flag} 0", base[0]))
-        })
-        .collect();
-    assert!(accepted.is_empty(), "zero accepted: {accepted:?}");
 }
 
 #[test]
@@ -494,6 +475,48 @@ fn bad_flags_are_reported() {
     assert!(!o.status.success());
     assert!(String::from_utf8_lossy(&o.stderr).contains("seed must be"));
     assert!(!out.exists(), "nothing is written on a bad seed");
+
+    // Zero is rejected wherever a positive integer is asked for. Each
+    // case is otherwise valid, so the number is what fails, and every
+    // case runs, so a failure lists each flag that let 0 through.
+    let data = tmp("zero_flags.csv");
+    let sigma = tmp("zero_flags_sigma.txt");
+    let (data, sigma) = (data.to_str().unwrap(), sigma.to_str().unwrap());
+    let g = diva(&["generate", "--dataset", "medical", "--rows", "50", "--output", data]);
+    assert!(g.status.success(), "{}", String::from_utf8_lossy(&g.stderr));
+    std::fs::write(sigma, "ETH[Caucasian]: 1..50\n").unwrap();
+    let input = |command| vec![command, "--input", data, "--roles", MEDICAL_ROLES];
+    let bound = |command| [input(command), vec!["--constraints", sigma]].concat();
+    let anonymize = [bound("anonymize"), vec!["--output", path]].concat();
+    let with_k = [anonymize.clone(), vec!["-k", "2"]].concat();
+    let cases = [
+        (with_k.clone(), "l"),
+        (with_k, "portfolio"),
+        (anonymize, "k"),
+        (input("audit"), "k"),
+        (input("audit"), "l"),
+        (input("audit"), "recursive-l"),
+        (bound("check"), "k"),
+        (input("stats"), "k"),
+        ([bound("explain"), vec!["--top-costly"]].concat(), "k"),
+        (bound("compare"), "k"),
+        (vec!["generate", "--dataset", "medical", "--output", path], "rows"),
+        ([input("sigma-gen"), vec!["--class", "proportional", "--output", path]].concat(), "count"),
+    ];
+    let accepted: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(args, flag)| {
+            let _ = std::fs::remove_file(&out);
+            let flag = format!("--{flag}");
+            let o = diva(&[&args[..], &[flag.as_str(), "0"]].concat());
+            let err = String::from_utf8_lossy(&o.stderr);
+            let rejected = !o.status.success()
+                && err.contains(&format!("{flag} must be a positive integer"))
+                && !out.exists();
+            (!rejected).then(|| format!("{} {flag} 0", args[0]))
+        })
+        .collect();
+    assert!(accepted.is_empty(), "zero accepted: {accepted:?}");
 }
 
 #[test]
@@ -592,22 +615,50 @@ fn trace_metrics_and_quiet_flags() {
 
     // The trace is JSON-lines of spans covering every pipeline phase.
     let trace_text = std::fs::read_to_string(&trace).unwrap();
-    for phase in
-        ["diva.run", "diva.clustering", "diva.suppress", "diva.anonymize", "diva.integrate"]
-    {
+    let phases =
+        ["diva.run", "diva.clustering", "diva.suppress", "diva.anonymize", "diva.integrate"];
+    for phase in phases {
         assert!(trace_text.contains(&format!("\"name\":\"{phase}\"")), "missing {phase}");
     }
+    // Every line is a complete span record: its six fields, a unique
+    // id, a parent that resolves, and the three memory-attribution
+    // fields all together or not at all.
+    let mut ids = std::collections::HashSet::new();
+    let mut parents = Vec::new();
     for line in trace_text.lines() {
-        diva_obs::json::parse(line).expect("every trace line parses");
+        let v = json::parse(line).expect("every trace line parses");
+        assert_eq!(v.get("type").and_then(Value::as_str), Some("span"), "{line}");
+        assert!(v.get("name").and_then(Value::as_str).is_some(), "no name: {line}");
+        for key in ["thread", "start_us", "dur_us"] {
+            assert!(v.get(key).and_then(Value::as_num).is_some(), "no {key}: {line}");
+        }
+        let id = v.get("id").and_then(Value::as_num).unwrap_or_else(|| panic!("no id: {line}"));
+        assert!(ids.insert(id as u64), "duplicate id: {line}");
+        if let Some(parent) = v.get("parent").and_then(Value::as_num) {
+            parents.push(parent as u64);
+        }
+        let alloc = ["alloc_bytes", "alloc_count", "peak_live_delta"]
+            .map(|f| v.get(f).and_then(Value::as_num).is_some());
+        assert!(alloc.iter().all(|&a| a == alloc[0]), "partial alloc fields: {line}");
     }
-    // The summary parses and carries per-strategy colouring counters.
-    let summary = diva_obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert!(parents.iter().all(|p| ids.contains(p)), "a parent id does not resolve");
+    // The summary parses, covers every phase, gives every span its five
+    // timing fields, and carries per-strategy colouring counters.
+    let summary = json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let Some(Value::Obj(spans)) = summary.get("spans") else { panic!("no spans section") };
+    for phase in phases {
+        assert!(spans.iter().any(|(name, _)| name == phase), "summary lacks {phase}");
+    }
+    for (name, span) in spans {
+        for key in ["count", "total_us", "self_us", "min_us", "max_us"] {
+            assert!(span.get(key).and_then(Value::as_num).is_some(), "{name} has no {key}");
+        }
+    }
     let counters = summary.get("counters").expect("counters section");
     assert!(
         counters.get("coloring.MaxFanOut.node_selections").is_some(),
         "per-strategy counters missing"
     );
-    assert!(summary.get("spans").and_then(|s| s.get("diva.run")).is_some());
 }
 
 #[test]
@@ -833,4 +884,172 @@ fn flame_and_profile_report_cover_the_run() {
             "diva.run span missing alloc attribution: {run_line}"
         );
     }
+}
+
+/// `explain --provenance` validates the whole file it loads, the
+/// attribution line included: moving stars between the line's buckets
+/// keeps its total but no longer matches the cell records.
+#[test]
+fn explain_rejects_a_log_whose_attribution_disagrees_with_its_records() {
+    let (data, sigma, prov, tampered, out) = (
+        tmp("prov_medical.csv"),
+        tmp("prov_sigma.txt"),
+        tmp("prov.jsonl"),
+        tmp("prov_tampered.jsonl"),
+        tmp("prov_anon.csv"),
+    );
+    let [data, sigma, prov, tampered, out] =
+        [&data, &sigma, &prov, &tampered, &out].map(|p| p.to_str().unwrap());
+    let g = diva(&[
+        "generate",
+        "--dataset",
+        "medical",
+        "--rows",
+        "300",
+        "--seed",
+        "4",
+        "--output",
+        data,
+    ]);
+    assert!(g.status.success(), "{}", String::from_utf8_lossy(&g.stderr));
+    std::fs::write(sigma, "ETH[Caucasian]: 10..300\n").unwrap();
+    let a = diva(&[
+        "anonymize",
+        "--input",
+        data,
+        "--roles",
+        MEDICAL_ROLES,
+        "--constraints",
+        sigma,
+        "-k",
+        "5",
+        "--quiet",
+        "--provenance",
+        prov,
+        "--output",
+        out,
+    ]);
+    assert!(a.status.success(), "{}", String::from_utf8_lossy(&a.stderr));
+    let explain = |path| diva(&["explain", "--provenance", path, "--top-costly"]);
+    let o = explain(prov);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+
+    // Charge the one constraint's stars to k-anonymity instead.
+    let text = std::fs::read_to_string(prov).unwrap();
+    let (records, line) = text.trim_end().rsplit_once('\n').expect("records, then attribution");
+    let v = json::parse(line).expect("attribution line parses");
+    let num = |key| v.get(key).and_then(Value::as_num).map(|n| n as u64);
+    let Some(Value::Arr(per_constraint)) = v.get("per_constraint") else { panic!("{line}") };
+    let moved = per_constraint.first().and_then(Value::as_num).unwrap_or(0.0) as u64;
+    assert!(moved > 0, "the constraint starred nothing: {line}");
+    let (k_anonymity, degrade, total) = (num("k_anonymity"), num("degrade"), num("total"));
+    let forged = format!(
+        "{{\"type\":\"attribution\",\"per_constraint\":[0],\"k_anonymity\":{},\
+         \"degrade\":{},\"total\":{}}}",
+        k_anonymity.expect("k_anonymity") + moved,
+        degrade.expect("degrade"),
+        total.expect("total"),
+    );
+    std::fs::write(tampered, format!("{records}\n{forged}\n")).unwrap();
+    let o = explain(tampered);
+    assert!(!o.status.success(), "explain accepted a forged attribution line");
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(err.contains("attribution line disagrees with records"), "{err}");
+}
+
+/// `--stats-addr` serves the run while it is in flight. The CLI binds
+/// port 0 and announces the address on stderr; every poll finds each
+/// always-present live cell on both routes, and one poll catches the
+/// search with `0 < nodes < final`, `final` read from the run's
+/// `--metrics` file.
+#[test]
+fn stats_endpoint_serves_the_search_in_flight() {
+    use diva_obs::serve::{http_get, parse_prometheus, LIVE_CELLS};
+    use std::io::{BufRead, BufReader, Read};
+
+    let (data, sigma, metrics, out) = (
+        tmp("live_medical.csv"),
+        tmp("live_sigma.txt"),
+        tmp("live_metrics.json"),
+        tmp("live_anon.csv"),
+    );
+    let [data, sigma, metrics, out] = [&data, &sigma, &metrics, &out].map(|p| p.to_str().unwrap());
+    // medical-2000 under ten proportional constraints: a search of about
+    // 10^5 nodes, seconds long in a debug build.
+    let g = diva(&[
+        "generate",
+        "--dataset",
+        "medical",
+        "--rows",
+        "2000",
+        "--seed",
+        "7",
+        "--output",
+        data,
+    ]);
+    assert!(g.status.success(), "{}", String::from_utf8_lossy(&g.stderr));
+    let s = diva(&[
+        "sigma-gen",
+        "--input",
+        data,
+        "--roles",
+        MEDICAL_ROLES,
+        "--class",
+        "proportional",
+        "--count",
+        "10",
+        "--slack",
+        "0.7",
+        "--min-freq",
+        "20",
+        "--output",
+        sigma,
+    ]);
+    assert!(s.status.success(), "{}", String::from_utf8_lossy(&s.stderr));
+    let mut run = Command::new(env!("CARGO_BIN_EXE_diva"))
+        .args(["anonymize", "--input", data, "--roles", MEDICAL_ROLES, "--constraints", sigma])
+        .args(["-k", "5", "--quiet", "--metrics", metrics, "--output", out])
+        .args(["--stats-addr", "127.0.0.1:0"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stderr = BufReader::new(run.stderr.take().expect("stderr is piped"));
+    let mut announcement = String::new();
+    stderr.read_line(&mut announcement).expect("stderr reads");
+    let addr: std::net::SocketAddr = announcement
+        .trim()
+        .strip_prefix("stats endpoint listening on ")
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no address announced: {announcement:?}"));
+
+    let timeout = Duration::from_millis(500);
+    let mut mid = 0;
+    while mid == 0 && run.try_wait().expect("run status").is_none() {
+        std::thread::sleep(Duration::from_millis(2));
+        // The run may end, and the endpoint with it, between polls.
+        let (Ok((prom_status, prom)), Ok((json_status, stats))) =
+            (http_get(&addr, "/metrics", timeout), http_get(&addr, "/stats.json", timeout))
+        else {
+            continue;
+        };
+        assert!(prom_status.contains("200") && json_status.contains("200"), "{prom_status}");
+        let prom = parse_prometheus(&prom).expect("/metrics parses");
+        let stats = json::parse(&stats).expect("/stats.json parses");
+        for cell in LIVE_CELLS.iter().filter(|cell| cell.always_present()) {
+            assert!(prom.iter().any(|s| s.name == cell.family), "/metrics lacks {}", cell.family);
+            let value = stats.get(cell.kind.section()).and_then(|s| s.get(cell.key));
+            assert!(value.and_then(Value::as_num).is_some(), "/stats.json lacks {}", cell.key);
+        }
+        let nodes = prom.iter().find(|s| s.name == "diva_nodes_expanded_total");
+        mid = nodes.map_or(0, |s| s.value as u64);
+    }
+    let status = run.wait().expect("run finishes");
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).expect("stderr reads");
+    assert!(status.success(), "{rest}");
+    let summary = json::parse(&std::fs::read_to_string(metrics).unwrap()).unwrap();
+    let counters = summary.get("counters").expect("counters section");
+    let total = counters.get("coloring.MaxFanOut.assignments_tried").and_then(Value::as_num);
+    let total = total.expect("node counter in --metrics") as u64;
+    assert!(0 < mid && mid < total, "no poll caught the search in flight: {mid} of {total}");
 }

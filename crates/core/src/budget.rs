@@ -105,8 +105,8 @@ impl Budget {
     }
 
     /// Charges `n` explored nodes, then checks the node cap and the
-    /// deadline. Called from the search's poll points with the nodes
-    /// explored since the previous poll. Returns how many more nodes
+    /// deadline. Called when a search settles at a poll, with the nodes
+    /// explored since its previous settle. Returns how many more nodes
     /// the cap allows (`u64::MAX` without a cap), so the search can
     /// poll again exactly where the cap would trip.
     pub fn charge_nodes(&self, n: u64) -> Result<u64, DegradeReason> {
@@ -165,15 +165,6 @@ pub enum DegradeReason {
         /// The panic message of the lowest-index lost member.
         detail: String,
     },
-    /// The live-telemetry stall watchdog saw the node counter frozen
-    /// past its threshold and (with escalation enabled) requested a
-    /// graceful wind-down through the same degradation path a budget
-    /// trip takes.
-    Stalled {
-        /// Node count at the moment the coloring poll honoured the
-        /// watchdog's degrade request.
-        nodes: u64,
-    },
 }
 
 impl DegradeReason {
@@ -184,7 +175,6 @@ impl DegradeReason {
             DegradeReason::DeadlineExceeded { .. } => "deadline",
             DegradeReason::NodeBudgetExhausted { .. } => "nodes",
             DegradeReason::WorkerPanic { .. } => "worker_panic",
-            DegradeReason::Stalled { .. } => "stall",
         }
     }
 }
@@ -200,9 +190,6 @@ impl std::fmt::Display for DegradeReason {
             }
             DegradeReason::WorkerPanic { detail } => {
                 write!(f, "all portfolio workers lost to panics (lowest member: {detail})")
-            }
-            DegradeReason::Stalled { nodes } => {
-                write!(f, "stall watchdog escalated (node counter frozen at {nodes})")
             }
         }
     }
@@ -386,14 +373,12 @@ mod tests {
             DegradeReason::DeadlineExceeded { elapsed_ms: 70, deadline_ms: 50 },
             DegradeReason::NodeBudgetExhausted { explored: 512, cap: 256 },
             DegradeReason::WorkerPanic { detail: "injected".into() },
-            DegradeReason::Stalled { nodes: 9000 },
         ];
         let kinds: Vec<_> = reasons.iter().map(DegradeReason::kind).collect();
-        assert_eq!(kinds, ["deadline", "nodes", "worker_panic", "stall"]);
+        assert_eq!(kinds, ["deadline", "nodes", "worker_panic"]);
         assert!(reasons[0].to_string().contains("50 ms"));
         assert!(reasons[1].to_string().contains("256"));
         assert!(reasons[2].to_string().contains("injected"));
-        assert!(reasons[3].to_string().contains("9000"));
     }
 
     #[test]

@@ -16,8 +16,9 @@ use crate::state::SearchState;
 /// Counters reported by a colouring run.
 ///
 /// Counters accumulate in plain fields during the search (the hot
-/// loop touches no atomics) and are flushed once per solve to the
-/// configured [`diva_obs::Obs`] handle as
+/// loop touches no atomics). Nodes and repairs are published only when
+/// the search settles at a poll; every counter is flushed once per
+/// solve to the configured [`diva_obs::Obs`] handle as
 /// `coloring.<Strategy>.<counter>` counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColoringStats {
@@ -89,8 +90,10 @@ pub struct Coloring<'a> {
     /// stops it with the partial assignment instead of unwinding it
     /// (see [`ColoringOutcome::degraded`]).
     controls: Controls,
-    /// Nodes charged to the budget so far.
-    nodes_charged: u64,
+    /// Nodes published by the last settle ([`Coloring::settle`]).
+    settled_nodes: u64,
+    /// Repair attempts published by the last settle.
+    settled_repairs: u64,
     /// The `assignments_tried` count at which the next poll happens.
     next_poll: u64,
 }
@@ -168,7 +171,8 @@ impl<'a> Coloring<'a> {
             node_ids: Vec::new(),
             stats: ColoringStats::default(),
             controls: Controls::default(),
-            nodes_charged: 0,
+            settled_nodes: 0,
+            settled_repairs: 0,
             next_poll: POLL_STRIDE,
         }
     }
@@ -205,13 +209,10 @@ impl<'a> Coloring<'a> {
         self.with_controls(&Controls::new(Some(budget)))
     }
 
-    /// Counts one explored node (an assignment attempt), publishes it
-    /// to the live cells — per node, so a mid-run scrape sees the count
-    /// move even on searches shorter than one poll stride — and polls
-    /// when the count reaches the poll mark.
+    /// Counts one explored node (an assignment attempt) and polls when
+    /// the count reaches the poll mark.
     fn explore_node(&mut self) -> Result<(), Stop> {
         self.stats.assignments_tried += 1;
-        self.config.obs.add_nodes(1);
         if self.stats.assignments_tried >= self.next_poll {
             self.poll()?;
         }
@@ -219,37 +220,36 @@ impl<'a> Coloring<'a> {
     }
 
     /// A poll point: injected slowdowns, then cancellation, then the
-    /// watchdog's escalation flag, then the budget (charged the nodes
-    /// explored since the previous poll). Sets the next poll mark: the
-    /// next stride boundary, or the node that would exceed the node
-    /// cap if that comes sooner.
+    /// settle, whose budget verdict decides whether the search goes
+    /// on. Sets the next poll mark: the next stride boundary, or the
+    /// node that would exceed the node cap if that comes sooner.
     fn poll(&mut self) -> Result<(), Stop> {
         #[cfg(feature = "fault-inject")]
         self.config.faults.at_poll();
         if self.controls.is_cancelled() {
             return Err(Stop::Cancelled);
         }
-        if self.config.obs.degrade_requested() {
-            return Err(Stop::Degraded(DegradeReason::Stalled {
-                nodes: self.stats.assignments_tried,
-            }));
-        }
-        let headroom = self.charge().map_err(Stop::Degraded)?;
+        let headroom = self.settle().map_err(Stop::Degraded)?;
         let tried = self.stats.assignments_tried;
         let stride_end = (tried / POLL_STRIDE + 1) * POLL_STRIDE;
         self.next_poll = stride_end.min(tried.saturating_add(headroom).saturating_add(1));
         Ok(())
     }
 
-    /// Charges the nodes explored since the last charge to the budget;
-    /// returns how many more the node cap allows.
-    fn charge(&mut self) -> Result<u64, DegradeReason> {
-        let Some(budget) = self.controls.budget() else {
-            return Ok(u64::MAX);
-        };
-        let fresh = self.stats.assignments_tried - self.nodes_charged;
-        self.nodes_charged = self.stats.assignments_tried;
-        budget.charge_nodes(fresh)
+    /// The one place the search publishes its counts: pushes the nodes
+    /// and repairs since the last settle to the live cells, and the
+    /// nodes to the budget. Returns how many more nodes the cap allows.
+    fn settle(&mut self) -> Result<u64, DegradeReason> {
+        let nodes = self.stats.assignments_tried - self.settled_nodes;
+        let repairs = self.stats.repair_attempts - self.settled_repairs;
+        self.settled_nodes = self.stats.assignments_tried;
+        self.settled_repairs = self.stats.repair_attempts;
+        self.config.obs.add_nodes(nodes);
+        self.config.obs.add_repairs(repairs);
+        match self.controls.budget() {
+            Some(budget) => budget.charge_nodes(nodes),
+            None => Ok(u64::MAX),
+        }
     }
 
     /// Runs the search to completion. The search runs under a
@@ -263,11 +263,11 @@ impl<'a> Coloring<'a> {
             .attr("strategy", self.config.strategy.name())
             .attr("nodes", self.graph.n_nodes());
         let result = self.solve_impl();
-        // Charge the nodes explored since the last poll: they count in
-        // `BudgetUsage::nodes_explored` and against the cap of every
-        // search still running. This search's outcome is decided, so
-        // the verdict no longer matters.
-        let _ = self.charge();
+        // Settle what was explored since the last poll: it counts in
+        // the live cells, in `BudgetUsage::nodes_explored` and against
+        // the cap of every search still running. This search's outcome
+        // is decided, so the verdict no longer matters.
+        let _ = self.settle();
         span.set_attr("ok", result.is_ok());
         if let Ok(out) = &result {
             if let Some(reason) = &out.degraded {
@@ -382,7 +382,6 @@ impl<'a> Coloring<'a> {
                         continue;
                     }
                     self.stats.repair_attempts += 1;
-                    self.config.obs.add_repairs(1);
                     #[cfg(feature = "fault-inject")]
                     if self.config.faults.repair_fails(self.stats.repair_attempts) {
                         continue;

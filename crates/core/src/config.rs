@@ -106,9 +106,8 @@ pub struct DivaConfig {
     /// ([`diva_obs::live`]). The default is the disabled handle
     /// ([`diva_obs::Obs::disabled`]), which records nothing and costs
     /// one branch per instrumentation point — pipeline output is
-    /// byte-identical either way. The handle's degrade request is the
-    /// stall watchdog's escalation channel
-    /// ([`crate::DegradeReason::Stalled`]).
+    /// byte-identical either way. The pipeline only writes to it:
+    /// nothing it records feeds back into a decision of the run.
     pub obs: diva_obs::Obs,
     /// Resource budget (wall-clock deadline, explored-node cap) for
     /// the run — or, under [`crate::run_portfolio`], one global budget

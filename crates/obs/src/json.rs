@@ -1,10 +1,11 @@
 //! Minimal JSON support: string escaping for the exporters and a
-//! validating parser for the `trace-check` gate.
+//! validating parser for the files they write.
 //!
 //! The workspace vendors no serde; the exporters hand-render their
 //! JSON and this module keeps that honest — `parse` accepts exactly
-//! the JSON grammar (RFC 8259) and is used by `trace-check` and the
-//! exporter tests to prove every emitted byte stream parses.
+//! the JSON grammar (RFC 8259) and is used by `trace-diff`, the
+//! provenance reader and the exporter tests to prove every emitted
+//! byte stream parses.
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes not
 /// included).

@@ -15,7 +15,9 @@
 //!   **disabled** handle ([`Obs::disabled`], the default) short-circuits
 //!   every recording operation on one predictable branch and allocates
 //!   nothing — the pipeline's behaviour and output are byte-identical
-//!   with obs on or off, only the telemetry differs.
+//!   with obs on or off, only the telemetry differs. The pipeline only
+//!   writes to a handle: nothing it records feeds back into a decision
+//!   of the run.
 //! * [`Span`]s time a region against a monotonic clock shared by the
 //!   whole handle. Spans *always* measure (two monotonic clock reads)
 //!   so callers can use the returned [`Duration`] — e.g.

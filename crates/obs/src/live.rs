@@ -7,15 +7,15 @@
 //! ## Model
 //!
 //! * [`Obs::enabled`] allocates the cells and the pipeline publishes
-//!   into them through `Obs` methods, from its existing poll points:
-//!   the phase at each boundary ([`Obs::phase`], which also opens the
-//!   phase's span), nodes and repairs per assignment attempt in
-//!   `core::coloring`, components as the pool finishes them, and the
-//!   constraint verdicts once the run returns ([`Obs::run_finished`]).
-//!   A disabled handle has no cells, so every publish is the one
-//!   branch every `Obs` operation pays, and the run stays
-//!   byte-identical. Cells are plain atomics written with `Relaxed`
-//!   stores; none of them appears in the trace or summary exports.
+//!   into them through `Obs` methods: the phase at each boundary
+//!   ([`Obs::phase`], which also opens the phase's span), nodes and
+//!   repairs each time `core::coloring` settles at a poll, components
+//!   as the pool finishes them, and the constraint verdicts once the
+//!   run returns ([`Obs::run_finished`]). A disabled handle has no
+//!   cells, so every publish is the one branch every `Obs` operation
+//!   pays, and the run stays byte-identical. Cells are plain atomics
+//!   written with `Relaxed` stores; none of them appears in the trace
+//!   or summary exports.
 //! * Under a portfolio every member publishes into the caller's
 //!   handle. Nodes and repairs add up across members (like
 //!   `BudgetUsage::nodes_explored`); components done is the highest
@@ -31,16 +31,12 @@
 //!   ([`crate::serve`]) reads.
 //! * The **watchdog** rides inside the sampler loop: when the node
 //!   counter has not advanced for `stall_periods` consecutive samples
-//!   while the search phase is active, it marks the run stalled, emits
-//!   a `diva.stall` span event and an `obs.stall.detected` counter,
-//!   and — when [`SamplerConfig::escalate`] is set — raises the
-//!   degrade request, which the coloring poll converts into
-//!   budget-style graceful degradation (`DegradeReason::Stalled`)
-//!   instead of a hard cancel.
+//!   while the search phase is active, it marks the run stalled and
+//!   emits a `diva.stall` span event and an `obs.stall.detected`
+//!   counter.
 //!
-//! The cells never *read back* into the computation (the single
-//! exception is the explicit degrade request), so enabling them
-//! cannot change the published anonymization.
+//! Nothing reads the cells back into the computation, so enabling
+//! them, or watching them, cannot change the published anonymization.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -138,7 +134,6 @@ pub(crate) struct Cells {
     deadline_ms: AtomicU64,
     alloc_bytes: AtomicI64,
     stalled: AtomicBool,
-    degrade_requested: AtomicBool,
     constraint_stars: Mutex<Vec<(String, u64)>>,
 }
 
@@ -158,17 +153,15 @@ impl Obs {
         self.span(phase.span_name())
     }
 
-    /// Adds to the nodes-expanded cell (once per assignment attempt,
-    /// from the coloring hot loop).
-    #[inline]
+    /// Adds to the nodes-expanded cell (each time a colouring search
+    /// settles its counts at a poll).
     pub fn add_nodes(&self, n: u64) {
         if let Some(c) = self.cells() {
             c.nodes.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Adds to the repair-attempts cell.
-    #[inline]
+    /// Adds to the repair-attempts cell (alongside [`Obs::add_nodes`]).
     pub fn add_repairs(&self, n: u64) {
         if let Some(c) = self.cells() {
             c.repairs.fetch_add(n, Ordering::Relaxed);
@@ -243,13 +236,6 @@ impl Obs {
             log.labels.into_iter().zip(attr.per_constraint).collect();
     }
 
-    /// Whether a watchdog escalation is pending (polled from the
-    /// coloring hot loop; one branch + one relaxed load).
-    #[inline]
-    pub fn degrade_requested(&self) -> bool {
-        self.cells().is_some_and(|c| c.degrade_requested.load(Ordering::Relaxed))
-    }
-
     /// Reads every cell into a consistent-enough view (individual
     /// loads; monotone counters may be mid-update, which the
     /// exposition tolerates). `None` when the handle is disabled.
@@ -287,13 +273,6 @@ impl Obs {
     fn set_stalled(&self, stalled: bool) {
         if let Some(c) = self.cells() {
             c.stalled.store(stalled, Ordering::Relaxed);
-        }
-    }
-
-    /// Watchdog escalation: latches the degrade request.
-    fn request_degrade(&self) {
-        if let Some(c) = self.cells() {
-            c.degrade_requested.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -341,14 +320,11 @@ pub struct SamplerConfig {
     /// Consecutive idle samples (node counter static while the run
     /// is mid-search) before the watchdog declares a stall. Default 5.
     pub stall_periods: u32,
-    /// When set, a detected stall also raises the handle's
-    /// degrade request so the run winds down gracefully.
-    pub escalate: bool,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
-        SamplerConfig { interval: Duration::from_millis(100), stall_periods: 5, escalate: false }
+        SamplerConfig { interval: Duration::from_millis(100), stall_periods: 5 }
     }
 }
 
@@ -533,7 +509,7 @@ fn sampler_loop(
         // live but the node counter is frozen. `nodes > 0` gates the
         // count so candidate generation — which runs inside the
         // clustering phase before the first assignment — cannot trip
-        // it; any search that began expanding has published ≥ 1 node.
+        // it; the gate opens at the first settled poll.
         let advanced = prev.as_ref().map(|p| snap.nodes > p.nodes).unwrap_or(snap.nodes > 0);
         if snap.phase.watchdog_armed() && snap.nodes > 0 && !advanced {
             idle_periods += 1;
@@ -555,9 +531,6 @@ fn sampler_loop(
                 .attr("idle_periods", u64::from(idle_periods))
                 .attr("phase", snap.phase.as_str())
                 .end();
-            if config.escalate {
-                obs.request_degrade();
-            }
         }
         let snap = match obs.live() {
             // Re-read so the sample reflects the stall flag we just set.
@@ -597,8 +570,8 @@ mod tests {
     use crate::provenance::{Cause, GroupOrigin};
     use crate::Stopwatch;
 
-    fn watchdog(interval_ms: u64, stall_periods: u32, escalate: bool) -> SamplerConfig {
-        SamplerConfig { interval: Duration::from_millis(interval_ms), stall_periods, escalate }
+    fn watchdog(interval_ms: u64, stall_periods: u32) -> SamplerConfig {
+        SamplerConfig { interval: Duration::from_millis(interval_ms), stall_periods }
     }
 
     #[test]
@@ -702,11 +675,11 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_trips_on_a_frozen_counter_and_escalates() {
+    fn watchdog_trips_on_a_frozen_counter() {
         let obs = Obs::enabled();
         obs.phase(Phase::Clustering).end();
         obs.add_nodes(100); // advanced once, then frozen
-        let sampler = Sampler::spawn(&obs, watchdog(5, 3, true), None);
+        let sampler = Sampler::spawn(&obs, watchdog(5, 3), None);
         let log = sampler.log();
         let deadline = Stopwatch::start();
         while log.stalls_flagged() == 0 && deadline.elapsed() < Duration::from_secs(5) {
@@ -715,7 +688,6 @@ mod tests {
         sampler.stop();
         assert!(log.stalls_flagged() >= 1, "watchdog never tripped");
         assert!(obs.live().expect("read").stalled);
-        assert!(obs.degrade_requested(), "escalation should raise the degrade request");
         let snap = obs.snapshot();
         assert_eq!(snap.counter("obs.stall.detected"), Some(log.stalls_flagged()));
         assert!(
@@ -732,7 +704,7 @@ mod tests {
         // fire even with a tight period threshold.
         let obs = Obs::enabled();
         obs.phase(Phase::Clustering).end();
-        let sampler = Sampler::spawn(&obs, watchdog(20, 2, true), None);
+        let sampler = Sampler::spawn(&obs, watchdog(20, 2), None);
         let publisher = obs.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let publisher_stop = Arc::clone(&stop);
@@ -749,7 +721,6 @@ mod tests {
         sampler.stop();
         assert_eq!(log.stalls_flagged(), 0, "false positive on an advancing run");
         assert!(!obs.live().expect("read").stalled);
-        assert!(!obs.degrade_requested());
         assert_eq!(obs.snapshot().counter("obs.stall.detected"), None);
     }
 
@@ -760,7 +731,7 @@ mod tests {
         let obs = Obs::enabled();
         obs.phase(Phase::Integrate).end();
         obs.add_nodes(5);
-        let sampler = Sampler::spawn(&obs, watchdog(5, 2, false), None);
+        let sampler = Sampler::spawn(&obs, watchdog(5, 2), None);
         std::thread::sleep(Duration::from_millis(100));
         let log = sampler.log();
         sampler.stop();
@@ -775,13 +746,12 @@ mod tests {
         // read as a stall; the count only starts once nodes > 0.
         let obs = Obs::enabled();
         obs.phase(Phase::Clustering).end();
-        let sampler = Sampler::spawn(&obs, watchdog(5, 2, true), None);
+        let sampler = Sampler::spawn(&obs, watchdog(5, 2), None);
         std::thread::sleep(Duration::from_millis(100));
         let log = sampler.log();
         sampler.stop();
         assert_eq!(log.stalls_flagged(), 0, "tripped before the search expanded anything");
         assert!(!obs.live().expect("read").stalled);
-        assert!(!obs.degrade_requested());
     }
 
     #[test]
@@ -792,7 +762,7 @@ mod tests {
         let samples = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&samples);
         let on_sample: OnSample = Box::new(move |s| lock_or_recover(&sink).push(s.clone()));
-        let sampler = Sampler::spawn(&obs, watchdog(10, 1000, false), Some(on_sample));
+        let sampler = Sampler::spawn(&obs, watchdog(10, 1000), Some(on_sample));
         let publisher = obs.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let publisher_stop = Arc::clone(&stop);
@@ -865,7 +835,7 @@ mod tests {
         let on_sample: OnSample = Box::new(move |_s| {
             cb_count.fetch_add(1, Ordering::Relaxed);
         });
-        let sampler = Sampler::spawn(&obs, watchdog(5, 1000, false), Some(on_sample));
+        let sampler = Sampler::spawn(&obs, watchdog(5, 1000), Some(on_sample));
         let deadline = Stopwatch::start();
         while counted.load(Ordering::Relaxed) < 3 && deadline.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(5));
@@ -878,7 +848,7 @@ mod tests {
 
     #[test]
     fn sampler_over_a_disabled_handle_exits() {
-        let sampler = Sampler::spawn(&Obs::disabled(), watchdog(1, 1000, false), None);
+        let sampler = Sampler::spawn(&Obs::disabled(), watchdog(1, 1000), None);
         let log = sampler.log();
         sampler.stop();
         assert_eq!(log.total_samples(), 0);

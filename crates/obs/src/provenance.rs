@@ -10,8 +10,8 @@
 //! published cluster, with the rows it holds and the Σ-constraints that own
 //! it) and *cell* records (one per starred cell, with the causal
 //! [`Cause`]). The log renders to byte-stable JSONL, parses back, and
-//! validates referential integrity — the substrate for `diva explain` and
-//! `trace-check --require-provenance`.
+//! validates referential integrity — the substrate for `diva explain`,
+//! which loads a saved file through [`validate_text`].
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -473,21 +473,11 @@ pub fn parse_log(text: &str) -> Result<(Log, Option<StarAttribution>), String> {
     Ok((log, attribution))
 }
 
-/// Summary returned by a successful [`validate_log`] pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValidateSummary {
-    /// Number of group records.
-    pub n_groups: usize,
-    /// Number of cell records (== total published stars).
-    pub n_cells: usize,
-    /// Recomputed attribution.
-    pub attribution: StarAttribution,
-}
-
 /// Validates record and reference integrity of a log: dense group ids,
 /// in-range rows/owners/constraints, cells referencing real groups that
-/// actually hold the cited row, and unique (row, col) pairs.
-pub fn validate_log(log: &Log) -> Result<ValidateSummary, String> {
+/// actually hold the cited row, and unique (row, col) pairs. Returns the
+/// attribution recomputed from the records.
+pub fn validate_log(log: &Log) -> Result<StarAttribution, String> {
     let n_constraints = log.labels.len();
     for (i, g) in log.groups.iter().enumerate() {
         if g.id != i as u64 {
@@ -522,27 +512,24 @@ pub fn validate_log(log: &Log) -> Result<ValidateSummary, String> {
             return Err(format!("cell {i}: duplicate (row {}, col {})", c.row, c.col));
         }
     }
-    Ok(ValidateSummary {
-        n_groups: log.groups.len(),
-        n_cells: log.cells.len(),
-        attribution: StarAttribution::from_log(log),
-    })
+    Ok(StarAttribution::from_log(log))
 }
 
 /// Parses and validates a rendered provenance file, additionally checking
 /// that the embedded attribution line (when present) matches the records.
-pub fn validate_text(text: &str) -> Result<ValidateSummary, String> {
+/// Returns the validated log.
+pub fn validate_text(text: &str) -> Result<Log, String> {
     let (log, embedded) = parse_log(text)?;
-    let summary = validate_log(&log)?;
+    let recomputed = validate_log(&log)?;
     if let Some(embedded) = embedded {
-        if embedded != summary.attribution {
+        if embedded != recomputed {
             return Err(format!(
-                "attribution line disagrees with records: embedded {:?}, recomputed {:?}",
-                embedded, summary.attribution
+                "attribution line disagrees with records: embedded {embedded:?}, \
+                 recomputed {recomputed:?}"
             ));
         }
     }
-    Ok(summary)
+    Ok(log)
 }
 
 #[cfg(test)]
@@ -593,9 +580,8 @@ mod tests {
         let (log, embedded) = parse_log(&text).unwrap();
         assert_eq!(log, prov.snapshot().unwrap());
         assert_eq!(embedded.unwrap(), prov.attribution().unwrap());
-        let summary = validate_text(&text).unwrap();
-        assert_eq!(summary.n_groups, 3);
-        assert_eq!(summary.n_cells, 6);
+        assert_eq!(validate_log(&log).unwrap().total(), 6);
+        assert_eq!(validate_text(&text).unwrap(), log);
         // Render is byte-stable.
         assert_eq!(render_log(&log), text);
     }

@@ -17,8 +17,7 @@
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4
 //!   shape: `# HELP` / `# TYPE` comments plus `name{labels} value`
 //!   samples). Rendered by [`prometheus_text`] and parseable by the
-//!   in-repo [`parse_prometheus`], which the round-trip tests and the
-//!   `trace-check --scrape` client mode use.
+//!   in-repo [`parse_prometheus`], which the round-trip tests use.
 //! * `GET /stats.json` (also `/`) — the live snapshot rendered
 //!   through the **existing summary-JSON schema**
 //!   (`{"spans":{},"counters":{},"gauges":{},"histograms":{}}`, see
@@ -251,8 +250,7 @@ impl PromSample {
 
 /// Parses Prometheus text exposition into its sample lines, skipping
 /// `#` comments and blank lines. The in-repo counterpart to
-/// [`prometheus_text`] — the endpoint round-trip tests and the
-/// `trace-check --scrape` client mode are built on it.
+/// [`prometheus_text`] — the endpoint round-trip tests are built on it.
 pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
     let mut out = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -434,8 +432,7 @@ fn handle_connection(stream: TcpStream, obs: &Obs, log: &SampleLog) -> std::io::
 }
 
 /// A minimal blocking HTTP GET against the endpoint: returns
-/// `(status_line, body)`. Shared by the tests and the
-/// `trace-check --scrape` client mode.
+/// `(status_line, body)`. Shared by the endpoint tests.
 pub fn http_get(
     addr: &SocketAddr,
     path: &str,
@@ -538,11 +535,7 @@ mod tests {
     #[test]
     fn endpoint_serves_both_routes_over_real_tcp() {
         let obs = populated();
-        let config = SamplerConfig {
-            interval: Duration::from_millis(10),
-            stall_periods: 1000,
-            escalate: false,
-        };
+        let config = SamplerConfig { interval: Duration::from_millis(10), stall_periods: 1000 };
         let sampler = Sampler::spawn(&obs, config, None);
         let server = StatsServer::bind("127.0.0.1:0", obs.clone(), sampler.log()).expect("bind");
         let addr = server.local_addr();

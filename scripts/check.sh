@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints, the diva-tidy static-analysis pass,
 # tests (default + strict-invariants), a bench smoke run, and the
-# profiling/trace-regression gate.
+# profiling/trace-regression gate. The trace, metrics and live-endpoint
+# formats are checked by the tests (crates/cli/tests/cli.rs), the
+# provenance format by `diva explain`.
 # Usage: scripts/check.sh  (from the repo root; pass --offline through
 # CARGO_FLAGS if the environment has no registry access; set
 # SKIP_BENCH=1 to skip the bench smoke, the budget wall-clock bound,
@@ -10,7 +12,6 @@
 # SKIP_FAULTS=1 to skip the fault-injection matrix,
 # SKIP_DECOMP=1 to skip the decomposition differential,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
-# SKIP_LIVE=1 to skip the live-telemetry mid-run scrape gate,
 # SKIP_AUDIT=1 to skip the privacy-audit gate, and
 # SKIP_PROVENANCE=1 to skip the decision-provenance gate).
 set -eu
@@ -21,13 +22,11 @@ BASELINE="results/baseline/medical-4k.summary.json"
 
 OBS_DIR=""
 PROF_DIR=""
-LIVE_DIR=""
 AUDIT_DIR=""
 PROV_DIR=""
 cleanup() {
     [ -n "$OBS_DIR" ] && rm -rf "$OBS_DIR"
     [ -n "$PROF_DIR" ] && rm -rf "$PROF_DIR"
-    [ -n "$LIVE_DIR" ] && rm -rf "$LIVE_DIR"
     [ -n "$AUDIT_DIR" ] && rm -rf "$AUDIT_DIR"
     [ -n "$PROV_DIR" ] && rm -rf "$PROV_DIR"
 }
@@ -98,7 +97,6 @@ if [ "${SKIP_BENCH:-0}" = "1" ]; then
     echo "==> budget acceptance wall-clock bound skipped (SKIP_BENCH=1)"
     echo "==> release counting allocator attribution skipped (SKIP_BENCH=1)"
     echo "==> benchmark package tests skipped (SKIP_BENCH=1)"
-    echo "==> obs trace check skipped (SKIP_BENCH=1)"
 else
     # The perf emitter writes into a temp dir: the committed
     # BENCH_diva.json is regenerated on purpose, not by the gate.
@@ -121,63 +119,6 @@ else
     # the workspace test run above does not reach its tests.
     echo "==> benchmark package tests (crates/bench/src/bin/benchmark)"
     cargo test $FLAGS --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
-
-    echo "==> obs trace check (medical-4k run -> trace-check)"
-    capture_medical_4k "$OBS_DIR"
-    cargo run $FLAGS --release -q -p diva-obs --bin trace-check -- \
-        "$OBS_DIR/trace.jsonl" "$OBS_DIR/metrics.json"
-fi
-
-if [ "${SKIP_LIVE:-0}" = "1" ]; then
-    echo "==> live telemetry gate skipped (SKIP_LIVE=1)"
-else
-    echo "==> live telemetry gate (mid-run scrape of --stats-addr on medical-4k)"
-    # Pre-build both binaries so the scrape client launches instantly
-    # once the run is in flight.
-    cargo build $FLAGS --release -q -p diva-cli -p diva-obs
-    LIVE_DIR="$(mktemp -d)"
-    cargo run $FLAGS --release -q -p diva-cli --bin diva -- generate \
-        --dataset medical --rows 4000 --seed 7 --output "$LIVE_DIR/medical.csv"
-    # 15 proportional constraints make the colouring search long
-    # enough (~10^5 nodes) that a mid-run snapshot is observable.
-    cargo run $FLAGS --release -q -p diva-cli --bin diva -- sigma-gen \
-        --input "$LIVE_DIR/medical.csv" --roles qi,qi,qi,qi,qi,sensitive \
-        --class proportional --count 15 --slack 0.7 --min-freq 20 \
-        --output "$LIVE_DIR/sigma.txt"
-    cargo run $FLAGS --release -q -p diva-cli --bin diva -- anonymize \
-        --input "$LIVE_DIR/medical.csv" --roles qi,qi,qi,qi,qi,sensitive \
-        --constraints "$LIVE_DIR/sigma.txt" -k 5 --quiet \
-        --metrics "$LIVE_DIR/metrics.json" --stats-addr 127.0.0.1:0 \
-        --output "$LIVE_DIR/anon.csv" 2>"$LIVE_DIR/stderr.log" &
-    live_pid=$!
-    # The CLI binds port 0 and announces the resolved address on
-    # stderr; poll for the announcement.
-    live_addr=""
-    i=0
-    while [ "$i" -lt 400 ]; do
-        live_addr=$(sed -n 's/^stats endpoint listening on //p' "$LIVE_DIR/stderr.log")
-        [ -n "$live_addr" ] && break
-        i=$((i + 1))
-        sleep 0.01
-    done
-    if [ -z "$live_addr" ]; then
-        cat "$LIVE_DIR/stderr.log" >&2
-        echo "live: stats endpoint address never announced" >&2
-        exit 1
-    fi
-    scrape_out=$(cargo run $FLAGS --release -q -p diva-obs --bin trace-check -- \
-        --scrape "$live_addr" --timeout-ms 20000)
-    echo "$scrape_out"
-    wait "$live_pid"
-    mid_nodes=$(printf '%s' "$scrape_out" | sed -n 's/^scrape ok: nodes=\([0-9]*\).*/\1/p')
-    final_nodes=$(sed -n 's/.*"coloring.MaxFanOut.assignments_tried": *\([0-9]*\).*/\1/p' \
-        "$LIVE_DIR/metrics.json")
-    if [ -z "$mid_nodes" ] || [ -z "$final_nodes" ] \
-        || [ "$mid_nodes" -le 0 ] || [ "$mid_nodes" -ge "$final_nodes" ]; then
-        echo "live: mid-run node count ($mid_nodes) not strictly inside (0, $final_nodes)" >&2
-        exit 1
-    fi
-    echo "live telemetry ok: scraped $mid_nodes of $final_nodes nodes mid-run"
 fi
 
 if [ "${SKIP_AUDIT:-0}" = "1" ]; then
@@ -221,11 +162,9 @@ else
     echo "==> decision-provenance gate (medical-4k --provenance + explain + byte-identity)"
     PROV_DIR="$(mktemp -d)"
     capture_medical_4k "$PROV_DIR" --provenance "$PROV_DIR/prov.jsonl"
-    # The export must pass record/reference integrity validation.
-    cargo run $FLAGS --release -q -p diva-obs --bin trace-check -- \
-        --require-provenance "$PROV_DIR/prov.jsonl"
-    # `diva explain` must answer the utility-attribution query against
-    # the saved file (exit code is the gate).
+    # `diva explain` validates the saved file (records, references and
+    # the attribution line) and must answer the utility-attribution
+    # query against it (exit code is the gate).
     cargo run $FLAGS --release -q -p diva-cli --bin diva -- explain \
         --provenance "$PROV_DIR/prov.jsonl" --top-costly
     # The disabled recorder is free: a run *without* --provenance must
@@ -239,7 +178,7 @@ else
         echo "provenance: enabling --provenance changed the published relation" >&2
         exit 1
     fi
-    echo "provenance ok: export validated, explain answered, output byte-identical"
+    echo "provenance ok: explain validated and answered, output byte-identical"
 fi
 
 if [ "${SKIP_PROFILE:-0}" = "1" ]; then
@@ -252,9 +191,9 @@ else
     echo "==> profiling capture (medical-4k with counting allocator + flamegraph)"
     PROF_DIR="$(mktemp -d)"
     capture_medical_4k "$PROF_DIR" --flame "$PROF_DIR/flame.folded"
-    cargo run $FLAGS --release -q -p diva-obs --bin trace-check -- \
-        --require-alloc "$PROF_DIR/trace.jsonl" "$PROF_DIR/metrics.json"
 
+    # The baseline has a positive alloc_bytes on every phase span, so
+    # an exact match also proves the counting allocator is live.
     echo "==> trace-diff regression gate (capture vs $BASELINE)"
     if ! cargo run $FLAGS --release -q -p diva-obs --bin trace-diff -- \
         "$BASELINE" "$PROF_DIR/metrics.json"; then

@@ -26,7 +26,8 @@ fn prom_value(samples: &[diva_obs::serve::PromSample], name: &str) -> Option<f64
 /// Runs the pipeline on one thread while scraping `/metrics` over real
 /// TCP from another: at least one scrape must observe the node counter
 /// strictly between zero and the finished search's total — the
-/// in-flight evidence the check.sh `live` stage demands of the CLI.
+/// in-flight evidence the CLI's `stats_endpoint_serves_the_search_in_flight`
+/// test demands of a `--stats-addr` run.
 #[test]
 fn mid_run_scrape_sees_the_search_in_flight() {
     let (rel, sigma) = sustained_workload();

@@ -5,7 +5,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use diva_constraints::{generators, Constraint};
@@ -14,6 +14,7 @@ use diva_obs::live::{Phase, Sampler, SamplerConfig};
 use diva_obs::serve::{http_get, parse_prometheus, StatsServer};
 use diva_obs::{json, Obs, Provenance};
 use diva_relation::Relation;
+use proptest::prelude::*;
 
 /// Counts the bytes each thread allocates, so a test can assert an
 /// exact figure for its own thread while other tests run in parallel.
@@ -65,7 +66,7 @@ fn run_with(obs: Obs) -> diva_core::DivaResult {
 
 /// Every phase of the pipeline must appear in the exported trace, the
 /// trace must be valid JSON-lines, and the summary must aggregate the
-/// same spans — the same contract `trace-check` enforces in check.sh.
+/// same spans.
 #[test]
 fn full_run_trace_is_complete_and_parses() {
     let obs = Obs::enabled();
@@ -309,5 +310,98 @@ fn every_surface_reports_the_same_numbers() {
         assert_eq!(prom_value("diva_constraints_satisfied", None), Some(satisfied), "{class}");
         assert_eq!(prom_value("diva_constraints_voided", None), Some(voided), "{class}");
         assert_eq!(num(&stats, "gauges", "live.phase_code"), Some(Phase::Done.code()), "{class}");
+    }
+}
+
+/// Σ over every strategy's `coloring.<Strategy>.<field>` counter of a
+/// summary document.
+fn coloring_sum(summary: &json::Value, field: &str) -> u64 {
+    match summary.get("counters") {
+        Some(json::Value::Obj(counters)) => counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("coloring.") && k.ends_with(field))
+            .filter_map(|(_, v)| v.as_num())
+            .sum::<f64>() as u64,
+        _ => panic!("summary has no counters"),
+    }
+}
+
+/// A Σ of `sigma-gen` class `class` (proportional, minfreq, average,
+/// islands), with the slack each class's recipe uses.
+fn generated_sigma(rel: &Relation, class: usize, count: usize) -> Vec<Constraint> {
+    match class {
+        0 => generators::proportional(rel, count, 0.7, 20),
+        1 => generators::min_frequency(rel, count, 0.3, 20),
+        2 => generators::average(rel, count, 0.7, 20),
+        _ => generators::islands(rel, count, 3, 0.8, 20),
+    }
+}
+
+/// Runs the proptest below skipped because they returned an error.
+static SKIPPED: AtomicU64 = AtomicU64::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `every_surface_reports_the_same_numbers` over generator
+    /// parameters, without HTTP (that test covers the rendering). After
+    /// each `Ok` run, `RunStats`, the summary's `coloring.*` counters,
+    /// the live cells and the budget report the same nodes and repairs,
+    /// the verdicts cover Σ, and the star attribution, the published
+    /// stars and the provenance log agree. Small caps degrade the run.
+    /// A generated Σ can be unsatisfiable: those runs are skipped and
+    /// counted on stderr, and at most half the cases may be skipped.
+    #[test]
+    fn every_surface_agrees_over_generator_parameters(
+        rows in 200usize..1200,
+        data_seed in 0u64..64,
+        class in 0usize..4,
+        count in 2usize..9,
+        (strategy, threads) in (0usize..3, 1usize..3),
+        cap in prop_oneof![0u64..48, Just(4_096u64)],
+    ) {
+        let rel = diva_datagen::medical(rows, data_seed);
+        let sigma = generated_sigma(&rel, class, count);
+        let obs = Obs::enabled();
+        let provenance = Provenance::enabled();
+        let config = DivaConfig {
+            k: 5,
+            strategy: Strategy::all()[strategy],
+            threads: Some(threads),
+            obs: obs.clone(),
+            provenance: provenance.clone(),
+            budget: BudgetSpec::with_node_budget(cap),
+            ..DivaConfig::default()
+        };
+        let out = match Diva::new(config).run(&rel, &sigma) {
+            Ok(out) => out,
+            Err(e) => {
+                let skipped = SKIPPED.fetch_add(1, Ordering::Relaxed) + 1;
+                eprintln!("skipped run {skipped} (medical {rows}/{data_seed}, class {class}): {e}");
+                prop_assert!(skipped <= 16, "{skipped} generated instances failed to run");
+                return Ok(());
+            }
+        };
+
+        let summary = json::parse(&obs.snapshot().summary_json()).expect("summary parses");
+        let live = obs.live().expect("enabled handle snapshots");
+        let budget = out.stats.budget.clone().expect("an armed budget reports usage");
+        let nodes = out.stats.coloring.assignments_tried;
+        prop_assert_eq!(coloring_sum(&summary, ".assignments_tried"), nodes);
+        prop_assert_eq!(live.nodes, nodes);
+        prop_assert_eq!(budget.nodes_explored, nodes);
+        let repairs = out.stats.coloring.repair_attempts;
+        prop_assert_eq!(coloring_sum(&summary, ".repair_attempts"), repairs);
+        prop_assert_eq!(live.repairs, repairs);
+
+        prop_assert_eq!(live.phase, Phase::Done);
+        prop_assert_eq!(live.constraints_total, sigma.len() as u64);
+        prop_assert_eq!(live.voided, out.stats.constraints_voided as u64);
+        prop_assert_eq!(live.satisfied + live.voided, sigma.len() as u64);
+
+        let attribution = out.stats.attribution.clone().expect("provenance attributes stars");
+        let log = provenance.snapshot().expect("provenance recorded");
+        prop_assert_eq!(attribution.total(), out.relation.star_count() as u64);
+        prop_assert_eq!(log.cells.len() as u64, attribution.total());
     }
 }
