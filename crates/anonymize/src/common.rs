@@ -229,36 +229,13 @@ pub trait Anonymizer {
     }
 }
 
-/// Runs [`Anonymizer::cluster`] under an `anonymize.cluster` obs span
-/// and records the resulting group sizes in the
-/// `anonymize.group_size` histogram — the one instrumentation point
-/// shared by all baselines (the span's `algorithm` attribute tells
-/// them apart). Behaviour is identical to calling `cluster` directly.
-pub fn cluster_observed(
-    algo: &dyn Anonymizer,
-    rel: &Relation,
-    rows: &[RowId],
-    k: usize,
-    obs: &diva_obs::Obs,
-) -> Vec<Vec<RowId>> {
-    let mut span = obs
-        .span("anonymize.cluster")
-        .attr("algorithm", algo.name())
-        .attr("rows", rows.len())
-        .attr("k", k);
-    let clusters = algo.cluster(rel, rows, k);
-    span.set_attr("groups", clusters.len());
-    span.end();
-    let sizes = obs.histogram("anonymize.group_size");
-    for c in &clusters {
-        sizes.record_len(c.len());
-    }
-    clusters
-}
-
-/// [`cluster_observed`] over [`Anonymizer::cluster_interruptible`]:
-/// the same instrumentation, plus a `stopped` span attribute when the
-/// probe abandoned the clustering.
+/// Runs [`Anonymizer::cluster_interruptible`] under an
+/// `anonymize.cluster` obs span and records the resulting group sizes
+/// in the `anonymize.group_size` histogram — the one instrumentation
+/// point shared by all baselines (the span's `algorithm` attribute
+/// tells them apart). A `stopped` span attribute marks a clustering
+/// the probe abandoned; otherwise behaviour is identical to calling
+/// `cluster` directly.
 pub fn cluster_observed_interruptible(
     algo: &dyn Anonymizer,
     rel: &Relation,

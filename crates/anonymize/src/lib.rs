@@ -29,7 +29,7 @@ pub mod oka;
 pub mod samarati;
 pub mod tclose;
 
-pub use common::{cluster_observed, cluster_observed_interruptible, Anonymizer, QiMatrix};
+pub use common::{cluster_observed_interruptible, Anonymizer, QiMatrix};
 pub use kmember::KMember;
 pub use ldiv::{
     enforce_diversity, enforce_diversity_traced, enforce_l_diversity, is_l_diverse, DiversityModel,

@@ -277,9 +277,9 @@ fn bench_component_scaling(
     let set = ConstraintSet::bind(sigma, rel).expect("component sigma binds");
     let components = diva_core::components(&ConstraintGraph::build(&set)).len();
     // MinChoice keeps the comparison about decomposition itself: its
-    // global next-node scan is O(nodes × candidates × rows), so
-    // shrinking instances to component footprints pays even on one
-    // thread, and the pool adds wall-clock parallelism on top.
+    // next-node scan is O(nodes × candidates × rows), so restricting
+    // each search to its component's nodes pays even on one thread,
+    // and the pool adds wall-clock parallelism on top.
     let base = DivaConfig {
         k,
         strategy: Strategy::MinChoice,

@@ -151,7 +151,8 @@ fn usage() -> String {
      \u{20}           default distinct; recursive reads its c from --l-c (default 1.0)]\n\
      \u{20}          [--l-c F  the c of recursive (c,l)-diversity]\n\
      \u{20}          [--portfolio N  race all strategies × N seeds, first win returns]\n\
-     \u{20}          [--threads N  worker cap for --portfolio and the component pool]\n\
+     \u{20}          [--threads N  worker cap for --portfolio and the component pool;\n\
+     \u{20}           candidate enumeration runs one worker per constraint regardless]\n\
      \u{20}          [--provenance FILE  write the decision-provenance log (json-lines):\n\
      \u{20}           one record per published group and per starred cell, plus the\n\
      \u{20}           per-constraint star attribution]\n\
@@ -182,18 +183,22 @@ fn usage() -> String {
      \u{20}          [--emit json|table] [--output FILE]\n\
      \u{20}          answers provenance queries — which decision starred a row's cells,\n\
      \u{20}          what one constraint cost, the costliest constraints — against a\n\
-     \u{20}          saved --provenance file or a fresh run\n\
+     \u{20}          saved --provenance file or a fresh run (never both)\n\
      check      --input FILE --roles LIST --constraints FILE -k N\n\
      stats      --input FILE --roles LIST -k N\n\
-     generate   --dataset medical|pantheon|census|credit|popsyn --rows N \\\n\
-     \u{20}          [--dist uniform|zipf|gaussian] [--seed N] --output FILE\n\
+     generate   --dataset medical|pantheon|census|credit|popsyn \\\n\
+     \u{20}          [--rows N  required for medical, census and popsyn; pantheon and\n\
+     \u{20}           credit have a fixed size] \\\n\
+     \u{20}          [--dist uniform|zipf|gaussian  popsyn only] [--seed N] --output FILE\n\
      sigma-gen  --input FILE --roles LIST --class proportional|minfreq|average|islands \\\n\
      \u{20}          --count N [--slack F] [--min-freq N] \\\n\
-     \u{20}          [--per-group N  islands: constraints per family, default 3] --output FILE\n\
+     \u{20}          [--per-group N  islands only: constraints per family, default 3] \\\n\
+     \u{20}          --output FILE\n\
      compare    --input FILE --roles LIST --constraints FILE -k N [--seed N]\n\
      \n\
      global:    --quiet  suppress the human-readable report lines; any flag a\n\
-     \u{20}          command does not read is an error"
+     \u{20}          command, or the mode its other flags choose, does not read is an\n\
+     \u{20}          error"
         .to_string()
 }
 
@@ -601,6 +606,10 @@ fn explain(opts: &Opts) -> Result<(), String> {
 /// included), else a fresh recorded run.
 fn explain_log(opts: &Opts) -> Result<diva_obs::provenance::Log, String> {
     if let Some(path) = opts.get("provenance") {
+        let run_flags = ["input", "roles", "constraints", "k", "seed"];
+        if let Some(flag) = run_flags.iter().find(|f| opts.contains_key(**f)) {
+            return Err(format!("--{flag} only applies without --provenance (to a fresh run)"));
+        }
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         diva_obs::provenance::validate_text(&text).map_err(|e| format!("{path}: {e}"))
     } else {
@@ -904,12 +913,16 @@ fn compare(opts: &Opts) -> Result<(), String> {
 }
 
 fn sigma_gen(opts: &Opts) -> Result<(), String> {
+    let class = req(opts, "class")?;
+    if class != "islands" && opts.contains_key("per-group") {
+        return Err("--per-group only applies with --class islands".to_string());
+    }
     let rel = load_input(opts)?;
     let count = req_positive(opts, "count")?;
     let slack = opt(opts, "slack", "a number")?.unwrap_or(0.5);
     let min_freq = opt(opts, "min-freq", "an integer")?.unwrap_or(20);
     let output = PathBuf::from(req(opts, "output")?);
-    let sigma = match req(opts, "class")? {
+    let sigma = match class {
         "proportional" => diva_constraints::generators::proportional(&rel, count, slack, min_freq),
         "minfreq" => diva_constraints::generators::min_frequency(&rel, count, slack, min_freq),
         "average" => diva_constraints::generators::average(&rel, count, slack, min_freq),
@@ -927,7 +940,15 @@ fn sigma_gen(opts: &Opts) -> Result<(), String> {
 
 fn generate(opts: &Opts) -> Result<(), String> {
     let dataset = req(opts, "dataset")?;
-    let rows = req_positive(opts, "rows")?;
+    if matches!(dataset, "pantheon" | "credit") && opts.contains_key("rows") {
+        return Err(format!(
+            "--rows only applies with --dataset medical|census|popsyn ({dataset} has a fixed size)"
+        ));
+    }
+    if dataset != "popsyn" && opts.contains_key("dist") {
+        return Err("--dist only applies with --dataset popsyn".to_string());
+    }
+    let rows = || req_positive(opts, "rows");
     let seed = parse_seed(opts)?;
     let output = PathBuf::from(req(opts, "output")?);
     let dist = match opts.get("dist").map(String::as_str) {
@@ -936,11 +957,11 @@ fn generate(opts: &Opts) -> Result<(), String> {
             .ok_or_else(|| format!("unknown distribution {name:?}"))?,
     };
     let rel = match dataset {
-        "medical" => diva_datagen::medical(rows, seed),
+        "medical" => diva_datagen::medical(rows()?, seed),
         "pantheon" => diva_datagen::pantheon(seed),
-        "census" => diva_datagen::census(rows, seed),
+        "census" => diva_datagen::census(rows()?, seed),
         "credit" => diva_datagen::credit(seed),
-        "popsyn" => diva_datagen::popsyn(rows, dist, seed),
+        "popsyn" => diva_datagen::popsyn(rows()?, dist, seed),
         other => return Err(format!("unknown dataset {other:?}")),
     };
     write_relation_file(&rel, &output).map_err(|e| e.to_string())?;

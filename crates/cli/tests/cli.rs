@@ -549,6 +549,100 @@ fn unknown_flags_are_rejected_by_name() {
     }
 }
 
+/// A flag the command reads but its chosen mode does not is an error
+/// naming the flag and the mode it needs, raised before anything is
+/// written.
+#[test]
+fn flags_the_chosen_mode_does_not_read_are_rejected_by_name() {
+    let (data, sigma, prov, anon, out) = (
+        tmp("mode_flags.csv"),
+        tmp("mode_flags_sigma.txt"),
+        tmp("mode_flags_prov.jsonl"),
+        tmp("mode_flags_anon.csv"),
+        tmp("mode_flags_out"),
+    );
+    let [data, sigma, prov, anon, path] =
+        [&data, &sigma, &prov, &anon, &out].map(|p| p.to_str().unwrap());
+    let g = diva(&["generate", "--dataset", "medical", "--rows", "60", "--output", data]);
+    assert!(g.status.success(), "{}", String::from_utf8_lossy(&g.stderr));
+    std::fs::write(sigma, "ETH[Caucasian]: 1..60\n").unwrap();
+    let a = diva(&[
+        "anonymize",
+        "--input",
+        data,
+        "--roles",
+        MEDICAL_ROLES,
+        "--constraints",
+        sigma,
+        "-k",
+        "2",
+        "--quiet",
+        "--provenance",
+        prov,
+        "--output",
+        anon,
+    ]);
+    assert!(a.status.success(), "{}", String::from_utf8_lossy(&a.stderr));
+    let saved = ["explain", "--provenance", prov, "--top-costly", "--output", path];
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["generate", "--dataset", "credit", "--rows", "5", "--output", path], "--rows"),
+        (vec!["generate", "--dataset", "pantheon", "--rows", "5", "--output", path], "--rows"),
+        (
+            vec![
+                "generate",
+                "--dataset",
+                "medical",
+                "--rows",
+                "5",
+                "--dist",
+                "zipf",
+                "--output",
+                path,
+            ],
+            "--dist",
+        ),
+        (
+            vec![
+                "sigma-gen",
+                "--input",
+                data,
+                "--roles",
+                MEDICAL_ROLES,
+                "--class",
+                "proportional",
+                "--count",
+                "2",
+                "--per-group",
+                "2",
+                "--output",
+                path,
+            ],
+            "--per-group",
+        ),
+        ([&saved[..], &["--input", "/nonexistent.csv"]].concat(), "--input"),
+        ([&saved[..], &["--roles", MEDICAL_ROLES]].concat(), "--roles"),
+        ([&saved[..], &["--constraints", sigma]].concat(), "--constraints"),
+        ([&saved[..], &["-k", "99"]].concat(), "--k"),
+        ([&saved[..], &["--seed", "3"]].concat(), "--seed"),
+    ];
+    for (args, flag) in cases {
+        let _ = std::fs::remove_file(&out);
+        let o = diva(&args);
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(!o.status.success(), "accepted: {}", args.join(" "));
+        assert!(err.contains(&format!("{flag} only applies")), "{}: {err}", args.join(" "));
+        assert!(!out.exists(), "wrote output: {}", args.join(" "));
+    }
+    // The mode each flag needs still reads it.
+    for args in [
+        &["generate", "--dataset", "popsyn", "--rows", "5", "--dist", "zipf", "--output", path][..],
+        &saved[..],
+    ] {
+        let o = diva(args);
+        assert!(o.status.success(), "{}: {}", args.join(" "), String::from_utf8_lossy(&o.stderr));
+    }
+}
+
 #[test]
 fn bad_roles_and_missing_files() {
     let o = diva(&["stats", "--input", "/nonexistent.csv", "--roles", "qi", "--k", "3"]);

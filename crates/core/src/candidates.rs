@@ -72,34 +72,14 @@ impl CandidateSet {
         max_candidates: usize,
         shuffle_seed: Option<u64>,
     ) -> Self {
-        Self::enumerate_with_privacy(rel, c, k, max_candidates, shuffle_seed, 1)
+        Self::enumerate_interruptible(rel, c, k, max_candidates, shuffle_seed, 1, &|| false)
     }
 
-    /// [`CandidateSet::enumerate`] with the ℓ-diversity extension:
-    /// candidate clusters must each contain at least `min_sensitive`
-    /// distinct sensitive values (the paper's §5 re-definition of the
-    /// clustering criteria; 1 disables the filter).
-    pub fn enumerate_with_privacy(
-        rel: &Relation,
-        c: &BoundConstraint,
-        k: usize,
-        max_candidates: usize,
-        shuffle_seed: Option<u64>,
-        min_sensitive: usize,
-    ) -> Self {
-        Self::enumerate_interruptible(
-            rel,
-            c,
-            k,
-            max_candidates,
-            shuffle_seed,
-            min_sensitive,
-            &|| false,
-        )
-    }
-
-    /// [`CandidateSet::enumerate_with_privacy`] with an early-stop
-    /// probe. `stop` is polled between enumeration steps — window
+    /// [`CandidateSet::enumerate`] with the ℓ-diversity extension and
+    /// an early-stop probe. Candidate clusters must each contain at
+    /// least `min_sensitive` distinct sensitive values (the paper's §5
+    /// re-definition of the clustering criteria; 1 disables the
+    /// filter). `stop` is polled between enumeration steps — window
     /// enumeration is the longest uninterruptible stretch of the whole
     /// pipeline on large inputs, so a wall-clock budget must be able
     /// to reach inside it. Once `stop` returns `true` the candidate
@@ -250,46 +230,6 @@ impl CandidateSet {
             return None; // nothing changed; no point retrying
         }
         Some(repaired)
-    }
-
-    /// Re-indexes this candidate set into a component-local row-id
-    /// space. `rows` holds the component's global row ids ascending
-    /// (local id = position) and `to_local[g]` the inverse map
-    /// (`u32::MAX` for rows outside the component; those are dropped,
-    /// which never fires for a closed component since every candidate
-    /// row is one of the constraint's target rows). Candidate order,
-    /// the similarity/shuffle order of `sorted_targets`, and the
-    /// ℓ-diversity signatures all survive the remap unchanged, so a
-    /// compact per-component solve walks candidates exactly like the
-    /// monolithic one.
-    pub(crate) fn remap_rows(&self, rows: &[RowId], to_local: &[u32]) -> Self {
-        let map =
-            |r: RowId| to_local.get(r).copied().filter(|&l| l != u32::MAX).map(|l| l as usize);
-        let candidates = self
-            .candidates
-            .iter()
-            .map(|clustering| {
-                clustering
-                    .iter()
-                    .map(|cluster| cluster.iter().filter_map(|&r| map(r)).collect())
-                    .collect()
-            })
-            .collect();
-        let sorted_targets = self.sorted_targets.iter().filter_map(|&r| map(r)).collect();
-        let sens_sig = if self.sens_sig.is_empty() {
-            Vec::new()
-        } else {
-            // Dense over local ids: local row l keeps global row
-            // rows[l]'s signature, so distinctness is untouched.
-            rows.iter().map(|&g| self.sens_sig.get(g).copied().unwrap_or(g as u64)).collect()
-        };
-        Self {
-            candidates,
-            lower_is_free: self.lower_is_free,
-            sorted_targets,
-            min_sensitive: self.min_sensitive,
-            sens_sig,
-        }
     }
 
     /// Number of candidates.
@@ -610,31 +550,6 @@ mod tests {
         assert_eq!(s1.candidates, s2.candidates);
         let s3 = CandidateSet::enumerate(&r, &c, 2, 64, Some(8));
         assert!(s1.candidates != s3.candidates || s1.len() <= 1);
-    }
-
-    #[test]
-    fn remap_rows_preserves_structure_in_local_ids() {
-        // σ3 targets global rows {5,6,7,9}; compact them to 0..4.
-        let cs = candidates_for("CTY", "Vancouver", 2, 4, 2);
-        let rows = vec![5usize, 6, 7, 9];
-        let mut to_local = vec![u32::MAX; 10];
-        for (l, &g) in rows.iter().enumerate() {
-            to_local[g] = l as u32;
-        }
-        let compact = cs.remap_rows(&rows, &to_local);
-        assert_eq!(compact.len(), cs.len());
-        assert_eq!(compact.lower_is_free, cs.lower_is_free);
-        assert_eq!(compact.sorted_targets.len(), cs.sorted_targets.len());
-        for (orig, remapped) in cs.candidates.iter().zip(&compact.candidates) {
-            assert_eq!(orig.len(), remapped.len());
-            for (oc, rc) in orig.iter().zip(remapped) {
-                let back: Vec<usize> = rc.iter().map(|&l| rows[l]).collect();
-                assert_eq!(&back, oc, "remap must be position-preserving and invertible");
-            }
-        }
-        // The similarity order is preserved, only re-labelled.
-        let back: Vec<usize> = compact.sorted_targets.iter().map(|&l| rows[l]).collect();
-        assert_eq!(back, cs.sorted_targets);
     }
 
     #[test]

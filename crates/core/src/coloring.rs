@@ -77,12 +77,10 @@ pub struct Coloring<'a> {
     config: &'a DivaConfig,
     state: SearchState,
     assignment: Vec<Option<usize>>,
-    /// The nodes' *global* ids — their indices in the full,
-    /// pre-decomposition graph. Empty means identity (the monolithic
-    /// solve); a component-local search passes its node list so the
-    /// Basic strategy's hashed choices are keyed identically to the
-    /// monolithic run.
-    node_ids: Vec<u32>,
+    /// The nodes this search colours, ascending: one connected
+    /// component's (see [`Coloring::with_nodes`]), or `None` for every
+    /// node of the graph.
+    nodes: Option<&'a [u32]>,
     stats: ColoringStats,
     /// The run's stop context, polled every [`POLL_STRIDE`] nodes and
     /// exactly where the node cap trips: a set cancellation flag ends
@@ -108,10 +106,10 @@ const POLL_STRIDE: u64 = 256;
 const CANDIDATE_ORDER_SALT: u64 = 0x5bd1_e995_0a1c_ca57;
 
 /// Position-independent hash behind the Basic strategy's "random"
-/// choices: a splitmix64-style finalizer over (seed, global node id).
-/// A stream RNG would entangle each choice with every previously
-/// visited node, so a component-local search could never replay the
-/// monolithic search's decisions; hashing by global node id makes the
+/// choices: a splitmix64-style finalizer over (seed, node id). A
+/// stream RNG would entangle each choice with every previously
+/// visited node, so a component search could never replay the
+/// monolithic search's decisions; hashing by node id makes the
 /// choice a pure function of the node, which is what makes
 /// decomposed and monolithic Basic solves byte-identical.
 fn basic_mix(seed: u64, x: u64) -> u64 {
@@ -137,11 +135,6 @@ pub struct ColoringOutcome {
     /// `None` for a complete colouring; `Some(reason)` when the
     /// resource budget tripped and the clusters are a partial prefix.
     pub degraded: Option<DegradeReason>,
-    /// Per-cluster owning constraint ids (global, ascending), parallel
-    /// to `clusters` — a constraint owns a cluster when every row is
-    /// one of its targets. Populated only when the config's provenance
-    /// recorder is enabled; empty (and ignored) otherwise.
-    pub owners: Vec<Vec<u32>>,
 }
 
 impl<'a> Coloring<'a> {
@@ -168,7 +161,7 @@ impl<'a> Coloring<'a> {
                 graph.n_rows(),
             ),
             assignment: vec![None; graph.n_nodes()],
-            node_ids: Vec::new(),
+            nodes: None,
             stats: ColoringStats::default(),
             controls: Controls::default(),
             settled_nodes: 0,
@@ -177,22 +170,22 @@ impl<'a> Coloring<'a> {
         }
     }
 
-    /// Declares the nodes' global ids (their indices in the full,
-    /// pre-decomposition graph); defaults to the identity. Component
-    /// solves pass their node list so the Basic strategy's hashed
-    /// node/candidate choices match what the monolithic search would
-    /// do for the same nodes.
-    pub fn with_node_ids(mut self, ids: Vec<u32>) -> Self {
-        debug_assert_eq!(ids.len(), self.graph.n_nodes());
-        self.node_ids = ids;
+    /// Restricts the search to `nodes` (ascending): one connected
+    /// component of the graph. No row's node list leaves a component,
+    /// so the search touches only the component's rows and node
+    /// counters, and the other nodes stay uncoloured.
+    pub(crate) fn with_nodes(mut self, nodes: &'a [u32]) -> Self {
+        self.nodes = Some(nodes);
         self
     }
 
-    /// The global id of local node `node` (identity when no remap was
-    /// declared).
-    #[inline]
-    fn global_id(&self, node: usize) -> u64 {
-        self.node_ids.get(node).map_or(node as u64, |&g| u64::from(g))
+    /// The nodes this search colours, ascending.
+    fn nodes(&self) -> impl Iterator<Item = usize> + 'a {
+        let (listed, all) = match self.nodes {
+            Some(nodes) => (nodes, 0..0),
+            None => (&[][..], 0..self.graph.n_nodes()),
+        };
+        listed.iter().map(|&v| v as usize).chain(all)
     }
 
     /// Attaches the run's stop context (its cancellation flag and
@@ -261,7 +254,7 @@ impl<'a> Coloring<'a> {
             .obs
             .span("coloring.solve")
             .attr("strategy", self.config.strategy.name())
-            .attr("nodes", self.graph.n_nodes());
+            .attr("nodes", self.nodes.map_or(self.graph.n_nodes(), <[u32]>::len));
         let result = self.solve_impl();
         // Settle what was explored since the last poll: it counts in
         // the live cells, in `BudgetUsage::nodes_explored` and against
@@ -288,8 +281,7 @@ impl<'a> Coloring<'a> {
             Ok(()) => {
                 // Fail fast on nodes with no candidates at all: the
                 // constraint is unsatisfiable regardless of interactions.
-                if let Some(i) = (0..self.graph.n_nodes()).find(|&i| self.candidates[i].is_empty())
-                {
+                if let Some(i) = self.nodes().find(|&i| self.candidates[i].is_empty()) {
                     return Err(DivaError::NoDiverseClustering {
                         constraint: self.labels[i].clone(),
                     });
@@ -303,8 +295,7 @@ impl<'a> Coloring<'a> {
         let degraded = match searched {
             Ok(true) => None,
             Ok(false) => {
-                let failed =
-                    (0..self.graph.n_nodes()).find(|&i| self.assignment[i].is_none()).unwrap_or(0);
+                let failed = self.nodes().find(|&i| self.assignment[i].is_none()).unwrap_or(0);
                 return Err(DivaError::NoDiverseClustering {
                     constraint: self.labels[failed].clone(),
                 });
@@ -319,33 +310,12 @@ impl<'a> Coloring<'a> {
         })?;
         // Canonical order: registry order is chronology-dependent and
         // would differ between monolithic and component-merged solves.
-        let clusters = self.state.live_clusters_canonical();
-        let owners = self.cluster_owners(&clusters);
         Ok(ColoringOutcome {
-            clusters,
+            clusters: self.state.live_clusters_canonical(),
             assignment: self.assignment.iter().filter_map(|a| *a).collect(),
             stats: self.stats.clone(),
             degraded,
-            owners,
         })
-    }
-
-    /// Owning constraints per cluster (global ids, ascending), computed
-    /// only when provenance is recording — the extra scan must cost
-    /// nothing on the default path.
-    fn cluster_owners(&self, clusters: &[Vec<diva_relation::RowId>]) -> Vec<Vec<u32>> {
-        if !self.config.provenance.is_enabled() {
-            return Vec::new();
-        }
-        clusters
-            .iter()
-            .map(|cluster| {
-                (0..self.graph.n_nodes())
-                    .filter(|&i| self.graph.cluster_contributes(i, cluster))
-                    .map(|i| self.global_id(i) as u32)
-                    .collect()
-            })
-            .collect()
     }
 
     /// Algorithm 4 (`Coloring`): returns `Ok(true)` if the remaining
@@ -358,14 +328,12 @@ impl<'a> Coloring<'a> {
         };
         let mut order: Vec<usize> = (0..self.candidates[v].len()).collect();
         if self.config.strategy == Strategy::Basic {
-            // A fixed per-node permutation (keyed by the node's global
-            // id, not a shared stream) so re-expansions and
-            // component-local searches walk candidates in the same
-            // order as the monolithic search.
-            let mut rng = StdRng::seed_from_u64(basic_mix(
-                self.config.seed ^ CANDIDATE_ORDER_SALT,
-                self.global_id(v),
-            ));
+            // A fixed per-node permutation (keyed by the node id, not a
+            // shared stream) so re-expansions and component searches
+            // walk candidates in the same order as the monolithic
+            // search.
+            let mut rng =
+                StdRng::seed_from_u64(basic_mix(self.config.seed ^ CANDIDATE_ORDER_SALT, v as u64));
             order.shuffle(&mut rng);
         }
         for ci in order {
@@ -410,7 +378,7 @@ impl<'a> Coloring<'a> {
             // hopeless. This is the "prune unsatisfiable clusterings
             // early" behaviour §3.3 ascribes to the strategies.
             let hopeless = self.config.strategy != Strategy::Basic
-                && (0..self.graph.n_nodes()).any(|w| {
+                && self.nodes().any(|w| {
                     self.assignment[w].is_none()
                         && self.state.free_targets(w) < self.candidates[w].min_total()
                         // Too few free rows — but a node can still be
@@ -442,20 +410,20 @@ impl<'a> Coloring<'a> {
     /// are coloured.
     fn next_node(&mut self) -> Option<usize> {
         let uncolored: Vec<usize> =
-            (0..self.graph.n_nodes()).filter(|&i| self.assignment[i].is_none()).collect();
+            self.nodes().filter(|&i| self.assignment[i].is_none()).collect();
         if uncolored.is_empty() {
             return None;
         }
         self.stats.node_selections += 1;
         Some(match self.config.strategy {
             Strategy::Basic => {
-                // "Random" = smallest hash of (seed, global node id):
-                // a pure function of the uncoloured set, so the choice
+                // "Random" = smallest hash of (seed, node id): a pure
+                // function of the uncoloured set, so the choice
                 // restricted to any component equals that component's
                 // own choice.
                 uncolored
                     .iter()
-                    .min_by_key(|&&i| basic_mix(self.config.seed, self.global_id(i)))
+                    .min_by_key(|&&i| basic_mix(self.config.seed, i as u64))
                     .copied()
                     .unwrap_or(uncolored[0])
             }

@@ -89,7 +89,8 @@ pub struct DivaConfig {
     /// Worker-thread cap for the parallel portfolio
     /// ([`crate::run_portfolio`]) and the component worker pool.
     /// `None` (the default) uses
-    /// `std::thread::available_parallelism()`.
+    /// `std::thread::available_parallelism()`. Candidate enumeration
+    /// is not capped: it runs one worker per constraint.
     pub threads: Option<usize>,
     /// Whether the clustering phase decomposes the constraint graph
     /// into connected components and solves them concurrently on the

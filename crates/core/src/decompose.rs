@@ -1,4 +1,4 @@
-//! Constraint-graph decomposition: connected components as compact,
+//! Constraint-graph decomposition: connected components as
 //! independent sub-problems.
 //!
 //! Two constraints interact only when their target-row sets intersect
@@ -8,25 +8,20 @@
 //! interaction ever crosses a component boundary. This module
 //!
 //! 1. extracts the components ([`components`]),
-//! 2. builds a *compact* sub-problem per component — rows and nodes
-//!    remapped to dense local ids so `RowSet`/`SearchState` capacity
-//!    shrinks from the whole relation to the component footprint
-//!    ([`ConstraintGraph::compact_subgraph`],
-//!    [`CandidateSet::remap_rows`]),
-//! 3. solves the components concurrently on the bounded worker pool
-//!    ([`crate::pool`]), and
-//! 4. merges the per-component clusterings back deterministically
+//! 2. solves the components concurrently on the bounded worker pool
+//!    ([`crate::pool`]), each search restricted to its component's
+//!    nodes of the shared graph and candidate lists, and
+//! 3. merges the per-component clusterings deterministically
 //!    ([`solve_clustering`]).
 //!
-//! Both remaps are monotone and the search's tie-breaks are
+//! Every search sees the same global row and node ids and walks its
+//! nodes in ascending order, and the search's tie-breaks are
 //! first-extremum over node/row order, so for exact outcomes the
 //! merged result is byte-identical to the monolithic solve — the
 //! differential suite (`tests/differential.rs`) pins this at every
 //! thread count. See `DESIGN.md` §12 for the invariants.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use diva_relation::RowId;
 
 use crate::budget::{Controls, Stop};
 use crate::candidates::CandidateSet;
@@ -39,60 +34,35 @@ use crate::pool;
 /// One connected component of the constraint graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
-    /// The component's node ids in the full graph, ascending. The
-    /// local node id of a compact sub-problem is the position here.
+    /// The component's node ids in the graph, ascending.
     pub nodes: Vec<u32>,
-    /// The component footprint: the union of the nodes' target rows
-    /// (global row ids, ascending). The local row id is the position
-    /// here, so compact per-component state is sized by this length.
-    pub rows: Vec<RowId>,
 }
 
 /// Extracts the connected components of `graph`, ordered by smallest
 /// member node id (the numbering of
 /// [`ConstraintGraph::component_labels`]). Every node lands in
-/// exactly one component; every row targeted by at least one node
-/// lands in exactly one component's footprint (rows targeted by
-/// nobody belong to none).
+/// exactly one component.
 pub fn components(graph: &ConstraintGraph) -> Vec<Component> {
     let (labels, n_components) = graph.component_labels();
-    let mut out = vec![Component { nodes: Vec::new(), rows: Vec::new() }; n_components];
+    let mut out = vec![Component { nodes: Vec::new() }; n_components];
     for (node, &label) in labels.iter().enumerate() {
         out[label as usize].nodes.push(node as u32);
-    }
-    for row in 0..graph.n_rows() {
-        // All nodes listed for a row pairwise share it, so they are in
-        // the same component; the first is as good as any.
-        if let Some(&node) = graph.nodes_of(row).first() {
-            out[labels[node as usize] as usize].rows.push(row);
-        }
     }
     out
 }
 
-/// A compact, self-contained component sub-problem: the inputs of a
-/// [`Coloring`] with rows and nodes remapped to dense local ids.
-struct SubProblem {
-    graph: ConstraintGraph,
-    candidates: Vec<CandidateSet>,
-    uppers: Vec<usize>,
-    labels: Vec<String>,
-    /// Global node ids, so the Basic strategy's hashed choices stay
-    /// keyed exactly as in the monolithic search.
-    nodes: Vec<u32>,
-}
-
 /// Solves the clustering phase: the historical monolithic search when
 /// decomposition is off or the graph has at most one component,
-/// otherwise compact per-component searches on the worker pool,
-/// merged back into one [`ColoringOutcome`].
+/// otherwise one search per component on the worker pool, each over
+/// the shared graph and candidates restricted to the component's
+/// nodes, merged into one [`ColoringOutcome`].
 ///
-/// Merge determinism: clusters are remapped to global row ids and
-/// sorted into the same canonical (lexicographic) order the
-/// monolithic solve publishes; the assignment is scattered back to
-/// global node order (degraded components, whose partial assignment
-/// cannot be attributed to nodes, contribute gaps); stats are summed
-/// field-wise; the degrade reason is the first in component order.
+/// Merge determinism: clusters are sorted into the same canonical
+/// (lexicographic) order the monolithic solve publishes; the
+/// assignment is scattered back to node order (degraded components,
+/// whose partial assignment cannot be attributed to nodes, contribute
+/// gaps); stats are summed field-wise; the degrade reason is the
+/// first in component order.
 /// Component errors rank `NoDiverseClustering` (an unsatisfiability
 /// proof from the smallest-indexed failing component) above other
 /// errors above `Cancelled`.
@@ -133,69 +103,32 @@ pub(crate) fn solve_clustering(
         return Err(DivaError::NoDiverseClustering { constraint: labels[i].clone() });
     }
 
-    // Build every compact sub-problem up front (serial: remapping is
-    // linear and the scratch row map is reused across components).
-    let mut to_local_row = vec![u32::MAX; graph.n_rows()];
-    let mut subs = Vec::with_capacity(comps.len());
-    for comp in &comps {
-        for (l, &g) in comp.rows.iter().enumerate() {
-            to_local_row[g] = l as u32;
-        }
-        let cgraph = graph
-            .compact_subgraph(&comp.nodes, &comp.rows)
-            .map_err(|detail| DivaError::InvariantViolated { phase: "Decompose".into(), detail })?;
-        #[cfg(feature = "strict-invariants")]
-        cgraph
-            .validate()
-            .map_err(|detail| DivaError::InvariantViolated { phase: "Decompose".into(), detail })?;
-        let ccands: Vec<CandidateSet> = comp
-            .nodes
-            .iter()
-            .map(|&g| candidates[g as usize].remap_rows(&comp.rows, &to_local_row))
-            .collect();
-        let cuppers: Vec<usize> = comp.nodes.iter().map(|&g| uppers[g as usize]).collect();
-        let clabels: Vec<String> = comp.nodes.iter().map(|&g| labels[g as usize].clone()).collect();
-        for &g in &comp.rows {
-            to_local_row[g] = u32::MAX;
-        }
-        subs.push(SubProblem {
-            graph: cgraph,
-            candidates: ccands,
-            uppers: cuppers,
-            labels: clabels,
-            nodes: comp.nodes.clone(),
-        });
-    }
-
     let obs = &config.obs;
     let hw = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let n_workers = config.threads.unwrap_or(hw).clamp(1, subs.len());
-    let mut span = obs.span("diva.components").attr("count", subs.len()).attr("workers", n_workers);
+    let n_workers = config.threads.unwrap_or(hw).clamp(1, comps.len());
+    let mut span =
+        obs.span("diva.components").attr("count", comps.len()).attr("workers", n_workers);
     let span_id = span.id();
-    config.obs.set_components_total(subs.len() as u64);
+    config.obs.set_components_total(comps.len() as u64);
     // This solve's own count: the live cell keeps the highest count
     // of any solve sharing the handle (portfolio members).
     let done = AtomicU64::new(0);
     // A fatal component error stops further dequeuing; components
     // already in flight never poll this flag and run to completion.
     let abort = AtomicBool::new(false);
-    let results = pool::run_tasks(&subs, n_workers, &abort, Result::is_err, |idx, sub| {
+    let results = pool::run_tasks(&comps, n_workers, &abort, Result::is_err, |idx, comp| {
         // Opened on the worker thread with an explicit parent, so this
         // component's `coloring.solve` span nests under it while the
         // component tree itself hangs off `diva.components`.
-        let mut comp_span = obs
-            .span("diva.component")
-            .attr("component", idx)
-            .attr("nodes", sub.graph.n_nodes())
-            .attr("rows", sub.graph.n_rows());
+        let mut comp_span =
+            obs.span("diva.component").attr("component", idx).attr("nodes", comp.nodes.len());
         if let Some(id) = span_id {
             comp_span = comp_span.with_parent(id);
         }
-        let result =
-            Coloring::new(&sub.graph, &sub.candidates, sub.uppers.clone(), &sub.labels, config)
-                .with_node_ids(sub.nodes.clone())
-                .with_controls(controls)
-                .solve();
+        let result = Coloring::new(graph, candidates, uppers.to_vec(), labels, config)
+            .with_nodes(&comp.nodes)
+            .with_controls(controls)
+            .solve();
         comp_span.set_attr(
             "outcome",
             match &result {
@@ -225,12 +158,7 @@ pub(crate) fn solve_clustering(
             Ok(out) => {
                 solved += 1;
                 add_stats(&mut merged.stats, &out.stats);
-                for cluster in &out.clusters {
-                    merged.clusters.push(cluster.iter().map(|&l| comp.rows[l]).collect());
-                }
-                // Component solves get `with_node_ids`, so owner lists
-                // already carry global constraint ids.
-                merged.owners.extend(out.owners);
+                merged.clusters.extend(out.clusters);
                 if out.degraded.is_none() && out.assignment.len() == comp.nodes.len() {
                     for (&g, &ci) in comp.nodes.iter().zip(&out.assignment) {
                         per_node[g as usize] = Some(ci);
@@ -262,20 +190,8 @@ pub(crate) fn solve_clustering(
         Err(DivaError::Cancelled)
     } else {
         // The same canonical cluster order the monolithic solve
-        // publishes (`SearchState::live_clusters_canonical`). Owner
-        // lists (when provenance is recording) ride along so they stay
-        // parallel to their clusters.
-        if merged.owners.len() == merged.clusters.len() && !merged.owners.is_empty() {
-            let mut pairs: Vec<(Vec<diva_relation::RowId>, Vec<u32>)> =
-                merged.clusters.drain(..).zip(merged.owners.drain(..)).collect();
-            pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            for (cluster, owners) in pairs {
-                merged.clusters.push(cluster);
-                merged.owners.push(owners);
-            }
-        } else {
-            merged.clusters.sort_unstable();
-        }
+        // publishes (`SearchState::live_clusters_canonical`).
+        merged.clusters.sort_unstable();
         merged.assignment = per_node.iter().filter_map(|a| *a).collect();
         Ok(merged)
     };
@@ -334,24 +250,50 @@ mod tests {
     }
 
     #[test]
-    fn components_partition_nodes_and_rows() {
+    fn components_partition_nodes() {
         let r = paper_table1();
         let config = DivaConfig::with_k(2);
         let (graph, ..) = problem(&r, &split_sigma(), &config);
         let comps = components(&graph);
+        // Every node exactly once, components ordered by smallest node
+        // id.
         assert_eq!(comps.len(), 2);
-        // Node partition: every node exactly once, components ordered
-        // by smallest node id.
         assert_eq!(comps[0].nodes, vec![0, 1], "African + Vancouver interact");
         assert_eq!(comps[1].nodes, vec![2], "Calgary is independent");
-        // Row partition: footprints are disjoint and ascending.
-        let mut all_rows: Vec<RowId> = comps.iter().flat_map(|c| c.rows.clone()).collect();
-        let n = all_rows.len();
-        all_rows.sort_unstable();
-        all_rows.dedup();
-        assert_eq!(all_rows.len(), n, "footprints must be disjoint");
-        for c in &comps {
-            assert!(c.rows.windows(2).all(|w| w[0] < w[1]), "rows ascending");
+    }
+
+    #[test]
+    fn component_search_colours_only_its_own_nodes() {
+        let r = paper_table1();
+        for strategy in Strategy::all() {
+            let config = DivaConfig::with_k(2).strategy(strategy);
+            let (graph, candidates, uppers, labels) = problem(&r, &split_sigma(), &config);
+            let mono = Coloring::new(&graph, &candidates, uppers.clone(), &labels, &config)
+                .solve()
+                .unwrap();
+            let mut union = Vec::new();
+            for comp in components(&graph) {
+                let out = Coloring::new(&graph, &candidates, uppers.clone(), &labels, &config)
+                    .with_nodes(&comp.nodes)
+                    .solve()
+                    .unwrap();
+                // Exactly the component's nodes are coloured, each with
+                // the monolithic search's choice.
+                let own: Vec<usize> =
+                    comp.nodes.iter().map(|&v| mono.assignment[v as usize]).collect();
+                assert_eq!(out.assignment, own, "{strategy} {:?}", comp.nodes);
+                for &row in out.clusters.iter().flatten() {
+                    let targeting = graph.nodes_of(row);
+                    assert!(
+                        !targeting.is_empty() && targeting.iter().all(|v| comp.nodes.contains(v)),
+                        "{strategy}: row {row} is no target of component {:?}",
+                        comp.nodes
+                    );
+                }
+                union.extend(out.clusters);
+            }
+            union.sort_unstable();
+            assert_eq!(union, mono.clusters, "{strategy}");
         }
     }
 

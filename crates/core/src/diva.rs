@@ -341,9 +341,9 @@ impl Diva {
         let uppers: Vec<usize> = set.constraints().iter().map(|c| c.upper).collect();
         let labels: Vec<String> = set.constraints().iter().map(|c| c.label()).collect();
         // Decomposition layer: connected components of the constraint
-        // graph are independent sub-problems, solved concurrently as
-        // compact local instances and merged back (byte-identical to
-        // the monolithic search for exact outcomes — DESIGN.md §12).
+        // graph are independent sub-problems, solved concurrently in
+        // place and merged (byte-identical to the monolithic search for
+        // exact outcomes — DESIGN.md §12).
         let outcome = crate::decompose::solve_clustering(
             &graph,
             &candidates,
@@ -354,9 +354,6 @@ impl Diva {
         )?;
         stats.coloring = outcome.stats.clone();
         let mut s_sigma: Vec<Vec<RowId>> = outcome.clusters;
-        // Per-cluster owning constraints, parallel to `s_sigma`;
-        // populated by the search only when provenance is recording.
-        let sigma_owners = outcome.owners;
         #[cfg(feature = "strict-invariants")]
         check_partition("DiverseClustering", &s_sigma, rel.n_rows(), false)?;
         stats.sigma_rows = s_sigma.iter().map(Vec::len).sum();
@@ -405,21 +402,13 @@ impl Diva {
             note_alloc(stats, &close, |p| &mut p.anonymize);
             stats.sigma_rows = s_sigma.iter().map(Vec::len).sum();
             if prov.is_enabled() {
-                // Folding can change any cluster's ownership (the host
-                // absorbed non-target rows), so recompute owners from
-                // the constraint set rather than reuse the search's.
+                // The host's owners are those of the folded cluster: it
+                // absorbed non-target rows.
                 record_suppressed_groups(
                     prov,
                     &folded,
                     &s_sigma,
-                    |ci| {
-                        set.constraints()
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, c)| s_sigma[ci].iter().all(|&r| c.is_target(r)))
-                            .map(|(i, _)| i as u32)
-                            .collect()
-                    },
+                    |ci| owning_constraints(&graph, &s_sigma[ci]),
                     |ci| if ci == fold_host { GroupOrigin::Fold } else { GroupOrigin::Sigma },
                 );
             }
@@ -504,7 +493,7 @@ impl Diva {
                     prov,
                     &r_sigma,
                     &s_sigma,
-                    |ci| sigma_owners.get(ci).cloned().unwrap_or_default(),
+                    |ci| owning_constraints(&graph, &s_sigma[ci]),
                     |_| GroupOrigin::Sigma,
                 );
                 if let Some(rk) = &r_k {
@@ -853,6 +842,20 @@ impl From<DivaError> for Halt {
     }
 }
 
+/// The constraints that own a non-empty Σ-cluster, ascending: those
+/// whose target set contains every row of it, so the suppressed
+/// cluster retains their target value. Owners are charged the
+/// cluster's stars, so only runs that record provenance ask.
+fn owning_constraints(graph: &ConstraintGraph, cluster: &[RowId]) -> Vec<u32> {
+    let Some(&first) = cluster.first() else { return Vec::new() };
+    graph
+        .nodes_of(first)
+        .iter()
+        .copied()
+        .filter(|&i| graph.cluster_contributes(i as usize, cluster))
+        .collect()
+}
+
 /// Records provenance for one suppressed clustering: a group record
 /// per cluster plus a cell record per starred QI value. Starred cells
 /// are enumerated deterministically — suppressed columns ascending,
@@ -1015,28 +1018,48 @@ mod tests {
 
     #[test]
     fn residual_folding_keeps_validity() {
-        // k=3 with constraints covering 9 of 10 tuples leaves a single
-        // residual tuple that must be folded into a cluster.
+        // k=3 with GEN[Female] and GEN[Male]: a strategy whose Σ
+        // clusters leave fewer than k residual tuples must fold them
+        // into a Σ cluster (Basic does on this instance).
         let r = paper_table1();
         let sigma = vec![
             Constraint::single("GEN", "Female", 3, 5),
             Constraint::single("GEN", "Male", 3, 5),
         ];
-        let diva = Diva::new(DivaConfig::with_k(3).strategy(Strategy::MinChoice));
-        match diva.run(&r, &sigma) {
-            Ok(out) => {
-                assert_eq!(out.relation.n_rows(), 10);
-                assert!(is_k_anonymous(&out.relation, 3));
-                let set = ConstraintSet::bind(&sigma, &out.relation).unwrap();
-                assert!(set.satisfied_by(&out.relation));
-            }
-            Err(DivaError::ResidualTooSmall { .. }) => {
-                // Acceptable only if folding is genuinely impossible;
-                // with Female/Male windows of width 2 it should not be.
-                panic!("folding should succeed for this instance");
-            }
-            Err(e) => panic!("{e}"),
+        let set = ConstraintSet::bind(&sigma, &r).unwrap();
+        let mut folded = 0;
+        for strategy in Strategy::all() {
+            let prov = diva_obs::Provenance::enabled();
+            let config = DivaConfig::with_k(3).strategy(strategy).provenance(prov.clone());
+            let out =
+                Diva::new(config).run(&r, &sigma).unwrap_or_else(|e| panic!("{strategy}: {e}"));
+            assert_eq!(out.relation.n_rows(), 10);
+            assert!(is_k_anonymous(&out.relation, 3), "{strategy}");
+            let published = ConstraintSet::bind(&sigma, &out.relation).unwrap();
+            assert!(published.satisfied_by(&out.relation), "{strategy}");
+            let log = prov.snapshot().unwrap();
+            let hosts: Vec<_> =
+                log.groups.iter().filter(|g| g.origin == GroupOrigin::Fold).collect();
+            let [host] = hosts[..] else {
+                assert!(hosts.is_empty(), "{strategy}: {} fold groups", hosts.len());
+                continue;
+            };
+            folded += 1;
+            // The host is owned by exactly the constraints that target
+            // every one of its rows in the input relation.
+            let owners: Vec<u32> = (0..set.len() as u32)
+                .filter(|&i| {
+                    host.rows
+                        .iter()
+                        .all(|&row| set.constraints()[i as usize].is_target(row as RowId))
+                })
+                .collect();
+            assert_eq!(host.owners, owners, "{strategy}: fold host {:?}", host.rows);
+            let attr = diva_obs::provenance::validate_log(&log)
+                .unwrap_or_else(|e| panic!("{strategy}: {e}"));
+            assert_eq!(attr.total(), out.relation.star_count() as u64, "{strategy}");
         }
+        assert!(folded > 0, "no strategy folded the residual");
     }
 
     #[test]

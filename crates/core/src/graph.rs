@@ -191,89 +191,6 @@ impl ConstraintGraph {
         (labels, count as usize)
     }
 
-    /// Builds the compact subgraph induced by one connected component.
-    ///
-    /// `nodes` holds the component's global node ids and `rows` the
-    /// union of their target rows, both ascending. Local ids are
-    /// positions within those slices, so the compact graph's row
-    /// capacity is the component footprint `rows.len()` rather than
-    /// the whole relation — per-component `RowSet`/`SearchState`
-    /// allocations shrink accordingly. Both remaps are monotone,
-    /// which preserves every node-order and row-order tie-break of
-    /// the monolithic solve.
-    ///
-    /// Errors when `nodes`/`rows` do not describe a closed component
-    /// (a target row missing from `rows`, or a neighbour outside
-    /// `nodes`): a mis-remapped component is corruption that must
-    /// surface, not be published.
-    pub fn compact_subgraph(&self, nodes: &[u32], rows: &[RowId]) -> Result<Self, String> {
-        let n_local_rows = rows.len();
-        let mut to_local_row = vec![u32::MAX; self.n_rows];
-        for (l, &g) in rows.iter().enumerate() {
-            if g >= self.n_rows {
-                return Err(format!(
-                    "compact_subgraph: row {g} outside graph row capacity {}",
-                    self.n_rows
-                ));
-            }
-            to_local_row[g] = l as u32;
-        }
-        let mut to_local_node = vec![u32::MAX; self.n_nodes()];
-        for (l, &g) in nodes.iter().enumerate() {
-            if g as usize >= self.n_nodes() {
-                return Err(format!(
-                    "compact_subgraph: node {g} outside graph with {} nodes",
-                    self.n_nodes()
-                ));
-            }
-            to_local_node[g as usize] = l as u32;
-        }
-        let mut target_sets = Vec::with_capacity(nodes.len());
-        for &g in nodes {
-            let global = &self.target_sets[g as usize];
-            let set = global.remap(n_local_rows, |r| {
-                let l = to_local_row[r];
-                (l != u32::MAX).then_some(l as usize)
-            })?;
-            if set.len() != global.len() {
-                return Err(format!(
-                    "compact_subgraph: node {g} has target rows outside the component row span"
-                ));
-            }
-            target_sets.push(set);
-        }
-        let mut row_offsets = Vec::with_capacity(n_local_rows + 1);
-        row_offsets.push(0u32);
-        let mut row_nodes = Vec::new();
-        for &g in rows {
-            for &gn in self.nodes_of(g) {
-                let ln = to_local_node[gn as usize];
-                if ln == u32::MAX {
-                    return Err(format!(
-                        "compact_subgraph: row {g} is targeted by node {gn} outside the component"
-                    ));
-                }
-                row_nodes.push(ln);
-            }
-            row_offsets.push(row_nodes.len() as u32);
-        }
-        let mut adj = Vec::with_capacity(nodes.len());
-        for &g in nodes {
-            let mut local_neighbors = Vec::with_capacity(self.adj[g as usize].len());
-            for &j in &self.adj[g as usize] {
-                let lj = to_local_node[j];
-                if lj == u32::MAX {
-                    return Err(format!(
-                        "compact_subgraph: node {g} is adjacent to {j} outside the component"
-                    ));
-                }
-                local_neighbors.push(lj as usize);
-            }
-            adj.push(local_neighbors);
-        }
-        Ok(Self { adj, target_sets, row_offsets, row_nodes, n_rows: n_local_rows })
-    }
-
     /// Publishes the CSR build stats (node/edge counts, inverted-index
     /// size, row capacity, the target-set size distribution, and the
     /// connected-component count/size distribution) to `obs`. Called
@@ -345,11 +262,6 @@ impl ConstraintGraph {
                 n
             ));
         }
-        // Capacities are graph-relative: `n_rows` is the whole
-        // relation's target span for a built graph but the component
-        // footprint for a compact subgraph, and both are valid here —
-        // a target set only has to match the capacity of the graph it
-        // belongs to.
         for (i, set) in self.target_sets.iter().enumerate() {
             set.validate().map_err(|e| format!("ConstraintGraph: node {i} target set: {e}"))?;
             if set.capacity() != self.n_rows {
@@ -504,62 +416,13 @@ mod tests {
     }
 
     #[test]
-    fn compact_subgraph_preserves_structure_at_local_capacity() {
-        // Asian {7,8,9} and Vancouver {5,6,7,9} share rows 7 and 9:
-        // one component whose footprint is rows {5,6,7,8,9}.
-        let r = paper_table1();
-        let set = ConstraintSet::bind(
-            &[
-                Constraint::single("ETH", "Asian", 2, 5),
-                Constraint::single("CTY", "Vancouver", 2, 4),
-            ],
-            &r,
-        )
-        .unwrap();
-        let g = ConstraintGraph::build(&set);
-        let rows = vec![5, 6, 7, 8, 9];
-        let compact = g.compact_subgraph(&[0, 1], &rows).unwrap();
-        compact.validate().unwrap();
-        assert_eq!(compact.n_nodes(), 2);
-        assert_eq!(compact.n_rows(), rows.len(), "capacity shrinks to the footprint");
-        assert_eq!(compact.target_set(0).iter().collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(compact.target_set(1).iter().collect::<Vec<_>>(), vec![0, 1, 2, 4]);
-        assert_eq!(compact.neighbors(0), &[1]);
-        assert_eq!(compact.neighbors(1), &[0]);
-        assert_eq!(compact.nodes_of(2), &[0, 1], "local row 2 = global row 7");
-        assert_eq!(compact.nodes_of(3), &[0], "local row 3 = global row 8");
-    }
-
-    #[test]
-    fn compact_subgraph_rejects_unclosed_row_span() {
-        // Omitting global row 8 from the footprint orphans one of
-        // Asian's target rows: the compaction must refuse.
-        let r = paper_table1();
-        let set = ConstraintSet::bind(&[Constraint::single("ETH", "Asian", 2, 5)], &r).unwrap();
-        let g = ConstraintGraph::build(&set);
-        let err = g.compact_subgraph(&[0], &[7, 9]).unwrap_err();
-        assert!(err.contains("outside the component row span"), "{err}");
-    }
-
-    #[test]
     fn validate_reports_mis_remapped_row_id() {
-        // Corruption injection for the compact path: pretend the remap
-        // sent global row 8 to the wrong local id, so node 0's target
-        // set names a local row the CSR index never listed for it.
-        let r = paper_table1();
-        let set = ConstraintSet::bind(
-            &[
-                Constraint::single("ETH", "Asian", 2, 5),
-                Constraint::single("CTY", "Vancouver", 2, 4),
-            ],
-            &r,
-        )
-        .unwrap();
-        let g = ConstraintGraph::build(&set);
-        let mut compact = g.compact_subgraph(&[0, 1], &[5, 6, 7, 8, 9]).unwrap();
-        compact.target_sets[0].remove(3); // drop the true local id of row 8
-        compact.target_sets[0].insert(0); // claim local row 0 (global 5) instead
-        let err = compact.validate().unwrap_err();
+        // Corruption injection: node 0 (Asian, rows {7,8,9}) trades
+        // row 8 for row 5, a row the CSR index never listed for it.
+        let mut g = example_graph();
+        g.target_sets[0].remove(8);
+        g.target_sets[0].insert(5);
+        let err = g.validate().unwrap_err();
         assert!(err.contains("CSR index omits it"), "{err}");
     }
 

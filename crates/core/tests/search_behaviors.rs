@@ -221,8 +221,8 @@ fn l_diversity_filters_candidates() {
     let rel = b.finish();
     let mono = Constraint::single("A", "mono", 4, 10).bind(&rel).unwrap();
     let poly = Constraint::single("A", "poly", 4, 10).bind(&rel).unwrap();
-    let cs_mono = CandidateSet::enumerate_with_privacy(&rel, &mono, 2, 64, None, 2);
-    let cs_poly = CandidateSet::enumerate_with_privacy(&rel, &poly, 2, 64, None, 2);
+    let cs_mono = CandidateSet::enumerate_interruptible(&rel, &mono, 2, 64, None, 2, &|| false);
+    let cs_poly = CandidateSet::enumerate_interruptible(&rel, &poly, 2, 64, None, 2, &|| false);
     assert!(cs_mono.is_empty(), "mono-sensitive clusters cannot be 2-diverse");
     assert!(!cs_poly.is_empty());
 }

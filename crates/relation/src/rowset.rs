@@ -143,35 +143,6 @@ impl RowSet {
         Ok(())
     }
 
-    /// Projects the set into a new id space: every member is fed
-    /// through `map`, which returns its id under the new capacity (or
-    /// `None` to drop it). The component decomposition uses this to
-    /// shrink whole-relation bitsets down to a compact
-    /// component-local capacity, so per-component `SearchState`s pay
-    /// for the component footprint instead of |R|.
-    ///
-    /// Returns an error instead of panicking when `map` emits an id
-    /// outside `new_capacity` — a mis-remapped row is data corruption
-    /// the caller must surface, not a programming invariant.
-    pub fn remap(
-        &self,
-        new_capacity: usize,
-        map: impl Fn(RowId) -> Option<RowId>,
-    ) -> Result<RowSet, String> {
-        let mut out = RowSet::new(new_capacity);
-        for r in self.iter() {
-            if let Some(nr) = map(r) {
-                if nr >= new_capacity {
-                    return Err(format!(
-                        "RowSet: remap sent row {r} to {nr}, outside new capacity {new_capacity}"
-                    ));
-                }
-                out.insert(nr);
-            }
-        }
-        Ok(out)
-    }
-
     /// Iterates the members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = RowId> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -282,33 +253,6 @@ mod tests {
         s.words[1] |= 1 << 30; // row 94 ≥ capacity 70
         let err = s.validate().unwrap_err();
         assert!(err.contains("past capacity"), "{err}");
-    }
-
-    #[test]
-    fn remap_compacts_into_smaller_capacity() {
-        let s = RowSet::from_rows(1000, [7, 300, 999]);
-        let order = [7usize, 300, 999];
-        let compact =
-            s.remap(3, |r| order.iter().position(|&g| g == r)).expect("well-formed remap");
-        assert_eq!(compact.capacity(), 3);
-        assert_eq!(compact.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        s.validate().unwrap();
-        compact.validate().unwrap();
-    }
-
-    #[test]
-    fn remap_drops_unmapped_rows() {
-        let s = RowSet::from_rows(100, [1, 2, 50]);
-        let kept = s.remap(10, |r| (r == 50).then_some(9)).expect("remap");
-        assert_eq!(kept.iter().collect::<Vec<_>>(), vec![9]);
-        assert_eq!(kept.len(), 1);
-    }
-
-    #[test]
-    fn remap_reports_out_of_capacity_target() {
-        let s = RowSet::from_rows(10, [3]);
-        let err = s.remap(2, |_| Some(5)).unwrap_err();
-        assert!(err.contains("outside new capacity"), "{err}");
     }
 
     #[test]

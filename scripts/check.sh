@@ -1,16 +1,17 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints, the diva-tidy static-analysis pass,
-# tests (default + strict-invariants), a bench smoke run, and the
-# profiling/trace-regression gate. The trace, metrics and live-endpoint
-# formats are checked by the tests (crates/cli/tests/cli.rs), the
-# provenance format by `diva explain`.
+# tests (default + strict-invariants, the whole differential suite
+# among them), a bench smoke run, and the profiling/trace-regression
+# gate. The trace, metrics and live-endpoint formats are checked by
+# the tests (crates/cli/tests/cli.rs), the provenance format by
+# `diva explain`.
 # Usage: scripts/check.sh  (from the repo root; pass --offline through
 # CARGO_FLAGS if the environment has no registry access; set
 # SKIP_BENCH=1 to skip the bench smoke, the budget wall-clock bound,
 # the release allocator-attribution test and the benchmark package's
 # tests during quick iterations,
 # SKIP_FAULTS=1 to skip the fault-injection matrix,
-# SKIP_DECOMP=1 to skip the decomposition differential,
+# SKIP_DECOMP=1 to skip the differential suite under strict-invariants,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
 # SKIP_AUDIT=1 to skip the privacy-audit gate, and
 # SKIP_PROVENANCE=1 to skip the decision-provenance gate).
@@ -76,11 +77,10 @@ cargo test $FLAGS -q --features strict-invariants -p diva-core
 cargo test $FLAGS -q --features strict-invariants --test pipeline
 
 if [ "${SKIP_DECOMP:-0}" = "1" ]; then
-    echo "==> decomposition differential skipped (SKIP_DECOMP=1)"
+    echo "==> differential suite skipped (SKIP_DECOMP=1)"
 else
-    echo "==> decomposition differential under strict-invariants (byte-identity)"
-    cargo test $FLAGS -q --features strict-invariants --test differential \
-        decomposed_solve_is_byte_identical_to_monolithic
+    echo "==> differential suite under strict-invariants (decomposed vs monolithic byte-identity)"
+    cargo test $FLAGS -q --features strict-invariants --test differential
 fi
 
 if [ "${SKIP_FAULTS:-0}" = "1" ]; then

@@ -74,34 +74,38 @@ fn decomposed_solve_is_byte_identical_to_monolithic() {
     }
 }
 
-/// Decision provenance is part of the decomposition contract: the
-/// component-parallel solve must record the byte-identical provenance
-/// log (after its local→global id translation at merge) that the
-/// forced-monolithic solve records — same groups, same cells, same
-/// causes, same attribution — at every thread count.
+/// Decision provenance is part of the decomposition contract: for
+/// every strategy, the component-parallel solve must record the
+/// byte-identical provenance log that the forced-monolithic solve
+/// records — same groups, same cells, same causes, same attribution —
+/// at every thread count.
 #[test]
 fn decomposed_provenance_is_byte_identical_to_monolithic() {
     for (name, rel, sigma, k) in decomposition_instances() {
-        let run = |decompose: bool, threads: usize| {
-            let prov = diva_obs::Provenance::enabled();
-            let config = DivaConfig {
-                k,
-                decompose,
-                threads: Some(threads),
-                provenance: prov.clone(),
-                ..DivaConfig::default()
+        for strategy in Strategy::all() {
+            let name = format!("{name}/{strategy}");
+            let run = |decompose: bool, threads: usize| {
+                let prov = diva_obs::Provenance::enabled();
+                let config = DivaConfig {
+                    k,
+                    strategy,
+                    decompose,
+                    threads: Some(threads),
+                    provenance: prov.clone(),
+                    ..DivaConfig::default()
+                };
+                let out = Diva::new(config)
+                    .run(&rel, &sigma)
+                    .unwrap_or_else(|e| panic!("{name} (decompose={decompose}): {e}"));
+                assert!(out.outcome.is_exact(), "{name} (decompose={decompose}): degraded");
+                (prov.render().expect("enabled recorder renders"), fingerprint(&out))
             };
-            let out = Diva::new(config)
-                .run(&rel, &sigma)
-                .unwrap_or_else(|e| panic!("{name} (decompose={decompose}): {e}"));
-            assert!(out.outcome.is_exact(), "{name} (decompose={decompose}): degraded");
-            (prov.render().expect("enabled recorder renders"), fingerprint(&out))
-        };
-        let (mono_log, mono_fp) = run(false, 1);
-        for threads in [1usize, 4] {
-            let (log, fp) = run(true, threads);
-            assert_eq!(fp, mono_fp, "{name}/t{threads}: relation diverged from monolithic");
-            assert_eq!(log, mono_log, "{name}/t{threads}: provenance diverged from monolithic");
+            let (mono_log, mono_fp) = run(false, 1);
+            for threads in [1usize, 4] {
+                let (log, fp) = run(true, threads);
+                assert_eq!(fp, mono_fp, "{name}/t{threads}: relation diverged from monolithic");
+                assert_eq!(log, mono_log, "{name}/t{threads}: provenance diverged from monolithic");
+            }
         }
     }
 }

@@ -205,9 +205,10 @@ proptest! {
     }
 
     /// Decomposition is an exact partition of the constraint graph:
-    /// every node lands in exactly one component, every targeted row
-    /// in exactly one component footprint (untargeted rows in none),
-    /// and no adjacency or CSR entry crosses a component boundary.
+    /// every node lands in exactly one component, and no adjacency or
+    /// CSR entry crosses a component boundary — every row's node list
+    /// lies in one component, which is what lets component searches
+    /// share the graph's row state.
     #[test]
     fn decomposition_is_an_exact_partition(
         rel in arb_relation(),
@@ -230,23 +231,13 @@ proptest! {
             }
         }
         prop_assert!(node_comp.iter().all(|&c| c != usize::MAX), "node in no component");
-        // Row partition over the targeted rows.
-        let mut row_comp = vec![usize::MAX; graph.n_rows()];
-        for (ci, comp) in comps.iter().enumerate() {
-            for &r in &comp.rows {
-                prop_assert_eq!(row_comp[r], usize::MAX, "row {} in two footprints", r);
-                row_comp[r] = ci;
-            }
-        }
-        for (r, &rc) in row_comp.iter().enumerate() {
+        // Every row's node list lies in one component.
+        for r in 0..graph.n_rows() {
             let nodes = graph.nodes_of(r);
-            if nodes.is_empty() {
-                prop_assert_eq!(rc, usize::MAX, "untargeted row {} claimed", r);
-            }
             for &n in nodes {
                 prop_assert_eq!(
-                    rc, node_comp[n as usize],
-                    "row {} and its node {} disagree", r, n
+                    node_comp[n as usize], node_comp[nodes[0] as usize],
+                    "row {} spans two components", r
                 );
             }
         }
