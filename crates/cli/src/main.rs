@@ -151,8 +151,8 @@ fn usage() -> String {
      \u{20}           default distinct; recursive reads its c from --l-c (default 1.0)]\n\
      \u{20}          [--l-c F  the c of recursive (c,l)-diversity]\n\
      \u{20}          [--portfolio N  race all strategies × N seeds, first win returns]\n\
-     \u{20}          [--threads N  worker cap for --portfolio and the component pool;\n\
-     \u{20}           candidate enumeration runs one worker per constraint regardless]\n\
+     \u{20}          [--threads N  worker cap for --portfolio, candidate enumeration\n\
+     \u{20}           and the component pool; default: the host's core count]\n\
      \u{20}          [--provenance FILE  write the decision-provenance log (json-lines):\n\
      \u{20}           one record per published group and per starred cell, plus the\n\
      \u{20}           per-constraint star attribution]\n\

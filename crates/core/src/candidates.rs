@@ -22,12 +22,23 @@
 //! * each selected tuple subset yields a clustering chunked into
 //!   groups of `k` (fine, low-suppression) and, when small, the
 //!   single-cluster variant the paper's figures show.
+//!
+//! A window candidate is only a descriptor into the sorted order. Its
+//! clusters are built the first time the search tries it
+//! ([`CandidateSet::clustering`]); the search's availability checks
+//! read them as slices of the sorted order without building anything
+//! ([`CandidateSet::available`]).
+
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use diva_constraints::BoundConstraint;
 use diva_relation::{AttrRole, Relation, RowId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+use crate::state::SearchState;
 
 /// One candidate clustering: disjoint clusters over `I_σ`, each of
 /// size ≥ k. Rows within each cluster are sorted ascending (the
@@ -40,11 +51,65 @@ const SMALL_TARGET: usize = 16;
 /// Number of distinct clustering sizes sampled for large target sets.
 const SIZE_SAMPLES: usize = 8;
 
+/// One entry of a [`CandidateSet`].
+#[derive(Debug, Clone)]
+enum Candidate {
+    /// A clustering materialized at enumeration, in canonical form:
+    /// the exhaustive path for small target sets.
+    Listed(Clustering),
+    /// A window of the similarity order, built on first use.
+    Window(Window),
+}
+
+/// The rows `sorted_targets[start..start + len]`, as one cluster
+/// (`whole`) or chunked into clusters of `k..2k` rows.
+#[derive(Debug, Clone)]
+struct Window {
+    start: usize,
+    len: usize,
+    whole: bool,
+    /// The canonical clustering, built the first time it is asked for.
+    built: OnceLock<Clustering>,
+}
+
+impl Window {
+    /// The window's clusters as slices of the similarity order.
+    fn clusters<'s>(&self, sorted: &'s [RowId], k: usize) -> impl Iterator<Item = &'s [RowId]> {
+        let rows = &sorted[self.start..self.start + self.len];
+        let q = if self.whole { 1 } else { self.len / k };
+        chunk_bounds(self.len, k, q).map(move |b| &rows[b])
+    }
+}
+
+impl Candidate {
+    /// The number of rows the candidate clusters.
+    fn total(&self) -> usize {
+        match self {
+            Self::Listed(clustering) => clustering.iter().map(Vec::len).sum(),
+            Self::Window(w) => w.len,
+        }
+    }
+
+    /// Whether `f` holds for every cluster. A window's clusters are
+    /// read as slices of `sorted`, unbuilt and in similarity order.
+    fn all_clusters(
+        &self,
+        sorted: &[RowId],
+        k: usize,
+        mut f: impl FnMut(&[RowId]) -> bool,
+    ) -> bool {
+        match self {
+            Self::Listed(clustering) => clustering.iter().all(|cluster| f(cluster)),
+            Self::Window(w) => w.clusters(sorted, k).all(f),
+        }
+    }
+}
+
 /// The capped candidate list for one constraint.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     /// Candidates in preference order (cheapest first).
-    pub candidates: Vec<Clustering>,
+    candidates: Vec<Candidate>,
     /// Whether the empty clustering is the (single) candidate because
     /// the constraint has no lower-bound obligation.
     pub lower_is_free: bool,
@@ -53,6 +118,10 @@ pub struct CandidateSet {
     /// *repair* a candidate whose rows were taken by other
     /// constraints (see [`CandidateSet::repair`]).
     pub sorted_targets: Vec<RowId>,
+    /// The minimum cluster size window candidates are chunked by.
+    k: usize,
+    /// See [`CandidateSet::min_total`].
+    min_total: usize,
     /// ℓ-diversity requirement on clusters (1 = none) and, when
     /// active, each row's sensitive-value signature, indexed densely
     /// by row id (empty when the filter is off).
@@ -79,15 +148,15 @@ impl CandidateSet {
     /// an early-stop probe. Candidate clusters must each contain at
     /// least `min_sensitive` distinct sensitive values (the paper's §5
     /// re-definition of the clustering criteria; 1 disables the
-    /// filter). `stop` is polled between enumeration steps — window
-    /// enumeration is the longest uninterruptible stretch of the whole
-    /// pipeline on large inputs, so a wall-clock budget must be able
-    /// to reach inside it. Once `stop` returns `true` the candidate
-    /// list is abandoned (emptied): the caller is committed to
-    /// degrading or cancelling, so no further work is spent polishing
-    /// candidates that will never be searched. A probe that never
-    /// fires leaves the result byte-identical to the plain
-    /// enumeration.
+    /// filter). `stop` is polled once the candidates are listed:
+    /// listing takes time proportional to the cap (a window candidate
+    /// is a descriptor), so the similarity sort before it is the one
+    /// long stretch left, and it cannot be interrupted. If `stop`
+    /// returns `true` the candidate list is abandoned (emptied): the
+    /// caller is committed to degrading or cancelling, so no further
+    /// work is spent on candidates that will never be searched. A
+    /// probe that never fires leaves the result byte-identical to the
+    /// plain enumeration.
     pub fn enumerate_interruptible(
         rel: &Relation,
         c: &BoundConstraint,
@@ -105,74 +174,81 @@ impl CandidateSet {
         if let Some(rng) = rng.as_mut() {
             sorted.shuffle(rng);
         }
-        if c.lower == 0 {
+        let mut set = Self {
+            candidates: Vec::new(),
+            lower_is_free: c.lower == 0,
+            sorted_targets: sorted,
+            k,
+            min_total: usize::MAX,
+            min_sensitive,
+            sens_sig: Vec::new(),
+        };
+        if set.lower_is_free {
             // Only an upper bound: the minimal clustering is empty —
             // nothing must be *retained*; overflow is handled by the
             // consistency checks and Integrate.
-            return Self {
-                candidates: vec![Vec::new()],
-                lower_is_free: true,
-                sorted_targets: sorted,
-                min_sensitive,
-                sens_sig: Vec::new(),
-            };
+            set.candidates.push(Candidate::Listed(Vec::new()));
+            set.min_total = 0;
+            return set;
         }
-        let sens_sig = if min_sensitive > 1 { sensitive_signatures(rel) } else { Vec::new() };
+        if min_sensitive > 1 {
+            set.sens_sig = sensitive_signatures(rel);
+        }
+        let sorted = &set.sorted_targets;
         let m_min = c.lower.max(k);
         let m_max = c.upper.min(sorted.len());
         if m_min > m_max {
-            return Self {
-                candidates: Vec::new(),
-                lower_is_free: false,
-                sorted_targets: sorted,
-                min_sensitive,
-                sens_sig,
-            };
+            return set;
         }
 
-        let mut out: Vec<Clustering> = Vec::new();
-        if sorted.len() <= SMALL_TARGET {
-            enumerate_small(&sorted, m_min, m_max, k, max_candidates, stop, &mut out);
+        let mut out = if sorted.len() <= SMALL_TARGET {
+            enumerate_small(sorted, m_min, m_max, k, max_candidates)
         } else {
-            enumerate_windows(&sorted, m_min, m_max, k, max_candidates, stop, &mut out);
-        }
-        // A fired probe abandons the list rather than spending more
-        // time canonicalizing candidates that will never be searched:
-        // the search's entry poll turns the same `stop` condition into
-        // a degradation or cancellation before candidates matter. The
-        // canonicalization pass re-polls periodically so a deadline
-        // arriving mid-pass is also honoured promptly.
-        let mut i = 0;
-        while i < out.len() {
-            if i & 0xFF == 0 && stop() {
-                break;
-            }
-            let clustering = &mut out[i];
-            for cluster in clustering.iter_mut() {
-                cluster.sort_unstable();
-            }
-            clustering.sort();
-            i += 1;
-        }
+            enumerate_windows(sorted, m_min, m_max, k, max_candidates)
+        };
+        // The search's entry poll turns the same `stop` condition into
+        // a degradation or cancellation before candidates matter.
         if stop() {
             out.clear();
         }
-        out.dedup();
         if min_sensitive > 1 {
-            out.retain(|cl| {
-                cl.iter().all(|cluster| distinct_sigs(&sens_sig, cluster) >= min_sensitive)
+            out.retain(|cand| {
+                cand.all_clusters(sorted, k, |cluster| {
+                    distinct_sigs(&set.sens_sig, cluster) >= min_sensitive
+                })
             });
         }
         if let Some(rng) = rng.as_mut() {
             out.shuffle(rng);
         }
-        Self {
-            candidates: out,
-            lower_is_free: false,
-            sorted_targets: sorted,
-            min_sensitive,
-            sens_sig,
+        set.min_total = out.iter().map(Candidate::total).min().unwrap_or(usize::MAX);
+        set.candidates = out;
+        set
+    }
+
+    /// Candidate `i` in canonical form: each cluster ascending, the
+    /// clusters in lexicographic order. A window candidate is built
+    /// the first time it is asked for and cached, so every call
+    /// returns the same clustering.
+    pub fn clustering(&self, i: usize) -> &Clustering {
+        match &self.candidates[i] {
+            Candidate::Listed(clustering) => clustering,
+            Candidate::Window(w) => w.built.get_or_init(|| {
+                let mut clustering =
+                    w.clusters(&self.sorted_targets, self.k).map(<[RowId]>::to_vec).collect();
+                canonicalize(&mut clustering);
+                clustering
+            }),
         }
+    }
+
+    /// Whether no cluster of candidate `i` collides with `state`: each
+    /// is free or already live ([`SearchState::cluster_available`]).
+    /// The search's quick availability test; a window candidate's
+    /// clusters are read as slices, so it builds nothing.
+    pub fn available(&self, i: usize, state: &SearchState) -> bool {
+        self.candidates[i]
+            .all_clusters(&self.sorted_targets, self.k, |cluster| state.cluster_available(cluster))
     }
 
     /// Rebuilds a candidate from rows that are still free.
@@ -181,12 +257,13 @@ impl CandidateSet {
     /// the similarity order, so a constraint whose target rows were
     /// claimed by already-coloured neighbours may find every literal
     /// candidate blocked even though plenty of target tuples remain.
-    /// `repair` keeps the candidate's *shape* — its total size and its
-    /// position in the similarity order — but re-materializes it from
-    /// rows for which `is_free` returns true, scanning forward from
-    /// the candidate's original offset and wrapping around. Returns
-    /// `None` when fewer free target tuples remain than the candidate
-    /// needs.
+    /// `repair` keeps the candidate's total size but re-materializes
+    /// it from rows for which `is_free` returns true, chunked by `k`.
+    /// It scans the similarity order forward from the position of the
+    /// candidate's smallest row id, wrapping around. That anchor is a
+    /// row of the candidate but, for a window, generally not its first
+    /// row in similarity order. Returns `None` when fewer free target
+    /// tuples remain than the candidate needs.
     pub fn repair<F: Fn(RowId) -> bool>(
         &self,
         candidate: &Clustering,
@@ -197,7 +274,7 @@ impl CandidateSet {
         if m == 0 {
             return None;
         }
-        // Anchor at the original offset of the candidate's first row.
+        // Anchor at the similarity-order position of the smallest row.
         let first = candidate.iter().filter_map(|cl| cl.first()).min().copied()?;
         let anchor = self.sorted_targets.iter().position(|&r| r == first).unwrap_or(0);
         let n = self.sorted_targets.len();
@@ -222,10 +299,7 @@ impl CandidateSet {
         {
             return None; // conservative: repairs never weaken privacy
         }
-        for cluster in &mut repaired {
-            cluster.sort_unstable();
-        }
-        repaired.sort();
+        canonicalize(&mut repaired);
         if &repaired == candidate {
             return None; // nothing changed; no point retrying
         }
@@ -239,19 +313,26 @@ impl CandidateSet {
 
     /// The minimum total size any satisfying clustering must have:
     /// 0 when the constraint has no lower-bound obligation, else
-    /// `max(λl, k)` as materialized by the smallest candidate. Used by
-    /// the search's forward check.
+    /// `max(λl, k)` as materialized by the smallest candidate
+    /// (`usize::MAX` when there is none). Computed at enumeration;
+    /// used by the search's forward check.
     pub fn min_total(&self) -> usize {
-        if self.lower_is_free {
-            return 0;
-        }
-        self.candidates.iter().map(|cl| cl.iter().map(Vec::len).sum()).min().unwrap_or(usize::MAX)
+        self.min_total
     }
 
     /// Whether there are no candidates (the constraint is
     /// unsatisfiable for this relation and `k`).
     pub fn is_empty(&self) -> bool {
         self.candidates.is_empty()
+    }
+
+    /// How many window candidates have been built.
+    #[cfg(test)]
+    pub(crate) fn built_windows(&self) -> usize {
+        self.candidates
+            .iter()
+            .filter(|c| matches!(c, Candidate::Window(w) if w.built.get().is_some()))
+            .count()
     }
 
     /// Publishes this candidate set's generation stats to `obs`: the
@@ -290,47 +371,63 @@ fn similarity_sorted(rel: &Relation, rows: &[RowId]) -> Vec<RowId> {
     sorted
 }
 
+/// The clusters of `m` similarity-ordered rows cut into `q` clusters,
+/// as index ranges: `q − 1` chunks of exactly `k`, then the rest. With
+/// `q = ⌊m/k⌋` that is the chunked form (a last chunk of `k..2k`
+/// rows); with `q = 1` it is one cluster of all `m` rows.
+fn chunk_bounds(m: usize, k: usize, q: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..q).map(move |c| c * k..if c + 1 == q { m } else { (c + 1) * k })
+}
+
 /// Splits `rows` (already similarity-ordered) into clusters of size ≥
 /// `k`: `⌊m/k⌋ − 1` chunks of exactly `k` and a final chunk of
 /// `k..2k` rows.
 fn chunked(rows: &[RowId], k: usize) -> Clustering {
-    let m = rows.len();
-    debug_assert!(m >= k);
-    let q = m / k;
-    let mut clusters = Vec::with_capacity(q);
-    let mut i = 0;
-    for chunk in 0..q {
-        let take = if chunk + 1 == q { m - i } else { k };
-        clusters.push(rows[i..i + take].to_vec());
-        i += take;
+    debug_assert!(rows.len() >= k);
+    chunk_bounds(rows.len(), k, rows.len() / k).map(|b| rows[b].to_vec()).collect()
+}
+
+/// Whether `m` rows also yield the single-cluster variant: only when
+/// the chunked form has more than one cluster (`m ≥ 2k`) and the rows
+/// are few enough that one QI-group is a plausible choice (the
+/// paper's single-cluster clusterings in Figure 2).
+fn has_whole_variant(m: usize, k: usize) -> bool {
+    2 * k <= m && m <= 3 * k
+}
+
+/// Sorts each cluster ascending and the clusters lexicographically:
+/// the form the search state registers and compares clusters in.
+fn canonicalize(clustering: &mut Clustering) {
+    for cluster in clustering.iter_mut() {
+        cluster.sort_unstable();
     }
-    clusters
+    clustering.sort();
 }
 
 /// Exhaustive subset enumeration for small target sets: for each
 /// feasible total size (ascending), walk the size-`m` combinations of
 /// the sorted target set in lexicographic order, emitting the chunked
-/// and (for small subsets) single-cluster variants.
+/// and (for small subsets) single-cluster variants, then canonicalize
+/// them and drop consecutive duplicates.
 fn enumerate_small(
     sorted: &[RowId],
     m_min: usize,
     m_max: usize,
     k: usize,
     cap: usize,
-    stop: &(dyn Fn() -> bool + Sync),
-    out: &mut Vec<Clustering>,
-) {
-    for m in m_min..=m_max {
-        if stop() {
-            return;
-        }
+) -> Vec<Candidate> {
+    let mut out: Vec<Clustering> = Vec::new();
+    'sizes: for m in m_min..=m_max {
         let mut idx: Vec<usize> = (0..m).collect();
         loop {
             let subset: Vec<RowId> = idx.iter().map(|&i| sorted[i]).collect();
-            push_variants(&subset, k, out);
+            if has_whole_variant(m, k) {
+                out.push(vec![subset.clone()]);
+            }
+            out.push(chunked(&subset, k));
             if out.len() >= cap {
                 out.truncate(cap);
-                return;
+                break 'sizes;
             }
             // Advance the combination (lexicographic successor).
             let n = sorted.len();
@@ -354,53 +451,52 @@ fn enumerate_small(
             }
         }
     }
+    for clustering in &mut out {
+        canonicalize(clustering);
+    }
+    out.dedup();
+    out.into_iter().map(Candidate::Listed).collect()
 }
 
 /// Window enumeration for large target sets: sample up to
 /// [`SIZE_SAMPLES`] total sizes across the feasible range (smallest
 /// first — consuming fewer tuples conflicts less), and for each size a
-/// spread of window offsets over the similarity order.
+/// spread of window offsets over the similarity order. Each window is
+/// a descriptor; its single-cluster variant, when it has one, comes
+/// before its chunked one.
+///
+/// No two consecutive candidates are equal, so unlike the exhaustive
+/// path this one needs no dedup: two windows of one size start at
+/// different offsets and so hold different rows, the two variants of
+/// one window differ in cluster count, and windows of different sizes
+/// differ in total.
 fn enumerate_windows(
     sorted: &[RowId],
     m_min: usize,
     m_max: usize,
     k: usize,
     cap: usize,
-    stop: &(dyn Fn() -> bool + Sync),
-    out: &mut Vec<Clustering>,
-) {
+) -> Vec<Candidate> {
+    let window = |start: usize, len: usize, whole: bool| {
+        Candidate::Window(Window { start, len, whole, built: OnceLock::new() })
+    };
+    let mut out = Vec::new();
     let sizes = spread(m_min, m_max, SIZE_SAMPLES);
     let per_size = (cap / sizes.len().max(1)).max(1);
     for &m in &sizes {
         let last_start = sorted.len() - m;
-        let starts = spread(0, last_start, per_size);
-        for &s in &starts {
-            // Each window clones up to the whole target set; polling
-            // the probe per window keeps the stop latency bounded by
-            // one window's materialization.
-            if stop() {
-                return;
+        for &start in &spread(0, last_start, per_size) {
+            if has_whole_variant(m, k) {
+                out.push(window(start, m, true));
             }
-            let window = &sorted[s..s + m];
-            push_variants(window, k, out);
+            out.push(window(start, m, false));
             if out.len() >= cap {
                 out.truncate(cap);
-                return;
+                return out;
             }
         }
     }
-}
-
-/// Emits the chunked variant of `subset` and, when the subset is small
-/// enough that one QI-group is a plausible choice (the paper's
-/// single-cluster clusterings in Figure 2), the single-cluster
-/// variant.
-fn push_variants(subset: &[RowId], k: usize, out: &mut Vec<Clustering>) {
-    let chunksed = chunked(subset, k);
-    if chunksed.len() > 1 && subset.len() <= 3 * k {
-        out.push(vec![subset.to_vec()]);
-    }
-    out.push(chunksed);
+    out
 }
 
 /// Sensitive-value signatures of every row (FNV-style fold of the
@@ -469,13 +565,18 @@ mod tests {
         CandidateSet::enumerate(&r, &c, k, 64, None)
     }
 
+    /// Every candidate of `cs`, built, in order.
+    fn built(cs: &CandidateSet) -> Vec<Clustering> {
+        (0..cs.len()).map(|i| cs.clustering(i).clone()).collect()
+    }
+
     #[test]
     fn paper_sigma1_has_four_clusterings() {
         // σ1 = (ETH[Asian], 2, 5), k=2, I = {t8,t9,t10}: the paper's
         // Figure 2 lists {{t8,t9}}, {{t8,t10}}, {{t9,t10}},
         // {{t8,t9,t10}}.
         let cs = candidates_for("ETH", "Asian", 2, 5, 2);
-        let mut got: Vec<Clustering> = cs.candidates.clone();
+        let mut got = built(&cs);
         got.sort();
         let mut want: Vec<Clustering> =
             vec![vec![vec![7, 8]], vec![vec![7, 9]], vec![vec![8, 9]], vec![vec![7, 8, 9]]];
@@ -487,7 +588,7 @@ mod tests {
     fn paper_sigma2_has_one_clustering() {
         // σ2 = (ETH[African], 1, 3), k=2, I = {t5,t6}: only {{t5,t6}}.
         let cs = candidates_for("ETH", "African", 1, 3, 2);
-        assert_eq!(cs.candidates, vec![vec![vec![4, 5]]]);
+        assert_eq!(built(&cs), vec![vec![vec![4, 5]]]);
     }
 
     #[test]
@@ -496,10 +597,11 @@ mod tests {
         // paper's Figure 2 shows pairs, triples, and the two-cluster
         // clustering {{t6,t7},{t8,t10}}-style candidates.
         let cs = candidates_for("CTY", "Vancouver", 2, 4, 2);
-        assert!(cs.candidates.iter().any(|cl| cl.len() == 2), "expected a 2-cluster candidate");
-        assert!(cs.candidates.iter().any(|cl| cl.len() == 1 && cl[0].len() == 2));
+        let all = built(&cs);
+        assert!(all.iter().any(|cl| cl.len() == 2), "expected a 2-cluster candidate");
+        assert!(all.iter().any(|cl| cl.len() == 1 && cl[0].len() == 2));
         // All candidates: clusters ≥ k, total within [2,4], rows ⊆ I.
-        for cl in &cs.candidates {
+        for cl in &all {
             let total: usize = cl.iter().map(Vec::len).sum();
             assert!((2..=4).contains(&total));
             for cluster in cl {
@@ -515,7 +617,7 @@ mod tests {
     fn upper_bound_only_yields_empty_clustering() {
         let cs = candidates_for("ETH", "Asian", 0, 2, 2);
         assert!(cs.lower_is_free);
-        assert_eq!(cs.candidates, vec![Vec::<Vec<usize>>::new()]);
+        assert_eq!(built(&cs), vec![Vec::<Vec<usize>>::new()]);
     }
 
     #[test]
@@ -531,7 +633,7 @@ mod tests {
     #[test]
     fn clusters_respect_k() {
         let cs = candidates_for("CTY", "Vancouver", 2, 4, 3);
-        for cl in &cs.candidates {
+        for cl in &built(&cs) {
             for cluster in cl {
                 assert!(cluster.len() >= 3);
             }
@@ -547,9 +649,9 @@ mod tests {
         assert_eq!(capped.len(), 3);
         let s1 = CandidateSet::enumerate(&r, &c, 2, 64, Some(7));
         let s2 = CandidateSet::enumerate(&r, &c, 2, 64, Some(7));
-        assert_eq!(s1.candidates, s2.candidates);
+        assert_eq!(built(&s1), built(&s2));
         let s3 = CandidateSet::enumerate(&r, &c, 2, 64, Some(8));
-        assert!(s1.candidates != s3.candidates || s1.len() <= 1);
+        assert!(built(&s1) != built(&s3) || s1.len() <= 1);
     }
 
     #[test]
@@ -570,7 +672,8 @@ mod tests {
         let cs = CandidateSet::enumerate(&rel, &c, k, 64, None);
         assert!(!cs.is_empty());
         assert!(cs.len() <= 64);
-        for cl in &cs.candidates {
+        let all = built(&cs);
+        for cl in &all {
             let total: usize = cl.iter().map(Vec::len).sum();
             assert!(total >= lower && total <= freq, "total {total}");
             for cluster in cl {
@@ -584,9 +687,29 @@ mod tests {
             assert_eq!(all.len(), n, "clusters overlap");
         }
         // Smallest totals come first (cheapest candidates preferred).
-        let first_total: usize = cs.candidates[0].iter().map(Vec::len).sum();
-        let last_total: usize = cs.candidates.last().unwrap().iter().map(Vec::len).sum();
+        let first_total: usize = all[0].iter().map(Vec::len).sum();
+        let last_total: usize = all.last().unwrap().iter().map(Vec::len).sum();
         assert!(first_total <= last_total);
+    }
+
+    #[test]
+    fn windows_are_built_once_on_first_use() {
+        let rel = diva_datagen::medical(2_000, 3);
+        let sigma = diva_constraints::generators::proportional(&rel, 5, 0.7, 20);
+        let set = diva_constraints::ConstraintSet::bind(&sigma, &rel).unwrap();
+        let c = set
+            .constraints()
+            .iter()
+            .find(|c| c.target_rows.len() > SMALL_TARGET && c.lower > 0)
+            .expect("a constraint on the window path");
+        let cs = CandidateSet::enumerate(&rel, c, 5, 64, None);
+        assert!(cs.len() > 1);
+        assert_eq!(cs.built_windows(), 0, "enumeration builds no window");
+        let last = cs.len() - 1;
+        let first = cs.clustering(last);
+        let second = cs.clustering(last);
+        assert!(std::ptr::eq(first, second), "both calls return the cached clustering");
+        assert_eq!(cs.built_windows(), 1);
     }
 
     #[test]

@@ -94,6 +94,9 @@ pub struct Coloring<'a> {
     settled_repairs: u64,
     /// The `assignments_tried` count at which the next poll happens.
     next_poll: u64,
+    /// Every (node, candidate) the search tried, in order.
+    #[cfg(test)]
+    tried: Vec<(usize, usize)>,
 }
 
 /// Nodes between polls — cheap enough to leave the hot path
@@ -167,6 +170,8 @@ impl<'a> Coloring<'a> {
             settled_nodes: 0,
             settled_repairs: 0,
             next_poll: POLL_STRIDE,
+            #[cfg(test)]
+            tried: Vec::new(),
         }
     }
 
@@ -338,11 +343,13 @@ impl<'a> Coloring<'a> {
         }
         for ci in order {
             self.explore_node()?;
-            let clustering = &self.candidates[v].candidates[ci];
+            #[cfg(test)]
+            self.tried.push((v, ci));
+            let clustering = self.candidates[v].clustering(ci);
             // IsConsistent + commit in one step. If the literal
             // candidate is blocked (typically because neighbours own
             // some of its rows), re-materialize it from free target
-            // tuples at the same offset and retry once.
+            // tuples and retry once (see `CandidateSet::repair`).
             let token = match self.state.try_assign(clustering, self.graph) {
                 Some(t) => t,
                 None => {
@@ -386,10 +393,8 @@ impl<'a> Coloring<'a> {
                         // identical clusters, so confirm with the exact
                         // per-candidate availability scan before
                         // declaring the subtree dead.
-                        && !self.candidates[w]
-                            .candidates
-                            .iter()
-                            .any(|cl| self.state.rows_available(cl))
+                        && !(0..self.candidates[w].len())
+                            .any(|ci| self.candidates[w].available(ci, &self.state))
                 });
             if hopeless {
                 self.stats.forward_check_prunes += 1;
@@ -434,11 +439,8 @@ impl<'a> Coloring<'a> {
                 uncolored
                     .iter()
                     .min_by_key(|&&i| {
-                        self.candidates[i]
-                            .candidates
-                            .iter()
-                            .filter(|cl| self.state.rows_available(cl))
-                            .count()
+                        let cands = &self.candidates[i];
+                        (0..cands.len()).filter(|&ci| cands.available(ci, &self.state)).count()
                     })
                     .copied()
                     .unwrap_or(uncolored[0])
@@ -676,5 +678,33 @@ mod tests {
             assert_eq!(out.stats.assignments_tried, explored, "cap {cap}");
             assert_eq!(budget.usage().nodes_explored, explored, "cap {cap}");
         }
+    }
+
+    #[test]
+    fn the_search_builds_only_candidates_it_tries() {
+        // The instance of `node_cap_stops_the_search_at_exactly_cap_plus_one`:
+        // MinChoice counts the available candidates of every uncoloured
+        // node at every selection, and none of that may build one.
+        let r = diva_datagen::medical(400, 25);
+        let sigma = diva_constraints::generators::proportional(&r, 8, 0.7, 20);
+        let set = ConstraintSet::bind(&sigma, &r).unwrap();
+        let graph = ConstraintGraph::build(&set);
+        let config = DivaConfig { strategy: Strategy::MinChoice, ..DivaConfig::with_k(5) };
+        let candidates: Vec<CandidateSet> =
+            set.constraints().iter().map(|c| CandidateSet::enumerate(&r, c, 5, 64, None)).collect();
+        let labels: Vec<String> = set.constraints().iter().map(|c| c.label()).collect();
+        let uppers = set.constraints().iter().map(|c| c.upper).collect();
+        let mut search = Coloring::new(&graph, &candidates, uppers, &labels, &config);
+        let out = search.solve_impl().unwrap();
+        let tried = out.stats.assignments_tried;
+        assert!(tried > 300, "{tried}");
+        let mut distinct = search.tried.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let built: usize = candidates.iter().map(CandidateSet::built_windows).sum();
+        let listed: usize = candidates.iter().map(CandidateSet::len).sum();
+        assert!(built <= distinct.len(), "built {built}, tried {}", distinct.len());
+        assert!(distinct.len() as u64 <= tried, "{} distinct of {tried}", distinct.len());
+        assert!(built < listed, "built {built} of {listed}");
     }
 }

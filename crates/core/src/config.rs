@@ -86,11 +86,10 @@ pub struct DivaConfig {
     /// ablation benches measure its effect on success rate and
     /// backtracking.
     pub enable_repair: bool,
-    /// Worker-thread cap for the parallel portfolio
-    /// ([`crate::run_portfolio`]) and the component worker pool.
-    /// `None` (the default) uses
-    /// `std::thread::available_parallelism()`. Candidate enumeration
-    /// is not capped: it runs one worker per constraint.
+    /// Worker-thread cap for every threaded stage: the parallel
+    /// portfolio ([`crate::run_portfolio`]), candidate enumeration and
+    /// the component worker pool. `None` (the default) uses
+    /// `std::thread::available_parallelism()`.
     pub threads: Option<usize>,
     /// Whether the clustering phase decomposes the constraint graph
     /// into connected components and solves them concurrently on the
@@ -156,6 +155,12 @@ impl Default for DivaConfig {
 }
 
 impl DivaConfig {
+    /// The worker cap of every threaded stage: [`DivaConfig::threads`],
+    /// or `available_parallelism` (at least 1) when unset.
+    pub(crate) fn workers(&self) -> usize {
+        self.threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    }
+
     /// A configuration with the given `k` and defaults elsewhere.
     pub fn with_k(k: usize) -> Self {
         Self { k, ..Self::default() }

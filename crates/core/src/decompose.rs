@@ -104,8 +104,7 @@ pub(crate) fn solve_clustering(
     }
 
     let obs = &config.obs;
-    let hw = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let n_workers = config.threads.unwrap_or(hw).clamp(1, comps.len());
+    let n_workers = config.workers().clamp(1, comps.len());
     let mut span =
         obs.span("diva.components").attr("count", comps.len()).attr("workers", n_workers);
     let span_id = span.id();

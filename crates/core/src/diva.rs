@@ -294,11 +294,11 @@ impl Diva {
         // Candidate enumeration is independent per constraint — the
         // natural "satisfy constraints in parallel" decomposition the
         // paper's future-work section sketches — so fan it out over the
-        // worker pool, one worker per constraint, for multi-constraint
-        // inputs. Enumeration is the longest uninterruptible stretch on
-        // large inputs, so the checkpoint reaches inside it via the
-        // stop probe; the search's entry poll then converts the fired
-        // probe into a degradation or cancellation.
+        // worker pool, capped like every threaded stage, for
+        // multi-constraint inputs. Each constraint's similarity sort is
+        // uninterruptible, so the checkpoint reaches inside enumeration
+        // via the stop probe after it; the search's entry poll then
+        // converts the fired probe into a degradation or cancellation.
         let stop = || controls.checkpoint().is_some();
         let enumerate_one = |c: &diva_constraints::BoundConstraint| {
             CandidateSet::enumerate_interruptible(
@@ -318,7 +318,7 @@ impl Diva {
             let no_stop = AtomicBool::new(false);
             pool::run_tasks(
                 set.constraints(),
-                set.len(),
+                self.config.workers(),
                 &no_stop,
                 |_| false,
                 |_, c| Ok(enumerate_one(c)),

@@ -112,8 +112,7 @@ where
     let controls = Controls::new(config.budget.arm());
     // `validate()` above rejected `Some(0)`, and `available_parallelism`
     // is at least 1, so the cap is always positive.
-    let hw = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let n_workers = members.len().min(config.threads.unwrap_or(hw));
+    let n_workers = members.len().min(config.workers());
     root_span.set_attr("workers", n_workers);
     let slots =
         pool::run_tasks(&members, n_workers, controls.cancel_flag(), Result::is_ok, |i, member| {

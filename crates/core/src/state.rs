@@ -144,16 +144,27 @@ impl SearchState {
             .find(|&id| self.clusters[id].as_ref().is_some_and(|e| e.rows == rows))
     }
 
-    /// Quick pre-check (no mutation): would `clustering` pass the
-    /// disjoint-unless-equal condition? Used by MinChoice to count the
-    /// currently consistent candidates of uncoloured nodes.
-    pub fn rows_available(&self, clustering: &Clustering) -> bool {
-        clustering.iter().all(|cluster| {
-            if self.find_cluster(cluster, cluster_hash(cluster)).is_some() {
-                return true; // shared cluster
-            }
-            cluster.iter().all(|&r| self.row_is_free(r))
-        })
+    /// Quick pre-check (no mutation): would a cluster of these rows,
+    /// in any order, pass the disjoint-unless-equal condition? It
+    /// does when all its rows are free, or when all of them are owned
+    /// by one live cluster of the same size. Live clusters are
+    /// pairwise disjoint and own exactly their rows (see
+    /// [`SearchState::validate`]), so the second case is "identical
+    /// to a live cluster", read from the owner map without hashing.
+    /// Used by MinChoice and the forward check through
+    /// [`crate::CandidateSet::available`].
+    pub fn cluster_available(&self, rows: &[RowId]) -> bool {
+        let owner_of = |r: RowId| self.row_owner.get(r).copied().unwrap_or(NO_OWNER);
+        let Some(&first) = rows.first() else {
+            return true;
+        };
+        let owner = owner_of(first);
+        if owner != NO_OWNER
+            && self.clusters[owner as usize].as_ref().is_none_or(|e| e.rows.len() != rows.len())
+        {
+            return false;
+        }
+        rows.iter().all(|&r| owner_of(r) == owner)
     }
 
     /// Adds `cluster`'s retained-count contributions into the `delta`
@@ -553,13 +564,16 @@ mod tests {
     }
 
     #[test]
-    fn rows_available_prefilter() {
+    fn cluster_available_prefilter() {
         let (g, mut st) = setup();
-        assert!(st.rows_available(&vec![vec![7, 9]]));
+        assert!(st.cluster_available(&[7, 9]));
         let _t = st.try_assign(&vec![vec![7, 9]], &g).unwrap();
-        assert!(!st.rows_available(&vec![vec![8, 9]]));
-        assert!(st.rows_available(&vec![vec![7, 9]])); // identical = shared
-        assert!(st.rows_available(&vec![vec![4, 5]]));
+        assert!(!st.cluster_available(&[8, 9]));
+        assert!(st.cluster_available(&[7, 9])); // identical = shared
+        assert!(st.cluster_available(&[9, 7])); // in any row order
+        assert!(!st.cluster_available(&[7])); // a strict subset is not shared
+        assert!(!st.cluster_available(&[7, 9, 8])); // nor a superset
+        assert!(st.cluster_available(&[4, 5]));
     }
 
     #[test]

@@ -1,0 +1,145 @@
+//! Property test of candidate enumeration: every candidate, window
+//! descriptor or listed clustering, builds to a valid canonical
+//! clustering, and the search's availability check on the unbuilt
+//! candidate agrees with an oracle over the built one.
+
+use diva_constraints::generators::{islands, proportional};
+use diva_constraints::{BoundConstraint, ConstraintSet};
+use diva_core::state::SearchState;
+use diva_core::{CandidateSet, ConstraintGraph, DivaConfig, Strategy};
+use diva_relation::{AttrRole, Relation, RowId};
+use proptest::prelude::*;
+
+/// Checks every candidate of `cs`, enumerated for `c` at `k` with
+/// ℓ = `l`: canonical, disjoint clusters of at least `k` rows (and `l`
+/// distinct sensitive values when `l > 1`), a total in
+/// `[max(λl, k), λr]` over rows of `I_σ`, no two consecutive
+/// candidates equal, and, unshuffled, totals that never decrease.
+fn check_candidates(
+    rel: &Relation,
+    c: &BoundConstraint,
+    cs: &CandidateSet,
+    k: usize,
+    l: usize,
+    shuffled: bool,
+) -> Result<(), TestCaseError> {
+    let sens: Vec<usize> = (0..rel.schema().arity())
+        .filter(|&col| rel.schema().attribute(col).role() == AttrRole::Sensitive)
+        .collect();
+    let mut is_target = vec![false; rel.n_rows()];
+    for &r in &c.target_rows {
+        is_target[r] = true;
+    }
+    let mut prev_total = 0;
+    for i in 0..cs.len() {
+        let cl = cs.clustering(i);
+        let mut canonical = cl.clone();
+        for cluster in &mut canonical {
+            cluster.sort_unstable();
+        }
+        canonical.sort();
+        prop_assert_eq!(cl, &canonical, "candidate {} is not canonical", i);
+        let mut rows: Vec<RowId> = cl.iter().flatten().copied().collect();
+        let total = rows.len();
+        rows.sort_unstable();
+        rows.dedup();
+        prop_assert_eq!(rows.len(), total, "candidate {} has overlapping clusters", i);
+        prop_assert!(rows.iter().all(|&r| is_target[r]), "candidate {} leaves I_σ", i);
+        prop_assert!(
+            (c.lower.max(k)..=c.upper).contains(&total),
+            "candidate {i} totals {total} outside [max({}, {k}), {}]",
+            c.lower,
+            c.upper
+        );
+        for cluster in cl {
+            prop_assert!(cluster.len() >= k, "candidate {i} has a cluster below k");
+            if l > 1 {
+                let mut values: Vec<Vec<u32>> = cluster
+                    .iter()
+                    .map(|&r| sens.iter().map(|&col| rel.code(r, col)).collect())
+                    .collect();
+                values.sort_unstable();
+                values.dedup();
+                prop_assert!(values.len() >= l, "candidate {i} has a cluster below ℓ = {l}");
+            }
+        }
+        if i > 0 {
+            prop_assert_ne!(cs.clustering(i - 1), cl, "candidates {} and {} are equal", i - 1, i);
+        }
+        if !shuffled {
+            prop_assert!(total >= prev_total, "candidate {i}: total {total} after {prev_total}");
+        }
+        prev_total = total;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn candidates_build_valid_and_availability_matches_the_built_form(
+        rows in 200usize..3_001,
+        seed in any::<u64>(),
+        use_islands in any::<bool>(),
+        k_pick in 0usize..3,
+        l in 1usize..3,
+        picks in proptest::collection::vec((0usize..64, 0usize..64), 0..24),
+    ) {
+        let k = [2, 5, 10][k_pick];
+        let rel = diva_datagen::medical(rows, seed);
+        let sigma = if use_islands {
+            islands(&rel, 4, 3, 0.8, 30)
+        } else {
+            proportional(&rel, 5, 0.7, 20)
+        };
+        let set = ConstraintSet::bind(&sigma, &rel).unwrap();
+        let graph = ConstraintGraph::build(&set);
+        let cap = DivaConfig::default().max_candidates;
+        for strategy in Strategy::all() {
+            let shuffle = (strategy == Strategy::Basic).then_some(seed);
+            let candidates: Vec<CandidateSet> = set
+                .constraints()
+                .iter()
+                .map(|c| {
+                    CandidateSet::enumerate_interruptible(&rel, c, k, cap, shuffle, l, &|| false)
+                })
+                .collect();
+            // An unbuilt copy: availability must not need the build.
+            let unbuilt = candidates.clone();
+            for (c, cs) in set.constraints().iter().zip(&candidates) {
+                check_candidates(&rel, c, cs, k, l, shuffle.is_some())?;
+            }
+            if candidates.is_empty() {
+                continue;
+            }
+
+            // Commit a random sequence of candidates; most collide.
+            let uppers = set.constraints().iter().map(|c| c.upper).collect();
+            let sizes = set.constraints().iter().map(|c| c.target_rows.len()).collect();
+            let mut state = SearchState::new(uppers, sizes, graph.n_rows());
+            for &(node, ci) in &picks {
+                let cs = &candidates[node % candidates.len()];
+                if !cs.is_empty() {
+                    let _ = state.try_assign(cs.clustering(ci % cs.len()), &graph);
+                }
+            }
+            let live = state.live_clusters();
+            for (node, cs) in candidates.iter().enumerate() {
+                for i in 0..cs.len() {
+                    let oracle = cs.clustering(i).iter().all(|cluster| {
+                        live.contains(cluster) || cluster.iter().all(|&r| state.row_is_free(r))
+                    });
+                    prop_assert_eq!(
+                        unbuilt[node].available(i, &state),
+                        oracle,
+                        "{} node {} candidate {}",
+                        strategy,
+                        node,
+                        i
+                    );
+                }
+            }
+        }
+    }
+}

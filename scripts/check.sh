@@ -35,6 +35,9 @@ trap cleanup EXIT
 
 # Shared medical-4k capture recipe: generate + sigma-gen + anonymize
 # into $1 (the workdir), passing any extra anonymize flags through.
+# The worker count is pinned: it sizes the enumeration pool, whose
+# thread setup the main thread's allocation counts see, so the exact
+# trace-diff gate must not depend on the host's core count.
 capture_medical_4k() {
     dir="$1"
     shift
@@ -46,7 +49,7 @@ capture_medical_4k() {
         --output "$dir/sigma.txt"
     cargo run $FLAGS --release -q -p diva-cli --bin diva -- anonymize \
         --input "$dir/medical.csv" --roles qi,qi,qi,qi,qi,sensitive \
-        --constraints "$dir/sigma.txt" -k 5 --quiet \
+        --constraints "$dir/sigma.txt" -k 5 --threads 2 --quiet \
         --trace "$dir/trace.jsonl" --metrics "$dir/metrics.json" \
         --output "$dir/anon.csv" "$@"
 }
