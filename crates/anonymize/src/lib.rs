@@ -26,8 +26,6 @@ pub mod kmember;
 pub mod ldiv;
 pub mod mondrian;
 pub mod oka;
-pub mod samarati;
-pub mod tclose;
 
 pub use common::{cluster_observed_interruptible, Anonymizer, QiMatrix};
 pub use kmember::KMember;
@@ -36,5 +34,3 @@ pub use ldiv::{
 };
 pub use mondrian::Mondrian;
 pub use oka::Oka;
-pub use samarati::{is_k_anonymous_with_outliers, FullDomainResult, Samarati};
-pub use tclose::{closeness, is_t_close};

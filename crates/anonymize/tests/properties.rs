@@ -1,11 +1,9 @@
-//! Property-based tests for the k-anonymization baselines and the
-//! privacy-model extensions.
+//! Property-based tests for the k-anonymization baselines and
+//! ℓ-diversity enforcement.
 
 use std::sync::Arc;
 
-use diva_anonymize::{
-    closeness, enforce_l_diversity, is_l_diverse, Anonymizer, KMember, Mondrian, Oka,
-};
+use diva_anonymize::{enforce_l_diversity, is_l_diverse, Anonymizer, KMember, Mondrian, Oka};
 use diva_relation::suppress::{is_refinement, suppress_clustering};
 use diva_relation::{is_k_anonymous, Attribute, Relation, RelationBuilder, Schema};
 use proptest::prelude::*;
@@ -240,16 +238,5 @@ proptest! {
                 "enforcement failed although {distinct_global} ≥ {l} distinct values exist"
             ),
         }
-    }
-
-    /// t-closeness is bounded and anti-monotone under full merging:
-    /// the single-group relation has closeness 0.
-    #[test]
-    fn closeness_bounds(rel in arb_relation()) {
-        let c = closeness(&rel);
-        prop_assert!((0.0..=1.0).contains(&c), "closeness {c}");
-        let n = rel.n_rows();
-        let merged = suppress_clustering(&rel, &[(0..n).collect()]);
-        prop_assert!(closeness(&merged.relation) < 1e-9);
     }
 }

@@ -10,44 +10,20 @@
 //! * an **accuracy** in `[0, 1]`. The paper derives its accuracy from
 //!   the discernibility metric, but the exact normalization lives in
 //!   the unavailable extended version; we therefore report the
-//!   star-based accuracy ([`accuracy`] = [`star_accuracy`]) as the
-//!   headline — it normalizes the paper's own information-loss
-//!   objective — together with two discernibility normalizations
-//!   ([`disc_accuracy_ratio`], [`disc_accuracy_minmax`]). All three
-//!   are monotone in information loss, preserving the orderings and
-//!   crossovers the figures show (`DESIGN.md` §2.6).
+//!   star-based accuracy ([`star_accuracy`]) as the headline — it
+//!   normalizes the paper's own information-loss objective — together
+//!   with the ratio normalization of discernibility
+//!   ([`disc_accuracy_ratio`]). Both are monotone in information loss,
+//!   preserving the orderings and crossovers the figures show
+//!   (`DESIGN.md` §2.7).
 
 /// Privacy-model audit suite: k-anonymity through t-closeness.
 pub mod audit;
-/// ε-differentially-private query answering over anonymized outputs.
-pub mod dp;
 /// Descriptive statistics of an anonymization result.
 pub mod stats;
-/// Workload-based utility over aggregate analyst queries.
-pub mod utility;
 
 pub use audit::{audit, audit_with_obs, Audit, AuditReport, AuditSpec, AuditSuite, ModelKind};
-pub use dp::LaplaceMechanism;
 pub use stats::GroupStats;
-pub use utility::{evaluate_utility, CountQuery, QueryWorkload, UtilityReport};
-
-/// The headline accuracy reported by the experiment harness: the
-/// star-based accuracy `1 − stars/QI-cells`, directly normalizing the
-/// paper's information-loss objective (the number of `★`s) into
-/// `[0, 1]`. The discernibility-based variants are reported alongside
-/// (see `EXPERIMENTS.md` for the metric mapping).
-///
-/// ```
-/// use diva_relation::fixtures::paper_table1;
-/// let mut r = paper_table1();
-/// assert_eq!(diva_metrics::accuracy(&r, 2), 1.0); // nothing suppressed
-/// r.suppress_cell(0, 0);
-/// assert!(diva_metrics::accuracy(&r, 2) < 1.0);
-/// ```
-pub fn accuracy(rel: &Relation, k: usize) -> f64 {
-    let _ = k; // headline metric is k-independent; kept for signature parity
-    star_accuracy(rel)
-}
 
 use diva_relation::{qi_groups, Relation};
 
@@ -68,8 +44,19 @@ pub fn star_ratio(rel: &Relation) -> f64 {
     star_count(rel) as f64 / qi_cells as f64
 }
 
-/// Star-based accuracy: `1 − star_ratio`, the headline accuracy (see
-/// [`accuracy`]).
+/// The headline accuracy reported by the experiment harness: the
+/// star-based accuracy `1 − star_ratio`, directly normalizing the
+/// paper's information-loss objective (the number of `★`s) into
+/// `[0, 1]`. [`disc_accuracy_ratio`] is reported alongside (see
+/// `EXPERIMENTS.md` for the metric mapping).
+///
+/// ```
+/// use diva_relation::fixtures::paper_table1;
+/// let mut r = paper_table1();
+/// assert_eq!(diva_metrics::star_accuracy(&r), 1.0); // nothing suppressed
+/// r.suppress_cell(0, 0);
+/// assert!(diva_metrics::star_accuracy(&r) < 1.0);
+/// ```
 pub fn star_accuracy(rel: &Relation) -> f64 {
     1.0 - star_ratio(rel)
 }
@@ -118,40 +105,6 @@ pub fn disc_accuracy_ratio(rel: &Relation, k: usize) -> f64 {
     (best as f64 / disc as f64).clamp(0.0, 1.0)
 }
 
-/// Min–max-normalized discernibility accuracy in `[0, 1]`.
-///
-/// `disc` ranges from `disc_best = k·|R|` (a perfect partition into
-/// groups of exactly `k`) to `disc_worst = |R|²` (one fully-suppressed
-/// group, or every tuple under-size). We min–max normalize and invert:
-///
-/// ```text
-/// accuracy = 1 − (disc − k·|R|) / (|R|² − k·|R|)
-/// ```
-///
-/// Because the worst case grows with `|R|²`, this variant saturates
-/// near 1 on large relations; prefer [`disc_accuracy_ratio`] for
-/// cross-size comparisons.
-///
-/// Degenerate cases: an empty relation has accuracy 1; if `k ≥ |R|`
-/// the best and worst bounds coincide (`disc` is `|R|²` for every
-/// possible grouping) and accuracy is reported as 1 — the metric
-/// cannot discriminate there, and no meaningful anonymization uses
-/// `k ≥ |R|`.
-pub fn disc_accuracy_minmax(rel: &Relation, k: usize) -> f64 {
-    let n = rel.n_rows() as u64;
-    if n == 0 {
-        return 1.0;
-    }
-    let disc = discernibility(rel, k);
-    let best = (k as u64).min(n) * n;
-    let worst = n * n;
-    if worst == best {
-        return if disc <= best { 1.0 } else { 0.0 };
-    }
-    let acc = 1.0 - (disc.saturating_sub(best)) as f64 / (worst - best) as f64;
-    acc.clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,25 +140,22 @@ mod tests {
     }
 
     #[test]
-    fn minmax_perfect_partition_is_one() {
+    fn ratio_perfect_partition_is_one() {
         let r = uniform_groups(&[3, 3, 3]);
-        assert!((disc_accuracy_minmax(&r, 3) - 1.0).abs() < 1e-12);
         assert!((disc_accuracy_ratio(&r, 3) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn minmax_single_group_is_zero() {
+    fn ratio_single_group_is_k_over_n() {
         let r = uniform_groups(&[9]);
-        assert!(disc_accuracy_minmax(&r, 3) < 1e-12);
-        // Ratio variant: k/|R| = 1/3.
+        // k/|R| = 1/3.
         assert!((disc_accuracy_ratio(&r, 3) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn disc_accuracies_monotone_in_group_coarseness() {
+    fn disc_accuracy_monotone_in_group_coarseness() {
         let fine = uniform_groups(&[3, 3, 3, 3]);
         let coarse = uniform_groups(&[6, 6]);
-        assert!(disc_accuracy_minmax(&fine, 3) > disc_accuracy_minmax(&coarse, 3));
         assert!(disc_accuracy_ratio(&fine, 3) > disc_accuracy_ratio(&coarse, 3));
     }
 
@@ -213,7 +163,6 @@ mod tests {
     fn disc_accuracy_empty_relation() {
         let schema = Arc::new(Schema::new(vec![Attribute::quasi("A")]));
         let r = diva_relation::Relation::empty(schema);
-        assert_eq!(disc_accuracy_minmax(&r, 5), 1.0);
         assert_eq!(disc_accuracy_ratio(&r, 5), 1.0);
         assert_eq!(star_ratio(&r), 0.0);
     }
@@ -221,19 +170,13 @@ mod tests {
     #[test]
     fn disc_accuracy_k_equals_n() {
         let r = uniform_groups(&[4]);
-        assert_eq!(disc_accuracy_minmax(&r, 4), 1.0);
         assert_eq!(disc_accuracy_ratio(&r, 4), 1.0);
-        // k = |R| is degenerate for the min-max variant: disc = |R|²
-        // for every grouping, so it reports 1 by convention.
-        let r2 = uniform_groups(&[2, 2]);
-        assert_eq!(disc_accuracy_minmax(&r2, 4), 1.0);
     }
 
     #[test]
-    fn headline_accuracy_is_star_based() {
+    fn star_accuracy_without_stars_is_one() {
         let r = uniform_groups(&[3, 3]);
-        assert_eq!(accuracy(&r, 3), star_accuracy(&r));
-        assert_eq!(accuracy(&r, 3), 1.0); // nothing suppressed
+        assert_eq!(star_accuracy(&r), 1.0); // nothing suppressed
     }
 
     #[test]
@@ -262,7 +205,5 @@ mod tests {
         let s = suppress_clustering(&r, &[(0..n).collect()]);
         assert_eq!(star_ratio(&s.relation), 1.0);
         assert_eq!(star_accuracy(&s.relation), 0.0);
-        assert_eq!(accuracy(&s.relation, 2), 0.0);
-        assert!(disc_accuracy_minmax(&s.relation, 2) < 1e-12);
     }
 }

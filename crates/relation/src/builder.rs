@@ -29,16 +29,6 @@ impl RelationBuilder {
         }
     }
 
-    /// Creates a builder with per-column capacity hints.
-    pub fn with_capacity(schema: Arc<Schema>, rows: usize) -> Self {
-        let arity = schema.arity();
-        Self {
-            schema,
-            dicts: (0..arity).map(|_| Dict::new()).collect(),
-            cols: (0..arity).map(|_| Vec::with_capacity(rows)).collect(),
-        }
-    }
-
     /// Appends one row of string values, in schema column order.
     /// The literal string `"★"` is stored as a suppressed cell.
     ///
@@ -80,7 +70,7 @@ mod tests {
     #[test]
     fn builds_relation() {
         let schema = Arc::new(Schema::new(vec![Attribute::quasi("A"), Attribute::sensitive("S")]));
-        let mut b = RelationBuilder::with_capacity(schema, 2);
+        let mut b = RelationBuilder::new(schema);
         assert_eq!(b.n_rows(), 0);
         b.push_row(&["a1", "s1"]);
         b.push_row(&["a2", "s2"]);

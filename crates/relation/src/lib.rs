@@ -24,16 +24,10 @@ pub mod builder;
 pub mod csv;
 /// Per-column string dictionaries.
 pub mod dict;
-/// Aligned plain-text and Markdown rendering of relations.
-pub mod display;
 /// Shared fixtures: the paper's running example (Table 1).
 pub mod fixtures;
-/// Generalization-based recoding of anonymization outputs.
-pub mod generalize;
 /// QI-groups and `k`-anonymity (Definition 2.1).
 pub mod groups;
-/// Generalization hierarchies over QI attribute domains.
-pub mod hierarchy;
 /// The columnar relation type.
 pub mod relation;
 /// A fixed-capacity bitset over row ids.
@@ -47,9 +41,7 @@ pub mod value;
 
 pub use builder::RelationBuilder;
 pub use dict::Dict;
-pub use generalize::{generalize_output, Generalized};
 pub use groups::{is_k_anonymous, qi_groups, QiGroups};
-pub use hierarchy::Hierarchy;
 pub use relation::Relation;
 pub use rowset::RowSet;
 pub use schema::{AttrRole, Attribute, Schema};

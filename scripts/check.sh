@@ -1,15 +1,15 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints, the diva-tidy static-analysis pass,
 # tests (default + strict-invariants, the whole differential suite
-# among them), a bench smoke run, and the profiling/trace-regression
-# gate. The trace, metrics and live-endpoint formats are checked by
-# the tests (crates/cli/tests/cli.rs), the provenance format by
-# `diva explain`.
+# among them), a bench smoke run, one run of each example, and the
+# profiling/trace-regression gate. The trace, metrics and
+# live-endpoint formats are checked by the tests
+# (crates/cli/tests/cli.rs), the provenance format by `diva explain`.
 # Usage: scripts/check.sh  (from the repo root; pass --offline through
 # CARGO_FLAGS if the environment has no registry access; set
 # SKIP_BENCH=1 to skip the bench smoke, the budget wall-clock bound,
-# the release allocator-attribution test and the benchmark package's
-# tests during quick iterations,
+# the release allocator-attribution test, the benchmark package's
+# tests and the example runs during quick iterations,
 # SKIP_FAULTS=1 to skip the fault-injection matrix,
 # SKIP_DECOMP=1 to skip the differential suite under strict-invariants,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
@@ -100,6 +100,7 @@ if [ "${SKIP_BENCH:-0}" = "1" ]; then
     echo "==> budget acceptance wall-clock bound skipped (SKIP_BENCH=1)"
     echo "==> release counting allocator attribution skipped (SKIP_BENCH=1)"
     echo "==> benchmark package tests skipped (SKIP_BENCH=1)"
+    echo "==> example runs skipped (SKIP_BENCH=1)"
 else
     # The perf emitter writes into a temp dir: the committed
     # BENCH_diva.json is regenerated on purpose, not by the gate.
@@ -122,6 +123,13 @@ else
     # the workspace test run above does not reach its tests.
     echo "==> benchmark package tests (crates/bench/src/bin/benchmark)"
     cargo test $FLAGS --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
+    # `cargo test` builds the examples but runs none of them, so a
+    # hang or a panic in one shows only here.
+    echo "==> examples (release, one run each)"
+    for example in quickstart credit_fairness healthcare census_workforce; do
+        cargo run $FLAGS --release -q --example "$example" >/dev/null
+    done
 fi
 
 if [ "${SKIP_AUDIT:-0}" = "1" ]; then
