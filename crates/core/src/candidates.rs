@@ -660,12 +660,12 @@ mod tests {
         let rel = diva_datagen::medical(2_000, 3);
         let eth = rel.schema().col_of("ETH");
         // Most frequent ethnicity value.
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = vec![0usize; rel.dict(eth).len()];
         for &code in rel.column(eth) {
-            *counts.entry(code).or_insert(0usize) += 1;
+            counts[code as usize] += 1;
         }
-        let (&code, &freq) = counts.iter().max_by_key(|(_, &f)| f).unwrap();
-        let value = rel.dict(eth).decode(code).unwrap().to_string();
+        let (code, &freq) = counts.iter().enumerate().max_by_key(|&(_, &f)| f).unwrap();
+        let value = rel.dict(eth).decode(code as u32).unwrap().to_string();
         let lower = freq / 2;
         let c = Constraint::single("ETH", value, lower, freq).bind(&rel).unwrap();
         let k = 10;

@@ -313,10 +313,8 @@ impl<'a> Coloring<'a> {
             phase: "DiverseClustering".into(),
             detail,
         })?;
-        // Canonical order: registry order is chronology-dependent and
-        // would differ between monolithic and component-merged solves.
         Ok(ColoringOutcome {
-            clusters: self.state.live_clusters_canonical(),
+            clusters: self.state.live_clusters(),
             assignment: self.assignment.iter().filter_map(|a| *a).collect(),
             stats: self.stats.clone(),
             degraded,

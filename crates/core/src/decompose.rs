@@ -189,7 +189,7 @@ pub(crate) fn solve_clustering(
         Err(DivaError::Cancelled)
     } else {
         // The same canonical cluster order the monolithic solve
-        // publishes (`SearchState::live_clusters_canonical`).
+        // publishes (`SearchState::live_clusters`).
         merged.clusters.sort_unstable();
         merged.assignment = per_node.iter().filter_map(|a| *a).collect();
         Ok(merged)

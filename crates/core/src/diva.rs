@@ -408,7 +408,7 @@ impl Diva {
                     prov,
                     &folded,
                     &s_sigma,
-                    |ci| owning_constraints(&graph, &s_sigma[ci]),
+                    |ci| graph.owners(&s_sigma[ci]).collect(),
                     |ci| if ci == fold_host { GroupOrigin::Fold } else { GroupOrigin::Sigma },
                 );
             }
@@ -493,7 +493,7 @@ impl Diva {
                     prov,
                     &r_sigma,
                     &s_sigma,
-                    |ci| owning_constraints(&graph, &s_sigma[ci]),
+                    |ci| graph.owners(&s_sigma[ci]).collect(),
                     |_| GroupOrigin::Sigma,
                 );
                 if let Some(rk) = &r_k {
@@ -580,10 +580,11 @@ impl Diva {
             trial[i].extend_from_slice(rest);
             trial[i].sort_unstable();
             let sup = suppress_clustering(rel, &trial);
-            // Lower bounds must survive the fold (the host cluster may
-            // stop retaining its target value); upper bounds are
-            // checked too since folding can only lower counts.
-            let ok = set.constraints().iter().all(|c| c.count_in(&sup.relation) >= c.lower)
+            // Both bounds must survive the fold: the host may stop
+            // retaining a target value (lowering its count), and a
+            // residual row matching a value the host keeps raises it.
+            // There is no `R_k`, so Integrate could not repair either.
+            let ok = set.satisfied_by(&sup.relation)
                 && is_k_anonymous(&sup.relation, self.config.k)
                 && self.config.diversity_model().is_none_or(|m| m.holds(&sup.relation));
             if ok {
@@ -842,20 +843,6 @@ impl From<DivaError> for Halt {
     }
 }
 
-/// The constraints that own a non-empty Σ-cluster, ascending: those
-/// whose target set contains every row of it, so the suppressed
-/// cluster retains their target value. Owners are charged the
-/// cluster's stars, so only runs that record provenance ask.
-fn owning_constraints(graph: &ConstraintGraph, cluster: &[RowId]) -> Vec<u32> {
-    let Some(&first) = cluster.first() else { return Vec::new() };
-    graph
-        .nodes_of(first)
-        .iter()
-        .copied()
-        .filter(|&i| graph.cluster_contributes(i as usize, cluster))
-        .collect()
-}
-
 /// Records provenance for one suppressed clustering: a group record
 /// per cluster plus a cell record per starred QI value. Starred cells
 /// are enumerated deterministically — suppressed columns ascending,
@@ -939,8 +926,9 @@ fn check_partition(
 mod tests {
     use super::*;
 
-    use diva_relation::fixtures::paper_table1;
+    use diva_relation::fixtures::{medical_schema, paper_table1};
     use diva_relation::suppress::is_refinement;
+    use diva_relation::RelationBuilder;
 
     fn example_sigma() -> Vec<Constraint> {
         vec![
@@ -948,6 +936,33 @@ mod tests {
             Constraint::single("ETH", "African", 1, 3),
             Constraint::single("CTY", "Vancouver", 2, 4),
         ]
+    }
+
+    #[test]
+    fn fold_skips_a_host_it_would_push_over_an_upper_bound() {
+        let mut b = RelationBuilder::new(medical_schema());
+        for row in [
+            ["Female", "Asian", "30", "BC", "Vancouver", "Flu"],
+            ["Female", "Asian", "30", "BC", "Vancouver", "Flu"],
+            ["Female", "African", "40", "ON", "Toronto", "Flu"],
+            ["Male", "African", "40", "ON", "Toronto", "Flu"],
+            ["Male", "African", "40", "ON", "Toronto", "Flu"],
+        ] {
+            b.push_row(&row);
+        }
+        let rel = b.finish();
+        let sigma =
+            [Constraint::single("GEN", "Female", 2, 2), Constraint::single("ETH", "African", 2, 3)];
+        let set = ConstraintSet::bind(&sigma, &rel).unwrap();
+        let mut s_sigma = vec![vec![0, 1], vec![3, 4]];
+        let diva = Diva::new(DivaConfig::with_k(2));
+        let (sup, host) = diva.fold_residual(&rel, &set, &mut s_sigma, &[2]).unwrap();
+        // Host 0 keeps GEN uniform, so row 2 would make 3 Females
+        // against GEN[Female]'s upper bound 2. Host 1 keeps ETH, and
+        // 3 Africans is within 2..3.
+        assert_eq!(host, 1);
+        assert_eq!(s_sigma, vec![vec![0, 1], vec![2, 3, 4]]);
+        assert!(set.satisfied_by(&sup.relation));
     }
 
     #[test]

@@ -11,9 +11,13 @@ pub enum DivaError {
     /// the paper's "relation does not exist" outcome (Algorithm 1,
     /// line 2).
     NoDiverseClustering {
-        /// Label of a constraint that could not be colored (the last
-        /// one the search failed on; with backtracking the true
-        /// culprit may be an interaction).
+        /// Label of a constraint the failing search covered (one
+        /// connected component of the constraint graph, or all of
+        /// it): its first constraint with no candidate at all if
+        /// there is one, else its lowest-index constraint. An
+        /// exhausted search has undone every assignment, so this is
+        /// not the constraint the search last failed on; the true
+        /// culprit may be an interaction.
         constraint: String,
     },
     /// The residual tuples (fewer than `k` of them remained outside

@@ -126,6 +126,16 @@ impl ConstraintGraph {
         self.target_sets[i].contains_all(cluster)
     }
 
+    /// The constraints `cluster` contributes to, ascending: the nodes
+    /// whose target set holds every row of it (see
+    /// [`ConstraintGraph::cluster_contributes`]). Each of them lists
+    /// the cluster's first row, so only that row's nodes are probed.
+    /// An empty cluster has none.
+    pub fn owners<'a>(&'a self, cluster: &'a [RowId]) -> impl Iterator<Item = u32> + 'a {
+        let candidates = cluster.first().map_or(&[][..], |&r| self.nodes_of(r));
+        candidates.iter().copied().filter(|&i| self.cluster_contributes(i as usize, cluster))
+    }
+
     /// Degree of node `i`.
     pub fn degree(&self, i: usize) -> usize {
         self.adj[i].len()
@@ -350,6 +360,8 @@ mod tests {
         // (t9 = row 8 is Winnipeg).
         assert!(g.cluster_contributes(0, &[8, 9]));
         assert!(!g.cluster_contributes(2, &[8, 9]));
+        assert_eq!(g.owners(&[7, 9]).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(g.owners(&[8, 9]).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -377,6 +389,7 @@ mod tests {
     fn empty_cluster_contributes_vacuously() {
         let g = example_graph();
         assert!(g.cluster_contributes(0, &[]));
+        assert_eq!(g.owners(&[]).count(), 0);
     }
 
     #[test]

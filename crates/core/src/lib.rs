@@ -61,7 +61,8 @@ pub mod integrate;
 pub mod parallel;
 /// The bounded scoped-thread worker pool every threaded stage runs on.
 pub mod pool;
-/// Mutable search state: cluster registry and usage maps.
+/// Mutable search state: the live clusters, the row-owner map and the
+/// retained counts.
 pub mod state;
 
 pub use budget::{Budget, BudgetSpec, BudgetUsage, Controls, DegradeReason, Outcome};

@@ -1,5 +1,5 @@
-//! Mutable search state for the colouring algorithm: the cluster
-//! registry, row-usage map, and per-constraint retained counts.
+//! Mutable search state for the colouring algorithm: the live
+//! clusters, the row-owner map, and per-constraint retained counts.
 //!
 //! The two consistency conditions of §3.2 are enforced here:
 //!
@@ -11,18 +11,14 @@
 //!    total per constraint must stay ≤ `λr`.
 //!
 //! This is the innermost layer of the search and is engineered for the
-//! hot path: row ownership is a dense `Vec<u32>` indexed by row id
-//! (not a `HashMap`), the cluster registry is keyed by a precomputed
-//! 64-bit cluster hash (collisions resolved by row comparison), and
-//! the per-call scratch (pending-row marks, per-constraint
-//! contribution counters) lives in epoch-stamped arrays reused across
-//! calls, so `try_assign`/`unassign` allocate only when registering a
-//! genuinely new cluster. The upper-bound delta is computed through
-//! the graph's row → nodes inverted index — a cluster contributes to
-//! constraint `j` iff `j` is listed by every row, detected by counting
-//! — instead of probing every constraint's target set.
-
-use std::collections::HashMap;
+//! hot path. The dense row-owner map (a `Vec<u32>` indexed by row id)
+//! is the one index of the live clusters: they are pairwise disjoint
+//! and own exactly their rows, so one owner-map read tells a free
+//! cluster from a live one. The per-call scratch (pending-row marks,
+//! per-constraint retained deltas) lives in epoch-stamped arrays reused
+//! across calls, so `try_assign`/`unassign` allocate only when
+//! registering a genuinely new cluster. A cluster's retained counts go
+//! to its owners in the graph ([`ConstraintGraph::owners`]).
 
 use diva_relation::RowId;
 
@@ -32,12 +28,11 @@ use crate::graph::ConstraintGraph;
 /// Sentinel in the dense owner map: the row is free.
 const NO_OWNER: u32 = u32::MAX;
 
-/// A registered cluster: its canonical (sorted) rows, its precomputed
-/// hash, and how many assigned clusterings currently include it.
+/// A live cluster: its canonical (sorted) rows and how many assigned
+/// clusterings currently include it.
 #[derive(Debug, Clone)]
 struct Entry {
     rows: Vec<RowId>,
-    hash: u64,
     refcount: usize,
 }
 
@@ -52,25 +47,11 @@ pub struct Token {
     created: Vec<usize>,
 }
 
-/// FNV-1a over the (sorted) rows of a cluster. Collisions are
-/// resolved by comparing rows, so the hash only needs to spread.
-fn cluster_hash(rows: &[RowId]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &r in rows {
-        h ^= r as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The search state.
 #[derive(Debug)]
 pub struct SearchState {
     clusters: Vec<Option<Entry>>,
     free_ids: Vec<usize>,
-    /// Cluster hash → live cluster ids with that hash (almost always
-    /// one; hash collisions append).
-    by_key: HashMap<u64, Vec<usize>>,
     /// Dense owner map: `row_owner[r]` is the owning cluster id or
     /// [`NO_OWNER`].
     row_owner: Vec<u32>,
@@ -85,13 +66,9 @@ pub struct SearchState {
     /// of the clustering currently being validated.
     pending_mark: Vec<u32>,
     epoch: u32,
-    /// Scratch: per-constraint row counts for one cluster (zeroed via
-    /// `touched` after each use).
-    node_cnt: Vec<u32>,
     /// Scratch: per-constraint retained-count deltas for one
     /// clustering (zeroed via `delta_touched` after each use).
     delta: Vec<usize>,
-    touched: Vec<u32>,
     delta_touched: Vec<u32>,
 }
 
@@ -105,16 +82,13 @@ impl SearchState {
         Self {
             clusters: Vec::new(),
             free_ids: Vec::new(),
-            by_key: HashMap::new(),
             row_owner: vec![NO_OWNER; n_rows],
             retained: vec![0; n],
             uppers,
             free_targets: target_sizes,
             pending_mark: vec![0; n_rows],
             epoch: 0,
-            node_cnt: vec![0; n],
             delta: vec![0; n],
-            touched: Vec::new(),
             delta_touched: Vec::new(),
         }
     }
@@ -135,65 +109,37 @@ impl SearchState {
         self.row_owner.get(row).is_none_or(|&o| o == NO_OWNER)
     }
 
-    /// Looks up a registered cluster by content.
-    fn find_cluster(&self, rows: &[RowId], hash: u64) -> Option<usize> {
-        self.by_key
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|&id| self.clusters[id].as_ref().is_some_and(|e| e.rows == rows))
+    /// The live cluster identical to `rows` (distinct, in any order):
+    /// the owner of `rows[0]`, when that cluster has `rows.len()` rows
+    /// and owns every row of `rows`. Live clusters are pairwise
+    /// disjoint and own exactly their rows (see
+    /// [`SearchState::validate`]), so such an owner is the same row
+    /// set.
+    fn live_cluster(&self, rows: &[RowId]) -> Option<usize> {
+        let owner = self.row_owner.get(*rows.first()?).copied().filter(|&o| o != NO_OWNER)?;
+        let entry = self.clusters[owner as usize].as_ref()?;
+        let same = entry.rows.len() == rows.len()
+            && rows.iter().all(|&r| self.row_owner.get(r) == Some(&owner));
+        same.then_some(owner as usize)
     }
 
     /// Quick pre-check (no mutation): would a cluster of these rows,
     /// in any order, pass the disjoint-unless-equal condition? It
-    /// does when all its rows are free, or when all of them are owned
-    /// by one live cluster of the same size. Live clusters are
-    /// pairwise disjoint and own exactly their rows (see
-    /// [`SearchState::validate`]), so the second case is "identical
-    /// to a live cluster", read from the owner map without hashing.
-    /// Used by MinChoice and the forward check through
+    /// does when all its rows are free, or when it is identical to a
+    /// live cluster. Used by MinChoice and the forward check through
     /// [`crate::CandidateSet::available`].
     pub fn cluster_available(&self, rows: &[RowId]) -> bool {
-        let owner_of = |r: RowId| self.row_owner.get(r).copied().unwrap_or(NO_OWNER);
-        let Some(&first) = rows.first() else {
-            return true;
-        };
-        let owner = owner_of(first);
-        if owner != NO_OWNER
-            && self.clusters[owner as usize].as_ref().is_none_or(|e| e.rows.len() != rows.len())
-        {
-            return false;
-        }
-        rows.iter().all(|&r| owner_of(r) == owner)
+        rows.iter().all(|&r| self.row_is_free(r)) || self.live_cluster(rows).is_some()
     }
 
     /// Adds `cluster`'s retained-count contributions into the `delta`
-    /// scratch using the inverted index: constraint `j` gains
-    /// `|cluster|` occurrences iff every row of the cluster lists `j`
-    /// (detected by counting row → node incidences).
+    /// scratch: each of its owners gains `|cluster|` occurrences.
     fn accumulate_delta(&mut self, cluster: &[RowId], graph: &ConstraintGraph) {
-        self.touched.clear();
-        for &r in cluster {
-            for &node in graph.nodes_of(r) {
-                if self.node_cnt[node as usize] == 0 {
-                    self.touched.push(node);
-                }
-                self.node_cnt[node as usize] += 1;
+        for node in graph.owners(cluster) {
+            if self.delta[node as usize] == 0 {
+                self.delta_touched.push(node);
             }
-        }
-        for i in 0..self.touched.len() {
-            let node = self.touched[i] as usize;
-            if self.node_cnt[node] as usize == cluster.len() {
-                if self.delta[node] == 0 {
-                    self.delta_touched.push(node as u32);
-                }
-                // A node may already be in delta_touched with delta 0
-                // from a previous cluster of this clustering; pushing
-                // it twice is harmless (reset is idempotent) but only
-                // happens on the 0 → nonzero transition above.
-                self.delta[node] += cluster.len();
-            }
-            self.node_cnt[node] = 0;
+            self.delta[node as usize] += cluster.len();
         }
     }
 
@@ -222,11 +168,10 @@ impl SearchState {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        let mut new_clusters: Vec<(&Vec<RowId>, u64)> = Vec::new();
+        let mut new_clusters: Vec<&Vec<RowId>> = Vec::new();
         let mut shared: Vec<usize> = Vec::new();
         for cluster in clustering {
-            let hash = cluster_hash(cluster);
-            if let Some(id) = self.find_cluster(cluster, hash) {
+            if let Some(id) = self.live_cluster(cluster) {
                 shared.push(id);
                 continue;
             }
@@ -244,11 +189,10 @@ impl SearchState {
                     *m = epoch;
                 }
             }
-            new_clusters.push((cluster, hash));
+            new_clusters.push(cluster);
         }
-        // Upper-bound simulation over the constraints the new clusters
-        // contribute to (only those — the inverted index names them).
-        for (cluster, _) in &new_clusters {
+        // Upper-bound simulation over the new clusters' owners.
+        for cluster in &new_clusters {
             self.accumulate_delta(cluster, graph);
         }
         let violates = self
@@ -268,13 +212,12 @@ impl SearchState {
                 token.incref.push(id);
             }
         }
-        for (cluster, hash) in new_clusters {
+        for cluster in new_clusters {
             let id = self.free_ids.pop().unwrap_or_else(|| {
                 self.clusters.push(None);
                 self.clusters.len() - 1
             });
-            self.clusters[id] = Some(Entry { rows: cluster.clone(), hash, refcount: 1 });
-            self.by_key.entry(hash).or_default().push(id);
+            self.clusters[id] = Some(Entry { rows: cluster.clone(), refcount: 1 });
             for &r in cluster {
                 self.row_owner[r] = id as u32;
                 for &node in graph.nodes_of(r) {
@@ -302,12 +245,6 @@ impl SearchState {
                 continue;
             };
             debug_assert_eq!(entry.refcount, 1);
-            if let Some(bucket) = self.by_key.get_mut(&entry.hash) {
-                bucket.retain(|&b| b != id);
-                if bucket.is_empty() {
-                    self.by_key.remove(&entry.hash);
-                }
-            }
             for &r in &entry.rows {
                 self.row_owner[r] = NO_OWNER;
                 for &node in graph.nodes_of(r) {
@@ -324,34 +261,24 @@ impl SearchState {
     }
 
     /// The distinct live clusters — the diverse clustering `S_Σ`
-    /// (shared clusters appear once).
+    /// (shared clusters appear once) — in canonical (lexicographic)
+    /// order. Slot order depends on assignment chronology, which
+    /// differs between the monolithic solve and a component-merged
+    /// solve even when the cluster *sets* are identical, so both paths
+    /// emit byte-identical output only through this sort. Rows within
+    /// a cluster are already ascending and live clusters are pairwise
+    /// distinct, so the sort is a strict total order.
     pub fn live_clusters(&self) -> Vec<Vec<RowId>> {
-        self.clusters.iter().flatten().filter(|e| e.refcount > 0).map(|e| e.rows.clone()).collect()
-    }
-
-    /// The live clusters in canonical (lexicographic) order. Registry
-    /// order depends on assignment chronology, which differs between
-    /// the monolithic solve and a component-merged solve even when the
-    /// cluster *sets* are identical — every publisher goes through
-    /// this instead of [`SearchState::live_clusters`] so both paths
-    /// emit byte-identical output. Rows within a cluster are already
-    /// ascending and live clusters are pairwise distinct, so the sort
-    /// is a strict total order.
-    pub fn live_clusters_canonical(&self) -> Vec<Vec<RowId>> {
-        let mut clusters = self.live_clusters();
+        let mut clusters: Vec<Vec<RowId>> =
+            self.clusters.iter().flatten().map(|e| e.rows.clone()).collect();
         clusters.sort_unstable();
         clusters
     }
 
-    /// Rows covered by the live clusters, ascending.
-    pub fn covered_rows(&self) -> Vec<RowId> {
-        self.row_owner.iter().enumerate().filter(|(_, &o)| o != NO_OWNER).map(|(r, _)| r).collect()
-    }
-
     /// Checks the cross-structure invariants between the dense owner
-    /// map, the cluster registry, the FNV key index, the retained /
-    /// free-target counters, and the epoch scratch. Intended for quiet
-    /// points (between `try_assign`/`unassign` calls); called by the
+    /// map, the live clusters, the retained / free-target counters,
+    /// and the epoch scratch. Intended for quiet points (between
+    /// `try_assign`/`unassign` calls); called by the
     /// `strict-invariants` pipeline gate on a successful colouring and
     /// by the property suites.
     pub fn validate(&self, graph: &ConstraintGraph) -> Result<(), String> {
@@ -370,7 +297,7 @@ impl SearchState {
                 graph.n_rows()
             ));
         }
-        // Owner map → registry: every owned row points at a live
+        // Owner map → clusters: every owned row points at a live
         // cluster that lists it.
         for (r, &o) in self.row_owner.iter().enumerate() {
             if o == NO_OWNER {
@@ -389,7 +316,8 @@ impl SearchState {
                 }
             }
         }
-        // Registry → owner map and key index.
+        // Clusters → owner map: a live cluster owns every row it
+        // lists, so live clusters are pairwise disjoint.
         for (id, entry) in self.clusters.iter().enumerate() {
             let Some(e) = entry else {
                 if !self.free_ids.contains(&id) {
@@ -400,27 +328,10 @@ impl SearchState {
             if e.refcount == 0 {
                 return Err(format!("SearchState: live cluster {id} has refcount 0"));
             }
-            if e.hash != cluster_hash(&e.rows) {
-                return Err(format!("SearchState: cluster {id}'s cached hash is stale"));
-            }
-            if !self.by_key.get(&e.hash).is_some_and(|b| b.contains(&id)) {
-                return Err(format!("SearchState: cluster {id} missing from the FNV key index"));
-            }
             for &r in &e.rows {
                 if self.row_owner.get(r) != Some(&(id as u32)) {
                     return Err(format!(
                         "SearchState: cluster {id} lists row {r} but the owner map disagrees"
-                    ));
-                }
-            }
-        }
-        for (&hash, bucket) in &self.by_key {
-            for &id in bucket {
-                let live = self.clusters.get(id).and_then(Option::as_ref);
-                if live.is_none_or(|e| e.hash != hash) {
-                    return Err(format!(
-                        "SearchState: FNV key index maps {hash:#x} to dead or re-keyed \
-                         cluster {id}"
                     ));
                 }
             }
@@ -458,11 +369,6 @@ impl SearchState {
             }
         }
         // Epoch scratch must be quiescent between calls.
-        if self.touched.iter().any(|&t| self.node_cnt[t as usize] != 0)
-            || self.node_cnt.iter().any(|&c| c != 0)
-        {
-            return Err("SearchState: node_cnt scratch not zeroed after last call".into());
-        }
         if !self.delta_touched.is_empty() || self.delta.iter().any(|&d| d != 0) {
             return Err("SearchState: delta scratch not reset after last call".into());
         }
@@ -505,11 +411,11 @@ mod tests {
         assert_eq!(st.retained(0), 2);
         assert_eq!(st.retained(2), 0); // t9 not in Vancouver target
         assert_eq!(st.live_clusters(), vec![vec![8, 9]]);
-        assert_eq!(st.covered_rows(), vec![8, 9]);
+        assert!(!st.row_is_free(8) && !st.row_is_free(9) && st.row_is_free(7));
         st.unassign(tok, &g);
         assert_eq!(st.retained(0), 0);
         assert!(st.live_clusters().is_empty());
-        assert!(st.covered_rows().is_empty());
+        assert!((0..g.n_rows()).all(|r| st.row_is_free(r)));
     }
 
     #[test]
@@ -539,6 +445,20 @@ mod tests {
         assert_eq!(st.live_clusters().len(), 1);
         st.unassign(t1, &g);
         assert!(st.live_clusters().is_empty());
+    }
+
+    #[test]
+    fn reordered_equal_cluster_is_shared() {
+        let (g, mut st) = setup();
+        let _t1 = st.try_assign(&vec![vec![7, 9]], &g).expect("first ok");
+        // The same row set in another order is the same cluster.
+        let t2 = st.try_assign(&vec![vec![9, 7]], &g).expect("shared ok");
+        assert_eq!((st.retained(0), st.retained(1), st.retained(2)), (2, 0, 2));
+        assert_eq!(st.live_clusters(), vec![vec![7, 9]]);
+        st.unassign(t2, &g);
+        assert_eq!((st.retained(0), st.retained(1), st.retained(2)), (2, 0, 2));
+        assert_eq!(st.live_clusters(), vec![vec![7, 9]]);
+        st.validate(&g).unwrap();
     }
 
     #[test]
@@ -594,9 +514,8 @@ mod tests {
         let (g2, mut st2) = setup();
         let _t1 = st2.try_assign(&vec![vec![4, 5]], &g2).unwrap();
         let _t2 = st2.try_assign(&vec![vec![7, 9]], &g2).unwrap();
-        assert_ne!(st.live_clusters(), st2.live_clusters(), "registry order is chronological");
-        assert_eq!(st.live_clusters_canonical(), st2.live_clusters_canonical());
-        assert_eq!(st.live_clusters_canonical(), vec![vec![4, 5], vec![7, 9]]);
+        assert_eq!(st.live_clusters(), st2.live_clusters());
+        assert_eq!(st.live_clusters(), vec![vec![4, 5], vec![7, 9]]);
     }
 
     #[test]
@@ -661,6 +580,6 @@ mod tests {
         // be caught by the epoch-stamped pending marks.
         assert!(st.try_assign(&vec![vec![7, 8], vec![8, 9]], &g).is_none());
         assert_eq!(st.retained(0), 0);
-        assert!(st.covered_rows().is_empty());
+        assert!((0..g.n_rows()).all(|r| st.row_is_free(r)));
     }
 }

@@ -1,7 +1,8 @@
 //! Property test of candidate enumeration: every candidate, window
 //! descriptor or listed clustering, builds to a valid canonical
-//! clustering, and the search's availability check on the unbuilt
-//! candidate agrees with an oracle over the built one.
+//! clustering, the search's availability check on the unbuilt
+//! candidate agrees with an oracle over the built one, and every
+//! candidate the search state accepts is one that check admits.
 
 use diva_constraints::generators::{islands, proportional};
 use diva_constraints::{BoundConstraint, ConstraintSet};
@@ -127,17 +128,18 @@ proptest! {
             let live = state.live_clusters();
             for (node, cs) in candidates.iter().enumerate() {
                 for i in 0..cs.len() {
+                    let available = unbuilt[node].available(i, &state);
                     let oracle = cs.clustering(i).iter().all(|cluster| {
                         live.contains(cluster) || cluster.iter().all(|&r| state.row_is_free(r))
                     });
-                    prop_assert_eq!(
-                        unbuilt[node].available(i, &state),
-                        oracle,
-                        "{} node {} candidate {}",
-                        strategy,
-                        node,
-                        i
-                    );
+                    prop_assert_eq!(available, oracle, "{} node {} candidate {}", strategy, node, i);
+                    // What the search commits, the pre-check admits; and
+                    // undoing the commit restores the live clusters.
+                    if let Some(token) = state.try_assign(cs.clustering(i), &graph) {
+                        prop_assert!(available, "{strategy} node {node} candidate {i} unavailable");
+                        state.unassign(token, &graph);
+                        prop_assert_eq!(&state.live_clusters(), &live);
+                    }
                 }
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! The DIVA hot path (constraint-graph construction and the colouring
 //! search's consistency checks) is dominated by row-set membership and
-//! overlap tests. A `HashSet<RowId>` answers those in O(1) expected
+//! overlap tests. A hash set of row ids answers those in O(1) expected
 //! time but with hashing, pointer chasing, and poor cache behaviour;
 //! a bitset answers membership with one shift-and-mask and overlap /
 //! subset questions 64 rows per instruction, word-wise. Row ids are

@@ -38,9 +38,19 @@ fn rule_b_hot_path_hash_fires_on_fixture() {
 }
 
 #[test]
-fn rule_b_allowlist_sanctions_state_registry() {
-    let v = diva_tidy::scan_file("crates/core/src/state.rs", &fixture("hot_path_hash.rs"));
-    assert!(lines_for(&v, "hot-path-hash").is_empty(), "{v:#?}");
+fn rule_b_fires_in_every_hot_path_file() {
+    // The rule has no exception: the search kernels index live
+    // clusters through the dense owner map, not a hash table.
+    for path in [
+        "crates/core/src/state.rs",
+        "crates/core/src/graph.rs",
+        "crates/core/src/coloring.rs",
+        "crates/core/src/candidates.rs",
+        "crates/relation/src/rowset.rs",
+    ] {
+        let v = diva_tidy::scan_file(path, &fixture("hot_path_hash.rs"));
+        assert_eq!(lines_for(&v, "hot-path-hash"), vec![3, 4, 7], "{path}: {v:#?}");
+    }
 }
 
 #[test]

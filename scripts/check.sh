@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints, the diva-tidy static-analysis pass,
 # tests (default + strict-invariants, the whole differential suite
-# among them), a bench smoke run, one run of each example, and the
-# profiling/trace-regression gate. The trace, metrics and
-# live-endpoint formats are checked by the tests
-# (crates/cli/tests/cli.rs), the provenance format by `diva explain`.
+# and the brute-force oracle suite among them), a bench smoke run,
+# one run of each example, and the profiling/trace-regression gate.
+# The trace, metrics and live-endpoint formats are checked by the
+# tests (crates/cli/tests/cli.rs), the provenance format by
+# `diva explain`.
 # Usage: scripts/check.sh  (from the repo root; pass --offline through
 # CARGO_FLAGS if the environment has no registry access; set
 # SKIP_BENCH=1 to skip the bench smoke, the budget wall-clock bound,
@@ -78,6 +79,9 @@ cargo test $FLAGS -q --workspace
 echo "==> cargo test -q --features strict-invariants (runtime validators)"
 cargo test $FLAGS -q --features strict-invariants -p diva-core
 cargo test $FLAGS -q --features strict-invariants --test pipeline
+# Tiny random instances reach the residual fold, the Integrate repairs
+# and the residual path far more often than the medical workloads do.
+cargo test $FLAGS -q --features strict-invariants --test oracle
 
 if [ "${SKIP_DECOMP:-0}" = "1" ]; then
     echo "==> differential suite skipped (SKIP_DECOMP=1)"
