@@ -105,6 +105,25 @@ impl Candidate {
     }
 }
 
+/// A repaired clustering, written by [`CandidateSet::repair`] into
+/// scratch the search owns and reuses for every repair: the picked
+/// rows, cut into clusters given as ranges of them.
+#[derive(Debug, Default)]
+pub struct Repaired {
+    rows: Vec<RowId>,
+    clusters: Vec<Range<usize>>,
+    /// Scratch for the ℓ-diversity check.
+    sigs: Vec<u64>,
+}
+
+impl Repaired {
+    /// The repaired clusters in canonical form: each ascending, the
+    /// clusters in lexicographic order.
+    pub fn clusters(&self) -> impl Iterator<Item = &[RowId]> + Clone {
+        self.clusters.iter().map(|b| &self.rows[b.clone()])
+    }
+}
+
 /// The capped candidate list for one constraint.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
@@ -212,9 +231,10 @@ impl CandidateSet {
             out.clear();
         }
         if min_sensitive > 1 {
+            let mut seen = Vec::new();
             out.retain(|cand| {
                 cand.all_clusters(sorted, k, |cluster| {
-                    distinct_sigs(&set.sens_sig, cluster) >= min_sensitive
+                    distinct_sigs(&set.sens_sig, cluster, &mut seen) >= min_sensitive
                 })
             });
         }
@@ -251,7 +271,8 @@ impl CandidateSet {
             .all_clusters(&self.sorted_targets, self.k, |cluster| state.cluster_available(cluster))
     }
 
-    /// Rebuilds a candidate from rows that are still free.
+    /// Rebuilds a candidate from rows that are still free, into `out`;
+    /// returns whether `out` now holds a replacement.
     ///
     /// The capped enumeration cuts candidates from fixed positions of
     /// the similarity order, so a constraint whose target rows were
@@ -262,53 +283,64 @@ impl CandidateSet {
     /// It scans the similarity order forward from the position of the
     /// candidate's smallest row id, wrapping around. That anchor is a
     /// row of the candidate but, for a window, generally not its first
-    /// row in similarity order. Returns `None` when fewer free target
-    /// tuples remain than the candidate needs.
+    /// row in similarity order. It fails when fewer free target tuples
+    /// remain than the candidate needs (so a caller that counts the
+    /// free target tuples can skip the call), when a repaired cluster
+    /// falls below the ℓ-diversity requirement, and when the repair
+    /// is the candidate itself. `out` holds the clusters in the same
+    /// canonical form as [`CandidateSet::clustering`], and the call
+    /// allocates nothing once `out` has grown to the largest repair.
     pub fn repair<F: Fn(RowId) -> bool>(
         &self,
         candidate: &Clustering,
         k: usize,
         is_free: F,
-    ) -> Option<Clustering> {
+        out: &mut Repaired,
+    ) -> bool {
         let m: usize = candidate.iter().map(Vec::len).sum();
-        if m == 0 {
-            return None;
-        }
         // Anchor at the similarity-order position of the smallest row.
-        let first = candidate.iter().filter_map(|cl| cl.first()).min().copied()?;
+        let Some(&first) = candidate.iter().filter_map(|cl| cl.first()).min() else {
+            return false;
+        };
         let anchor = self.sorted_targets.iter().position(|&r| r == first).unwrap_or(0);
-        let n = self.sorted_targets.len();
-        let mut picked: Vec<RowId> = Vec::with_capacity(m);
-        for i in 0..n {
-            let row = self.sorted_targets[(anchor + i) % n];
-            if is_free(row) {
-                picked.push(row);
-                if picked.len() == m {
-                    break;
-                }
-            }
+        let (before, from) = self.sorted_targets.split_at(anchor);
+        let Repaired { rows, clusters, sigs } = out;
+        rows.clear();
+        rows.extend(from.iter().chain(before).copied().filter(|&r| is_free(r)).take(m));
+        if rows.len() < m {
+            return false;
         }
-        if picked.len() < m {
-            return None;
-        }
-        let mut repaired = chunked(&picked, k);
+        debug_assert!(m >= k);
+        clusters.clear();
+        clusters.extend(chunk_bounds(m, k, m / k));
         if self.min_sensitive > 1
-            && repaired
+            && clusters
                 .iter()
-                .any(|cluster| distinct_sigs(&self.sens_sig, cluster) < self.min_sensitive)
+                .any(|b| distinct_sigs(&self.sens_sig, &rows[b.clone()], sigs) < self.min_sensitive)
         {
-            return None; // conservative: repairs never weaken privacy
+            return false; // conservative: repairs never weaken privacy
         }
-        canonicalize(&mut repaired);
-        if &repaired == candidate {
-            return None; // nothing changed; no point retrying
+        // Canonical form: each cluster ascending, then the clusters
+        // in lexicographic order (they are disjoint, so no two tie).
+        for b in clusters.iter() {
+            rows[b.clone()].sort_unstable();
         }
-        Some(repaired)
+        clusters.sort_unstable_by(|a, b| rows[a.clone()].cmp(&rows[b.clone()]));
+        // A repair that changed nothing is no use retrying.
+        let unchanged = candidate.len() == clusters.len()
+            && candidate.iter().zip(clusters.iter()).all(|(c, b)| c[..] == rows[b.clone()]);
+        !unchanged
     }
 
     /// Number of candidates.
     pub fn len(&self) -> usize {
         self.candidates.len()
+    }
+
+    /// The number of rows candidate `i` clusters, without building it:
+    /// a window's total is its length.
+    pub fn total(&self, i: usize) -> usize {
+        self.candidates[i].total()
     }
 
     /// The minimum total size any satisfying clustering must have:
@@ -523,10 +555,11 @@ fn sensitive_signatures(rel: &Relation) -> Vec<u64> {
 }
 
 /// Number of distinct signatures among `rows`. Clusters are small
-/// (a few multiples of `k`), so sort-and-dedup of a scratch vector
-/// beats building a hash set.
-fn distinct_sigs(sigs: &[u64], rows: &[RowId]) -> usize {
-    let mut seen: Vec<u64> = rows.iter().filter_map(|&r| sigs.get(r).copied()).collect();
+/// (a few multiples of `k`), so sort-and-dedup of the caller's scratch
+/// vector `seen` beats building a hash set.
+fn distinct_sigs(sigs: &[u64], rows: &[RowId], seen: &mut Vec<u64>) -> usize {
+    seen.clear();
+    seen.extend(rows.iter().filter_map(|&r| sigs.get(r).copied()));
     seen.sort_unstable();
     seen.dedup();
     seen.len()

@@ -7,7 +7,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::budget::{Budget, Controls, DegradeReason, Stop};
-use crate::candidates::CandidateSet;
+use crate::candidates::{CandidateSet, Repaired};
 use crate::config::{DivaConfig, Strategy};
 use crate::error::DivaError;
 use crate::graph::ConstraintGraph;
@@ -76,6 +76,8 @@ pub struct Coloring<'a> {
     labels: &'a [String],
     config: &'a DivaConfig,
     state: SearchState,
+    /// Scratch every repair writes its clustering into.
+    repaired: Repaired,
     assignment: Vec<Option<usize>>,
     /// The nodes this search colours, ascending: one connected
     /// component's (see [`Coloring::with_nodes`]), or `None` for every
@@ -163,6 +165,7 @@ impl<'a> Coloring<'a> {
                 (0..graph.n_nodes()).map(|i| graph.target_size(i)).collect(),
                 graph.n_rows(),
             ),
+            repaired: Repaired::default(),
             assignment: vec![None; graph.n_nodes()],
             nodes: None,
             stats: ColoringStats::default(),
@@ -359,16 +362,25 @@ impl<'a> Coloring<'a> {
                     if self.config.faults.repair_fails(self.stats.repair_attempts) {
                         continue;
                     }
-                    let state = &self.state;
-                    let Some(repaired) =
-                        self.candidates[v]
-                            .repair(clustering, self.config.k, |r| state.row_is_free(r))
-                    else {
+                    // Repair draws the candidate's total from the free
+                    // target rows of `v`, which the state counts
+                    // exactly: too few, and it would scan in vain.
+                    if self.state.free_targets(v) < self.candidates[v].total(ci) {
                         continue;
-                    };
+                    }
+                    let state = &self.state;
+                    let repaired = self.candidates[v].repair(
+                        clustering,
+                        self.config.k,
+                        |r| state.row_is_free(r),
+                        &mut self.repaired,
+                    );
+                    if !repaired {
+                        continue;
+                    }
                     self.stats.repair_successes += 1;
                     self.explore_node()?;
-                    match self.state.try_assign(&repaired, self.graph) {
+                    match self.state.try_assign(self.repaired.clusters(), self.graph) {
                         Some(t) => t,
                         None => continue,
                     }
@@ -412,52 +424,26 @@ impl<'a> Coloring<'a> {
     /// according to the configured strategy, or `None` when all nodes
     /// are coloured.
     fn next_node(&mut self) -> Option<usize> {
-        let uncolored: Vec<usize> =
-            self.nodes().filter(|&i| self.assignment[i].is_none()).collect();
-        if uncolored.is_empty() {
-            return None;
-        }
+        let uncolored = self.nodes().filter(|&i| self.assignment[i].is_none());
+        let picked = match self.config.strategy {
+            // "Random" = smallest hash of (seed, node id): a pure
+            // function of the uncoloured set, so the choice restricted
+            // to any component equals that component's own choice.
+            Strategy::Basic => uncolored.min_by_key(|&i| basic_mix(self.config.seed, i as u64)),
+            // Most restrictive first: fewest *currently consistent*
+            // candidates (rows still available given coloured
+            // neighbours).
+            Strategy::MinChoice => uncolored.min_by_key(|&i| {
+                let cands = &self.candidates[i];
+                (0..cands.len()).filter(|&ci| cands.available(ci, &self.state)).count()
+            }),
+            // Most uncoloured neighbours first.
+            Strategy::MaxFanOut => uncolored.max_by_key(|&i| {
+                self.graph.neighbors(i).iter().filter(|&&j| self.assignment[j].is_none()).count()
+            }),
+        }?;
         self.stats.node_selections += 1;
-        Some(match self.config.strategy {
-            Strategy::Basic => {
-                // "Random" = smallest hash of (seed, node id): a pure
-                // function of the uncoloured set, so the choice
-                // restricted to any component equals that component's
-                // own choice.
-                uncolored
-                    .iter()
-                    .min_by_key(|&&i| basic_mix(self.config.seed, i as u64))
-                    .copied()
-                    .unwrap_or(uncolored[0])
-            }
-            Strategy::MinChoice => {
-                // Most restrictive first: fewest *currently consistent*
-                // candidates (rows still available given coloured
-                // neighbours).
-                uncolored
-                    .iter()
-                    .min_by_key(|&&i| {
-                        let cands = &self.candidates[i];
-                        (0..cands.len()).filter(|&ci| cands.available(ci, &self.state)).count()
-                    })
-                    .copied()
-                    .unwrap_or(uncolored[0])
-            }
-            Strategy::MaxFanOut => {
-                // Most uncoloured neighbours first.
-                uncolored
-                    .iter()
-                    .max_by_key(|&&i| {
-                        self.graph
-                            .neighbors(i)
-                            .iter()
-                            .filter(|&&j| self.assignment[j].is_none())
-                            .count()
-                    })
-                    .copied()
-                    .unwrap_or(uncolored[0])
-            }
-        })
+        Some(picked)
     }
 }
 

@@ -7,9 +7,12 @@ use diva_constraints::ConstraintError;
 pub enum DivaError {
     /// A constraint failed validation or binding.
     Constraint(ConstraintError),
-    /// `DiverseClustering` proved that no diverse clustering exists —
-    /// the paper's "relation does not exist" outcome (Algorithm 1,
-    /// line 2).
+    /// `DiverseClustering` found no diverse clustering: the search's
+    /// capped candidates, with repair, admit no consistent colouring
+    /// (the paper's Algorithm 1, line 2). That proves nothing about
+    /// clusterings outside the candidates: the brute-force oracle
+    /// (`tests/oracle.rs`) finds feasible instances on which the
+    /// search fails this way.
     NoDiverseClustering {
         /// Label of a constraint the failing search covered (one
         /// connected component of the constraint graph, or all of

@@ -14,44 +14,68 @@
 //! hot path. The dense row-owner map (a `Vec<u32>` indexed by row id)
 //! is the one index of the live clusters: they are pairwise disjoint
 //! and own exactly their rows, so one owner-map read tells a free
-//! cluster from a live one. The per-call scratch (pending-row marks,
-//! per-constraint retained deltas) lives in epoch-stamped arrays reused
-//! across calls, so `try_assign`/`unassign` allocate only when
-//! registering a genuinely new cluster. A cluster's retained counts go
-//! to its owners in the graph ([`ConstraintGraph::owners`]).
+//! cluster from a live one. A backtracking search undoes assignments
+//! in reverse order, so the live clusters form a stack: each is a
+//! `{start, len, refcount}` entry over a row arena the stack tiles in
+//! order, and an undo log records every step of every live assignment
+//! (a cluster created, or a live one shared). A
+//! [`Token`](crate::state::Token) is a mark into that log, and undoing
+//! pops the log back to it. The per-call scratch (pending-row marks,
+//! per-constraint retained deltas) lives in epoch-stamped arrays
+//! reused across calls. So once the stack, arena and log have grown to
+//! the search's depth, `try_assign`/`unassign` allocate nothing. A
+//! cluster's retained counts go to its owners in the graph
+//! ([`ConstraintGraph::owners`]).
 
 use diva_relation::RowId;
 
-use crate::candidates::Clustering;
 use crate::graph::ConstraintGraph;
 
 /// Sentinel in the dense owner map: the row is free.
 const NO_OWNER: u32 = u32::MAX;
 
-/// A live cluster: its canonical (sorted) rows and how many assigned
-/// clusterings currently include it.
-#[derive(Debug, Clone)]
+/// A live cluster: its rows, `arena[start..start + len]`, and how many
+/// assigned clusterings currently include it.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
-    rows: Vec<RowId>,
+    start: usize,
+    len: usize,
     refcount: usize,
 }
 
+/// One step of an assignment, as the undo log records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// The live cluster with this stack index gained a reference.
+    Incref(u32),
+    /// A new cluster was pushed on the stack.
+    Created,
+}
+
 /// Undo token for one [`SearchState::try_assign`], consumed by
-/// [`SearchState::unassign`].
+/// [`SearchState::unassign`]: the span of the undo log the assignment
+/// wrote.
+///
+/// Tokens must be undone in reverse order of their assignments, the
+/// last assigned first, as a backtracking search does: `unassign` pops
+/// the log back to the token's mark, and so would also undo any later
+/// assignment. A token may be dropped instead, which keeps its
+/// assignment.
 #[derive(Debug)]
 pub struct Token {
-    /// Cluster ids whose refcount was incremented (in order).
-    incref: Vec<usize>,
-    /// Cluster ids newly registered (subset of `incref` semantics:
-    /// these were created with refcount 1).
-    created: Vec<usize>,
+    mark: usize,
+    end: usize,
 }
 
 /// The search state.
 #[derive(Debug)]
 pub struct SearchState {
-    clusters: Vec<Option<Entry>>,
-    free_ids: Vec<usize>,
+    /// The live clusters, oldest first; a cluster's id is its index.
+    clusters: Vec<Entry>,
+    /// The live clusters' rows, tiled in stack order.
+    arena: Vec<RowId>,
+    /// The steps of every live assignment, oldest first.
+    log: Vec<Step>,
     /// Dense owner map: `row_owner[r]` is the owning cluster id or
     /// [`NO_OWNER`].
     row_owner: Vec<u32>,
@@ -81,7 +105,8 @@ impl SearchState {
         let n = uppers.len();
         Self {
             clusters: Vec::new(),
-            free_ids: Vec::new(),
+            arena: Vec::new(),
+            log: Vec::new(),
             row_owner: vec![NO_OWNER; n_rows],
             retained: vec![0; n],
             uppers,
@@ -109,6 +134,11 @@ impl SearchState {
         self.row_owner.get(row).is_none_or(|&o| o == NO_OWNER)
     }
 
+    /// The rows of a live cluster.
+    fn rows_of(&self, entry: &Entry) -> &[RowId] {
+        &self.arena[entry.start..entry.start + entry.len]
+    }
+
     /// The live cluster identical to `rows` (distinct, in any order):
     /// the owner of `rows[0]`, when that cluster has `rows.len()` rows
     /// and owns every row of `rows`. Live clusters are pairwise
@@ -117,9 +147,9 @@ impl SearchState {
     /// set.
     fn live_cluster(&self, rows: &[RowId]) -> Option<usize> {
         let owner = self.row_owner.get(*rows.first()?).copied().filter(|&o| o != NO_OWNER)?;
-        let entry = self.clusters[owner as usize].as_ref()?;
-        let same = entry.rows.len() == rows.len()
-            && rows.iter().all(|&r| self.row_owner.get(r) == Some(&owner));
+        let entry = self.clusters.get(owner as usize)?;
+        let same =
+            entry.len == rows.len() && rows.iter().all(|&r| self.row_owner.get(r) == Some(&owner));
         same.then_some(owner as usize)
     }
 
@@ -154,11 +184,16 @@ impl SearchState {
     /// Attempts to assign `clustering` (for any node): checks both
     /// consistency conditions and, on success, commits and returns an
     /// undo token. Returns `None` (state untouched) on inconsistency.
-    pub fn try_assign(
-        &mut self,
-        clustering: &Clustering,
-        graph: &ConstraintGraph,
-    ) -> Option<Token> {
+    ///
+    /// `clustering` is walked once to validate, once to simulate the
+    /// upper bounds and once to commit, so it is any cloneable
+    /// sequence of row slices: a candidate's [`crate::candidates::Clustering`]
+    /// or a repair's scratch ([`crate::candidates::Repaired::clusters`]).
+    pub fn try_assign<C>(&mut self, clustering: C, graph: &ConstraintGraph) -> Option<Token>
+    where
+        C: IntoIterator + Clone,
+        C::Item: AsRef<[RowId]>,
+    {
         // --- Validation phase (no mutation beyond scratch). ---
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -168,12 +203,10 @@ impl SearchState {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        let mut new_clusters: Vec<&Vec<RowId>> = Vec::new();
-        let mut shared: Vec<usize> = Vec::new();
-        for cluster in clustering {
-            if let Some(id) = self.live_cluster(cluster) {
-                shared.push(id);
-                continue;
+        for cluster in clustering.clone() {
+            let cluster = cluster.as_ref();
+            if self.live_cluster(cluster).is_some() {
+                continue; // shared
             }
             // A new cluster may not touch any row owned by a
             // *different* cluster, nor a row of another new cluster in
@@ -189,11 +222,13 @@ impl SearchState {
                     *m = epoch;
                 }
             }
-            new_clusters.push(cluster);
         }
         // Upper-bound simulation over the new clusters' owners.
-        for cluster in &new_clusters {
-            self.accumulate_delta(cluster, graph);
+        for cluster in clustering.clone() {
+            let cluster = cluster.as_ref();
+            if self.live_cluster(cluster).is_none() {
+                self.accumulate_delta(cluster, graph);
+            }
         }
         let violates = self
             .delta_touched
@@ -204,65 +239,82 @@ impl SearchState {
             return None;
         }
 
-        // --- Commit phase. ---
-        let mut token = Token { incref: Vec::new(), created: Vec::new() };
-        for id in shared {
-            if let Some(entry) = self.clusters[id].as_mut() {
-                entry.refcount += 1;
-                token.incref.push(id);
-            }
-        }
-        for cluster in new_clusters {
-            let id = self.free_ids.pop().unwrap_or_else(|| {
-                self.clusters.push(None);
-                self.clusters.len() - 1
-            });
-            self.clusters[id] = Some(Entry { rows: cluster.clone(), refcount: 1 });
-            for &r in cluster {
-                self.row_owner[r] = id as u32;
-                for &node in graph.nodes_of(r) {
-                    self.free_targets[node as usize] -= 1;
+        // --- Commit phase. --- Pushing a cluster changes no live one,
+        // so each cluster is still shared or new as validated.
+        let mark = self.log.len();
+        for cluster in clustering {
+            let cluster = cluster.as_ref();
+            match self.live_cluster(cluster) {
+                Some(id) => {
+                    self.clusters[id].refcount += 1;
+                    self.log.push(Step::Incref(id as u32));
                 }
+                None => self.push_cluster(cluster, graph),
             }
-            token.created.push(id);
         }
         for &node in &self.delta_touched {
             self.retained[node as usize] += self.delta[node as usize];
         }
         self.reset_delta();
-        Some(token)
+        Some(Token { mark, end: self.log.len() })
     }
 
-    /// Reverts a successful [`SearchState::try_assign`].
-    pub fn unassign(&mut self, token: Token, graph: &ConstraintGraph) {
-        for id in token.incref {
-            if let Some(entry) = self.clusters[id].as_mut() {
-                entry.refcount -= 1;
+    /// Pushes a new cluster of `rows` on the stack and gives it its
+    /// rows; the caller adds its retained counts.
+    fn push_cluster(&mut self, rows: &[RowId], graph: &ConstraintGraph) {
+        let id = self.clusters.len() as u32;
+        self.clusters.push(Entry { start: self.arena.len(), len: rows.len(), refcount: 1 });
+        self.arena.extend_from_slice(rows);
+        for &r in rows {
+            self.row_owner[r] = id;
+            for &node in graph.nodes_of(r) {
+                self.free_targets[node as usize] -= 1;
             }
         }
-        for id in token.created {
-            let Some(entry) = self.clusters[id].take() else {
-                continue;
-            };
-            debug_assert_eq!(entry.refcount, 1);
-            for &r in &entry.rows {
-                self.row_owner[r] = NO_OWNER;
-                for &node in graph.nodes_of(r) {
-                    self.free_targets[node as usize] += 1;
-                }
+        self.log.push(Step::Created);
+    }
+
+    /// Pops the top cluster off the stack: frees its rows and takes
+    /// back its retained counts.
+    fn pop_cluster(&mut self, graph: &ConstraintGraph) {
+        let Some(entry) = self.clusters.pop() else {
+            return;
+        };
+        debug_assert_eq!(entry.refcount, 1);
+        let rows = &self.arena[entry.start..entry.start + entry.len];
+        for &r in rows {
+            self.row_owner[r] = NO_OWNER;
+            for &node in graph.nodes_of(r) {
+                self.free_targets[node as usize] += 1;
             }
-            self.accumulate_delta(&entry.rows, graph);
-            for &node in &self.delta_touched {
-                self.retained[node as usize] -= self.delta[node as usize];
+        }
+        for node in graph.owners(rows) {
+            self.retained[node as usize] -= rows.len();
+        }
+        self.arena.truncate(entry.start);
+    }
+
+    /// Reverts a successful [`SearchState::try_assign`]: pops the undo
+    /// log back to the token's mark. Tokens are undone in reverse
+    /// order of their assignments (see [`Token`]).
+    pub fn unassign(&mut self, token: Token, graph: &ConstraintGraph) {
+        debug_assert_eq!(
+            self.log.len(),
+            token.end,
+            "tokens are undone in reverse order of their assignments"
+        );
+        while self.log.len() > token.mark {
+            match self.log.pop() {
+                Some(Step::Incref(id)) => self.clusters[id as usize].refcount -= 1,
+                Some(Step::Created) => self.pop_cluster(graph),
+                None => break,
             }
-            self.reset_delta();
-            self.free_ids.push(id);
         }
     }
 
     /// The distinct live clusters — the diverse clustering `S_Σ`
     /// (shared clusters appear once) — in canonical (lexicographic)
-    /// order. Slot order depends on assignment chronology, which
+    /// order. Stack order depends on assignment chronology, which
     /// differs between the monolithic solve and a component-merged
     /// solve even when the cluster *sets* are identical, so both paths
     /// emit byte-identical output only through this sort. Rows within
@@ -270,17 +322,17 @@ impl SearchState {
     /// distinct, so the sort is a strict total order.
     pub fn live_clusters(&self) -> Vec<Vec<RowId>> {
         let mut clusters: Vec<Vec<RowId>> =
-            self.clusters.iter().flatten().map(|e| e.rows.clone()).collect();
+            self.clusters.iter().map(|e| self.rows_of(e).to_vec()).collect();
         clusters.sort_unstable();
         clusters
     }
 
     /// Checks the cross-structure invariants between the dense owner
-    /// map, the live clusters, the retained / free-target counters,
-    /// and the epoch scratch. Intended for quiet points (between
-    /// `try_assign`/`unassign` calls); called by the
-    /// `strict-invariants` pipeline gate on a successful colouring and
-    /// by the property suites.
+    /// map, the cluster stack and its row arena, the undo log, the
+    /// retained / free-target counters, and the epoch scratch.
+    /// Intended for quiet points (between `try_assign`/`unassign`
+    /// calls); called by the `strict-invariants` pipeline gate on a
+    /// successful colouring and by the property suites.
     pub fn validate(&self, graph: &ConstraintGraph) -> Result<(), String> {
         let n = self.uppers.len();
         if n != graph.n_nodes() {
@@ -297,6 +349,55 @@ impl SearchState {
                 graph.n_rows()
             ));
         }
+        // Stack → arena: the live clusters tile the row arena in order.
+        let mut end = 0;
+        for (id, e) in self.clusters.iter().enumerate() {
+            if e.start != end {
+                return Err(format!(
+                    "SearchState: cluster {id} starts at arena row {} instead of {end}",
+                    e.start
+                ));
+            }
+            end += e.len;
+        }
+        if end != self.arena.len() {
+            return Err(format!(
+                "SearchState: live clusters tile {end} of the arena's {} rows",
+                self.arena.len()
+            ));
+        }
+        // Undo log → stack: one `Created` per live cluster, and each
+        // cluster's refcount is 1 plus its `Incref` steps, each logged
+        // after the cluster was created.
+        let mut increfs = vec![0usize; self.clusters.len()];
+        let mut created = 0;
+        for (at, &step) in self.log.iter().enumerate() {
+            match step {
+                Step::Created => created += 1,
+                Step::Incref(id) => match increfs.get_mut(id as usize) {
+                    Some(count) if (id as usize) < created => *count += 1,
+                    _ => {
+                        return Err(format!(
+                            "SearchState: undo step {at} increments cluster {id} before it exists"
+                        ));
+                    }
+                },
+            }
+        }
+        if created != self.clusters.len() {
+            return Err(format!(
+                "SearchState: undo log holds {created} Created steps for {} live clusters",
+                self.clusters.len()
+            ));
+        }
+        for (id, (e, &count)) in self.clusters.iter().zip(&increfs).enumerate() {
+            if e.refcount != 1 + count {
+                return Err(format!(
+                    "SearchState: cluster {id} has refcount {} but {count} Incref steps",
+                    e.refcount
+                ));
+            }
+        }
         // Owner map → clusters: every owned row points at a live
         // cluster that lists it.
         for (r, &o) in self.row_owner.iter().enumerate() {
@@ -304,31 +405,22 @@ impl SearchState {
                 continue;
             }
             match self.clusters.get(o as usize) {
-                Some(Some(e)) => {
-                    if !e.rows.contains(&r) {
+                Some(e) => {
+                    if !self.rows_of(e).contains(&r) {
                         return Err(format!(
                             "SearchState: row {r} owned by cluster {o} which does not list it"
                         ));
                     }
                 }
-                _ => {
+                None => {
                     return Err(format!("SearchState: row {r} owned by dead cluster {o}"));
                 }
             }
         }
         // Clusters → owner map: a live cluster owns every row it
         // lists, so live clusters are pairwise disjoint.
-        for (id, entry) in self.clusters.iter().enumerate() {
-            let Some(e) = entry else {
-                if !self.free_ids.contains(&id) {
-                    return Err(format!("SearchState: dead cluster {id} missing from free_ids"));
-                }
-                continue;
-            };
-            if e.refcount == 0 {
-                return Err(format!("SearchState: live cluster {id} has refcount 0"));
-            }
-            for &r in &e.rows {
+        for (id, e) in self.clusters.iter().enumerate() {
+            for &r in self.rows_of(e) {
                 if self.row_owner.get(r) != Some(&(id as u32)) {
                     return Err(format!(
                         "SearchState: cluster {id} lists row {r} but the owner map disagrees"
@@ -342,9 +434,9 @@ impl SearchState {
             let retained: usize = self
                 .clusters
                 .iter()
-                .flatten()
-                .filter(|e| graph.cluster_contributes(i, &e.rows))
-                .map(|e| e.rows.len())
+                .map(|e| self.rows_of(e))
+                .filter(|rows| graph.cluster_contributes(i, rows))
+                .map(<[RowId]>::len)
                 .sum();
             if retained != self.retained[i] {
                 return Err(format!(
@@ -526,6 +618,11 @@ mod tests {
         st.validate(&g).unwrap();
         let t2 = st.try_assign(&vec![vec![5, 6]], &g).unwrap();
         st.validate(&g).unwrap();
+        // A new cluster and a shared one in one clustering.
+        let t3 = st.try_assign(&vec![vec![0, 1], vec![7, 9]], &g).unwrap();
+        st.validate(&g).unwrap();
+        st.unassign(t3, &g);
+        st.validate(&g).unwrap();
         st.unassign(t2, &g);
         st.validate(&g).unwrap();
         st.unassign(t1, &g);
@@ -571,6 +668,27 @@ mod tests {
         st.delta_touched.push(1);
         let err = st.validate(&g).unwrap_err();
         assert!(err.contains("delta scratch"), "{err}");
+    }
+
+    #[test]
+    fn validate_reports_a_stray_incref_step() {
+        // Corruption injection: an `Incref` step whose refcount bump
+        // never happened.
+        let (g, mut st) = setup();
+        let _t = st.try_assign(&vec![vec![7, 9]], &g).unwrap();
+        st.log.push(Step::Incref(0));
+        let err = st.validate(&g).unwrap_err();
+        assert!(err.contains("refcount 1 but 1 Incref steps"), "{err}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reverse order")]
+    fn undoing_an_older_token_first_is_caught() {
+        let (g, mut st) = setup();
+        let t1 = st.try_assign(&vec![vec![7, 9]], &g).unwrap();
+        let _t2 = st.try_assign(&vec![vec![5, 6]], &g).unwrap();
+        st.unassign(t1, &g);
     }
 
     #[test]

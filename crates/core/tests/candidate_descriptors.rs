@@ -1,11 +1,15 @@
 //! Property test of candidate enumeration: every candidate, window
 //! descriptor or listed clustering, builds to a valid canonical
 //! clustering, the search's availability check on the unbuilt
-//! candidate agrees with an oracle over the built one, and every
-//! candidate the search state accepts is one that check admits.
+//! candidate agrees with an oracle over the built one, every
+//! candidate the search state accepts is one that check admits, and
+//! repair yields nothing when its node has fewer free target rows than
+//! the candidate's total, and otherwise only valid canonical clusterings
+//! of free target rows.
 
 use diva_constraints::generators::{islands, proportional};
 use diva_constraints::{BoundConstraint, ConstraintSet};
+use diva_core::candidates::Repaired;
 use diva_core::state::SearchState;
 use diva_core::{CandidateSet, ConstraintGraph, DivaConfig, Strategy};
 use diva_relation::{AttrRole, Relation, RowId};
@@ -126,6 +130,46 @@ proptest! {
                 }
             }
             let live = state.live_clusters();
+            let mut repaired = Repaired::default();
+            for (node, (c, cs)) in set.constraints().iter().zip(&candidates).enumerate() {
+                let free = state.free_targets(node);
+                let mut is_target = vec![false; rel.n_rows()];
+                for &r in &c.target_rows {
+                    is_target[r] = true;
+                }
+                for i in 0..cs.len() {
+                    let total = cs.total(i);
+                    prop_assert_eq!(total, cs.clustering(i).iter().map(Vec::len).sum::<usize>());
+                    let is_free = |r: RowId| state.row_is_free(r);
+                    let yielded = cs.repair(cs.clustering(i), k, is_free, &mut repaired);
+                    // The search skips repair on this count alone.
+                    if free < total {
+                        prop_assert!(!yielded, "{strategy} node {node} candidate {i}: {free} free");
+                    }
+                    if !yielded {
+                        continue;
+                    }
+                    let clusters: Vec<Vec<RowId>> =
+                        repaired.clusters().map(<[RowId]>::to_vec).collect();
+                    let mut canonical = clusters.clone();
+                    for cluster in &mut canonical {
+                        cluster.sort_unstable();
+                    }
+                    canonical.sort();
+                    prop_assert_eq!(&clusters, &canonical, "node {} repair {} order", node, i);
+                    prop_assert_ne!(&clusters, cs.clustering(i), "repair {} changed nothing", i);
+                    prop_assert_eq!(clusters.iter().map(Vec::len).sum::<usize>(), total);
+                    prop_assert!(clusters.iter().all(|cluster| cluster.len() >= k));
+                    let mut rows: Vec<RowId> = clusters.concat();
+                    rows.sort_unstable();
+                    rows.dedup();
+                    prop_assert_eq!(rows.len(), total, "{} node {} repair {}", strategy, node, i);
+                    prop_assert!(
+                        rows.iter().all(|&r| state.row_is_free(r) && is_target[r]),
+                        "{strategy} node {node} repair {i} takes a row that is not a free target"
+                    );
+                }
+            }
             for (node, cs) in candidates.iter().enumerate() {
                 for i in 0..cs.len() {
                     let available = unbuilt[node].available(i, &state);

@@ -152,3 +152,52 @@ fn trace_diff_gate_accepts_self_and_rejects_2x_inflation() {
     let report = diff_summaries(&baseline, &slower).expect("diff runs");
     assert!(report.is_ok(), "doubled timings alone failed the gate: {:?}", report.mismatches);
 }
+
+/// The colouring search's allocation does not grow with the nodes it
+/// explores: Basic on a medical instance that runs into its node cap,
+/// at caps `N` and `4N`. Counted bytes, not time: the `coloring.solve`
+/// span's `alloc_bytes` may grow by at most
+/// `SEARCH_BYTES_PER_EXTRA_NODE` per extra explored node. What is
+/// left per node is window candidates built the first time the search
+/// tries them and the growth of the search's stacks; a per-try
+/// allocation in `try_assign`, `unassign` or repair costs hundreds of
+/// bytes per node.
+#[cfg(feature = "alloc-profile")]
+#[test]
+fn search_allocation_does_not_grow_with_explored_nodes() {
+    const SEARCH_BYTES_PER_EXTRA_NODE: u64 = 64;
+    const CAP: u64 = 4_000;
+    let rel = diva_datagen::medical(2_000, 11);
+    let sigma = diva_constraints::generators::proportional(&rel, 5, 0.7, 20);
+    let search = |cap: u64| {
+        let obs = Obs::enabled();
+        let config = DivaConfig {
+            strategy: Strategy::Basic,
+            threads: Some(1),
+            budget: BudgetSpec::with_node_budget(cap),
+            obs: obs.clone(),
+            ..DivaConfig::with_k(5)
+        };
+        let out = Diva::new(config).run(&rel, &sigma).expect("degraded runs publish");
+        assert!(matches!(out.outcome, Outcome::Degraded { .. }), "cap {cap} must be reached");
+        let nodes = out.stats.budget.expect("budget armed").nodes_explored;
+        let bytes: u64 = obs
+            .snapshot()
+            .spans
+            .iter()
+            .filter(|s| s.name == "coloring.solve")
+            .map(|s| s.alloc.expect("the counting allocator is live").bytes)
+            .sum();
+        (nodes, bytes)
+    };
+    let (nodes, bytes) = search(CAP);
+    let (more_nodes, more_bytes) = search(4 * CAP);
+    assert_eq!((nodes, more_nodes), (CAP + 1, 4 * CAP + 1));
+    let extra_nodes = more_nodes - nodes;
+    let extra_bytes = more_bytes.saturating_sub(bytes);
+    assert!(
+        extra_bytes < SEARCH_BYTES_PER_EXTRA_NODE * extra_nodes,
+        "{extra_bytes} B more over {extra_nodes} more nodes ({bytes} B at {nodes}, \
+         {more_bytes} B at {more_nodes})"
+    );
+}
