@@ -4,19 +4,18 @@
 //! The paper positions k-anonymity as its privacy definition "for its
 //! ease of presentation" and notes that DIVA "is extensible to
 //! re-define the clustering criteria according to these privacy
-//! semantics" (§5). This module provides that extension for
-//! (distinct) ℓ-diversity [Machanavajjhala et al. 2006]: every
-//! QI-group must contain at least `ℓ` *distinct* sensitive values, so
-//! an attacker who locates an individual's group still cannot infer
-//! their sensitive value.
+//! semantics" (§5). This module provides that extension for the three
+//! ℓ-diversity variants of [`DiversityModel`] [Machanavajjhala et al.
+//! 2006]: every QI-group must carry enough sensitive diversity that an
+//! attacker who locates an individual's group still cannot infer their
+//! sensitive value.
 //!
-//! [`enforce_l_diversity`] post-processes any clustering (DIVA's or a
-//! baseline's) by greedily merging ℓ-deficient clusters into the
-//! neighbour that gains the most distinct sensitive values per star
-//! added. Merging only ever unions clusters, so `k`-anonymity is
-//! preserved.
-
-use std::collections::HashSet;
+//! One check ([`DiversityModel::class_ok`], [`DiversityModel::holds`])
+//! and one enforcement: [`enforce_diversity`] post-processes any
+//! clustering (DIVA's or a baseline's) by greedily merging deficient
+//! clusters into the neighbour that fixes the deficit at the least QI
+//! disagreement. Merging only ever unions clusters, so `k`-anonymity
+//! is preserved.
 
 use diva_relation::{qi_groups, Relation, RowId};
 
@@ -80,7 +79,7 @@ impl DiversityModel {
             return true;
         }
         match *self {
-            DiversityModel::Distinct { l } => distinct_sensitive(rel, rows) >= l,
+            DiversityModel::Distinct { l } => sensitive_counts_sorted(rel, rows).len() >= l,
             DiversityModel::Entropy { l } => {
                 perplexity(&sensitive_counts_sorted(rel, rows)) >= l as f64 - 1e-9
             }
@@ -154,73 +153,24 @@ fn perplexity(counts: &[usize]) -> f64 {
     ((n.ln() - weighted / n).max(0.0)).exp()
 }
 
-/// Number of distinct sensitive-value combinations among `rows`.
-/// Rows with no sensitive attributes each count as distinct.
-pub fn distinct_sensitive(rel: &Relation, rows: &[RowId]) -> usize {
-    let sens_cols: Vec<usize> = (0..rel.schema().arity())
-        .filter(|&c| rel.schema().attribute(c).role() == diva_relation::AttrRole::Sensitive)
-        .collect();
-    if sens_cols.is_empty() {
-        // Without sensitive attributes ℓ-diversity is vacuous: treat
-        // every row as its own "value".
-        return rows.len();
-    }
-    let mut seen: HashSet<Vec<u32>> = HashSet::with_capacity(rows.len());
-    for &r in rows {
-        seen.insert(sens_cols.iter().map(|&c| rel.code(r, c)).collect());
-    }
-    seen.len()
-}
-
-/// Whether every maximal QI-group of `rel` contains at least `l`
-/// distinct sensitive values (distinct ℓ-diversity). An empty relation
-/// is vacuously ℓ-diverse.
-pub fn is_l_diverse(rel: &Relation, l: usize) -> bool {
-    qi_groups(rel).groups().iter().all(|g| distinct_sensitive(rel, g) >= l)
-}
-
-/// Greedily merges clusters of `clustering` (over `rel`) until every
-/// cluster has at least `l` distinct sensitive values, or returns
-/// `None` when the whole input has fewer than `l` distinct sensitive
-/// values (then no clustering can be ℓ-diverse).
-///
-/// Deficient clusters are processed smallest-deficit-first; each is
-/// merged with the cluster that (a) fixes the deficit if any can, and
-/// (b) costs the fewest additional suppressed attributes, estimated by
-/// QI disagreement between cluster representatives.
-pub fn enforce_l_diversity(
-    rel: &Relation,
-    clustering: &[Vec<RowId>],
-    l: usize,
-) -> Option<Vec<Vec<RowId>>> {
-    enforce_diversity(rel, clustering, &DiversityModel::Distinct { l })
-}
-
 /// Greedily merges clusters of `clustering` (over `rel`) until every
 /// cluster satisfies `model`, or returns `None` when even the whole
 /// input as a single class does not (then no clustering can).
 ///
-/// The generalization of [`enforce_l_diversity`] to every
-/// [`DiversityModel`]: the loop strictly decreases the cluster count,
-/// and the single remaining cluster is exactly the feasibility
-/// pre-check, so termination and completeness hold for any variant
-/// whose single-class check passes. Merging only unions clusters, so
+/// Each pass takes the first deficient cluster and merges it into the
+/// cluster that (a) fixes the deficit if any can, and (b) costs the
+/// fewest additional suppressed attributes, estimated by QI
+/// disagreement between cluster representatives. The loop strictly
+/// decreases the cluster count, and the single remaining cluster is
+/// exactly the feasibility pre-check, so termination and completeness
+/// hold for every variant. Merging only unions clusters, so
 /// `k`-anonymity is preserved.
+///
+/// Alongside the fixed clustering it returns a parallel flag vector
+/// marking clusters that absorbed a deficient sibling (the
+/// decision-provenance layer tags these groups `DiversityMerge`
+/// instead of plain `KMember`).
 pub fn enforce_diversity(
-    rel: &Relation,
-    clustering: &[Vec<RowId>],
-    model: &DiversityModel,
-) -> Option<Vec<Vec<RowId>>> {
-    enforce_diversity_traced(rel, clustering, model).map(|(clusters, _)| clusters)
-}
-
-/// [`enforce_diversity`] plus merge provenance: alongside the fixed
-/// clustering, returns a parallel flag vector marking clusters that
-/// absorbed a deficient sibling (the decision-provenance layer tags
-/// these groups `DiversityMerge` instead of plain `KMember`). The
-/// clustering itself is computed by the identical greedy loop, so the
-/// result is byte-for-byte what [`enforce_diversity`] returns.
-pub fn enforce_diversity_traced(
     rel: &Relation,
     clustering: &[Vec<RowId>],
     model: &DiversityModel,
@@ -280,8 +230,8 @@ mod tests {
         let r = paper_table1();
         // Each tuple its own group: 1 distinct sensitive value per
         // group → 1-diverse, not 2-diverse.
-        assert!(is_l_diverse(&r, 1));
-        assert!(!is_l_diverse(&r, 2));
+        assert!(DiversityModel::Distinct { l: 1 }.holds(&r));
+        assert!(!DiversityModel::Distinct { l: 2 }.holds(&r));
     }
 
     #[test]
@@ -289,10 +239,10 @@ mod tests {
         let r = paper_table1();
         // {t1,t2}: Hypertension + Tuberculosis → 2 distinct.
         let s = suppress_clustering(&r, &[vec![0, 1]]);
-        assert!(is_l_diverse(&s.relation, 2));
+        assert!(DiversityModel::Distinct { l: 2 }.holds(&s.relation));
         // {t5,t7} (rows 4, 6): Hypertension + Hypertension → only 1.
         let s = suppress_clustering(&r, &[vec![4, 6]]);
-        assert!(!is_l_diverse(&s.relation, 2));
+        assert!(!DiversityModel::Distinct { l: 2 }.holds(&s.relation));
     }
 
     #[test]
@@ -300,9 +250,10 @@ mod tests {
         let r = paper_table1();
         // {t5,t7} shares Hypertension; {t1,t2} is fine.
         let clustering = vec![vec![4, 6], vec![0, 1]];
-        let fixed = enforce_l_diversity(&r, &clustering, 2).expect("feasible");
+        let model = DiversityModel::Distinct { l: 2 };
+        let (fixed, _) = enforce_diversity(&r, &clustering, &model).expect("feasible");
         let s = suppress_clustering(&r, &fixed);
-        assert!(is_l_diverse(&s.relation, 2));
+        assert!(model.holds(&s.relation));
         // All four rows still present.
         let mut rows: Vec<usize> = fixed.iter().flatten().copied().collect();
         rows.sort_unstable();
@@ -314,7 +265,8 @@ mod tests {
         let r = paper_table1();
         // Only Hypertension rows: 1 distinct value, 2-diversity
         // impossible.
-        assert!(enforce_l_diversity(&r, &[vec![0, 4], vec![6]], 2).is_none());
+        let model = DiversityModel::Distinct { l: 2 };
+        assert!(enforce_diversity(&r, &[vec![0, 4], vec![6]], &model).is_none());
     }
 
     #[test]
@@ -322,10 +274,10 @@ mod tests {
         let r = diva_datagen::medical(600, 3);
         let k = 5;
         let clusters = KMember::default().cluster(&r, &(0..600).collect::<Vec<_>>(), k);
-        let l = 3;
-        let fixed = enforce_l_diversity(&r, &clusters, l).expect("medical has 8 diagnoses");
+        let model = DiversityModel::Distinct { l: 3 };
+        let (fixed, _) = enforce_diversity(&r, &clusters, &model).expect("medical has 8 diagnoses");
         let s = suppress_clustering(&r, &fixed);
-        assert!(is_l_diverse(&s.relation, l));
+        assert!(model.holds(&s.relation));
         assert!(is_k_anonymous(&s.relation, k), "merging must preserve k-anonymity");
         assert_eq!(s.relation.n_rows(), 600);
     }
@@ -362,7 +314,7 @@ mod tests {
         let clusters = KMember::default().cluster(&r, &(0..600).collect::<Vec<_>>(), k);
         for model in [DiversityModel::Entropy { l: 3 }, DiversityModel::Recursive { c: 1.5, l: 2 }]
         {
-            let fixed = enforce_diversity(&r, &clusters, &model).expect("feasible on medical");
+            let (fixed, _) = enforce_diversity(&r, &clusters, &model).expect("feasible on medical");
             let s = suppress_clustering(&r, &fixed);
             assert!(model.holds(&s.relation), "{model} must hold after enforcement");
             assert!(is_k_anonymous(&s.relation, k), "merging must preserve k-anonymity");
@@ -398,10 +350,12 @@ mod tests {
     #[test]
     fn empty_and_trivial_cases() {
         let r = paper_table1();
-        assert_eq!(enforce_l_diversity(&r, &[], 2), Some(vec![]));
-        let one = enforce_l_diversity(&r, &[vec![0, 1]], 1).unwrap();
+        let model = DiversityModel::Distinct { l: 2 };
+        assert_eq!(enforce_diversity(&r, &[], &model), Some((vec![], vec![])));
+        let (one, _) =
+            enforce_diversity(&r, &[vec![0, 1]], &DiversityModel::Distinct { l: 1 }).unwrap();
         assert_eq!(one, vec![vec![0, 1]]);
         let empty = diva_relation::Relation::empty(diva_relation::fixtures::medical_schema());
-        assert!(is_l_diverse(&empty, 5));
+        assert!(DiversityModel::Distinct { l: 5 }.holds(&empty));
     }
 }

@@ -29,8 +29,6 @@ pub mod oka;
 
 pub use common::{cluster_observed_interruptible, Anonymizer, QiMatrix};
 pub use kmember::KMember;
-pub use ldiv::{
-    enforce_diversity, enforce_diversity_traced, enforce_l_diversity, is_l_diverse, DiversityModel,
-};
+pub use ldiv::{enforce_diversity, DiversityModel};
 pub use mondrian::Mondrian;
 pub use oka::Oka;

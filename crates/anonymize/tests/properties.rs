@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use diva_anonymize::{enforce_l_diversity, is_l_diverse, Anonymizer, KMember, Mondrian, Oka};
+use diva_anonymize::{enforce_diversity, Anonymizer, DiversityModel, KMember, Mondrian, Oka};
 use diva_relation::suppress::{is_refinement, suppress_clustering};
 use diva_relation::{is_k_anonymous, Attribute, Relation, RelationBuilder, Schema};
 use proptest::prelude::*;
@@ -225,10 +225,11 @@ proptest! {
             let s_col = rel.schema().arity() - 1;
             rows.iter().map(|&r| rel.code(r, s_col)).collect::<HashSet<_>>().len()
         };
-        match enforce_l_diversity(&rel, &clusters, l) {
-            Some(fixed) => {
+        let model = DiversityModel::Distinct { l };
+        match enforce_diversity(&rel, &clusters, &model) {
+            Some((fixed, _)) => {
                 let s = suppress_clustering(&rel, &fixed);
-                prop_assert!(is_l_diverse(&s.relation, l));
+                prop_assert!(model.holds(&s.relation));
                 let mut all: Vec<usize> = fixed.iter().flatten().copied().collect();
                 all.sort_unstable();
                 prop_assert_eq!(all, rows);

@@ -7,6 +7,7 @@
 //! concrete cap and the repair mechanism are our choices, so we
 //! measure their effect here.
 
+use diva_anonymize::DiversityModel;
 use diva_core::{run_portfolio, BudgetSpec, Diva, DivaConfig, Strategy};
 use diva_obs::Stopwatch;
 use diva_relation::Relation;
@@ -170,7 +171,7 @@ pub fn ablation_l_diversity(p: &Params) -> Table {
     for l in [1usize, 2, 3, 4] {
         let config = DivaConfig {
             k: p.k_default,
-            l_diversity: l,
+            diversity: Some(DiversityModel::Distinct { l }),
             seed: p.seed,
             budget: node_budget(p.node_budget),
             ..Default::default()

@@ -16,7 +16,6 @@ use std::hint::black_box;
 
 use diva_constraints::{Constraint, ConstraintSet};
 use diva_core::{BudgetSpec, ColoringStats, ConstraintGraph, Diva, DivaConfig, Outcome, Strategy};
-use diva_obs::live::{Sampler, SamplerConfig};
 use diva_obs::{Obs, Provenance, Stopwatch};
 use diva_relation::Relation;
 
@@ -341,18 +340,14 @@ fn bench_overhead(rel: &Relation, off: DivaConfig, on: DivaConfig) -> Overhead {
     }
 }
 
-/// The disabled obs handle (the workspace default) vs an enabled one
-/// with the default 100 ms sampler attached — spans, metrics and live
-/// cells, what `--trace` plus `--stats-addr` wires up. Also returns
-/// the sampler ticks, evidence that the live path ran.
-fn obs_overhead(rel: &Relation, k: usize) -> (Overhead, u64) {
-    let obs = Obs::enabled();
-    let sampler = Sampler::spawn(&obs, SamplerConfig::default(), None);
-    let overhead =
-        bench_overhead(rel, DivaConfig::with_k(k), DivaConfig { obs, ..DivaConfig::with_k(k) });
-    let ticks = sampler.log().total_samples();
-    sampler.stop();
-    (overhead, ticks)
+/// The disabled obs handle (the workspace default) vs an enabled one —
+/// spans, metrics and live cells, what `--trace` wires up.
+fn obs_overhead(rel: &Relation, k: usize) -> Overhead {
+    bench_overhead(
+        rel,
+        DivaConfig::with_k(k),
+        DivaConfig { obs: Obs::enabled(), ..DivaConfig::with_k(k) },
+    )
 }
 
 /// The disabled provenance recorder (the workspace default) vs an
@@ -408,7 +403,7 @@ pub fn bench_json() -> String {
     ];
 
     let overhead_rel = diva_datagen::medical(4_000, 7);
-    let (obs, sampler_ticks) = obs_overhead(&overhead_rel, 5);
+    let obs = obs_overhead(&overhead_rel, 5);
     let (provenance, stars_attributed) = provenance_overhead(&overhead_rel, 5);
 
     let trajectory = lines(
@@ -492,12 +487,11 @@ pub fn bench_json() -> String {
   }},
   "obs_overhead": {{
     "instance": "{instance}",
-    "measures": "obs enabled with the default sampler attached vs obs disabled; no budget",
+    "measures": "obs enabled (spans, metrics, live cells) vs obs disabled; no budget",
     "rows": {},
     "obs_disabled_ms": {},
-    "obs_and_sampler_enabled_ms": {},
-    "enabled_overhead_pct": {},
-    "sampler_ticks": {sampler_ticks}
+    "obs_enabled_ms": {},
+    "enabled_overhead_pct": {}
   }},
   "provenance_overhead": {{
     "instance": "{instance}",
@@ -620,7 +614,7 @@ mod tests {
     #[test]
     fn obs_overhead_measures_both_modes() {
         let rel = diva_datagen::medical(300, 5);
-        let (o, _ticks) = obs_overhead(&rel, 5);
+        let o = obs_overhead(&rel, 5);
         assert_eq!(o.rows, 300);
         assert!(o.off_ms.q1 > 0.0 && o.on_ms.q1 > 0.0);
         assert!(o.pct.q1.is_finite() && o.pct.q3.is_finite());

@@ -17,9 +17,9 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use diva_anonymize::{Anonymizer, KMember, Mondrian, Oka};
+use diva_anonymize::{Anonymizer, DiversityModel, KMember, Mondrian, Oka};
 use diva_constraints::{spec, Constraint, ConstraintSet};
-use diva_core::{run_portfolio, BudgetSpec, Diva, DivaConfig, LVariant, Outcome, Strategy};
+use diva_core::{run_portfolio, BudgetSpec, Diva, DivaConfig, Outcome, Strategy};
 use diva_obs::{Obs, Stopwatch};
 use diva_relation::csv::{read_relation_file, write_relation_file};
 use diva_relation::{is_k_anonymous, AttrRole, Relation};
@@ -428,16 +428,18 @@ fn anonymize(opts: &Opts) -> Result<(), String> {
         Some(other) => return Err(format!("unknown strategy {other:?}")),
     };
     let seed = parse_seed(opts)?;
-    let l_diversity = opt_positive(opts, "l")?.unwrap_or(1);
-    let l_variant = match opts.get("l-variant").map(String::as_str) {
-        None | Some("distinct") => LVariant::Distinct,
-        Some("entropy") => LVariant::Entropy,
-        Some("recursive") => LVariant::Recursive { c: opt_f64(opts, "l-c")?.unwrap_or(1.0) },
+    let l = opt_positive(opts, "l")?.unwrap_or(1);
+    let diversity = match opts.get("l-variant").map(String::as_str) {
+        None | Some("distinct") => DiversityModel::Distinct { l },
+        Some("entropy") => DiversityModel::Entropy { l },
+        Some("recursive") => {
+            DiversityModel::Recursive { c: opt_f64(opts, "l-c")?.unwrap_or(1.0), l }
+        }
         Some(other) => {
             return Err(format!("unknown --l-variant {other:?} (use distinct|entropy|recursive)"))
         }
     };
-    if opts.contains_key("l-c") && !matches!(l_variant, LVariant::Recursive { .. }) {
+    if opts.contains_key("l-c") && !matches!(diversity, DiversityModel::Recursive { .. }) {
         return Err("--l-c only applies with --l-variant recursive".to_string());
     }
     let threads = opt_positive(opts, "threads")?;
@@ -457,8 +459,7 @@ fn anonymize(opts: &Opts) -> Result<(), String> {
         k,
         strategy,
         seed,
-        l_diversity,
-        l_variant,
+        diversity: Some(diversity),
         threads,
         budget,
         obs: obs.clone(),

@@ -39,22 +39,6 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// Which ℓ-diversity variant [`DivaConfig::l_diversity`] requests.
-/// The variant interprets the single `l_diversity` knob; recursive
-/// additionally carries its frequency-ratio parameter `c`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LVariant {
-    /// Distinct ℓ-diversity (the historical default).
-    Distinct,
-    /// Entropy ℓ-diversity: class perplexity `exp(H) ≥ ℓ`.
-    Entropy,
-    /// Recursive (c,ℓ)-diversity with the given `c`.
-    Recursive {
-        /// The frequency-ratio parameter `c` (finite and positive).
-        c: f64,
-    },
-}
-
 /// Configuration of a DIVA run.
 #[derive(Debug, Clone)]
 pub struct DivaConfig {
@@ -70,17 +54,13 @@ pub struct DivaConfig {
     /// Seed for all randomized choices (Basic ordering, the
     /// `Anonymize` step's clustering).
     pub seed: u64,
-    /// Privacy extension (§5 of the paper): require every QI-group of
-    /// the output to contain at least this many *distinct* sensitive
-    /// values (distinct ℓ-diversity). `1` (the default) disables the
-    /// requirement, i.e. plain k-anonymity.
-    pub l_diversity: usize,
-    /// Which ℓ-diversity variant `l_diversity` requests
-    /// ([`LVariant::Distinct`] by default). Entropy and recursive
-    /// (c,ℓ) are enforced through the same Suppress/repair merge path
-    /// and re-verified by the independent `diva-metrics` audit
-    /// checkers.
-    pub l_variant: LVariant,
+    /// Privacy extension (§5 of the paper): the ℓ-diversity model every
+    /// QI-group of the output must satisfy (distinct, entropy or
+    /// recursive (c,ℓ)). `None` (the default), or a model every class
+    /// satisfies trivially, means plain k-anonymity. Every variant is
+    /// enforced through the same Suppress/repair merge path and
+    /// re-verified by the independent `diva-metrics` audit checkers.
+    pub diversity: Option<diva_anonymize::DiversityModel>,
     /// Whether blocked candidates are re-materialized from free target
     /// tuples ([`crate::CandidateSet::repair`]). On by default; the
     /// ablation benches measure its effect on success rate and
@@ -140,8 +120,7 @@ impl Default for DivaConfig {
             strategy: Strategy::MaxFanOut,
             max_candidates: 64,
             seed: 0xd1fa,
-            l_diversity: 1,
-            l_variant: LVariant::Distinct,
+            diversity: None,
             enable_repair: true,
             threads: None,
             decompose: true,
@@ -178,29 +157,17 @@ impl DivaConfig {
         self
     }
 
-    /// Builder-style ℓ-diversity requirement (1 = off).
-    pub fn l_diversity(mut self, l: usize) -> Self {
-        self.l_diversity = l;
+    /// Builder-style ℓ-diversity model (see [`DivaConfig::diversity`]).
+    pub fn diversity(mut self, model: diva_anonymize::DiversityModel) -> Self {
+        self.diversity = Some(model);
         self
     }
 
-    /// Builder-style ℓ-diversity variant (see [`DivaConfig::l_variant`]).
-    pub fn l_variant(mut self, v: LVariant) -> Self {
-        self.l_variant = v;
-        self
-    }
-
-    /// The effective diversity model requested by `l_diversity` +
-    /// `l_variant`, or `None` when the requirement is trivial (every
-    /// non-empty class satisfies it) and enforcement can be skipped.
+    /// The diversity model to enforce: [`DivaConfig::diversity`], or
+    /// `None` when it is unset or trivial (every non-empty class
+    /// satisfies it) and enforcement can be skipped.
     pub fn diversity_model(&self) -> Option<diva_anonymize::DiversityModel> {
-        use diva_anonymize::DiversityModel;
-        let model = match self.l_variant {
-            LVariant::Distinct => DiversityModel::Distinct { l: self.l_diversity },
-            LVariant::Entropy => DiversityModel::Entropy { l: self.l_diversity },
-            LVariant::Recursive { c } => DiversityModel::Recursive { c, l: self.l_diversity },
-        };
-        (!model.is_trivial()).then_some(model)
+        self.diversity.filter(|m| !m.is_trivial())
     }
 
     /// Builder-style observability handle (see [`DivaConfig::obs`]).
@@ -254,7 +221,7 @@ impl DivaConfig {
                 reason: "threads must be a positive worker count (or None for all cores)".into(),
             });
         }
-        if let LVariant::Recursive { c } = self.l_variant {
+        if let Some(diva_anonymize::DiversityModel::Recursive { c, .. }) = self.diversity {
             if !(c.is_finite() && c > 0.0) {
                 return Err(crate::DivaError::InvalidConfig {
                     reason: format!("recursive (c,l)-diversity needs a finite positive c, got {c}"),

@@ -62,10 +62,9 @@ pub fn components(graph: &ConstraintGraph) -> Vec<Component> {
 /// assignment is scattered back to node order (degraded components,
 /// whose partial assignment cannot be attributed to nodes, contribute
 /// gaps); stats are summed field-wise; the degrade reason is the
-/// first in component order.
-/// Component errors rank `NoDiverseClustering` (an unsatisfiability
-/// proof from the smallest-indexed failing component) above other
-/// errors above `Cancelled`.
+/// first in component order. A failed component fails the solve, and
+/// the error reported is the one the portfolio's ranking
+/// ([`pool::strongest`]) picks, ties to the lowest component.
 pub(crate) fn solve_clustering(
     graph: &ConstraintGraph,
     candidates: &[CandidateSet],
@@ -86,7 +85,7 @@ pub(crate) fn solve_clustering(
 
     // Entry-poll parity with the monolithic search: injected
     // slowdowns, cancellation, and an already-expired deadline are
-    // observed before the unsatisfiability fail-fast, in that order.
+    // observed before the empty-candidate fail-fast, in that order.
     #[cfg(feature = "fault-inject")]
     config.faults.at_poll();
     match controls.checkpoint() {
@@ -145,9 +144,7 @@ pub(crate) fn solve_clustering(
     // Deterministic merge, in component order.
     let mut merged = ColoringOutcome::default();
     let mut per_node: Vec<Option<usize>> = vec![None; graph.n_nodes()];
-    let mut unsat: Option<DivaError> = None;
-    let mut other: Option<DivaError> = None;
-    let mut cancelled = false;
+    let mut failed: pool::Slots<ColoringOutcome> = Vec::new();
     let mut solved = 0usize;
     for (comp, slot) in comps.iter().zip(results) {
         // `None` = never dequeued because a sibling's fatal error
@@ -167,32 +164,20 @@ pub(crate) fn solve_clustering(
                     merged.degraded = out.degraded;
                 }
             }
-            Err(DivaError::Cancelled) => cancelled = true,
-            Err(e @ DivaError::NoDiverseClustering { .. }) => {
-                if unsat.is_none() {
-                    unsat = Some(e);
-                }
-            }
-            Err(e) => {
-                if other.is_none() {
-                    other = Some(e);
-                }
-            }
+            Err(e) => failed.push(Some(Err(e))),
         }
     }
     span.set_attr("solved", solved);
-    let verdict = if let Some(e) = unsat {
-        Err(e)
-    } else if let Some(e) = other {
-        Err(e)
-    } else if cancelled {
-        Err(DivaError::Cancelled)
-    } else {
-        // The same canonical cluster order the monolithic solve
-        // publishes (`SearchState::live_clusters`).
-        merged.clusters.sort_unstable();
-        merged.assignment = per_node.iter().filter_map(|a| *a).collect();
-        Ok(merged)
+    // `failed` holds errors only, so any pick fails the solve.
+    let verdict = match pool::strongest(failed, |_| false) {
+        Some((_, failure)) => failure,
+        None => {
+            // The same canonical cluster order the monolithic solve
+            // publishes (`SearchState::live_clusters`).
+            merged.clusters.sort_unstable();
+            merged.assignment = per_node.iter().filter_map(|a| *a).collect();
+            Ok(merged)
+        }
     };
     span.set_attr("ok", verdict.is_ok());
     span.end();
@@ -328,10 +313,10 @@ mod tests {
     #[test]
     fn unsatisfiable_component_fails_the_whole_solve() {
         // Vancouver demands all 4 Vancouverites while African must
-        // bind t6 into an African pair — their shared component is
-        // unsatisfiable in-search (candidates exist, colouring fails)
-        // while the Calgary component is fine. The merge must surface
-        // the proof from the failing component.
+        // bind t6 into an African pair — their shared component fails
+        // in-search (candidates exist, colouring fails) while the
+        // Calgary component is fine. The merge must surface the
+        // failing component's error.
         let sigma = vec![
             Constraint::single("CTY", "Vancouver", 4, 4),
             Constraint::single("ETH", "African", 2, 3),
@@ -342,7 +327,7 @@ mod tests {
             DivaError::NoDiverseClustering { constraint } => {
                 assert!(!constraint.contains("Calgary"), "{constraint}");
             }
-            other => panic!("expected unsat proof, got {other:?}"),
+            other => panic!("expected NoDiverseClustering, got {other:?}"),
         }
     }
 

@@ -5,9 +5,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use diva_anonymize::{
-    cluster_observed_interruptible, enforce_diversity_traced, Anonymizer, KMember,
-};
+use diva_anonymize::{cluster_observed_interruptible, enforce_diversity, Anonymizer, KMember};
 use diva_constraints::{Constraint, ConstraintSet};
 use diva_relation::suppress::{suppress_clustering, Suppressed};
 use diva_relation::{is_k_anonymous, Relation, RowId, STAR_CODE};
@@ -276,11 +274,9 @@ impl Diva {
     ) -> Result<Suppressed, Halt> {
         let obs = &self.config.obs;
         let prov = &self.config.provenance;
-        let checkpoint = |prefix: &[Vec<RowId>]| match controls.checkpoint() {
-            Some(stop) => Err(Halt::Stopped(stop, prefix.to_vec())),
-            None => Ok(()),
-        };
-        checkpoint(&[])?;
+        if let Some(stop) = controls.checkpoint() {
+            return Err(Halt::Stopped(stop, Prefix::default()));
+        }
 
         // --- DiverseClustering (Algorithm 3). ---
         let mut clustering_span = obs.phase(Phase::Clustering);
@@ -290,6 +286,12 @@ impl Diva {
         graph.record_to(obs);
         #[cfg(feature = "strict-invariants")]
         graph.validate().map_err(|detail| inv("BuildGraph", detail))?;
+        // From here on a stop keeps the clustered prefix `S_Σ`.
+        let stopped = |stop, s_sigma| Halt::Stopped(stop, Prefix::new(&graph, s_sigma));
+        let checkpoint = |s_sigma: &[Vec<RowId>]| match controls.checkpoint() {
+            Some(stop) => Err(stopped(stop, s_sigma.to_vec())),
+            None => Ok(()),
+        };
         let shuffle = (self.config.strategy == Strategy::Basic).then_some(self.config.seed);
         // Candidate enumeration is independent per constraint — the
         // natural "satisfy constraints in parallel" decomposition the
@@ -368,25 +370,19 @@ impl Diva {
         stats.t_clustering = close.dur;
         note_alloc(stats, &close, |p| &mut p.clustering);
         if let Some(reason) = outcome.degraded {
-            return Err(Halt::Stopped(Stop::Degraded(reason), s_sigma));
+            return Err(stopped(Stop::Degraded(reason), s_sigma));
         }
 
-        // Rows not covered by S_Σ (Algorithm 1, line 4: R := R \ C_i).
-        let mut covered = vec![false; rel.n_rows()];
-        for c in &s_sigma {
-            for &r in c {
-                covered[r] = true;
-            }
-        }
-        let rest: Vec<RowId> = (0..rel.n_rows()).filter(|&r| !covered[r]).collect();
+        let rest = residual(rel.n_rows(), &s_sigma);
         #[cfg(feature = "fault-inject")]
         self.config.faults.at_phase("clustering", controls);
         checkpoint(&s_sigma)?;
 
         // --- Anonymize (or fold a too-small residual), then Integrate. ---
-        // On the fold path there is no `R_k`, so no `R_k` provenance
-        // group ids either.
-        let (r_sigma, r_k, k_gids) = if !rest.is_empty() && rest.len() < self.config.k {
+        // `r_k` carries the input clusters its groups came from and
+        // which of them absorbed a sibling during ℓ-diversity
+        // enforcement; the fold path has no `R_k`, but a fold host.
+        let (r_sigma, r_k, fold_host) = if !rest.is_empty() && rest.len() < self.config.k {
             // Fewer residual tuples than k: no k-anonymous R_k exists.
             // Fold them into an existing S_Σ cluster if some choice
             // keeps Σ satisfied (checked exhaustively), else fail.
@@ -401,18 +397,7 @@ impl Diva {
             stats.t_anonymize = close.dur;
             note_alloc(stats, &close, |p| &mut p.anonymize);
             stats.sigma_rows = s_sigma.iter().map(Vec::len).sum();
-            if prov.is_enabled() {
-                // The host's owners are those of the folded cluster: it
-                // absorbed non-target rows.
-                record_suppressed_groups(
-                    prov,
-                    &folded,
-                    &s_sigma,
-                    |ci| graph.owners(&s_sigma[ci]).collect(),
-                    |ci| if ci == fold_host { GroupOrigin::Fold } else { GroupOrigin::Sigma },
-                );
-            }
-            (folded, None, Vec::new())
+            (folded, None, Some(fold_host))
         } else {
             let suppress_span = obs.phase(Phase::Suppress).attr("clusters", s_sigma.len());
             let r_sigma = suppress_clustering(rel, &s_sigma);
@@ -423,12 +408,7 @@ impl Diva {
             note_alloc(stats, &close, |p| &mut p.suppress);
             checkpoint(&s_sigma)?;
             let mut anon_span = obs.phase(Phase::Anonymize).attr("residual_rows", rest.len());
-            // Kept alongside `r_k` for provenance: the input clusters the
-            // suppressed groups came from, and which of them absorbed a
-            // sibling during ℓ-diversity enforcement.
-            let mut rk_clusters: Vec<Vec<RowId>> = Vec::new();
-            let mut ldiv_merged: Vec<bool> = Vec::new();
-            let r_k: Option<Suppressed> = if rest.is_empty() {
+            let r_k = if rest.is_empty() {
                 None
             } else {
                 // The anonymizer's clustering is the pipeline's other long
@@ -449,18 +429,18 @@ impl Diva {
                     // The probe fired on a checkpoint stop, and stops
                     // are sticky, so the checkpoint sees it again.
                     let stop = controls.checkpoint().unwrap_or(Stop::Cancelled);
-                    return Err(Halt::Stopped(stop, s_sigma));
+                    return Err(stopped(stop, s_sigma));
                 };
+                let mut ldiv_merged = Vec::new();
                 if let Some(model) = self.config.diversity_model() {
-                    let (merged, flags) = enforce_diversity_traced(rel, &clusters, &model)
-                        .ok_or_else(|| DivaError::PrivacyInfeasible {
-                            reason: format!(
-                                "residual tuples cannot satisfy {model}: even a single merged \
-                                 class fails the check"
-                            ),
-                        })?;
-                    clusters = merged;
-                    ldiv_merged = flags;
+                    let infeasible = || DivaError::PrivacyInfeasible {
+                        reason: format!(
+                            "residual tuples cannot satisfy {model}: even a single merged \
+                             class fails the check"
+                        ),
+                    };
+                    (clusters, ldiv_merged) =
+                        enforce_diversity(rel, &clusters, &model).ok_or_else(infeasible)?;
                 }
                 #[cfg(feature = "strict-invariants")]
                 {
@@ -473,49 +453,48 @@ impl Diva {
                         )));
                     }
                 }
-                let rk = suppress_clustering(rel, &clusters);
-                rk_clusters = clusters;
-                Some(rk)
+                Some((suppress_clustering(rel, &clusters), clusters, ldiv_merged))
             };
-            anon_span.set_attr("groups", r_k.as_ref().map_or(0, |rk| rk.groups.len()));
+            anon_span.set_attr("groups", r_k.as_ref().map_or(0, |(rk, ..)| rk.groups.len()));
             let close = anon_span.end_profiled();
             stats.t_anonymize = close.dur;
             note_alloc(stats, &close, |p| &mut p.anonymize);
             checkpoint(&s_sigma)?;
-
-            // Past the last checkpoint: the run is committed to the
-            // exact path, so the published groups and their stars can be
-            // recorded (recording earlier would leave stale records behind
-            // a later degrade).
-            let mut k_gids: Vec<u64> = Vec::new();
-            if prov.is_enabled() {
-                record_suppressed_groups(
-                    prov,
-                    &r_sigma,
-                    &s_sigma,
-                    |ci| graph.owners(&s_sigma[ci]).collect(),
-                    |_| GroupOrigin::Sigma,
-                );
-                if let Some(rk) = &r_k {
-                    k_gids = record_suppressed_groups(
-                        prov,
-                        rk,
-                        &rk_clusters,
-                        |_| Vec::new(),
-                        |ci| {
-                            if ldiv_merged.get(ci).copied().unwrap_or(false) {
-                                GroupOrigin::DiversityMerge
-                            } else {
-                                GroupOrigin::KMember
-                            }
-                        },
-                    );
-                }
-            }
-            (r_sigma, r_k, k_gids)
+            (r_sigma, r_k, None)
         };
+
+        // Past the last checkpoint: the run is committed to the exact
+        // path, so the published groups and their stars can be recorded
+        // (recording earlier would leave stale records behind a later
+        // degrade). A fold host's owners are those of the folded
+        // cluster: it absorbed non-target rows.
+        let mut k_gids: Vec<u64> = Vec::new();
+        if prov.is_enabled() {
+            record_suppressed_groups(
+                prov,
+                &r_sigma,
+                &s_sigma,
+                |ci| graph.owners(&s_sigma[ci]).collect(),
+                |ci| if fold_host == Some(ci) { GroupOrigin::Fold } else { GroupOrigin::Sigma },
+            );
+            if let Some((rk, rk_clusters, ldiv_merged)) = &r_k {
+                k_gids = record_suppressed_groups(
+                    prov,
+                    rk,
+                    rk_clusters,
+                    |_| Vec::new(),
+                    |ci| {
+                        if ldiv_merged.get(ci).copied().unwrap_or(false) {
+                            GroupOrigin::DiversityMerge
+                        } else {
+                            GroupOrigin::KMember
+                        }
+                    },
+                );
+            }
+        }
         let int_span = obs.phase(Phase::Integrate);
-        let out = integrate_traced(&r_sigma, r_k.as_ref(), set, prov, &k_gids)?;
+        let out = integrate_traced(&r_sigma, r_k.as_ref().map(|(rk, ..)| rk), set, prov, &k_gids)?;
         #[cfg(feature = "strict-invariants")]
         check_partition("Integrate", &out.groups, out.relation.n_rows(), true)?;
         stats.integrate_repairs = out.repairs;
@@ -616,12 +595,12 @@ impl Diva {
         let set = ConstraintSet::bind(sigma, rel)?;
         self.begin_provenance(rel, &set);
         let mut stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
-        let table = self.degrade(rel, &set, &[], &reason, &mut stats)?;
+        let table = self.degrade(rel, &set, &Prefix::default(), &reason, &mut stats)?;
         Ok(self.publish(run_span, None, table, stats, Outcome::Degraded { reason }))
     }
 
     /// Builds the degraded-mode table (`DESIGN.md` §10) from the
-    /// clustered-so-far prefix `partial`:
+    /// clustered-so-far `prefix`:
     ///
     /// 1. Non-voided prefix clusters are suppressed normally (uniform
     ///    QI values retained).
@@ -641,77 +620,56 @@ impl Diva {
         &self,
         rel: &Relation,
         set: &ConstraintSet,
-        partial: &[Vec<RowId>],
+        prefix: &Prefix,
         reason: &DegradeReason,
         stats: &mut RunStats,
     ) -> Result<Suppressed, DivaError> {
         let obs = &self.config.obs;
         obs.counter(&format!("budget.exhausted.{}", reason.kind())).incr();
+        let Prefix { clusters: partial, owners } = prefix;
         let mut span = obs
             .phase(Phase::Degrade)
             .attr("reason", reason.kind())
             .attr("prefix_clusters", partial.len());
 
-        // A prefix cluster contributes to a constraint iff *every* row
-        // is a target: the cluster is then uniform on the target
-        // columns, so suppression retains the target values for all of
-        // its rows. Any mixed cluster gets those columns starred and
-        // contributes zero.
+        // A prefix cluster contributes its size to each of its owners
+        // and zero to every other constraint: a mixed cluster gets the
+        // target columns starred.
         let n_groups = partial.len();
-        let contrib: Vec<Vec<usize>> = set
-            .constraints()
-            .iter()
-            .map(|c| {
-                partial
-                    .iter()
-                    .map(|g| {
-                        if !g.is_empty() && g.iter().all(|&r| c.is_target(r)) {
-                            g.len()
-                        } else {
-                            0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut covered = vec![false; rel.n_rows()];
-        for c in partial {
-            for &r in c {
-                covered[r] = true;
-            }
-        }
-        let residual: Vec<RowId> = (0..rel.n_rows()).filter(|&r| !covered[r]).collect();
+        let contributes = |g: usize, ci: usize| owners[g].contains(&(ci as u32));
+        let residual = residual(rel.n_rows(), partial);
 
         // Voiding fixpoint. Voiding only ever lowers counts, and each
         // pass either voids a cluster or terminates, so this is at most
-        // |partial| passes. `void_cause` remembers, per voided cluster,
-        // which decision voided it (for the provenance records).
-        let mut voided = vec![false; n_groups];
-        let mut void_cause: Vec<Option<Cause>> = vec![None; n_groups];
+        // |partial| passes. `voided[g]` holds the decision that voided
+        // cluster `g` (for the provenance records).
+        let mut voided: Vec<Option<Cause>> = vec![None; n_groups];
         loop {
             let mut acted = false;
             for (ci, c) in set.constraints().iter().enumerate() {
-                let count = |voided: &[bool]| -> usize {
-                    (0..n_groups).filter(|&g| !voided[g]).map(|g| contrib[ci][g]).sum()
+                let count = |voided: &[Option<Cause>]| -> usize {
+                    (0..n_groups)
+                        .filter(|&g| voided[g].is_none() && contributes(g, ci))
+                        .map(|g| partial[g].len())
+                        .sum()
                 };
                 // Over the upper bound: void contributors (last first,
                 // keeping earlier — typically larger-priority — ones)
                 // until within bounds.
                 while count(&voided) > c.upper {
-                    if let Some(g) = (0..n_groups).rev().find(|&g| !voided[g] && contrib[ci][g] > 0)
+                    if let Some(g) =
+                        (0..n_groups).rev().find(|&g| voided[g].is_none() && contributes(g, ci))
                     {
-                        voided[g] = true;
-                        void_cause[g] = Some(Cause::Voided { constraint: ci as u32 });
+                        voided[g] = Some(Cause::Voided { constraint: ci as u32 });
                         acted = true;
                     }
                 }
                 // Under the lower bound (but non-zero): the count is
                 // unattainable, so void the constraint entirely.
                 if (1..c.lower).contains(&count(&voided)) {
-                    for g in (0..n_groups).filter(|&g| contrib[ci][g] > 0) {
-                        if !voided[g] {
-                            voided[g] = true;
-                            void_cause[g] = Some(Cause::Voided { constraint: ci as u32 });
+                    for g in (0..n_groups).filter(|&g| contributes(g, ci)) {
+                        if voided[g].is_none() {
+                            voided[g] = Some(Cause::Voided { constraint: ci as u32 });
                             acted = true;
                         }
                     }
@@ -723,11 +681,13 @@ impl Diva {
             // The fully-suppressed block must itself be a k-anonymous
             // QI-group: empty or at least k rows.
             let star_rows = residual.len()
-                + (0..n_groups).filter(|&g| voided[g]).map(|g| partial[g].len()).sum::<usize>();
+                + (0..n_groups)
+                    .filter(|&g| voided[g].is_some())
+                    .map(|g| partial[g].len())
+                    .sum::<usize>();
             if star_rows > 0 && star_rows < self.config.k {
-                if let Some(g) = (0..n_groups).rev().find(|&g| !voided[g]) {
-                    voided[g] = true;
-                    void_cause[g] = Some(Cause::DegradeMerge { reason: "block_size" });
+                if let Some(g) = (0..n_groups).rev().find(|&g| voided[g].is_none()) {
+                    voided[g] = Some(Cause::DegradeMerge { reason: "block_size" });
                     continue;
                 }
             }
@@ -739,7 +699,7 @@ impl Diva {
         // (DESIGN.md §16), the same rule as the exact path's
         // Σ-clusters.
         let kept: Vec<usize> =
-            (0..n_groups).filter(|&g| !voided[g] && !partial[g].is_empty()).collect();
+            (0..n_groups).filter(|&g| voided[g].is_none() && !partial[g].is_empty()).collect();
         let kept_clusters: Vec<Vec<RowId>> = kept.iter().map(|&g| partial[g].clone()).collect();
         let mut table = suppress_clustering(rel, &kept_clusters);
         let prov = &self.config.provenance;
@@ -748,21 +708,16 @@ impl Diva {
                 prov,
                 &table,
                 &kept_clusters,
-                |i| {
-                    (0..set.len())
-                        .filter(|&ci| contrib[ci][kept[i]] > 0)
-                        .map(|ci| ci as u32)
-                        .collect()
-                },
+                |i| owners[kept[i]].clone(),
                 |_| GroupOrigin::Sigma,
             );
         }
         // Then one fully-suppressed block for voided + residual rows.
         let star_src: Vec<RowId> = partial
             .iter()
-            .enumerate()
-            .filter(|&(g, _)| voided[g])
-            .flat_map(|(_, c)| c.iter().copied())
+            .zip(&voided)
+            .filter(|(_, cause)| cause.is_some())
+            .flat_map(|(c, _)| c.iter().copied())
             .chain(residual.iter().copied())
             .collect();
         if !star_src.is_empty() {
@@ -788,14 +743,9 @@ impl Diva {
                 );
                 let causes = partial
                     .iter()
-                    .enumerate()
-                    .filter(|&(g, _)| voided[g])
-                    .flat_map(|(g, c)| {
-                        let cause = void_cause[g]
-                            .clone()
-                            .unwrap_or(Cause::DegradeMerge { reason: "block_size" });
-                        std::iter::repeat_n(cause, c.len())
-                    })
+                    .zip(&voided)
+                    .filter_map(|(c, cause)| Some(std::iter::repeat_n(cause.clone()?, c.len())))
+                    .flatten()
                     .chain(residual.iter().map(|_| Cause::DegradeMerge { reason: "residual" }));
                 for (&r, cause) in star_src.iter().zip(causes) {
                     for &c in rel.schema().qi_cols() {
@@ -818,21 +768,47 @@ impl Diva {
         // A constraint no kept cluster contributes to is voided; any
         // other is within bounds by the fixpoint, i.e. satisfied.
         stats.constraints_voided = (0..set.len())
-            .filter(|&ci| (0..n_groups).all(|g| voided[g] || contrib[ci][g] == 0))
+            .filter(|&ci| (0..n_groups).all(|g| voided[g].is_some() || !contributes(g, ci)))
             .count();
-        let n_voided = voided.iter().filter(|&&v| v).count();
-        span.set_attr("voided_clusters", n_voided);
+        span.set_attr("voided_clusters", voided.iter().filter(|v| v.is_some()).count());
         span.set_attr("star_rows", star_src.len());
         note_alloc(stats, &span.end_profiled(), |p| &mut p.degrade);
         Ok(table)
     }
 }
 
+/// The clustered-so-far prefix a stopped run keeps for the degraded
+/// mode: its clusters and, parallel to them, the constraints each
+/// contributes to ([`ConstraintGraph::owners`] on the run's graph).
+/// A stop before the search keeps an empty prefix.
+#[derive(Default)]
+struct Prefix {
+    clusters: Vec<Vec<RowId>>,
+    owners: Vec<Vec<u32>>,
+}
+
+impl Prefix {
+    fn new(graph: &ConstraintGraph, clusters: Vec<Vec<RowId>>) -> Self {
+        let owners = clusters.iter().map(|c| graph.owners(c).collect()).collect();
+        Self { clusters, owners }
+    }
+}
+
+/// The rows of an `n_rows`-row relation that no cluster covers,
+/// ascending (Algorithm 1, line 4: `R := R \ C_i`).
+fn residual(n_rows: usize, clusters: &[Vec<RowId>]) -> Vec<RowId> {
+    let mut covered = vec![false; n_rows];
+    for &r in clusters.iter().flatten() {
+        covered[r] = true;
+    }
+    (0..n_rows).filter(|&r| !covered[r]).collect()
+}
+
 /// Why [`Diva::exact_path`] stopped before publishing.
 enum Halt {
     /// A checkpoint fired, or the search degraded: carries the
     /// clustered-so-far prefix the degraded mode keeps.
-    Stopped(Stop, Vec<Vec<RowId>>),
+    Stopped(Stop, Prefix),
     /// The run failed.
     Failed(DivaError),
 }
@@ -926,6 +902,7 @@ fn check_partition(
 mod tests {
     use super::*;
 
+    use diva_anonymize::DiversityModel;
     use diva_relation::fixtures::{medical_schema, paper_table1};
     use diva_relation::suppress::is_refinement;
     use diva_relation::RelationBuilder;
@@ -1255,11 +1232,11 @@ mod tests {
     fn l_diversity_extension_holds() {
         let r = diva_datagen::medical(600, 13);
         let sigma = vec![Constraint::single("ETH", "Caucasian", 20, 600)];
-        let l = 3;
-        let diva = Diva::new(DivaConfig::with_k(5).l_diversity(l));
+        let model = DiversityModel::Distinct { l: 3 };
+        let diva = Diva::new(DivaConfig::with_k(5).diversity(model));
         let out = diva.run(&r, &sigma).expect("satisfiable with 8 diagnoses");
         assert!(is_k_anonymous(&out.relation, 5));
-        assert!(diva_anonymize::is_l_diverse(&out.relation, l));
+        assert!(model.holds(&out.relation));
         let set = ConstraintSet::bind(&sigma, &out.relation).unwrap();
         assert!(set.satisfied_by(&out.relation));
     }
@@ -1268,11 +1245,10 @@ mod tests {
     fn entropy_and_recursive_variants_hold_end_to_end() {
         let r = diva_datagen::medical(600, 13);
         let sigma = vec![Constraint::single("ETH", "Caucasian", 20, 600)];
-        for variant in
-            [crate::config::LVariant::Entropy, crate::config::LVariant::Recursive { c: 1.5 }]
+        for model in [DiversityModel::Entropy { l: 3 }, DiversityModel::Recursive { c: 1.5, l: 3 }]
         {
-            let config = DivaConfig::with_k(5).l_diversity(3).l_variant(variant);
-            let model = config.diversity_model().expect("non-trivial");
+            let config = DivaConfig::with_k(5).diversity(model);
+            assert_eq!(config.diversity_model(), Some(model), "non-trivial");
             let out = Diva::new(config).run(&r, &sigma).expect("satisfiable with 8 diagnoses");
             assert!(is_k_anonymous(&out.relation, 5));
             assert!(model.holds(&out.relation), "{model} must hold on the published table");
@@ -1281,9 +1257,7 @@ mod tests {
 
     #[test]
     fn recursive_variant_validation() {
-        let config = DivaConfig::with_k(2)
-            .l_diversity(2)
-            .l_variant(crate::config::LVariant::Recursive { c: 0.0 });
+        let config = DivaConfig::with_k(2).diversity(DiversityModel::Recursive { c: 0.0, l: 2 });
         assert!(config.validate().is_err());
         let err = Diva::new(config).run(&paper_table1(), &[]).unwrap_err();
         assert!(matches!(err, DivaError::InvalidConfig { .. }), "{err}");
@@ -1305,7 +1279,7 @@ mod tests {
             ]);
         }
         let r = b.finish();
-        let diva = Diva::new(DivaConfig::with_k(2).l_diversity(2));
+        let diva = Diva::new(DivaConfig::with_k(2).diversity(DiversityModel::Distinct { l: 2 }));
         let err = diva.run(&r, &[]).unwrap_err();
         assert!(matches!(err, DivaError::PrivacyInfeasible { .. }), "{err}");
     }

@@ -84,7 +84,11 @@ impl std::fmt::Display for DivaError {
         match self {
             DivaError::Constraint(e) => write!(f, "invalid constraint: {e}"),
             DivaError::NoDiverseClustering { constraint } => {
-                write!(f, "no diverse k-anonymous relation exists (failed on {constraint})")
+                write!(
+                    f,
+                    "no diverse clustering found: the search's candidate clusterings, with \
+                     repair, admit no consistent colouring (failed on {constraint})"
+                )
             }
             DivaError::ResidualTooSmall { remaining } => {
                 write!(

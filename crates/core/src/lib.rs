@@ -68,7 +68,7 @@ pub mod state;
 pub use budget::{Budget, BudgetSpec, BudgetUsage, Controls, DegradeReason, Outcome};
 pub use candidates::CandidateSet;
 pub use coloring::{Coloring, ColoringOutcome, ColoringStats};
-pub use config::{DivaConfig, LVariant, Strategy};
+pub use config::{DivaConfig, Strategy};
 pub use decompose::{components, Component};
 pub use diva::{Diva, DivaResult, PhaseAlloc, RunStats};
 pub use diva_obs as obs;

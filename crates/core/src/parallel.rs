@@ -7,9 +7,9 @@
 //! A portfolio parallelizes the *search* (the exponential component)
 //! rather than a single run's bookkeeping, which is the standard way
 //! to parallelize backtracking with restarts; it preserves exactness
-//! (a member only reports failure on a complete proof) and gives
-//! speedups whenever strategies disagree about which instance is easy
-//! — which Fig. 4a shows they strongly do.
+//! (a member only reports `NoDiverseClustering` once its search is
+//! exhausted) and gives speedups whenever strategies disagree about
+//! which instance is easy — which Fig. 4a shows they strongly do.
 //!
 //! Execution model: the members run on the shared scoped worker pool
 //! (`pool::run_tasks`), capped at
@@ -49,7 +49,7 @@ use crate::pool;
 /// every member, so the deadline and the node cap are global to
 /// the portfolio — a member dequeued late does not get a fresh clock.
 /// The first member to report a result (exact *or* budget-degraded)
-/// cancels the rest. Verdicts rank exact > unsatisfiability proof >
+/// cancels the rest. Verdicts rank exact > `NoDiverseClustering` >
 /// degraded > other error > worker panic > cancelled, ties to the
 /// lowest member index. Worker panics are contained: a panicking
 /// member is recorded as [`DivaError::WorkerPanicked`], and if *every*
@@ -449,8 +449,8 @@ mod tests {
 
     #[test]
     fn unsat_proof_beats_a_degraded_sibling() {
-        // The degraded member reports first; the proof that lands after
-        // it still decides the verdict.
+        // The degraded member reports first; the NoDiverseClustering
+        // that lands after it still decides the verdict.
         let out = race_three(|i, controls| match i {
             0 => Ok(tagged(
                 0,

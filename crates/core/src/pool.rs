@@ -21,7 +21,8 @@
 //! * **contained panics** — a panicking task yields
 //!   [`DivaError::WorkerPanicked`] instead of tearing down the caller.
 //!
-//! The race's verdict is ranked once, by `strongest`.
+//! Verdicts are ranked once, by `strongest`: the race's over its
+//! members, the component pool's over its failed components.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -105,9 +106,9 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// The strength of one race member's verdict; lower is stronger:
-/// exact success > unsatisfiability proof > degraded success > other
-/// error > worker panic > cancellation.
+/// The strength of one verdict; lower is stronger: exact success >
+/// `NoDiverseClustering` (the search found no diverse clustering) >
+/// degraded success > other error > worker panic > cancellation.
 fn rank<R>(verdict: &Result<R, DivaError>, is_exact: impl Fn(&R) -> bool) -> u8 {
     match verdict {
         Ok(r) if is_exact(r) => 0,
@@ -119,10 +120,10 @@ fn rank<R>(verdict: &Result<R, DivaError>, is_exact: impl Fn(&R) -> bool) -> u8 
     }
 }
 
-/// Picks a race's verdict from its member slots: the strongest by
-/// [`rank`], ties to the lowest member index, so the choice never
-/// depends on which member finished first. Returns the member index
-/// with its verdict, or `None` when no member ran.
+/// Picks a verdict from the slots of a race (or of the component
+/// pool's failures): the strongest by [`rank`], ties to the lowest
+/// index, so the choice never depends on which task finished first.
+/// Returns the index with its verdict, or `None` when no task ran.
 pub(crate) fn strongest<R>(
     slots: Slots<R>,
     is_exact: impl Fn(&R) -> bool,

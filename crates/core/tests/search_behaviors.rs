@@ -2,6 +2,7 @@
 //! checking, budget accounting, strategy ordering, and ℓ-diversity
 //! candidate filtering — exercised through the public API.
 
+use diva_anonymize::DiversityModel;
 use diva_constraints::{generators, Constraint, ConstraintSet};
 use diva_core::{
     BudgetSpec, CandidateSet, DegradeReason, Diva, DivaConfig, DivaError, DivaResult, Strategy,
@@ -96,15 +97,16 @@ fn shared_cluster_solutions_survive_forward_checking() {
 
 #[test]
 fn candidate_repair_is_privacy_aware() {
-    // With l_diversity = 3 every cluster (including repaired ones)
+    // With distinct 3-diversity every cluster (including repaired ones)
     // must carry 3 distinct sensitive values; the contended relation
     // cycles s0..s2 so clusters of 5 usually qualify, and the final
     // output must be 3-diverse.
     let rel = contended_relation();
     let sigma = vec![Constraint::single("B", "b0", 25, 50)];
-    let config = DivaConfig { k: 5, l_diversity: 3, ..DivaConfig::default() };
+    let model = DiversityModel::Distinct { l: 3 };
+    let config = DivaConfig { k: 5, diversity: Some(model), ..DivaConfig::default() };
     let out = Diva::new(config).run(&rel, &sigma).expect("diverse sensitives available");
-    assert!(diva_anonymize::is_l_diverse(&out.relation, 3));
+    assert!(model.holds(&out.relation));
     let set = ConstraintSet::bind(&sigma, &out.relation).unwrap();
     assert!(set.satisfied_by(&out.relation));
 }

@@ -26,7 +26,7 @@
 //! scan over run-length-encoded class histograms, so auditing a
 //! 100k-row table runs all nine checkers in well under a second.
 
-use diva_obs::Obs;
+use diva_obs::{json, Obs};
 use diva_relation::{AttrRole, Relation, RowId};
 
 /// Tolerance for floating-point parameter comparisons: achieved
@@ -690,7 +690,10 @@ impl AuditSuite {
                         w.class,
                         w.size,
                         json_f64(w.value),
-                        w.qi.iter().map(|s| json_str(s)).collect::<Vec<_>>().join(", "),
+                        w.qi.iter()
+                            .map(|s| format!("\"{}\"", json::escape(s)))
+                            .collect::<Vec<_>>()
+                            .join(", "),
                         w.rows.iter().map(|r| r.to_string()).collect::<Vec<_>>().join(", ")
                     ));
                 }
@@ -768,26 +771,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes, backslashes, and
-/// control characters; other code points pass through as UTF-8).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

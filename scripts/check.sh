@@ -9,8 +9,9 @@
 # Usage: scripts/check.sh  (from the repo root; pass --offline through
 # CARGO_FLAGS if the environment has no registry access; set
 # SKIP_BENCH=1 to skip the bench smoke, the budget wall-clock bound,
-# the release allocator-attribution test, the benchmark package's
-# tests and the example runs during quick iterations,
+# the release oracle sweep, the release allocator-attribution test,
+# the benchmark package's tests and the example runs during quick
+# iterations,
 # SKIP_FAULTS=1 to skip the fault-injection matrix,
 # SKIP_DECOMP=1 to skip the differential suite under strict-invariants,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
@@ -102,6 +103,7 @@ fi
 if [ "${SKIP_BENCH:-0}" = "1" ]; then
     echo "==> bench smoke skipped (SKIP_BENCH=1)"
     echo "==> budget acceptance wall-clock bound skipped (SKIP_BENCH=1)"
+    echo "==> oracle sweep skipped (SKIP_BENCH=1)"
     echo "==> release counting allocator attribution skipped (SKIP_BENCH=1)"
     echo "==> benchmark package tests skipped (SKIP_BENCH=1)"
     echo "==> example runs skipped (SKIP_BENCH=1)"
@@ -117,6 +119,13 @@ else
     # within 2x a calibrated deadline. Ignored by the plain test run.
     echo "==> budget acceptance wall-clock bound (release, --ignored)"
     cargo test $FLAGS -q --release --test budget_acceptance -- --ignored
+
+    # The oracle's full sweep (6,000 tiny instances x 3 strategies;
+    # the plain test stage samples 300): every exact table must be
+    # k-anonymous and satisfy Sigma, and one on an instance the oracle
+    # calls infeasible fails the sweep. Ignored by the plain run.
+    echo "==> oracle sweep (release, --ignored)"
+    cargo test $FLAGS -q --release --test oracle -- --ignored
 
     # The diva CLI and the benchmark install the counting allocator in
     # release builds, so its attribution is also checked optimized.

@@ -9,10 +9,9 @@
 
 use std::time::Duration;
 
+use diva_anonymize::DiversityModel;
 use diva_constraints::{generators, Constraint, ConstraintSet};
-use diva_core::{
-    run_portfolio, BudgetSpec, Diva, DivaConfig, DivaError, DivaResult, LVariant, Strategy,
-};
+use diva_core::{run_portfolio, BudgetSpec, Diva, DivaConfig, DivaError, DivaResult, Strategy};
 use diva_metrics::audit::{audit, Audit, AuditSpec, ModelKind};
 use diva_relation::{is_k_anonymous, Relation};
 
@@ -176,23 +175,27 @@ fn all_solvers_agree_on_satisfiable_instances() {
 fn diversity_variants_audit_their_achieved_parameters() {
     let rel = diva_datagen::medical(600, 13);
     let sigma = vec![Constraint::single("ETH", "Caucasian", 20, 600)];
-    for variant in [LVariant::Distinct, LVariant::Entropy, LVariant::Recursive { c: 2.0 }] {
-        let config = DivaConfig::with_k(5).l_diversity(3).l_variant(variant);
+    for variant in [
+        DiversityModel::Distinct { l: 3 },
+        DiversityModel::Entropy { l: 3 },
+        DiversityModel::Recursive { c: 2.0, l: 3 },
+    ] {
+        let config = DivaConfig::with_k(5).diversity(variant);
         let out = Diva::new(config).run(&rel, &sigma).expect("satisfiable with 8 diagnoses");
         assert!(out.outcome.is_exact(), "{variant:?}: degraded");
         let a = Audit::new(&out.relation);
         assert!(a.k_anonymity().achieved >= 5.0, "{variant:?}: audited k below 5");
         match variant {
-            LVariant::Distinct => {
+            DiversityModel::Distinct { .. } => {
                 assert!(a.distinct_l().achieved >= 3.0, "distinct-ℓ audits below 3");
             }
-            LVariant::Entropy => {
+            DiversityModel::Entropy { .. } => {
                 let e = a.entropy_l().achieved;
                 assert!(e >= 3.0 - 1e-9, "entropy-ℓ audits at {e} < 3");
                 // Entropy-ℓ implies distinct-ℓ at the same level.
                 assert!(a.distinct_l().achieved >= 3.0);
             }
-            LVariant::Recursive { c } => {
+            DiversityModel::Recursive { c, .. } => {
                 let r = a.recursive_cl(3);
                 assert!(
                     r.achieved.is_finite() && r.achieved <= c + 1e-9,
@@ -267,6 +270,30 @@ fn exact_outcome_is_byte_identical_across_thread_counts() {
     }
     for p in &prints[1..] {
         assert_eq!(&prints[0], p, "thread count changed an exact result");
+    }
+}
+
+/// A model every class satisfies is no requirement: each explicit
+/// trivial model publishes the relation, groups, source rows and
+/// provenance log that `diversity: None` publishes.
+#[test]
+fn trivial_diversity_models_publish_what_none_publishes() {
+    let (name, rel, sigma, k) = instances().swap_remove(0);
+    let run = |diversity: Option<DiversityModel>| {
+        let prov = diva_obs::Provenance::enabled();
+        let config = DivaConfig { k, diversity, provenance: prov.clone(), ..DivaConfig::default() };
+        let out = Diva::new(config)
+            .run(&rel, &sigma)
+            .unwrap_or_else(|e| panic!("{name} with {diversity:?}: {e}"));
+        (fingerprint(&out), prov.render().expect("enabled recorder renders"))
+    };
+    let reference = run(None);
+    for model in [
+        DiversityModel::Distinct { l: 1 },
+        DiversityModel::Entropy { l: 1 },
+        DiversityModel::Recursive { c: 1.0, l: 1 },
+    ] {
+        assert_eq!(run(Some(model)), reference, "{name}: {model} diverged from no model");
     }
 }
 

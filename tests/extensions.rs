@@ -1,7 +1,7 @@
 //! Integration tests for the extensions on top of full DIVA runs:
 //! ℓ-diversity, the parallel portfolio, and an upper bound that binds.
 
-use diva_anonymize::is_l_diverse;
+use diva_anonymize::DiversityModel;
 use diva_constraints::{Constraint, ConstraintSet};
 use diva_core::{run_portfolio, Diva, DivaConfig, Strategy};
 use diva_relation::is_k_anonymous;
@@ -10,13 +10,13 @@ use diva_relation::is_k_anonymous;
 fn l_diversity_with_constraints_end_to_end() {
     let rel = diva_datagen::medical(1_200, 53);
     let k = 6;
-    let l = 2;
+    let model = DiversityModel::Distinct { l: 2 };
     let sigma = diva_constraints::generators::proportional(&rel, 2, 0.7, 10 * k);
-    let out = Diva::new(DivaConfig::with_k(k).l_diversity(l))
+    let out = Diva::new(DivaConfig::with_k(k).diversity(model))
         .run(&rel, &sigma)
         .expect("8 diagnosis values make 2-diversity easy");
     assert!(is_k_anonymous(&out.relation, k));
-    assert!(is_l_diverse(&out.relation, l));
+    assert!(model.holds(&out.relation));
     let set = ConstraintSet::bind(&sigma, &out.relation).unwrap();
     assert!(set.satisfied_by(&out.relation));
 }

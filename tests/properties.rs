@@ -3,9 +3,10 @@
 
 use std::sync::Arc;
 
+use diva_anonymize::DiversityModel;
 use diva_constraints::{Constraint, ConstraintSet};
 use diva_core::{
-    components, BudgetSpec, ConstraintGraph, Diva, DivaConfig, DivaError, DivaResult, LVariant,
+    components, BudgetSpec, ConstraintGraph, Diva, DivaConfig, DivaError, DivaResult,
     Strategy as DivaStrategy,
 };
 use diva_metrics::audit::{audit, Audit, AuditSpec, ModelKind};
@@ -363,26 +364,28 @@ proptest! {
         k in 2usize..4,
         variant_idx in 0usize..2,
     ) {
-        let variant =
-            [LVariant::Entropy, LVariant::Recursive { c: 2.0 }][variant_idx];
-        let config = DivaConfig::with_k(k).l_diversity(2).l_variant(variant);
+        let variant = [
+            DiversityModel::Entropy { l: 2 },
+            DiversityModel::Recursive { c: 2.0, l: 2 },
+        ][variant_idx];
+        let config = DivaConfig::with_k(k).diversity(variant);
         match Diva::new(config).run(&rel, &[]) {
             Ok(out) if out.outcome.is_exact() => {
                 let a = Audit::new(&out.relation);
                 prop_assert!(a.k_anonymity().achieved >= k as f64);
                 match variant {
-                    LVariant::Entropy => prop_assert!(
+                    DiversityModel::Entropy { .. } => prop_assert!(
                         a.entropy_l().achieved >= 2.0 - 1e-9,
                         "entropy enforcement audits at {}", a.entropy_l().achieved
                     ),
-                    LVariant::Recursive { c } => {
+                    DiversityModel::Recursive { c, .. } => {
                         let r = a.recursive_cl(2);
                         prop_assert!(
                             r.achieved.is_finite() && r.achieved <= c + 1e-9,
                             "recursive enforcement audits at c = {}", r.achieved
                         );
                     }
-                    LVariant::Distinct => unreachable!(),
+                    DiversityModel::Distinct { .. } => unreachable!(),
                 }
             }
             Ok(_) => {}
