@@ -98,12 +98,12 @@ pub struct DivaConfig {
     /// Fig. 4a) search.
     pub budget: crate::BudgetSpec,
     /// Decision-provenance recorder
-    /// ([`diva_obs::provenance::Provenance`]): when enabled, the run
-    /// logs every published group and every starred cell with the
-    /// causal decision (Σ-constraint, repair round, void, degrade
-    /// merge, or plain k-anonymity) for `diva explain` and the
-    /// per-constraint attribution in `RunStats`. The default is the
-    /// disabled handle — one branch per recording site, output
+    /// ([`diva_obs::provenance::Provenance`]): when enabled, the run's
+    /// returned result installs a log of every published group and
+    /// every starred cell with the causal decision (Σ-constraint,
+    /// repair round, void, degrade merge, or plain k-anonymity) for
+    /// `diva explain` and the per-constraint attribution in `RunStats`.
+    /// The default is the disabled handle — one branch per run, output
     /// byte-identical either way (same contract as `obs`).
     pub provenance: diva_obs::provenance::Provenance,
     /// Deterministic fault-injection plan (testing/CI only; the field

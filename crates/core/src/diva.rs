@@ -8,11 +8,11 @@ use std::time::Duration;
 use diva_anonymize::{cluster_observed_interruptible, enforce_diversity, Anonymizer, KMember};
 use diva_constraints::{Constraint, ConstraintSet};
 use diva_relation::suppress::{suppress_clustering, Suppressed};
-use diva_relation::{is_k_anonymous, Relation, RowId, STAR_CODE};
+use diva_relation::{is_k_anonymous, Relation, RowId};
 
 use diva_obs::live::Phase;
-use diva_obs::provenance::{Cause, GroupOrigin, Provenance};
-use diva_obs::{AllocDelta, Obs, SpanClose};
+use diva_obs::provenance::{Cause, GroupOrigin, Log};
+use diva_obs::{AllocDelta, SpanClose};
 
 use crate::budget::{Budget, BudgetUsage, Controls, DegradeReason, Outcome, Stop};
 use crate::candidates::CandidateSet;
@@ -20,8 +20,9 @@ use crate::coloring::ColoringStats;
 use crate::config::{DivaConfig, Strategy};
 use crate::error::DivaError;
 use crate::graph::ConstraintGraph;
-use crate::integrate::integrate_traced;
+use crate::integrate::integrate;
 use crate::pool;
+use crate::provenance::Notes;
 
 /// Counters and timings of a DIVA run.
 ///
@@ -130,17 +131,27 @@ pub struct DivaResult {
     /// Whether this is the exact answer or a budget-degraded fallback
     /// (see `DESIGN.md` §10 for the degraded-mode contract).
     pub outcome: Outcome,
+    /// The run's provenance notes until [`DivaResult::publish_done`]
+    /// turns them into its log; `None` when the recorder is disabled.
+    pub(crate) notes: Option<Notes>,
 }
 
 impl DivaResult {
-    /// Publishes this result as the end of its run on `obs`'s live
-    /// cells: the constraint verdicts, then phase `Done`. Called once
-    /// per returned result — by [`Diva::run`], and by the portfolio
-    /// after it picks the winner — so members racing on one handle
-    /// never add up their verdicts.
-    pub(crate) fn publish_done(&self, obs: &Obs) {
+    /// Publishes this result as the end of its run: derives its
+    /// provenance log, installs it into `config`'s recorder and puts
+    /// its attribution in the stats, then publishes the constraint
+    /// verdicts and phase `Done` on the live cells. Called once per
+    /// returned result — by [`Diva::run`], and by the portfolio after
+    /// it picks the winner — so members racing on one handle never add
+    /// up their verdicts or overwrite the log.
+    pub(crate) fn publish_done(&mut self, config: &DivaConfig) {
+        if let Some(notes) = self.notes.take() {
+            let log = notes.into_log(&self.relation, &self.groups, &self.source_rows);
+            self.stats.attribution = Some(diva_obs::StarAttribution::from_log(&log));
+            config.provenance.install(log);
+        }
         let voided = self.stats.constraints_voided as u64;
-        obs.run_finished(self.stats.n_constraints as u64 - voided, voided);
+        config.obs.run_finished(self.stats.n_constraints as u64 - voided, voided);
     }
 }
 
@@ -193,9 +204,9 @@ impl Diva {
     /// the degraded-mode result ([`Outcome::Degraded`]) instead of an
     /// error.
     pub fn run(&self, rel: &Relation, sigma: &[Constraint]) -> Result<DivaResult, DivaError> {
-        let result = self.run_controlled(rel, sigma, &Controls::new(self.config.budget.arm()));
-        if let Ok(out) = &result {
-            out.publish_done(&self.config.obs);
+        let mut result = self.run_controlled(rel, sigma, &Controls::new(self.config.budget.arm()));
+        if let Ok(out) = &mut result {
+            out.publish_done(&self.config);
         }
         result
     }
@@ -203,9 +214,10 @@ impl Diva {
     /// [`Diva::run`] under the caller's [`Controls`]: the portfolio
     /// entry point, where the cancellation flag and the (already
     /// armed, globally shared) budget both come from the caller — the
-    /// configured budget spec is not armed again. It leaves the live
-    /// verdicts and the final phase to the caller, which publishes them
-    /// once for the result it returns.
+    /// configured budget spec is not armed again. It writes only the
+    /// provenance log's meta line, and leaves the log, the live verdicts
+    /// and the final phase to the caller, which publishes them once for
+    /// the result it returns ([`DivaResult::publish_done`]).
     pub fn run_controlled(
         &self,
         rel: &Relation,
@@ -230,50 +242,53 @@ impl Diva {
         }
         let set = ConstraintSet::bind(sigma, rel)?;
         obs.set_constraints_total(set.len() as u64);
-        self.begin_provenance(rel, &set);
+        let mut notes = self.begin_provenance(rel, &set);
         if let Some(b) = controls.budget() {
             obs.set_budget_limits(b.spec().node_budget, b.spec().deadline);
         }
         let mut stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
         // Every way off the exact path maps to its verdict here.
-        let (table, outcome) = match self.exact_path(rel, &set, controls, &mut stats) {
-            Ok(table) => (table, Outcome::Exact),
-            Err(Halt::Failed(e)) => return Err(e),
-            Err(Halt::Stopped(Stop::Cancelled, _)) => return Err(DivaError::Cancelled),
-            Err(Halt::Stopped(Stop::Degraded(reason), prefix)) => (
-                self.degrade(rel, &set, &prefix, &reason, &mut stats)?,
-                Outcome::Degraded { reason },
-            ),
-        };
-        Ok(self.publish(run_span, controls.budget(), table, stats, outcome))
+        let (table, outcome) =
+            match self.exact_path(rel, &set, controls, &mut stats, notes.as_mut()) {
+                Ok(table) => (table, Outcome::Exact),
+                Err(Halt::Failed(e)) => return Err(e),
+                Err(Halt::Stopped(Stop::Cancelled, _)) => return Err(DivaError::Cancelled),
+                Err(Halt::Stopped(Stop::Degraded(reason), prefix)) => (
+                    self.degrade(rel, &set, &prefix, &reason, &mut stats, notes.as_mut())?,
+                    Outcome::Degraded { reason },
+                ),
+            };
+        Ok(self.publish(run_span, controls.budget(), table, notes, stats, outcome))
     }
 
-    /// Opens the provenance log of a run over `set` (a no-op when the
-    /// recorder is disabled).
-    fn begin_provenance(&self, rel: &Relation, set: &ConstraintSet) {
+    /// The provenance notes of a run over `set`, after installing the
+    /// log's meta line into the recorder; `None` when it is disabled.
+    fn begin_provenance(&self, rel: &Relation, set: &ConstraintSet) -> Option<Notes> {
         let prov = &self.config.provenance;
-        if prov.is_enabled() {
-            prov.begin_run(
-                self.config.k as u64,
-                rel.n_rows() as u64,
-                set.constraints().iter().map(|c| c.label()).collect(),
-            );
-        }
+        prov.is_enabled().then(|| {
+            let labels = set.constraints().iter().map(|c| c.label()).collect();
+            let (k, n_rows) = (self.config.k as u64, rel.n_rows() as u64);
+            let meta = Log { k, n_rows, labels, ..Log::default() };
+            prov.install(meta.clone());
+            let cols = set.constraints().iter().map(|c| c.cols.clone()).collect();
+            Notes { meta, cols, ..Notes::default() }
+        })
     }
 
     /// The exact pipeline — DiverseClustering, Suppress, Anonymize (or
     /// the residual fold), Integrate — with a [`Controls::checkpoint`]
     /// at every phase boundary. A checkpoint that fires, or a search
-    /// that degraded, halts it with the clustered-so-far prefix.
+    /// that degraded, halts it with the clustered-so-far prefix. Only a
+    /// run that publishes writes its `notes`.
     fn exact_path(
         &self,
         rel: &Relation,
         set: &ConstraintSet,
         controls: &Controls,
         stats: &mut RunStats,
+        notes: Option<&mut Notes>,
     ) -> Result<Suppressed, Halt> {
         let obs = &self.config.obs;
-        let prov = &self.config.provenance;
         if let Some(stop) = controls.checkpoint() {
             return Err(Halt::Stopped(stop, Prefix::default()));
         }
@@ -463,38 +478,8 @@ impl Diva {
             (r_sigma, r_k, None)
         };
 
-        // Past the last checkpoint: the run is committed to the exact
-        // path, so the published groups and their stars can be recorded
-        // (recording earlier would leave stale records behind a later
-        // degrade). A fold host's owners are those of the folded
-        // cluster: it absorbed non-target rows.
-        let mut k_gids: Vec<u64> = Vec::new();
-        if prov.is_enabled() {
-            record_suppressed_groups(
-                prov,
-                &r_sigma,
-                &s_sigma,
-                |ci| graph.owners(&s_sigma[ci]).collect(),
-                |ci| if fold_host == Some(ci) { GroupOrigin::Fold } else { GroupOrigin::Sigma },
-            );
-            if let Some((rk, rk_clusters, ldiv_merged)) = &r_k {
-                k_gids = record_suppressed_groups(
-                    prov,
-                    rk,
-                    rk_clusters,
-                    |_| Vec::new(),
-                    |ci| {
-                        if ldiv_merged.get(ci).copied().unwrap_or(false) {
-                            GroupOrigin::DiversityMerge
-                        } else {
-                            GroupOrigin::KMember
-                        }
-                    },
-                );
-            }
-        }
         let int_span = obs.phase(Phase::Integrate);
-        let out = integrate_traced(&r_sigma, r_k.as_ref().map(|(rk, ..)| rk), set, prov, &k_gids)?;
+        let out = integrate(&r_sigma, r_k.as_ref().map(|(rk, ..)| rk), set)?;
         #[cfg(feature = "strict-invariants")]
         check_partition("Integrate", &out.groups, out.relation.n_rows(), true)?;
         stats.integrate_repairs = out.repairs;
@@ -509,17 +494,36 @@ impl Diva {
             self.config.diversity_model().is_none_or(|m| m.holds(&out.relation)),
             "enforced diversity model must audit clean on the published table"
         );
+        if let Some(notes) = notes {
+            // A fold host's owners are those of the folded cluster: it
+            // absorbed non-target rows.
+            for (ci, c) in s_sigma.iter().enumerate() {
+                let fold = fold_host == Some(ci);
+                let origin = if fold { GroupOrigin::Fold } else { GroupOrigin::Sigma };
+                notes.groups.push((origin, graph.owners(c).collect()));
+            }
+            if let Some((_, clusters, ldiv_merged)) = &r_k {
+                for ci in 0..clusters.len() {
+                    let merged = ldiv_merged.get(ci) == Some(&true);
+                    let origin =
+                        if merged { GroupOrigin::DiversityMerge } else { GroupOrigin::KMember };
+                    notes.groups.push((origin, Vec::new()));
+                }
+            }
+            notes.repairs = out.rounds;
+        }
         Ok(Suppressed { relation: out.relation, groups: out.groups, source_rows: out.source_rows })
     }
 
     /// The publish tail every returned table shares: records the
-    /// verdict on the run span, snapshots budget usage and provenance
-    /// attribution into the stats, and closes the run span (`t_total`).
+    /// verdict on the run span, snapshots budget usage into the stats,
+    /// and closes the run span (`t_total`).
     fn publish(
         &self,
         mut run_span: diva_obs::Span,
         budget: Option<&Arc<Budget>>,
         table: Suppressed,
+        notes: Option<Notes>,
         mut stats: RunStats,
         outcome: Outcome,
     ) -> DivaResult {
@@ -532,12 +536,11 @@ impl Diva {
             }
         }
         stats.budget = budget.map(|b| b.usage());
-        stats.attribution = self.config.provenance.attribution();
         let close = run_span.end_profiled();
         stats.t_total = close.dur;
         note_alloc(&mut stats, &close, |p| &mut p.total);
         let Suppressed { relation, groups, source_rows } = table;
-        DivaResult { relation, groups, source_rows, stats, outcome }
+        DivaResult { relation, groups, source_rows, stats, outcome, notes }
     }
 
     /// Attempts to fold `rest` (fewer than `k` rows) into one of the
@@ -593,10 +596,11 @@ impl Diva {
             .attr("k", self.config.k)
             .attr("fallback", true);
         let set = ConstraintSet::bind(sigma, rel)?;
-        self.begin_provenance(rel, &set);
+        let mut notes = self.begin_provenance(rel, &set);
         let mut stats = RunStats { n_constraints: set.len(), ..RunStats::default() };
-        let table = self.degrade(rel, &set, &Prefix::default(), &reason, &mut stats)?;
-        Ok(self.publish(run_span, None, table, stats, Outcome::Degraded { reason }))
+        let table =
+            self.degrade(rel, &set, &Prefix::default(), &reason, &mut stats, notes.as_mut())?;
+        Ok(self.publish(run_span, None, table, notes, stats, Outcome::Degraded { reason }))
     }
 
     /// Builds the degraded-mode table (`DESIGN.md` §10) from the
@@ -623,6 +627,7 @@ impl Diva {
         prefix: &Prefix,
         reason: &DegradeReason,
         stats: &mut RunStats,
+        notes: Option<&mut Notes>,
     ) -> Result<Suppressed, DivaError> {
         let obs = &self.config.obs;
         obs.counter(&format!("budget.exhausted.{}", reason.kind())).incr();
@@ -642,7 +647,7 @@ impl Diva {
         // Voiding fixpoint. Voiding only ever lowers counts, and each
         // pass either voids a cluster or terminates, so this is at most
         // |partial| passes. `voided[g]` holds the decision that voided
-        // cluster `g` (for the provenance records).
+        // cluster `g` (the cause its star-block rows are charged to).
         let mut voided: Vec<Option<Cause>> = vec![None; n_groups];
         loop {
             let mut acted = false;
@@ -694,24 +699,11 @@ impl Diva {
             break;
         }
 
-        // Kept clusters are suppressed normally. Their stars are
-        // charged round-robin to the constraints they contribute to
-        // (DESIGN.md §16), the same rule as the exact path's
-        // Σ-clusters.
+        // Kept clusters are suppressed normally.
         let kept: Vec<usize> =
             (0..n_groups).filter(|&g| voided[g].is_none() && !partial[g].is_empty()).collect();
         let kept_clusters: Vec<Vec<RowId>> = kept.iter().map(|&g| partial[g].clone()).collect();
         let mut table = suppress_clustering(rel, &kept_clusters);
-        let prov = &self.config.provenance;
-        if prov.is_enabled() {
-            record_suppressed_groups(
-                prov,
-                &table,
-                &kept_clusters,
-                |i| owners[kept[i]].clone(),
-                |_| GroupOrigin::Sigma,
-            );
-        }
         // Then one fully-suppressed block for voided + residual rows.
         let star_src: Vec<RowId> = partial
             .iter()
@@ -731,28 +723,22 @@ impl Diva {
             table.relation.append(&block);
             table.source_rows.extend_from_slice(&star_src);
             table.groups.push((start..table.source_rows.len()).collect());
-            if prov.is_enabled() {
-                // Every QI cell of the star block is suppressed; each
-                // row's cells carry the decision that sent it there —
-                // the void that consumed its cluster, or a structural
-                // degrade merge for residual rows.
-                let gid = prov.group(
-                    GroupOrigin::StarBlock,
-                    Vec::new(),
-                    star_src.iter().map(|&r| r as u64).collect(),
-                );
-                let causes = partial
-                    .iter()
-                    .zip(&voided)
-                    .filter_map(|(c, cause)| Some(std::iter::repeat_n(cause.clone()?, c.len())))
-                    .flatten()
-                    .chain(residual.iter().map(|_| Cause::DegradeMerge { reason: "residual" }));
-                for (&r, cause) in star_src.iter().zip(causes) {
-                    for &c in rel.schema().qi_cols() {
-                        prov.cell(r as u64, c as u32, gid, cause.clone());
-                    }
-                }
+        }
+        if let Some(notes) = notes {
+            notes.groups = kept.iter().map(|&g| (GroupOrigin::Sigma, owners[g].clone())).collect();
+            if !star_src.is_empty() {
+                notes.groups.push((GroupOrigin::StarBlock, Vec::new()));
             }
+            // Each star-block row carries the decision that sent it
+            // there: the void that consumed its cluster, or a structural
+            // degrade merge for residual rows.
+            notes.star_block = partial
+                .iter()
+                .zip(&voided)
+                .filter_map(|(c, cause)| Some(std::iter::repeat_n(cause.clone()?, c.len())))
+                .flatten()
+                .chain(residual.iter().map(|_| Cause::DegradeMerge { reason: "residual" }))
+                .collect();
         }
         #[cfg(feature = "strict-invariants")]
         check_partition("Degrade", &table.groups, table.relation.n_rows(), true)?;
@@ -817,50 +803,6 @@ impl From<DivaError> for Halt {
     fn from(e: DivaError) -> Self {
         Halt::Failed(e)
     }
-}
-
-/// Records provenance for one suppressed clustering: a group record
-/// per cluster plus a cell record per starred QI value. Starred cells
-/// are enumerated deterministically — suppressed columns ascending,
-/// rows in cluster order — and the j-th cell is charged to
-/// `owners[j % owners.len()]` (the tie-splitting rule of DESIGN.md
-/// §16); clusters with no owning constraint charge plain k-anonymity.
-/// Returns the group ids, parallel to `clusters`.
-fn record_suppressed_groups(
-    prov: &Provenance,
-    sup: &Suppressed,
-    clusters: &[Vec<RowId>],
-    owners_of: impl Fn(usize) -> Vec<u32>,
-    origin_of: impl Fn(usize) -> GroupOrigin,
-) -> Vec<u64> {
-    let mut gids = Vec::with_capacity(clusters.len());
-    for (ci, cluster) in clusters.iter().enumerate() {
-        let owners = owners_of(ci);
-        let gid =
-            prov.group(origin_of(ci), owners.clone(), cluster.iter().map(|&r| r as u64).collect());
-        gids.push(gid);
-        // Within a suppressed group every row shares one star pattern,
-        // so the group's first output row names the starred columns.
-        let Some(&first) = sup.groups.get(ci).and_then(|g| g.first()) else {
-            continue;
-        };
-        let mut j = 0usize;
-        for &col in sup.relation.schema().qi_cols() {
-            if sup.relation.code(first, col) != STAR_CODE {
-                continue;
-            }
-            for &r in cluster {
-                let cause = if owners.is_empty() {
-                    Cause::KAnonymity
-                } else {
-                    Cause::Sigma { constraint: owners[j % owners.len()] }
-                };
-                prov.cell(r as u64, col as u32, gid, cause);
-                j += 1;
-            }
-        }
-    }
-    gids
 }
 
 /// Shorthand for [`DivaError::InvariantViolated`] at a pipeline phase.
@@ -1176,6 +1118,54 @@ mod tests {
         diva_obs::provenance::validate_log(&log).expect("log passes integrity validation");
         assert_eq!(log.cells.len() as u64, attr.total(), "one record per starred cell");
         assert_eq!(log.labels.len(), 3);
+    }
+
+    #[test]
+    fn portfolio_installs_the_winner_log() {
+        let r = paper_table1();
+        let prov = diva_obs::Provenance::enabled();
+        let config = DivaConfig::with_k(2).provenance(prov.clone());
+        let out = crate::run_portfolio(&r, &example_sigma(), &config, 2).unwrap();
+        let attr = out.stats.attribution.clone().expect("winner carries attribution");
+        assert_eq!(attr.total(), out.relation.star_count() as u64);
+        // The winner's log was installed into the caller's handle and
+        // matches the published result.
+        let log = prov.snapshot().expect("caller handle holds the winner log");
+        diva_obs::provenance::validate_log(&log).unwrap();
+        assert_eq!(log.cells.len() as u64, attr.total());
+        assert_eq!(log.n_rows, r.n_rows() as u64);
+    }
+
+    /// A run that fails after Σ binds leaves the meta line it bound and
+    /// nothing else, whichever step failed; so does a portfolio whose
+    /// members all fail (each member writes the same meta line).
+    #[test]
+    fn a_failed_run_leaves_only_the_bound_meta_line() {
+        let r = paper_table1();
+        let sigma = vec![Constraint::single("ETH", "Asian", 4, 10)];
+        let meta = diva_obs::provenance::Log {
+            k: 2,
+            n_rows: 10,
+            labels: vec!["ETH[Asian]".to_string()],
+            ..diva_obs::provenance::Log::default()
+        };
+        let prov = diva_obs::Provenance::enabled();
+        let config = DivaConfig::with_k(2).provenance(prov.clone());
+        let err = Diva::new(config.clone()).run(&r, &sigma).unwrap_err();
+        assert!(matches!(err, DivaError::NoDiverseClustering { .. }), "{err}");
+        assert_eq!(prov.snapshot(), Some(meta.clone()));
+        let err = crate::run_portfolio(&r, &sigma, &config, 2).unwrap_err();
+        assert!(matches!(err, DivaError::NoDiverseClustering { .. }), "{err}");
+        assert_eq!(prov.snapshot(), Some(meta));
+        // The ℓ-diversity enforcement fails after the clustering.
+        let prov = diva_obs::Provenance::enabled();
+        let config = DivaConfig::with_k(2)
+            .diversity(DiversityModel::Distinct { l: 9 })
+            .provenance(prov.clone());
+        let err = Diva::new(config).run(&r, &[]).unwrap_err();
+        assert!(matches!(err, DivaError::PrivacyInfeasible { .. }), "{err}");
+        let meta = diva_obs::provenance::Log { k: 2, n_rows: 10, ..Default::default() };
+        assert_eq!(prov.snapshot(), Some(meta));
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl ConstraintGraph {
         &self.adj[i]
     }
 
-    /// Whether `row` is a target tuple of constraint `i`.
-    pub fn is_target(&self, i: usize, row: RowId) -> bool {
-        self.target_sets[i].contains(row)
-    }
-
     /// Whether every row of `cluster` is a target tuple of constraint
     /// `i` — i.e. whether the cluster, once suppressed, retains `i`'s
     /// target value and contributes `|cluster|` occurrences to it.
@@ -351,8 +346,8 @@ mod tests {
     fn target_membership() {
         let g = example_graph();
         // I_σ1 = {t8,t9,t10} = rows 7,8,9.
-        assert!(g.is_target(0, 7));
-        assert!(!g.is_target(0, 5));
+        assert!(g.target_set(0).contains(7));
+        assert!(!g.target_set(0).contains(5));
         // Cluster {t8,t10} (rows 7,9) is inside both σ1 and σ3 targets.
         assert!(g.cluster_contributes(0, &[7, 9]));
         assert!(g.cluster_contributes(2, &[7, 9]));
@@ -369,7 +364,8 @@ mod tests {
         let g = example_graph();
         for row in 0..g.n_rows() {
             let via_index: Vec<usize> = g.nodes_of(row).iter().map(|&n| n as usize).collect();
-            let via_sets: Vec<usize> = (0..g.n_nodes()).filter(|&i| g.is_target(i, row)).collect();
+            let via_sets: Vec<usize> =
+                (0..g.n_nodes()).filter(|&i| g.target_set(i).contains(row)).collect();
             assert_eq!(via_index, via_sets, "row {row}");
         }
         // Rows beyond every target set have no nodes.

@@ -11,7 +11,6 @@
 //! the suppression added per occurrence removed.
 
 use diva_constraints::ConstraintSet;
-use diva_obs::provenance::{Cause, Provenance};
 use diva_relation::suppress::Suppressed;
 use diva_relation::{Relation, RowId};
 
@@ -28,32 +27,23 @@ pub struct Integrated {
     pub source_rows: Vec<RowId>,
     /// Number of group-suppression repairs applied.
     pub repairs: usize,
+    /// The repairs in the order they ran: the repaired group, as an
+    /// index into `groups`, and the constraint whose upper bound it
+    /// repaired. A repair stars the constraint's target columns in every
+    /// row of the group.
+    pub rounds: Vec<(usize, usize)>,
 }
 
 /// Unions `r_sigma` and `r_k` and repairs upper-bound violations.
 ///
 /// `set` must be bound against the *original* relation (the codes are
-/// shared because all derived relations share dictionaries).
+/// shared because all derived relations share dictionaries). A group
+/// only matches a constraint while its rows retain the target values,
+/// and the repair stars them, so no cell is repaired twice.
 pub fn integrate(
     r_sigma: &Suppressed,
     r_k: Option<&Suppressed>,
     set: &ConstraintSet,
-) -> Result<Integrated, DivaError> {
-    integrate_traced(r_sigma, r_k, set, &Provenance::disabled(), &[])
-}
-
-/// [`integrate`] with decision provenance: each repair-suppressed cell
-/// is recorded as `Repair{constraint, round}` against the repaired
-/// `R_k` group. `k_group_ids` are the provenance group ids parallel to
-/// `r_k.groups` (empty when the recorder is disabled). Repairs never
-/// double-record a cell: a group only matches a constraint while its
-/// rows still retain the target values, and the repair removes them.
-pub fn integrate_traced(
-    r_sigma: &Suppressed,
-    r_k: Option<&Suppressed>,
-    set: &ConstraintSet,
-    prov: &Provenance,
-    k_group_ids: &[u64],
 ) -> Result<Integrated, DivaError> {
     let mut relation = r_sigma.relation.clone();
     let mut groups = r_sigma.groups.clone();
@@ -70,7 +60,7 @@ pub fn integrate_traced(
         source_rows.extend_from_slice(&rk.source_rows);
     }
 
-    let mut repairs = 0usize;
+    let mut rounds = Vec::new();
     loop {
         // Find the violated constraint with the largest overshoot.
         let mut worst: Option<(usize, usize)> = None; // (constraint, overshoot)
@@ -116,24 +106,15 @@ pub fn integrate_traced(
             .find(|&&gi| k_groups[gi].len() <= overshoot)
             .copied()
             .unwrap_or(matching[0]);
-        let record = prov.is_enabled() && pick < k_group_ids.len();
         for &row in &k_groups[pick] {
             for &col in &c.cols {
                 relation.suppress_cell(row, col);
-                if record {
-                    prov.cell(
-                        source_rows[row] as u64,
-                        col as u32,
-                        k_group_ids[pick],
-                        Cause::Repair { constraint: ci as u32, round: (repairs + 1) as u32 },
-                    );
-                }
             }
         }
-        repairs += 1;
+        rounds.push((r_sigma.groups.len() + pick, ci));
     }
 
-    Ok(Integrated { relation, groups, source_rows, repairs })
+    Ok(Integrated { relation, groups, source_rows, repairs: rounds.len(), rounds })
 }
 
 #[cfg(test)]
@@ -188,8 +169,10 @@ mod tests {
         let out = integrate(&r_sigma, Some(&r_k), &set).unwrap();
         assert!(set.satisfied_by(&out.relation));
         assert!(out.repairs >= 1);
-        // Exactly one group of two needed suppression (4 − 2 = 2).
+        // Exactly one group of two needed suppression (4 − 2 = 2): the
+        // later of the two equal fits, {t3,t4}, after R_Σ's one group.
         assert_eq!(out.repairs, 1);
+        assert_eq!(out.rounds, vec![(2, 0)]);
     }
 
     #[test]
@@ -228,6 +211,7 @@ mod tests {
         let r_k = suppress_clustering(&r, &[vec![2, 3], vec![4, 5, 6]]);
         let out = integrate(&r_sigma, Some(&r_k), &set).unwrap();
         assert_eq!(out.repairs, 1);
+        assert_eq!(out.rounds, vec![(1, 0)], "the group of 2 follows R_Σ's one group");
         let gen = r.schema().col_of("GEN");
         let male = r.dict(gen).code("Male").unwrap();
         assert_eq!(out.relation.count_matching(&[gen], &[male]), 3);

@@ -61,6 +61,7 @@ pub mod integrate;
 pub mod parallel;
 /// The bounded scoped-thread worker pool every threaded stage runs on.
 pub mod pool;
+mod provenance;
 /// Mutable search state: the live clusters, the row-owner map and the
 /// retained counts.
 pub mod state;

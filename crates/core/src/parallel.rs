@@ -24,9 +24,11 @@
 //! choice never depends on which member finished first.
 //!
 //! Every member publishes live progress into the caller's obs handle
-//! (nodes and repairs add up across members). The verdicts and the
-//! final `Done` phase are published once, after the join, from the
-//! result the portfolio returns.
+//! (nodes and repairs add up across members), and writes the same meta
+//! line into the caller's provenance recorder when Σ binds. The
+//! verdicts, the final `Done` phase and the provenance log are
+//! published once, after the join, from the result the portfolio
+//! returns.
 
 use diva_constraints::Constraint;
 use diva_relation::Relation;
@@ -90,12 +92,6 @@ where
             let mut c = config.clone();
             c.strategy = strategy;
             c.seed = config.seed.wrapping_add(s.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            // `clone` shares the recorder Arc; concurrent members would
-            // interleave records, so each gets a private recorder and
-            // the winner's log is adopted into the caller's handle.
-            if config.provenance.is_enabled() {
-                c.provenance = diva_obs::Provenance::enabled();
-            }
             members.push(c);
         }
     }
@@ -149,13 +145,8 @@ where
             out
         });
 
-    let verdict = match pool::strongest(slots, |res| res.outcome.is_exact()) {
-        Some((winner, Ok(res))) => {
-            // Surface the winner's decision log through the caller's
-            // handle (no-op when provenance is off).
-            config.provenance.adopt(&members[winner].provenance);
-            Ok(res)
-        }
+    let mut verdict = match pool::strongest(slots, |res| res.outcome.is_exact()) {
+        Some((_, Ok(res))) => Ok(res),
         // Only chosen when no member produced anything stronger, i.e.
         // every member was lost: degrade to the fully-suppressed
         // fallback rather than failing the caller.
@@ -164,8 +155,8 @@ where
         Some((_, Err(e))) => Err(e),
         None => Err(DivaError::EmptyPortfolio),
     };
-    if let Ok(res) = &verdict {
-        res.publish_done(obs);
+    if let Ok(res) = &mut verdict {
+        res.publish_done(config);
     }
     root_span.set_attr(
         "outcome",
@@ -207,22 +198,6 @@ mod tests {
         assert!(is_k_anonymous(&out.relation, 2));
         let set = ConstraintSet::bind(&example_sigma(), &out.relation).unwrap();
         assert!(set.satisfied_by(&out.relation));
-    }
-
-    #[test]
-    fn portfolio_adopts_the_winner_provenance() {
-        let r = paper_table1();
-        let prov = diva_obs::Provenance::enabled();
-        let config = DivaConfig::with_k(2).provenance(prov.clone());
-        let out = run_portfolio(&r, &example_sigma(), &config, 2).unwrap();
-        let attr = out.stats.attribution.clone().expect("winner carries attribution");
-        assert_eq!(attr.total(), out.relation.star_count() as u64);
-        // The winner's log was adopted into the caller's handle and
-        // matches the published result.
-        let log = prov.snapshot().expect("caller handle holds the winner log");
-        diva_obs::provenance::validate_log(&log).unwrap();
-        assert_eq!(log.cells.len() as u64, attr.total());
-        assert_eq!(log.n_rows, r.n_rows() as u64);
     }
 
     #[test]
@@ -314,6 +289,7 @@ mod tests {
             source_rows: Vec::new(),
             stats: RunStats::default(),
             outcome: crate::Outcome::Exact,
+            notes: None,
         }
     }
 

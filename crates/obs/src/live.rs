@@ -567,7 +567,7 @@ fn sampler_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provenance::{Cause, GroupOrigin};
+    use crate::provenance::{Cause, CellRecord, GroupOrigin, GroupRecord, Log};
     use crate::Stopwatch;
 
     fn watchdog(interval_ms: u64, stall_periods: u32) -> SamplerConfig {
@@ -650,12 +650,24 @@ mod tests {
 
     #[test]
     fn attribution_publishes_counters_and_the_live_cell_at_once() {
+        let cell = |row, col, cause| CellRecord { row, col, group: 0, cause };
         let prov = Provenance::enabled();
-        prov.begin_run(2, 4, vec!["ETH[Asian]".to_string(), "JOB[Nurse]".to_string()]);
-        let g = prov.group(GroupOrigin::Sigma, vec![0], vec![0, 1]);
-        prov.cell(0, 0, g, Cause::Sigma { constraint: 0 });
-        prov.cell(1, 0, g, Cause::Sigma { constraint: 0 });
-        prov.cell(1, 1, g, Cause::KAnonymity);
+        prov.install(Log {
+            k: 2,
+            n_rows: 4,
+            labels: vec!["ETH[Asian]".to_string(), "JOB[Nurse]".to_string()],
+            groups: vec![GroupRecord {
+                id: 0,
+                origin: GroupOrigin::Sigma,
+                owners: vec![0],
+                rows: vec![0, 1],
+            }],
+            cells: vec![
+                cell(0, 0, Cause::Sigma { constraint: 0 }),
+                cell(1, 0, Cause::Sigma { constraint: 0 }),
+                cell(1, 1, Cause::KAnonymity),
+            ],
+        });
         let obs = Obs::enabled();
         assert!(obs.live().expect("read").constraint_stars.is_empty());
         obs.publish_attribution(&prov);

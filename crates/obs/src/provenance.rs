@@ -4,15 +4,16 @@
 //! The recorder follows the same contract as [`crate::Obs`]: a disabled
 //! handle costs one branch per operation and the pipeline output is
 //! byte-identical whether the handle is enabled or not. It stays a handle
-//! of its own because portfolio members record into private logs, of which
-//! only the winner's is adopted ([`Provenance::adopt`]). An enabled
-//! handle accumulates an append-only log of *group* records (one per
-//! published cluster, with the rows it holds and the Σ-constraints that own
-//! it) and *cell* records (one per starred cell, with the causal
+//! of its own because callers build a run's configuration with it and
+//! read the log back after the run. An enabled handle holds one [`Log`],
+//! written whole ([`Provenance::install`]): *group* records (one per
+//! published cluster, with the rows it holds and the Σ-constraints that
+//! own it) and *cell* records (one per starred cell, with the causal
 //! [`Cause`]). The log renders to byte-stable JSONL, parses back, and
 //! validates referential integrity — the substrate for `diva explain`,
 //! which loads a saved file through [`validate_text`].
 
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::json::{self, Value};
@@ -175,8 +176,8 @@ pub struct Log {
 /// Clone-shared provenance recorder handle.
 ///
 /// `disabled()` is a no-op handle: every method is one branch and returns
-/// the neutral value. `enabled()` records into a shared log. The handle is
-/// per-run: [`Provenance::begin_run`] clears any previous records.
+/// the neutral value. `enabled()` holds a log shared by every clone, and
+/// [`Provenance::install`] replaces it whole.
 #[derive(Clone, Default)]
 pub struct Provenance {
     inner: Option<Arc<Mutex<Log>>>,
@@ -202,39 +203,10 @@ impl Provenance {
         self.inner.is_some()
     }
 
-    /// Starts a run: sets the metadata and clears prior records.
-    pub fn begin_run(&self, k: u64, n_rows: u64, labels: Vec<String>) {
+    /// Replaces the log with `log` (a no-op when disabled).
+    pub fn install(&self, log: Log) {
         if let Some(inner) = &self.inner {
-            let mut log = lock(inner);
-            *log = Log { k, n_rows, labels, groups: Vec::new(), cells: Vec::new() };
-        }
-    }
-
-    /// Records a published group; returns its id (0 when disabled).
-    pub fn group(&self, origin: GroupOrigin, owners: Vec<u32>, rows: Vec<u64>) -> u64 {
-        if let Some(inner) = &self.inner {
-            let mut log = lock(inner);
-            let id = log.groups.len() as u64;
-            log.groups.push(GroupRecord { id, origin, owners, rows });
-            id
-        } else {
-            0
-        }
-    }
-
-    /// Records a starred cell.
-    pub fn cell(&self, row: u64, col: u32, group: u64, cause: Cause) {
-        if let Some(inner) = &self.inner {
-            lock(inner).cells.push(CellRecord { row, col, group, cause });
-        }
-    }
-
-    /// Replaces this handle's log with a copy of `other`'s (portfolio
-    /// winner adoption). No-op unless both handles are enabled.
-    pub fn adopt(&self, other: &Provenance) {
-        if let (Some(mine), Some(theirs)) = (&self.inner, &other.inner) {
-            let copy = lock(theirs).clone();
-            *lock(mine) = copy;
+            *lock(inner) = log;
         }
     }
 
@@ -494,13 +466,16 @@ pub fn validate_log(log: &Log) -> Result<StarAttribution, String> {
             }
         }
     }
-    let mut seen = std::collections::HashSet::new();
+    // Every (row, group) membership, so a cell's check is one lookup and
+    // the whole check is linear in the size of the log.
+    let members: HashSet<(u64, u64)> =
+        log.groups.iter().flat_map(|g| g.rows.iter().map(|&r| (r, g.id))).collect();
+    let mut seen = HashSet::new();
     for (i, c) in log.cells.iter().enumerate() {
-        let group = log
-            .groups
-            .get(c.group as usize)
-            .ok_or_else(|| format!("cell {i}: dangling group ref {}", c.group))?;
-        if !group.rows.contains(&c.row) {
+        if c.group as usize >= log.groups.len() {
+            return Err(format!("cell {i}: dangling group ref {}", c.group));
+        }
+        if !members.contains(&(c.row, c.group)) {
             return Err(format!("cell {i}: row {} not a member of group {}", c.row, c.group));
         }
         if let Some(cid) = c.cause.constraint() {
@@ -536,18 +511,32 @@ pub fn validate_text(text: &str) -> Result<Log, String> {
 mod tests {
     use super::*;
 
+    fn sample_log() -> Log {
+        let cell = |row, col, group, cause| CellRecord { row, col, group, cause };
+        let group = |id, origin, owners, rows| GroupRecord { id, origin, owners, rows };
+        Log {
+            k: 2,
+            n_rows: 6,
+            labels: vec!["ETH[Asian]".to_string(), "JOB[Nurse]".to_string()],
+            groups: vec![
+                group(0, GroupOrigin::Sigma, vec![0], vec![0, 2]),
+                group(1, GroupOrigin::KMember, vec![], vec![1, 3]),
+                group(2, GroupOrigin::StarBlock, vec![], vec![4, 5]),
+            ],
+            cells: vec![
+                cell(0, 1, 0, Cause::Sigma { constraint: 0 }),
+                cell(2, 1, 0, Cause::Sigma { constraint: 0 }),
+                cell(1, 2, 1, Cause::KAnonymity),
+                cell(3, 0, 1, Cause::Repair { constraint: 1, round: 1 }),
+                cell(4, 0, 2, Cause::Voided { constraint: 1 }),
+                cell(5, 0, 2, Cause::DegradeMerge { reason: "residual" }),
+            ],
+        }
+    }
+
     fn sample() -> Provenance {
         let prov = Provenance::enabled();
-        prov.begin_run(2, 6, vec!["ETH[Asian]".to_string(), "JOB[Nurse]".to_string()]);
-        let g0 = prov.group(GroupOrigin::Sigma, vec![0], vec![0, 2]);
-        let g1 = prov.group(GroupOrigin::KMember, vec![], vec![1, 3]);
-        let g2 = prov.group(GroupOrigin::StarBlock, vec![], vec![4, 5]);
-        prov.cell(0, 1, g0, Cause::Sigma { constraint: 0 });
-        prov.cell(2, 1, g0, Cause::Sigma { constraint: 0 });
-        prov.cell(1, 2, g1, Cause::KAnonymity);
-        prov.cell(3, 0, g1, Cause::Repair { constraint: 1, round: 1 });
-        prov.cell(4, 0, g2, Cause::Voided { constraint: 1 });
-        prov.cell(5, 0, g2, Cause::DegradeMerge { reason: "residual" });
+        prov.install(sample_log());
         prov
     }
 
@@ -555,9 +544,7 @@ mod tests {
     fn disabled_handle_is_inert() {
         let prov = Provenance::disabled();
         assert!(!prov.is_enabled());
-        prov.begin_run(3, 10, vec!["A".to_string()]);
-        assert_eq!(prov.group(GroupOrigin::Sigma, vec![0], vec![1]), 0);
-        prov.cell(1, 0, 0, Cause::KAnonymity);
+        prov.install(sample_log());
         assert!(prov.snapshot().is_none());
         assert!(prov.attribution().is_none());
         assert!(prov.render().is_none());
@@ -616,25 +603,55 @@ mod tests {
     }
 
     #[test]
-    fn adopt_copies_the_winner_log() {
-        let parent = Provenance::enabled();
-        parent.begin_run(1, 1, vec![]);
+    fn install_replaces_the_whole_log() {
+        let handle = Provenance::enabled();
+        handle.install(Log { k: 1, n_rows: 1, ..Log::default() });
         let winner = sample();
-        parent.adopt(&winner);
-        assert_eq!(parent.snapshot(), winner.snapshot());
-        // Adopting into a disabled handle is a no-op.
+        handle.install(winner.snapshot().unwrap());
+        assert_eq!(handle.snapshot(), winner.snapshot());
+        // Installing into a disabled handle is a no-op.
         let disabled = Provenance::disabled();
-        disabled.adopt(&winner);
+        disabled.install(winner.snapshot().unwrap());
         assert!(disabled.snapshot().is_none());
     }
 
     #[test]
-    fn begin_run_clears_prior_records() {
+    fn installing_a_meta_line_clears_prior_records() {
         let prov = sample();
-        prov.begin_run(3, 4, vec!["X[1]".to_string()]);
+        prov.install(Log { k: 3, n_rows: 4, labels: vec!["X[1]".to_string()], ..Log::default() });
         let log = prov.snapshot().unwrap();
         assert!(log.groups.is_empty());
         assert!(log.cells.is_empty());
         assert_eq!(log.k, 3);
+    }
+
+    #[test]
+    fn a_64k_row_star_block_validates() {
+        // The shape of a zero-deadline run on 64,000 rows: one star block
+        // holding every row, five starred QI cells per row.
+        let n_rows = 64_000u64;
+        let log = Log {
+            k: 5,
+            n_rows,
+            labels: vec!["GEN[Male]".to_string()],
+            groups: vec![GroupRecord {
+                id: 0,
+                origin: GroupOrigin::StarBlock,
+                owners: Vec::new(),
+                rows: (0..n_rows).collect(),
+            }],
+            cells: (0..n_rows)
+                .flat_map(|row| {
+                    (0..5).map(move |col| CellRecord {
+                        row,
+                        col,
+                        group: 0,
+                        cause: Cause::DegradeMerge { reason: "residual" },
+                    })
+                })
+                .collect(),
+        };
+        let attr = validate_log(&log).unwrap();
+        assert_eq!((attr.degrade, attr.total()), (5 * n_rows, 5 * n_rows));
     }
 }

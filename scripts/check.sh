@@ -5,7 +5,9 @@
 # one run of each example, and the profiling/trace-regression gate.
 # The trace, metrics and live-endpoint formats are checked by the
 # tests (crates/cli/tests/cli.rs), the provenance format by
-# `diva explain`.
+# `diva explain` on an exact and a degraded (--deadline-ms 0)
+# medical-4k log, each also published byte-identically without
+# --provenance.
 # Usage: scripts/check.sh  (from the repo root; pass --offline through
 # CARGO_FLAGS if the environment has no registry access; set
 # SKIP_BENCH=1 to skip the bench smoke, the budget wall-clock bound,
@@ -183,7 +185,7 @@ fi
 if [ "${SKIP_PROVENANCE:-0}" = "1" ]; then
     echo "==> decision-provenance gate skipped (SKIP_PROVENANCE=1)"
 else
-    echo "==> decision-provenance gate (medical-4k --provenance + explain + byte-identity)"
+    echo "==> decision-provenance gate (medical-4k exact and degraded: --provenance + explain + byte-identity)"
     PROV_DIR="$(mktemp -d)"
     capture_medical_4k "$PROV_DIR" --provenance "$PROV_DIR/prov.jsonl"
     # `diva explain` validates the saved file (records, references and
@@ -194,15 +196,30 @@ else
     # The disabled recorder is free: a run *without* --provenance must
     # publish the byte-identical relation.
     mv "$PROV_DIR/anon.csv" "$PROV_DIR/anon.with-prov.csv"
-    cargo run $FLAGS --release -q -p diva-cli --bin diva -- anonymize \
-        --input "$PROV_DIR/medical.csv" --roles qi,qi,qi,qi,qi,sensitive \
-        --constraints "$PROV_DIR/sigma.txt" -k 5 --quiet \
-        --output "$PROV_DIR/anon.csv"
+    anonymize_4k() {
+        cargo run $FLAGS --release -q -p diva-cli --bin diva -- anonymize \
+            --input "$PROV_DIR/medical.csv" --roles qi,qi,qi,qi,qi,sensitive \
+            --constraints "$PROV_DIR/sigma.txt" -k 5 --quiet "$@"
+    }
+    anonymize_4k --output "$PROV_DIR/anon.csv"
     if ! cmp -s "$PROV_DIR/anon.csv" "$PROV_DIR/anon.with-prov.csv"; then
         echo "provenance: enabling --provenance changed the published relation" >&2
         exit 1
     fi
-    echo "provenance ok: explain validated and answered, output byte-identical"
+    # The same checks on a degraded run: a zero deadline stops the run
+    # at its first checkpoint, so every row goes to the star block and
+    # the log is one block of voided-or-residual cells, the largest
+    # group `diva explain` validates.
+    anonymize_4k --deadline-ms 0 --provenance "$PROV_DIR/degraded.jsonl" \
+        --output "$PROV_DIR/degraded.with-prov.csv"
+    anonymize_4k --deadline-ms 0 --output "$PROV_DIR/degraded.csv"
+    if ! cmp -s "$PROV_DIR/degraded.csv" "$PROV_DIR/degraded.with-prov.csv"; then
+        echo "provenance: enabling --provenance changed the degraded relation" >&2
+        exit 1
+    fi
+    cargo run $FLAGS --release -q -p diva-cli --bin diva -- explain \
+        --provenance "$PROV_DIR/degraded.jsonl" --top-costly
+    echo "provenance ok: explain validated and answered (exact and degraded), output byte-identical"
 fi
 
 if [ "${SKIP_PROFILE:-0}" = "1" ]; then
