@@ -194,7 +194,7 @@ pub trait Anonymizer {
     ///
     /// When `rows.len() < k`, a single cluster containing all the rows
     /// is returned (a caller publishing it must accept the residual
-    /// under-size group, and [`diva_metrics::discernibility`] pricing
+    /// under-size group, and `diva_metrics::discernibility` pricing
     /// penalizes it); when `rows` is empty the clustering is empty.
     fn cluster(&self, rel: &Relation, rows: &[RowId], k: usize) -> Vec<Vec<RowId>>;
 

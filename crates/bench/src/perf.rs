@@ -4,11 +4,11 @@
 //! The `experiments` binary writes the rendered JSON to
 //! `BENCH_diva.json`.
 //!
-//! Every wall-clock number comes from one sampler, [`interleave`]: the
+//! Every wall-clock number comes from one sampler, `interleave`: the
 //! arms of a comparison run in rounds whose first arm rotates, and each
 //! time is reported as its nearest-rank median and quartiles
-//! ([`Spread`]). Overheads and speedups are taken per round, and an
-//! overhead with a budget gets a [`Verdict`]. End-to-end and per-layer
+//! (`Spread`). Overheads and speedups are taken per round, and an
+//! overhead with a budget gets a `Verdict`. End-to-end and per-layer
 //! timings of the CLI belong to the repository benchmark
 //! (`crates/bench/src/bin/benchmark`).
 

@@ -665,6 +665,25 @@ fn bad_roles_and_missing_files() {
     assert!(String::from_utf8_lossy(&o.stderr).contains("unknown role"));
 }
 
+/// A malformed input CSV exits 1 with one line naming the file and the
+/// physical line of the offending record, not a panic.
+#[test]
+fn malformed_csv_is_a_one_line_error() {
+    let cases = [
+        ("dup_header.csv", "A,A\nx,y\n", "line 1: the header names column \"A\" twice"),
+        ("ragged.csv", "A,B\nx,\"two\nlines\"\ny\n", "line 4: expected 2 fields, found 1"),
+        ("open_quote.csv", "A,B\nx,\"unterminated\n", "line 2: unterminated quoted field"),
+    ];
+    for (name, text, message) in cases {
+        let path = tmp(name);
+        std::fs::write(&path, text).unwrap();
+        let o = diva(&["audit", "--input", path.to_str().unwrap(), "--roles", "qi,s"]);
+        assert_eq!(o.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(stderr, format!("error: {}: {message}\n", path.display()), "{name}");
+    }
+}
+
 #[test]
 fn trace_metrics_and_quiet_flags() {
     let data = tmp("obs_medical.csv");

@@ -19,6 +19,8 @@
 //! parallel portfolio: the node counter is atomic, and the deadline is
 //! measured from the shared [`Stopwatch`], so the whole portfolio
 //! respects one global budget rather than each member getting its own.
+//!
+//! [`Stopwatch`]: diva_obs::Stopwatch
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -12,7 +12,7 @@
 //!    ([`crate::pool`]), each search restricted to its component's
 //!    nodes of the shared graph and candidate lists, and
 //! 3. merges the per-component clusterings deterministically
-//!    ([`solve_clustering`]).
+//!    (`solve_clustering`).
 //!
 //! Every search sees the same global row and node ids and walks its
 //! nodes in ascending order, and the search's tie-breaks are

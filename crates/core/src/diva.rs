@@ -178,7 +178,7 @@ pub struct Diva {
 }
 
 impl Diva {
-    /// DIVA with the paper's default `Anonymize` step (k-member [6]).
+    /// DIVA with the paper's default `Anonymize` step (k-member \[6\]).
     pub fn new(config: DivaConfig) -> Self {
         let anonymizer = Box::new(KMember { seed: config.seed, ..KMember::default() });
         Self { config, anonymizer }
@@ -217,7 +217,7 @@ impl Diva {
     /// configured budget spec is not armed again. It writes only the
     /// provenance log's meta line, and leaves the log, the live verdicts
     /// and the final phase to the caller, which publishes them once for
-    /// the result it returns ([`DivaResult::publish_done`]).
+    /// the result it returns (`DivaResult::publish_done`).
     pub fn run_controlled(
         &self,
         rel: &Relation,

@@ -20,8 +20,11 @@
 //! cancellation token, which the colouring search and the pipeline's
 //! phase boundaries poll; losers abandon their searches at the next
 //! poll and are joined before `run_portfolio` returns. The verdict is
-//! then ranked over every member (`pool::strongest`), so the
-//! choice never depends on which member finished first.
+//! then ranked over the members that reported (`pool::strongest`),
+//! ties to the lowest member index. A member stopped before it
+//! finished has no result to rank (it reports `Cancelled`, or never
+//! started), so when two members would both succeed, which one wins,
+//! and the table it publishes, can change from run to run.
 //!
 //! Every member publishes live progress into the caller's obs handle
 //! (nodes and repairs add up across members), and writes the same meta

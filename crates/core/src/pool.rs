@@ -122,7 +122,9 @@ fn rank<R>(verdict: &Result<R, DivaError>, is_exact: impl Fn(&R) -> bool) -> u8 
 
 /// Picks a verdict from the slots of a race (or of the component
 /// pool's failures): the strongest by [`rank`], ties to the lowest
-/// index, so the choice never depends on which task finished first.
+/// index. A task stopped before it finished has no verdict to rank
+/// (`Cancelled`, or an empty slot), so the pick is among the tasks
+/// that finished, and which those are can depend on timing.
 /// Returns the index with its verdict, or `None` when no task ran.
 pub(crate) fn strongest<R>(
     slots: Slots<R>,

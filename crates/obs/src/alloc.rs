@@ -42,6 +42,15 @@
 //! thread allocated (cross-thread frees drive per-thread `live`
 //! negative); `allocated_*` and `freed_*` are exact per thread because
 //! only the owning thread touches its cells.
+//!
+//! [`GlobalAlloc`]: std::alloc::GlobalAlloc
+//! [`CountingAlloc`]: crate::alloc::CountingAlloc
+//! [`baseline`]: crate::alloc::baseline
+//! [`measure`]: crate::alloc::measure
+//! [`thread_stats`]: crate::alloc::thread_stats
+//! [`global_stats`]: crate::alloc::global_stats
+//! [`delta_since`]: crate::alloc::delta_since
+//! [`profiling_active`]: crate::alloc::profiling_active
 
 #[cfg(feature = "alloc-profile")]
 use std::alloc::{GlobalAlloc, Layout, System};

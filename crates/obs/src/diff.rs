@@ -17,6 +17,8 @@
 //! (`total_us`, `self_us`, `min_us`, `max_us`) are not compared:
 //! wall-clock regressions are judged by the repository benchmark,
 //! which samples them instead of reading one capture.
+//!
+//! [`diff_summaries`]: crate::diff::diff_summaries
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -37,6 +37,11 @@
 //!
 //! Nothing reads the cells back into the computation, so enabling
 //! them, or watching them, cannot change the published anonymization.
+//!
+//! [`Sampler`]: crate::live::Sampler
+//! [`Sampler::spawn`]: crate::live::Sampler::spawn
+//! [`Sample`]: crate::live::Sample
+//! [`SampleLog`]: crate::live::SampleLog
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

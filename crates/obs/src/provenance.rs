@@ -12,6 +12,10 @@
 //! [`Cause`]). The log renders to byte-stable JSONL, parses back, and
 //! validates referential integrity — the substrate for `diva explain`,
 //! which loads a saved file through [`validate_text`].
+//!
+//! [`Log`]: crate::provenance::Log
+//! [`Cause`]: crate::provenance::Cause
+//! [`validate_text`]: crate::provenance::validate_text
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -27,6 +27,10 @@
 //!
 //! Anything else is a 404. Requests are read with a short timeout so
 //! a stuck client cannot wedge a handler thread forever.
+//!
+//! [`LIVE_CELLS`]: crate::serve::LIVE_CELLS
+//! [`prometheus_text`]: crate::serve::prometheus_text
+//! [`parse_prometheus`]: crate::serve::parse_prometheus
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

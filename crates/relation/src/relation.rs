@@ -29,7 +29,7 @@ pub struct Relation {
 
 impl Relation {
     /// Assembles a relation from parts. Prefer [`crate::RelationBuilder`]
-    /// or [`crate::csv::read_csv`] in application code.
+    /// or [`crate::csv::read_relation`] in application code.
     ///
     /// # Panics
     ///

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Repo gate: formatting, lints, the diva-tidy static-analysis pass,
+# Repo gate: formatting, lints, rustdoc (a broken doc link fails),
+# the diva-tidy static-analysis pass,
 # tests (default + strict-invariants, the whole differential suite
 # and the brute-force oracle suite among them), a bench smoke run,
 # one run of each example, and the profiling/trace-regression gate.
@@ -63,6 +64,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy $FLAGS --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc $FLAGS --no-deps --workspace
 
 echo "==> diva-tidy (repo lint rules; any finding fails)"
 # Exit codes: 0 clean, 1 findings, 2 tool error.

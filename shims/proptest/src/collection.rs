@@ -36,7 +36,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     VecStrategy { element, size: size.into() }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

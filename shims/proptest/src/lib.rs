@@ -11,6 +11,8 @@
 //! shrunk**: a failure reports the assertion message and the case seed
 //! (re-run with `PROPTEST_CASES` / the printed seed to reproduce).
 //! Cases are deterministic per test name, so CI runs are stable.
+//!
+//! [`Strategy`]: strategy::Strategy
 
 pub mod arbitrary;
 pub mod collection;

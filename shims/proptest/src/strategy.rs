@@ -220,7 +220,7 @@ macro_rules! impl_range_strategy {
 impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64, f32);
 
 /// String literals are regex strategies (subset: literals, character
-/// classes, and `* + ? {m} {m,n}` quantifiers — see [`crate::pattern`]).
+/// classes, and `* + ? {m} {m,n}` quantifiers — see the `pattern` module).
 impl Strategy for &str {
     type Value = String;
     fn generate(&self, rng: &mut StdRng) -> Result<String, Rejection> {
