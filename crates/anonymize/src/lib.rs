@@ -20,6 +20,7 @@
 //! routine turns a clustering into a `k`-anonymous relation, so
 //! information loss is directly comparable across algorithms and with
 //! DIVA.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub mod common;
 pub mod kmember;

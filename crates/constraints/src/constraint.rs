@@ -8,7 +8,12 @@ use diva_relation::{ColId, Relation, RowId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConstraintError {
     /// The frequency range is empty (`λl > λr`).
-    EmptyRange { lower: usize, upper: usize },
+    EmptyRange {
+        /// The lower bound `λl`.
+        lower: usize,
+        /// The upper bound `λr`.
+        upper: usize,
+    },
     /// The constraint names no target attribute.
     NoTargets,
     /// The same attribute appears twice in one constraint's target.

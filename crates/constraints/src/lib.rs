@@ -17,16 +17,12 @@
 //!   conflict-rate-targeted generator;
 //! * [`spec`] — a small text format for reading and writing constraint
 //!   sets.
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-/// Conflict rate between diversity constraints.
 pub mod conflict;
-/// Single diversity constraints: declarative and relation-bound forms.
 pub mod constraint;
-/// Constraint-set generators (the paper's classes plus conflict-targeted).
 pub mod generators;
-/// Constraint sets `Σ`: validation, binding, and satisfaction.
 pub mod set;
-/// A small text format for reading and writing constraint sets.
 pub mod spec;
 
 pub use conflict::{conflict_rate, pairwise_conflict};

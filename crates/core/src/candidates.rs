@@ -28,6 +28,7 @@
 //! ([`CandidateSet::clustering`]); the search's availability checks
 //! read them as slices of the sorted order without building anything
 //! ([`CandidateSet::available`]).
+#![deny(clippy::disallowed_types)]
 
 use std::ops::Range;
 use std::sync::OnceLock;

@@ -1,4 +1,5 @@
 //! The recursive colouring search (Algorithms 3 and 4 of the paper).
+#![deny(clippy::disallowed_types)]
 
 use std::sync::Arc;
 

@@ -11,7 +11,7 @@
 //! injects nothing.
 //!
 //! This module deliberately panics (that is the fault being injected),
-//! so it is allowlisted for the tidy `no-panic` rule.
+//! under one `#[expect(clippy::panic)]`.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -87,6 +87,7 @@ impl FaultPlan {
 
     /// Injection point: start of a portfolio member. Panics if this
     /// member is selected by the plan.
+    #[expect(clippy::panic, reason = "a worker panic is the fault this point injects")]
     pub fn worker_panic_point(&self, member: usize) {
         if self.worker_panic_pct > 0
             && mix(self.seed, 1, member as u64) % 100 < u64::from(self.worker_panic_pct)

@@ -1,5 +1,6 @@
 //! The constraint graph (§3.3): one node per diversity constraint, an
 //! edge where target-tuple sets overlap.
+#![deny(clippy::disallowed_types)]
 
 use diva_constraints::ConstraintSet;
 use diva_relation::{RowId, RowSet};

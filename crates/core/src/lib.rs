@@ -35,35 +35,22 @@
 //!     .unwrap();
 //! assert!(diva_relation::is_k_anonymous(&out.relation, 2));
 //! ```
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-/// Resource budgets and graceful degradation.
 pub mod budget;
-/// Candidate clustering enumeration (`Clusterings(σ, R)`).
 pub mod candidates;
-/// The recursive colouring search (Algorithms 3 and 4).
 pub mod coloring;
-/// DIVA configuration: node-selection strategies and search knobs.
 pub mod config;
-/// Constraint-graph decomposition into independent components.
 pub mod decompose;
-/// The DIVA pipeline (Algorithm 1): clustering through integration.
 pub mod diva;
-/// Errors produced by the DIVA pipeline.
 pub mod error;
-/// Deterministic fault injection for robustness testing.
 #[cfg(feature = "fault-inject")]
 pub mod faults;
-/// The constraint graph: nodes per constraint, edges on overlap.
 pub mod graph;
-/// The `Integrate` step: unions `R_Σ` and `R_k`, repairs violations.
 pub mod integrate;
-/// Parallel portfolio search across strategies and seeds.
 pub mod parallel;
-/// The bounded scoped-thread worker pool every threaded stage runs on.
 pub mod pool;
 mod provenance;
-/// Mutable search state: the live clusters, the row-owner map and the
-/// retained counts.
 pub mod state;
 
 pub use budget::{Budget, BudgetSpec, BudgetUsage, Controls, DegradeReason, Outcome};

@@ -19,13 +19,14 @@
 //! `{start, len, refcount}` entry over a row arena the stack tiles in
 //! order, and an undo log records every step of every live assignment
 //! (a cluster created, or a live one shared). A
-//! [`Token`](crate::state::Token) is a mark into that log, and undoing
+//! [`Token`] is a mark into that log, and undoing
 //! pops the log back to it. The per-call scratch (pending-row marks,
 //! per-constraint retained deltas) lives in epoch-stamped arrays
 //! reused across calls. So once the stack, arena and log have grown to
 //! the search's depth, `try_assign`/`unassign` allocate nothing. A
 //! cluster's retained counts go to its owners in the graph
 //! ([`ConstraintGraph::owners`]).
+#![deny(clippy::disallowed_types)]
 
 use diva_relation::RowId;
 

@@ -14,13 +14,20 @@ use rand::Rng;
 pub enum Dist {
     /// Every index equally likely.
     Uniform,
-    /// Zipfian with exponent `s`: P(i) ∝ 1/(i+1)^s. Higher `s` skews
-    /// harder toward low indices.
-    Zipf { s: f64 },
+    /// Zipfian: P(i) ∝ 1/(i+1)^s.
+    Zipf {
+        /// The exponent; a higher `s` skews harder toward low indices.
+        s: f64,
+    },
     /// Discretized Gaussian: indices are sampled from
     /// N(mean_frac·domain, (cv·domain)²), rounded, and clamped into
     /// range.
-    Gaussian { mean_frac: f64, cv: f64 },
+    Gaussian {
+        /// The mean as a fraction of the domain size.
+        mean_frac: f64,
+        /// The standard deviation as a fraction of the domain size.
+        cv: f64,
+    },
 }
 
 impl Dist {

@@ -17,10 +17,9 @@
 //! order.
 //!
 //! Everything is deterministic given `(spec, n_rows, seed)`.
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-/// Hand-rolled categorical samplers: Uniform, Zipfian, Gaussian.
 pub mod dist;
-/// Dataset specifications matching Table 4 of the paper.
 pub mod spec;
 
 mod engine;

@@ -13,7 +13,12 @@ pub enum Domain {
     Named(Vec<String>),
     /// A synthetic domain `"{prefix}{0}" .. "{prefix}{size-1}"` (used
     /// for high-cardinality attributes like city or occupation).
-    Indexed { prefix: String, size: usize },
+    Indexed {
+        /// The text every value starts with.
+        prefix: String,
+        /// The number of values.
+        size: usize,
+    },
 }
 
 impl Domain {

@@ -16,10 +16,9 @@
 //!   ([`disc_accuracy_ratio`]). Both are monotone in information loss,
 //!   preserving the orderings and crossovers the figures show
 //!   (`DESIGN.md` §2.7).
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-/// Privacy-model audit suite: k-anonymity through t-closeness.
 pub mod audit;
-/// Descriptive statistics of an anonymization result.
 pub mod stats;
 
 pub use audit::{audit, audit_with_obs, Audit, AuditReport, AuditSpec, AuditSuite, ModelKind};

@@ -238,7 +238,7 @@ impl Default for CountingAlloc {
 // touches the returned memory and never allocates (const-init TLS,
 // atomics), so it cannot recurse or alias.
 #[cfg(feature = "alloc-profile")]
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "the counting allocator must implement `GlobalAlloc`")]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);

@@ -10,6 +10,7 @@
 //! matches, 1 on any mismatch (each printed to stderr), 2 on
 //! usage/IO/parse errors. `scripts/check.sh` runs this against the
 //! committed `results/baseline/medical-4k.summary.json`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use diva_obs::diff::diff_summaries;
 use diva_obs::json::{parse, Value};

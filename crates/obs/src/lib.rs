@@ -54,33 +54,20 @@
 //! assert_eq!(snap.spans[1].parent, Some(snap.spans[0].id));
 //! ```
 //!
-//! This crate is also the only place in the workspace allowed to read
-//! the wall clock (`diva-tidy`'s `wall-clock` rule): code that needs a
-//! raw timer uses [`Stopwatch`] so every clock read flows through one
-//! audited module.
+//! This crate is also the only place in the workspace that reads the
+//! wall clock (the `disallowed_methods` lint bans `Instant::now`
+//! elsewhere): code that needs a raw timer uses [`Stopwatch`] so every
+//! clock read flows through one audited module.
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-/// Counting `GlobalAlloc` wrapper and per-thread/global allocation
-/// statistics (`alloc-profile` feature; inert stubs otherwise).
 pub mod alloc;
-/// Post-hoc span analysis: self-times, critical path, folded stacks.
 pub mod analyze;
-/// Exact comparison of the deterministic fields of two summary
-/// documents (the `trace-diff` regression gate).
 pub mod diff;
-/// Snapshot freezing and JSONL-trace / summary-JSON rendering.
 pub mod export;
-/// Hand-rolled RFC-8259 JSON parser and number/string helpers.
 pub mod json;
-/// Live in-flight telemetry: the handle's atomic progress cells, the
-/// background sampler, and the stall watchdog.
 pub mod live;
-/// Atomic counter/gauge/histogram primitives and log₂ bucketing.
 pub mod metrics;
-/// Decision-provenance recorder: traces every published star back to
-/// the constraint / repair / degrade decision that caused it.
 pub mod provenance;
-/// Std-only blocking TCP stats endpoint (Prometheus text + live
-/// summary-JSON) over a handle's live cells.
 pub mod serve;
 
 use std::cell::RefCell;
@@ -96,7 +83,7 @@ pub use provenance::{Provenance, StarAttribution};
 
 /// A raw monotonic timer.
 ///
-/// The `diva-tidy` `wall-clock` rule bans `Instant::now` everywhere
+/// The `clippy::disallowed_methods` lint bans `Instant::now` everywhere
 /// outside this crate; harness code (bench, CLI) that needs a plain
 /// elapsed-time measurement uses `Stopwatch` so all clock reads are
 /// auditable in one place. Library code should prefer [`Obs::span`],
@@ -106,6 +93,7 @@ pub struct Stopwatch(Instant);
 
 impl Stopwatch {
     /// Starts the timer.
+    #[expect(clippy::disallowed_methods, reason = "obs owns the clock: this is its raw timer")]
     pub fn start() -> Self {
         Self(Instant::now())
     }
@@ -246,6 +234,7 @@ impl std::fmt::Debug for Obs {
 
 impl Obs {
     /// A recording handle with a fresh registry and trace buffer.
+    #[expect(clippy::disallowed_methods, reason = "obs owns the clock: the trace's origin")]
     pub fn enabled() -> Self {
         Self {
             inner: Some(Arc::new(Inner {
@@ -274,6 +263,7 @@ impl Obs {
     /// modes; only enabled handles retain a [`SpanRecord`] when it
     /// ends. The span's parent is the innermost span currently open on
     /// this thread (override with [`Span::with_parent`]).
+    #[expect(clippy::disallowed_methods, reason = "obs owns the clock: a span times its region")]
     pub fn span(&self, name: &str) -> Span {
         let active = self.inner.as_ref().map(|inner| {
             let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
@@ -356,16 +346,19 @@ impl Obs {
                 s.parent = None;
             }
         }
+        #[expect(clippy::disallowed_methods, reason = "sorted by name below")]
         let mut counters: Vec<(String, u64)> = lock_or_recover(&inner.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect();
         counters.sort();
+        #[expect(clippy::disallowed_methods, reason = "sorted by name below")]
         let mut gauges: Vec<(String, i64)> = lock_or_recover(&inner.gauges)
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect();
         gauges.sort();
+        #[expect(clippy::disallowed_methods, reason = "sorted by name below")]
         let mut histograms: Vec<(String, HistogramSnapshot)> = lock_or_recover(&inner.histograms)
             .iter()
             .map(|(k, cells)| {

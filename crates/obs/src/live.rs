@@ -456,6 +456,10 @@ impl Sampler {
         let thread_stop = Arc::clone(&stop);
         let thread_obs = obs.clone();
         let thread_log = log.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a daemon: `Sampler` joins it on stop and on drop"
+        )]
         let handle = std::thread::spawn(move || {
             sampler_loop(&thread_obs, &config, &thread_log, on_sample, &thread_stop);
         });
@@ -722,18 +726,17 @@ mod tests {
         let obs = Obs::enabled();
         obs.phase(Phase::Clustering).end();
         let sampler = Sampler::spawn(&obs, watchdog(20, 2), None);
-        let publisher = obs.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let publisher_stop = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !publisher_stop.load(Ordering::Relaxed) {
-                publisher.add_nodes(1);
-                std::thread::sleep(Duration::from_millis(2));
-            }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    obs.add_nodes(1);
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            });
+            std::thread::sleep(Duration::from_millis(300));
+            stop.store(true, Ordering::Relaxed);
         });
-        std::thread::sleep(Duration::from_millis(300));
-        stop.store(true, Ordering::Relaxed);
-        let _ = handle.join();
         let log = sampler.log();
         sampler.stop();
         assert_eq!(log.stalls_flagged(), 0, "false positive on an advancing run");
@@ -780,18 +783,17 @@ mod tests {
         let sink = Arc::clone(&samples);
         let on_sample: OnSample = Box::new(move |s| lock_or_recover(&sink).push(s.clone()));
         let sampler = Sampler::spawn(&obs, watchdog(10, 1000), Some(on_sample));
-        let publisher = obs.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let publisher_stop = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !publisher_stop.load(Ordering::Relaxed) {
-                publisher.add_nodes(50);
-                std::thread::sleep(Duration::from_millis(1));
-            }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    obs.add_nodes(50);
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            std::thread::sleep(Duration::from_millis(200));
+            stop.store(true, Ordering::Relaxed);
         });
-        std::thread::sleep(Duration::from_millis(200));
-        stop.store(true, Ordering::Relaxed);
-        let _ = handle.join();
         let log = sampler.log();
         sampler.stop();
         let samples = lock_or_recover(&samples);

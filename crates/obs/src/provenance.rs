@@ -25,19 +25,32 @@ use crate::json::{self, Value};
 /// Why a published cell is starred.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Cause {
-    /// Suppressed so a Σ-owned cluster publishes one indistinct block;
-    /// charged to `constraint` by the deterministic tie-splitting rule.
-    Sigma { constraint: u32 },
+    /// Suppressed so a Σ-owned cluster publishes one indistinct block.
+    Sigma {
+        /// The owner the deterministic tie-splitting rule charges.
+        constraint: u32,
+    },
     /// Suppressed purely for k-anonymity (cluster owned by no constraint).
     KAnonymity,
     /// Suppressed by an upper-bound repair round during Integrate.
-    Repair { constraint: u32, round: u32 },
-    /// Row voided by the degrade fixpoint because `constraint` could not be
-    /// satisfied within budget.
-    Voided { constraint: u32 },
+    Repair {
+        /// The upper-bound constraint the round repaired.
+        constraint: u32,
+        /// The repair round, counted from 1.
+        round: u32,
+    },
+    /// Row voided by the degrade fixpoint.
+    Voided {
+        /// The constraint that could not be satisfied within budget.
+        constraint: u32,
+    },
     /// Row merged into the degraded star block for a structural reason
-    /// (residual rows, star-block size fix) rather than a single constraint.
-    DegradeMerge { reason: &'static str },
+    /// rather than a single constraint.
+    DegradeMerge {
+        /// `"residual"` (residual rows) or `"block_size"` (the star-block
+        /// size fix).
+        reason: &'static str,
+    },
 }
 
 impl Cause {

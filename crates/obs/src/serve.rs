@@ -350,6 +350,10 @@ impl StatsServer {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = Arc::clone(&stop);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a daemon: `StatsServer` joins it on shutdown and on drop"
+        )]
         let accept_handle = std::thread::spawn(move || {
             accept_loop(&listener, &obs, &log, &accept_stop);
         });
@@ -391,6 +395,7 @@ fn accept_loop(listener: &TcpListener, obs: &Obs, log: &SampleLog, stop: &Atomic
         let Ok(stream) = stream else { continue };
         let handler_obs = obs.clone();
         let handler_log = log.clone();
+        #[expect(clippy::disallowed_methods, reason = "a handler ends with its connection")]
         std::thread::spawn(move || {
             let _ = handle_connection(stream, &handler_obs, &handler_log);
         });

@@ -26,60 +26,58 @@ fn per_thread_attribution_is_exact_under_concurrency() {
     assert!(alloc::profiling_active(), "installed allocator should be recording");
     let g_before = alloc::global_stats();
 
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            thread::spawn(move || {
-                let before = alloc::thread_stats();
-                // Five raw buffer allocations of known byte sizes, and
-                // nothing else, between the two thread_stats probes —
-                // per-thread deltas must match to the byte even though
-                // all the other threads are allocating concurrently.
-                // `black_box` keeps the optimizer from removing the
-                // unused buffers (and their allocations) in release.
-                let a = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[0] + t));
-                let b = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[1]));
-                let c = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[2]));
-                let d = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[3]));
-                let e = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[4]));
-                let mid = alloc::thread_stats();
-                drop((a, b, c, d, e));
-                let after = alloc::thread_stats();
+    let expected_total: u64 = thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                s.spawn(move || {
+                    let before = alloc::thread_stats();
+                    // Five raw buffer allocations of known byte sizes, and
+                    // nothing else, between the two thread_stats probes —
+                    // per-thread deltas must match to the byte even though
+                    // all the other threads are allocating concurrently.
+                    // `black_box` keeps the optimizer from removing the
+                    // unused buffers (and their allocations) in release.
+                    let a = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[0] + t));
+                    let b = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[1]));
+                    let c = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[2]));
+                    let d = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[3]));
+                    let e = std::hint::black_box(Vec::<u8>::with_capacity(SIZES[4]));
+                    let mid = alloc::thread_stats();
+                    drop((a, b, c, d, e));
+                    let after = alloc::thread_stats();
 
-                let expected = (SIZES.iter().sum::<usize>() + t) as u64;
-                assert_eq!(
-                    mid.allocated_bytes - before.allocated_bytes,
-                    expected,
-                    "thread {t}: allocated bytes"
-                );
-                assert_eq!(
-                    mid.allocated_count - before.allocated_count,
-                    SIZES.len() as u64,
-                    "thread {t}: allocation count"
-                );
-                assert_eq!(
-                    mid.live_bytes - before.live_bytes,
-                    expected as i64,
-                    "thread {t}: live bytes while buffers are held"
-                );
-                assert!(mid.peak_live_bytes >= mid.live_bytes, "thread {t}: peak below live");
-                assert_eq!(
-                    after.freed_bytes - mid.freed_bytes,
-                    expected,
-                    "thread {t}: freed bytes after drop"
-                );
-                assert_eq!(
-                    after.live_bytes, before.live_bytes,
-                    "thread {t}: live bytes return to baseline"
-                );
-                expected
+                    let expected = (SIZES.iter().sum::<usize>() + t) as u64;
+                    assert_eq!(
+                        mid.allocated_bytes - before.allocated_bytes,
+                        expected,
+                        "thread {t}: allocated bytes"
+                    );
+                    assert_eq!(
+                        mid.allocated_count - before.allocated_count,
+                        SIZES.len() as u64,
+                        "thread {t}: allocation count"
+                    );
+                    assert_eq!(
+                        mid.live_bytes - before.live_bytes,
+                        expected as i64,
+                        "thread {t}: live bytes while buffers are held"
+                    );
+                    assert!(mid.peak_live_bytes >= mid.live_bytes, "thread {t}: peak below live");
+                    assert_eq!(
+                        after.freed_bytes - mid.freed_bytes,
+                        expected,
+                        "thread {t}: freed bytes after drop"
+                    );
+                    assert_eq!(
+                        after.live_bytes, before.live_bytes,
+                        "thread {t}: live bytes return to baseline"
+                    );
+                    expected
+                })
             })
-        })
-        .collect();
-
-    let mut expected_total = 0u64;
-    for h in handles {
-        expected_total += h.join().expect("worker thread");
-    }
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("worker thread")).sum()
+    });
 
     // The global counters aggregate every thread (plus whatever the
     // runtime allocated for the threads themselves), so the delta is

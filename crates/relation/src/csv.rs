@@ -22,18 +22,34 @@ use crate::value::STAR_CODE;
 /// Errors produced by CSV parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CsvError {
-    /// A record has a different field count than the header. `line` is
-    /// the physical line the record starts on.
-    RaggedRow { line: usize, expected: usize, found: usize },
-    /// A quoted field was never closed. `line` is the physical line the
-    /// record holding it starts on.
-    UnterminatedQuote { line: usize },
+    /// A record has a different field count than the header.
+    RaggedRow {
+        /// The physical line the record starts on.
+        line: usize,
+        /// The header's field count.
+        expected: usize,
+        /// The record's field count.
+        found: usize,
+    },
+    /// A quoted field was never closed.
+    UnterminatedQuote {
+        /// The physical line the record holding it starts on.
+        line: usize,
+    },
     /// The input had no header row.
     Empty,
     /// The role list length does not match the header width.
-    RoleMismatch { header: usize, roles: usize },
+    RoleMismatch {
+        /// The header's field count.
+        header: usize,
+        /// The number of roles given.
+        roles: usize,
+    },
     /// The header names a column twice.
-    DuplicateColumn { name: String },
+    DuplicateColumn {
+        /// The repeated column name.
+        name: String,
+    },
     /// Underlying I/O failure (message only, to keep the error `Eq`).
     Io(String),
 }

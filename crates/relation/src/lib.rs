@@ -17,26 +17,17 @@
 //! compact data: cell values are `u32` dictionary codes, so row
 //! comparisons and hashing touch only machine words, and string data is
 //! stored once per distinct value.
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-/// Row-at-a-time relation construction.
 pub mod builder;
-/// Dependency-free CSV reading and writing (RFC-4180 quoting).
 pub mod csv;
-/// Per-column string dictionaries.
 pub mod dict;
-/// Shared fixtures: the paper's running example (Table 1).
 pub mod fixtures;
-/// QI-groups and `k`-anonymity (Definition 2.1).
 pub mod groups;
-/// The columnar relation type.
 pub mod relation;
-/// A fixed-capacity bitset over row ids.
 pub mod rowset;
-/// Relation schemas: attribute names and privacy roles.
 pub mod schema;
-/// Cluster-driven value suppression (Algorithm 2) and refinement.
 pub mod suppress;
-/// Cell values: dictionary codes plus the suppression symbol.
 pub mod value;
 
 pub use builder::RelationBuilder;

@@ -9,6 +9,7 @@
 //! dense indices into a [`Relation`](crate::Relation), which makes the
 //! fixed-capacity representation exact, compact (|R|/8 bytes), and
 //! allocation-free after construction.
+#![deny(clippy::disallowed_types)]
 
 use crate::RowId;
 

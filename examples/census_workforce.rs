@@ -36,7 +36,7 @@ fn evaluate(rel: &Relation, name: &str, sigma: &[Constraint], k: usize, node_bud
         let config = DivaConfig::with_k(k)
             .strategy(strategy)
             .budget(BudgetSpec::with_node_budget(node_budget));
-        let t = std::time::Instant::now();
+        let t = diva_obs::Stopwatch::start();
         match Diva::new(config).run(rel, sigma) {
             Ok(out) => {
                 let verdict = match &out.outcome {

@@ -97,7 +97,7 @@ fn main() {
 
     // Parallel portfolio (future-work extension): all strategies race.
     println!("\nparallel portfolio (3 strategies × 2 seeds):");
-    let t = std::time::Instant::now();
+    let t = diva_obs::Stopwatch::start();
     match run_portfolio(&rel, &sigma, &DivaConfig::with_k(k), 2) {
         Ok(out) => println!(
             "  first finisher: accuracy {:.3}, ★ {}, in {:?}",

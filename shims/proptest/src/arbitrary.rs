@@ -52,5 +52,4 @@ impl<A: Arbitrary, B: Arbitrary> Arbitrary for (A, B) {
 
 // `Standard` is implemented for all the primitive types above; this
 // bound documents the delegation without re-listing them.
-#[allow(dead_code)]
 fn _assert_standard<T: Standard>() {}

@@ -239,7 +239,7 @@ macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the tuple bindings reuse the type parameter names")]
             fn generate(&self, rng: &mut StdRng) -> Result<Self::Value, Rejection> {
                 let ($($name,)+) = self;
                 Ok(($($name.generate(rng)?,)+))

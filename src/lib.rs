@@ -9,6 +9,7 @@
 //! * [`diva_metrics`] — information-loss metrics;
 //! * [`diva_anonymize`] — k-anonymization baselines;
 //! * [`diva_core`] — the DIVA algorithm.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub use diva_anonymize;
 pub use diva_constraints;

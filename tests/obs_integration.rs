@@ -31,7 +31,7 @@ thread_local! {
 // SAFETY: both methods forward verbatim to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a const-initialised
 // thread-local `Cell`, so bumping it never allocates or recurses.
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "a test allocator must implement `GlobalAlloc`")]
 unsafe impl GlobalAlloc for ThreadCountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // `try_with`: allocations during thread teardown go uncounted.
