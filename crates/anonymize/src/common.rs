@@ -52,11 +52,6 @@ impl QiMatrix {
         &self.codes[i * self.n_qi..(i + 1) * self.n_qi]
     }
 
-    /// The original relation row id of local row `i`.
-    pub fn source_row(&self, i: usize) -> RowId {
-        self.rows[i]
-    }
-
     /// Categorical distance between two local rows: the number of QI
     /// attributes on which they differ. This is the suppression-model
     /// information loss a 2-cluster of the rows would incur per tuple.
@@ -293,7 +288,6 @@ mod tests {
         let m = QiMatrix::new(&r, &[0, 7]);
         assert_eq!(m.len(), 2);
         assert_eq!(m.n_qi(), 5);
-        assert_eq!(m.source_row(1), 7);
         // t1 vs t8: GEN same (Female), ETH/AGE/PRV/CTY differ → 4.
         assert_eq!(m.distance(0, 1), 4);
         assert_eq!(m.distance(0, 0), 0);

@@ -16,7 +16,6 @@ use diva_bench::{ablation, fig4, fig5, perf, tables, Params, Table};
 
 /// Memory attribution for the perf suite: with the counting allocator
 /// installed, trajectory points report per-run allocation totals.
-#[cfg(feature = "alloc-profile")]
 #[global_allocator]
 static GLOBAL_ALLOC: diva_obs::alloc::CountingAlloc = diva_obs::alloc::CountingAlloc::new();
 

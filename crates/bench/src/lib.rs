@@ -35,6 +35,6 @@ pub use table::Table;
 /// The harness's own unit tests exercise memory attribution, so the
 /// test binary installs the counting allocator too (the `experiments`
 /// binary does the same in its own root).
-#[cfg(all(test, feature = "alloc-profile"))]
+#[cfg(test)]
 #[global_allocator]
 static TEST_ALLOC: diva_obs::alloc::CountingAlloc = diva_obs::alloc::CountingAlloc::new();

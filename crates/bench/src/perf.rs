@@ -133,7 +133,7 @@ struct TrajectoryPoint {
     /// Wall-clock of the untraced run, milliseconds.
     ms: Spread,
     /// Bytes allocated under the `diva.run` span; zero when no
-    /// counting allocator is installed (`--no-default-features`).
+    /// counting allocator is installed.
     alloc_bytes_total: u64,
     search: ColoringStats,
     ok: bool,
@@ -568,13 +568,9 @@ mod tests {
         assert!(p.search.assignments_tried > 0);
         assert!(p.search.node_selections > 0, "search counters missing");
         assert!(0.0 < p.ms.q1 && p.ms.q1 <= p.ms.median && p.ms.median <= p.ms.q3);
-        // With the counting allocator installed the run attributes
-        // memory; without it the field stays zero.
-        if cfg!(feature = "alloc-profile") {
-            assert!(p.alloc_bytes_total > 0, "no memory attributed to diva.run");
-        } else {
-            assert_eq!(p.alloc_bytes_total, 0);
-        }
+        // The test binary installs the counting allocator, so the run
+        // attributes memory.
+        assert!(p.alloc_bytes_total > 0, "no memory attributed to diva.run");
     }
 
     #[test]

@@ -25,11 +25,8 @@ use diva_obs::{Obs, Stopwatch};
 use diva_relation::csv::{read_relation_file, write_relation_file};
 use diva_relation::{is_k_anonymous, AttrRole, Relation};
 
-/// The CLI installs the counting allocator (feature `alloc-profile`,
-/// on by default) so exports carry per-span memory attribution; build
-/// with `--no-default-features` for an un-instrumented binary whose
-/// exports are byte-identical minus the alloc fields.
-#[cfg(feature = "alloc-profile")]
+/// The CLI installs the counting allocator so exports carry per-span
+/// memory attribution.
 #[global_allocator]
 static GLOBAL_ALLOC: diva_obs::alloc::CountingAlloc = diva_obs::alloc::CountingAlloc::new();
 
@@ -274,8 +271,8 @@ fn fmt_bytes(b: u64) -> String {
 
 /// Prints the `--profile` analysis over a finished run's snapshot:
 /// top spans by self-time, the critical path, and allocation totals
-/// (the last only when the counting allocator attributed memory —
-/// i.e. the default `alloc-profile` build).
+/// (the last only when the counting allocator attributed memory, as
+/// it does in the `diva` binary).
 fn profile_report(reporter: &Reporter, obs: &Obs) {
     let snap = obs.snapshot();
     let mut summaries = snap.span_summaries();
@@ -485,10 +482,6 @@ fn anonymize(opts: &Opts) -> Result<(), String> {
             };
         Diva::with_anonymizer(config, anonymizer).run(&rel, &sigma)
     };
-    // Publish the star attribution before the endpoint goes down, so
-    // a final scrape (and the --metrics file) carries
-    // `diva_constraint_stars` / `provenance.constraint_stars.*`.
-    obs.publish_attribution(&provenance);
     // Tear down the endpoint and sampler before reporting so the last
     // watch line lands above the summary and no scrape can observe a
     // half-written export.

@@ -944,11 +944,7 @@ fn flame_and_profile_report_cover_the_run() {
     let stdout = String::from_utf8_lossy(&a.stdout);
     assert!(stdout.contains("profile: self-time top:"), "{stdout}");
     assert!(stdout.contains("profile: critical path: diva.run"), "{stdout}");
-    if cfg!(feature = "alloc-profile") {
-        assert!(stdout.contains("profile: alloc: diva.run"), "{stdout}");
-    } else {
-        assert!(!stdout.contains("profile: alloc:"), "{stdout}");
-    }
+    assert!(stdout.contains("profile: alloc: diva.run"), "{stdout}");
     assert!(stdout.contains(&format!("wrote {}", flame.display())), "{stdout}");
 
     // Every folded line is `diva.run[;child]* weight`, and the weights
@@ -984,19 +980,12 @@ fn flame_and_profile_report_cover_the_run() {
         "folded weights {total} do not telescope to diva.run {dur_us} (±{n_spans} rounding)"
     );
 
-    // Trace alloc fields are all-or-none with the counting allocator.
-    let has_alloc = trace_text.contains("\"alloc_bytes\":");
-    assert_eq!(
-        has_alloc,
-        cfg!(feature = "alloc-profile"),
-        "trace alloc fields do not match the alloc-profile feature"
+    // The binary installs the counting allocator, so spans carry
+    // memory attribution.
+    assert!(
+        run_line.contains("\"alloc_bytes\":"),
+        "diva.run span missing alloc attribution: {run_line}"
     );
-    if has_alloc {
-        assert!(
-            run_line.contains("\"alloc_bytes\":"),
-            "diva.run span missing alloc attribution: {run_line}"
-        );
-    }
 }
 
 /// `explain --provenance` validates the whole file it loads, the

@@ -9,7 +9,7 @@
 //! frequencies, plus a conflict-rate-targeted generator for the
 //! Fig. 4c sweep. All generators are deterministic in their seed.
 
-use diva_relation::{AttrRole, Relation};
+use diva_relation::Relation;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -371,22 +371,6 @@ pub fn islands(
     out
 }
 
-/// Sanity helper: retain only constraints whose attributes are QI in
-/// `rel` (useful when a spec file was written for a different schema).
-pub fn retain_bindable(rel: &Relation, constraints: Vec<Constraint>) -> Vec<Constraint> {
-    constraints
-        .into_iter()
-        .filter(|c| {
-            c.targets.iter().all(|(a, _)| {
-                rel.schema()
-                    .col(a)
-                    .map(|col| rel.schema().attribute(col).role() == AttrRole::Quasi)
-                    .unwrap_or(false)
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,19 +467,6 @@ mod tests {
         let sigma = with_conflict_rate(&r, 8, 0.0, 10, 7);
         let set = ConstraintSet::bind(&sigma, &r).unwrap();
         assert_eq!(conflict_rate(&set), 0.0);
-    }
-
-    #[test]
-    fn retain_bindable_filters() {
-        let r = paper_table1();
-        let cs = vec![
-            Constraint::single("ETH", "Asian", 1, 5),
-            Constraint::single("DIAG", "Flu", 1, 5),
-            Constraint::single("MISSING", "x", 1, 5),
-        ];
-        let kept = retain_bindable(&r, cs);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].targets[0].0, "ETH");
     }
 
     #[test]

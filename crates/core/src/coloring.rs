@@ -312,7 +312,7 @@ impl<'a> Coloring<'a> {
             Err(Stop::Cancelled) => return Err(DivaError::Cancelled),
             Err(Stop::Degraded(reason)) => Some(reason),
         };
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         self.state.validate(self.graph).map_err(|detail| DivaError::InvariantViolated {
             phase: "DiverseClustering".into(),
             detail,

@@ -67,9 +67,8 @@ pub struct RunStats {
     /// Per-phase memory attribution, mirroring the `t_*` fields the
     /// same way: each delta is what the running thread allocated
     /// inside the corresponding span. `None` unless the counting
-    /// allocator is live in this process (`diva-obs`'s
-    /// `alloc-profile` feature plus an installed
-    /// `#[global_allocator]` — see `diva_obs::alloc`).
+    /// allocator is live in this process (a binary installed
+    /// `diva_obs::alloc::CountingAlloc` as its `#[global_allocator]`).
     pub alloc: Option<PhaseAlloc>,
     /// Per-constraint star attribution from the decision-provenance
     /// recorder: how many published stars each Σ-constraint caused
@@ -138,20 +137,25 @@ pub struct DivaResult {
 
 impl DivaResult {
     /// Publishes this result as the end of its run: derives its
-    /// provenance log, installs it into `config`'s recorder and puts
-    /// its attribution in the stats, then publishes the constraint
-    /// verdicts and phase `Done` on the live cells. Called once per
-    /// returned result — by [`Diva::run`], and by the portfolio after
-    /// it picks the winner — so members racing on one handle never add
-    /// up their verdicts or overwrite the log.
+    /// provenance log and its star attribution, puts the attribution
+    /// in the stats and installs the log into `config`'s recorder, then
+    /// publishes the attribution, the constraint verdicts and phase
+    /// `Done` on `config.obs`. Called once per returned result — by
+    /// [`Diva::run`], and by the portfolio after it picks the winner —
+    /// so members racing on one handle never add up their verdicts or
+    /// overwrite the log. A failed run publishes none of them.
     pub(crate) fn publish_done(&mut self, config: &DivaConfig) {
-        if let Some(notes) = self.notes.take() {
-            let log = notes.into_log(&self.relation, &self.groups, &self.source_rows);
-            self.stats.attribution = Some(diva_obs::StarAttribution::from_log(&log));
-            config.provenance.install(log);
-        }
         let voided = self.stats.constraints_voided as u64;
-        config.obs.run_finished(self.stats.n_constraints as u64 - voided, voided);
+        let satisfied = self.stats.n_constraints as u64 - voided;
+        let Some(notes) = self.notes.take() else {
+            config.obs.run_finished(satisfied, voided, None);
+            return;
+        };
+        let log = notes.into_log(&self.relation, &self.groups, &self.source_rows);
+        let attribution = diva_obs::StarAttribution::from_log(&log);
+        config.obs.run_finished(satisfied, voided, Some((&log.labels, &attribution)));
+        self.stats.attribution = Some(attribution);
+        config.provenance.install(log);
     }
 }
 
@@ -299,7 +303,7 @@ impl Diva {
         let graph = ConstraintGraph::build(set);
         graph_span.end();
         graph.record_to(obs);
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         graph.validate().map_err(|detail| inv("BuildGraph", detail))?;
         // From here on a stop keeps the clustered prefix `S_Σ`.
         let stopped = |stop, s_sigma| Halt::Stopped(stop, Prefix::new(&graph, s_sigma));
@@ -371,7 +375,7 @@ impl Diva {
         )?;
         stats.coloring = outcome.stats.clone();
         let mut s_sigma: Vec<Vec<RowId>> = outcome.clusters;
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         check_partition("DiverseClustering", &s_sigma, rel.n_rows(), false)?;
         stats.sigma_rows = s_sigma.iter().map(Vec::len).sum();
         let cluster_sizes = obs.histogram("cluster.size");
@@ -406,7 +410,7 @@ impl Diva {
                 .attr("fold_residual", true)
                 .attr("residual_rows", rest.len());
             let (folded, fold_host) = self.fold_residual(rel, set, &mut s_sigma, &rest)?;
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             check_partition("Suppress", &folded.groups, folded.relation.n_rows(), true)?;
             let close = anon_span.end_profiled();
             stats.t_anonymize = close.dur;
@@ -416,7 +420,7 @@ impl Diva {
         } else {
             let suppress_span = obs.phase(Phase::Suppress).attr("clusters", s_sigma.len());
             let r_sigma = suppress_clustering(rel, &s_sigma);
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             check_partition("Suppress", &r_sigma.groups, r_sigma.relation.n_rows(), true)?;
             let close = suppress_span.end_profiled();
             stats.t_suppress = close.dur;
@@ -457,7 +461,7 @@ impl Diva {
                     (clusters, ldiv_merged) =
                         enforce_diversity(rel, &clusters, &model).ok_or_else(infeasible)?;
                 }
-                #[cfg(feature = "strict-invariants")]
+                #[cfg(debug_assertions)]
                 {
                     check_partition("Anonymize", &clusters, rel.n_rows(), false)?;
                     let total: usize = clusters.iter().map(Vec::len).sum();
@@ -480,7 +484,7 @@ impl Diva {
 
         let int_span = obs.phase(Phase::Integrate);
         let out = integrate(&r_sigma, r_k.as_ref().map(|(rk, ..)| rk), set)?;
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         check_partition("Integrate", &out.groups, out.relation.n_rows(), true)?;
         stats.integrate_repairs = out.repairs;
         obs.counter("integrate.repairs").add(out.repairs as u64);
@@ -740,7 +744,7 @@ impl Diva {
                 .chain(residual.iter().map(|_| Cause::DegradeMerge { reason: "residual" }))
                 .collect();
         }
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         check_partition("Degrade", &table.groups, table.relation.n_rows(), true)?;
         debug_assert!(
             rel.n_rows() < self.config.k || is_k_anonymous(&table.relation, self.config.k)
@@ -806,14 +810,14 @@ impl From<DivaError> for Halt {
 }
 
 /// Shorthand for [`DivaError::InvariantViolated`] at a pipeline phase.
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 fn inv(phase: &str, detail: String) -> DivaError {
     DivaError::InvariantViolated { phase: phase.into(), detail }
 }
 
 /// Phase-boundary invariant: `groups` reference rows `< n_rows` and
 /// are pairwise disjoint; with `exhaustive` they also cover every row.
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 fn check_partition(
     phase: &str,
     groups: &[Vec<RowId>],
@@ -1118,6 +1122,37 @@ mod tests {
         diva_obs::provenance::validate_log(&log).expect("log passes integrity validation");
         assert_eq!(log.cells.len() as u64, attr.total(), "one record per starred cell");
         assert_eq!(log.labels.len(), 3);
+    }
+
+    /// With both handles enabled, a run publishes the attribution it
+    /// returns as the summary counters and the live per-constraint
+    /// cell; a failed run publishes none.
+    #[test]
+    fn publish_done_publishes_the_returned_attribution() {
+        let r = paper_table1();
+        let obs = diva_obs::Obs::enabled();
+        let prov = diva_obs::Provenance::enabled();
+        let config = DivaConfig::with_k(2).obs(obs.clone()).provenance(prov.clone());
+        let out = Diva::new(config).run(&r, &example_sigma()).unwrap();
+        let attr = out.stats.attribution.expect("enabled recorder populates RunStats");
+        let labels = prov.snapshot().expect("recorded").labels;
+        let live = obs.live().expect("enabled").constraint_stars;
+        let expected: Vec<_> = labels.into_iter().zip(attr.per_constraint.clone()).collect();
+        assert_eq!(live, expected);
+        let snap = obs.snapshot();
+        for (label, stars) in &live {
+            let counter = format!("provenance.constraint_stars.{label}");
+            assert_eq!(snap.counter(&counter), Some(*stars), "{label}");
+        }
+        assert_eq!(snap.counter("provenance.stars.k_anonymity"), Some(attr.k_anonymity));
+        assert_eq!(snap.counter("provenance.stars.degrade"), Some(attr.degrade));
+
+        let obs = diva_obs::Obs::enabled();
+        let config = DivaConfig::with_k(2).obs(obs.clone()).provenance(prov);
+        let sigma = [Constraint::single("ETH", "Asian", 4, 10)];
+        Diva::new(config).run(&r, &sigma).unwrap_err();
+        assert!(obs.live().expect("enabled").constraint_stars.is_empty());
+        assert_eq!(obs.snapshot().counter("provenance.stars.k_anonymity"), None);
     }
 
     #[test]

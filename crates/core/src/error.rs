@@ -69,7 +69,7 @@ pub enum DivaError {
         /// The panic message, best-effort stringified.
         detail: String,
     },
-    /// A `strict-invariants` validator found a kernel structure in an
+    /// A debug-build phase validator found a kernel structure in an
     /// inconsistent state, or an internal worker failed.
     InvariantViolated {
         /// Pipeline phase (or structure) the check ran at.

@@ -132,11 +132,6 @@ impl ConstraintGraph {
         candidates.iter().copied().filter(|&i| self.cluster_contributes(i as usize, cluster))
     }
 
-    /// Degree of node `i`.
-    pub fn degree(&self, i: usize) -> usize {
-        self.adj[i].len()
-    }
-
     /// Number of undirected edges `|E|`.
     pub fn n_edges(&self) -> usize {
         self.adj.iter().map(Vec::len).sum::<usize>() / 2
@@ -227,8 +222,8 @@ impl ConstraintGraph {
 
     /// Checks the cross-structure invariants of the CSR layout, the
     /// target bitsets, and the adjacency lists. O(|CSR| + |E| + n·|R|);
-    /// called by the `strict-invariants` pipeline gate after
-    /// `BuildGraph` and by the property suites.
+    /// called by the debug-build pipeline gate after `BuildGraph` and
+    /// by the property suites.
     pub fn validate(&self) -> Result<(), String> {
         // CSR offsets: right length, monotone, in bounds.
         if self.row_offsets.len() != self.n_rows + 1 {
@@ -340,7 +335,6 @@ mod tests {
         let mut n2 = g.neighbors(2).to_vec();
         n2.sort_unstable();
         assert_eq!(n2, vec![0, 1]);
-        assert_eq!(g.degree(2), 2);
     }
 
     #[test]

@@ -332,8 +332,8 @@ impl SearchState {
     /// map, the cluster stack and its row arena, the undo log, the
     /// retained / free-target counters, and the epoch scratch.
     /// Intended for quiet points (between `try_assign`/`unassign`
-    /// calls); called by the `strict-invariants` pipeline gate on a
-    /// successful colouring and by the property suites.
+    /// calls); called by the debug-build pipeline gate on a successful
+    /// colouring and by the property suites.
     pub fn validate(&self, graph: &ConstraintGraph) -> Result<(), String> {
         let n = self.uppers.len();
         if n != graph.n_nodes() {

@@ -13,8 +13,7 @@
 //! ([`crate::alloc::profiling_active`]) every span line additionally
 //! carries `"alloc_bytes":N,"alloc_count":N,"peak_live_delta":N`
 //! (between `dur_us` and `attrs`); when it is not, the fields are
-//! absent and the trace is byte-identical to an un-instrumented
-//! build.
+//! absent.
 //!
 //! ## Summary schema (a single JSON object)
 //!

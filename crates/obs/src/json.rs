@@ -90,52 +90,73 @@ impl Value {
 }
 
 /// Parses a complete JSON document. Trailing whitespace is allowed,
-/// trailing garbage is an error.
+/// trailing garbage is an error. Error offsets are byte offsets into
+/// `text`.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut p = Parser { chars: &bytes, pos: 0 };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.chars.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing garbage at offset {}", p.pos));
     }
     Ok(v)
 }
 
+/// A cursor over the document's bytes. Every token the grammar names
+/// is ASCII, so the cursor only ever stops on a character boundary and
+/// string contents are copied out of `text` a run at a time.
 struct Parser<'a> {
-    chars: &'a [char],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
+    /// The character at the cursor, for error messages.
+    fn found(&self) -> Option<char> {
+        self.text.get(self.pos..).and_then(|rest| rest.chars().next())
+    }
+
+    /// Steps over `want` if it is the next byte.
+    fn eat_if(&mut self, want: u8) -> bool {
+        let hit = self.peek() == Some(want);
+        if hit {
             self.pos += 1;
         }
-        c
+        hit
+    }
+
+    fn eat(&mut self, want: u8) -> Result<(), String> {
+        if self.eat_if(want) {
+            Ok(())
+        } else {
+            Err(format!(
+                "expected {:?} at offset {}, found {:?}",
+                char::from(want),
+                self.pos,
+                self.found()
+            ))
+        }
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn eat(&mut self, want: char) -> Result<(), String> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            got => Err(format!("expected {want:?} at offset {}, found {got:?}", self.pos)),
+    fn skip_digits(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
         }
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        for want in word.chars() {
+        for want in word.bytes() {
             self.eat(want)?;
         }
         Ok(v)
@@ -144,116 +165,119 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
-            Some('"') => Ok(Value::Str(self.string()?)),
-            Some('t') => self.literal("true", Value::Bool(true)),
-            Some('f') => self.literal("false", Value::Bool(false)),
-            Some('n') => self.literal("null", Value::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.num(),
-            got => Err(format!("unexpected {got:?} at offset {}", self.pos)),
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.num(),
+            _ => Err(format!("unexpected {:?} at offset {}", self.found(), self.pos)),
+        }
+    }
+
+    /// After an element: `,` continues (`false`), `close` ends the
+    /// container (`true`).
+    fn closes(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        if self.eat_if(b',') {
+            Ok(false)
+        } else if self.eat_if(close) {
+            Ok(true)
+        } else {
+            Err(format!("expected ',' or {:?}, found {:?}", char::from(close), self.found()))
         }
     }
 
     fn object(&mut self) -> Result<Value, String> {
-        self.eat('{')?;
+        self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
-            self.pos += 1;
+        if self.eat_if(b'}') {
             return Ok(Value::Obj(fields));
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.eat(':')?;
+            self.eat(b':')?;
             let val = self.value()?;
             fields.push((key, val));
-            self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(Value::Obj(fields)),
-                got => return Err(format!("expected ',' or '}}', found {got:?}")),
+            if self.closes(b'}')? {
+                return Ok(Value::Obj(fields));
             }
         }
     }
 
     fn array(&mut self) -> Result<Value, String> {
-        self.eat('[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
-            self.pos += 1;
+        if self.eat_if(b']') {
             return Ok(Value::Arr(items));
         }
         loop {
             items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some(']') => return Ok(Value::Arr(items)),
-                got => return Err(format!("expected ',' or ']', found {got:?}")),
+            if self.closes(b']')? {
+                return Ok(Value::Arr(items));
             }
         }
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.eat('"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bump() {
-                None => return Err("unterminated string".to_string()),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d =
-                                self.bump().and_then(|c| c.to_digit(16)).ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    got => return Err(format!("bad escape {got:?}")),
-                },
-                Some(c) => out.push(c),
+            // The unescaped run up to the next quote or backslash, in
+            // one copy.
+            let rest = &self.text[self.pos..];
+            let run = rest.bytes().position(|b| b == b'"' || b == b'\\');
+            let run = run.ok_or("unterminated string")?;
+            out.push_str(&rest[..run]);
+            self.pos += run;
+            if self.eat_if(b'"') {
+                return Ok(out);
             }
+            self.pos += 1;
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let hex = self.text.get(self.pos + 1..self.pos + 5);
+                    let hex = hex.filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
+                    let hex = hex.ok_or("bad \\u escape")?;
+                    self.pos += 4;
+                    // A lone surrogate is no character.
+                    u32::from_str_radix(hex, 16).ok().and_then(char::from_u32).unwrap_or('\u{fffd}')
+                }
+                _ => return Err(format!("bad escape {:?}", self.found())),
+            };
+            self.pos += 1;
+            out.push(c);
         }
     }
 
     fn num(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        if self.peek() == Some('-') {
-            self.pos += 1;
+        self.eat_if(b'-');
+        self.skip_digits();
+        if self.eat_if(b'.') {
+            self.skip_digits();
         }
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-        }
-        if self.peek() == Some('.') {
-            self.pos += 1;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
+            self.skip_digits();
         }
-        if matches!(self.peek(), Some('e' | 'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some('+' | '-')) {
-                self.pos += 1;
-            }
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
+        let text = &self.text[start..self.pos];
         text.parse::<f64>().map(Value::Num).map_err(|e| format!("bad number {text:?}: {e}"))
     }
 }
@@ -278,6 +302,23 @@ mod tests {
         assert_eq!(v.get("a").and_then(|a| a.as_arr()).and_then(|a| a[2].as_num()), Some(-300.0));
         assert_eq!(v.get("b").and_then(|b| b.get("d")), Some(&Value::Bool(true)));
         assert_eq!(v.get("e").and_then(Value::as_str), Some(""));
+    }
+
+    #[test]
+    fn multi_byte_text_and_unicode_escapes_in_keys_and_values() {
+        let doc =
+            r#"{"clé": "naïve ☃ 𝄞", "\u00e9t\u00C9": "\u2603 at \u65e5", "日本": ["€", "\ud800"]}"#;
+        let v = parse(doc).expect("parses");
+        assert_eq!(v.get("clé").and_then(Value::as_str), Some("naïve ☃ 𝄞"));
+        assert_eq!(v.get("étÉ").and_then(Value::as_str), Some("☃ at 日"));
+        // A lone surrogate is not a character: it decodes to U+FFFD.
+        let list = v.get("日本").and_then(Value::as_arr).expect("array");
+        assert_eq!(list, [Value::Str("€".into()), Value::Str("\u{fffd}".into())]);
+        // Offsets count bytes: `"é"` takes four.
+        assert_eq!(parse("\"é\" x"), Err("trailing garbage at offset 5".to_string()));
+        for bad in ["\"\\u00é\"", "\"\\u+123\"", "\"\\é\"", "\"é"] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   verdicts and the final `Done` come once, from the returned result.
 //! * [`Sampler::spawn`] starts a thread that sleeps on a configurable
 //!   interval, snapshots the cells ([`Obs::live`]), folds the live
-//!   allocator stats in ([`crate::alloc::global_stats`]), derives
+//!   allocated bytes in ([`crate::alloc::live_bytes`]), derives
 //!   nodes/sec and repairs/sec from consecutive snapshots plus an ETA
 //!   against the armed budget, hands the [`Sample`] to the optional
 //!   per-tick callback (`diva --watch`), and stores it as the latest
@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::provenance::{Provenance, StarAttribution};
+use crate::provenance::StarAttribution;
 use crate::{lock_or_recover, Obs, Span};
 
 /// Pipeline phases published in the live cells, in code order.
@@ -213,32 +213,33 @@ impl Obs {
     }
 
     /// Publishes the end of a run: how many constraints its result
-    /// satisfies and how many it voided, then phase `Done`. Called
-    /// once per returned result, never by a portfolio member.
-    pub fn run_finished(&self, satisfied: u64, voided: u64) {
-        if let Some(c) = self.cells() {
-            c.satisfied.store(satisfied, Ordering::Relaxed);
-            c.voided.store(voided, Ordering::Relaxed);
-            c.phase.store(Phase::Done.code(), Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes the star attribution of `provenance`'s log: the
+    /// satisfies and how many it voided, then phase `Done`. A run that
+    /// recorded provenance also passes its star attribution with the
+    /// constraint labels in id order; it becomes the
     /// `provenance.constraint_stars.<label>` and
     /// `provenance.stars.{k_anonymity,degrade}` counters of the
-    /// summary, and the per-constraint cell `/metrics` and
-    /// `/stats.json` serve. No-op unless both handles are enabled.
-    pub fn publish_attribution(&self, provenance: &Provenance) {
+    /// summary and the per-constraint cell `/metrics` and
+    /// `/stats.json` serve. Called once per returned result, never by
+    /// a portfolio member.
+    pub fn run_finished(
+        &self,
+        satisfied: u64,
+        voided: u64,
+        stars: Option<(&[String], &StarAttribution)>,
+    ) {
         let Some(c) = self.cells() else { return };
-        let Some(log) = provenance.snapshot() else { return };
-        let attr = StarAttribution::from_log(&log);
-        for (label, stars) in log.labels.iter().zip(&attr.per_constraint) {
-            self.counter(&format!("provenance.constraint_stars.{label}")).add(*stars);
+        if let Some((labels, attr)) = stars {
+            for (label, stars) in labels.iter().zip(&attr.per_constraint) {
+                self.counter(&format!("provenance.constraint_stars.{label}")).add(*stars);
+            }
+            self.counter("provenance.stars.k_anonymity").add(attr.k_anonymity);
+            self.counter("provenance.stars.degrade").add(attr.degrade);
+            *lock_or_recover(&c.constraint_stars) =
+                labels.iter().cloned().zip(attr.per_constraint.iter().copied()).collect();
         }
-        self.counter("provenance.stars.k_anonymity").add(attr.k_anonymity);
-        self.counter("provenance.stars.degrade").add(attr.degrade);
-        *lock_or_recover(&c.constraint_stars) =
-            log.labels.into_iter().zip(attr.per_constraint).collect();
+        c.satisfied.store(satisfied, Ordering::Relaxed);
+        c.voided.store(voided, Ordering::Relaxed);
+        c.phase.store(Phase::Done.code(), Ordering::Relaxed);
     }
 
     /// Reads every cell into a consistent-enough view (individual
@@ -386,44 +387,23 @@ impl Sample {
     }
 }
 
-#[derive(Debug, Default)]
-struct LogInner {
-    latest: Option<Sample>,
-    total: u64,
-    stalls_flagged: u64,
-}
-
-/// The sampler's latest [`Sample`] plus its lifetime counts — the
-/// hand-off point between the sampler thread and its readers (the
-/// stats endpoint, tests). The default is an empty log, for serving a
-/// handle that has no sampler attached; [`Sampler::spawn`] creates
-/// the one it writes.
+/// The sampler's latest [`Sample`] — the hand-off point between the
+/// sampler thread and its readers (the stats endpoint, tests). The
+/// default is an empty log, for serving a handle that has no sampler
+/// attached; [`Sampler::spawn`] creates the one it writes.
 #[derive(Debug, Clone, Default)]
 pub struct SampleLog {
-    inner: Arc<Mutex<LogInner>>,
+    latest: Arc<Mutex<Option<Sample>>>,
 }
 
 impl SampleLog {
-    fn push(&self, sample: Sample, stalled_now: bool) {
-        let mut g = lock_or_recover(&self.inner);
-        g.latest = Some(sample);
-        g.total += 1;
-        g.stalls_flagged += u64::from(stalled_now);
+    fn push(&self, sample: Sample) {
+        *lock_or_recover(&self.latest) = Some(sample);
     }
 
     /// The most recent sample, if any tick has happened yet.
     pub fn latest(&self) -> Option<Sample> {
-        lock_or_recover(&self.inner).latest.clone()
-    }
-
-    /// Lifetime tick count.
-    pub fn total_samples(&self) -> u64 {
-        lock_or_recover(&self.inner).total
-    }
-
-    /// How many distinct stall episodes the watchdog has flagged.
-    pub fn stalls_flagged(&self) -> u64 {
-        lock_or_recover(&self.inner).stalls_flagged
+        lock_or_recover(&self.latest).clone()
     }
 }
 
@@ -502,7 +482,7 @@ fn sampler_loop(
     let mut stall_latched = false;
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(config.interval);
-        obs.set_alloc_bytes(crate::alloc::global_stats().live_bytes);
+        obs.set_alloc_bytes(crate::alloc::live_bytes());
         let Some(snap) = obs.live() else { return };
         let (nodes_per_sec, repairs_per_sec) = match &prev {
             Some(p) if snap.elapsed_ms > p.elapsed_ms => {
@@ -568,7 +548,7 @@ fn sampler_loop(
         if let Some(cb) = &on_sample {
             cb(&sample);
         }
-        log.push(sample, flagged_now);
+        log.push(sample);
         prev = Some(snap);
     }
 }
@@ -576,7 +556,6 @@ fn sampler_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provenance::{Cause, CellRecord, GroupOrigin, GroupRecord, Log};
     use crate::Stopwatch;
 
     fn watchdog(interval_ms: u64, stall_periods: u32) -> SamplerConfig {
@@ -598,7 +577,7 @@ mod tests {
         obs.phase(Phase::Suppress).end();
         assert_eq!(obs.live().expect("enabled").phase, Phase::Suppress);
         assert_eq!(obs.snapshot().spans[0].name, "diva.suppress");
-        obs.run_finished(3, 1);
+        obs.run_finished(3, 1, None);
         let snap = obs.live().expect("enabled");
         assert_eq!((snap.phase, snap.satisfied, snap.voided), (Phase::Done, 3, 1));
         // The cells stay out of the exports.
@@ -658,59 +637,20 @@ mod tests {
     }
 
     #[test]
-    fn attribution_publishes_counters_and_the_live_cell_at_once() {
-        let cell = |row, col, cause| CellRecord { row, col, group: 0, cause };
-        let prov = Provenance::enabled();
-        prov.install(Log {
-            k: 2,
-            n_rows: 4,
-            labels: vec!["ETH[Asian]".to_string(), "JOB[Nurse]".to_string()],
-            groups: vec![GroupRecord {
-                id: 0,
-                origin: GroupOrigin::Sigma,
-                owners: vec![0],
-                rows: vec![0, 1],
-            }],
-            cells: vec![
-                cell(0, 0, Cause::Sigma { constraint: 0 }),
-                cell(1, 0, Cause::Sigma { constraint: 0 }),
-                cell(1, 1, Cause::KAnonymity),
-            ],
-        });
-        let obs = Obs::enabled();
-        assert!(obs.live().expect("read").constraint_stars.is_empty());
-        obs.publish_attribution(&prov);
-        assert_eq!(
-            obs.live().expect("read").constraint_stars,
-            vec![("ETH[Asian]".to_string(), 2), ("JOB[Nurse]".to_string(), 0)]
-        );
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("provenance.constraint_stars.ETH[Asian]"), Some(2));
-        assert_eq!(snap.counter("provenance.constraint_stars.JOB[Nurse]"), Some(0));
-        assert_eq!(snap.counter("provenance.stars.k_anonymity"), Some(1));
-        assert_eq!(snap.counter("provenance.stars.degrade"), Some(0));
-        // Nothing to publish without a recording provenance handle.
-        let bare = Obs::enabled();
-        bare.publish_attribution(&Provenance::disabled());
-        assert!(bare.snapshot().counters.is_empty());
-    }
-
-    #[test]
     fn watchdog_trips_on_a_frozen_counter() {
         let obs = Obs::enabled();
         obs.phase(Phase::Clustering).end();
         obs.add_nodes(100); // advanced once, then frozen
         let sampler = Sampler::spawn(&obs, watchdog(5, 3), None);
-        let log = sampler.log();
+        let stalls = || obs.snapshot().counter("obs.stall.detected");
         let deadline = Stopwatch::start();
-        while log.stalls_flagged() == 0 && deadline.elapsed() < Duration::from_secs(5) {
+        while stalls().is_none() && deadline.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(5));
         }
         sampler.stop();
-        assert!(log.stalls_flagged() >= 1, "watchdog never tripped");
+        assert!(stalls().is_some_and(|n| n >= 1), "watchdog never tripped");
         assert!(obs.live().expect("read").stalled);
         let snap = obs.snapshot();
-        assert_eq!(snap.counter("obs.stall.detected"), Some(log.stalls_flagged()));
         assert!(
             snap.spans.iter().any(|s| s.name == "diva.stall"),
             "stall span event missing: {:?}",
@@ -737,9 +677,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(300));
             stop.store(true, Ordering::Relaxed);
         });
-        let log = sampler.log();
         sampler.stop();
-        assert_eq!(log.stalls_flagged(), 0, "false positive on an advancing run");
         assert!(!obs.live().expect("read").stalled);
         assert_eq!(obs.snapshot().counter("obs.stall.detected"), None);
     }
@@ -753,9 +691,8 @@ mod tests {
         obs.add_nodes(5);
         let sampler = Sampler::spawn(&obs, watchdog(5, 2), None);
         std::thread::sleep(Duration::from_millis(100));
-        let log = sampler.log();
         sampler.stop();
-        assert_eq!(log.stalls_flagged(), 0);
+        assert_eq!(obs.snapshot().counter("obs.stall.detected"), None);
         assert!(!obs.live().expect("read").stalled);
     }
 
@@ -768,9 +705,9 @@ mod tests {
         obs.phase(Phase::Clustering).end();
         let sampler = Sampler::spawn(&obs, watchdog(5, 2), None);
         std::thread::sleep(Duration::from_millis(100));
-        let log = sampler.log();
         sampler.stop();
-        assert_eq!(log.stalls_flagged(), 0, "tripped before the search expanded anything");
+        let stalls = obs.snapshot().counter("obs.stall.detected");
+        assert_eq!(stalls, None, "tripped before the search expanded anything");
         assert!(!obs.live().expect("read").stalled);
     }
 
@@ -804,7 +741,6 @@ mod tests {
             sample.deadline_remaining_ms.expect("deadline armed") <= 3_600_000,
             "remaining time cannot exceed the deadline"
         );
-        assert_eq!(log.total_samples(), samples.len() as u64);
         let last = samples.last().map(|s| s.live.elapsed_ms);
         assert_eq!(log.latest().map(|s| s.live.elapsed_ms), last, "the log keeps the last tick");
     }
@@ -859,10 +795,8 @@ mod tests {
         while counted.load(Ordering::Relaxed) < 3 && deadline.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let log = sampler.log();
         sampler.stop();
         assert!(counted.load(Ordering::Relaxed) >= 3);
-        assert_eq!(log.total_samples(), counted.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -870,6 +804,6 @@ mod tests {
         let sampler = Sampler::spawn(&Obs::disabled(), watchdog(1, 1000), None);
         let log = sampler.log();
         sampler.stop();
-        assert_eq!(log.total_samples(), 0);
+        assert!(log.latest().is_none());
     }
 }

@@ -239,7 +239,7 @@ impl Provenance {
 
     /// Byte-stable JSONL render of the log, or `None` when disabled.
     pub fn render(&self) -> Option<String> {
-        self.snapshot().map(|log| render_log(&log))
+        self.inner.as_ref().map(|inner| render_log(&lock(inner)))
     }
 }
 

@@ -490,7 +490,7 @@ mod tests {
         obs.set_components_total(12);
         obs.components_done(2);
         obs.set_budget_limits(Some(10_000), Some(Duration::from_secs(10)));
-        obs.run_finished(40, 2);
+        obs.run_finished(40, 2, None);
         obs
     }
 

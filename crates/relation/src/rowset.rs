@@ -117,8 +117,9 @@ impl RowSet {
     /// Checks the structure's internal invariants: the word vector
     /// covers exactly the capacity, no bit is set past the capacity,
     /// and the cached `len` matches the popcount. Cheap (O(words));
-    /// the `strict-invariants` pipeline gates and the property suites
-    /// call it after mutation sequences.
+    /// the debug-build pipeline gates (through the constraint graph's
+    /// `validate`) and the property suites call it after mutation
+    /// sequences.
     pub fn validate(&self) -> Result<(), String> {
         if self.words.len() != self.capacity.div_ceil(64) {
             return Err(format!(

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints (the workspace's and the benchmark
-# package's), rustdoc (a broken doc link fails), tests (default +
-# strict-invariants, the whole differential suite and the brute-force
-# oracle suite among them), a bench smoke run,
+# package's), rustdoc (a broken doc link fails), tests (the debug
+# build runs the phase validators; the whole differential suite and
+# the brute-force oracle suite among them), a bench smoke run,
 # one run of each example, and the profiling/trace-regression gate.
 # The trace, metrics and live-endpoint formats are checked by the
 # tests (crates/cli/tests/cli.rs), the provenance format by
@@ -16,7 +16,6 @@
 # the benchmark package's tests and the example runs during quick
 # iterations,
 # SKIP_FAULTS=1 to skip the fault-injection matrix,
-# SKIP_DECOMP=1 to skip the differential suite under strict-invariants,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
 # SKIP_AUDIT=1 to skip the privacy-audit gate, and
 # SKIP_PROVENANCE=1 to skip the decision-provenance gate).
@@ -64,12 +63,8 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy $FLAGS --workspace --all-targets -- -D warnings
-# Feature-gated code is linted too: `fault-inject` and
-# `strict-invariants` under --all-features, and obs's
-# not(alloc-profile) stubs in obs alone (the CLI's default feature
-# turns alloc-profile on for the whole workspace).
+# The `fault-inject` code is linted too.
 cargo clippy $FLAGS --workspace --all-targets --all-features -- -D warnings
-cargo clippy $FLAGS -p diva-obs --all-targets -- -D warnings
 # The benchmark is its own package, so it does not inherit the
 # workspace lints; the root clippy.toml still applies. The hash-type
 # ban covers only the search kernels.
@@ -80,30 +75,17 @@ cargo clippy $FLAGS --manifest-path crates/bench/src/bin/benchmark/Cargo.toml --
 echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc $FLAGS --no-deps --workspace
 
+# A debug build runs the phase validators (DESIGN.md §8b), so this
+# stage checks them on every pipeline test, the brute-force oracle's
+# tiny instances and the differential suite among them.
 echo "==> cargo test -q"
 cargo test $FLAGS -q --workspace
-
-echo "==> cargo test -q --features strict-invariants (runtime validators)"
-cargo test $FLAGS -q --features strict-invariants -p diva-core
-cargo test $FLAGS -q --features strict-invariants --test pipeline
-# Tiny random instances reach the residual fold, the Integrate repairs
-# and the residual path far more often than the medical workloads do.
-cargo test $FLAGS -q --features strict-invariants --test oracle
-
-if [ "${SKIP_DECOMP:-0}" = "1" ]; then
-    echo "==> differential suite skipped (SKIP_DECOMP=1)"
-else
-    echo "==> differential suite under strict-invariants (decomposed vs monolithic byte-identity)"
-    cargo test $FLAGS -q --features strict-invariants --test differential
-fi
 
 if [ "${SKIP_FAULTS:-0}" = "1" ]; then
     echo "==> fault-injection matrix skipped (SKIP_FAULTS=1)"
 else
     echo "==> cargo test -q --features fault-inject --test faults (fault matrix)"
     cargo test $FLAGS -q --features fault-inject --test faults
-    echo "==> fault matrix under strict-invariants"
-    cargo test $FLAGS -q --features "fault-inject strict-invariants" --test faults
 fi
 
 if [ "${SKIP_BENCH:-0}" = "1" ]; then
@@ -136,7 +118,7 @@ else
     # The diva CLI and the benchmark install the counting allocator in
     # release builds, so its attribution is also checked optimized.
     echo "==> counting allocator attribution (release)"
-    cargo test $FLAGS -q --release -p diva-obs --features alloc-profile --test alloc_profile
+    cargo test $FLAGS -q --release -p diva-obs --test alloc_profile
 
     # The benchmark is its own package (not a workspace member), so
     # the workspace test run above does not reach its tests.
@@ -229,10 +211,6 @@ fi
 if [ "${SKIP_PROFILE:-0}" = "1" ]; then
     echo "==> profiling gate skipped (SKIP_PROFILE=1)"
 else
-    echo "==> cargo test -q --features alloc-profile (memory attribution)"
-    cargo test $FLAGS -q --features alloc-profile --test profiling
-    cargo test $FLAGS -q -p diva-obs --features alloc-profile
-
     echo "==> profiling capture (medical-4k with counting allocator + flamegraph)"
     PROF_DIR="$(mktemp -d)"
     capture_medical_4k "$PROF_DIR" --flame "$PROF_DIR/flame.folded"

@@ -258,11 +258,9 @@ fn stall_watchdog_flags_a_frozen_search_without_steering_it() {
     let obs = Obs::enabled();
     let sampler = diva_obs::live::Sampler::spawn(&obs, watchdog(), None);
     let watched = run(&obs);
-    let log = sampler.log();
     sampler.stop();
     let unwatched = run(&Obs::enabled());
 
-    assert!(log.stalls_flagged() >= 1, "sampler never flagged the stall");
     let snap = obs.snapshot();
     assert!(snap.counter("obs.stall.detected").is_some_and(|n| n >= 1), "no stall counter");
     assert!(snap.spans.iter().any(|s| s.name == "diva.stall"), "no diva.stall span");

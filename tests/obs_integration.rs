@@ -18,10 +18,9 @@ use proptest::prelude::*;
 
 /// Counts the bytes each thread allocates, so a test can assert an
 /// exact figure for its own thread while other tests run in parallel.
-/// It is not `diva_obs::alloc::CountingAlloc`: that one exists only
-/// under the `alloc-profile` feature, and installing it would turn on
-/// the memory attribution `enabled_and_disabled_obs_agree_byte_for_byte`
-/// checks is off.
+/// It is not `diva_obs::alloc::CountingAlloc`: installing that one
+/// would turn on the memory attribution
+/// `enabled_and_disabled_obs_agree_byte_for_byte` checks is off.
 struct ThreadCountingAlloc;
 
 thread_local! {
@@ -234,7 +233,6 @@ fn every_surface_reports_the_same_numbers() {
             ..DivaConfig::default()
         };
         let out = Diva::new(config).run(&rel, &sigma).unwrap_or_else(|e| panic!("{class}: {e}"));
-        obs.publish_attribution(&provenance);
         let get = |path: &str| http_get(&server.local_addr(), path, Duration::from_secs(5));
         let (status, prom) = get("/metrics").expect("GET /metrics");
         assert!(status.contains("200"), "{class}: {status}");

@@ -89,13 +89,12 @@ fn credit_full_dataset() {
     }
 }
 
-/// The tentpole acceptance run for the runtime validators: with
-/// `--features strict-invariants` the kernel `validate()` checks fire
-/// at every pipeline phase boundary on the medical-4k workload and the
-/// full (k, Σ)-anonymization contract still holds end to end.
-#[cfg(feature = "strict-invariants")]
+/// The acceptance run for the runtime validators: in a debug build the
+/// kernel `validate()` checks fire at every pipeline phase boundary on
+/// the medical-4k workload and the full (k, Σ)-anonymization contract
+/// still holds end to end.
 #[test]
-fn medical_4k_strict_invariants_end_to_end() {
+fn medical_4k_validators_end_to_end() {
     let rel = diva_datagen::medical(4_000, 29);
     let sigma = generators::proportional(&rel, 5, 0.7, 80);
     check_contract(&rel, &sigma, 8, Strategy::MaxFanOut);

@@ -2,9 +2,8 @@
 //! over a real pipeline run, memory attribution on the degraded path,
 //! and the trace-regression gate against the committed baseline.
 //!
-//! The analysis tests run in every configuration; the memory tests
-//! need `--features alloc-profile` (this binary then installs the
-//! counting allocator, mirroring the `diva` CLI's default build).
+//! This binary installs the counting allocator, as the `diva` CLI
+//! does, so the memory tests see attributed spans.
 
 use std::path::Path;
 
@@ -14,7 +13,6 @@ use diva_obs::diff::diff_summaries;
 use diva_obs::{json, Obs};
 use diva_relation::Relation;
 
-#[cfg(feature = "alloc-profile")]
 #[global_allocator]
 static ALLOC: diva_obs::alloc::CountingAlloc = diva_obs::alloc::CountingAlloc::new();
 
@@ -87,22 +85,17 @@ fn degraded_runs_profile_the_degrade_phase() {
     // Self-time analysis covers the degrade span like any other.
     let folded = snap.folded_stacks();
     assert!(folded.contains("diva.degrade"), "degrade span missing from folded stacks");
-    if cfg!(feature = "alloc-profile") {
-        let delta = degrade.alloc.expect("degrade span attributes memory");
-        assert!(delta.bytes > 0, "building the fallback relation allocates: {delta:?}");
-        let alloc = out.stats.alloc.expect("degraded RunStats carry per-phase memory");
-        assert!(alloc.degrade.bytes > 0, "PhaseAlloc.degrade not populated: {alloc:?}");
-        assert!(alloc.total.bytes >= alloc.degrade.bytes, "total below degrade: {alloc:?}");
-        assert!(
-            snap.trace_jsonl()
-                .lines()
-                .any(|l| l.contains("diva.degrade") && l.contains("\"alloc_bytes\":")),
-            "trace line for diva.degrade lacks alloc fields"
-        );
-    } else {
-        assert!(degrade.alloc.is_none());
-        assert!(out.stats.alloc.is_none());
-    }
+    let delta = degrade.alloc.expect("degrade span attributes memory");
+    assert!(delta.bytes > 0, "building the fallback relation allocates: {delta:?}");
+    let alloc = out.stats.alloc.expect("degraded RunStats carry per-phase memory");
+    assert!(alloc.degrade.bytes > 0, "PhaseAlloc.degrade not populated: {alloc:?}");
+    assert!(alloc.total.bytes >= alloc.degrade.bytes, "total below degrade: {alloc:?}");
+    assert!(
+        snap.trace_jsonl()
+            .lines()
+            .any(|l| l.contains("diva.degrade") && l.contains("\"alloc_bytes\":")),
+        "trace line for diva.degrade lacks alloc fields"
+    );
 }
 
 fn baseline_summary() -> json::Value {
@@ -162,7 +155,6 @@ fn trace_diff_gate_accepts_self_and_rejects_2x_inflation() {
 /// tries them and the growth of the search's stacks; a per-try
 /// allocation in `try_assign`, `unassign` or repair costs hundreds of
 /// bytes per node.
-#[cfg(feature = "alloc-profile")]
 #[test]
 fn search_allocation_does_not_grow_with_explored_nodes() {
     const SEARCH_BYTES_PER_EXTRA_NODE: u64 = 64;

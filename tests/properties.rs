@@ -132,8 +132,7 @@ proptest! {
                 );
             }
             Err(DivaError::NoDiverseClustering { .. })
-            | Err(DivaError::ResidualTooSmall { .. })
-            | Err(DivaError::IntegrateFailed { .. }) => {
+            | Err(DivaError::ResidualTooSmall { .. }) => {
                 // Failure is allowed on random inputs, but it must never
                 // panic or return an invalid relation.
             }
@@ -197,8 +196,7 @@ proptest! {
         match diva.run(&rel, &sigma) {
             Ok(out) => check_published(&rel, &sigma, k, &out)?,
             Err(DivaError::NoDiverseClustering { .. })
-            | Err(DivaError::ResidualTooSmall { .. })
-            | Err(DivaError::IntegrateFailed { .. }) => {
+            | Err(DivaError::ResidualTooSmall { .. }) => {
                 // Pre-search infeasibility proofs still beat degradation.
             }
             Err(e) => prop_assert!(false, "unexpected error class under budget: {e}"),
@@ -391,8 +389,7 @@ proptest! {
             Ok(_) => {}
             Err(DivaError::PrivacyInfeasible { .. })
             | Err(DivaError::NoDiverseClustering { .. })
-            | Err(DivaError::ResidualTooSmall { .. })
-            | Err(DivaError::IntegrateFailed { .. }) => {
+            | Err(DivaError::ResidualTooSmall { .. }) => {
                 // Random tables may be genuinely infeasible; only a
                 // *published* table is gated.
             }
@@ -454,8 +451,7 @@ proptest! {
                 prop_assert_eq!(recorded, starred, "recorded cells ≠ published stars");
             }
             Err(DivaError::NoDiverseClustering { .. })
-            | Err(DivaError::ResidualTooSmall { .. })
-            | Err(DivaError::IntegrateFailed { .. }) => {}
+            | Err(DivaError::ResidualTooSmall { .. }) => {}
             Err(e) => prop_assert!(false, "unexpected error class: {e}"),
         }
     }
