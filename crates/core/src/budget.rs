@@ -160,9 +160,10 @@ pub enum DegradeReason {
         /// The configured cap.
         cap: u64,
     },
-    /// Every portfolio member was lost to worker panics (only
-    /// reachable with fault injection or a genuine bug); the portfolio
-    /// degrades to a fully-suppressed output instead of erroring.
+    /// Every portfolio member was lost to worker panics (a genuine
+    /// bug, or a panicking runner passed to
+    /// [`crate::run_portfolio_with`]); the portfolio degrades to a
+    /// fully-suppressed output instead of erroring.
     WorkerPanic {
         /// The panic message of the lowest-index lost member.
         detail: String,

@@ -221,13 +221,11 @@ impl<'a> Coloring<'a> {
         Ok(())
     }
 
-    /// A poll point: injected slowdowns, then cancellation, then the
-    /// settle, whose budget verdict decides whether the search goes
-    /// on. Sets the next poll mark: the next stride boundary, or the
-    /// node that would exceed the node cap if that comes sooner.
+    /// A poll point: cancellation, then the settle, whose budget
+    /// verdict decides whether the search goes on. Sets the next poll
+    /// mark: the next stride boundary, or the node that would exceed
+    /// the node cap if that comes sooner.
     fn poll(&mut self) -> Result<(), Stop> {
-        #[cfg(feature = "fault-inject")]
-        self.config.faults.at_poll();
         if self.controls.is_cancelled() {
             return Err(Stop::Cancelled);
         }
@@ -283,9 +281,7 @@ impl<'a> Coloring<'a> {
 
     fn solve_impl(&mut self) -> Result<ColoringOutcome, DivaError> {
         // Entry poll: a search may be dequeued after the shared
-        // deadline already passed, and the injected-slowdown fault must
-        // fire at least once even for searches that finish in fewer
-        // assignments than the poll stride.
+        // deadline already passed, or after the run was cancelled.
         let searched = match self.poll() {
             Ok(()) => {
                 // Fail fast on nodes with no candidates at all: the
@@ -359,10 +355,6 @@ impl<'a> Coloring<'a> {
                         continue;
                     }
                     self.stats.repair_attempts += 1;
-                    #[cfg(feature = "fault-inject")]
-                    if self.config.faults.repair_fails(self.stats.repair_attempts) {
-                        continue;
-                    }
                     // Repair draws the candidate's total from the free
                     // target rows of `v`, which the state counts
                     // exactly: too few, and it would scan in vain.

@@ -106,11 +106,6 @@ pub struct DivaConfig {
     /// The default is the disabled handle — one branch per run, output
     /// byte-identical either way (same contract as `obs`).
     pub provenance: diva_obs::provenance::Provenance,
-    /// Deterministic fault-injection plan (testing/CI only; the field
-    /// exists only under the `fault-inject` feature). The default
-    /// injects nothing.
-    #[cfg(feature = "fault-inject")]
-    pub faults: crate::faults::FaultPlan,
 }
 
 impl Default for DivaConfig {
@@ -127,8 +122,6 @@ impl Default for DivaConfig {
             obs: diva_obs::Obs::disabled(),
             budget: crate::BudgetSpec::default(),
             provenance: diva_obs::provenance::Provenance::disabled(),
-            #[cfg(feature = "fault-inject")]
-            faults: crate::faults::FaultPlan::default(),
         }
     }
 }
@@ -186,13 +179,6 @@ impl DivaConfig {
     /// [`DivaConfig::provenance`]).
     pub fn provenance(mut self, provenance: diva_obs::provenance::Provenance) -> Self {
         self.provenance = provenance;
-        self
-    }
-
-    /// Builder-style fault-injection plan (see [`DivaConfig::faults`]).
-    #[cfg(feature = "fault-inject")]
-    pub fn faults(mut self, faults: crate::faults::FaultPlan) -> Self {
-        self.faults = faults;
         self
     }
 

@@ -83,11 +83,9 @@ pub(crate) fn solve_clustering(
         return result;
     }
 
-    // Entry-poll parity with the monolithic search: injected
-    // slowdowns, cancellation, and an already-expired deadline are
-    // observed before the empty-candidate fail-fast, in that order.
-    #[cfg(feature = "fault-inject")]
-    config.faults.at_poll();
+    // Entry-poll parity with the monolithic search: cancellation and
+    // an already-expired deadline are observed before the
+    // empty-candidate fail-fast, in that order.
     match controls.checkpoint() {
         Some(Stop::Cancelled) => return Err(DivaError::Cancelled),
         Some(Stop::Degraded(reason)) => {

@@ -393,8 +393,6 @@ impl Diva {
         }
 
         let rest = residual(rel.n_rows(), &s_sigma);
-        #[cfg(feature = "fault-inject")]
-        self.config.faults.at_phase("clustering", controls);
         checkpoint(&s_sigma)?;
 
         // --- Anonymize (or fold a too-small residual), then Integrate. ---

@@ -61,8 +61,9 @@ pub enum DivaError {
         /// Which field, and why it was rejected.
         reason: String,
     },
-    /// A portfolio worker thread panicked mid-search (fault injection,
-    /// or a genuine bug caught by the portfolio's panic containment).
+    /// A portfolio worker thread panicked mid-search (a genuine bug, or
+    /// a panicking member runner, caught by the portfolio's panic
+    /// containment).
     /// Surfaced per member; the portfolio itself degrades instead of
     /// propagating this when every member is lost.
     WorkerPanicked {

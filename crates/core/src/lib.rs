@@ -44,8 +44,6 @@ pub mod config;
 pub mod decompose;
 pub mod diva;
 pub mod error;
-#[cfg(feature = "fault-inject")]
-pub mod faults;
 pub mod graph;
 pub mod integrate;
 pub mod parallel;

@@ -130,11 +130,7 @@ where
             }
             // Contained here (not only by the pool) so a panicking member
             // still closes its span with a `panicked` outcome.
-            let out = pool::contain(|| {
-                #[cfg(feature = "fault-inject")]
-                member.faults.worker_panic_point(i);
-                member_runner(member, rel, sigma, &controls)
-            });
+            let out = pool::contain(|| member_runner(member, rel, sigma, &controls));
             let outcome = match &out {
                 Ok(res) if res.outcome.is_exact() => "success",
                 Ok(_) => "degraded",

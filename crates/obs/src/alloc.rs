@@ -74,20 +74,6 @@ pub struct AllocDelta {
     pub peak_live_delta: u64,
 }
 
-impl AllocDelta {
-    /// Sum two deltas field-wise (`peak_live_delta` adds too: for
-    /// disjoint sequential regions the peak rises are additive upper
-    /// bounds, which is the conservative direction for a profiler).
-    #[must_use]
-    pub fn merged(self, other: AllocDelta) -> AllocDelta {
-        AllocDelta {
-            bytes: self.bytes + other.bytes,
-            count: self.count + other.count,
-            peak_live_delta: self.peak_live_delta + other.peak_live_delta,
-        }
-    }
-}
-
 /// Set (once, by the first recorded heap operation) when a
 /// [`CountingAlloc`] is actually installed as the global allocator.
 /// This is the runtime gate behind [`profiling_active`]: nothing is
@@ -308,8 +294,6 @@ mod tests {
             peak_live_delta: (now.peak_live_bytes - start.peak_live_bytes).max(0) as u64,
         };
         assert_eq!(d, AllocDelta { bytes: 50, count: 2, peak_live_delta: 15 });
-        let sum = d.merged(AllocDelta { bytes: 1, count: 1, peak_live_delta: 1 });
-        assert_eq!(sum, AllocDelta { bytes: 51, count: 3, peak_live_delta: 16 });
     }
 
     #[test]

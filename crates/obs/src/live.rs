@@ -500,19 +500,20 @@ fn sampler_loop(
         // clustering phase before the first assignment — cannot trip
         // it; the gate opens at the first settled poll.
         let advanced = prev.as_ref().map(|p| snap.nodes > p.nodes).unwrap_or(snap.nodes > 0);
+        let mut flag_changed = false;
         if snap.phase.watchdog_armed() && snap.nodes > 0 && !advanced {
             idle_periods += 1;
         } else {
             idle_periods = 0;
             if stall_latched {
                 stall_latched = false;
+                flag_changed = true;
                 obs.set_stalled(false);
             }
         }
-        let mut flagged_now = false;
         if idle_periods >= config.stall_periods && !stall_latched {
             stall_latched = true;
-            flagged_now = true;
+            flag_changed = true;
             obs.set_stalled(true);
             obs.counter("obs.stall.detected").incr();
             obs.span("diva.stall")
@@ -522,8 +523,9 @@ fn sampler_loop(
                 .end();
         }
         let snap = match obs.live() {
-            // Re-read so the sample reflects the stall flag we just set.
-            Some(s) if flagged_now => s,
+            // Re-read so the sample reflects the stall flag we just set
+            // or cleared.
+            Some(s) if flag_changed => s,
             _ => snap,
         };
         let eta_ms = if snap.node_limit > 0 && nodes_per_sec > 0.0 {
@@ -656,6 +658,43 @@ mod tests {
             "stall span event missing: {:?}",
             snap.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn watchdog_unlatches_on_resumed_progress() {
+        let obs = Obs::enabled();
+        obs.phase(Phase::Clustering).end();
+        obs.add_nodes(100); // advanced once, then frozen
+        let samples = Arc::new(Mutex::new(Vec::<Sample>::new()));
+        let (sink, publisher) = (Arc::clone(&samples), obs.clone());
+        // Runs on the sampler thread after each tick. From the tick
+        // that flags the stall on, every tick publishes one more node,
+        // so the next tick sees progress and the watchdog cannot trip
+        // again before the sampler stops.
+        let on_sample: OnSample = Box::new(move |s| {
+            let mut seen = lock_or_recover(&sink);
+            seen.push(s.clone());
+            if seen.iter().any(|s| s.live.stalled) {
+                publisher.add_nodes(1);
+            }
+        });
+        let sampler = Sampler::spawn(&obs, watchdog(5, 3), Some(on_sample));
+        let resumed = || {
+            let seen = lock_or_recover(&samples);
+            seen.iter().position(|s| s.live.stalled).is_some_and(|i| i + 1 < seen.len())
+        };
+        let waited = Stopwatch::start();
+        while !resumed() && waited.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        sampler.stop();
+        let seen = lock_or_recover(&samples);
+        let first = seen.iter().position(|s| s.live.stalled).expect("watchdog never tripped");
+        let next = seen.get(first + 1).expect("no tick after the stall");
+        assert_eq!((seen[first].live.nodes, next.live.nodes), (100, 101));
+        assert!(!next.live.stalled, "one more node did not clear the stall");
+        assert!(!obs.live().expect("read").stalled);
+        assert_eq!(obs.snapshot().counter("obs.stall.detected"), Some(1));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! [`Cause`]: crate::provenance::Cause
 //! [`validate_text`]: crate::provenance::validate_text
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::json::{self, Value};
@@ -152,26 +153,31 @@ impl StarAttribution {
 
     /// Recomputes the attribution from a log's cell records.
     pub fn from_log(log: &Log) -> Self {
-        let mut out = StarAttribution {
-            per_constraint: vec![0; log.labels.len()],
-            k_anonymity: 0,
-            degrade: 0,
-        };
+        let mut out = Self::empty(log);
         for cell in &log.cells {
-            match &cell.cause {
-                Cause::Sigma { constraint }
-                | Cause::Repair { constraint, .. }
-                | Cause::Voided { constraint } => {
-                    let i = *constraint as usize;
-                    if i < out.per_constraint.len() {
-                        out.per_constraint[i] += 1;
-                    }
-                }
-                Cause::KAnonymity => out.k_anonymity += 1,
-                Cause::DegradeMerge { .. } => out.degrade += 1,
-            }
+            out.charge(&cell.cause);
         }
         out
+    }
+
+    /// Every bucket of `log`'s constraints at zero.
+    fn empty(log: &Log) -> Self {
+        StarAttribution { per_constraint: vec![0; log.labels.len()], k_anonymity: 0, degrade: 0 }
+    }
+
+    /// Charges one starred cell to the bucket of its cause.
+    fn charge(&mut self, cause: &Cause) {
+        match cause {
+            Cause::Sigma { constraint }
+            | Cause::Repair { constraint, .. }
+            | Cause::Voided { constraint } => {
+                if let Some(n) = self.per_constraint.get_mut(*constraint as usize) {
+                    *n += 1;
+                }
+            }
+            Cause::KAnonymity => self.k_anonymity += 1,
+            Cause::DegradeMerge { .. } => self.degrade += 1,
+        }
     }
 }
 
@@ -253,15 +259,16 @@ impl std::fmt::Debug for Provenance {
     }
 }
 
-fn push_u64_list(out: &mut String, items: impl Iterator<Item = u64>) {
+fn write_u64_list(out: &mut String, items: impl Iterator<Item = u64>) -> fmt::Result {
     out.push('[');
     for (i, v) in items.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&v.to_string());
+        write!(out, "{v}")?;
     }
     out.push(']');
+    Ok(())
 }
 
 /// Renders a log as byte-stable JSONL: one `meta` line, one `group` line
@@ -269,71 +276,108 @@ fn push_u64_list(out: &mut String, items: impl Iterator<Item = u64>) {
 /// final `attribution` line.
 pub fn render_log(log: &Log) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
+    // Writing into a `String` cannot fail.
+    let _ = write_log(&mut out, log);
+    out
+}
+
+/// [`render_log`]'s lines, written straight into `out`; the attribution
+/// line's buckets are counted in the same walk over the cells.
+fn write_log(out: &mut String, log: &Log) -> fmt::Result {
+    write!(
+        out,
         "{{\"type\":\"meta\",\"k\":{},\"n_rows\":{},\"constraints\":{},\"labels\":[",
         log.k,
         log.n_rows,
         log.labels.len()
-    ));
+    )?;
     for (i, label) in log.labels.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('"');
-        out.push_str(&json::escape(label));
+        json::escape_into(out, label);
         out.push('"');
     }
     out.push_str("]}\n");
     for g in &log.groups {
-        out.push_str(&format!(
+        write!(
+            out,
             "{{\"type\":\"group\",\"id\":{},\"origin\":\"{}\",\"owners\":",
             g.id,
             g.origin.name()
-        ));
-        push_u64_list(&mut out, g.owners.iter().map(|&o| u64::from(o)));
+        )?;
+        write_u64_list(out, g.owners.iter().map(|&o| u64::from(o)))?;
         out.push_str(",\"rows\":");
-        push_u64_list(&mut out, g.rows.iter().copied());
+        write_u64_list(out, g.rows.iter().copied())?;
         out.push_str("}\n");
     }
+    let mut attr = StarAttribution::empty(log);
     for c in &log.cells {
-        out.push_str(&format!(
+        write!(
+            out,
             "{{\"type\":\"cell\",\"row\":{},\"col\":{},\"group\":{},\"cause\":\"{}\"",
             c.row,
             c.col,
             c.group,
             c.cause.kind()
-        ));
+        )?;
         match &c.cause {
             Cause::Sigma { constraint } | Cause::Voided { constraint } => {
-                out.push_str(&format!(",\"constraint\":{constraint}"));
+                write!(out, ",\"constraint\":{constraint}")?;
             }
             Cause::Repair { constraint, round } => {
-                out.push_str(&format!(",\"constraint\":{constraint},\"round\":{round}"));
+                write!(out, ",\"constraint\":{constraint},\"round\":{round}")?;
             }
             Cause::DegradeMerge { reason } => {
-                out.push_str(&format!(",\"reason\":\"{}\"", json::escape(reason)));
+                out.push_str(",\"reason\":\"");
+                json::escape_into(out, reason);
+                out.push('"');
             }
             Cause::KAnonymity => {}
         }
         out.push_str("}\n");
+        attr.charge(&c.cause);
     }
-    let attr = StarAttribution::from_log(log);
     out.push_str("{\"type\":\"attribution\",\"per_constraint\":");
-    push_u64_list(&mut out, attr.per_constraint.iter().copied());
-    out.push_str(&format!(
-        ",\"k_anonymity\":{},\"degrade\":{},\"total\":{}}}\n",
+    write_u64_list(out, attr.per_constraint.iter().copied())?;
+    writeln!(
+        out,
+        ",\"k_anonymity\":{},\"degrade\":{},\"total\":{}}}",
         attr.k_anonymity,
         attr.degrade,
         attr.total()
-    ));
-    out
+    )
+}
+
+/// Numbers in a log are integers below 2^53, where every `f64` integer
+/// is exact.
+const EXACT_INTEGERS: f64 = (1u64 << 53) as f64;
+
+/// `n`, read from field `key`, as an integer in `0..2^53`.
+fn integer(n: f64, key: &str, line: usize) -> Result<u64, String> {
+    if n.fract() == 0.0 && (0.0..EXACT_INTEGERS).contains(&n) {
+        Ok(n as u64)
+    } else {
+        Err(format!("line {line}: `{key}` is {n}, not an integer in 0..2^53"))
+    }
+}
+
+/// `n`, read from field `key`, as a `u32`.
+fn narrow(n: u64, key: &str, line: usize) -> Result<u32, String> {
+    u32::try_from(n).map_err(|_| format!("line {line}: `{key}` is {n}, over u32::MAX"))
 }
 
 fn field_u64(v: &Value, key: &str, line: usize) -> Result<u64, String> {
-    v.get(key)
+    let n = v
+        .get(key)
         .and_then(Value::as_num)
-        .map(|n| n as u64)
-        .ok_or_else(|| format!("line {line}: missing numeric field `{key}`"))
+        .ok_or_else(|| format!("line {line}: missing numeric field `{key}`"))?;
+    integer(n, key, line)
+}
+
+fn field_u32(v: &Value, key: &str, line: usize) -> Result<u32, String> {
+    narrow(field_u64(v, key, line)?, key, line)
 }
 
 fn field_str<'a>(v: &'a Value, key: &str, line: usize) -> Result<&'a str, String> {
@@ -349,9 +393,10 @@ fn field_u64_list(v: &Value, key: &str, line: usize) -> Result<Vec<u64>, String>
         .ok_or_else(|| format!("line {line}: missing array field `{key}`"))?;
     arr.iter()
         .map(|item| {
-            item.as_num()
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("line {line}: non-numeric entry in `{key}`"))
+            let n = item
+                .as_num()
+                .ok_or_else(|| format!("line {line}: non-numeric entry in `{key}`"))?;
+            integer(n, key, line)
         })
         .collect()
 }
@@ -408,24 +453,20 @@ pub fn parse_log(text: &str) -> Result<(Log, Option<StarAttribution>), String> {
                     origin,
                     owners: field_u64_list(&v, "owners", line_no)?
                         .into_iter()
-                        .map(|o| o as u32)
-                        .collect(),
+                        .map(|o| narrow(o, "owners", line_no))
+                        .collect::<Result<_, _>>()?,
                     rows: field_u64_list(&v, "rows", line_no)?,
                 });
             }
             "cell" => {
                 let cause = match field_str(&v, "cause", line_no)? {
-                    "sigma" => {
-                        Cause::Sigma { constraint: field_u64(&v, "constraint", line_no)? as u32 }
-                    }
+                    "sigma" => Cause::Sigma { constraint: field_u32(&v, "constraint", line_no)? },
                     "k_anonymity" => Cause::KAnonymity,
                     "repair" => Cause::Repair {
-                        constraint: field_u64(&v, "constraint", line_no)? as u32,
-                        round: field_u64(&v, "round", line_no)? as u32,
+                        constraint: field_u32(&v, "constraint", line_no)?,
+                        round: field_u32(&v, "round", line_no)?,
                     },
-                    "voided" => {
-                        Cause::Voided { constraint: field_u64(&v, "constraint", line_no)? as u32 }
-                    }
+                    "voided" => Cause::Voided { constraint: field_u32(&v, "constraint", line_no)? },
                     "degrade_merge" => Cause::DegradeMerge {
                         reason: match field_str(&v, "reason", line_no)? {
                             "residual" => "residual",
@@ -441,7 +482,7 @@ pub fn parse_log(text: &str) -> Result<(Log, Option<StarAttribution>), String> {
                 };
                 log.cells.push(CellRecord {
                     row: field_u64(&v, "row", line_no)?,
-                    col: field_u64(&v, "col", line_no)? as u32,
+                    col: field_u32(&v, "col", line_no)?,
                     group: field_u64(&v, "group", line_no)?,
                     cause,
                 });
@@ -463,11 +504,17 @@ pub fn parse_log(text: &str) -> Result<(Log, Option<StarAttribution>), String> {
 }
 
 /// Validates record and reference integrity of a log: dense group ids,
-/// in-range rows/owners/constraints, cells referencing real groups that
-/// actually hold the cited row, and unique (row, col) pairs. Returns the
-/// attribution recomputed from the records.
+/// in-range rows/owners/constraints, disjoint groups that list each row
+/// once, cells referencing real groups that actually hold the cited row,
+/// and unique (row, col) pairs. Returns the attribution recomputed from
+/// the records.
 pub fn validate_log(log: &Log) -> Result<StarAttribution, String> {
     let n_constraints = log.labels.len();
+    // The one group each listed row was published in, so a cell's check
+    // is one lookup. It holds the rows the groups list, however large
+    // the file's `n_rows` field claims the relation is.
+    let listed = log.groups.iter().map(|g| g.rows.len()).sum();
+    let mut group_of: HashMap<u64, u64> = HashMap::with_capacity(listed);
     for (i, g) in log.groups.iter().enumerate() {
         if g.id != i as u64 {
             return Err(format!("group {i}: id {} is not dense", g.id));
@@ -481,18 +528,21 @@ pub fn validate_log(log: &Log) -> Result<StarAttribution, String> {
             if r >= log.n_rows {
                 return Err(format!("group {i}: row {r} out of range"));
             }
+            match group_of.insert(r, g.id) {
+                None => {}
+                Some(first) if first == g.id => {
+                    return Err(format!("group {i}: row {r} listed twice"));
+                }
+                Some(first) => return Err(format!("group {i}: row {r} already in group {first}")),
+            }
         }
     }
-    // Every (row, group) membership, so a cell's check is one lookup and
-    // the whole check is linear in the size of the log.
-    let members: HashSet<(u64, u64)> =
-        log.groups.iter().flat_map(|g| g.rows.iter().map(|&r| (r, g.id))).collect();
     let mut seen = HashSet::new();
     for (i, c) in log.cells.iter().enumerate() {
         if c.group as usize >= log.groups.len() {
             return Err(format!("cell {i}: dangling group ref {}", c.group));
         }
-        if !members.contains(&(c.row, c.group)) {
+        if group_of.get(&c.row) != Some(&c.group) {
             return Err(format!("cell {i}: row {} not a member of group {}", c.row, c.group));
         }
         if let Some(cid) = c.cause.constraint() {
@@ -610,6 +660,69 @@ mod tests {
         let mut log = sample().snapshot().unwrap();
         log.cells[0].row = 5;
         assert!(validate_log(&log).unwrap_err().contains("not a member of group"));
+    }
+
+    #[test]
+    fn validate_rejects_a_row_in_two_groups() {
+        let mut log = sample_log();
+        log.groups[0].rows.push(1);
+        assert_eq!(validate_log(&log).unwrap_err(), "group 1: row 1 already in group 0");
+    }
+
+    #[test]
+    fn validate_rejects_a_row_listed_twice_in_one_group() {
+        let mut log = sample_log();
+        log.groups[0].rows.push(0);
+        assert_eq!(validate_log(&log).unwrap_err(), "group 0: row 0 listed twice");
+    }
+
+    /// The error of parsing the sample's render with its one `from`
+    /// replaced by `to`.
+    fn parse_error(from: &str, to: &str) -> String {
+        let text = sample().render().unwrap();
+        assert_eq!(text.matches(from).count(), 1, "`{from}` is not one spot of the render");
+        parse_log(&text.replace(from, to)).unwrap_err()
+    }
+
+    #[test]
+    fn parse_rejects_a_negative_number() {
+        let err = parse_error("\"row\":0,", "\"row\":-7,");
+        assert_eq!(err, "line 5: `row` is -7, not an integer in 0..2^53");
+    }
+
+    #[test]
+    fn parse_rejects_a_fraction() {
+        let err = parse_error("\"row\":0,\"col\":1,", "\"row\":0,\"col\":0.5,");
+        assert_eq!(err, "line 5: `col` is 0.5, not an integer in 0..2^53");
+    }
+
+    #[test]
+    fn parse_rejects_a_fraction_in_a_list() {
+        let err = parse_error("\"rows\":[1,3]", "\"rows\":[1,1.9]");
+        assert_eq!(err, "line 3: `rows` is 1.9, not an integer in 0..2^53");
+    }
+
+    #[test]
+    fn parse_rejects_a_number_from_2_pow_53() {
+        let err = parse_error("\"row\":0,", "\"row\":9007199254740992,");
+        assert_eq!(err, "line 5: `row` is 9007199254740992, not an integer in 0..2^53");
+    }
+
+    #[test]
+    fn parse_rejects_u32_fields_over_u32_max() {
+        let over = u64::from(u32::MAX) + 1;
+        for (from, to, line, key) in [
+            ("\"row\":0,\"col\":1,", format!("\"row\":0,\"col\":{over},"), 5, "col"),
+            ("\"owners\":[0]", format!("\"owners\":[{over}]"), 2, "owners"),
+            ("\"constraint\":1,", format!("\"constraint\":{over},"), 8, "constraint"),
+            ("\"round\":1", format!("\"round\":{over}"), 8, "round"),
+        ] {
+            let err = parse_error(from, &to);
+            assert_eq!(err, format!("line {line}: `{key}` is {over}, over u32::MAX"));
+        }
+        // u32::MAX itself is a column.
+        let text = sample().render().unwrap().replace("\"col\":2,", "\"col\":4294967295,");
+        assert_eq!(parse_log(&text).unwrap().0.cells[2].col, u32::MAX);
     }
 
     #[test]

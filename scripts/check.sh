@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Repo gate: formatting, lints (the workspace's and the benchmark
 # package's), rustdoc (a broken doc link fails), tests (the debug
-# build runs the phase validators; the whole differential suite and
-# the brute-force oracle suite among them), a bench smoke run,
-# one run of each example, and the profiling/trace-regression gate.
+# build runs the phase validators; the whole differential suite, the
+# brute-force oracle suite and the failure matrix among them), a
+# bench smoke run, one run of each example, and the
+# profiling/trace-regression gate.
 # The trace, metrics and live-endpoint formats are checked by the
 # tests (crates/cli/tests/cli.rs), the provenance format by
 # `diva explain` on an exact and a degraded (--deadline-ms 0)
@@ -15,7 +16,6 @@
 # the release oracle sweep, the release allocator-attribution test,
 # the benchmark package's tests and the example runs during quick
 # iterations,
-# SKIP_FAULTS=1 to skip the fault-injection matrix,
 # SKIP_PROFILE=1 to skip the profiling capture + trace-diff gate,
 # SKIP_AUDIT=1 to skip the privacy-audit gate, and
 # SKIP_PROVENANCE=1 to skip the decision-provenance gate).
@@ -63,8 +63,6 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy $FLAGS --workspace --all-targets -- -D warnings
-# The `fault-inject` code is linted too.
-cargo clippy $FLAGS --workspace --all-targets --all-features -- -D warnings
 # The benchmark is its own package, so it does not inherit the
 # workspace lints; the root clippy.toml still applies. The hash-type
 # ban covers only the search kernels.
@@ -77,16 +75,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc $FLAGS --no-deps --workspace
 
 # A debug build runs the phase validators (DESIGN.md §8b), so this
 # stage checks them on every pipeline test, the brute-force oracle's
-# tiny instances and the differential suite among them.
+# tiny instances, the differential suite and the failure matrix
+# (tests/faults.rs) among them.
 echo "==> cargo test -q"
 cargo test $FLAGS -q --workspace
-
-if [ "${SKIP_FAULTS:-0}" = "1" ]; then
-    echo "==> fault-injection matrix skipped (SKIP_FAULTS=1)"
-else
-    echo "==> cargo test -q --features fault-inject --test faults (fault matrix)"
-    cargo test $FLAGS -q --features fault-inject --test faults
-fi
 
 if [ "${SKIP_BENCH:-0}" = "1" ]; then
     echo "==> bench smoke skipped (SKIP_BENCH=1)"
