@@ -56,7 +56,7 @@ impl QiMatrix {
     /// attributes on which they differ. This is the suppression-model
     /// information loss a 2-cluster of the rows would incur per tuple.
     pub fn distance(&self, a: usize, b: usize) -> u32 {
-        hamming(self.row(a), self.row(b))
+        self.row(a).iter().zip(self.row(b)).map(|(x, y)| u32::from(x != y)).sum()
     }
 
     /// Translates a clustering over local indices into one over
@@ -64,11 +64,6 @@ impl QiMatrix {
     pub fn to_relation_clusters(&self, local: &[Vec<usize>]) -> Vec<Vec<RowId>> {
         local.iter().map(|c| c.iter().map(|&i| self.rows[i]).collect()).collect()
     }
-}
-
-/// The number of positions at which two QI code vectors differ.
-pub(crate) fn hamming(a: &[u32], b: &[u32]) -> u32 {
-    a.iter().zip(b).map(|(x, y)| u32::from(x != y)).sum()
 }
 
 /// A cluster summary for greedy algorithms: which QI attributes are
@@ -136,12 +131,17 @@ impl ClusterState {
     /// attributes already lost count as matched-by-★ (distance 0 under
     /// suppression), mismatching uniform attributes count 1.
     pub fn distance(&self, m: &QiMatrix, i: usize) -> u32 {
-        self.distance_to(m.row(i))
+        self.uniform
+            .iter()
+            .zip(m.row(i))
+            .map(|(u, &c)| u32::from(matches!(u, Some(x) if *x != c)))
+            .sum()
     }
 
-    /// [`ClusterState::distance`] to a QI code vector.
-    pub(crate) fn distance_to(&self, row: &[u32]) -> u32 {
-        self.uniform.iter().zip(row).map(|(u, &c)| u32::from(matches!(u, Some(x) if *x != c))).sum()
+    /// The `(attribute, code)` pairs on which the cluster is still
+    /// uniform: the attributes [`ClusterState::distance`] compares.
+    pub(crate) fn uniform_codes(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.uniform.iter().enumerate().filter_map(|(j, u)| u.map(|c| (j, c)))
     }
 
     /// Adds local row `i`, updating the uniformity mask.

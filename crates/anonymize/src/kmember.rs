@@ -8,14 +8,12 @@
 //! information loss. Records left over (fewer than `k`) are absorbed
 //! into the clusters whose loss they increase least.
 
-use std::cmp::Reverse;
-
 use diva_relation::{Relation, RowId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{hamming, Anonymizer, ClusterState, QiMatrix};
+use crate::common::{Anonymizer, ClusterState, QiMatrix};
 
 /// k-member configuration.
 ///
@@ -56,17 +54,22 @@ impl KMember {
     }
 }
 
+/// Candidates a scan compares at a time: the length of each
+/// per-attribute loop of [`Pool::mismatches`].
+const BLOCK: usize = 128;
+
 /// The not-yet-clustered local indices, in shuffled order, with O(1)
 /// removal by position.
 ///
-/// The pool keeps its own copy of each item's QI codes in pool order,
-/// so a scan over a candidate prefix reads one contiguous run of memory
-/// instead of gathering rows from all over the [`QiMatrix`].
+/// The pool keeps its own copy of the items' QI codes column by column
+/// in pool order, so a scan compares one attribute across a block of
+/// candidates in one loop over contiguous memory.
 struct Pool {
     items: Vec<usize>,
-    /// QI codes of `items[p]` at `codes[p * n_qi..(p + 1) * n_qi]`.
+    /// QI code `j` of `items[p]` at `codes[j * stride + p]`.
     codes: Vec<u32>,
-    n_qi: usize,
+    /// The initial pool length; positions past `len()` are stale.
+    stride: usize,
 }
 
 impl Pool {
@@ -74,19 +77,14 @@ impl Pool {
         let mut items: Vec<usize> = (0..m.len()).collect();
         items.shuffle(rng);
         let mut codes = Vec::with_capacity(m.len() * m.n_qi());
-        for &i in &items {
-            codes.extend_from_slice(m.row(i));
+        for j in 0..m.n_qi() {
+            codes.extend(items.iter().map(|&i| m.row(i)[j]));
         }
-        Self { items, codes, n_qi: m.n_qi() }
+        Self { stride: items.len(), items, codes }
     }
 
     fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// The QI codes of the item at position `p`.
-    fn row(&self, p: usize) -> &[u32] {
-        &self.codes[p * self.n_qi..(p + 1) * self.n_qi]
     }
 
     /// Removes and returns the item at position `p`; the last item
@@ -94,8 +92,9 @@ impl Pool {
     fn swap_remove(&mut self, p: usize) -> usize {
         let item = self.items.swap_remove(p);
         let last = self.items.len();
-        self.codes.copy_within(last * self.n_qi..(last + 1) * self.n_qi, p * self.n_qi);
-        self.codes.truncate(last * self.n_qi);
+        for column in self.codes.chunks_exact_mut(self.stride) {
+            column[p] = column[last];
+        }
         item
     }
 
@@ -105,6 +104,69 @@ impl Pool {
     /// sample.
     fn scan_len(&self, cap: Option<usize>) -> usize {
         cap.map_or(self.len(), |c| c.min(self.len()))
+    }
+
+    /// Fills `counts[i]` with the number of `(attribute, code)` pairs
+    /// of `probe` on which position `start + i` differs, one loop over
+    /// the block per attribute.
+    fn mismatches(
+        &self,
+        start: usize,
+        probe: impl Iterator<Item = (usize, u32)>,
+        counts: &mut [u32],
+    ) {
+        counts.fill(0);
+        for (j, code) in probe {
+            let column = &self.codes[j * self.stride + start..][..counts.len()];
+            for (n, &c) in counts.iter_mut().zip(column) {
+                *n += u32::from(c != code);
+            }
+        }
+    }
+
+    /// The position in the scanned prefix furthest from the QI codes
+    /// `from`, taking the last of equals as `max_by_key` does. Blocks
+    /// are walked from the end, and a block holding the largest
+    /// distance there is, `from.len()`, ends the scan.
+    fn furthest(&self, cap: Option<usize>, from: &[u32]) -> Option<usize> {
+        let len = self.scan_len(cap);
+        let mut counts = [0; BLOCK];
+        let mut best: Option<(usize, u32)> = None;
+        for start in (0..len).step_by(BLOCK).rev() {
+            let block = &mut counts[..BLOCK.min(len - start)];
+            self.mismatches(start, from.iter().copied().enumerate(), block);
+            let d = *block.iter().max()?;
+            if best.is_none_or(|(_, b)| d > b) {
+                best = Some((start + block.iter().rposition(|&x| x == d)?, d));
+            }
+            if d as usize == from.len() {
+                break;
+            }
+        }
+        best.map(|(p, _)| p)
+    }
+
+    /// The first position in the scanned prefix at the least
+    /// [`ClusterState::distance`] from `c`, as `min_by_key` picks it.
+    /// Only the cluster's uniform attributes are compared, since a lost
+    /// one matches every record, and a block holding a record at
+    /// distance 0 ends the scan.
+    fn nearest(&self, cap: Option<usize>, c: &ClusterState) -> Option<usize> {
+        let len = self.scan_len(cap);
+        let mut counts = [0; BLOCK];
+        let mut best: Option<(usize, u32)> = None;
+        for start in (0..len).step_by(BLOCK) {
+            let block = &mut counts[..BLOCK.min(len - start)];
+            self.mismatches(start, c.uniform_codes(), block);
+            let d = *block.iter().min()?;
+            if best.is_none_or(|(_, b)| d < b) {
+                best = Some((start + block.iter().position(|&x| x == d)?, d));
+            }
+            if d == 0 {
+                break;
+            }
+        }
+        best.map(|(p, _)| p)
     }
 }
 
@@ -140,7 +202,6 @@ impl Anonymizer for KMember {
         let mut clusters: Vec<ClusterState> = Vec::with_capacity(n / k + 1);
 
         let mut prev_seed = pool.items[rng.gen_range(0..pool.len())];
-        let max_distance = Reverse(m.n_qi() as u32);
         while pool.len() >= k {
             // Growing one cluster costs at most O(candidate_cap × k)
             // distance evaluations; polling the probe here bounds the
@@ -148,13 +209,8 @@ impl Anonymizer for KMember {
             if stop() {
                 return None;
             }
-            // Seed: record furthest from the previous seed. Scanning
-            // backwards keeps `max_by_key`'s last-maximum tie rule.
-            let from = m.row(prev_seed);
-            let scan = (0..pool.scan_len(self.candidate_cap)).rev();
-            let Some(p) =
-                first_min_by_key(scan, max_distance, |&p| Reverse(hamming(from, pool.row(p))))
-            else {
+            // Seed: record furthest from the previous seed.
+            let Some(p) = pool.furthest(self.candidate_cap, m.row(prev_seed)) else {
                 break;
             };
             let seed = pool.swap_remove(p);
@@ -165,8 +221,7 @@ impl Anonymizer for KMember {
                 // `il_increase = lost + (|C|+1)·distance` is strictly
                 // increasing in the distance, so both keys pick the same
                 // record.
-                let scan = 0..pool.scan_len(self.candidate_cap);
-                let Some(p) = first_min_by_key(scan, 0, |&p| c.distance_to(pool.row(p))) else {
+                let Some(p) = pool.nearest(self.candidate_cap, &c) else {
                     break;
                 };
                 c.push(&m, pool.swap_remove(p));
@@ -175,38 +230,13 @@ impl Anonymizer for KMember {
         }
         // Absorb the leftovers into their cheapest clusters.
         for i in pool.items {
-            let Some(best) =
-                first_min_by_key(0..clusters.len(), 0, |&ci| clusters[ci].il_increase(&m, i))
-            else {
-                continue;
-            };
-            clusters[best].push(&m, i);
+            if let Some(c) = clusters.iter_mut().min_by_key(|c| c.il_increase(&m, i)) {
+                c.push(&m, i);
+            }
         }
         let local: Vec<Vec<usize>> = clusters.into_iter().map(ClusterState::into_members).collect();
         Some(m.to_relation_clusters(&local))
     }
-}
-
-/// `Iterator::min_by_key` that stops at the first item whose key
-/// equals `floor`, the least value the key can take. `min_by_key`
-/// returns the *first* minimum, and no later item can undercut `floor`,
-/// so the early exit never changes the result (`DESIGN.md` §2.5).
-fn first_min_by_key<T, K: Ord>(
-    items: impl IntoIterator<Item = T>,
-    floor: K,
-    key: impl Fn(&T) -> K,
-) -> Option<T> {
-    let mut best: Option<(T, K)> = None;
-    for item in items {
-        let k = key(&item);
-        if k == floor {
-            return Some(item);
-        }
-        if best.as_ref().is_none_or(|(_, b)| k < *b) {
-            best = Some((item, k));
-        }
-    }
-    best.map(|(item, _)| item)
 }
 
 #[cfg(test)]

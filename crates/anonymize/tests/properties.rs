@@ -32,7 +32,7 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
 /// attribute (pairwise distance `n_qi`) both occur often, so the
 /// k-member scans take their early exits.
 fn arb_duplicate_heavy_relation() -> impl Strategy<Value = Relation> {
-    (1usize..5, 1usize..6, 0usize..150).prop_flat_map(|(n_qi, n_templates, n_rows)| {
+    (1usize..5, 1usize..6, 0usize..700).prop_flat_map(|(n_qi, n_templates, n_rows)| {
         let templates =
             proptest::collection::vec(proptest::collection::vec(0u8..4, n_qi), n_templates);
         let rows = proptest::collection::vec(
@@ -174,14 +174,16 @@ mod reference {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The early-exit scans publish exactly the clustering of the plain
+    /// The block scans publish exactly the clustering of the plain
     /// `min_by_key` / `max_by_key` scans, for every seed, cap and k.
+    /// Caps from 100 and tables of up to 699 rows make scans span
+    /// several blocks.
     #[test]
     fn kmember_matches_the_full_scan_reference(
         rel in arb_duplicate_heavy_relation(),
         k in 2usize..6,
         seed: u64,
-        cap in prop_oneof![Just(None), (1usize..64).prop_map(Some)],
+        cap in prop_oneof![Just(None), (1usize..64).prop_map(Some), (100usize..400).prop_map(Some)],
     ) {
         let rows: Vec<usize> = (0..rel.n_rows()).collect();
         let fast = KMember { seed, candidate_cap: cap }.cluster(&rel, &rows, k);

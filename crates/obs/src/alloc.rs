@@ -272,31 +272,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delta_since_subtracts_fieldwise() {
-        let start = AllocStats {
-            allocated_bytes: 100,
-            allocated_count: 3,
-            live_bytes: 60,
-            peak_live_bytes: 80,
-        };
-        // Fabricate "now" by delegating through the public API is not
-        // possible without an installed allocator, so exercise the
-        // arithmetic on the pure parts instead.
-        let now = AllocStats {
-            allocated_bytes: 150,
-            allocated_count: 5,
-            live_bytes: 60,
-            peak_live_bytes: 95,
-        };
-        let d = AllocDelta {
-            bytes: now.allocated_bytes - start.allocated_bytes,
-            count: now.allocated_count - start.allocated_count,
-            peak_live_delta: (now.peak_live_bytes - start.peak_live_bytes).max(0) as u64,
-        };
-        assert_eq!(d, AllocDelta { bytes: 50, count: 2, peak_live_delta: 15 });
-    }
-
-    #[test]
     fn inert_without_an_installed_allocator() {
         // In this test binary no `#[global_allocator]` is declared, so
         // the runtime gate must be off and measurements must be absent.

@@ -405,7 +405,7 @@ fn field_u64_list(v: &Value, key: &str, line: usize) -> Result<Vec<u64>, String>
 /// attribution line (if present).
 pub fn parse_log(text: &str) -> Result<(Log, Option<StarAttribution>), String> {
     let mut log = Log::default();
-    let mut saw_meta = false;
+    let mut meta_line = None;
     let mut attribution = None;
     for (idx, line) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -416,7 +416,12 @@ pub fn parse_log(text: &str) -> Result<(Log, Option<StarAttribution>), String> {
         let ty = field_str(&v, "type", line_no)?;
         match ty {
             "meta" => {
-                saw_meta = true;
+                if let Some(first) = meta_line {
+                    return Err(format!(
+                        "line {line_no}: a second meta record (the first is line {first})"
+                    ));
+                }
+                meta_line = Some(line_no);
                 log.k = field_u64(&v, "k", line_no)?;
                 log.n_rows = field_u64(&v, "n_rows", line_no)?;
                 let labels = v
@@ -497,7 +502,7 @@ pub fn parse_log(text: &str) -> Result<(Log, Option<StarAttribution>), String> {
             other => return Err(format!("line {line_no}: unknown record type `{other}`")),
         }
     }
-    if !saw_meta {
+    if meta_line.is_none() {
         return Err("no meta record".to_string());
     }
     Ok((log, attribution))
@@ -723,6 +728,28 @@ mod tests {
         // u32::MAX itself is a column.
         let text = sample().render().unwrap().replace("\"col\":2,", "\"col\":4294967295,");
         assert_eq!(parse_log(&text).unwrap().0.cells[2].col, u32::MAX);
+    }
+
+    #[test]
+    fn parse_rejects_a_second_meta_record() {
+        let records = concat!(
+            r#"{"type":"meta","k":2,"n_rows":2,"constraints":1,"labels":["A[x]"]}"#,
+            "\n",
+            r#"{"type":"group","id":0,"origin":"sigma","owners":[0],"rows":[0,1]}"#,
+            "\n",
+            r#"{"type":"cell","row":1,"col":0,"group":0,"cause":"sigma","constraint":0}"#,
+            "\n",
+        );
+        assert_eq!(parse_log(records).unwrap().0.labels, ["A[x]"]);
+        // A trailing meta would relabel the cell's constraint as B[y].
+        let relabelled = format!(
+            "{records}{}\n",
+            r#"{"type":"meta","k":9,"n_rows":2,"constraints":1,"labels":["B[y]"]}"#
+        );
+        assert_eq!(
+            parse_log(&relabelled).unwrap_err(),
+            "line 4: a second meta record (the first is line 1)"
+        );
     }
 
     #[test]
