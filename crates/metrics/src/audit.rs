@@ -611,15 +611,16 @@ fn sensitive_ranks(rel: &Relation, sens_cols: &[usize]) -> (Vec<u32>, usize) {
             rank
         })
         .collect();
-    let key = |row: RowId| -> Vec<u32> {
-        sens_cols
-            .iter()
-            .zip(&col_rank)
-            .map(|(&c, ranks)| ranks[rel.code(row, c) as usize])
-            .collect()
-    };
+    // Each row's key, computed once: its column ranks, `stride` apart.
+    let stride = sens_cols.len();
+    let keys: Vec<u32> = (0..n)
+        .flat_map(|row| {
+            sens_cols.iter().zip(&col_rank).map(move |(&c, r)| r[rel.code(row, c) as usize])
+        })
+        .collect();
+    let key = |row: RowId| &keys[row * stride..(row + 1) * stride];
     let mut order: Vec<RowId> = (0..n).collect();
-    order.sort_unstable_by_key(|&r| key(r));
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
     let mut row_rank = vec![0u32; n];
     let mut next = 0u32;
     for (i, &r) in order.iter().enumerate() {
