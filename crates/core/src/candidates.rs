@@ -23,15 +23,16 @@
 //!   groups of `k` (fine, low-suppression) and, when small, the
 //!   single-cluster variant the paper's figures show.
 //!
-//! A window candidate is only a descriptor into the sorted order. Its
-//! clusters are built the first time the search tries it
-//! ([`CandidateSet::clustering`]); the search's availability checks
-//! read them as slices of the sorted order without building anything
-//! ([`CandidateSet::available`]).
+//! A window candidate is only a descriptor into the sorted order, and
+//! nothing builds it: the search tries it, and its availability checks
+//! read it, as slices of the sorted order ([`CandidateSet::clusters`],
+//! [`CandidateSet::available`]). A repair writes its clusters in the
+//! same similarity order ([`CandidateSet::repair`]). Canonical order is
+//! applied once, to the clusters the search publishes
+//! ([`SearchState::live_clusters`]).
 #![deny(clippy::disallowed_types)]
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use diva_constraints::BoundConstraint;
 use diva_relation::{AttrRole, Relation, RowId};
@@ -42,8 +43,9 @@ use rand::SeedableRng;
 use crate::state::SearchState;
 
 /// One candidate clustering: disjoint clusters over `I_σ`, each of
-/// size ≥ k. Rows within each cluster are sorted ascending (the
-/// canonical form used for shared-cluster detection).
+/// size ≥ k. In canonical form each cluster is ascending and the
+/// clusters are in lexicographic order: the form of
+/// [`CandidateSet::clustering`] and of the clusters a search publishes.
 pub type Clustering = Vec<Vec<RowId>>;
 
 /// Target sets up to this size are enumerated exhaustively.
@@ -58,25 +60,32 @@ enum Candidate {
     /// A clustering materialized at enumeration, in canonical form:
     /// the exhaustive path for small target sets.
     Listed(Clustering),
-    /// A window of the similarity order, built on first use.
+    /// A window of the similarity order.
     Window(Window),
 }
 
 /// The rows `sorted_targets[start..start + len]`, as one cluster
 /// (`whole`) or chunked into clusters of `k..2k` rows.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Window {
     start: usize,
     len: usize,
     whole: bool,
-    /// The canonical clustering, built the first time it is asked for.
-    built: OnceLock<Clustering>,
 }
 
 impl Window {
+    /// The window's rows, in similarity order.
+    fn rows<'s>(&self, sorted: &'s [RowId]) -> &'s [RowId] {
+        &sorted[self.start..self.start + self.len]
+    }
+
     /// The window's clusters as slices of the similarity order.
-    fn clusters<'s>(&self, sorted: &'s [RowId], k: usize) -> impl Iterator<Item = &'s [RowId]> {
-        let rows = &sorted[self.start..self.start + self.len];
+    fn clusters<'s>(
+        &self,
+        sorted: &'s [RowId],
+        k: usize,
+    ) -> impl Iterator<Item = &'s [RowId]> + Clone {
+        let rows = self.rows(sorted);
         let q = if self.whole { 1 } else { self.len / k };
         chunk_bounds(self.len, k, q).map(move |b| &rows[b])
     }
@@ -91,18 +100,18 @@ impl Candidate {
         }
     }
 
-    /// Whether `f` holds for every cluster. A window's clusters are
-    /// read as slices of `sorted`, unbuilt and in similarity order.
-    fn all_clusters(
-        &self,
-        sorted: &[RowId],
+    /// The clusters as slices: a listed clustering's own, or a
+    /// window's chunks of `sorted`, in similarity order.
+    fn clusters<'s>(
+        &'s self,
+        sorted: &'s [RowId],
         k: usize,
-        mut f: impl FnMut(&[RowId]) -> bool,
-    ) -> bool {
-        match self {
-            Self::Listed(clustering) => clustering.iter().all(|cluster| f(cluster)),
-            Self::Window(w) => w.clusters(sorted, k).all(f),
-        }
+    ) -> impl Iterator<Item = &'s [RowId]> + Clone {
+        let (listed, window) = match self {
+            Self::Listed(clustering) => (&clustering[..], None),
+            Self::Window(w) => (&[][..], Some(w.clusters(sorted, k))),
+        };
+        listed.iter().map(Vec::as_slice).chain(window.into_iter().flatten())
     }
 }
 
@@ -118,10 +127,18 @@ pub struct Repaired {
 }
 
 impl Repaired {
-    /// The repaired clusters in canonical form: each ascending, the
-    /// clusters in lexicographic order.
+    /// The repaired clusters in similarity order: the free rows in the
+    /// order the repair's scan met them, cut into chunks. No cluster
+    /// is sorted; [`SearchState::try_assign`] reads them in any order.
     pub fn clusters(&self) -> impl Iterator<Item = &[RowId]> + Clone {
         self.clusters.iter().map(|b| &self.rows[b.clone()])
+    }
+
+    /// The repaired clusters in canonical form (see [`Clustering`]).
+    fn canonical(&self) -> Clustering {
+        let mut clustering = self.clusters().map(<[RowId]>::to_vec).collect();
+        canonicalize(&mut clustering);
+        clustering
     }
 }
 
@@ -234,7 +251,7 @@ impl CandidateSet {
         if min_sensitive > 1 {
             let mut seen = Vec::new();
             out.retain(|cand| {
-                cand.all_clusters(sorted, k, |cluster| {
+                cand.clusters(sorted, k).all(|cluster| {
                     distinct_sigs(&set.sens_sig, cluster, &mut seen) >= min_sensitive
                 })
             });
@@ -247,63 +264,75 @@ impl CandidateSet {
         set
     }
 
-    /// Candidate `i` in canonical form: each cluster ascending, the
-    /// clusters in lexicographic order. A window candidate is built
-    /// the first time it is asked for and cached, so every call
-    /// returns the same clustering.
-    pub fn clustering(&self, i: usize) -> &Clustering {
-        match &self.candidates[i] {
-            Candidate::Listed(clustering) => clustering,
-            Candidate::Window(w) => w.built.get_or_init(|| {
-                let mut clustering =
-                    w.clusters(&self.sorted_targets, self.k).map(<[RowId]>::to_vec).collect();
-                canonicalize(&mut clustering);
-                clustering
-            }),
-        }
+    /// Candidate `i`'s clusters as the search tries them: a listed
+    /// clustering's own, or a window's chunks of
+    /// [`CandidateSet::sorted_targets`], in similarity order. Nothing
+    /// is built; [`CandidateSet::available`] reads the same slices.
+    pub fn clusters(&self, i: usize) -> impl Iterator<Item = &[RowId]> + Clone {
+        self.candidates[i].clusters(&self.sorted_targets, self.k)
+    }
+
+    /// Candidate `i` in canonical form (see [`Clustering`]), built on
+    /// each call. The search tries [`CandidateSet::clusters`] instead;
+    /// only [`CandidateSet::repair`] builds this, to compare the repair
+    /// of a candidate whose rows are all free.
+    pub fn clustering(&self, i: usize) -> Clustering {
+        let mut clustering = self.clusters(i).map(<[RowId]>::to_vec).collect();
+        canonicalize(&mut clustering);
+        clustering
     }
 
     /// Whether no cluster of candidate `i` collides with `state`: each
     /// is free or already live ([`SearchState::cluster_available`]).
-    /// The search's quick availability test; a window candidate's
-    /// clusters are read as slices, so it builds nothing.
+    /// The search's quick availability test, over the slices of
+    /// [`CandidateSet::clusters`].
     pub fn available(&self, i: usize, state: &SearchState) -> bool {
-        self.candidates[i]
-            .all_clusters(&self.sorted_targets, self.k, |cluster| state.cluster_available(cluster))
+        self.clusters(i).all(|cluster| state.cluster_available(cluster))
     }
 
-    /// Rebuilds a candidate from rows that are still free, into `out`;
-    /// returns whether `out` now holds a replacement.
+    /// Rebuilds candidate `i` from rows that are still free, into
+    /// `out`; returns whether `out` now holds a replacement.
     ///
     /// The capped enumeration cuts candidates from fixed positions of
     /// the similarity order, so a constraint whose target rows were
     /// claimed by already-coloured neighbours may find every literal
     /// candidate blocked even though plenty of target tuples remain.
     /// `repair` keeps the candidate's total size but re-materializes
-    /// it from rows for which `is_free` returns true, chunked by `k`.
+    /// it from rows for which `is_free` returns true, chunked by the
+    /// set's `k`.
     /// It scans the similarity order forward from the position of the
     /// candidate's smallest row id, wrapping around. That anchor is a
     /// row of the candidate but, for a window, generally not its first
-    /// row in similarity order. It fails when fewer free target tuples
-    /// remain than the candidate needs (so a caller that counts the
-    /// free target tuples can skip the call), when a repaired cluster
-    /// falls below the ℓ-diversity requirement, and when the repair
-    /// is the candidate itself. `out` holds the clusters in the same
-    /// canonical form as [`CandidateSet::clustering`], and the call
-    /// allocates nothing once `out` has grown to the largest repair.
-    pub fn repair<F: Fn(RowId) -> bool>(
-        &self,
-        candidate: &Clustering,
-        k: usize,
-        is_free: F,
-        out: &mut Repaired,
-    ) -> bool {
-        let m: usize = candidate.iter().map(Vec::len).sum();
+    /// row in similarity order; one scan of the window finds it. It
+    /// fails when fewer free target tuples remain than the candidate
+    /// needs (so a caller that counts the free target tuples can skip
+    /// the call), when a repaired cluster falls below the ℓ-diversity
+    /// requirement, and when the repair is the candidate itself. `out`
+    /// holds the free rows in the order the scan met them, cut into
+    /// chunks ([`Repaired::clusters`]), and the call allocates nothing
+    /// once `out` has grown to the largest repair, unless the
+    /// candidate's rows are all free.
+    pub fn repair<F: Fn(RowId) -> bool>(&self, i: usize, is_free: F, out: &mut Repaired) -> bool {
+        let m = self.total(i);
         // Anchor at the similarity-order position of the smallest row.
-        let Some(&first) = candidate.iter().filter_map(|cl| cl.first()).min() else {
-            return false;
+        let anchor = match &self.candidates[i] {
+            Candidate::Window(w) => {
+                let Some((at, _)) =
+                    w.rows(&self.sorted_targets).iter().enumerate().min_by_key(|&(_, &r)| r)
+                else {
+                    return false;
+                };
+                w.start + at
+            }
+            // Listed clusters are ascending, and a listed candidate's
+            // target set holds at most `SMALL_TARGET` rows.
+            Candidate::Listed(clustering) => {
+                let Some(&first) = clustering.iter().filter_map(|cl| cl.first()).min() else {
+                    return false;
+                };
+                self.sorted_targets.iter().position(|&r| r == first).unwrap_or(0)
+            }
         };
-        let anchor = self.sorted_targets.iter().position(|&r| r == first).unwrap_or(0);
         let (before, from) = self.sorted_targets.split_at(anchor);
         let Repaired { rows, clusters, sigs } = out;
         rows.clear();
@@ -311,9 +340,9 @@ impl CandidateSet {
         if rows.len() < m {
             return false;
         }
-        debug_assert!(m >= k);
+        debug_assert!(m >= self.k);
         clusters.clear();
-        clusters.extend(chunk_bounds(m, k, m / k));
+        clusters.extend(chunk_bounds(m, self.k, m / self.k));
         if self.min_sensitive > 1
             && clusters
                 .iter()
@@ -321,15 +350,12 @@ impl CandidateSet {
         {
             return false; // conservative: repairs never weaken privacy
         }
-        // Canonical form: each cluster ascending, then the clusters
-        // in lexicographic order (they are disjoint, so no two tie).
-        for b in clusters.iter() {
-            rows[b.clone()].sort_unstable();
-        }
-        clusters.sort_unstable_by(|a, b| rows[a.clone()].cmp(&rows[b.clone()]));
-        // A repair that changed nothing is no use retrying.
-        let unchanged = candidate.len() == clusters.len()
-            && candidate.iter().zip(clusters.iter()).all(|(c, b)| c[..] == rows[b.clone()]);
+        // A repair that changed nothing is no use retrying. Its rows
+        // are all free, so it differs from a candidate that holds an
+        // owned row. Only an upper bound blocks a candidate whose rows
+        // are all free, and only then are canonical forms compared.
+        let unchanged = self.clusters(i).flatten().all(|&r| is_free(r))
+            && out.canonical() == self.clustering(i);
         !unchanged
     }
 
@@ -357,15 +383,6 @@ impl CandidateSet {
     /// unsatisfiable for this relation and `k`).
     pub fn is_empty(&self) -> bool {
         self.candidates.is_empty()
-    }
-
-    /// How many window candidates have been built.
-    #[cfg(test)]
-    pub(crate) fn built_windows(&self) -> usize {
-        self.candidates
-            .iter()
-            .filter(|c| matches!(c, Candidate::Window(w) if w.built.get().is_some()))
-            .count()
     }
 
     /// Publishes this candidate set's generation stats to `obs`: the
@@ -408,7 +425,7 @@ fn similarity_sorted(rel: &Relation, rows: &[RowId]) -> Vec<RowId> {
 /// as index ranges: `q − 1` chunks of exactly `k`, then the rest. With
 /// `q = ⌊m/k⌋` that is the chunked form (a last chunk of `k..2k`
 /// rows); with `q = 1` it is one cluster of all `m` rows.
-fn chunk_bounds(m: usize, k: usize, q: usize) -> impl Iterator<Item = Range<usize>> {
+fn chunk_bounds(m: usize, k: usize, q: usize) -> impl Iterator<Item = Range<usize>> + Clone {
     (0..q).map(move |c| c * k..if c + 1 == q { m } else { (c + 1) * k })
 }
 
@@ -510,9 +527,8 @@ fn enumerate_windows(
     k: usize,
     cap: usize,
 ) -> Vec<Candidate> {
-    let window = |start: usize, len: usize, whole: bool| {
-        Candidate::Window(Window { start, len, whole, built: OnceLock::new() })
-    };
+    let window =
+        |start: usize, len: usize, whole: bool| Candidate::Window(Window { start, len, whole });
     let mut out = Vec::new();
     let sizes = spread(m_min, m_max, SIZE_SAMPLES);
     let per_size = (cap / sizes.len().max(1)).max(1);
@@ -599,9 +615,9 @@ mod tests {
         CandidateSet::enumerate(&r, &c, k, 64, None)
     }
 
-    /// Every candidate of `cs`, built, in order.
+    /// Every candidate of `cs` in canonical form, in order.
     fn built(cs: &CandidateSet) -> Vec<Clustering> {
-        (0..cs.len()).map(|i| cs.clustering(i).clone()).collect()
+        (0..cs.len()).map(|i| cs.clustering(i)).collect()
     }
 
     #[test]
@@ -724,26 +740,6 @@ mod tests {
         let first_total: usize = all[0].iter().map(Vec::len).sum();
         let last_total: usize = all.last().unwrap().iter().map(Vec::len).sum();
         assert!(first_total <= last_total);
-    }
-
-    #[test]
-    fn windows_are_built_once_on_first_use() {
-        let rel = diva_datagen::medical(2_000, 3);
-        let sigma = diva_constraints::generators::proportional(&rel, 5, 0.7, 20);
-        let set = diva_constraints::ConstraintSet::bind(&sigma, &rel).unwrap();
-        let c = set
-            .constraints()
-            .iter()
-            .find(|c| c.target_rows.len() > SMALL_TARGET && c.lower > 0)
-            .expect("a constraint on the window path");
-        let cs = CandidateSet::enumerate(&rel, c, 5, 64, None);
-        assert!(cs.len() > 1);
-        assert_eq!(cs.built_windows(), 0, "enumeration builds no window");
-        let last = cs.len() - 1;
-        let first = cs.clustering(last);
-        let second = cs.clustering(last);
-        assert!(std::ptr::eq(first, second), "both calls return the cached clustering");
-        assert_eq!(cs.built_windows(), 1);
     }
 
     #[test]

@@ -97,9 +97,6 @@ pub struct Coloring<'a> {
     settled_repairs: u64,
     /// The `assignments_tried` count at which the next poll happens.
     next_poll: u64,
-    /// Every (node, candidate) the search tried, in order.
-    #[cfg(test)]
-    tried: Vec<(usize, usize)>,
 }
 
 /// Nodes between polls — cheap enough to leave the hot path
@@ -174,8 +171,6 @@ impl<'a> Coloring<'a> {
             settled_nodes: 0,
             settled_repairs: 0,
             next_poll: POLL_STRIDE,
-            #[cfg(test)]
-            tried: Vec::new(),
         }
     }
 
@@ -341,14 +336,12 @@ impl<'a> Coloring<'a> {
         }
         for ci in order {
             self.explore_node()?;
-            #[cfg(test)]
-            self.tried.push((v, ci));
-            let clustering = self.candidates[v].clustering(ci);
-            // IsConsistent + commit in one step. If the literal
-            // candidate is blocked (typically because neighbours own
-            // some of its rows), re-materialize it from free target
-            // tuples and retry once (see `CandidateSet::repair`).
-            let token = match self.state.try_assign(clustering, self.graph) {
+            // IsConsistent + commit in one step, over the candidate's
+            // slices. If the literal candidate is blocked (typically
+            // because neighbours own some of its rows), re-materialize
+            // it from free target tuples and retry once (see
+            // `CandidateSet::repair`).
+            let token = match self.state.try_assign(self.candidates[v].clusters(ci), self.graph) {
                 Some(t) => t,
                 None => {
                     if !self.config.enable_repair {
@@ -362,12 +355,8 @@ impl<'a> Coloring<'a> {
                         continue;
                     }
                     let state = &self.state;
-                    let repaired = self.candidates[v].repair(
-                        clustering,
-                        self.config.k,
-                        |r| state.row_is_free(r),
-                        &mut self.repaired,
-                    );
+                    let repaired =
+                        self.candidates[v].repair(ci, |r| state.row_is_free(r), &mut self.repaired);
                     if !repaired {
                         continue;
                     }
@@ -655,33 +644,5 @@ mod tests {
             assert_eq!(out.stats.assignments_tried, explored, "cap {cap}");
             assert_eq!(budget.usage().nodes_explored, explored, "cap {cap}");
         }
-    }
-
-    #[test]
-    fn the_search_builds_only_candidates_it_tries() {
-        // The instance of `node_cap_stops_the_search_at_exactly_cap_plus_one`:
-        // MinChoice counts the available candidates of every uncoloured
-        // node at every selection, and none of that may build one.
-        let r = diva_datagen::medical(400, 25);
-        let sigma = diva_constraints::generators::proportional(&r, 8, 0.7, 20);
-        let set = ConstraintSet::bind(&sigma, &r).unwrap();
-        let graph = ConstraintGraph::build(&set);
-        let config = DivaConfig { strategy: Strategy::MinChoice, ..DivaConfig::with_k(5) };
-        let candidates: Vec<CandidateSet> =
-            set.constraints().iter().map(|c| CandidateSet::enumerate(&r, c, 5, 64, None)).collect();
-        let labels: Vec<String> = set.constraints().iter().map(|c| c.label()).collect();
-        let uppers = set.constraints().iter().map(|c| c.upper).collect();
-        let mut search = Coloring::new(&graph, &candidates, uppers, &labels, &config);
-        let out = search.solve_impl().unwrap();
-        let tried = out.stats.assignments_tried;
-        assert!(tried > 300, "{tried}");
-        let mut distinct = search.tried.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let built: usize = candidates.iter().map(CandidateSet::built_windows).sum();
-        let listed: usize = candidates.iter().map(CandidateSet::len).sum();
-        assert!(built <= distinct.len(), "built {built}, tried {}", distinct.len());
-        assert!(distinct.len() as u64 <= tried, "{} distinct of {tried}", distinct.len());
-        assert!(built < listed, "built {built} of {listed}");
     }
 }

@@ -14,8 +14,12 @@
 //! hot path. The dense row-owner map (a `Vec<u32>` indexed by row id)
 //! is the one index of the live clusters: they are pairwise disjoint
 //! and own exactly their rows, so one owner-map read tells a free
-//! cluster from a live one. A backtracking search undoes assignments
-//! in reverse order, so the live clusters form a stack: each is a
+//! cluster from a live one. Nothing here reads a cluster's row order:
+//! a cluster is committed with its rows as given (a candidate's slices
+//! of the similarity order, or a repair's) and sorted once, when the
+//! search publishes it ([`SearchState::live_clusters`]). A
+//! backtracking search undoes assignments in reverse order, so the
+//! live clusters form a stack: each is a
 //! `{start, len, refcount}` entry over a row arena the stack tiles in
 //! order, and an undo log records every step of every live assignment
 //! (a cluster created, or a live one shared). A
@@ -188,8 +192,13 @@ impl SearchState {
     ///
     /// `clustering` is walked once to validate, once to simulate the
     /// upper bounds and once to commit, so it is any cloneable
-    /// sequence of row slices: a candidate's [`crate::candidates::Clustering`]
-    /// or a repair's scratch ([`crate::candidates::Repaired::clusters`]).
+    /// sequence of row slices, each cluster in any row order and the
+    /// clusters in any order: a candidate's slices
+    /// ([`crate::CandidateSet::clusters`]), a repair's scratch
+    /// ([`crate::candidates::Repaired::clusters`]) or a
+    /// [`crate::candidates::Clustering`]. The verdict and the cluster
+    /// sets committed do not depend on either order; stack order and
+    /// cluster ids do, and nothing outside the state reads them.
     pub fn try_assign<C>(&mut self, clustering: C, graph: &ConstraintGraph) -> Option<Token>
     where
         C: IntoIterator + Clone,
@@ -314,16 +323,25 @@ impl SearchState {
     }
 
     /// The distinct live clusters — the diverse clustering `S_Σ`
-    /// (shared clusters appear once) — in canonical (lexicographic)
-    /// order. Stack order depends on assignment chronology, which
-    /// differs between the monolithic solve and a component-merged
-    /// solve even when the cluster *sets* are identical, so both paths
-    /// emit byte-identical output only through this sort. Rows within
-    /// a cluster are already ascending and live clusters are pairwise
-    /// distinct, so the sort is a strict total order.
+    /// (shared clusters appear once) — in canonical form: each
+    /// cluster's rows ascending, the clusters in lexicographic order.
+    /// This is the one place canonical order is applied: clusters are
+    /// committed in the row order they were tried in, and stack order
+    /// depends on assignment chronology, which differs between the
+    /// monolithic solve and a component-merged solve even when the
+    /// cluster *sets* are identical, so both paths emit byte-identical
+    /// output only through these sorts. Live clusters are pairwise
+    /// disjoint, so the second sort is a strict total order.
     pub fn live_clusters(&self) -> Vec<Vec<RowId>> {
-        let mut clusters: Vec<Vec<RowId>> =
-            self.clusters.iter().map(|e| self.rows_of(e).to_vec()).collect();
+        let mut clusters: Vec<Vec<RowId>> = self
+            .clusters
+            .iter()
+            .map(|e| {
+                let mut rows = self.rows_of(e).to_vec();
+                rows.sort_unstable();
+                rows
+            })
+            .collect();
         clusters.sort_unstable();
         clusters
     }
@@ -550,6 +568,16 @@ mod tests {
         assert_eq!(st.live_clusters(), vec![vec![7, 9]]);
         st.unassign(t2, &g);
         assert_eq!((st.retained(0), st.retained(1), st.retained(2)), (2, 0, 2));
+        assert_eq!(st.live_clusters(), vec![vec![7, 9]]);
+        st.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn live_clusters_publish_rows_ascending() {
+        let (g, mut st) = setup();
+        // Committed out of row order, as a window slice can be.
+        let _t = st.try_assign(&vec![vec![9, 7]], &g).expect("consistent");
+        assert_eq!((st.retained(0), st.retained(2)), (2, 2));
         assert_eq!(st.live_clusters(), vec![vec![7, 9]]);
         st.validate(&g).unwrap();
     }

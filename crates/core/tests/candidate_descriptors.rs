@@ -1,11 +1,12 @@
 //! Property test of candidate enumeration: every candidate, window
-//! descriptor or listed clustering, builds to a valid canonical
-//! clustering, the search's availability check on the unbuilt
-//! candidate agrees with an oracle over the built one, every
-//! candidate the search state accepts is one that check admits, and
-//! repair yields nothing when its node has fewer free target rows than
-//! the candidate's total, and otherwise only valid canonical clusterings
-//! of free target rows.
+//! descriptor or listed clustering, yields slices whose canonical form
+//! is its canonical clustering, a valid one; the search's availability
+//! check on the slices agrees with an oracle over the canonical form;
+//! the search state gives the slices and the canonical form the same
+//! verdict and the same live clusters, and accepts only what that check
+//! admits; and repair yields nothing when its node has fewer free
+//! target rows than the candidate's total, and otherwise only valid
+//! clusterings of free target rows that differ from the candidate.
 
 use diva_constraints::generators::{islands, proportional};
 use diva_constraints::{BoundConstraint, ConstraintSet};
@@ -15,8 +16,20 @@ use diva_core::{CandidateSet, ConstraintGraph, DivaConfig, Strategy};
 use diva_relation::{AttrRole, Relation, RowId};
 use proptest::prelude::*;
 
+/// The canonical form of `clusters`: each ascending, the clusters in
+/// lexicographic order.
+fn canonical<'r>(clusters: impl Iterator<Item = &'r [RowId]>) -> Vec<Vec<RowId>> {
+    let mut canonical: Vec<Vec<RowId>> = clusters.map(<[RowId]>::to_vec).collect();
+    for cluster in &mut canonical {
+        cluster.sort_unstable();
+    }
+    canonical.sort();
+    canonical
+}
+
 /// Checks every candidate of `cs`, enumerated for `c` at `k` with
-/// ℓ = `l`: canonical, disjoint clusters of at least `k` rows (and `l`
+/// ℓ = `l`: slices whose canonical form is [`CandidateSet::clustering`],
+/// disjoint clusters of at least `k` rows (and `l`
 /// distinct sensitive values when `l > 1`), a total in
 /// `[max(λl, k), λr]` over rows of `I_σ`, no two consecutive
 /// candidates equal, and, unshuffled, totals that never decrease.
@@ -38,12 +51,7 @@ fn check_candidates(
     let mut prev_total = 0;
     for i in 0..cs.len() {
         let cl = cs.clustering(i);
-        let mut canonical = cl.clone();
-        for cluster in &mut canonical {
-            cluster.sort_unstable();
-        }
-        canonical.sort();
-        prop_assert_eq!(cl, &canonical, "candidate {} is not canonical", i);
+        prop_assert_eq!(&canonical(cs.clusters(i)), &cl, "candidate {} slices", i);
         let mut rows: Vec<RowId> = cl.iter().flatten().copied().collect();
         let total = rows.len();
         rows.sort_unstable();
@@ -56,7 +64,7 @@ fn check_candidates(
             c.lower,
             c.upper
         );
-        for cluster in cl {
+        for cluster in &cl {
             prop_assert!(cluster.len() >= k, "candidate {i} has a cluster below k");
             if l > 1 {
                 let mut values: Vec<Vec<u32>> = cluster
@@ -69,7 +77,7 @@ fn check_candidates(
             }
         }
         if i > 0 {
-            prop_assert_ne!(cs.clustering(i - 1), cl, "candidates {} and {} are equal", i - 1, i);
+            prop_assert_ne!(&cs.clustering(i - 1), &cl, "candidates {} and {} are equal", i - 1, i);
         }
         if !shuffled {
             prop_assert!(total >= prev_total, "candidate {i}: total {total} after {prev_total}");
@@ -110,8 +118,6 @@ proptest! {
                     CandidateSet::enumerate_interruptible(&rel, c, k, cap, shuffle, l, &|| false)
                 })
                 .collect();
-            // An unbuilt copy: availability must not need the build.
-            let unbuilt = candidates.clone();
             for (c, cs) in set.constraints().iter().zip(&candidates) {
                 check_candidates(&rel, c, cs, k, l, shuffle.is_some())?;
             }
@@ -126,7 +132,7 @@ proptest! {
             for &(node, ci) in &picks {
                 let cs = &candidates[node % candidates.len()];
                 if !cs.is_empty() {
-                    let _ = state.try_assign(cs.clustering(ci % cs.len()), &graph);
+                    let _ = state.try_assign(cs.clusters(ci % cs.len()), &graph);
                 }
             }
             let live = state.live_clusters();
@@ -141,7 +147,7 @@ proptest! {
                     let total = cs.total(i);
                     prop_assert_eq!(total, cs.clustering(i).iter().map(Vec::len).sum::<usize>());
                     let is_free = |r: RowId| state.row_is_free(r);
-                    let yielded = cs.repair(cs.clustering(i), k, is_free, &mut repaired);
+                    let yielded = cs.repair(i, is_free, &mut repaired);
                     // The search skips repair on this count alone.
                     if free < total {
                         prop_assert!(!yielded, "{strategy} node {node} candidate {i}: {free} free");
@@ -149,15 +155,8 @@ proptest! {
                     if !yielded {
                         continue;
                     }
-                    let clusters: Vec<Vec<RowId>> =
-                        repaired.clusters().map(<[RowId]>::to_vec).collect();
-                    let mut canonical = clusters.clone();
-                    for cluster in &mut canonical {
-                        cluster.sort_unstable();
-                    }
-                    canonical.sort();
-                    prop_assert_eq!(&clusters, &canonical, "node {} repair {} order", node, i);
-                    prop_assert_ne!(&clusters, cs.clustering(i), "repair {} changed nothing", i);
+                    let clusters = canonical(repaired.clusters());
+                    prop_assert_ne!(&clusters, &cs.clustering(i), "repair {} changed nothing", i);
                     prop_assert_eq!(clusters.iter().map(Vec::len).sum::<usize>(), total);
                     prop_assert!(clusters.iter().all(|cluster| cluster.len() >= k));
                     let mut rows: Vec<RowId> = clusters.concat();
@@ -172,18 +171,32 @@ proptest! {
             }
             for (node, cs) in candidates.iter().enumerate() {
                 for i in 0..cs.len() {
-                    let available = unbuilt[node].available(i, &state);
-                    let oracle = cs.clustering(i).iter().all(|cluster| {
+                    let available = cs.available(i, &state);
+                    let built = cs.clustering(i);
+                    let oracle = built.iter().all(|cluster| {
                         live.contains(cluster) || cluster.iter().all(|&r| state.row_is_free(r))
                     });
                     prop_assert_eq!(available, oracle, "{} node {} candidate {}", strategy, node, i);
+                    // The slices the search tries and the canonical form
+                    // get one verdict and leave the same live clusters.
+                    let by_slices = state.try_assign(cs.clusters(i), &graph);
+                    let accepted = by_slices.is_some();
+                    let live_after = state.live_clusters();
+                    if let Some(token) = by_slices {
+                        state.unassign(token, &graph);
+                    }
+                    let by_built = state.try_assign(&built, &graph);
+                    prop_assert_eq!(
+                        by_built.is_some(), accepted, "{} node {} candidate {}", strategy, node, i
+                    );
+                    prop_assert_eq!(&state.live_clusters(), &live_after);
                     // What the search commits, the pre-check admits; and
                     // undoing the commit restores the live clusters.
-                    if let Some(token) = state.try_assign(cs.clustering(i), &graph) {
+                    if let Some(token) = by_built {
                         prop_assert!(available, "{strategy} node {node} candidate {i} unavailable");
                         state.unassign(token, &graph);
-                        prop_assert_eq!(&state.live_clusters(), &live);
                     }
+                    prop_assert_eq!(&state.live_clusters(), &live);
                 }
             }
         }
