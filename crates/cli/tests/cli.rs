@@ -1059,6 +1059,22 @@ fn explain_rejects_a_log_whose_attribution_disagrees_with_its_records() {
     assert!(err.contains("attribution line disagrees with records"), "{err}");
 }
 
+/// A provenance file whose second line nests 200,000 arrays is a
+/// one-line error naming that line, not a stack overflow.
+#[test]
+fn explain_rejects_a_log_nested_past_the_json_cap() {
+    let path = tmp("prov_nested.jsonl");
+    let meta = r#"{"type":"meta","k":2,"n_rows":4,"constraints":1,"labels":["A[x]"]}"#;
+    let depth = 200_000;
+    let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    std::fs::write(&path, format!("{meta}\n{nested}\n")).unwrap();
+    let o = diva(&["explain", "--provenance", path.to_str().unwrap(), "--top-costly"]);
+    assert_eq!(o.status.code(), Some(1), "{}", String::from_utf8_lossy(&o.stderr));
+    let err = String::from_utf8_lossy(&o.stderr);
+    let cap = diva_obs::json::MAX_DEPTH;
+    assert!(err.contains(&format!("line 2: nesting deeper than {cap} at offset {cap}")), "{err}");
+}
+
 /// `--stats-addr` serves the run while it is in flight. The CLI binds
 /// port 0 and announces the address on stderr; every poll finds each
 /// always-present live cell on both routes, and one poll catches the

@@ -8,7 +8,10 @@
 //! are `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` and a string
 //! holds no raw control character; a number or a control character
 //! outside that grammar is rejected with its byte offset. Whitespace is
-//! space, tab, `\n` and `\r`.
+//! space, tab, `\n` and `\r`. Objects and arrays nest at most
+//! [`MAX_DEPTH`] deep: the parser recurses once per level, so a deeper
+//! document is rejected at the offset of the bracket past the cap
+//! instead of overflowing the stack.
 //!
 //! `parse` builds its [`Value`] tree on a crate-private pull parser,
 //! which the provenance reader also walks directly so that a log line
@@ -107,6 +110,11 @@ impl Value {
     }
 }
 
+/// How deep objects and arrays may nest in a document [`parse`]
+/// accepts. The deepest document the workspace writes,
+/// `BENCH_diva.json`, nests seven levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document. Trailing whitespace is allowed,
 /// trailing garbage is an error. Error offsets are byte offsets into
 /// `text`.
@@ -135,11 +143,13 @@ pub(crate) enum Kind {
 pub(crate) struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// How many objects and arrays enclose the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     pub(crate) fn new(text: &'a str) -> Self {
-        Parser { text, pos: 0 }
+        Parser { text, pos: 0, depth: 0 }
     }
 
     /// Checks that only whitespace is left.
@@ -171,22 +181,22 @@ impl<'a> Parser<'a> {
         &mut self,
         mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
     ) -> Result<(), String> {
+        self.open(b'{')?;
         self.skip_ws();
-        self.eat(b'{')?;
-        self.skip_ws();
-        if self.eat_if(b'}') {
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            member(self, key)?;
-            if self.closes(b'}')? {
-                return Ok(());
+        if !self.eat_if(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.eat(b':')?;
+                member(self, key)?;
+                if self.closes(b'}')? {
+                    break;
+                }
             }
         }
+        self.depth -= 1;
+        Ok(())
     }
 
     /// Walks the array at the cursor, calling `item` while the cursor
@@ -195,18 +205,18 @@ impl<'a> Parser<'a> {
         &mut self,
         mut item: impl FnMut(&mut Self) -> Result<(), String>,
     ) -> Result<(), String> {
+        self.open(b'[')?;
         self.skip_ws();
-        self.eat(b'[')?;
-        self.skip_ws();
-        if self.eat_if(b']') {
-            return Ok(());
-        }
-        loop {
-            item(self)?;
-            if self.closes(b']')? {
-                return Ok(());
+        if !self.eat_if(b']') {
+            loop {
+                item(self)?;
+                if self.closes(b']')? {
+                    break;
+                }
             }
         }
+        self.depth -= 1;
+        Ok(())
     }
 
     /// Reads a string, unescaped. It is borrowed from the text when it
@@ -378,6 +388,18 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Steps over the bracket `want` that opens an object or array, one
+    /// level deeper; the caller steps back out when it closes.
+    fn open(&mut self, want: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.depth == MAX_DEPTH && self.peek() == Some(want) {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos));
+        }
+        self.eat(want)?;
+        self.depth += 1;
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -498,6 +520,15 @@ mod tests {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
             assert_eq!(Parser::new(bad).skip(), parse(bad).map(drop), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn skipping_stops_at_the_nesting_cap_in_objects_too() {
+        // `{"a":` is five bytes, so the bracket past the cap is at 5 × cap.
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert_eq!(Parser::new(&objects(MAX_DEPTH)).skip(), Ok(()));
+        let err = format!("nesting deeper than {MAX_DEPTH} at offset {}", 5 * MAX_DEPTH);
+        assert_eq!(Parser::new(&objects(MAX_DEPTH + 1)).skip(), Err(err));
     }
 
     #[test]

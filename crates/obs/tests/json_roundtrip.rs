@@ -110,3 +110,26 @@ proptest! {
         prop_assert_eq!(v.get(&k).and_then(Value::as_str), Some(s.as_str()));
     }
 }
+
+/// A document nested exactly [`json::MAX_DEPTH`] levels deep, objects
+/// and arrays in turn, parses back to its tree.
+#[test]
+fn a_document_at_the_nesting_cap_round_trips() {
+    let mut v = Value::Num(1.0);
+    for level in 0..json::MAX_DEPTH {
+        v = if level % 2 == 0 { Value::Arr(vec![v]) } else { Value::Obj(vec![("k".into(), v)]) };
+    }
+    let doc = render(&v);
+    assert_eq!(json::parse(&doc), Ok(v));
+}
+
+/// One level past the cap, or 200,000, is an error at the offset of the
+/// first bracket past it, not a stack overflow.
+#[test]
+fn a_document_past_the_nesting_cap_is_rejected_at_its_offset() {
+    let err = format!("nesting deeper than {0} at offset {0}", json::MAX_DEPTH);
+    for depth in [json::MAX_DEPTH + 1, 200_000] {
+        let doc = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert_eq!(json::parse(&doc), Err(err.clone()), "depth {depth}");
+    }
+}
