@@ -13,8 +13,9 @@
 //! the number *considered* per constraint is polynomial. We enumerate
 //! a capped, quality-ordered subset:
 //!
-//! * target tuples are sorted by QI similarity so clusters of adjacent
-//!   tuples need little suppression;
+//! * target tuples are sorted by QI similarity
+//!   ([`diva_relation::qi_sorted`]) so clusters of adjacent tuples need
+//!   little suppression;
 //! * small target sets get exhaustive subset enumeration (this makes
 //!   the running example behave exactly as in the paper's Figure 2);
 //! * large target sets get evenly-spread *windows* over the sorted
@@ -35,7 +36,7 @@
 use std::ops::Range;
 
 use diva_constraints::BoundConstraint;
-use diva_relation::{AttrRole, Relation, RowId};
+use diva_relation::{qi_sorted, AttrRole, Relation, RowId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -206,7 +207,7 @@ impl CandidateSet {
         // MinChoice/MaxFanOut cut clusters from the QI-similarity
         // order (cheap suppression); Basic — the paper's naive variant
         // — clusters random target subsets instead.
-        let mut sorted = similarity_sorted(rel, &c.target_rows);
+        let mut sorted = qi_sorted(rel, c.target_rows.clone());
         let mut rng = shuffle_seed.map(StdRng::seed_from_u64);
         if let Some(rng) = rng.as_mut() {
             sorted.shuffle(rng);
@@ -401,24 +402,6 @@ impl CandidateSet {
         obs.histogram("candidates.set_size").record_len(self.candidates.len());
         obs.histogram("candidates.target_rows").record_len(self.sorted_targets.len());
     }
-}
-
-/// Sorts target rows so that tuples with similar QI values are
-/// adjacent (lexicographic over the QI code vector, ties by row id for
-/// determinism).
-fn similarity_sorted(rel: &Relation, rows: &[RowId]) -> Vec<RowId> {
-    let qi_cols = rel.schema().qi_cols();
-    let mut sorted = rows.to_vec();
-    sorted.sort_by(|&a, &b| {
-        for &c in qi_cols {
-            match rel.code(a, c).cmp(&rel.code(b, c)) {
-                std::cmp::Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        a.cmp(&b)
-    });
-    sorted
 }
 
 /// The clusters of `m` similarity-ordered rows cut into `q` clusters,

@@ -27,7 +27,7 @@
 //! 100k-row table runs all nine checkers in well under a second.
 
 use diva_obs::{json, Obs};
-use diva_relation::{AttrRole, Relation, RowId};
+use diva_relation::{qi_sorted, AttrRole, Relation, RowId};
 
 /// Tolerance for floating-point parameter comparisons: achieved
 /// values are compared against requested ones with this slack so that
@@ -264,15 +264,7 @@ impl<'a> Audit<'a> {
         // Equivalence classes: sort row ids by QI code tuple, scan for
         // boundaries, then renumber classes by first appearance so ids
         // are stable and human-meaningful.
-        let mut rows: Vec<RowId> = (0..n).collect();
-        rows.sort_unstable_by(|&a, &b| {
-            qi_cols
-                .iter()
-                .map(|&c| rel.code(a, c).cmp(&rel.code(b, c)))
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        let rows = qi_sorted(rel, (0..n).collect());
         let same_class =
             |a: RowId, b: RowId| qi_cols.iter().all(|&c| rel.code(a, c) == rel.code(b, c));
         let mut spans_by_first: Vec<(RowId, usize, usize)> = Vec::new();

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use crate::relation::Relation;
+use crate::value::STAR_CODE;
 use crate::RowId;
 
 /// The maximal QI-groups of a relation: a partition of rows such that
@@ -54,6 +55,58 @@ pub fn qi_groups(rel: &Relation) -> QiGroups {
         groups[gid].push(row);
     }
     QiGroups { groups }
+}
+
+/// Sorts `rows` by their QI code vectors, compared column by column in
+/// schema order with ★ after every code. The sort is stable, so
+/// ascending row ids come out with ties in row-id order: the QI
+/// similarity order that candidate enumeration cuts clusters from and
+/// the audit scans for equivalence classes.
+///
+/// One stable counting pass per QI column, last column first (LSD
+/// radix). A pass costs O(rows + the column's largest code) and is
+/// skipped when every row holds the same value; the scratch is one
+/// second row buffer and one count per code.
+pub fn qi_sorted(rel: &Relation, mut rows: Vec<RowId>) -> Vec<RowId> {
+    let mut scratch = Vec::new();
+    // `starts[x + 1]` counts the rows holding code `x`, then, summed,
+    // `starts[x]` is where they go; ★ rows go after every code.
+    let mut starts: Vec<usize> = Vec::new();
+    for &c in rel.schema().qi_cols().iter().rev() {
+        let col = rel.column(c);
+        starts.clear();
+        let mut stars = 0;
+        for &r in &rows {
+            match col[r] {
+                STAR_CODE => stars += 1,
+                x => {
+                    let b = x as usize + 1;
+                    if b >= starts.len() {
+                        starts.resize(b + 1, 0);
+                    }
+                    starts[b] += 1;
+                }
+            }
+        }
+        if stars == rows.len() || starts.contains(&rows.len()) {
+            continue;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut next_star = rows.len() - stars;
+        scratch.resize(rows.len(), 0);
+        for &r in &rows {
+            let slot = match col[r] {
+                STAR_CODE => &mut next_star,
+                x => &mut starts[x as usize],
+            };
+            scratch[*slot] = r;
+            *slot += 1;
+        }
+        std::mem::swap(&mut rows, &mut scratch);
+    }
+    rows
 }
 
 /// Whether `rel` is `k`-anonymous: every tuple lies in a maximal

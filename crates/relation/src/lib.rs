@@ -32,7 +32,7 @@ pub mod value;
 
 pub use builder::RelationBuilder;
 pub use dict::Dict;
-pub use groups::{is_k_anonymous, qi_groups, QiGroups};
+pub use groups::{is_k_anonymous, qi_groups, qi_sorted, QiGroups};
 pub use relation::Relation;
 pub use rowset::RowSet;
 pub use schema::{AttrRole, Attribute, Schema};

@@ -4,7 +4,9 @@ use std::sync::Arc;
 
 use diva_relation::csv::{read_relation, write_relation};
 use diva_relation::suppress::{is_refinement, suppress_clustering};
-use diva_relation::{is_k_anonymous, qi_groups, AttrRole, Attribute, RelationBuilder, Schema};
+use diva_relation::{
+    is_k_anonymous, qi_groups, qi_sorted, AttrRole, Attribute, Relation, RelationBuilder, Schema,
+};
 use proptest::prelude::*;
 
 /// Strategy: a small relation with `n_qi` QI columns and one sensitive
@@ -37,6 +39,46 @@ fn partition(n: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
         clusters.retain(|c| !c.is_empty());
         clusters
     })
+}
+
+/// Strategy: a relation whose QI cells are ★ about one time in six,
+/// with a small or a wide value domain, and an ascending subset of its
+/// rows: none, one, all, or each row with probability 1/2.
+fn relation_and_rows() -> impl Strategy<Value = (Relation, Vec<usize>)> {
+    (0usize..4, 0usize..60, prop_oneof![Just(5u8), Just(120u8)]).prop_flat_map(
+        |(n_qi, n_rows, domain)| {
+            let row = proptest::collection::vec(0u8..domain, n_qi + 1);
+            let rows = proptest::collection::vec(row, n_rows);
+            let keep = proptest::collection::vec(0u8..2, n_rows);
+            (rows, keep, 0u8..4, 0..n_rows.max(1)).prop_map(move |(rows, keep, kind, one)| {
+                let mut attrs: Vec<Attribute> =
+                    (0..n_qi).map(|i| Attribute::quasi(format!("Q{i}"))).collect();
+                attrs.push(Attribute::sensitive("S"));
+                let mut b = RelationBuilder::new(Arc::new(Schema::new(attrs)));
+                for r in &rows {
+                    let vals: Vec<String> = r
+                        .iter()
+                        .enumerate()
+                        .map(|(c, &v)| {
+                            if c < n_qi && v % 6 == 0 {
+                                "★".to_string()
+                            } else {
+                                format!("v{v}")
+                            }
+                        })
+                        .collect();
+                    b.push_row(&vals);
+                }
+                let subset = match kind {
+                    0 => Vec::new(),
+                    1 => (one..(one + 1).min(n_rows)).collect(),
+                    2 => (0..n_rows).collect(),
+                    _ => (0..n_rows).filter(|&r| keep[r] == 1).collect(),
+                };
+                (b.finish(), subset)
+            })
+        },
+    )
 }
 
 proptest! {
@@ -160,5 +202,22 @@ proptest! {
             expected.insert((row, col));
         }
         prop_assert_eq!(rel.star_count(), expected.len());
+    }
+
+    /// The radix QI order equals a comparator sort over the QI code
+    /// vectors (★ is the largest code) with ties by row id.
+    #[test]
+    fn qi_sorted_matches_the_comparator((rel, rows) in relation_and_rows()) {
+        let qi_cols = rel.schema().qi_cols();
+        let mut expected = rows.clone();
+        expected.sort_by(|&a, &b| {
+            qi_cols
+                .iter()
+                .map(|&c| rel.code(a, c).cmp(&rel.code(b, c)))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        prop_assert_eq!(qi_sorted(&rel, rows), expected);
     }
 }
