@@ -26,36 +26,56 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
-/// Relations drawn from a few QI templates: each row copies one
-/// template and redraws each attribute with probability 1/3. Exact
-/// duplicates (cluster distance 0) and rows that differ on every
-/// attribute (pairwise distance `n_qi`) both occur often, so the
-/// k-member scans take their early exits.
-fn arb_duplicate_heavy_relation() -> impl Strategy<Value = Relation> {
-    (1usize..5, 1usize..6, 0usize..700).prop_flat_map(|(n_qi, n_templates, n_rows)| {
-        let templates =
-            proptest::collection::vec(proptest::collection::vec(0u8..4, n_qi), n_templates);
-        let rows = proptest::collection::vec(
-            (0..n_templates, proptest::collection::vec(0u8..12, n_qi), 0u8..3),
-            n_rows,
-        );
-        (templates, rows).prop_map(move |(templates, rows)| {
-            let mut attrs: Vec<Attribute> =
-                (0..n_qi).map(|i| Attribute::quasi(format!("Q{i}"))).collect();
-            attrs.push(Attribute::sensitive("S"));
-            let mut b = RelationBuilder::new(Arc::new(Schema::new(attrs)));
-            for (t, noise, s) in &rows {
-                let mut vals: Vec<String> = templates[*t]
-                    .iter()
-                    .zip(noise)
-                    .map(|(&v, &x)| format!("v{}", if x < 4 { x } else { v }))
-                    .collect();
-                vals.push(format!("s{s}"));
-                b.push_row(&vals);
-            }
-            b.finish()
-        })
-    })
+/// Relations drawn from a few QI templates, and the rows to cluster:
+/// each row copies one template, and each attribute is redrawn with
+/// probability 1/3 and ★ with probability 1/12. Exact duplicates
+/// (cluster distance 0) and rows that differ on every attribute
+/// (pairwise distance `n_qi`) both occur often, so the k-member scans
+/// take their early exits. In half the cases rows with distinct `Q0`
+/// values come first and are not clustered: after 300 of them the
+/// clustered rows' `Q0` codes are 300 and above, after 252 the largest
+/// is usually 255, one past what a byte lane holds beside ★.
+fn arb_duplicate_heavy_relation() -> impl Strategy<Value = (Relation, Vec<usize>)> {
+    (1usize..5, 1usize..6, 0usize..700, 0u8..4).prop_flat_map(
+        |(n_qi, n_templates, n_rows, wide)| {
+            let templates =
+                proptest::collection::vec(proptest::collection::vec(0u8..4, n_qi), n_templates);
+            let rows = proptest::collection::vec(
+                (0..n_templates, proptest::collection::vec(0u8..12, n_qi), 0u8..3),
+                n_rows,
+            );
+            (templates, rows).prop_map(move |(templates, rows)| {
+                let mut attrs: Vec<Attribute> =
+                    (0..n_qi).map(|i| Attribute::quasi(format!("Q{i}"))).collect();
+                attrs.push(Attribute::sensitive("S"));
+                let mut b = RelationBuilder::new(Arc::new(Schema::new(attrs)));
+                let fillers = match wide {
+                    0 => 300,
+                    1 => 252,
+                    _ => 0,
+                };
+                for f in 0..fillers {
+                    let mut vals = vec![format!("w{f}")];
+                    vals.resize(n_qi + 1, "w".to_string());
+                    b.push_row(&vals);
+                }
+                for (t, noise, s) in &rows {
+                    let mut vals: Vec<String> = templates[*t]
+                        .iter()
+                        .zip(noise)
+                        .map(|(&v, &x)| match x {
+                            11 => "★".to_string(),
+                            0..=3 => format!("v{x}"),
+                            _ => format!("v{v}"),
+                        })
+                        .collect();
+                    vals.push(format!("s{s}"));
+                    b.push_row(&vals);
+                }
+                (b.finish(), (fillers..fillers + rows.len()).collect())
+            })
+        },
+    )
 }
 
 /// k-member as it was written before its scans stopped early: plain
@@ -175,19 +195,60 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The block scans publish exactly the clustering of the plain
-    /// `min_by_key` / `max_by_key` scans, for every seed, cap and k.
-    /// Caps from 100 and tables of up to 699 rows make scans span
-    /// several blocks.
+    /// `min_by_key` / `max_by_key` scans, for every seed, cap and k, in
+    /// byte lanes and in `u32` lanes, with and without ★ cells. Caps
+    /// from 100 and up to 699 clustered rows make scans span several
+    /// blocks.
     #[test]
     fn kmember_matches_the_full_scan_reference(
-        rel in arb_duplicate_heavy_relation(),
+        (rel, rows) in arb_duplicate_heavy_relation(),
         k in 2usize..6,
         seed: u64,
         cap in prop_oneof![Just(None), (1usize..64).prop_map(Some), (100usize..400).prop_map(Some)],
     ) {
-        let rows: Vec<usize> = (0..rel.n_rows()).collect();
         let fast = KMember { seed, candidate_cap: cap }.cluster(&rel, &rows, k);
         prop_assert_eq!(fast, reference::kmember(&rel, &rows, k, seed, cap));
+    }
+}
+
+/// At 255 QI attributes a mismatch count still fits a byte lane; at 256
+/// the pool takes `u32` lanes although every code is small. Rows copy
+/// one of three templates with a few attributes redrawn, so seed scans
+/// meet rows differing on every attribute and growth scans meet
+/// duplicates.
+#[test]
+fn kmember_matches_the_reference_at_255_and_256_qi_attributes() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    for n_qi in [255, 256] {
+        let mut rng = StdRng::seed_from_u64(n_qi as u64);
+        let mut attrs: Vec<Attribute> =
+            (0..n_qi).map(|i| Attribute::quasi(format!("Q{i}"))).collect();
+        attrs.push(Attribute::sensitive("S"));
+        let mut b = RelationBuilder::new(Arc::new(Schema::new(attrs)));
+        for _ in 0..300 {
+            let template = rng.gen_range(0..3);
+            let mut vals: Vec<String> = (0..n_qi)
+                .map(|_| match rng.gen_range(0..40) {
+                    0 => "★".to_string(),
+                    1..=3 => format!("v{}", rng.gen_range(0..6)),
+                    _ => format!("t{template}"),
+                })
+                .collect();
+            vals.push(format!("s{}", rng.gen_range(0..3)));
+            b.push_row(&vals);
+        }
+        let rel = b.finish();
+        let rows: Vec<usize> = (0..rel.n_rows()).collect();
+        for (k, cap) in [(3, None), (4, Some(150))] {
+            let fast = KMember { seed: 7, candidate_cap: cap }.cluster(&rel, &rows, k);
+            assert_eq!(
+                fast,
+                reference::kmember(&rel, &rows, k, 7, cap),
+                "n_qi {n_qi}, cap {cap:?}"
+            );
+        }
     }
 }
 
