@@ -80,6 +80,10 @@ pub struct Coloring<'a> {
     /// Scratch every repair writes its clustering into.
     repaired: Repaired,
     assignment: Vec<Option<usize>>,
+    /// Basic's candidate order of each node: a fixed permutation, built
+    /// the first time the search selects the node. Empty for the other
+    /// strategies, which walk the candidates in index order.
+    basic_orders: Vec<Vec<usize>>,
     /// The nodes this search colours, ascending: one connected
     /// component's (see [`Coloring::with_nodes`]), or `None` for every
     /// node of the graph.
@@ -165,6 +169,11 @@ impl<'a> Coloring<'a> {
             ),
             repaired: Repaired::default(),
             assignment: vec![None; graph.n_nodes()],
+            basic_orders: if config.strategy == Strategy::Basic {
+                vec![Vec::new(); graph.n_nodes()]
+            } else {
+                Vec::new()
+            },
             nodes: None,
             stats: ColoringStats::default(),
             controls: Controls::default(),
@@ -324,17 +333,21 @@ impl<'a> Coloring<'a> {
         let Some(v) = self.next_node() else {
             return Ok(true); // V contains all nodes of G
         };
-        let mut order: Vec<usize> = (0..self.candidates[v].len()).collect();
-        if self.config.strategy == Strategy::Basic {
+        let n_candidates = self.candidates[v].len();
+        let basic = self.config.strategy == Strategy::Basic;
+        if basic && self.basic_orders[v].len() != n_candidates {
             // A fixed per-node permutation (keyed by the node id, not a
             // shared stream) so re-expansions and component searches
             // walk candidates in the same order as the monolithic
             // search.
             let mut rng =
                 StdRng::seed_from_u64(basic_mix(self.config.seed ^ CANDIDATE_ORDER_SALT, v as u64));
+            let mut order: Vec<usize> = (0..n_candidates).collect();
             order.shuffle(&mut rng);
+            self.basic_orders[v] = order;
         }
-        for ci in order {
+        for i in 0..n_candidates {
+            let ci = if basic { self.basic_orders[v][i] } else { i };
             self.explore_node()?;
             // IsConsistent + commit in one step, over the candidate's
             // slices. If the literal candidate is blocked (typically
